@@ -4,7 +4,7 @@
 GO      ?= go
 JOBS    ?= 0   # 0 = GOMAXPROCS
 
-.PHONY: all build test vet fmt bench bench-baseline bench-regress alloc-regress alloc-baseline repro repro-quick determinism engine-determinism corun-determinism par-determinism service-determinism shard-determinism load-smoke bench-service clean
+.PHONY: all build test vet fmt bench bench-baseline bench-regress alloc-regress alloc-baseline repro repro-quick determinism engine-determinism corun-determinism par-determinism service-determinism shard-determinism load-smoke bench-service bench-harness clean
 
 all: build vet fmt test
 
@@ -350,6 +350,13 @@ bench-service:
 	/tmp/gpulat-ci loadgen -addr http://$(BENCHSVC_ADDR) -min-hits 1 -out BENCH_service.json.tmp; \
 	mv BENCH_service.json.tmp BENCH_service.json
 	@echo "bench-service: BENCH_service.json refreshed (warm replay against the persistent cache)"
+
+# The repository benchmark (bench/) is a Go module of its own, outside
+# `go test ./...`: build it and run every workload at -smoke scale, so an
+# exported-API change in internal/service (or any layer the harness
+# drives) cannot break the benchmark silently.
+bench-harness:
+	cd bench && $(GO) test ./...
 
 clean:
 	$(GO) clean

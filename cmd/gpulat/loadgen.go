@@ -103,7 +103,6 @@ func cmdLoadgen(args []string) error {
 	defer cancel()
 
 	client := service.NewClient(*addr)
-	client.Poll = 5 * time.Millisecond
 	if err := client.WaitHealthy(ctx, *wait); err != nil {
 		return err
 	}

@@ -148,7 +148,9 @@ commands:
                 -backends b1,b2 runs a sharding coordinator over them,
                 -join <coord> registers this backend with a coordinator,
                 -journal <path> makes grids survive coordinator restarts
-  submit        submit jobs to a running service and collect results
+  submit        submit jobs to a running service and collect results; each
+                unfinished job is awaited with one blocking status call
+                (GET /v1/jobs/{key}?wait=) that returns when it completes
                 (-shard i/n for key-hash fan-out, -backendsz for pool view)
   backends      coordinator pool admin: list | join <addr> | leave <addr>
                 (elastic membership: joins warm-hand cached results over)

@@ -144,7 +144,11 @@ func cmdServe(args []string) error {
 	if err != nil {
 		return fmt.Errorf("serve: %w", err)
 	}
-	srv := &http.Server{Handler: service.NewServer(svc, cache)}
+	handler := service.NewServer(svc, cache)
+	srv := &http.Server{Handler: handler}
+	// A graceful drain answers held-open status waits at once instead of
+	// sitting out their cap.
+	srv.RegisterOnShutdown(handler.ReleaseWaits)
 
 	// Backend registration: with -join, announce this backend to the
 	// coordinator once the listener is up, then keep re-asserting —

@@ -16,7 +16,9 @@ import (
 )
 
 // cmdSubmit is the service client: it sends a job list to a running
-// `gpulat serve`, waits for completion, and renders the reassembled
+// `gpulat serve`, waits for completion (one blocking
+// GET /v1/jobs/{key}?wait= per unfinished job, falling back to interval
+// polling only against a server too old to hold the request), and renders the reassembled
 // ResultSet exactly as the local sweep commands would — so a service
 // round-trip of `-suite -quick -csv` byte-matches `bench-suite -quick
 // -csv`, which `make service-determinism` enforces in CI.
@@ -26,7 +28,7 @@ func cmdSubmit(args []string) error {
 	suite := fs.Bool("suite", false, "submit the bench-suite paper-reproduction grid")
 	quick := fs.Bool("quick", false, "with -suite: CI smoke scale")
 	jobsFile := fs.String("jobs", "", "submit jobs from a JSON file ('-' = stdin; a [<job>...] array or {\"jobs\": [...]} document)")
-	wait := fs.Duration("wait", 15*time.Second, "how long to wait for the server to come up")
+	wait := fs.Duration("wait", 15*time.Second, "how long to wait for the server to come up (job completion is awaited without a limit, by status long-poll)")
 	jsonOut := fs.Bool("json", false, "write the ResultSet as JSON to stdout")
 	csvOut := fs.Bool("csv", false, "write the ResultSet as long-form CSV to stdout")
 	quiet := fs.Bool("quiet", false, "suppress the timing line on stderr")

@@ -2,6 +2,7 @@ package service
 
 import (
 	"errors"
+	"net/http"
 	"strings"
 	"sync"
 
@@ -206,6 +207,8 @@ func normalizeBackendAddr(addr string) string {
 // static -backends list, waiting for `gpulat serve -join` registrations.
 type BackendPool struct {
 	threshold int
+	// transport is the connection pool the backend clients share.
+	transport *http.Transport
 
 	mu       sync.RWMutex
 	epoch    uint64
@@ -223,12 +226,15 @@ func NewBackendPool(addrs []string, failThreshold int) *BackendPool {
 		failThreshold = 3
 	}
 	p := &BackendPool{threshold: failThreshold, byAddr: map[string]*Backend{}, epoch: 1}
+	p.transport = http.DefaultTransport.(*http.Transport).Clone()
+	p.transport.MaxIdleConns = 0 // the per-host bound governs
+	p.transport.MaxIdleConnsPerHost = backendIdleConns
 	for _, raw := range addrs {
 		addr := normalizeBackendAddr(raw)
 		if addr == "" || p.byAddr[addr] != nil {
 			continue
 		}
-		b := newBackend(addr)
+		b := p.newBackend(addr)
 		p.backends = append(p.backends, b)
 		p.byAddr[addr] = b
 	}
@@ -236,8 +242,14 @@ func NewBackendPool(addrs []string, failThreshold int) *BackendPool {
 	return p
 }
 
-func newBackend(addr string) *Backend {
+// backendIdleConns sizes the per-backend keep-alive pool: a forwarded
+// long-poll holds its connection for the whole wait, so the default
+// transport's two per host would re-dial for every further waiter.
+const backendIdleConns = 64
+
+func (p *BackendPool) newBackend(addr string) *Backend {
 	client := NewClient(addr)
+	client.HTTP = &http.Client{Transport: p.transport}
 	// The coordinator handles rerouting itself; keep the forwarding
 	// client's own 503 retries short so a wedged backend fails over
 	// quickly instead of being politely waited on.
@@ -267,7 +279,7 @@ func (p *BackendPool) Join(addr string) (b *Backend, epoch uint64, before, after
 	if have := p.byAddr[addr]; have != nil {
 		return have, p.epoch, p.ring, p.ring, false
 	}
-	b = newBackend(addr)
+	b = p.newBackend(addr)
 	p.backends = append(p.backends, b)
 	p.byAddr[addr] = b
 	before = p.ring
@@ -302,6 +314,9 @@ func (p *BackendPool) Leave(addr string) (b *Backend, epoch uint64, before, afte
 	p.epoch++
 	return b, p.epoch, before, p.ring, true
 }
+
+// Close releases the idle backend connections; a later call re-dials.
+func (p *BackendPool) Close() { p.transport.CloseIdleConnections() }
 
 // Epoch returns the monotonic membership epoch: 1 for the initial
 // membership, bumped by every successful Join or Leave.

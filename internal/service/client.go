@@ -19,8 +19,9 @@ import (
 type Client struct {
 	Base string
 	HTTP *http.Client
-	// Poll is the starting status-poll interval (default 25ms); it backs
-	// off to 8x while a job stays unfinished.
+	// Poll is the old-server fallback interval only (default 25ms, backing
+	// off to 8x): RunJobs waits by long-poll, and Poll is the floor between
+	// two non-terminal answers, so a server that ignores wait is not spun on.
 	Poll time.Duration
 	// Backoff is the starting delay before resubmitting jobs a 503
 	// (queue full, no healthy backends) refused (default 50ms, doubling
@@ -303,8 +304,19 @@ func (c *Client) submitOnce(ctx context.Context, jobs []runner.Job) ([]JobTicket
 
 // Status fetches one job's lifecycle position.
 func (c *Client) Status(ctx context.Context, key runner.JobKey) (JobStatus, error) {
+	return c.Wait(ctx, key, 0)
+}
+
+// Wait is Status, asking the server to hold the answer up to d (it caps
+// d itself) until the job is terminal. A server that predates ?wait=
+// answers at once, so callers must tolerate a non-terminal answer.
+func (c *Client) Wait(ctx context.Context, key runner.JobKey, d time.Duration) (JobStatus, error) {
+	path := "/v1/jobs/" + string(key)
+	if d > 0 {
+		path += "?wait=" + d.String()
+	}
 	var js JobStatus
-	err := c.getJSON(ctx, "/v1/jobs/"+string(key), &js)
+	err := c.getJSON(ctx, path, &js)
 	return js, err
 }
 
@@ -340,8 +352,9 @@ func (c *Client) WaitHealthy(ctx context.Context, timeout time.Duration) error {
 // ResultSet in submission order with client-local indices — the exact
 // shape a direct runner.Run would have produced, so CSV/JSON exports
 // byte-match a local sweep. Tickets already done (cache hits, dedup onto
-// finished work) skip polling entirely, which is what makes warm grid
-// re-runs milliseconds instead of minutes.
+// finished work) skip the status call entirely, which is what makes warm
+// grid re-runs milliseconds instead of minutes; any other ticket costs one
+// held status call that returns the moment the job finishes.
 func (c *Client) RunJobs(ctx context.Context, jobs []runner.Job) (*runner.ResultSet, error) {
 	tickets, err := c.Submit(ctx, jobs)
 	if err != nil {
@@ -354,31 +367,46 @@ func (c *Client) RunJobs(ctx context.Context, jobs []runner.Job) (*runner.Result
 	set := &runner.ResultSet{Results: make([]runner.Result, len(jobs))}
 	for i, t := range tickets {
 		status := t.Status
-		wait := poll
+		floor := poll
+		// pause sleeps out what is left of the floor since `since` (nothing
+		// after a held wait, all of it after an immediate answer), then
+		// backs the floor off.
+		pause := func(since time.Time) error {
+			select {
+			case <-ctx.Done():
+				return ctx.Err()
+			case <-time.After(floor - time.Since(since)):
+			}
+			if floor < 8*poll {
+				floor *= 2
+			}
+			return nil
+		}
 		for {
-			for status != StatusDone && status != StatusFailed {
-				select {
-				case <-ctx.Done():
-					return nil, ctx.Err()
-				case <-time.After(wait):
-				}
-				js, err := c.Status(ctx, t.Key)
+			for !status.terminal() {
+				asked := time.Now()
+				js, err := c.Wait(ctx, t.Key, maxStatusWait)
 				if err != nil {
 					return nil, err
 				}
-				status = js.Status
-				if wait < 8*poll {
-					wait *= 2
+				if status = js.Status; status.terminal() {
+					break
+				}
+				if err := pause(asked); err != nil {
+					return nil, err
 				}
 			}
 			wr, err := c.Result(ctx, t.Key)
 			if err != nil {
 				// 409: the "done" we saw evaporated between the status
-				// poll and the fetch — a sharded server's backend died
+				// answer and the fetch — a sharded server's backend died
 				// in that window and the job is re-running. Resume
-				// polling; every other failure is terminal.
+				// waiting; every other failure is terminal.
 				var ae *APIError
 				if errors.As(err, &ae) && ae.Code == http.StatusConflict {
+					if err := pause(time.Now()); err != nil {
+						return nil, err
+					}
 					status = StatusQueued
 					continue
 				}

@@ -133,7 +133,10 @@ type Coordinator struct {
 	pool    *BackendPool
 	journal *Journal
 
-	stop chan struct{}
+	// ctx ends when Close begins, stopping the prober and hanging up
+	// every long-poll held open on a backend.
+	ctx  context.Context
+	stop context.CancelFunc
 	wg   sync.WaitGroup
 
 	// memberMu serializes membership changes (Join/Leave/replay) so two
@@ -169,9 +172,9 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	c := &Coordinator{
 		cfg:    cfg,
 		pool:   NewBackendPool(cfg.Backends, cfg.FailThreshold),
-		stop:   make(chan struct{}),
 		states: map[runner.JobKey]*routedJob{},
 	}
+	c.ctx, c.stop = context.WithCancel(context.Background())
 	if cfg.JournalPath != "" {
 		j, records, err := OpenJournal(cfg.JournalPath)
 		if err != nil {
@@ -295,8 +298,9 @@ func (c *Coordinator) Close() {
 		}
 	}
 	c.mu.Unlock()
-	close(c.stop)
+	c.stop()
 	c.wg.Wait()
+	c.pool.Close()
 	if c.journal != nil {
 		c.journal.Close()
 	}
@@ -682,9 +686,10 @@ func (c *Coordinator) forwardChunk(ctx context.Context, b *Backend, group []*rou
 	c.replaceGroup(ctx, group, b)
 }
 
-// resubmit re-places one key after its backend failed it.
-func (c *Coordinator) resubmit(st *routedJob, from *Backend) {
-	c.replaceGroup(context.Background(), []*routedJob{st}, from)
+// resubmit re-places one key after its backend failed it; ctx
+// contributes only the trace ID.
+func (c *Coordinator) resubmit(ctx context.Context, st *routedJob, from *Backend) {
+	c.replaceGroup(ctx, []*routedJob{st}, from)
 }
 
 // replaceGroup re-places every live key of group off `from`: each key
@@ -762,7 +767,7 @@ func (c *Coordinator) prober() {
 	defer timer.Stop()
 	for {
 		select {
-		case <-c.stop:
+		case <-c.ctx.Done():
 			return
 		case <-timer.C:
 		}
@@ -948,11 +953,20 @@ func (c *Coordinator) stealWork() {
 	}
 }
 
-// Status reports a key's position, proxying to the owning backend for
-// live keys. Backend failures observed here feed the circuit state and
-// trigger an immediate re-place of this key, so a polling client drives
-// its own failover without waiting for the prober.
+// Status reports a key's position without waiting; see Wait.
 func (c *Coordinator) Status(key runner.JobKey) (Status, bool) {
+	return c.Wait(context.Background(), key, 0)
+}
+
+// Wait reports a key's position, answering locally for done and
+// unforwarded keys and otherwise forwarding the (long-)poll to the
+// owning backend under the caller's trace ID. Backend failures observed
+// here feed the circuit state and re-place this key at once, so a
+// waiting client drives its own failover the moment the backend dies,
+// not at the prober's next round. When ctx ends (the client went away)
+// or the coordinator closes, the forward is hung up — no penalty to the
+// backend — and the last status known is the answer.
+func (c *Coordinator) Wait(ctx context.Context, key runner.JobKey, d time.Duration) (Status, bool) {
 	c.mu.Lock()
 	st, ok := c.states[key]
 	if !ok {
@@ -967,45 +981,45 @@ func (c *Coordinator) Status(key runner.JobKey) (Status, bool) {
 	b := st.backend
 	c.mu.Unlock()
 
-	ctx, cancel := context.WithTimeout(context.Background(), c.cfg.CallTimeout)
-	js, err := b.client.Status(ctx, key)
-	cancel()
-	if err == nil {
+	wctx, cancel := context.WithTimeout(ctx, c.cfg.CallTimeout)
+	defer cancel()
+	defer context.AfterFunc(c.ctx, cancel)()
+	js, err := b.client.Wait(wctx, key, d)
+	var ae *APIError
+	switch {
+	case err == nil:
 		b.reportSuccess(false)
 		c.mu.Lock()
 		if !st.done && st.backend == b {
 			st.status = js.Status
 		}
-		s := st.status
 		c.mu.Unlock()
-		return s, true
+	case ctx.Err() != nil || c.ctx.Err() != nil:
+		// We hung up, not the backend.
+	case !errors.As(err, &ae):
+		// Transport failure: count it against the circuit and re-place now.
+		b.reportFailure(c.cfg.FailThreshold, err, false)
+		c.resubmit(ctx, st, b)
+		return StatusQueued, true
+	case ae.Code == http.StatusNotFound:
+		// The backend answered but has never heard of the key — it
+		// restarted and lost its in-memory states. Re-place the job.
+		c.resubmit(ctx, st, b)
+		return StatusQueued, true
 	}
-	var ae *APIError
-	if errors.As(err, &ae) {
-		if ae.Code == http.StatusNotFound {
-			// The backend answered but has never heard of the key — it
-			// restarted and lost its in-memory states. Re-place the job.
-			c.resubmit(st, b)
-			return StatusQueued, true
-		}
-		// Any other API answer means the backend is alive; report the
-		// last status we believed.
-		c.mu.Lock()
-		s := st.status
-		c.mu.Unlock()
-		return s, true
-	}
-	// Transport failure: count it against the circuit and re-place now.
-	b.reportFailure(c.cfg.FailThreshold, err, false)
-	c.resubmit(st, b)
-	return StatusQueued, true
+	// Any other API answer means the backend is alive; report the last
+	// status we believed.
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return st.status, true
 }
 
 // Result returns a terminal result, proxying the first fetch to the
 // owning backend and memoizing it locally so later calls (and the
 // coordinator's own failure handling) never depend on the backend
-// staying alive after completion.
-func (c *Coordinator) Result(key runner.JobKey) (runner.Result, bool) {
+// staying alive after completion. ctx contributes only its trace ID: an
+// abandoned fetch must not read as a backend failure.
+func (c *Coordinator) Result(ctx context.Context, key runner.JobKey) (runner.Result, bool) {
 	c.mu.Lock()
 	st, ok := c.states[key]
 	if !ok {
@@ -1024,8 +1038,9 @@ func (c *Coordinator) Result(key runner.JobKey) (runner.Result, bool) {
 	b := st.backend
 	c.mu.Unlock()
 
-	ctx, cancel := context.WithTimeout(context.Background(), c.cfg.CallTimeout)
-	wr, err := b.client.Result(ctx, key)
+	ctx = context.WithoutCancel(ctx)
+	rctx, cancel := context.WithTimeout(ctx, c.cfg.CallTimeout)
+	wr, err := b.client.Result(rctx, key)
 	cancel()
 	if err == nil {
 		b.reportSuccess(false)
@@ -1050,14 +1065,14 @@ func (c *Coordinator) Result(key runner.JobKey) (runner.Result, bool) {
 			// Known but not finished yet.
 			return runner.Result{}, false
 		case http.StatusNotFound:
-			c.resubmit(st, b)
+			c.resubmit(ctx, st, b)
 			return runner.Result{}, false
 		default:
 			return runner.Result{}, false
 		}
 	}
 	b.reportFailure(c.cfg.FailThreshold, err, false)
-	c.resubmit(st, b)
+	c.resubmit(ctx, st, b)
 	return runner.Result{}, false
 }
 

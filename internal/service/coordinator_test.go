@@ -163,7 +163,7 @@ func TestCoordinatorFailsOverWhenBackendDies(t *testing.T) {
 	deadline := time.Now().Add(15 * time.Second)
 	for _, tk := range tickets {
 		for {
-			res, ok := coord.Result(tk.Key)
+			res, ok := coord.Result(context.Background(), tk.Key)
 			if ok {
 				if res.Failed() {
 					t.Fatalf("key %s failed: %s", tk.Key, res.Err)
@@ -256,7 +256,7 @@ func TestCoordinatorResubmitsWhenBackendLosesState(t *testing.T) {
 	}
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		if res, ok := coord.Result(job.Key()); ok {
+		if res, ok := coord.Result(context.Background(), job.Key()); ok {
 			if res.Failed() {
 				t.Fatalf("job failed: %s", res.Err)
 			}
@@ -330,7 +330,7 @@ func TestCoordinatorTreatsBackendQueueFullAsBackpressure(t *testing.T) {
 	deadline := time.Now().Add(15 * time.Second)
 	for _, job := range jobs {
 		for {
-			res, ok := coord.Result(job.Key())
+			res, ok := coord.Result(context.Background(), job.Key())
 			if ok {
 				if res.Failed() {
 					t.Fatalf("backpressured job failed: %s", res.Err)

@@ -19,7 +19,13 @@
 //     /v1/backendsz, /v1/catalog) and the matching client used by
 //     `gpulat submit`. The client treats 503 as "back off and resubmit
 //     the remainder", using the accepted-tickets list the server
-//     returns with a refusal.
+//     returns with a refusal. Completion is a long-poll, not a sleep
+//     loop: GET /v1/jobs/{key}?wait=<d> (Wait on Station, Coordinator
+//     and Client) holds the answer until the key is terminal or d
+//     (capped at maxStatusWait) elapses, so Client.RunJobs spends one
+//     status call per unfinished ticket and returns when the simulation
+//     does. Without wait the answer is immediate; Client.Poll is only
+//     the floor between two non-terminal answers from an older server.
 //
 //   - Coordinator/BackendPool: the sharded tier behind `gpulat serve
 //     -backends`. The coordinator serves the same API but runs nothing
@@ -64,5 +70,7 @@
 // Lifecycle is bounded: once Station.Close (or Coordinator.Close)
 // begins, Submit returns ErrStationClosed instead of admitting a job no
 // worker will ever run, so no Do or HTTP waiter can hang until its
-// context expires.
+// context expires. Held status waits end with their owner too: Close,
+// Server.ReleaseWaits (`gpulat serve` runs it when its http.Server begins
+// Shutdown) or the requester's disconnect answers each one at once.
 package service

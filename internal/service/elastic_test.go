@@ -47,7 +47,7 @@ func waitAllDone(t *testing.T, coord *Coordinator, jobs []runner.Job) {
 	deadline := time.Now().Add(15 * time.Second)
 	for _, job := range jobs {
 		for {
-			res, ok := coord.Result(job.Key())
+			res, ok := coord.Result(context.Background(), job.Key())
 			if ok {
 				if res.Failed() {
 					t.Fatalf("job %s failed: %s", job.Key(), res.Err)
@@ -263,7 +263,7 @@ func TestCoordinatorJournalRecovery(t *testing.T) {
 	// keys re-forward, the backend dedupes, nobody resubmits.
 	waitAllDone(t, coord2, jobs)
 	for _, job := range jobs {
-		res, _ := coord2.Result(job.Key())
+		res, _ := coord2.Result(context.Background(), job.Key())
 		want := testResult(job)
 		if len(res.Metrics) != len(want.Metrics) || res.Metrics[0] != want.Metrics[0] {
 			t.Fatalf("replayed result drifted for %s: %+v", job.Key(), res)
@@ -374,6 +374,56 @@ func TestMembershipAndCacheHTTPSurface(t *testing.T) {
 	}
 	if e.Job.Key() != e.Key {
 		t.Fatalf("served entry not content-addressed: %+v", e)
+	}
+}
+
+// TestCoordinatorFailsOverMidWait: the backend holding a client's
+// long-poll dies with the job wedged on it. The waiter itself observes
+// the death — no next poll, no prober round — re-places the key, and the
+// same RunJobs call completes on the survivor.
+func TestCoordinatorFailsOverMidWait(t *testing.T) {
+	wedge := make(chan struct{})
+	survivor := newTestBackend(t, nil)
+	doomed := newTestBackend(t, wedge) // never runs anything to completion
+	releaser(t, wedge)
+	coord := quickCoordinator(t, []string{survivor.ts.URL, doomed.ts.URL})
+	front := httptest.NewServer(NewServer(coord, nil))
+	t.Cleanup(front.Close)
+
+	var job runner.Job
+	for i := 0; ; i++ {
+		if job = testJob(i); coord.pool.Owner(job.Key()).Addr() == normalizeBackendAddr(doomed.ts.URL) {
+			break
+		}
+	}
+	type outcome struct {
+		set *runner.ResultSet
+		err error
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		set, err := NewClient(front.URL).RunJobs(context.Background(), []runner.Job{job})
+		done <- outcome{set, err}
+	}()
+	held := doomed.ts.Config.Handler.(*Server).metrics.waiting
+	eventually(t, "the client's wait to reach the owning backend", func() bool { return held.Value() == 1 })
+	doomed.ts.CloseClientConnections()
+	doomed.ts.Close()
+
+	select {
+	case o := <-done:
+		if o.err != nil {
+			t.Fatal(o.err)
+		}
+		want := testResult(job)
+		if r := o.set.Results[0]; r.Failed() || len(r.Metrics) == 0 || r.Metrics[0] != want.Metrics[0] {
+			t.Fatalf("result after mid-wait failover: %+v", r)
+		}
+	case <-time.After(15 * time.Second):
+		t.Fatalf("waiter never completed after its backend died: %+v", coord.Stats())
+	}
+	if survivor.execs.count() != 1 || coord.Stats().Rerouted == 0 {
+		t.Fatalf("survivor ran %d jobs, stats %+v; want the job re-placed there", survivor.execs.count(), coord.Stats())
 	}
 }
 

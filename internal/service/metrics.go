@@ -18,6 +18,8 @@ type serverMetrics struct {
 	requests *metrics.CounterVec
 	// latency observes request wall time by route pattern.
 	latency *metrics.HistogramVec
+	// waiting is the number of status long-polls currently held open.
+	waiting *metrics.Gauge
 	// transferIn/transferOut count cache entries received from / served
 	// to peers over the cache-warm-handoff endpoints. Only set when the
 	// server has a cache — exactly the condition under which the cache
@@ -153,6 +155,8 @@ func newServerMetrics(svc JobService, cache *Cache, started time.Time) *serverMe
 			"HTTP requests served, by route pattern and status code.", "route", "code"),
 		latency: reg.NewHistogramVec("gpulat_http_request_duration_seconds",
 			"HTTP request wall time by route pattern.", metrics.DefBuckets, "route"),
+		waiting: reg.NewGauge("gpulat_http_waiting",
+			"Status long-polls (GET /v1/jobs/{key}?wait=) currently held open."),
 	}
 	if cache != nil {
 		m.transferIn = reg.NewCounter("gpulat_cache_transfer_in_total",

@@ -148,9 +148,9 @@ func TestTraceHeaderPropagation(t *testing.T) {
 	t.Cleanup(backendStation.Close)
 	inner := NewServer(backendStation, nil)
 	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Method == http.MethodPost {
+		if r.URL.Path != "/v1/healthz" {
 			mu.Lock()
-			seen[r.Header.Get(TraceHeader)]++
+			seen[r.Method+" "+r.Header.Get(TraceHeader)]++
 			mu.Unlock()
 		}
 		inner.ServeHTTP(w, r)
@@ -185,10 +185,29 @@ func TestTraceHeaderPropagation(t *testing.T) {
 		t.Errorf("response trace = %q, want the offered ID echoed", got)
 	}
 	mu.Lock()
-	forwarded := seen["trace-prop-test"]
+	forwarded := seen["POST trace-prop-test"]
 	mu.Unlock()
 	if forwarded == 0 {
 		t.Errorf("backend never saw the trace header; saw %v", seen)
+	}
+
+	// The status (wait) and result forwards carry the inbound ID too,
+	// not just the submit forward.
+	key := runner.Job{Kind: runner.KindDynamic, Arch: "GF106", Kernel: "vecadd", Seed: 9,
+		Options: runner.Options{TestScale: true}}.Key()
+	ctx := WithTrace(context.Background(), "trace-prop-read")
+	client := NewClient(front.URL)
+	if js, err := client.Wait(ctx, key, time.Second); err != nil || js.Status != StatusDone {
+		t.Fatalf("waited status = %+v, %v", js, err)
+	}
+	if _, err := client.Result(ctx, key); err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	reads := seen["GET trace-prop-read"]
+	mu.Unlock()
+	if reads != 2 {
+		t.Errorf("backend saw %d GETs under the reader's trace ID, want the status and the result forward; saw %v", reads, seen)
 	}
 
 	// No inbound ID: the server mints one and echoes it.

@@ -93,10 +93,13 @@ type JobService interface {
 	// SubmitMany admits jobs in order; on refusal it returns the tickets
 	// accepted so far plus the error.
 	SubmitMany(ctx context.Context, jobs []runner.Job) ([]JobTicket, error)
-	// Status reports a key's lifecycle position.
-	Status(key runner.JobKey) (Status, bool)
-	// Result returns the finished result once the key is terminal.
-	Result(key runner.JobKey) (runner.Result, bool)
+	// Wait reports a key's lifecycle position, first blocking up to d
+	// (<= 0: not at all) for it to become terminal, for ctx to end or for
+	// the tier to close.
+	Wait(ctx context.Context, key runner.JobKey, d time.Duration) (Status, bool)
+	// Result returns the finished result once the key is terminal. ctx
+	// contributes only values (the trace ID).
+	Result(ctx context.Context, key runner.JobKey) (runner.Result, bool)
 	// Stats snapshots the tier's counters.
 	Stats() StationStats
 }
@@ -123,6 +126,9 @@ type Server struct {
 	mux     *http.ServeMux
 	started time.Time
 	metrics *serverMetrics
+	// drain ends when ReleaseWaits runs, and every held status wait with it.
+	drain        context.Context
+	releaseWaits context.CancelFunc
 	// MaxJobsPerRequest bounds one POST body's expansion (anti-footgun
 	// for grids; the queue bound still applies on top).
 	MaxJobsPerRequest int
@@ -143,9 +149,10 @@ func NewServer(svc JobService, cache *Cache) *Server {
 		started:           time.Now(),
 		MaxJobsPerRequest: 10000,
 	}
+	s.drain, s.releaseWaits = context.WithCancel(context.Background())
 	s.metrics = newServerMetrics(svc, cache, s.started)
 	s.mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
-	s.mux.HandleFunc("GET /v1/jobs/{key}", s.handleStatus)
+	s.mux.HandleFunc("GET "+statusRoute, s.handleStatus)
 	s.mux.HandleFunc("GET /v1/results/{key}", s.handleResult)
 	s.mux.HandleFunc("GET /v1/healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /v1/statsz", s.handleStatsz)
@@ -158,6 +165,21 @@ func NewServer(svc JobService, cache *Cache) *Server {
 	s.mux.Handle("GET /metrics", s.metrics.reg.Handler())
 	return s
 }
+
+// maxStatusWait caps GET /v1/jobs/{key}?wait= (and is what RunJobs asks
+// for): well inside the coordinator's 15 s CallTimeout and `gpulat
+// serve`'s 5 s shutdown drain. Requests carrying ?wait= are counted under
+// waitRoute, keeping held waits out of statusRoute's service-time histogram.
+const (
+	maxStatusWait = 2 * time.Second
+	statusRoute   = "/v1/jobs/{key}"
+	waitRoute     = statusRoute + "?wait"
+)
+
+// ReleaseWaits makes every held (and future) status wait answer at once
+// with the current status; register it with http.Server.RegisterOnShutdown
+// so a graceful drain never sits out the wait cap. Idempotent.
+func (s *Server) ReleaseWaits() { s.releaseWaits() }
 
 // statusWriter captures the response code for the request instruments.
 type statusWriter struct {
@@ -190,6 +212,9 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		route = pattern
 		if _, p, ok := strings.Cut(pattern, " "); ok {
 			route = p
+		}
+		if route == statusRoute && r.URL.Query().Has("wait") {
+			route = waitRoute
 		}
 	}
 	sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
@@ -304,14 +329,31 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	status, ok := s.svc.Status(key)
+	ctx := r.Context()
+	var wait time.Duration
+	if raw, asked := r.URL.Query()["wait"]; asked {
+		d, err := time.ParseDuration(raw[0])
+		if err != nil || d < 0 {
+			writeError(w, http.StatusBadRequest, "malformed wait %q (want a duration, e.g. 500ms)", raw[0])
+			return
+		}
+		wait = min(d, maxStatusWait)
+		// The wait ends with the request (client gone) or the drain.
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithCancel(ctx)
+		defer cancel()
+		defer context.AfterFunc(s.drain, cancel)()
+		s.metrics.waiting.Inc()
+		defer s.metrics.waiting.Dec()
+	}
+	status, ok := s.svc.Wait(ctx, key, wait)
 	if !ok {
 		writeError(w, http.StatusNotFound, "unknown job %s", key)
 		return
 	}
 	js := JobStatus{Key: key, Status: status}
 	if status == StatusFailed {
-		if res, ok := s.svc.Result(key); ok {
+		if res, ok := s.svc.Result(ctx, key); ok {
 			js.Error = res.Err
 		}
 	}
@@ -323,9 +365,9 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	res, ok := s.svc.Result(key)
+	res, ok := s.svc.Result(r.Context(), key)
 	if !ok {
-		if _, known := s.svc.Status(key); known {
+		if _, known := s.svc.Wait(r.Context(), key, 0); known {
 			writeError(w, http.StatusConflict, "job %s not finished", key)
 		} else {
 			writeError(w, http.StatusNotFound, "unknown job %s", key)

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"time"
 
 	"gpulat/internal/runner"
 )
@@ -18,6 +19,8 @@ const (
 	StatusDone    Status = "done"
 	StatusFailed  Status = "failed"
 )
+
+func (s Status) terminal() bool { return s == StatusDone || s == StatusFailed }
 
 // ErrQueueFull is returned by Submit when the bounded job queue cannot
 // accept more work; HTTP maps it to 503 so clients back off.
@@ -345,18 +348,40 @@ func (s *Station) SubmitMany(ctx context.Context, jobs []runner.Job) ([]JobTicke
 
 // Status reports a key's lifecycle position.
 func (s *Station) Status(key runner.JobKey) (Status, bool) {
+	return s.Wait(context.Background(), key, 0)
+}
+
+// Wait is Status after first blocking (never under s.mu) until the key
+// is terminal, d elapses, ctx ends or the station begins to close,
+// whichever is first. An unknown key answers false at once.
+func (s *Station) Wait(ctx context.Context, key runner.JobKey, d time.Duration) (Status, bool) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	st, ok := s.states[key]
+	s.mu.Unlock()
 	if !ok {
 		return "", false
 	}
-	return st.status, true
+	if d > 0 {
+		timer := time.NewTimer(d)
+		defer timer.Stop()
+		select {
+		case <-st.ready:
+		case <-timer.C:
+		case <-ctx.Done():
+		case <-s.stop:
+		}
+	}
+	// Re-read under the lock: a resubmission may have replaced a failed
+	// state while we waited, and the live one is what Status reports.
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.states[key].status, true
 }
 
 // Result returns the finished result for key. ok is false until the job
-// reaches done or failed (or if the key is unknown).
-func (s *Station) Result(key runner.JobKey) (runner.Result, bool) {
+// reaches done or failed (or if the key is unknown); the context is
+// JobService's, unused by a local lookup.
+func (s *Station) Result(_ context.Context, key runner.JobKey) (runner.Result, bool) {
 	s.mu.Lock()
 	st, ok := s.states[key]
 	s.mu.Unlock()

@@ -127,7 +127,7 @@ func TestStationServesFromCache(t *testing.T) {
 	if status != StatusDone {
 		t.Fatalf("cached submission status = %s", status)
 	}
-	res, ok := st.Result(key)
+	res, ok := st.Result(context.Background(), key)
 	if !ok || len(res.Metrics) == 0 {
 		t.Fatalf("cached result unavailable: ok=%v res=%+v", ok, res)
 	}
@@ -228,7 +228,7 @@ func TestStationCloseUnblocksQueuedWaiters(t *testing.T) {
 	close(release)
 	st.Close()
 	for i, key := range keys {
-		if _, ok := st.Result(key); !ok {
+		if _, ok := st.Result(context.Background(), key); !ok {
 			status, _ := st.Status(key)
 			t.Errorf("job %d not terminal after Close (status %s)", i, status)
 		}
@@ -317,7 +317,7 @@ func TestStationSubmitCloseRace(t *testing.T) {
 		// failed), with no waiting.
 		for g := range accepted {
 			for _, key := range accepted[g] {
-				if _, ok := st.Result(key); !ok {
+				if _, ok := st.Result(context.Background(), key); !ok {
 					status, _ := st.Status(key)
 					t.Fatalf("accepted key %s not terminal after Close (status %q)", key, status)
 				}
