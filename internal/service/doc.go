@@ -24,7 +24,10 @@
 //     and Client) holds the answer until the key is terminal or d
 //     (capped at maxStatusWait) elapses, so Client.RunJobs spends one
 //     status call per unfinished ticket and returns when the simulation
-//     does. Without wait the answer is immediate; Client.Poll is only
+//     does (the first call of a RunJobs goes out headStart, 5 ms, after
+//     it began: short jobs are then answered without a held wait, and a
+//     closed-loop caller's pace is a timer's, not the host scheduler's).
+//     Without wait the answer is immediate; Client.Poll is only
 //     the floor between two non-terminal answers from an older server.
 //
 //   - Coordinator/BackendPool: the sharded tier behind `gpulat serve

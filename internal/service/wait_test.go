@@ -358,13 +358,15 @@ func TestRunJobsAgainstServerIgnoringWait(t *testing.T) {
 
 // TestRunJobsMakesOneStatusCallPerLiveTicket: against a server that
 // honours wait, a ticket that came back unfinished costs exactly one
-// status call, and it is a waited one.
+// status call, it is a waited one, and the first of them goes out no
+// sooner than headStart after the call began.
 func TestRunJobsMakesOneStatusCallPerLiveTicket(t *testing.T) {
 	st, release := blockedStation(t, 4)
 	inner := NewServer(st, nil)
-	var waited, unwaited atomic.Int64
+	var waited, unwaited, firstAsk atomic.Int64
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if strings.HasPrefix(r.URL.Path, "/v1/jobs/") {
+			firstAsk.CompareAndSwap(0, time.Now().UnixNano())
 			if r.URL.Query().Has("wait") {
 				waited.Add(1)
 			} else {
@@ -377,6 +379,7 @@ func TestRunJobsMakesOneStatusCallPerLiveTicket(t *testing.T) {
 	t.Cleanup(ts.Close)
 
 	jobs := []runner.Job{testJob(0), testJob(1), testJob(2), testJob(3)}
+	began := time.Now()
 	set, err := NewClient(ts.URL).RunJobs(context.Background(), jobs)
 	if err != nil {
 		t.Fatal(err)
@@ -386,6 +389,9 @@ func TestRunJobsMakesOneStatusCallPerLiveTicket(t *testing.T) {
 	}
 	if waited.Load() != int64(len(jobs)) || unwaited.Load() != 0 {
 		t.Fatalf("status calls: %d waited, %d unwaited; want %d and 0", waited.Load(), unwaited.Load(), len(jobs))
+	}
+	if after := time.Unix(0, firstAsk.Load()).Sub(began); after < headStart {
+		t.Fatalf("first status call %s after RunJobs began, want >= %s", after, headStart)
 	}
 }
 
