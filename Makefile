@@ -4,7 +4,7 @@
 GO      ?= go
 JOBS    ?= 0   # 0 = GOMAXPROCS
 
-.PHONY: all build test vet fmt bench bench-baseline bench-regress alloc-regress alloc-baseline repro repro-quick determinism engine-determinism corun-determinism par-determinism service-determinism shard-determinism load-smoke bench-service bench-harness clean
+.PHONY: all build test vet fmt bench bench-baseline bench-regress alloc-regress alloc-baseline repro repro-quick determinism engine-determinism corun-determinism par-determinism export-identity service-determinism shard-determinism load-smoke bench-service bench-harness clean
 
 all: build vet fmt test
 
@@ -37,9 +37,11 @@ bench:
 # (workload, engine) pair is timed best-of-3 on a fresh device — the
 # minimum wall is the stable estimator under host scheduler noise (see
 # cmdBenchKernel); the simulated counters must be identical across reps
-# or the run fails.
+# or the run fails. Built, not `go run`, so the report's host block can
+# name the build.
 bench-baseline:
-	$(GO) run ./cmd/gpulat bench-kernel -par 1,8 > BENCH_kernel.json.tmp
+	$(GO) build -o /tmp/gpulat-ci ./cmd/gpulat
+	/tmp/gpulat-ci bench-kernel -par 1,8 > BENCH_kernel.json.tmp
 	mv BENCH_kernel.json.tmp BENCH_kernel.json
 
 # Event-engine regression smoke (CI): reduced-scale workloads, single
@@ -132,6 +134,30 @@ par-determinism:
 	/tmp/gpulat-ci corun -quick -quiet -j 1 -par 8 -engine=event -csv > /tmp/gpulat-corun-par8-e.csv
 	cmp /tmp/gpulat-corun-par1-e.csv /tmp/gpulat-corun-par8-e.csv
 	@echo "par-determinism: -par 1 and -par 8 byte-identical (bench grid + corun, both engines)"
+
+# Proves a change simulates the same bytes as another revision — the
+# check every performance change owes: `make export-identity BASE=<rev>`
+# (default HEAD, the parent of an uncommitted change) unpacks BASE with
+# `git archive` into a temp dir, builds it and the working tree, and
+# byte-compares the quick bench grid (CSV and JSON) and the quick co-run
+# sweep under both engines. No network: the module has no dependencies.
+BASE ?= HEAD
+export-identity:
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	mkdir "$$tmp/base"; git archive $(BASE) | tar -x -C "$$tmp/base"; \
+	(cd "$$tmp/base" && $(GO) build -o "$$tmp/gpulat-base" ./cmd/gpulat); \
+	$(GO) build -o "$$tmp/gpulat-new" ./cmd/gpulat; \
+	for e in tick event; do \
+		for x in "bench-suite -quick -quiet -j 8 -engine=$$e -csv" \
+				"bench-suite -quick -quiet -j 8 -engine=$$e -json" \
+				"corun -quick -quiet -j 8 -engine=$$e -csv"; do \
+			"$$tmp/gpulat-base" $$x > "$$tmp/base.out" 2> "$$tmp/base.err" || { cat "$$tmp/base.err"; exit 1; }; \
+			"$$tmp/gpulat-new" $$x > "$$tmp/new.out" 2> "$$tmp/new.err" || { cat "$$tmp/new.err"; exit 1; }; \
+			cmp "$$tmp/base.out" "$$tmp/new.out" || { echo "export-identity: '$$x' differs from $(BASE)"; exit 1; }; \
+			echo "export-identity: same bytes: $$x"; \
+		done; \
+	done; \
+	echo "export-identity: quick grid (CSV + JSON) and co-run exports byte-identical to $(BASE) under both engines"
 
 # Proves the service layer's contract end to end: the quick bench grid
 # routed through `gpulat serve`/`gpulat submit` exports byte-identical

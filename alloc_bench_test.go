@@ -17,9 +17,11 @@ import (
 
 	"gpulat/internal/cache"
 	"gpulat/internal/gpu"
+	"gpulat/internal/isa"
 	"gpulat/internal/kernels"
 	"gpulat/internal/mem"
 	"gpulat/internal/sim"
+	"gpulat/internal/sm"
 )
 
 const allocBaselineFile = "BENCH_alloc.json"
@@ -139,7 +141,71 @@ func BenchmarkAllocSMTick(b *testing.B) {
 	}
 }
 
-// measureAllocs runs the three gated paths under testing.AllocsPerRun.
+// allocIssueSM builds one stand-alone GF100 SM holding `resident` warps
+// of one block — warp 0 spinning on independent ALU work, every other
+// warp parked behind an atomic that is never answered (a load that
+// bypasses the L1, so MSHR capacity does not shape the measurement) —
+// warmed until every atomic has left the SM. step ticks it one cycle.
+func allocIssueSM(tb testing.TB, resident int) (step func()) {
+	cfg, err := Preset("GF100")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	b := isa.NewBuilder("issue-bench")
+	b.S2R(1, isa.SrWarpID).
+		ISetpI(0, isa.CmpEQ, 1, 0).
+		P(0).Bra("spin").
+		Param(2, 0).
+		Atom(3, 2, 0, 1).
+		IAdd(4, 3, 3). // waits for the atomic forever
+		Exit().
+		Label("spin")
+	for r := isa.Reg(5); r < 13; r++ {
+		b.IAddI(r, r, 1)
+	}
+	k := &sm.Kernel{Program: b.Bra("spin").Build(), Params: []uint32{0x1000},
+		BlockDim: resident * cfg.SM.WarpSize, GridDim: 1}
+	var seq uint64
+	s := sm.New(cfg.SM, mem.NewMemory(), func() uint64 { seq++; return seq }, nil)
+	s.LaunchBlock(k, 0, 0)
+	c := sim.Cycle(0)
+	step = func() {
+		for {
+			if _, ok := s.PopMiss(c); !ok {
+				break
+			}
+		}
+		s.Tick(c)
+		s.FlushCycle()
+		c++
+	}
+	for i := 0; i < 4000; i++ {
+		step()
+	}
+	return step
+}
+
+// BenchmarkAllocSMIssue measures one stand-alone SM Tick whose work is
+// the issue stage: 8, 24 or 48 resident warps of which one can issue.
+// ns/op is ns per Tick; it should be roughly flat in the resident-warp
+// count, since the warp pick walks ready warps, not warp slots
+// (tentpole budget: 0 allocs/op).
+func BenchmarkAllocSMIssue(b *testing.B) {
+	for _, resident := range []int{8, 24, 48} {
+		b.Run(fmt.Sprintf("warps=%d", resident), func(b *testing.B) { benchSMIssue(b, resident) })
+	}
+}
+
+func benchSMIssue(b *testing.B, resident int) {
+	step := allocIssueSM(b, resident)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		step()
+	}
+}
+
+// measureAllocs runs the gated paths under testing.AllocsPerRun.
 func measureAllocs(tb testing.TB) map[string]float64 {
 	var cs mem.CoalesceScratch
 	acc := allocCoalesceAccesses()
@@ -156,6 +222,7 @@ func measureAllocs(tb testing.TB) map[string]float64 {
 	}
 
 	g := allocSteadyDevice(tb)
+	issueStep := allocIssueSM(tb, 48)
 
 	return map[string]float64{
 		"BenchmarkAllocCoalesce": testing.AllocsPerRun(200, func() {
@@ -171,6 +238,7 @@ func measureAllocs(tb testing.TB) map[string]float64 {
 		"BenchmarkAllocSMTick": testing.AllocsPerRun(200, func() {
 			g.Step()
 		}),
+		"BenchmarkAllocSMIssue": testing.AllocsPerRun(200, issueStep),
 	}
 }
 
@@ -224,6 +292,7 @@ func writeAllocBaseline(t *testing.T, measured map[string]float64) {
 		"BenchmarkAllocCoalesce": BenchmarkAllocCoalesce,
 		"BenchmarkAllocCache":    BenchmarkAllocCache,
 		"BenchmarkAllocSMTick":   BenchmarkAllocSMTick,
+		"BenchmarkAllocSMIssue":  func(b *testing.B) { benchSMIssue(b, 48) },
 	}
 	out := make(map[string]allocStat, len(measured))
 	for name, allocs := range measured {

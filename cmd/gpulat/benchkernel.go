@@ -12,6 +12,7 @@ import (
 
 	"gpulat/internal/gpu"
 	"gpulat/internal/kernels"
+	"gpulat/internal/service"
 	"gpulat/internal/sim"
 	"gpulat/internal/stats"
 )
@@ -39,11 +40,26 @@ type kernelBench struct {
 // width; par_speedup entries compare each wider measurement against the
 // same workload/engine at the baseline width.
 type kernelBenchReport struct {
+	// Host is omitted from -comparable reports, which must byte-diff
+	// across machines and commits.
+	Host       *benchHost         `json:"host,omitempty"`
 	Arch       string             `json:"arch"`
 	TimingReps int                `json:"timing_reps"`
 	Benchmarks []kernelBench      `json:"benchmarks"`
 	Speedup    map[string]float64 `json:"speedup_event_over_tick"`
 	ParSpeedup map[string]float64 `json:"par_speedup,omitempty"`
+}
+
+// benchHost records where a bench-kernel report's wall-clock numbers
+// come from — the facts bench/ prints on every run: processor count,
+// GOMAXPROCS, toolchain, and the build (`gpulat version`: the commit the
+// binary was built from, "+dirty" when the tree was modified; "(devel)"
+// when it carries no VCS stamp, as under `go run`).
+type benchHost struct {
+	NProc      int    `json:"nproc"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	GoVersion  string `json:"go_version"`
+	Build      string `json:"build"`
 }
 
 // parseParList parses the -par flag's comma-separated worker widths.
@@ -287,6 +303,8 @@ func cmdBenchKernel(args []string) error {
 		_, err = os.Stdout.Write(data)
 		return err
 	}
+	report.Host = &benchHost{NProc: runtime.NumCPU(), GOMAXPROCS: runtime.GOMAXPROCS(0),
+		GoVersion: runtime.Version(), Build: service.Version()}
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "  ")
 	return enc.Encode(report)

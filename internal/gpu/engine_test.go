@@ -307,6 +307,13 @@ func TestNextEventHorizonNeverLate(t *testing.T) {
 					if g.Cycle() > 500_000 {
 						t.Fatal("runaway simulation")
 					}
+					// The tick-engine half of the readiness audit (the event
+					// engine's runs inside its wake audit).
+					for _, s := range g.sms {
+						if err := s.AuditReadiness(); err != nil {
+							t.Fatalf("cycle %d: %v", now, err)
+						}
+					}
 					if h > now {
 						quiet++
 						if got := deviceSignature(g, now); got != sig {

@@ -876,9 +876,10 @@ func (g *GPU) rearmDirty(c sim.Cycle) {
 // cycle, every component's NextEvent is re-polled and compared against
 // its armed wake. A component able to act before its registration means
 // some mutation path failed to wake or re-arm it — the classic
-// event-driven simulation bug. The audit is O(components) per cycle
-// with full horizon scans, so it is meant for tests, not production
-// runs.
+// event-driven simulation bug. Each SM's maintained issue-readiness
+// state is audited at the same points (sm.AuditReadiness). The audit is
+// O(components) per cycle with full horizon scans, so it is meant for
+// tests, not production runs.
 func (g *GPU) SetWakeAudit(on bool) { g.ev.audit = on }
 
 // WakeAuditViolations returns the violations the audit recorded (nil
@@ -912,6 +913,11 @@ func (g *GPU) auditWakes(next sim.Cycle) {
 			ev.auditBad = append(ev.auditBad, fmt.Sprintf(
 				"cycle %d: %s can tick at %d but tickAt is %d (lost core tick)",
 				next, ev.sched.Name(ev.smID[si]), h, ev.tickAt[si]))
+		}
+		// The horizons above read the SM's maintained readiness state;
+		// audit that state too.
+		if err := s.AuditReadiness(); err != nil && len(ev.auditBad) < 16 {
+			ev.auditBad = append(ev.auditBad, fmt.Sprintf("cycle %d: %v", next, err))
 		}
 	}
 }

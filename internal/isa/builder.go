@@ -258,6 +258,10 @@ func (b *Builder) Build() *Program {
 		panic(err)
 	}
 	p.Reconv = Analyze(p)
+	p.Need = make([]IssueNeed, len(insts))
+	for pc := range insts {
+		p.Need[pc] = insts[pc].issueNeed()
+	}
 	return p
 }
 

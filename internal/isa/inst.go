@@ -136,6 +136,36 @@ type Program struct {
 	// Reconv maps the PC of every potentially divergent branch to its
 	// reconvergence PC (immediate post-dominator), computed by Analyze.
 	Reconv map[int]int
+	// Need[pc] is what the issue stage must find free before instruction
+	// pc may issue, predecoded by Build and read-only afterwards.
+	Need []IssueNeed
+}
+
+// IssueNeed is one instruction's issue requirement: the scoreboard
+// entries that must be clear and whether it takes an LDST-queue slot.
+type IssueNeed struct {
+	Regs  uint64 // source registers and the written Dst (RZ never set)
+	Preds uint8  // guard, plus PDst for ISETP/SELP (PT never set)
+	Mem   bool
+}
+
+// issueNeed decodes the instruction's issue requirement.
+func (in *Instruction) issueNeed() IssueNeed {
+	n := IssueNeed{Mem: in.Op.IsMemory()}
+	var buf [4]Reg
+	for _, r := range in.SrcRegs(buf[:0]) {
+		n.Regs |= 1 << r
+	}
+	if in.Op.WritesDst() && in.Dst != RZ {
+		n.Regs |= 1 << in.Dst
+	}
+	if in.Pred != PT {
+		n.Preds |= 1 << in.Pred
+	}
+	if (in.Op == OpISETP || in.Op == OpSELP) && in.PDst != PT {
+		n.Preds |= 1 << in.PDst
+	}
+	return n
 }
 
 // Len returns the instruction count.

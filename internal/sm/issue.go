@@ -10,7 +10,7 @@ import (
 // issue runs the warp scheduler(s): up to IssueWidth instructions from
 // distinct ready warps per cycle.
 func (s *SM) issue(c sim.Cycle) {
-	if s.ActiveBlocks() == 0 {
+	if s.activeBlocks == 0 {
 		return
 	}
 	// issuedWarp is a warp-slot bitmask (validate caps MaxWarps at 64),
@@ -32,62 +32,48 @@ func (s *SM) issue(c sim.Cycle) {
 	}
 }
 
-// canIssue reports whether warp slot ws can issue its next instruction.
-func (s *SM) canIssue(c sim.Cycle, ws int) bool {
-	return s.blockedTo[ws] <= c && s.issuableIgnoringDelay(ws)
-}
-
-// issuableIgnoringDelay reports whether warp slot ws could issue its
-// next instruction if its branch-delay window were already clear:
-// residency, scoreboard, and structural conditions only. Between state
-// changes these conditions are time-independent, which is what lets
-// NextEvent turn them into an exact issue horizon (blockedTo is the only
-// time-varying input to canIssue).
-func (s *SM) issuableIgnoringDelay(ws int) bool {
+// refreshWarp recomputes warp slot ws's readiness state — its resident,
+// live, sbClear and memNext bits and cached need — from live state. It
+// must run after every change to the slot's occupant, PC, barrier flag
+// or scoreboard: LaunchBlock, the end of issueFrom, barrier release,
+// drainExec, finishMemInst and retireWarpIfDone. Everything it caches is
+// time-independent between those points; the two inputs that are not —
+// the branch-delay window (blockedTo) and LDST-queue space — are read at
+// pick time instead.
+func (s *SM) refreshWarp(ws int) {
+	bit := uint64(1) << ws
+	s.resident &^= bit
+	s.live &^= bit
+	s.sbClear &^= bit
+	s.memNext &^= bit
 	w := s.warps[ws]
-	if w == nil || w.Done() || w.AtBarrier {
-		return false
+	if w == nil {
+		return
 	}
-	prog := s.blocks[w.BlockSlot].kernel.Program
-	in := prog.At(w.PC())
-
-	// Scoreboard: all sources and the destination must be clear, plus
-	// the guard predicate and any predicate operands.
-	var regMask uint64
-	var buf [4]isa.Reg
-	for _, r := range in.SrcRegs(buf[:0]) {
-		regMask |= 1 << r
+	s.resident |= bit
+	if w.Done() || w.AtBarrier {
+		return
 	}
-	if in.Op.WritesDst() && in.Dst != isa.RZ {
-		regMask |= 1 << in.Dst
+	n := s.blocks[w.BlockSlot].kernel.Program.Need[w.PC()]
+	s.need[ws] = n
+	s.live |= bit
+	if s.sbRegs[ws]&n.Regs == 0 && s.sbPreds[ws]&n.Preds == 0 {
+		s.sbClear |= bit
 	}
-	if s.sbRegs[ws]&regMask != 0 {
-		return false
+	if n.Mem {
+		s.memNext |= bit
 	}
-	var predMask uint8
-	if in.Pred != isa.PT {
-		predMask |= 1 << in.Pred
-	}
-	if (in.Op == isa.OpISETP || in.Op == isa.OpSELP) && in.PDst != isa.PT {
-		predMask |= 1 << in.PDst
-	}
-	if s.sbPreds[ws]&predMask != 0 {
-		return false
-	}
-
-	// Structural: memory instructions need LDST queue space.
-	if in.Op.IsMemory() && !s.ldstQ.CanPush() {
-		return false
-	}
-	return true
 }
 
-// issueReadyAt returns the earliest cycle at which warp slot ws could
-// pass issuableIgnoringDelay, given the SM's pending timed releases.
-// For every scoreboard bit the next instruction needs, regClearAt /
-// predClearAt hold the exact cycle its in-flight writeback lands, so the
-// answer is simply the max of those (zero when nothing is pending). The
-// caller floors it at now and at the warp's branch-delay window.
+// issueReadyAt returns the earliest cycle at which live warp slot ws's
+// scoreboard and structural conditions could all hold, given the SM's
+// pending timed releases. For every scoreboard bit the next instruction
+// needs, regClearAt / predClearAt hold the exact cycle its in-flight
+// writeback lands, so the answer is simply the max of those (zero when
+// nothing is pending). The caller floors it at now and at the warp's
+// branch-delay window. Between state changes these conditions are
+// time-independent, which is what makes the horizon exact (blockedTo is
+// the only time-varying input to issue readiness).
 //
 // ok=false means the time is not knowable from timed state alone and
 // the warp contributes no horizon term; its wake rides another: a load
@@ -107,20 +93,9 @@ func (s *SM) issueReadyAt(ws int) (sim.Cycle, bool) {
 		}
 		return s.exec.NextReady(), true
 	}
-	w := s.warps[ws]
-	prog := s.blocks[w.BlockSlot].kernel.Program
-	in := prog.At(w.PC())
-
-	var regMask uint64
-	var buf [4]isa.Reg
-	for _, r := range in.SrcRegs(buf[:0]) {
-		regMask |= 1 << r
-	}
-	if in.Op.WritesDst() && in.Dst != isa.RZ {
-		regMask |= 1 << in.Dst
-	}
+	n := s.need[ws]
 	var at sim.Cycle
-	for m := s.sbRegs[ws] & regMask; m != 0; m &= m - 1 {
+	for m := s.sbRegs[ws] & n.Regs; m != 0; m &= m - 1 {
 		rel := s.regClearAt[ws*64+bits.TrailingZeros64(m)]
 		if rel == sim.Never {
 			return 0, false
@@ -129,14 +104,7 @@ func (s *SM) issueReadyAt(ws int) (sim.Cycle, bool) {
 			at = rel
 		}
 	}
-	var predMask uint8
-	if in.Pred != isa.PT {
-		predMask |= 1 << in.Pred
-	}
-	if (in.Op == isa.OpISETP || in.Op == isa.OpSELP) && in.PDst != isa.PT {
-		predMask |= 1 << in.PDst
-	}
-	for m := s.sbPreds[ws] & predMask; m != 0; m &= m - 1 {
+	for m := s.sbPreds[ws] & n.Preds; m != 0; m &= m - 1 {
 		if rel := s.predClearAt[ws*8+bits.TrailingZeros8(m)]; rel > at {
 			at = rel
 		}
@@ -144,34 +112,42 @@ func (s *SM) issueReadyAt(ws int) (sim.Cycle, bool) {
 
 	// Structural: LDST queue occupancy only changes inside Tick, so a
 	// full queue has no timed release visible here.
-	if in.Op.IsMemory() && !s.ldstQ.CanPush() {
+	if n.Mem && !s.ldstQ.CanPush() {
 		return 0, false
 	}
 	return at, true
 }
 
 // pickWarp selects the next warp per the configured policy; exclude is
-// a bitmask of warp slots already issued this cycle.
+// a bitmask of warp slots already issued this cycle. Candidates are the
+// scoreboard-clear warps, minus those whose next instruction needs an
+// LDST-queue slot when the queue is full (an earlier pick this cycle may
+// have filled it, so the queue is re-read per pick); the branch-delay
+// window is compared per candidate.
 func (s *SM) pickWarp(c sim.Cycle, exclude uint64) int {
-	n := s.cfg.MaxWarps
+	cand := s.sbClear &^ exclude
+	if !s.ldstQ.CanPush() {
+		cand &^= s.memNext
+	}
 	switch s.cfg.Scheduler {
 	case LRR:
-		for k := 1; k <= n; k++ {
-			ws := (s.lastSched + k) % n
-			if exclude&(1<<ws) == 0 && s.canIssue(c, ws) {
-				return ws
+		// Slots lastSched+1 .. MaxWarps-1, then 0 .. lastSched.
+		below := uint64(1)<<((s.lastSched+1)%s.cfg.MaxWarps) - 1
+		for _, m := range [2]uint64{cand &^ below, cand & below} {
+			for ; m != 0; m &= m - 1 {
+				if ws := bits.TrailingZeros64(m); s.blockedTo[ws] <= c {
+					return ws
+				}
 			}
 		}
 	case GTO:
-		if g := s.greedyWarp; g >= 0 && g < n && exclude&(1<<g) == 0 && s.canIssue(c, g) {
+		if g := s.greedyWarp; cand&(1<<g) != 0 && s.blockedTo[g] <= c {
 			return g
 		}
 		best, bestSeq := -1, ^uint64(0)
-		for ws := 0; ws < n; ws++ {
-			if exclude&(1<<ws) != 0 || s.warps[ws] == nil || !s.canIssue(c, ws) {
-				continue
-			}
-			if s.warpSeq[ws] < bestSeq {
+		for m := cand; m != 0; m &= m - 1 {
+			ws := bits.TrailingZeros64(m)
+			if s.blockedTo[ws] <= c && s.warpSeq[ws] < bestSeq {
 				best, bestSeq = ws, s.warpSeq[ws]
 			}
 		}
@@ -181,7 +157,7 @@ func (s *SM) pickWarp(c sim.Cycle, exclude uint64) int {
 }
 
 // issueFrom issues one instruction from warp slot ws. The caller has
-// verified readiness via canIssue.
+// verified readiness via pickWarp.
 func (s *SM) issueFrom(c sim.Cycle, ws int) {
 	w := s.warps[ws]
 	bs := &s.blocks[w.BlockSlot]
@@ -264,6 +240,7 @@ func (s *SM) issueFrom(c sim.Cycle, ws int) {
 		}
 		w.Advance(pc + 1)
 	}
+	s.refreshWarp(ws)
 }
 
 // releaseBarrierIfComplete opens the barrier when every live warp of the
@@ -276,29 +253,8 @@ func (s *SM) releaseBarrierIfComplete(blockSlot int) {
 	for _, ws := range bs.warps {
 		if w := s.warps[ws]; w != nil && w.AtBarrier {
 			w.AtBarrier = false
+			s.refreshWarp(ws)
 		}
 	}
 	bs.barrierArrived = 0
-}
-
-// readyWarpExists reports whether any warp could issue this cycle
-// (diagnostics for exposure analysis).
-func (s *SM) readyWarpExists(c sim.Cycle) bool {
-	for ws := range s.warps {
-		if s.canIssue(c, ws) {
-			return true
-		}
-	}
-	return false
-}
-
-// activeWarpCount returns resident, unfinished warps (diagnostics).
-func (s *SM) activeWarpCount() int {
-	n := 0
-	for _, w := range s.warps {
-		if w != nil && !w.Done() {
-			n++
-		}
-	}
-	return n
 }

@@ -10,6 +10,7 @@ import (
 // memInst is one warp memory instruction traveling through the LDST unit.
 type memInst struct {
 	warpSlot  int
+	warpSeq   uint64 // the issuing warp's launch sequence (stale-completion check)
 	blockSlot int
 	kernelID  int
 	op        isa.Opcode
@@ -78,6 +79,7 @@ func (s *SM) issueMemInst(c sim.Cycle, ws int, in *isa.Instruction, passMask uin
 
 	mi := s.getMemInst()
 	mi.warpSlot = ws
+	mi.warpSeq = s.warpSeq[ws]
 	mi.blockSlot = w.BlockSlot
 	mi.kernelID = bs.kernelID
 	mi.op = in.Op

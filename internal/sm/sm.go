@@ -22,6 +22,8 @@ package sm
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 	"strings"
 
 	"gpulat/internal/cache"
@@ -104,9 +106,9 @@ func (c Config) validate() error {
 	case c.MaxWarps <= 0 || c.MaxBlocks <= 0:
 		return fmt.Errorf("sm %d: warp/block capacity must be positive", c.ID)
 	case c.MaxWarps > 64:
-		// Warp-slot sets are uint64 bitmasks (issue's per-cycle exclude
-		// set); every real GPU generation modeled resides well under 64
-		// warps per SM.
+		// Warp-slot sets are uint64 bitmasks (the readiness masks, issue's
+		// per-cycle exclude set); every real GPU generation modeled
+		// resides well under 64 warps per SM.
 		return fmt.Errorf("sm %d: at most 64 warp slots supported, got %d", c.ID, c.MaxWarps)
 	case c.IssueWidth <= 0:
 		return fmt.Errorf("sm %d: issue width must be positive", c.ID)
@@ -182,6 +184,17 @@ type SM struct {
 	sbPreds   []uint8      // scoreboard: pending predicate dsts
 	blockedTo []sim.Cycle  // warp issue blocked until cycle (branch delay)
 	blocks    []blockSlot
+
+	// Issue-stage readiness as maintained state, one bit per warp slot:
+	// resident (slot occupied), live (resident, not done, not at a
+	// barrier), sbClear (live and the scoreboard is clear for its next
+	// instruction) and memNext (live and that instruction needs an
+	// LDST-queue slot); need caches each live warp's next-instruction
+	// requirement. refreshWarp is the only writer. activeBlocks counts
+	// resident blocks.
+	resident, live, sbClear, memNext uint64
+	need                             []isa.IssueNeed
+	activeBlocks                     int
 
 	// regClearAt/predClearAt record, for every scoreboard bit currently
 	// set, the cycle at which its pending writeback will clear it:
@@ -378,6 +391,7 @@ func New(cfg Config, memory *mem.Memory, newReqID func() uint64, observer mem.Ob
 		sbRegs:      make([]uint64, cfg.MaxWarps),
 		sbPreds:     make([]uint8, cfg.MaxWarps),
 		blockedTo:   make([]sim.Cycle, cfg.MaxWarps),
+		need:        make([]isa.IssueNeed, cfg.MaxWarps),
 		regClearAt:  make([]sim.Cycle, cfg.MaxWarps*64),
 		predClearAt: make([]sim.Cycle, cfg.MaxWarps*8),
 		wbInFlight:  make([]int, cfg.MaxWarps),
@@ -424,38 +438,12 @@ func (s *SM) FreeBlockSlot() int {
 	return -1
 }
 
-// freeWarpSlots returns up to n free warp slot indices.
-func (s *SM) freeWarpSlots(n int) []int {
-	var out []int
-	for i := range s.warps {
-		if s.warps[i] == nil {
-			out = append(out, i)
-			if len(out) == n {
-				return out
-			}
-		}
-	}
-	return nil
-}
-
-// hasFreeWarpSlots reports whether n warp slots are free, without
-// building the slot list (CanLaunch runs every dispatch pass, so it must
-// not allocate).
-func (s *SM) hasFreeWarpSlots(n int) bool {
-	free := 0
-	for i := range s.warps {
-		if s.warps[i] == nil {
-			if free++; free == n {
-				return true
-			}
-		}
-	}
-	return false
-}
+// freeWarps returns the number of free warp slots.
+func (s *SM) freeWarps() int { return s.cfg.MaxWarps - bits.OnesCount64(s.resident) }
 
 // CanLaunch reports whether a block of kernel k fits right now.
 func (s *SM) CanLaunch(k *Kernel) bool {
-	return s.FreeBlockSlot() >= 0 && s.hasFreeWarpSlots(k.WarpsPerBlock(s.cfg.WarpSize))
+	return s.activeBlocks < len(s.blocks) && s.freeWarps() >= k.WarpsPerBlock(s.cfg.WarpSize)
 }
 
 // SetBlockRetireObserver installs the per-block retire hook (called with
@@ -471,12 +459,18 @@ func (s *SM) SetBlockRetireObserver(fn func(c sim.Cycle, kernelID int)) {
 func (s *SM) LaunchBlock(k *Kernel, ctaid int, kernelID int) {
 	slot := s.FreeBlockSlot()
 	nw := k.WarpsPerBlock(s.cfg.WarpSize)
-	warpSlots := s.freeWarpSlots(nw)
-	if slot < 0 || warpSlots == nil {
+	if slot < 0 || s.freeWarps() < nw {
 		panic(fmt.Sprintf("sm %d: block does not fit", s.cfg.ID))
 	}
 	s.launchSeq++
+	s.activeBlocks++
 	bs := &s.blocks[slot]
+	// The lowest free slots, ascending, in the slot's previous backing
+	// array (a retired block's slot list is dead).
+	warpSlots := bs.warps[:0]
+	for free := ^s.resident; len(warpSlots) < nw; free &= free - 1 {
+		warpSlots = append(warpSlots, bits.TrailingZeros64(free))
+	}
 	*bs = blockSlot{
 		active:    true,
 		ctaid:     ctaid,
@@ -510,29 +504,22 @@ func (s *SM) LaunchBlock(k *Kernel, ctaid int, kernelID int) {
 		s.sbPreds[ws] = 0
 		s.blockedTo[ws] = 0
 		s.sbHazard[ws] = s.wbInFlight[ws] > 0
+		s.refreshWarp(ws)
 	}
 }
 
 // ActiveBlocks returns the number of resident blocks.
-func (s *SM) ActiveBlocks() int {
-	n := 0
-	for i := range s.blocks {
-		if s.blocks[i].active {
-			n++
-		}
-	}
-	return n
-}
+func (s *SM) ActiveBlocks() int { return s.activeBlocks }
 
 // Busy reports whether any warp is resident or any memory transaction is
 // outstanding.
 func (s *SM) Busy() bool {
-	return s.ActiveBlocks() > 0 || s.Pending() > 0
+	return s.activeBlocks > 0 || s.Pending() > 0
 }
 
 // HasResidentWarps reports whether any warp is resident (exposure
 // accounting denominator).
-func (s *SM) HasResidentWarps() bool { return s.ActiveBlocks() > 0 }
+func (s *SM) HasResidentWarps() bool { return s.activeBlocks > 0 }
 
 // Pending returns the number of memory transactions and timed events
 // buffered anywhere in the SM (the Busy drain check builds on it).
@@ -586,10 +573,10 @@ func (s *SM) NextSelfEvent(now sim.Cycle) sim.Cycle {
 	}
 	// Every term below is floored at now, so the horizon cannot improve
 	// once it reaches now — return immediately and skip the remaining
-	// scans. The per-warp loop additionally skips the (expensive) decode
-	// and scoreboard check for any warp whose delay window alone already
-	// rules out improving the horizon. This is the event engine's re-arm
-	// hot path: it runs after every core tick.
+	// scans. The per-warp loop additionally skips the scoreboard check
+	// for any warp whose delay window alone already rules out improving
+	// the horizon. This is the event engine's re-arm hot path: it runs
+	// after every core tick.
 	h := sim.Never
 	if s.retire.Len() > 0 {
 		if h = min(h, max(now, s.retire.NextReady())); h == now {
@@ -601,10 +588,8 @@ func (s *SM) NextSelfEvent(now sim.Cycle) sim.Cycle {
 			return now
 		}
 	}
-	for ws, w := range s.warps {
-		if w == nil || w.Done() || w.AtBarrier {
-			continue
-		}
+	for m := s.live; m != 0; m &= m - 1 {
+		ws := bits.TrailingZeros64(m)
 		t := max(now, s.blockedTo[ws])
 		if t >= h {
 			continue
@@ -705,6 +690,23 @@ func (s *SM) DebugState(c sim.Cycle) string {
 	return b.String()
 }
 
+// AuditReadiness reports an error when the maintained readiness state
+// differs from what refreshWarp recomputes for every slot, i.e. when a
+// state change slipped past the refresh points. It is O(slots) and meant
+// for tests and the engine's wake audit.
+func (s *SM) AuditReadiness() error {
+	masks := [...]uint64{s.resident, s.live, s.sbClear, s.memNext}
+	need := slices.Clone(s.need)
+	for ws := range s.warps {
+		s.refreshWarp(ws)
+	}
+	if now := [...]uint64{s.resident, s.live, s.sbClear, s.memNext}; masks != now || !slices.Equal(need, s.need) {
+		return fmt.Errorf("sm %d: stale readiness state: resident/live/sbClear/memNext %#x, recomputed %#x",
+			s.cfg.ID, masks, now)
+	}
+	return nil
+}
+
 // SkipIdle accounts for delta cycles the event-driven kernel
 // fast-forwarded while this SM was busy (work in flight) but provably
 // unable to issue or retire anything. The cycle-driven loop would have
@@ -716,7 +718,7 @@ func (s *SM) SkipIdle(delta sim.Cycle) {
 		return
 	}
 	s.stats.Cycles += uint64(delta)
-	if s.ActiveBlocks() > 0 {
+	if s.activeBlocks > 0 {
 		s.stats.IssueStallEmpty += uint64(delta) * uint64(s.cfg.IssueWidth)
 	}
 	// An LDST head parked on an L1 reservation failure would have retried
@@ -846,6 +848,7 @@ func (s *SM) drainExec(c sim.Cycle) {
 		if s.wbInFlight[wb.warpSlot] == 0 {
 			s.sbHazard[wb.warpSlot] = false
 		}
+		s.refreshWarp(wb.warpSlot)
 	}
 }
 
@@ -873,10 +876,14 @@ func (s *SM) completeTransaction(c sim.Cycle, comp completion) {
 
 // finishMemInst releases the scoreboard entries of a completed warp
 // memory instruction and recycles it (finishMemInst is called exactly
-// once per memInst, after its last reference left every queue).
+// once per memInst, after its last reference left every queue). A warp
+// may EXIT with a load or atomic still in flight; if its slot has been
+// relaunched since, the pending bit belongs to the new occupant's own
+// instruction and the stale completion must not release it.
 func (s *SM) finishMemInst(mi *memInst) {
-	if mi.op.WritesDst() && mi.dst != isa.RZ {
+	if mi.op.WritesDst() && mi.dst != isa.RZ && s.warpSeq[mi.warpSlot] == mi.warpSeq {
 		s.sbRegs[mi.warpSlot] &^= 1 << mi.dst
+		s.refreshWarp(mi.warpSlot)
 	}
 	s.miFree = append(s.miFree, mi)
 }
@@ -890,9 +897,11 @@ func (s *SM) retireWarpIfDone(c sim.Cycle, ws int) {
 	bs := &s.blocks[w.BlockSlot]
 	bs.liveWarps--
 	s.warps[ws] = nil
+	s.refreshWarp(ws)
 	s.releaseBarrierIfComplete(w.BlockSlot)
 	if bs.liveWarps == 0 {
 		bs.active = false
+		s.activeBlocks--
 		s.stats.BlocksRetired++
 		s.retireLog = append(s.retireLog, retireEvent{c: c, kernelID: bs.kernelID})
 	}
