@@ -4,7 +4,7 @@
 GO      ?= go
 JOBS    ?= 0   # 0 = GOMAXPROCS
 
-.PHONY: all build test vet fmt bench bench-baseline bench-regress alloc-regress alloc-baseline repro repro-quick determinism engine-determinism corun-determinism par-determinism export-identity service-determinism shard-determinism load-smoke bench-service bench-harness clean
+.PHONY: all build test vet fmt bench bench-baseline bench-regress alloc-regress alloc-baseline repro repro-quick determinism engine-determinism corun-determinism par-determinism export-identity service-determinism shard-determinism bench-harness clean
 
 all: build vet fmt test
 
@@ -23,14 +23,13 @@ fmt:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
 # Short smoke benchmark (CI); `make bench BENCH=. BENCHTIME=3x` for more.
-# Emits the tick-vs-event simulation-kernel throughput report (cycles
-# simulated per wall-second, per workload) to /tmp so the CI smoke never
-# dirties the committed baseline; `make bench-baseline` refreshes it.
+# The tick-vs-event simulation-kernel throughput report (cycles simulated
+# per wall-second, per workload) is `make bench-baseline` in full and
+# `make bench-regress` as the checked CI smoke.
 BENCH     ?= SimulatorThroughput
 BENCHTIME ?= 1x
 bench:
 	$(GO) test -bench=$(BENCH) -benchtime=$(BENCHTIME) -run='^$$' .
-	$(GO) run ./cmd/gpulat bench-kernel > /tmp/gpulat-bench-kernel.json
 
 # Refresh the committed BENCH_kernel.json baseline (wall-clock numbers
 # are machine-dependent: regenerate deliberately, not from CI). Each
@@ -116,7 +115,7 @@ corun-determinism:
 # engines. (-par shards the phases of each simulated cycle across
 # goroutines; -j above shards jobs — independent axes, both pinned.)
 par-determinism:
-	$(GO) test -race -count=1 -run 'TestPool|TestWorkerCountInvariance|TestAtomicOldValuesUniqueAcrossSMs' ./internal/sim ./internal/gpu
+	$(GO) test -race -count=1 -run 'TestPool|TestWorkerCountInvariance|TestManualStepThenRun|TestAtomicOldValuesUniqueAcrossSMs' ./internal/sim ./internal/gpu
 	$(GO) build -o /tmp/gpulat-ci ./cmd/gpulat
 	/tmp/gpulat-ci bench-suite -quick -quiet -j 1 -par 1 -engine=tick  -csv  > /tmp/gpulat-par1-tick.csv
 	/tmp/gpulat-ci bench-suite -quick -quiet -j 1 -par 8 -engine=tick  -csv  > /tmp/gpulat-par8-tick.csv
@@ -322,61 +321,6 @@ shard-determinism:
 	cmp /tmp/gpulat-direct.json /tmp/gpulat-shard-recovered.json
 	@echo "shard-determinism: coordinator byte-identical to direct across a backend kill, join/leave mid-grid, a warm self-registered joiner, and a journal-replayed coordinator crash"
 
-# Proves the observability tier under load (CI): a short dedup-heavy
-# loadgen run against a 2-backend coordinator, every /metrics scrape
-# Lint-validated by loadgen itself. The tier is then fully restarted —
-# backends included, because a surviving backend answers repeats from
-# in-memory dedup and masks the disk cache — and the warm replay must
-# be answered with real cache hits (-min-hits) out of the persistent
-# backend caches.
-LOAD_COORD ?= 127.0.0.1:18767
-LOAD_B1    ?= 127.0.0.1:18768
-LOAD_B2    ?= 127.0.0.1:18769
-load-smoke:
-	$(GO) build -o /tmp/gpulat-ci ./cmd/gpulat
-	rm -rf /tmp/gpulat-load-b1 /tmp/gpulat-load-b2 \
-		/tmp/gpulat-lb1.pid /tmp/gpulat-lb2.pid /tmp/gpulat-lcoord.pid
-	set -e; \
-	trap 'for f in /tmp/gpulat-lb1.pid /tmp/gpulat-lb2.pid /tmp/gpulat-lcoord.pid; do \
-		test -f $$f && kill -9 $$(cat $$f) 2>/dev/null; done; true' EXIT; \
-	/tmp/gpulat-ci serve -addr $(LOAD_B1) -cache-dir /tmp/gpulat-load-b1 -quiet & echo $$! > /tmp/gpulat-lb1.pid; \
-	/tmp/gpulat-ci serve -addr $(LOAD_B2) -cache-dir /tmp/gpulat-load-b2 -quiet & echo $$! > /tmp/gpulat-lb2.pid; \
-	/tmp/gpulat-ci serve -addr $(LOAD_COORD) -backends $(LOAD_B1),$(LOAD_B2) -quiet & echo $$! > /tmp/gpulat-lcoord.pid; \
-	/tmp/gpulat-ci loadgen -addr http://$(LOAD_COORD) -scrape-addrs $(LOAD_B1),$(LOAD_B2) \
-		-requests 60 -clients 4 -unique 12 -accesses 8 -scrape 200ms \
-		-out /tmp/gpulat-load-cold.json; \
-	for f in /tmp/gpulat-lcoord.pid /tmp/gpulat-lb1.pid /tmp/gpulat-lb2.pid; do \
-		kill $$(cat $$f); wait $$(cat $$f) 2>/dev/null || true; done; \
-	/tmp/gpulat-ci serve -addr $(LOAD_B1) -cache-dir /tmp/gpulat-load-b1 -quiet & echo $$! > /tmp/gpulat-lb1.pid; \
-	/tmp/gpulat-ci serve -addr $(LOAD_B2) -cache-dir /tmp/gpulat-load-b2 -quiet & echo $$! > /tmp/gpulat-lb2.pid; \
-	/tmp/gpulat-ci serve -addr $(LOAD_COORD) -backends $(LOAD_B1),$(LOAD_B2) -quiet & echo $$! > /tmp/gpulat-lcoord.pid; \
-	/tmp/gpulat-ci loadgen -addr http://$(LOAD_COORD) -scrape-addrs $(LOAD_B1),$(LOAD_B2) \
-		-requests 60 -clients 4 -unique 12 -accesses 8 -scrape 200ms \
-		-min-hits 1 -out /tmp/gpulat-load-warm.json; \
-	grep -q '"served_qps"' /tmp/gpulat-load-warm.json; \
-	grep -q '"hit_ratio"' /tmp/gpulat-load-warm.json
-	@echo "load-smoke: warm replay hit the persistent backend caches; every /metrics scrape stayed valid"
-
-# Refresh the committed BENCH_service.json service-tier baseline
-# (wall-clock numbers are machine-dependent: regenerate deliberately,
-# not from CI). A cold loadgen run at the default mix populates a
-# single station's persistent cache, the server is restarted so
-# in-process dedup can't answer, and the warm replay is the committed
-# artifact: served QPS, latency quantiles, cache outcome, hit curve.
-BENCHSVC_ADDR ?= 127.0.0.1:18770
-bench-service:
-	$(GO) build -o /tmp/gpulat-ci ./cmd/gpulat
-	rm -rf /tmp/gpulat-benchsvc-cache /tmp/gpulat-benchsvc.pid
-	set -e; \
-	trap 'test -f /tmp/gpulat-benchsvc.pid && kill -9 $$(cat /tmp/gpulat-benchsvc.pid) 2>/dev/null; true' EXIT; \
-	/tmp/gpulat-ci serve -addr $(BENCHSVC_ADDR) -cache-dir /tmp/gpulat-benchsvc-cache -quiet & echo $$! > /tmp/gpulat-benchsvc.pid; \
-	/tmp/gpulat-ci loadgen -addr http://$(BENCHSVC_ADDR) -out /tmp/gpulat-benchsvc-cold.json; \
-	kill $$(cat /tmp/gpulat-benchsvc.pid); wait $$(cat /tmp/gpulat-benchsvc.pid) 2>/dev/null || true; \
-	/tmp/gpulat-ci serve -addr $(BENCHSVC_ADDR) -cache-dir /tmp/gpulat-benchsvc-cache -quiet & echo $$! > /tmp/gpulat-benchsvc.pid; \
-	/tmp/gpulat-ci loadgen -addr http://$(BENCHSVC_ADDR) -min-hits 1 -out BENCH_service.json.tmp; \
-	mv BENCH_service.json.tmp BENCH_service.json
-	@echo "bench-service: BENCH_service.json refreshed (warm replay against the persistent cache)"
-
 # The repository benchmark (bench/) is a Go module of its own, outside
 # `go test ./...`: build it and run every workload at -smoke scale, so an
 # exported-API change in internal/service (or any layer the harness
@@ -403,9 +347,5 @@ clean:
 		/tmp/gpulat-serve.pid \
 		/tmp/gpulat-shard-cold.csv /tmp/gpulat-shard-kill.csv \
 		/tmp/gpulat-shard-kill.json /tmp/gpulat-shard-backendsz.json \
-		/tmp/gpulat-b1.pid /tmp/gpulat-b2.pid /tmp/gpulat-coord.pid \
-		/tmp/gpulat-load-cold.json /tmp/gpulat-load-warm.json \
-		/tmp/gpulat-lb1.pid /tmp/gpulat-lb2.pid /tmp/gpulat-lcoord.pid \
-		/tmp/gpulat-benchsvc-cold.json /tmp/gpulat-benchsvc.pid
-	rm -rf /tmp/gpulat-svc-cache /tmp/gpulat-shard-b1 /tmp/gpulat-shard-b2 \
-		/tmp/gpulat-load-b1 /tmp/gpulat-load-b2 /tmp/gpulat-benchsvc-cache
+		/tmp/gpulat-b1.pid /tmp/gpulat-b2.pid /tmp/gpulat-coord.pid
+	rm -rf /tmp/gpulat-svc-cache /tmp/gpulat-shard-b1 /tmp/gpulat-shard-b2

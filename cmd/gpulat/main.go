@@ -118,7 +118,6 @@ func commands() map[string]func([]string) error {
 		"serve":            cmdServe,
 		"submit":           cmdSubmit,
 		"backends":         cmdBackends,
-		"loadgen":          cmdLoadgen,
 		"version":          cmdVersion,
 	}
 }
@@ -154,8 +153,6 @@ commands:
                 (-shard i/n for key-hash fan-out, -backendsz for pool view)
   backends      coordinator pool admin: list | join <addr> | leave <addr>
                 (elastic membership: joins warm-hand cached results over)
-  loadgen       replay a Zipf-distributed dedup-heavy job mix against a
-                running service, scraping /metrics; writes BENCH_service.json
   version       report the build version and cache scheme tag
 
 sweep-shaped commands take -j N (parallel experiment workers); sweep,

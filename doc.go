@@ -68,7 +68,7 @@
 //	                  gauges, histograms, scrape-time collectors), the
 //	                  text exposition writer, and a parser + format
 //	                  validator; backs the servers' /metrics endpoint,
-//	                  simrun -trace-sim, and the loadgen harness
+//	                  simrun -trace-sim, and the bench/ harness's scrapes
 //
 // A job flows top-down: the CLI (or a service client) builds a
 // runner.Grid; the runner expands it deterministically and executes

@@ -171,6 +171,22 @@ func statsSignature(g *GPU) string {
 	return b.String()
 }
 
+// requireEnginesAgree fails the test unless a tick run and an event run
+// of the same work elapsed the same cycles, stopped at the same cycle,
+// and left identical semantic state and statistics.
+func requireEnginesAgree(t *testing.T, gt *GPU, ct sim.Cycle, ge *GPU, ce sim.Cycle) {
+	t.Helper()
+	if ct != ce || gt.Cycle() != ge.Cycle() {
+		t.Fatalf("cycles: tick %d (at %d), event %d (at %d)", ct, gt.Cycle(), ce, ge.Cycle())
+	}
+	if a, b := deviceSignature(gt, gt.Cycle()), deviceSignature(ge, ge.Cycle()); a != b {
+		t.Fatalf("final state diverged:\n--- tick ---\n%s--- event ---\n%s", a, b)
+	}
+	if a, b := statsSignature(gt), statsSignature(ge); a != b {
+		t.Fatalf("statistics diverged:\n--- tick ---\n%s--- event ---\n%s", a, b)
+	}
+}
+
 // TestEventEngineMatchesTick runs each micro-workload on each
 // configuration variant under both engines and requires identical
 // cycle counts, final semantic state, and statistics — including the
@@ -186,15 +202,7 @@ func TestEventEngineMatchesTick(t *testing.T) {
 
 				gt, ct := runEngineWorkload(t, tickCfg, wl)
 				ge, ce := runEngineWorkload(t, eventCfg, wl)
-				if ct != ce {
-					t.Fatalf("cycles: tick %d, event %d", ct, ce)
-				}
-				if a, b := deviceSignature(gt, gt.Cycle()), deviceSignature(ge, ge.Cycle()); a != b {
-					t.Fatalf("final state diverged:\n--- tick ---\n%s--- event ---\n%s", a, b)
-				}
-				if a, b := statsSignature(gt), statsSignature(ge); a != b {
-					t.Fatalf("statistics diverged:\n--- tick ---\n%s--- event ---\n%s", a, b)
-				}
+				requireEnginesAgree(t, gt, ct, ge, ce)
 				if ge.Stats().SkippedCycles == 0 {
 					t.Fatalf("event engine skipped nothing on %s/%s", vname, wl)
 				}
@@ -245,15 +253,7 @@ func TestEventEngineMatchesTickCoRun(t *testing.T) {
 
 			gt, ct := runCoRunWorkload(t, tickCfg)
 			ge, ce := runCoRunWorkload(t, eventCfg)
-			if ct != ce {
-				t.Fatalf("cycles: tick %d, event %d", ct, ce)
-			}
-			if a, b := deviceSignature(gt, gt.Cycle()), deviceSignature(ge, ge.Cycle()); a != b {
-				t.Fatalf("final state diverged:\n--- tick ---\n%s--- event ---\n%s", a, b)
-			}
-			if a, b := statsSignature(gt), statsSignature(ge); a != b {
-				t.Fatalf("statistics diverged:\n--- tick ---\n%s--- event ---\n%s", a, b)
-			}
+			requireEnginesAgree(t, gt, ct, ge, ce)
 			if ge.Stats().SkippedCycles == 0 {
 				t.Fatal("event engine skipped nothing on the co-run")
 			}
@@ -327,6 +327,124 @@ func TestNextEventHorizonNeverLate(t *testing.T) {
 					t.Fatalf("horizon never exceeded now in %d cycles (nothing would be skipped)", checked)
 				}
 			})
+		}
+	}
+}
+
+// TestAbortEquivalence pins runEvent's abort promise: a run cut short by
+// MaxCycles reports the same cycle, error and statistics as the tick
+// loop's abort at the same cycle — the idle replay is brought up to the
+// abort point, and a jump never overshoots it.
+func TestAbortEquivalence(t *testing.T) {
+	for _, maxCycles := range []sim.Cycle{1, 7, 40, 137, 400, 700} {
+		t.Run(fmt.Sprint(maxCycles), func(t *testing.T) {
+			run := func(engine sim.Engine) (string, string) {
+				cfg := tinyConfig()
+				cfg.Engine = engine
+				cfg.MaxCycles = maxCycles
+				g := New(cfg)
+				for i := uint64(0); i < 2048; i++ {
+					g.Memory.Store32(0x10000+i*4, uint32(i))
+				}
+				cycles, err := g.RunKernel(vecIncKernel(0x10000, 0x40000, 2048, 64))
+				if err == nil {
+					t.Fatalf("%s: run completed in %d cycles, want an abort", engine, cycles)
+				}
+				return fmt.Sprintf("cycles:%d at:%d err:%v", cycles, g.Cycle(), err), statsSignature(g)
+			}
+			tickEnd, tickStats := run(sim.EngineTick)
+			eventEnd, eventStats := run(sim.EngineEvent)
+			if tickEnd != eventEnd {
+				t.Fatalf("abort point: tick %q, event %q", tickEnd, eventEnd)
+			}
+			if tickStats != eventStats {
+				t.Fatalf("statistics diverged:\n--- tick ---\n%s--- event ---\n%s", tickStats, eventStats)
+			}
+		})
+	}
+}
+
+// manualStepThenRun runs one kernel to completion, launches a second,
+// advances 37 cycles with direct Step calls — on a device whose wake
+// registry is stale (event engine) or absent (tick) — and finishes with
+// Run, which must re-arm from live state.
+func manualStepThenRun(t *testing.T, cfg Config) (*GPU, sim.Cycle) {
+	t.Helper()
+	g := New(cfg)
+	g.SetWakeAudit(true)
+	for i := uint64(0); i < 512; i++ {
+		g.Memory.Store32(0x10000+i*4, uint32(i))
+	}
+	if _, err := g.RunKernel(vecIncKernel(0x10000, 0x20000, 512, 64)); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Launch(vecIncKernel(0x20000, 0x30000, 512, 64)); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 37; i++ {
+		g.Step()
+	}
+	cycles, err := g.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bad := g.WakeAuditViolations(); len(bad) > 0 {
+		t.Fatalf("wake audit violations:\n%s", strings.Join(bad, "\n"))
+	}
+	if got := g.Memory.Load32(0x30000 + 511*4); got != 513 {
+		t.Fatalf("out[511] = %d, want 513", got)
+	}
+	return g, cycles
+}
+
+// TestManualStepThenRun requires the hand-stepped run to end in the same
+// state under both engines.
+func TestManualStepThenRun(t *testing.T) {
+	tickCfg := tinyConfig()
+	tickCfg.Engine = sim.EngineTick
+	eventCfg := tinyConfig()
+	eventCfg.Engine = sim.EngineEvent
+
+	gt, ct := manualStepThenRun(t, tickCfg)
+	ge, ce := manualStepThenRun(t, eventCfg)
+	requireEnginesAgree(t, gt, ct, ge, ce)
+}
+
+// TestTickCreatesNoWakeState: the ungated cycle body reads and writes no
+// event-engine state, so a device driven by Step alone, or by the tick
+// engine's Run at any width, never grows a wake registry.
+func TestTickCreatesNoWakeState(t *testing.T) {
+	newDevice := func(workers int) *GPU {
+		cfg := tinyConfig()
+		cfg.Engine = sim.EngineTick
+		cfg.Workers = workers
+		g := New(cfg)
+		if err := g.Launch(vecIncKernel(0x10000, 0x20000, 512, 64)); err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+	g := newDevice(1)
+	for !g.Done() {
+		g.Step()
+		if g.Cycle() > 500_000 {
+			t.Fatal("runaway simulation")
+		}
+	}
+	want := statsSignature(g)
+	if g.WakeStats() != nil {
+		t.Fatal("Step created wake state")
+	}
+	for _, workers := range []int{1, 8} {
+		g := newDevice(workers)
+		if _, err := g.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if g.WakeStats() != nil {
+			t.Fatalf("tick Run at Workers=%d created wake state", workers)
+		}
+		if got := statsSignature(g); got != want {
+			t.Fatalf("tick Run at Workers=%d diverged from Step alone:\n--- Step ---\n%s--- Run ---\n%s", workers, want, got)
 		}
 	}
 }

@@ -5,17 +5,19 @@
 // request stage logs flowing through the memory system, and the per-SM
 // per-cycle issue accounting used for the exposed-latency analysis.
 //
-// Two engines drive the device. The cycle-driven loop (Step) ticks
-// every component every cycle — the reference semantics. The
-// event-driven loop (runEvent) keeps one wake registration per
-// component on a sim.Scheduler: each cycle it ticks only the components
-// whose wakes are due, re-arms the ones that changed from their
-// NextEvent horizons, and jumps the clock to the next registered wake,
-// replaying the skipped spans' idle accounting (SkipIdle/SkipStalled)
-// so both engines' results and statistics are byte-identical. The
-// dispatcher is not a subscriber: dispatch runs only in cycles where a
-// retirement or an enqueue armed it. See internal/sim/doc.go for the
-// full contract and the wake-source notes in each component package.
+// Two engines drive the device through one cycle body (step), the only
+// place the phase order is written. The cycle-driven loop (Step) runs it
+// ungated: every component ticks every cycle — the reference semantics.
+// The event-driven loop (runEvent) runs it gated, keeping one wake
+// registration per component on a sim.Scheduler: each cycle it ticks
+// only the components whose wakes are due, re-arms the ones that changed
+// from their NextEvent horizons, and jumps the clock to the next
+// registered wake, replaying the skipped spans' idle accounting
+// (SkipIdle/SkipStalled) so both engines' results and statistics are
+// byte-identical. The dispatcher is not a subscriber: gated, dispatch
+// runs only in cycles where a retirement or an enqueue armed it. See
+// internal/sim/doc.go for the full contract and the wake-source notes in
+// each component package.
 package gpu
 
 import (
@@ -130,18 +132,17 @@ type GPU struct {
 	pool     *sim.Pool
 	smTicked []bool
 
-	// stepC publishes the cycle being stepped to the four persistent
-	// phase closures below. Hoisting them out of Step/stepDue keeps the
-	// per-cycle path allocation-free: a closure literal capturing the
-	// loop cycle would escape to the pool workers and heap-allocate on
-	// every call.
-	stepC      sim.Cycle
-	partTickFn func(int)
-	smTickFn   func(int)
-	partDueFn  func(int)
-	smDueFn    func(int)
+	// stepC and stepGated publish the cycle being stepped and its mode to
+	// the two persistent phase closures below; step writes them before
+	// pool.Run and never during a phase. Hoisting the closures out of step
+	// keeps the per-cycle path allocation-free: a closure literal
+	// capturing the loop cycle would escape to the pool workers and
+	// heap-allocate on every call.
+	stepC     sim.Cycle
+	stepGated bool
+	partFn    func(int)
+	smFn      func(int)
 
-	observer mem.Observer
 	issueObs IssueObserver
 
 	cycle sim.Cycle
@@ -191,22 +192,9 @@ func NewWithObservers(cfg Config, obs mem.Observer, issueObs IssueObserver) *GPU
 	g := &GPU{
 		cfg:      cfg,
 		Memory:   mem.NewMemory(),
-		observer: obs,
 		issueObs: issueObs,
 	}
-
-	reqCfg := cfg.RequestNet
-	reqCfg.Name = cfg.Name + ".reqnet"
-	reqCfg.Inputs = cfg.NumSMs
-	reqCfg.Outputs = cfg.NumPartitions
-	g.reqNet = icnt.New(reqCfg)
-
-	repCfg := cfg.ReplyNet
-	repCfg.Name = cfg.Name + ".replynet"
-	repCfg.Inputs = cfg.NumPartitions
-	repCfg.Outputs = cfg.NumSMs
-	g.replyNet = icnt.New(repCfg)
-
+	g.reqNet, g.replyNet, g.parts = newMemFabric(cfg, "")
 	g.reqSeq = make([]uint64, cfg.NumSMs)
 	g.smTicked = make([]bool, cfg.NumSMs)
 	for i := 0; i < cfg.NumSMs; i++ {
@@ -217,13 +205,6 @@ func NewWithObservers(cfg Config, obs mem.Observer, issueObs IssueObserver) *GPU
 		tag := uint64(i) << 40
 		newID := func() uint64 { *seq++; return tag | *seq }
 		g.sms = append(g.sms, sm.New(smCfg, g.Memory, newID, obs))
-	}
-	for i := 0; i < cfg.NumPartitions; i++ {
-		pc := cfg.Partition
-		pc.ID = i
-		pc.L2.Name = fmt.Sprintf("%s.part%d.l2", cfg.Name, i)
-		pc.DRAM.Name = fmt.Sprintf("%s.part%d.dram", cfg.Name, i)
-		g.parts = append(g.parts, mempart.New(pc))
 	}
 	g.disp = sched.NewDispatcher(g.sms, cfg.Placement)
 	// One request free list serves the whole device: requests cross SM
@@ -244,51 +225,86 @@ func NewWithObservers(cfg Config, obs mem.Observer, issueObs IssueObserver) *GPU
 	return g
 }
 
+// newMemFabric builds the memory side of a device — request network,
+// reply network, partitions — naming each component cfg.Name+tag+… (the
+// GPU passes no tag, the SM-less testbench ".tb").
+func newMemFabric(cfg Config, tag string) (reqNet, replyNet *icnt.Crossbar, parts []*mempart.Partition) {
+	name := cfg.Name + tag
+	reqCfg := cfg.RequestNet
+	reqCfg.Name = name + ".reqnet"
+	reqCfg.Inputs = cfg.NumSMs
+	reqCfg.Outputs = cfg.NumPartitions
+
+	repCfg := cfg.ReplyNet
+	repCfg.Name = name + ".replynet"
+	repCfg.Inputs = cfg.NumPartitions
+	repCfg.Outputs = cfg.NumSMs
+
+	for i := 0; i < cfg.NumPartitions; i++ {
+		pc := cfg.Partition
+		pc.ID = i
+		pc.L2.Name = fmt.Sprintf("%s.part%d.l2", name, i)
+		pc.DRAM.Name = fmt.Sprintf("%s.part%d.dram", name, i)
+		parts = append(parts, mempart.New(pc))
+	}
+	return icnt.New(reqCfg), icnt.New(repCfg), parts
+}
+
+// partitionOf maps a global address to its memory partition.
+func (c *Config) partitionOf(addr uint64) int {
+	return int((addr / uint64(c.PartitionInterleave)) % uint64(c.NumPartitions))
+}
+
 // bindPhaseFns builds the persistent closures the parallel phases pass
-// to pool.Run. They read the cycle from g.stepC, set by Step/stepDue
-// immediately before each Run call.
+// to pool.Run: one component's share of a phase, ungated (tick it) or
+// gated on the event engine's own-work horizons. The gate, the replay
+// and every write (fired/lastProc/dirty slots, the component itself) are
+// per-index state, which is what lets the phases shard across the pool.
 func (g *GPU) bindPhaseFns() {
 	ev := &g.ev
-	g.partTickFn = func(pi int) { g.parts[pi].Tick(g.stepC) }
-	g.smTickFn = func(si int) {
-		c := g.stepC
-		s := g.sms[si]
-		if !s.Busy() {
-			g.smTicked[si] = false
-			return
+	g.partFn = func(pi int) {
+		c, gated := g.stepC, g.stepGated
+		if gated {
+			if ev.partTickAt[pi] > c {
+				return
+			}
+			ev.fired[ev.partID[pi]]++
+			g.catchUpPart(pi, c-1)
 		}
-		s.Tick(c)
-		g.smTicked[si] = true
-	}
-	g.partDueFn = func(pi int) {
-		c := g.stepC
-		if ev.partTickAt[pi] > c {
-			return
-		}
-		ev.fired[ev.partID[pi]]++
-		g.catchUpPart(pi, c-1)
 		g.parts[pi].Tick(c)
-		ev.partLastProc[pi] = c
-		ev.dirtyPart[pi] = true
+		if gated {
+			ev.partLastProc[pi] = c
+			ev.dirtyPart[pi] = true
+		}
 	}
-	g.smDueFn = func(si int) {
-		c := g.stepC
+	g.smFn = func(si int) {
+		c, gated := g.stepC, g.stepGated
 		g.smTicked[si] = false
-		if ev.tickAt[si] > c {
+		if gated && ev.tickAt[si] > c {
 			return
 		}
 		s := g.sms[si]
 		if !s.Busy() {
-			// Drained while armed (e.g. the initial arm-everything wake
-			// on an idle core): disarm via re-arm, which yields Never.
-			ev.dirtySM[si] = true
+			// Idle SMs (no resident blocks, nothing in flight) are skipped;
+			// they cannot issue and hold no outstanding loads, so neither
+			// the timing nor the exposure accounting is affected. Gated,
+			// this is a core that drained while armed (e.g. the initial
+			// arm-everything wake on an idle core): disarm via re-arm,
+			// which yields Never.
+			if gated {
+				ev.dirtySM[si] = true
+			}
 			return
 		}
-		ev.fired[ev.smID[si]]++
-		g.catchUpSM(si, c-1)
+		if gated {
+			ev.fired[ev.smID[si]]++
+			g.catchUpSM(si, c-1)
+		}
 		s.Tick(c)
-		ev.lastProc[si] = c
-		ev.dirtySM[si] = true
+		if gated {
+			ev.lastProc[si] = c
+			ev.dirtySM[si] = true
+		}
 		g.smTicked[si] = true
 	}
 }
@@ -328,11 +344,6 @@ func (g *GPU) SMs() []*sm.SM { return g.sms }
 // Partitions exposes the memory partitions (stats and tests).
 func (g *GPU) Partitions() []*mempart.Partition { return g.parts }
 
-// partitionOf maps a global address to its memory partition.
-func (g *GPU) partitionOf(addr uint64) int {
-	return int((addr / uint64(g.cfg.PartitionInterleave)) % uint64(g.cfg.NumPartitions))
-}
-
 // Launch enqueues kernel k on the default stream and dispatches as many
 // of its blocks as fit right now. Invalid grid or block dimensions are
 // reported as an error (the kernel is not enqueued). Kernels launched
@@ -363,99 +374,12 @@ func (g *GPU) Enqueue(stream string, k *sm.Kernel) (*sched.KernelState, error) {
 	return ks, nil
 }
 
-// Step advances the device one cycle.
+// Step advances the device one cycle with every component ticked: the
+// tick engine's cycle and the reference semantics. It touches no wake
+// state, so it is valid on any device — before, between or without
+// event-engine runs.
 func (g *GPU) Step() {
-	c := g.cycle
-
-	// Memory partitions (includes DRAM). Each partition's Tick touches
-	// only its own state, so the phase shards across the worker pool;
-	// Run's barrier orders every partition's writes before the transfer
-	// phase below reads its return queue.
-	g.stepC = c
-	g.pool.Run(len(g.parts), g.partTickFn)
-
-	// Reply network: partition return queues → network → SMs.
-	for pi, p := range g.parts {
-		for {
-			r, ok := p.PeekReturn(c)
-			if !ok {
-				break
-			}
-			if !g.replyNet.CanInject(pi) {
-				g.replyNet.NoteInjectStall(pi)
-				break
-			}
-			p.PopReturn(c)
-			g.replyNet.Inject(c, pi, icnt.Packet{
-				Req: r, Dst: r.SM,
-				Size: g.cfg.ControlPacketBytes + g.cfg.DataPacketBytes,
-			})
-		}
-	}
-	g.replyNet.Tick(c)
-	for si, s := range g.sms {
-		for s.CanAcceptResponse() {
-			pkt, ok := g.replyNet.PopEject(c, si)
-			if !ok {
-				break
-			}
-			s.AcceptResponse(c, pkt.Req)
-		}
-	}
-
-	// Request network: SM miss queues → network → partitions.
-	for si, s := range g.sms {
-		for {
-			r, ok := s.PeekMiss(c)
-			if !ok {
-				break
-			}
-			if !g.reqNet.CanInject(si) {
-				g.reqNet.NoteInjectStall(si)
-				break
-			}
-			s.PopMiss(c)
-			r.Partition = g.partitionOf(r.Addr)
-			if r.Log != nil {
-				r.Log.Mark(mem.PtICNTInject, c)
-			}
-			size := g.cfg.ControlPacketBytes
-			if r.Kind == mem.KindStore {
-				size += g.cfg.DataPacketBytes
-			}
-			g.reqNet.Inject(c, si, icnt.Packet{Req: r, Dst: r.Partition, Size: size})
-		}
-	}
-	g.reqNet.Tick(c)
-	for pi, p := range g.parts {
-		for p.CanAccept() {
-			pkt, ok := g.reqNet.PopEject(c, pi)
-			if !ok {
-				break
-			}
-			p.Accept(c, pkt.Req)
-		}
-	}
-
-	// Cores last: issue sees this cycle's returned data next cycle.
-	// Idle SMs (no resident blocks, nothing in flight) are skipped; they
-	// cannot issue and hold no outstanding loads, so neither the timing
-	// nor the exposure accounting is affected. SMs are mutually
-	// independent within the phase — every cross-SM effect (functional
-	// stores/atomics, tracked completions, block retirements) defers
-	// inside the SM — so the phase shards across the pool, and the
-	// flush pass below commits the deferred effects in SM index order,
-	// making results independent of the worker count.
-	g.pool.Run(len(g.sms), g.smTickFn)
-	for si, s := range g.sms {
-		if !g.smTicked[si] {
-			continue
-		}
-		s.FlushCycle()
-		g.issueObs.IssueSlot(s.Config().ID, c, s.IssuedThisCycle())
-	}
-
-	g.disp.Dispatch(c)
+	g.step(g.cycle, false)
 	g.cycle++
 	g.stats.Cycles++
 }
@@ -589,29 +513,33 @@ func (g *GPU) evReset(start sim.Cycle) {
 		ev.partLastProc = make([]sim.Cycle, len(g.parts))
 		ev.fired = make([]uint64, ev.sched.Size())
 	}
-	for _, id := range ev.partID {
-		ev.sched.Rearm(id, start)
-	}
-	ev.sched.Rearm(ev.reqID, start)
-	ev.sched.Rearm(ev.repID, start)
-	for _, id := range ev.smID {
-		ev.sched.Rearm(id, start)
-	}
+	g.armAll(start)
 	for i := range ev.lastProc {
 		ev.lastProc[i] = start
-		ev.tickAt[i] = start
 	}
-	for i := range ev.partTickAt {
-		ev.partTickAt[i] = start
+	for i := range ev.partLastProc {
 		ev.partLastProc[i] = start
 	}
-	for i := range ev.dirtyPart {
-		ev.dirtyPart[i] = false
-	}
-	for i := range ev.dirtySM {
-		ev.dirtySM[i] = false
-	}
+	clear(ev.dirtyPart)
+	clear(ev.dirtySM)
 	ev.dirtyReq, ev.dirtyRep = false, false
+}
+
+// armAll makes every component due at cycle c, core and partition ticks
+// included: the opening state of a run, and the Never-horizon fallback
+// (where nothing is armed, so replacing each registration is the same as
+// waking it).
+func (g *GPU) armAll(c sim.Cycle) {
+	ev := &g.ev
+	for id := 0; id < ev.sched.Size(); id++ {
+		ev.sched.Rearm(id, c)
+	}
+	for i := range ev.tickAt {
+		ev.tickAt[i] = c
+	}
+	for i := range ev.partTickAt {
+		ev.partTickAt[i] = c
+	}
 }
 
 // catchUpSM replays the idle accounting for cycles SM si slept through,
@@ -642,32 +570,36 @@ func (g *GPU) catchUpPart(pi int, through sim.Cycle) {
 	g.ev.partLastProc[pi] = through
 }
 
-// stepDue advances cycle c, ticking only components whose wake is due.
-// The phase order is exactly Step's; the handoff phases between
-// components run unconditionally (a peek on an empty queue is one
-// length check) so their stall observations stay identical to the tick
-// engine's, while the per-component Tick work — the expensive part — is
-// gated on the wake calendar.
-func (g *GPU) stepDue(c sim.Cycle) {
+// step advances cycle c. It is the one place the device's phase order —
+// which is the timing model — is written: partitions, reply network
+// (transfer, tick, eject), request network (inject, tick, accept), cores
+// with their flush, dispatch. Ungated (Step, the tick engine) every
+// component ticks, dispatch runs every cycle, and no wake state is read
+// or written. Gated (runEvent) only components whose wake is due tick:
+// the handoff phases between components still run unconditionally (a
+// peek on an empty queue is one length check) so their stall
+// observations stay identical to the tick engine's, while the
+// per-component Tick work — the expensive part — is gated on the wake
+// calendar, and every mutation marks its component for rearmDirty.
+func (g *GPU) step(c sim.Cycle, gated bool) {
 	ev := &g.ev
-	sc := ev.sched
 
-	// Memory partitions (includes DRAM). Like the SM core ticks below,
-	// the Tick is gated on the partition's own-work horizon, not on its
+	// Memory partitions (includes DRAM). Each partition's Tick touches
+	// only its own state, so the phase shards across the worker pool;
+	// Run's barrier orders every partition's writes before the transfer
+	// phase below reads its return queue. Gated, like the SM core ticks
+	// below, the Tick keys on the partition's own-work horizon, not on its
 	// armed wake: a partition whose only live state is a backed-up return
 	// queue keeps the clock stepping (for the reply-transfer phase) while
-	// its pipeline — which never drains that queue — sleeps. The phase
-	// shards across the pool: the gate, the replay, and every write
-	// (fired/partLastProc/dirtyPart slots, the partition itself) are
-	// per-index state.
-	g.stepC = c
-	g.pool.Run(len(g.parts), g.partDueFn)
+	// its pipeline — which never drains that queue — sleeps.
+	g.stepC, g.stepGated = c, gated
+	g.pool.Run(len(g.parts), g.partFn)
 
 	// Reply network: partition return queues → network → SMs. A visible
 	// return head pins its partition's horizon at now, so every cycle on
 	// which this transfer (or its inject-stall observation) can happen
 	// is stepped.
-	injectedRep := false
+	injected := false
 	for pi, p := range g.parts {
 		for {
 			r, ok := p.PeekReturn(c)
@@ -679,23 +611,24 @@ func (g *GPU) stepDue(c sim.Cycle) {
 				break
 			}
 			p.PopReturn(c)
-			ev.dirtyPart[pi] = true
+			if gated {
+				ev.dirtyPart[pi] = true
+			}
 			g.replyNet.Inject(c, pi, icnt.Packet{
 				Req: r, Dst: r.SM,
 				Size: g.cfg.ControlPacketBytes + g.cfg.DataPacketBytes,
 			})
-			injectedRep = true
+			injected = true
 		}
 	}
-	if injectedRep || sc.Due(ev.repID, c) {
-		// A freshly injected packet can traverse this same cycle (the
-		// injection queues have zero latency), so injection forces a
-		// tick even when the network's armed wake is later.
-		if sc.Due(ev.repID, c) {
-			ev.fired[ev.repID]++
-		}
+	// A freshly injected packet can traverse this same cycle (the
+	// injection queues have zero latency), so injection forces a tick
+	// even when the network's armed wake is later.
+	if !gated || ev.netDue(ev.repID, c, injected) {
 		g.replyNet.Tick(c)
-		ev.dirtyRep = true
+		if gated {
+			ev.dirtyRep = true
+		}
 	}
 	for si, s := range g.sms {
 		for s.CanAcceptResponse() {
@@ -703,24 +636,24 @@ func (g *GPU) stepDue(c sim.Cycle) {
 			if !ok {
 				break
 			}
-			// Replay the sleep span before the delivery mutates the SM,
-			// then wake it: a buffered response pins its horizon at now,
-			// so it is ticked later this same cycle — order (d) before
-			// (h) is what lets a reply and its processing share a cycle,
-			// exactly as in Step.
-			g.catchUpSM(si, c-1)
-			s.AcceptResponse(c, pkt.Req)
-			ev.dirtyRep = true
-			sc.WakeAt(ev.smID[si], c)
-			if ev.tickAt[si] > c {
-				ev.tickAt[si] = c
+			if gated {
+				// Replay the sleep span before the delivery mutates the SM,
+				// then wake it: a buffered response pins its horizon at now,
+				// so it is ticked later this same cycle — reply eject before
+				// the core phase is what lets a reply and its processing
+				// share a cycle under both engines.
+				g.catchUpSM(si, c-1)
+				ev.dirtyRep = true
+				ev.sched.WakeAt(ev.smID[si], c)
+				ev.tickAt[si] = min(ev.tickAt[si], c)
 			}
+			s.AcceptResponse(c, pkt.Req)
 		}
 	}
 
 	// Request network: SM miss queues → network → partitions. A waiting
 	// miss pins its SM's horizon at now, so these cycles are stepped too.
-	injectedReq := false
+	injected = false
 	for si, s := range g.sms {
 		for {
 			r, ok := s.PeekMiss(c)
@@ -731,26 +664,31 @@ func (g *GPU) stepDue(c sim.Cycle) {
 				g.reqNet.NoteInjectStall(si)
 				break
 			}
-			// Replay the sleep span before the pop mutates the SM's
-			// pending count (SkipIdle's busy check must see the span's
-			// frozen state).
-			g.catchUpSM(si, c-1)
+			if gated {
+				// Replay the sleep span before the pop mutates the SM's
+				// pending count (SkipIdle's busy check must see the span's
+				// frozen state).
+				g.catchUpSM(si, c-1)
+			}
 			s.PopMiss(c)
-			if s.WantsMissDrain() && ev.tickAt[si] > c {
-				// The LDST unit was parked behind the full miss queue; the
-				// slot just freed, and the tick loop's retry — which runs
-				// after this phase — would succeed this very cycle.
-				ev.tickAt[si] = c
+			if gated {
+				if s.WantsMissDrain() {
+					// The LDST unit was parked behind the full miss queue;
+					// the slot just freed, and the core's retry — which runs
+					// after this phase — would succeed this very cycle.
+					ev.tickAt[si] = min(ev.tickAt[si], c)
+				}
+				if !s.MissQueued() {
+					// Last miss drained: re-arm from live state (the stale
+					// now-pin would otherwise keep the clock stepping
+					// forever). While misses remain, no re-arm is needed —
+					// the pin stays, and a pop alone cannot move
+					// NextSelfEvent except through WantsMissDrain, handled
+					// above.
+					ev.dirtySM[si] = true
+				}
 			}
-			if !s.MissQueued() {
-				// Last miss drained: re-arm from live state (the stale
-				// now-pin would otherwise keep the clock stepping forever).
-				// While misses remain, no re-arm is needed — the pin stays,
-				// and a pop alone cannot move NextSelfEvent except through
-				// WantsMissDrain, handled above.
-				ev.dirtySM[si] = true
-			}
-			r.Partition = g.partitionOf(r.Addr)
+			r.Partition = g.cfg.partitionOf(r.Addr)
 			if r.Log != nil {
 				r.Log.Mark(mem.PtICNTInject, c)
 			}
@@ -759,15 +697,14 @@ func (g *GPU) stepDue(c sim.Cycle) {
 				size += g.cfg.DataPacketBytes
 			}
 			g.reqNet.Inject(c, si, icnt.Packet{Req: r, Dst: r.Partition, Size: size})
-			injectedReq = true
+			injected = true
 		}
 	}
-	if injectedReq || sc.Due(ev.reqID, c) {
-		if sc.Due(ev.reqID, c) {
-			ev.fired[ev.reqID]++
-		}
+	if !gated || ev.netDue(ev.reqID, c, injected) {
 		g.reqNet.Tick(c)
-		ev.dirtyReq = true
+		if gated {
+			ev.dirtyReq = true
+		}
 	}
 	for pi, p := range g.parts {
 		for p.CanAccept() {
@@ -775,25 +712,29 @@ func (g *GPU) stepDue(c sim.Cycle) {
 			if !ok {
 				break
 			}
-			ev.dirtyReq = true
 			p.Accept(c, pkt.Req)
-			ev.dirtyPart[pi] = true
+			if gated {
+				ev.dirtyReq = true
+				ev.dirtyPart[pi] = true
+			}
 		}
 	}
 
-	// Cores last: issue sees this cycle's returned data next cycle. Only
-	// busy SMs whose own-tick horizon (tickAt) is due are ticked; the
-	// rest sleep, with their per-cycle idle counters replayed on the next
-	// catch-up. This is the engine's main lever: a core whose warps are
-	// all blocked on in-flight loads — or whose LDST unit is parked
-	// behind a full miss queue — costs nothing until something arrives
-	// or drains. (tickAt can be later than the SM's armed wake: a queued
-	// miss keeps the clock stepping for the injection phase above without
-	// forcing core ticks.)
-	// As in Step, the SM ticks shard across the pool — the due gate and
-	// all wake bookkeeping are per-index — and the flush pass after the
-	// barrier commits each SM's deferred effects in index order.
-	g.pool.Run(len(g.sms), g.smDueFn)
+	// Cores last: issue sees this cycle's returned data next cycle. SMs
+	// are mutually independent within the phase — every cross-SM effect
+	// (functional stores/atomics, tracked completions, block retirements)
+	// defers inside the SM — so the phase shards across the pool, and the
+	// flush pass after the barrier commits the deferred effects in SM
+	// index order, making results independent of the worker count.
+	// Gated, only busy SMs whose own-tick horizon (tickAt) is due are
+	// ticked; the rest sleep, with their per-cycle idle counters replayed
+	// on the next catch-up. This is the engine's main lever: a core whose
+	// warps are all blocked on in-flight loads — or whose LDST unit is
+	// parked behind a full miss queue — costs nothing until something
+	// arrives or drains. (tickAt can be later than the SM's armed wake: a
+	// queued miss keeps the clock stepping for the injection phase above
+	// without forcing core ticks.)
+	g.pool.Run(len(g.sms), g.smFn)
 	for si, s := range g.sms {
 		if !g.smTicked[si] {
 			continue
@@ -802,22 +743,32 @@ func (g *GPU) stepDue(c sim.Cycle) {
 		g.issueObs.IssueSlot(s.Config().ID, c, s.IssuedThisCycle())
 	}
 
-	// Dispatch, only when a retirement or enqueue armed it this cycle.
-	// Every SM is caught up through c first: LaunchBlock changes the
-	// residency state SkipIdle's replay depends on, so the pre-launch
-	// span must be accounted with pre-launch state. Launched SMs are
-	// woken for c+1 by the re-arm pass (a fresh warp is issuable
-	// immediately, so NextEvent pins c+1).
-	if ev.needDispatch {
+	// Dispatch: every cycle ungated; gated, only when a retirement or
+	// enqueue armed it this cycle. Every SM is caught up through c first:
+	// LaunchBlock changes the residency state SkipIdle's replay depends
+	// on, so the pre-launch span must be accounted with pre-launch state.
+	// Launched SMs are woken for c+1 by the re-arm pass (a fresh warp is
+	// issuable immediately, so NextEvent pins c+1).
+	if !gated {
+		g.disp.Dispatch(c)
+	} else if ev.needDispatch {
 		ev.needDispatch = false
 		for si := range g.sms {
 			g.catchUpSM(si, c)
-		}
-		g.disp.Dispatch(c)
-		for si := range g.sms {
 			ev.dirtySM[si] = true
 		}
+		g.disp.Dispatch(c)
 	}
+}
+
+// netDue reports whether a crossbar ticks in gated cycle c: its wake is
+// due (counted as fired) or a packet was just injected into it.
+func (ev *evState) netDue(id int, c sim.Cycle, injected bool) bool {
+	due := ev.sched.Due(id, c)
+	if due {
+		ev.fired[id]++
+	}
+	return due || injected
 }
 
 // rearmDirty re-registers every component mutated during cycle c with
@@ -976,7 +927,7 @@ func (g *GPU) runEvent(start sim.Cycle) (sim.Cycle, error) {
 			return g.cycle - start, fmt.Errorf("gpu %s: exceeded %d cycles without completing", g.cfg.Name, g.cfg.MaxCycles)
 		}
 		c := g.cycle
-		g.stepDue(c)
+		g.step(c, true)
 		g.rearmDirty(c)
 		g.cycle++
 		g.stats.Cycles++
@@ -995,7 +946,7 @@ func (g *GPU) runEvent(start sim.Cycle) (sim.Cycle, error) {
 			// drained. Degrade to tick-like stepping by waking everything
 			// — behaviorally identical to the tick loop (which would also
 			// spin here until MaxCycles aborts it).
-			g.evForceWake(g.cycle)
+			g.armAll(g.cycle)
 			continue
 		}
 		if g.cfg.MaxCycles > 0 {
@@ -1011,25 +962,6 @@ func (g *GPU) runEvent(start sim.Cycle) (sim.Cycle, error) {
 		}
 	}
 	return g.cycle - start, nil
-}
-
-// evForceWake arms every component at cycle c (the Never-horizon
-// fallback).
-func (g *GPU) evForceWake(c sim.Cycle) {
-	for pi, id := range g.ev.partID {
-		g.ev.sched.WakeAt(id, c)
-		if g.ev.partTickAt[pi] > c {
-			g.ev.partTickAt[pi] = c
-		}
-	}
-	g.ev.sched.WakeAt(g.ev.reqID, c)
-	g.ev.sched.WakeAt(g.ev.repID, c)
-	for si, id := range g.ev.smID {
-		g.ev.sched.WakeAt(id, c)
-		if g.ev.tickAt[si] > c {
-			g.ev.tickAt[si] = c
-		}
-	}
 }
 
 // Run advances until every enqueued kernel completes and the device

@@ -106,6 +106,25 @@ func TestWorkerCountInvariance(t *testing.T) {
 	}
 }
 
+// TestManualStepThenRunPar is TestManualStepThenRun's -par 8 case: the
+// hand-stepped cycles run on the nil pool, the Run that follows on eight
+// workers, and the result is the serial one under both engines.
+func TestManualStepThenRunPar(t *testing.T) {
+	for _, engine := range []sim.Engine{sim.EngineTick, sim.EngineEvent} {
+		cfg := tinyConfig()
+		cfg.Engine = engine
+		g1, c1 := manualStepThenRun(t, cfg)
+		cfg.Workers = 8
+		g8, c8 := manualStepThenRun(t, cfg)
+		if c1 != c8 {
+			t.Fatalf("%s: cycles: workers=1 %d workers=8 %d", engine, c1, c8)
+		}
+		if a, b := parStatsSig(g1), parStatsSig(g8); a != b {
+			t.Fatalf("%s: stats diverged:\n--- workers=1 ---\n%s--- workers=8 ---\n%s", engine, a, b)
+		}
+	}
+}
+
 // TestAtomicOldValuesUniqueAcrossSMs checks the deferred atomic commit
 // itself: with blocks spread over four SMs racing one counter, every
 // thread must still observe a distinct old value and the final count

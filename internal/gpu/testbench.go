@@ -1,8 +1,6 @@
 package gpu
 
 import (
-	"fmt"
-
 	"gpulat/internal/icnt"
 	"gpulat/internal/mem"
 	"gpulat/internal/mempart"
@@ -47,26 +45,7 @@ func NewMemSubsystem(cfg Config, onReply func(c sim.Cycle, r *mem.Request)) *Mem
 		onReply = func(sim.Cycle, *mem.Request) {}
 	}
 	ms := &MemSubsystem{cfg: cfg, onReply: onReply, pending: make([][]*mem.Request, cfg.NumSMs)}
-
-	reqCfg := cfg.RequestNet
-	reqCfg.Name = cfg.Name + ".tb.reqnet"
-	reqCfg.Inputs = cfg.NumSMs
-	reqCfg.Outputs = cfg.NumPartitions
-	ms.reqNet = icnt.New(reqCfg)
-
-	repCfg := cfg.ReplyNet
-	repCfg.Name = cfg.Name + ".tb.replynet"
-	repCfg.Inputs = cfg.NumPartitions
-	repCfg.Outputs = cfg.NumSMs
-	ms.replyNet = icnt.New(repCfg)
-
-	for i := 0; i < cfg.NumPartitions; i++ {
-		pc := cfg.Partition
-		pc.ID = i
-		pc.L2.Name = fmt.Sprintf("%s.tb.part%d.l2", cfg.Name, i)
-		pc.DRAM.Name = fmt.Sprintf("%s.tb.part%d.dram", cfg.Name, i)
-		ms.parts = append(ms.parts, mempart.New(pc))
-	}
+	ms.reqNet, ms.replyNet, ms.parts = newMemFabric(cfg, ".tb")
 	return ms
 }
 
@@ -142,7 +121,7 @@ func (ms *MemSubsystem) Step() {
 			}
 			r := ms.pending[port][0]
 			ms.pending[port] = ms.pending[port][1:]
-			r.Partition = ms.partitionOf(r.Addr)
+			r.Partition = ms.cfg.partitionOf(r.Addr)
 			r.Log.Mark(mem.PtICNTInject, c)
 			ms.reqNet.Inject(c, port, icnt.Packet{
 				Req: r, Dst: r.Partition, Size: ms.cfg.ControlPacketBytes,
@@ -160,10 +139,6 @@ func (ms *MemSubsystem) Step() {
 		}
 	}
 	ms.cycle++
-}
-
-func (ms *MemSubsystem) partitionOf(addr uint64) int {
-	return int((addr / uint64(ms.cfg.PartitionInterleave)) % uint64(ms.cfg.NumPartitions))
 }
 
 // NextEvent mirrors GPU.NextEvent for the testbench: the earliest cycle

@@ -187,15 +187,6 @@ func (x *Crossbar) PopEject(c sim.Cycle, o int) (Packet, bool) {
 	return p, ok
 }
 
-// PeekEject inspects output port o without removing.
-func (x *Crossbar) PeekEject(c sim.Cycle, o int) (Packet, bool) {
-	return x.eject[o].Peek(c)
-}
-
-// EjectFree returns the free entries at output o (backpressure probe for
-// components that must guarantee sink space before injecting).
-func (x *Crossbar) EjectFree(o int) int { return x.eject[o].Free() }
-
 // NextEvent implements the event-driven kernel's horizon contract. A
 // packet inside the traversal pipeline bounds the horizon by its
 // ejection-readiness; a packet waiting at injection bounds it by its

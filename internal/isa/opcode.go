@@ -99,18 +99,8 @@ func (o Opcode) IsMemory() bool {
 	return false
 }
 
-// IsLoad reports whether the opcode reads memory into a register.
-// Atomics count as loads: they return the old value and complete with a
-// round trip through the memory system.
-func (o Opcode) IsLoad() bool {
-	return o == OpLDG || o == OpLDL || o == OpLDS || o == OpATOM
-}
-
 // IsStore reports whether the opcode writes memory.
 func (o Opcode) IsStore() bool { return o == OpSTG || o == OpSTL || o == OpSTS }
-
-// IsBranch reports whether the opcode can redirect control flow.
-func (o Opcode) IsBranch() bool { return o == OpBRA }
 
 // WritesDst reports whether the instruction produces a register result.
 func (o Opcode) WritesDst() bool {

@@ -232,7 +232,7 @@ func (s *Scrape) baseName(name string) string {
 // [a-z_][a-z0-9_]*, label names are valid and never "le" outside
 // histogram buckets, and every histogram family exposes a +Inf bucket,
 // _sum, and _count with non-decreasing cumulative bucket counts. This
-// is the gate the golden tests and the loadgen scraper both run.
+// is the gate the golden tests and the bench/ harness's scrapes both run.
 func Lint(data []byte) error {
 	s, err := Parse(data)
 	if err != nil {

@@ -304,15 +304,6 @@ func (d *Dispatcher) KernelsLaunched() int { return d.launched }
 // BlocksDispatched counts blocks placed on SMs across all kernels.
 func (d *Dispatcher) BlocksDispatched() int { return d.blocks }
 
-// Streams lists stream names in creation order.
-func (d *Dispatcher) Streams() []string {
-	names := make([]string, len(d.streams))
-	for i, st := range d.streams {
-		names[i] = st.name
-	}
-	return names
-}
-
 // DebugState renders the dispatcher's semantic state — per-stream queues
 // and cursors, per-kernel dispatch progress — for the engine-equivalence
 // audit.

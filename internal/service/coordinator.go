@@ -624,9 +624,9 @@ func (c *Coordinator) pullCaches(ctx context.Context, owner *Backend, pulls map[
 }
 
 // maxForwardBatch bounds one forwarded POST, safely under the backend
-// server's default MaxJobsPerRequest (10000) so a large failover batch
-// never trips the far end's per-request bound.
-const maxForwardBatch = 5000
+// server's maxJobsPerRequest so a large failover batch never trips the
+// far end's per-request bound.
+const maxForwardBatch = maxJobsPerRequest / 2
 
 // forward submits one backend's batch in bounded chunks, re-placing
 // jobs whose backend turns out to be dead. ctx contributes only values
@@ -662,25 +662,16 @@ func (c *Coordinator) forwardChunk(ctx context.Context, b *Backend, group []*rou
 		return
 	}
 	var ae *APIError
-	if errors.As(err, &ae) {
-		switch {
-		case ae.Code == http.StatusServiceUnavailable:
-			// The backend ANSWERED: it is alive but refusing — its queue
-			// is full past the forwarding client's own retries. That is
-			// backpressure, not death: no circuit penalty, and no
-			// reroute, which would dump the load on an equally-busy
-			// survivor and forfeit cache affinity. The chunk stays
-			// assigned and unforwarded; the prober's sweep re-forwards
-			// it as capacity frees, and whatever prefix the backend did
-			// admit simply dedupes there.
-			return
-		case ae.Code == http.StatusRequestEntityTooLarge && len(group) > 1:
-			// The operator lowered the backend's per-request bound below
-			// ours: bisect until it fits.
-			c.forwardChunk(ctx, b, group[:len(group)/2])
-			c.forwardChunk(ctx, b, group[len(group)/2:])
-			return
-		}
+	if errors.As(err, &ae) && ae.Code == http.StatusServiceUnavailable {
+		// The backend ANSWERED: it is alive but refusing — its queue is
+		// full past the forwarding client's own retries. That is
+		// backpressure, not death: no circuit penalty, and no reroute,
+		// which would dump the load on an equally-busy survivor and
+		// forfeit cache affinity. The chunk stays assigned and
+		// unforwarded; the prober's sweep re-forwards it as capacity
+		// frees, and whatever prefix the backend did admit simply dedupes
+		// there.
+		return
 	}
 	b.reportFailure(c.cfg.FailThreshold, err, false)
 	c.replaceGroup(ctx, group, b)

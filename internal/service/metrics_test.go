@@ -225,7 +225,8 @@ func TestTraceHeaderPropagation(t *testing.T) {
 // TestStatszRaceHammer is the satellite audit for /v1/statsz: statsz,
 // /metrics scrapes, and Stats() snapshots run concurrently with a storm
 // of submits. Run under -race (the CI test target does), any unguarded
-// StationStats field access fails the build.
+// StationStats field access fails the build; every /metrics body scraped
+// mid-storm must also pass metrics.Lint.
 func TestStatszRaceHammer(t *testing.T) {
 	release := make(chan struct{})
 	ts, _, station := newTestServer(t, StationConfig{
@@ -279,8 +280,17 @@ func TestStatszRaceHammer(t *testing.T) {
 				t.Errorf("metrics: %v", err)
 				return
 			}
-			io.Copy(io.Discard, resp.Body)
+			body, err := io.ReadAll(resp.Body)
 			resp.Body.Close()
+			if err == nil {
+				// A scrape taken with jobs queued and in flight must
+				// still be a valid exposition.
+				err = metrics.Lint(body)
+			}
+			if err != nil {
+				t.Errorf("metrics scrape under load: %v", err)
+				return
+			}
 		}
 	}()
 	wg.Wait()

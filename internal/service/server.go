@@ -118,6 +118,10 @@ type membershipManager interface {
 	Leave(ctx context.Context, addr string) (MembershipChange, error)
 }
 
+// maxJobsPerRequest bounds one POST body's expansion (anti-footgun for
+// grids; the queue bound still applies on top).
+const maxJobsPerRequest = 10000
+
 // Server is the HTTP facade over a JobService: stateless handlers, JSON
 // in and out, every mutation funneled through the service's Submit.
 type Server struct {
@@ -129,9 +133,6 @@ type Server struct {
 	// drain ends when ReleaseWaits runs, and every held status wait with it.
 	drain        context.Context
 	releaseWaits context.CancelFunc
-	// MaxJobsPerRequest bounds one POST body's expansion (anti-footgun
-	// for grids; the queue bound still applies on top).
-	MaxJobsPerRequest int
 	// Logger, when set, gets one line per finished request including its
 	// trace ID — the log stream the X-Gpulat-Trace header is greppable
 	// in across a sharded tier.
@@ -143,11 +144,10 @@ type Server struct {
 // caches there).
 func NewServer(svc JobService, cache *Cache) *Server {
 	s := &Server{
-		svc:               svc,
-		cache:             cache,
-		mux:               http.NewServeMux(),
-		started:           time.Now(),
-		MaxJobsPerRequest: 10000,
+		svc:     svc,
+		cache:   cache,
+		mux:     http.NewServeMux(),
+		started: time.Now(),
 	}
 	s.drain, s.releaseWaits = context.WithCancel(context.Background())
 	s.metrics = newServerMetrics(svc, cache, s.started)
@@ -253,10 +253,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if req.Grid != nil {
 		// Bound the grid BEFORE expanding it: a few-byte body with a
 		// huge Repeats must be rejected, not materialized.
-		size := gridSizeCapped(req.Grid, s.MaxJobsPerRequest)
-		if len(jobs)+size > s.MaxJobsPerRequest {
+		size := gridSizeCapped(req.Grid, maxJobsPerRequest)
+		if len(jobs)+size > maxJobsPerRequest {
 			writeError(w, http.StatusRequestEntityTooLarge,
-				"request expands past the per-request bound of %d jobs", s.MaxJobsPerRequest)
+				"request expands past the per-request bound of %d jobs", maxJobsPerRequest)
 			return
 		}
 		jobs = append(jobs, req.Grid.Jobs()...)
@@ -265,9 +265,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "submit body names no jobs (want jobs and/or grid)")
 		return
 	}
-	if len(jobs) > s.MaxJobsPerRequest {
+	if len(jobs) > maxJobsPerRequest {
 		writeError(w, http.StatusRequestEntityTooLarge,
-			"%d jobs exceeds the per-request bound of %d", len(jobs), s.MaxJobsPerRequest)
+			"%d jobs exceeds the per-request bound of %d", len(jobs), maxJobsPerRequest)
 		return
 	}
 	tickets, err := s.svc.SubmitMany(r.Context(), jobs)
@@ -498,9 +498,9 @@ func (s *Server) handleCachePull(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "cache-pull body names no keys")
 		return
 	}
-	if len(req.Keys) > s.MaxJobsPerRequest {
+	if len(req.Keys) > maxJobsPerRequest {
 		writeError(w, http.StatusRequestEntityTooLarge,
-			"%d keys exceeds the per-request bound of %d", len(req.Keys), s.MaxJobsPerRequest)
+			"%d keys exceeds the per-request bound of %d", len(req.Keys), maxJobsPerRequest)
 		return
 	}
 	src := NewClient(from)

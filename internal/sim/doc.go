@@ -67,14 +67,23 @@
 // # Determinism and same-cycle ordering
 //
 // Both engines must produce byte-identical results, which requires a
-// deterministic order among components acting on the same cycle. The
-// engine does not process wakes in heap-pop order: it checks Due for
-// each component in the same fixed phase order the cycle-driven loop
-// uses (partitions, reply network, cores, dispatcher, ...). The
-// Calendar backing the Scheduler is nevertheless a stable min-heap —
-// ties surface in insertion order, never in arbitrary heap order — so
-// any future consumer that does drain wakes directly still observes a
-// reproducible sequence. TestCalendarSameCycleStableOrder pins this.
+// deterministic order among components acting on the same cycle. That
+// order is written in exactly one place, GPU.step in internal/gpu, and
+// both engines run it: partitions, reply network (partition return
+// queues → network → cores), request network (core miss queues →
+// network → partitions), cores with their deferred-effect flush, then
+// the dispatcher. The tick engine runs the body ungated — every
+// component ticks, no wake state is consulted — and the event engine
+// runs the same body with each component's Tick gated on its wake, so
+// what the tick oracle certifies is exactly the gating: horizons, wake
+// registration, idle replay and re-arming. The Scheduler imposes no
+// order of its own. It is a flat slice of armed cycles, one per
+// subscriber, and answers only "what is the earliest armed cycle"
+// (NextWake) and "is this subscriber due" (Due); there is no heap to pop
+// and so no tie-breaking rule to get wrong. (Calendar, the stable
+// min-heap in this package, orders timed events inside one component —
+// an SM's writeback deliveries — not wakes across components;
+// TestCalendarSameCycleStableOrder pins its tie order.)
 //
 // # SkipIdle replay
 //

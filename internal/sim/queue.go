@@ -112,12 +112,6 @@ func (q *Queue[T]) NextReady() Cycle {
 	return q.items[0].readyAt
 }
 
-// Free returns the number of entries that can still be pushed.
-func (q *Queue[T]) Free() int { return q.cap - len(q.items) }
-
-// Cap returns the queue capacity.
-func (q *Queue[T]) Cap() int { return q.cap }
-
 // Latency returns the queue's minimum traversal latency.
 func (q *Queue[T]) Latency() Cycle { return q.latency }
 

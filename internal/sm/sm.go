@@ -508,18 +508,11 @@ func (s *SM) LaunchBlock(k *Kernel, ctaid int, kernelID int) {
 	}
 }
 
-// ActiveBlocks returns the number of resident blocks.
-func (s *SM) ActiveBlocks() int { return s.activeBlocks }
-
 // Busy reports whether any warp is resident or any memory transaction is
 // outstanding.
 func (s *SM) Busy() bool {
 	return s.activeBlocks > 0 || s.Pending() > 0
 }
-
-// HasResidentWarps reports whether any warp is resident (exposure
-// accounting denominator).
-func (s *SM) HasResidentWarps() bool { return s.activeBlocks > 0 }
 
 // Pending returns the number of memory transactions and timed events
 // buffered anywhere in the SM (the Busy drain check builds on it).

@@ -159,6 +159,3 @@ func (w *Warp) ExitLanes(mask uint32, fallthroughPC int) {
 	}
 	w.popReconverged()
 }
-
-// ExitedMask returns the lanes that have executed EXIT.
-func (w *Warp) ExitedMask() uint32 { return w.exited }
