@@ -4,7 +4,7 @@
 GO      ?= go
 JOBS    ?= 0   # 0 = GOMAXPROCS
 
-.PHONY: all build test vet fmt bench bench-baseline bench-regress alloc-regress alloc-baseline repro repro-quick determinism engine-determinism corun-determinism par-determinism export-identity service-determinism shard-determinism bench-harness clean
+.PHONY: all build test vet fmt bench bench-baseline bench-regress alloc-regress alloc-baseline repro repro-quick determinism engine-determinism corun-determinism export-identity service-determinism shard-determinism bench-harness clean
 
 all: build vet fmt test
 
@@ -40,7 +40,7 @@ bench:
 # name the build.
 bench-baseline:
 	$(GO) build -o /tmp/gpulat-ci ./cmd/gpulat
-	/tmp/gpulat-ci bench-kernel -par 1,8 > BENCH_kernel.json.tmp
+	/tmp/gpulat-ci bench-kernel > BENCH_kernel.json.tmp
 	mv BENCH_kernel.json.tmp BENCH_kernel.json
 
 # Event-engine regression smoke (CI): reduced-scale workloads, single
@@ -109,37 +109,16 @@ corun-determinism:
 	cmp /tmp/gpulat-corun-t1.csv /tmp/gpulat-corun-e1.csv
 	@echo "corun-determinism: -j 1/-j 8 and tick/event byte-identical"
 
-# Proves the phase-parallel stepping contract: the parallel-engine unit
-# tests pass under the race detector, and -par 1 vs -par 8 exports are
-# byte-identical on the quick bench grid AND a co-run grid, under both
-# engines. (-par shards the phases of each simulated cycle across
-# goroutines; -j above shards jobs — independent axes, both pinned.)
-par-determinism:
-	$(GO) test -race -count=1 -run 'TestPool|TestWorkerCountInvariance|TestManualStepThenRun|TestAtomicOldValuesUniqueAcrossSMs' ./internal/sim ./internal/gpu
-	$(GO) build -o /tmp/gpulat-ci ./cmd/gpulat
-	/tmp/gpulat-ci bench-suite -quick -quiet -j 1 -par 1 -engine=tick  -csv  > /tmp/gpulat-par1-tick.csv
-	/tmp/gpulat-ci bench-suite -quick -quiet -j 1 -par 8 -engine=tick  -csv  > /tmp/gpulat-par8-tick.csv
-	cmp /tmp/gpulat-par1-tick.csv /tmp/gpulat-par8-tick.csv
-	/tmp/gpulat-ci bench-suite -quick -quiet -j 1 -par 1 -engine=event -csv  > /tmp/gpulat-par1-event.csv
-	/tmp/gpulat-ci bench-suite -quick -quiet -j 1 -par 8 -engine=event -csv  > /tmp/gpulat-par8-event.csv
-	cmp /tmp/gpulat-par1-event.csv /tmp/gpulat-par8-event.csv
-	/tmp/gpulat-ci bench-suite -quick -quiet -j 1 -par 1 -engine=event -json > /tmp/gpulat-par1-event.json
-	/tmp/gpulat-ci bench-suite -quick -quiet -j 1 -par 8 -engine=event -json > /tmp/gpulat-par8-event.json
-	cmp /tmp/gpulat-par1-event.json /tmp/gpulat-par8-event.json
-	/tmp/gpulat-ci corun -quick -quiet -j 1 -par 1 -engine=tick  -csv > /tmp/gpulat-corun-par1-t.csv
-	/tmp/gpulat-ci corun -quick -quiet -j 1 -par 8 -engine=tick  -csv > /tmp/gpulat-corun-par8-t.csv
-	cmp /tmp/gpulat-corun-par1-t.csv /tmp/gpulat-corun-par8-t.csv
-	/tmp/gpulat-ci corun -quick -quiet -j 1 -par 1 -engine=event -csv > /tmp/gpulat-corun-par1-e.csv
-	/tmp/gpulat-ci corun -quick -quiet -j 1 -par 8 -engine=event -csv > /tmp/gpulat-corun-par8-e.csv
-	cmp /tmp/gpulat-corun-par1-e.csv /tmp/gpulat-corun-par8-e.csv
-	@echo "par-determinism: -par 1 and -par 8 byte-identical (bench grid + corun, both engines)"
-
 # Proves a change simulates the same bytes as another revision — the
 # check every performance change owes: `make export-identity BASE=<rev>`
 # (default HEAD, the parent of an uncommitted change) unpacks BASE with
 # `git archive` into a temp dir, builds it and the working tree, and
-# byte-compares the quick bench grid (CSV and JSON) and the quick co-run
-# sweep under both engines. No network: the module has no dependencies.
+# byte-compares, under both engines, the quick bench grid (CSV and JSON),
+# the quick co-run sweep, and — what the exports do not show — every
+# per-component counter: `simrun -v -trace-sim -` on histogram (atomics:
+# the cross-SM commit order) and bfs (per-SM, per-partition and per-wake
+# counters), plus bfs's per-load records in Tracker delivery order. No
+# network: the module has no dependencies.
 BASE ?= HEAD
 export-identity:
 	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
@@ -149,14 +128,17 @@ export-identity:
 	for e in tick event; do \
 		for x in "bench-suite -quick -quiet -j 8 -engine=$$e -csv" \
 				"bench-suite -quick -quiet -j 8 -engine=$$e -json" \
-				"corun -quick -quiet -j 8 -engine=$$e -csv"; do \
+				"corun -quick -quiet -j 8 -engine=$$e -csv" \
+				"simrun -arch GF100 -kernel histogram -engine=$$e -v -trace-sim -" \
+				"simrun -arch GF100 -kernel bfs -engine=$$e -v -trace-sim -" \
+				"export -kernel bfs -engine=$$e"; do \
 			"$$tmp/gpulat-base" $$x > "$$tmp/base.out" 2> "$$tmp/base.err" || { cat "$$tmp/base.err"; exit 1; }; \
 			"$$tmp/gpulat-new" $$x > "$$tmp/new.out" 2> "$$tmp/new.err" || { cat "$$tmp/new.err"; exit 1; }; \
 			cmp "$$tmp/base.out" "$$tmp/new.out" || { echo "export-identity: '$$x' differs from $(BASE)"; exit 1; }; \
 			echo "export-identity: same bytes: $$x"; \
 		done; \
 	done; \
-	echo "export-identity: quick grid (CSV + JSON) and co-run exports byte-identical to $(BASE) under both engines"
+	echo "export-identity: quick grid (CSV + JSON), co-run export, simrun counter dumps and bfs per-load records byte-identical to $(BASE) under both engines"
 
 # Proves the service layer's contract end to end: the quick bench grid
 # routed through `gpulat serve`/`gpulat submit` exports byte-identical
@@ -336,11 +318,6 @@ clean:
 		/tmp/gpulat-tick.json /tmp/gpulat-event.json \
 		/tmp/gpulat-corun-t1.csv /tmp/gpulat-corun-t8.csv \
 		/tmp/gpulat-corun-e1.csv /tmp/gpulat-corun-e8.csv \
-		/tmp/gpulat-par1-tick.csv /tmp/gpulat-par8-tick.csv \
-		/tmp/gpulat-par1-event.csv /tmp/gpulat-par8-event.csv \
-		/tmp/gpulat-par1-event.json /tmp/gpulat-par8-event.json \
-		/tmp/gpulat-corun-par1-t.csv /tmp/gpulat-corun-par8-t.csv \
-		/tmp/gpulat-corun-par1-e.csv /tmp/gpulat-corun-par8-e.csv \
 		/tmp/gpulat-direct.csv /tmp/gpulat-direct.json \
 		/tmp/gpulat-svc-cold.csv /tmp/gpulat-svc-warm.csv \
 		/tmp/gpulat-svc-warm.json /tmp/gpulat-svc-statsz.json \

@@ -111,7 +111,6 @@ func allocSteadyDevice(tb testing.TB) *gpu.GPU {
 		tb.Fatal(err)
 	}
 	cfg.Engine = sim.EngineTick
-	cfg.Workers = 1
 	g := gpu.New(cfg)
 	wl, err := kernels.PChase(kernels.PChaseConfig{
 		Base: 0x10000, StrideBytes: 512, FootprintBytes: 2 << 20, Accesses: 1 << 30,

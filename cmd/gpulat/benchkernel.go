@@ -6,8 +6,6 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"strconv"
-	"strings"
 	"time"
 
 	"gpulat/internal/gpu"
@@ -17,16 +15,13 @@ import (
 	"gpulat/internal/stats"
 )
 
-// kernelBench is one (workload, engine, workers) measurement of
-// simulator throughput: how many device cycles the simulator covers per
-// wall-clock second. The event engine's advantage is the skipped share —
-// cycles it fast-forwarded instead of stepping; the workers dimension
-// measures phase-parallel stepping (-par), which must leave every
-// simulated number untouched.
+// kernelBench is one (workload, engine) measurement of simulator
+// throughput: how many device cycles the simulator covers per wall-clock
+// second. The event engine's advantage is the skipped share — cycles it
+// fast-forwarded instead of stepping.
 type kernelBench struct {
 	Workload        string  `json:"workload"`
 	Engine          string  `json:"engine"`
-	Workers         int     `json:"workers"`
 	Cycles          uint64  `json:"cycles"`
 	SteppedCycles   uint64  `json:"stepped_cycles"`
 	SkippedCycles   uint64  `json:"skipped_cycles"`
@@ -35,10 +30,7 @@ type kernelBench struct {
 }
 
 // kernelBenchReport is the BENCH_kernel.json payload: per-workload
-// throughput under both engines and every measured -par width, plus the
-// headline speedups. Engine speedups compare at the baseline (first)
-// width; par_speedup entries compare each wider measurement against the
-// same workload/engine at the baseline width.
+// throughput under both engines, plus the event-over-tick speedups.
 type kernelBenchReport struct {
 	// Host is omitted from -comparable reports, which must byte-diff
 	// across machines and commits.
@@ -47,7 +39,6 @@ type kernelBenchReport struct {
 	TimingReps int                `json:"timing_reps"`
 	Benchmarks []kernelBench      `json:"benchmarks"`
 	Speedup    map[string]float64 `json:"speedup_event_over_tick"`
-	ParSpeedup map[string]float64 `json:"par_speedup,omitempty"`
 }
 
 // benchHost records where a bench-kernel report's wall-clock numbers
@@ -60,26 +51,6 @@ type benchHost struct {
 	GOMAXPROCS int    `json:"gomaxprocs"`
 	GoVersion  string `json:"go_version"`
 	Build      string `json:"build"`
-}
-
-// parseParList parses the -par flag's comma-separated worker widths.
-func parseParList(s string) ([]int, error) {
-	var out []int
-	for _, f := range strings.Split(s, ",") {
-		f = strings.TrimSpace(f)
-		if f == "" {
-			continue
-		}
-		w, err := strconv.Atoi(f)
-		if err != nil || w < 1 {
-			return nil, usagef("bench-kernel: -par widths must be integers >= 1 (got %q)", f)
-		}
-		out = append(out, w)
-	}
-	if len(out) == 0 {
-		return nil, usagef("bench-kernel: -par lists no widths")
-	}
-	return out, nil
 }
 
 // benchWorkloads builds the measured workloads: the latency-bound
@@ -148,7 +119,6 @@ func cmdBenchKernel(args []string) error {
 	check := fs.Bool("check", false, "exit nonzero when the engines disagree on cycle counts or the event engine steps more cycles than the tick engine simulates")
 	comparable := fs.Bool("comparable", false,
 		"strip wall-clock fields (wall_seconds, cycles_per_second, speedups, reps) so reports from different runs can be byte-diffed")
-	par := fs.String("par", "1", "comma-separated -par widths to measure (e.g. 1,2,4,8); the first is the speedup baseline")
 	cpuProf := fs.String("cpuprofile", "", "write a CPU profile to this file (inspect with `go tool pprof`)")
 	memProf := fs.String("memprofile", "", "write an allocation profile to this file at exit")
 	if err := parseFlags(fs, args); err != nil {
@@ -179,10 +149,6 @@ func cmdBenchKernel(args []string) error {
 			}
 		}()
 	}
-	widths, err := parseParList(*par)
-	if err != nil {
-		return err
-	}
 	base, err := mustConfig(*arch)
 	if err != nil {
 		return err
@@ -195,98 +161,73 @@ func cmdBenchKernel(args []string) error {
 	}
 
 	report := kernelBenchReport{Arch: base.Name, TimingReps: *reps, Speedup: map[string]float64{}}
-	if len(widths) > 1 {
-		report.ParSpeedup = map[string]float64{}
-	}
-	rate := map[string]float64{}
+	workloads := []string{"pointerchase", "vecadd", "bfs"}
 	result := map[string]kernelBench{}
-	key := func(wl string, engine sim.Engine, w int) string {
-		return fmt.Sprintf("%s/%s/par%d", wl, engine, w)
-	}
-	for _, wl := range []string{"pointerchase", "vecadd", "bfs"} {
+	key := func(wl string, engine sim.Engine) string { return wl + "/" + engine.String() }
+	for _, wl := range workloads {
 		for _, engine := range []sim.Engine{sim.EngineTick, sim.EngineEvent} {
-			for _, w := range widths {
-				var best kernelBench
-				for r := 0; r < *reps; r++ {
-					cfg := base
-					cfg.Engine = engine
-					cfg.Workers = w
-					g := gpu.New(cfg)
-					begin := time.Now()
-					cycles, err := benchWorkloads(g, wl, 42, *quick)
-					if err != nil {
-						return fmt.Errorf("bench-kernel %s/%s/par%d: %w", wl, engine, w, err)
-					}
-					wall := time.Since(begin).Seconds()
-					st := g.Stats()
-					b := kernelBench{
-						Workload:        wl,
-						Engine:          engine.String(),
-						Workers:         w,
-						Cycles:          uint64(cycles),
-						SteppedCycles:   st.Cycles - st.SkippedCycles,
-						SkippedCycles:   st.SkippedCycles,
-						WallSeconds:     wall,
-						CyclesPerSecond: float64(cycles) / wall,
-					}
-					if r == 0 {
-						best = b
-						continue
-					}
-					if b.Cycles != best.Cycles || b.SteppedCycles != best.SteppedCycles {
-						return fmt.Errorf("bench-kernel %s/%s/par%d: rep %d nondeterministic (cycles %d/%d, stepped %d/%d)",
-							wl, engine, w, r, b.Cycles, best.Cycles, b.SteppedCycles, best.SteppedCycles)
-					}
-					if b.WallSeconds < best.WallSeconds {
-						best.WallSeconds = b.WallSeconds
-						best.CyclesPerSecond = b.CyclesPerSecond
-					}
+			var best kernelBench
+			for r := 0; r < *reps; r++ {
+				cfg := base
+				cfg.Engine = engine
+				g := gpu.New(cfg)
+				begin := time.Now()
+				cycles, err := benchWorkloads(g, wl, 42, *quick)
+				if err != nil {
+					return fmt.Errorf("bench-kernel %s: %w", key(wl, engine), err)
 				}
-				report.Benchmarks = append(report.Benchmarks, best)
-				rate[key(wl, engine, w)] = best.CyclesPerSecond
-				result[key(wl, engine, w)] = best
-				if w != widths[0] {
-					report.ParSpeedup[key(wl, engine, w)] = best.CyclesPerSecond / rate[key(wl, engine, widths[0])]
+				wall := time.Since(begin).Seconds()
+				st := g.Stats()
+				b := kernelBench{
+					Workload:        wl,
+					Engine:          engine.String(),
+					Cycles:          uint64(cycles),
+					SteppedCycles:   st.Cycles - st.SkippedCycles,
+					SkippedCycles:   st.SkippedCycles,
+					WallSeconds:     wall,
+					CyclesPerSecond: float64(cycles) / wall,
 				}
-				fmt.Fprintf(os.Stderr, "bench-kernel: %-12s %-5s par%-2d %9d cycles (%d stepped, %d skipped) best of %d: %.3fs — %.0f cycles/s\n",
-					wl, engine, w, best.Cycles, best.SteppedCycles, best.SkippedCycles, *reps, best.WallSeconds, best.CyclesPerSecond)
+				if r == 0 {
+					best = b
+					continue
+				}
+				if b.Cycles != best.Cycles || b.SteppedCycles != best.SteppedCycles {
+					return fmt.Errorf("bench-kernel %s: rep %d nondeterministic (cycles %d/%d, stepped %d/%d)",
+						key(wl, engine), r, b.Cycles, best.Cycles, b.SteppedCycles, best.SteppedCycles)
+				}
+				if b.WallSeconds < best.WallSeconds {
+					best.WallSeconds = b.WallSeconds
+					best.CyclesPerSecond = b.CyclesPerSecond
+				}
 			}
+			report.Benchmarks = append(report.Benchmarks, best)
+			result[key(wl, engine)] = best
+			fmt.Fprintf(os.Stderr, "bench-kernel: %-12s %-5s %9d cycles (%d stepped, %d skipped) best of %d: %.3fs — %.0f cycles/s\n",
+				wl, engine, best.Cycles, best.SteppedCycles, best.SkippedCycles, *reps, best.WallSeconds, best.CyclesPerSecond)
 		}
-		report.Speedup[wl] = rate[key(wl, sim.EngineEvent, widths[0])] / rate[key(wl, sim.EngineTick, widths[0])]
+		report.Speedup[wl] = result[key(wl, sim.EngineEvent)].CyclesPerSecond / result[key(wl, sim.EngineTick)].CyclesPerSecond
 	}
 
 	if *check {
-		// The regression gate: the engines must agree cycle-for-cycle at
-		// every width, every width must agree with the baseline width
-		// (phase-parallel stepping may never change simulated numbers),
-		// and the event engine must never step more cycles than the tick
+		// The regression gate: the engines must agree cycle-for-cycle, and
+		// the event engine must never step more cycles than the tick
 		// engine simulates (a stepped count above that means the skip
 		// machinery stopped skipping — a perf regression even when the
 		// results still match).
 		bad := false
-		for _, wl := range []string{"pointerchase", "vecadd", "bfs"} {
-			for _, w := range widths {
-				tick, event := result[key(wl, sim.EngineTick, w)], result[key(wl, sim.EngineEvent, w)]
-				if tick.Cycles != event.Cycles {
-					fmt.Fprintf(os.Stderr, "bench-kernel: CHECK FAIL %s/par%d: tick %d cycles, event %d cycles\n", wl, w, tick.Cycles, event.Cycles)
-					bad = true
-				}
-				if event.SteppedCycles > tick.Cycles {
-					fmt.Fprintf(os.Stderr, "bench-kernel: CHECK FAIL %s/par%d: event stepped %d > tick cycles %d\n", wl, w, event.SteppedCycles, tick.Cycles)
-					bad = true
-				}
-				if event.SkippedCycles == 0 {
-					fmt.Fprintf(os.Stderr, "bench-kernel: CHECK FAIL %s/par%d: event engine skipped nothing\n", wl, w)
-					bad = true
-				}
-				for _, engine := range []sim.Engine{sim.EngineTick, sim.EngineEvent} {
-					b, b1 := result[key(wl, engine, w)], result[key(wl, engine, widths[0])]
-					if b.Cycles != b1.Cycles || b.SteppedCycles != b1.SteppedCycles {
-						fmt.Fprintf(os.Stderr, "bench-kernel: CHECK FAIL %s/%s: par%d (%d cycles, %d stepped) diverges from par%d (%d cycles, %d stepped)\n",
-							wl, engine, w, b.Cycles, b.SteppedCycles, widths[0], b1.Cycles, b1.SteppedCycles)
-						bad = true
-					}
-				}
+		for _, wl := range workloads {
+			tick, event := result[key(wl, sim.EngineTick)], result[key(wl, sim.EngineEvent)]
+			if tick.Cycles != event.Cycles {
+				fmt.Fprintf(os.Stderr, "bench-kernel: CHECK FAIL %s: tick %d cycles, event %d cycles\n", wl, tick.Cycles, event.Cycles)
+				bad = true
+			}
+			if event.SteppedCycles > tick.Cycles {
+				fmt.Fprintf(os.Stderr, "bench-kernel: CHECK FAIL %s: event stepped %d > tick cycles %d\n", wl, event.SteppedCycles, tick.Cycles)
+				bad = true
+			}
+			if event.SkippedCycles == 0 {
+				fmt.Fprintf(os.Stderr, "bench-kernel: CHECK FAIL %s: event engine skipped nothing\n", wl)
+				bad = true
 			}
 		}
 		if bad {

@@ -104,7 +104,7 @@ func cmdSweep(args []string) error {
 		return nil
 	}
 	grid := runner.Grid{Kind: runner.KindChase, Archs: []string{*arch}, Variants: variants}
-	set, err := runJobsExec(grid.Jobs(), *jobs, true, *engine, 1, exec)
+	set, err := runJobsExec(grid.Jobs(), *jobs, true, *engine, exec)
 	if err != nil {
 		return err
 	}
@@ -425,12 +425,8 @@ func cmdSimRun(args []string) error {
 	traceSim := fs.String("trace-sim", "",
 		"write a Prometheus text exposition of engine wake/skip and per-kernel dispatch/retire counters to this file after the run (\"-\" for stdout)")
 	engine := engineFlag(fs)
-	par := parFlag(fs)
 	if err := parseFlags(fs, args); err != nil {
 		return err
-	}
-	if *par < 1 {
-		return usagef("-par must be >= 1 (got %d)", *par)
 	}
 
 	cfg, err := mustConfig(*arch)
@@ -440,7 +436,6 @@ func cmdSimRun(args []string) error {
 	if cfg, err = applyEngineConfig(cfg, *engine); err != nil {
 		return err
 	}
-	cfg.Workers = *par
 	job := runner.Job{
 		Kind: runner.KindDynamic, Arch: *arch, Kernel: *kernel, Seed: 42,
 		Options: runner.Options{Vertices: *vertices},

@@ -45,7 +45,6 @@ func cmdCoRun(args []string) error {
 	quiet := fs.Bool("quiet", false, "suppress per-job progress on stderr")
 	jobs := jobsFlag(fs)
 	engine := engineFlag(fs)
-	par := parFlag(fs)
 	cacheFl := cacheFlags(fs)
 	if err := parseFlags(fs, args); err != nil {
 		return err
@@ -117,7 +116,7 @@ func cmdCoRun(args []string) error {
 		}
 	}
 
-	set, err := runJobsExec(list, *jobs, !*quiet, *engine, *par, exec)
+	set, err := runJobsExec(list, *jobs, !*quiet, *engine, exec)
 	if err != nil {
 		return err
 	}

@@ -138,7 +138,6 @@ commands:
   corun         concurrent-kernel interference: workload pairs × placement policies
   bench-suite   the whole paper-reproduction grid, in parallel
   bench-kernel  simulator throughput: tick vs event engine, per workload
-                (-par 1,2,4,8 adds the phase-parallel scaling dimension)
   simrun        run a workload and dump device statistics
   export        run a workload and dump per-load records as CSV
   config        dump a preset as editable JSON (use with -arch file:<path>)
@@ -157,10 +156,7 @@ commands:
 
 sweep-shaped commands take -j N (parallel experiment workers); sweep,
 bench-suite, and corun also take -cache [-cache-dir D] to memoize job
-results in the content-addressed cache the service uses. simrun, corun,
-bench-suite, bench-kernel, and serve take -par N (goroutines per
-simulation, phase-parallel stepping; results are identical at any
-width).
+results in the content-addressed cache the service uses.
 `)
 }
 
@@ -200,15 +196,6 @@ func engineFlag(fs *flag.FlagSet) *string {
 	return fs.String("engine", "", "simulation loop: event (fast-forwards provably idle cycles; default) or tick (cycle-by-cycle reference)")
 }
 
-// parFlag registers the shared -par intra-simulation parallelism flag.
-// Where -j spreads jobs across workers, -par shards the phases of each
-// simulated cycle across goroutines; results are byte-identical at any
-// width (CI's par-determinism gate enforces the diff), so like -engine
-// it never affects job identity or cached bytes.
-func parFlag(fs *flag.FlagSet) *int {
-	return fs.Int("par", 1, "goroutines per simulation for phase-parallel stepping (results identical at any width)")
-}
-
 // cacheOpts carries the shared -cache/-cache-dir/-cache-entries flags
 // the sweep-shaped commands use to memoize results in the same
 // content-addressed store `gpulat serve` serves from.
@@ -246,22 +233,18 @@ func (c cacheOpts) exec() (runner.ExecFunc, error) {
 // Job errors are aggregated into the returned error; the partial
 // ResultSet is always returned.
 func runJobs(jobs []runner.Job, workers int, progress bool, engine string) (*runner.ResultSet, error) {
-	return runJobsExec(jobs, workers, progress, engine, 1, nil)
+	return runJobsExec(jobs, workers, progress, engine, nil)
 }
 
-// runJobsExec is runJobs with an injected executor (nil = the default)
-// and a per-simulation parallelism width (the -par flag); the -cache
-// flag routes the service layer's caching executor through here.
-func runJobsExec(jobs []runner.Job, workers int, progress bool, engine string, par int, exec runner.ExecFunc) (*runner.ResultSet, error) {
+// runJobsExec is runJobs with an injected executor (nil = the default);
+// the -cache flag routes the service layer's caching executor through
+// here.
+func runJobsExec(jobs []runner.Job, workers int, progress bool, engine string, exec runner.ExecFunc) (*runner.ResultSet, error) {
 	if _, err := sim.ParseEngine(engine); err != nil {
 		return nil, usagef("%v", err)
 	}
-	if par < 1 {
-		return nil, usagef("-par must be >= 1 (got %d)", par)
-	}
 	for i := range jobs {
 		jobs[i].Engine = engine
-		jobs[i].Workers = par
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()

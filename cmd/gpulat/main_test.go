@@ -36,7 +36,6 @@ func TestCoRunUsageErrorsExitTwo(t *testing.T) {
 		"bad placement":  {"-placements", "diagonal"},
 		"bad arch":       {"-archs", "RTX9090"},
 		"bad engine":     {"-engine", "warp9"},
-		"bad par":        {"-par", "0"},
 		"json and csv":   {"-json", "-csv"},
 	} {
 		err := cmdCoRun(args)
@@ -55,7 +54,6 @@ func TestCoRunUsageErrorsExitTwo(t *testing.T) {
 func TestBenchSuiteUsageErrorsExitTwo(t *testing.T) {
 	for name, args := range map[string][]string{
 		"bad engine":   {"-engine", "tachyon"},
-		"bad par":      {"-par", "-3"},
 		"json and csv": {"-json", "-csv"},
 		"bad flag":     {"-definitely-not-a-flag"},
 	} {
@@ -91,15 +89,12 @@ func TestSubmitUsageErrorsExitTwo(t *testing.T) {
 
 // TestServeCoordinatorRejectsStationFlags covers serve's coordinator
 // mode refusing station-only flags (exit 2, before any network I/O):
-// caches, workers, engines, and the per-simulation -par width all
-// belong to the backends.
+// caches, workers and engines belong to the backends.
 func TestServeCoordinatorRejectsStationFlags(t *testing.T) {
 	for name, args := range map[string][]string{
-		"par":       {"-backends", "127.0.0.1:1", "-par", "8"},
 		"engine":    {"-backends", "127.0.0.1:1", "-engine", "tick"},
 		"jobs":      {"-backends", "127.0.0.1:1", "-j", "4"},
 		"cache dir": {"-backends", "127.0.0.1:1", "-cache-dir", "/tmp/x"},
-		"bad par":   {"-par", "0"},
 	} {
 		err := cmdServe(args)
 		if err == nil {
@@ -108,6 +103,20 @@ func TestServeCoordinatorRejectsStationFlags(t *testing.T) {
 		}
 		if got := exitCode(err); got != 2 {
 			t.Errorf("%s: exit %d, want 2 (%v)", name, got, err)
+		}
+	}
+}
+
+// TestParFlagIsGone: a device is stepped by one goroutine, so the width
+// flag every simulating subcommand used to take is now an unknown flag
+// (exit 2), not a silently ignored one.
+func TestParFlagIsGone(t *testing.T) {
+	for name, cmd := range map[string]func([]string) error{
+		"simrun": cmdSimRun, "corun": cmdCoRun, "bench-suite": cmdBenchSuite,
+		"bench-kernel": cmdBenchKernel, "serve": cmdServe,
+	} {
+		if got := exitCode(cmd([]string{"-par", "2"})); got != 2 {
+			t.Errorf("%s -par 2: exit %d, want 2", name, got)
 		}
 	}
 }

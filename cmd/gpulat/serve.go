@@ -49,16 +49,12 @@ func cmdServe(args []string) error {
 	probe := fs.Duration("probe", 250*time.Millisecond, "coordinator health-probe interval (with -backends)")
 	jobs := jobsFlag(fs)
 	engine := engineFlag(fs)
-	par := parFlag(fs)
 	quiet := fs.Bool("quiet", false, "suppress the startup banner on stderr")
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
 	if _, err := sim.ParseEngine(*engine); err != nil {
 		return usagef("%v", err)
-	}
-	if *par < 1 {
-		return usagef("-par must be >= 1 (got %d)", *par)
 	}
 	coordMode := *backends != "" || *coordinator
 	if coordMode && *joinURL != "" {
@@ -82,7 +78,7 @@ func cmdServe(args []string) error {
 		var incompatible []string
 		fs.Visit(func(f *flag.Flag) {
 			switch f.Name {
-			case "cache-dir", "cache-entries", "no-cache", "j", "engine", "par":
+			case "cache-dir", "cache-entries", "no-cache", "j", "engine":
 				incompatible = append(incompatible, "-"+f.Name)
 			}
 		})
@@ -125,7 +121,6 @@ func cmdServe(args []string) error {
 			Workers:    *jobs,
 			QueueBound: *queueBound,
 			Engine:     *engine,
-			Par:        *par,
 		})
 		defer station.Close()
 		svc = station

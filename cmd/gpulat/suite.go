@@ -142,7 +142,6 @@ func cmdBenchSuite(args []string) error {
 	fs := newFlags("bench-suite")
 	jobs := jobsFlag(fs)
 	engine := engineFlag(fs)
-	par := parFlag(fs)
 	quick := fs.Bool("quick", false, "CI smoke scale: tiny inputs, every section still covered")
 	jsonOut := fs.Bool("json", false, "write the ResultSet as JSON to stdout")
 	csvOut := fs.Bool("csv", false, "write the ResultSet as long-form CSV to stdout")
@@ -188,7 +187,7 @@ func cmdBenchSuite(args []string) error {
 
 	list := suiteJobs(*quick)
 	start := time.Now()
-	set, err := runJobsExec(list, *jobs, !*quiet, *engine, *par, exec)
+	set, err := runJobsExec(list, *jobs, !*quiet, *engine, exec)
 	if err != nil {
 		// Partial failures still produce the summary below; hard
 		// cancellation aborts.

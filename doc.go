@@ -34,9 +34,8 @@
 // hardware at the bottom and the service layer at the top:
 //
 //	sim               clocks, pipelines/queues/calendars, the documented
-//	                  NextEvent horizon contract (doc.go), the subscriber
-//	                  Scheduler the event engine arms wakes on, and the
-//	                  barrier worker Pool behind phase-parallel stepping
+//	                  NextEvent horizon contract (doc.go), and the subscriber
+//	                  Scheduler the event engine arms wakes on
 //	isa               the small SIMT instruction set and CFG builder
 //	warp, mem         per-warp execution state; memory request types
 //	sm                SIMT cores: warp schedulers (LRR/GTO), L1+MSHRs,
@@ -46,9 +45,7 @@
 //	gpu               assembles SMs x partitions x crossbar into a
 //	                  device; drives it with the cycle-driven reference
 //	                  loop or the subscriber-calendar event loop, which
-//	                  ticks only due components yet stays byte-identical;
-//	                  both shard their SM and partition phases across a
-//	                  worker pool (Config.Workers) without changing output
+//	                  ticks only due components yet stays byte-identical
 //	sched             streams, the block dispatcher, placement policies
 //	config            presets calibrated to Table I; ablation overrides
 //	kernels           the workload catalog, BFS, the CoRun combinator
@@ -75,11 +72,10 @@
 // each job by resolving a config preset, building kernels inputs, and
 // running them through core on a gpu device ticked (or fast-forwarded)
 // by sim. Metrics come back as a ResultSet whose exports are
-// byte-identical across job-level worker counts, intra-simulation
-// stepping widths (-par), engines, cache temperature, and service
-// topology (direct, single serve, or a sharded coordinator — even one
-// that loses a backend mid-grid) — the property every
-// `make *-determinism` CI gate pins.
+// byte-identical across job-level worker counts, engines, cache
+// temperature, and service topology (direct, single serve, or a sharded
+// coordinator — even one that loses a backend mid-grid) — the property
+// every `make *-determinism` CI gate pins.
 //
 // # Sharded service
 //

@@ -412,19 +412,18 @@ func TestManualStepThenRun(t *testing.T) {
 
 // TestTickCreatesNoWakeState: the ungated cycle body reads and writes no
 // event-engine state, so a device driven by Step alone, or by the tick
-// engine's Run at any width, never grows a wake registry.
+// engine's Run, never grows a wake registry.
 func TestTickCreatesNoWakeState(t *testing.T) {
-	newDevice := func(workers int) *GPU {
+	newDevice := func() *GPU {
 		cfg := tinyConfig()
 		cfg.Engine = sim.EngineTick
-		cfg.Workers = workers
 		g := New(cfg)
 		if err := g.Launch(vecIncKernel(0x10000, 0x20000, 512, 64)); err != nil {
 			t.Fatal(err)
 		}
 		return g
 	}
-	g := newDevice(1)
+	g := newDevice()
 	for !g.Done() {
 		g.Step()
 		if g.Cycle() > 500_000 {
@@ -435,16 +434,14 @@ func TestTickCreatesNoWakeState(t *testing.T) {
 	if g.WakeStats() != nil {
 		t.Fatal("Step created wake state")
 	}
-	for _, workers := range []int{1, 8} {
-		g := newDevice(workers)
-		if _, err := g.Run(); err != nil {
-			t.Fatal(err)
-		}
-		if g.WakeStats() != nil {
-			t.Fatalf("tick Run at Workers=%d created wake state", workers)
-		}
-		if got := statsSignature(g); got != want {
-			t.Fatalf("tick Run at Workers=%d diverged from Step alone:\n--- Step ---\n%s--- Run ---\n%s", workers, want, got)
-		}
+	g = newDevice()
+	if _, err := g.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if g.WakeStats() != nil {
+		t.Fatal("tick Run created wake state")
+	}
+	if got := statsSignature(g); got != want {
+		t.Fatalf("tick Run diverged from Step alone:\n--- Step ---\n%s--- Run ---\n%s", want, got)
 	}
 }

@@ -65,14 +65,10 @@ type Config struct {
 	// co-resident streams: shared breadth-first (default) or spatial
 	// SM partitioning. Single-stream runs behave identically under both.
 	Placement sched.Placement
-	// Workers is the phase-parallel stepping width: the number of
-	// goroutines (caller included) sharding the independent components
-	// of each tick phase — SMs across the core phase, partitions across
-	// the memory phase. 0 or 1 steps serially. Results are identical at
-	// any width (the parallel-stepping contract in internal/sim/doc.go),
-	// so Workers is, like Engine, execution machinery rather than an
-	// experiment parameter: it is excluded from serialized configs and
-	// must never influence a job's identity.
+	// Workers is ignored: a device is stepped by one goroutine.
+	//
+	// Deprecated: kept only so bench/ledger_sim.go compiles; the benchmark
+	// PR that retires gpu.par_speedup deletes this field.
 	Workers int `json:"-"`
 }
 
@@ -119,29 +115,12 @@ type GPU struct {
 	reqNet   *icnt.Crossbar
 	replyNet *icnt.Crossbar
 
-	// reqSeq holds each SM's private request-ID sequence (IDs are only
-	// SM-local bookkeeping keys, tagged with the SM index for global
-	// uniqueness); giving every SM its own counter removes the last
-	// shared-state write from the parallel core phase.
-	reqSeq []uint64
+	// reqSeq is the device's request-ID sequence.
+	reqSeq uint64
 
-	// pool shards the parallel tick phases; nil (Workers <= 1, or
-	// stepping outside Run) steps serially through the same code path.
-	// smTicked marks which SMs ticked this cycle, for the end-of-phase
-	// flush pass.
-	pool     *sim.Pool
-	smTicked []bool
-
-	// stepC and stepGated publish the cycle being stepped and its mode to
-	// the two persistent phase closures below; step writes them before
-	// pool.Run and never during a phase. Hoisting the closures out of step
-	// keeps the per-cycle path allocation-free: a closure literal
-	// capturing the loop cycle would escape to the pool workers and
-	// heap-allocate on every call.
-	stepC     sim.Cycle
-	stepGated bool
-	partFn    func(int)
-	smFn      func(int)
+	// ticked lists the SMs ticked in the cycle being stepped, for the
+	// flush pass that follows the core phase; reused every cycle.
+	ticked []*sm.SM
 
 	issueObs IssueObserver
 
@@ -195,24 +174,19 @@ func NewWithObservers(cfg Config, obs mem.Observer, issueObs IssueObserver) *GPU
 		issueObs: issueObs,
 	}
 	g.reqNet, g.replyNet, g.parts = newMemFabric(cfg, "")
-	g.reqSeq = make([]uint64, cfg.NumSMs)
-	g.smTicked = make([]bool, cfg.NumSMs)
+	newID := func() uint64 { g.reqSeq++; return g.reqSeq }
+	g.ticked = make([]*sm.SM, 0, cfg.NumSMs)
 	for i := 0; i < cfg.NumSMs; i++ {
 		smCfg := cfg.SM
 		smCfg.ID = i
 		smCfg.L1.Name = fmt.Sprintf("%s.sm%d.l1", cfg.Name, i)
-		seq := &g.reqSeq[i]
-		tag := uint64(i) << 40
-		newID := func() uint64 { *seq++; return tag | *seq }
 		g.sms = append(g.sms, sm.New(smCfg, g.Memory, newID, obs))
 	}
 	g.disp = sched.NewDispatcher(g.sms, cfg.Placement)
 	// One request free list serves the whole device: requests cross SM
-	// and partition boundaries, so the pool must too. Its mutex is off
-	// the critical path (a handful of Get/Put per simulated cycle), and
-	// reuse order can only change pointer identity — every component
-	// keys requests by Request.ID, so simulated results are unaffected
-	// at any -par width.
+	// and partition boundaries, so the pool must too. Reuse order can
+	// only change pointer identity — every component keys requests by
+	// Request.ID, so simulated results are unaffected.
 	reqPool := &mem.RequestPool{}
 	for _, s := range g.sms {
 		s.SetBlockRetireObserver(g.noteBlockRetired)
@@ -221,7 +195,6 @@ func NewWithObservers(cfg Config, obs mem.Observer, issueObs IssueObserver) *GPU
 	for _, p := range g.parts {
 		p.SetRequestPool(reqPool)
 	}
-	g.bindPhaseFns()
 	return g
 }
 
@@ -253,60 +226,6 @@ func newMemFabric(cfg Config, tag string) (reqNet, replyNet *icnt.Crossbar, part
 // partitionOf maps a global address to its memory partition.
 func (c *Config) partitionOf(addr uint64) int {
 	return int((addr / uint64(c.PartitionInterleave)) % uint64(c.NumPartitions))
-}
-
-// bindPhaseFns builds the persistent closures the parallel phases pass
-// to pool.Run: one component's share of a phase, ungated (tick it) or
-// gated on the event engine's own-work horizons. The gate, the replay
-// and every write (fired/lastProc/dirty slots, the component itself) are
-// per-index state, which is what lets the phases shard across the pool.
-func (g *GPU) bindPhaseFns() {
-	ev := &g.ev
-	g.partFn = func(pi int) {
-		c, gated := g.stepC, g.stepGated
-		if gated {
-			if ev.partTickAt[pi] > c {
-				return
-			}
-			ev.fired[ev.partID[pi]]++
-			g.catchUpPart(pi, c-1)
-		}
-		g.parts[pi].Tick(c)
-		if gated {
-			ev.partLastProc[pi] = c
-			ev.dirtyPart[pi] = true
-		}
-	}
-	g.smFn = func(si int) {
-		c, gated := g.stepC, g.stepGated
-		g.smTicked[si] = false
-		if gated && ev.tickAt[si] > c {
-			return
-		}
-		s := g.sms[si]
-		if !s.Busy() {
-			// Idle SMs (no resident blocks, nothing in flight) are skipped;
-			// they cannot issue and hold no outstanding loads, so neither
-			// the timing nor the exposure accounting is affected. Gated,
-			// this is a core that drained while armed (e.g. the initial
-			// arm-everything wake on an idle core): disarm via re-arm,
-			// which yields Never.
-			if gated {
-				ev.dirtySM[si] = true
-			}
-			return
-		}
-		if gated {
-			ev.fired[ev.smID[si]]++
-			g.catchUpSM(si, c-1)
-		}
-		s.Tick(c)
-		if gated {
-			ev.lastProc[si] = c
-			ev.dirtySM[si] = true
-		}
-		g.smTicked[si] = true
-	}
 }
 
 // noteBlockRetired forwards a block retirement to the dispatcher and
@@ -584,16 +503,23 @@ func (g *GPU) catchUpPart(pi int, through sim.Cycle) {
 func (g *GPU) step(c sim.Cycle, gated bool) {
 	ev := &g.ev
 
-	// Memory partitions (includes DRAM). Each partition's Tick touches
-	// only its own state, so the phase shards across the worker pool;
-	// Run's barrier orders every partition's writes before the transfer
-	// phase below reads its return queue. Gated, like the SM core ticks
+	// Memory partitions (includes DRAM). Gated, like the SM core ticks
 	// below, the Tick keys on the partition's own-work horizon, not on its
 	// armed wake: a partition whose only live state is a backed-up return
 	// queue keeps the clock stepping (for the reply-transfer phase) while
 	// its pipeline — which never drains that queue — sleeps.
-	g.stepC, g.stepGated = c, gated
-	g.pool.Run(len(g.parts), g.partFn)
+	for pi, p := range g.parts {
+		if gated {
+			if ev.partTickAt[pi] > c {
+				continue
+			}
+			ev.fired[ev.partID[pi]]++
+			g.catchUpPart(pi, c-1)
+			ev.partLastProc[pi] = c
+			ev.dirtyPart[pi] = true
+		}
+		p.Tick(c)
+	}
 
 	// Reply network: partition return queues → network → SMs. A visible
 	// return head pins its partition's horizon at now, so every cycle on
@@ -720,25 +646,44 @@ func (g *GPU) step(c sim.Cycle, gated bool) {
 		}
 	}
 
-	// Cores last: issue sees this cycle's returned data next cycle. SMs
-	// are mutually independent within the phase — every cross-SM effect
-	// (functional stores/atomics, tracked completions, block retirements)
-	// defers inside the SM — so the phase shards across the pool, and the
-	// flush pass after the barrier commits the deferred effects in SM
-	// index order, making results independent of the worker count.
-	// Gated, only busy SMs whose own-tick horizon (tickAt) is due are
-	// ticked; the rest sleep, with their per-cycle idle counters replayed
-	// on the next catch-up. This is the engine's main lever: a core whose
-	// warps are all blocked on in-flight loads — or whose LDST unit is
-	// parked behind a full miss queue — costs nothing until something
-	// arrives or drains. (tickAt can be later than the SM's armed wake: a
-	// queued miss keeps the clock stepping for the injection phase above
-	// without forcing core ticks.)
-	g.pool.Run(len(g.sms), g.smFn)
+	// Cores last: issue sees this cycle's returned data next cycle. Every
+	// core ticks before any core's stores and atomics commit: the flush
+	// pass below applies them in SM index order, so no SM observes another
+	// SM's same-cycle write (see sm.FlushCycle). Gated, only busy SMs whose
+	// own-tick horizon (tickAt) is due are ticked; the rest sleep, with
+	// their per-cycle idle counters replayed on the next catch-up. This is
+	// the engine's main lever: a core whose warps are all blocked on
+	// in-flight loads — or whose LDST unit is parked behind a full miss
+	// queue — costs nothing until something arrives or drains. (tickAt can
+	// be later than the SM's armed wake: a queued miss keeps the clock
+	// stepping for the injection phase above without forcing core ticks.)
+	g.ticked = g.ticked[:0]
 	for si, s := range g.sms {
-		if !g.smTicked[si] {
+		if gated && ev.tickAt[si] > c {
 			continue
 		}
+		if !s.Busy() {
+			// Idle SMs (no resident blocks, nothing in flight) are skipped;
+			// they cannot issue and hold no outstanding loads, so neither
+			// the timing nor the exposure accounting is affected. Gated,
+			// this is a core that drained while armed (e.g. the initial
+			// arm-everything wake on an idle core): disarm via re-arm,
+			// which yields Never.
+			if gated {
+				ev.dirtySM[si] = true
+			}
+			continue
+		}
+		if gated {
+			ev.fired[ev.smID[si]]++
+			g.catchUpSM(si, c-1)
+			ev.lastProc[si] = c
+			ev.dirtySM[si] = true
+		}
+		s.Tick(c)
+		g.ticked = append(g.ticked, s)
+	}
+	for _, s := range g.ticked {
 		s.FlushCycle()
 		g.issueObs.IssueSlot(s.Config().ID, c, s.IssuedThisCycle())
 	}
@@ -972,16 +917,6 @@ func (g *GPU) runEvent(start sim.Cycle) (sim.Cycle, error) {
 // to the tick engine either way.
 func (g *GPU) Run() (sim.Cycle, error) {
 	start := g.cycle
-	// The worker pool lives for the duration of the run; direct Step()
-	// callers outside Run keep the nil pool's serial path, which by the
-	// parallel-stepping contract produces the same results.
-	if g.pool == nil && g.cfg.Workers > 1 {
-		g.pool = sim.NewPool(g.cfg.Workers)
-		defer func() {
-			g.pool.Close()
-			g.pool = nil
-		}()
-	}
 	// Kernels enqueued without Launch have not dispatched yet; placing
 	// them now (with every stream registered, so spatial slices cover
 	// all streams) makes their blocks resident from the first stepped

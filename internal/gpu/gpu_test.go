@@ -376,3 +376,55 @@ func TestInvalidConfigPanics(t *testing.T) {
 	}()
 	New(cfg)
 }
+
+// histKernel has every thread of the grid atomically bump one shared
+// counter and record the old value — the worst case for cross-SM
+// same-cycle effects, which the deferred commit serializes in SM index
+// order.
+func histKernel(ctrAddr, outAddr uint32, blockDim, gridDim int) *sm.Kernel {
+	b := isa.NewBuilder("hist")
+	b.Param(1, 0).
+		MovI(2, 1).
+		Atom(3, 1, 0, 2). // old = atomicAdd(ctr, 1)
+		Param(4, 1).
+		S2R(5, isa.SrTID).
+		S2R(6, isa.SrCTAID).
+		S2R(7, isa.SrNTID).
+		IMad(5, 6, 7, 5). // gid
+		ShlI(5, 5, 2).
+		IAdd(4, 4, 5).
+		Stg(4, 0, 3). // out[gid] = old
+		Exit()
+	return &sm.Kernel{
+		Program:  b.Build(),
+		Params:   []uint32{ctrAddr, outAddr},
+		BlockDim: blockDim,
+		GridDim:  gridDim,
+	}
+}
+
+// TestAtomicOldValuesUniqueAcrossSMs checks the deferred atomic commit
+// itself: with blocks spread over four SMs racing one counter, every
+// thread must still observe a distinct old value and the final count
+// must be exact.
+func TestAtomicOldValuesUniqueAcrossSMs(t *testing.T) {
+	const blocks, blockDim = 8, 64
+	cfg := tinyConfig()
+	cfg.NumSMs = 4
+	g := New(cfg)
+	if _, err := g.RunKernel(histKernel(0x30000, 0x40000, blockDim, blocks)); err != nil {
+		t.Fatal(err)
+	}
+	n := uint32(blocks * blockDim)
+	if got := g.Memory.Load32(0x30000); got != n {
+		t.Fatalf("counter = %d, want %d", got, n)
+	}
+	seen := make(map[uint32]bool)
+	for i := uint64(0); i < uint64(n); i++ {
+		old := g.Memory.Load32(0x40000 + i*4)
+		if old >= n || seen[old] {
+			t.Fatalf("thread %d observed duplicate/out-of-range old value %d", i, old)
+		}
+		seen[old] = true
+	}
+}

@@ -46,13 +46,29 @@ func TestEngineIdentityOnCatalogKernels(t *testing.T) {
 	// throughput-bound multi-launch BFS (dense traffic, host loop
 	// between launches). bfs is not a catalog entry, so it runs through
 	// the MultiKernel path.
+	type tc struct {
+		name, kernel string
+		cfg          gpu.Config
+		scale        Scale
+	}
+	var cases []tc
 	for _, name := range []string{"vecadd", "spmv", "gather", "histogram", "pchase", "bfs"} {
-		t.Run(name, func(t *testing.T) {
+		cases = append(cases, tc{name, name, config.GF100(), ScaleTest})
+	}
+	// The L1-bypass presets at experiment scale fill the L2 hit pipe to
+	// its admission limit with hits and then land fill bursts on top of
+	// it, which used to overflow the pipe (a panic in Partition.finish).
+	cases = append(cases,
+		tc{"GK104/histogram", "histogram", config.GK104(), ScaleExperiment},
+		tc{"GM107/histogram", "histogram", config.GM107(), ScaleExperiment},
+		tc{"GK104/gather", "gather", config.GK104(), ScaleExperiment})
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
 			run := func(engine sim.Engine) *gpu.GPU {
-				cfg := config.GF100()
+				cfg := c.cfg
 				cfg.Engine = engine
 				g := gpu.New(cfg)
-				if name == "bfs" {
+				if c.kernel == "bfs" {
 					graph := GenScaleFree(512, 4, 1)
 					mk, err := BFS(BFSConfig{Graph: graph, Source: 0, BlockDim: 128})
 					if err != nil {
@@ -63,7 +79,7 @@ func TestEngineIdentityOnCatalogKernels(t *testing.T) {
 					}
 					return g
 				}
-				wl, err := NewByName(name, ScaleTest, 1)
+				wl, err := NewByName(c.kernel, c.scale, 1)
 				if err != nil {
 					t.Fatal(err)
 				}

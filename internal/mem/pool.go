@@ -1,7 +1,5 @@
 package mem
 
-import "sync"
-
 // RequestPool is a free list recycling Request and StageLog objects
 // through the memory pipeline, so the steady-state simulation path
 // allocates nothing per transaction. One pool serves a whole device:
@@ -12,14 +10,13 @@ import "sync"
 // Recycling cannot affect simulated results: request identity is carried
 // by Request.ID everywhere (the one pointer-identity comparison, the
 // L1 fill's merged-self check, happens strictly before either pointer is
-// released), and phase-parallel ticking (-par) only reorders which
-// pointer a component happens to receive, never any field value.
+// released), so which pointer a component happens to receive never
+// changes any field value.
 //
 // The zero value is ready to use; a nil *RequestPool degrades to plain
-// allocation, so standalone components work unpooled. Methods are
-// safe for concurrent use.
+// allocation, so standalone components work unpooled. A pool belongs to
+// one device and, like the device, to one goroutine.
 type RequestPool struct {
-	mu   sync.Mutex
 	reqs []*Request
 	logs []*StageLog
 }
@@ -39,7 +36,6 @@ func (p *RequestPool) Get(tracked bool) *Request {
 		r  *Request
 		lg *StageLog
 	)
-	p.mu.Lock()
 	if n := len(p.reqs); n > 0 {
 		r, p.reqs = p.reqs[n-1], p.reqs[:n-1]
 	}
@@ -48,7 +44,6 @@ func (p *RequestPool) Get(tracked bool) *Request {
 			lg, p.logs = p.logs[n-1], p.logs[:n-1]
 		}
 	}
-	p.mu.Unlock()
 	if r == nil {
 		r = &Request{}
 	} else {
@@ -80,10 +75,8 @@ func (p *RequestPool) Put(r *Request) {
 	if lg != nil {
 		*lg = StageLog{}
 	}
-	p.mu.Lock()
 	p.reqs = append(p.reqs, r)
 	if lg != nil {
 		p.logs = append(p.logs, lg)
 	}
-	p.mu.Unlock()
 }

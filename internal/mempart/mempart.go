@@ -71,6 +71,10 @@ type Partition struct {
 	dram *dram.Channel
 	ret  *sim.Queue[*mem.Request]
 
+	// hitAdmit is the hit-pipe occupancy at which load lookups stop (see
+	// New); the pipe's capacity is larger by the fill-burst headroom.
+	hitAdmit int
+
 	// pendingWB buffers a dirty-eviction writeback that could not enter
 	// the DRAM queue the cycle it was produced.
 	pendingWB *mem.Request
@@ -134,10 +138,15 @@ func New(cfg Config) *Partition {
 		panic(err)
 	}
 	name := fmt.Sprintf("part%d", cfg.ID)
-	// The hit pipe also absorbs fill bursts that overflow the return
-	// queue, so size it for the worst case: every MSHR entry filling at
-	// maximum merge plus everything buffered upstream.
-	hitCap := cfg.L2.MSHREntries*cfg.L2.MSHRMaxMerge + cfg.L2QueueDepth + cfg.ReturnQueueDepth
+	// Load lookups are admitted while the hit pipe holds fewer than
+	// hitAdmit requests: every MSHR entry filling at maximum merge plus
+	// everything buffered upstream. The pipe also absorbs, unconditionally
+	// (finish), fill bursts that overflow the return queue. At the
+	// admission limit no load is looked up, so the loads already parked
+	// at the MSHRs — at most mshrLoads — are all that can still land on
+	// top of the admitted hits; the capacity adds exactly that headroom.
+	mshrLoads := cfg.L2.MSHREntries * cfg.L2.MSHRMaxMerge
+	hitAdmit := mshrLoads + cfg.L2QueueDepth + cfg.ReturnQueueDepth
 	// A queue with traversal latency L holds its in-flight entries for L
 	// cycles, so sustaining one request per cycle requires capacity > L;
 	// widen the configured depths accordingly (the configured depth is
@@ -158,9 +167,11 @@ func New(cfg Config) *Partition {
 		rop:  sim.NewQueue[*mem.Request](name+".rop", ropCap, cfg.ROPLatency),
 		l2q:  sim.NewQueue[*mem.Request](name+".l2q", cfg.L2QueueDepth+int(l2qLat), l2qLat),
 		l2:   l2,
-		hit:  sim.NewQueue[*mem.Request](name+".l2hit", hitCap, 0),
+		hit:  sim.NewQueue[*mem.Request](name+".l2hit", hitAdmit+mshrLoads, 0),
 		dram: dram.NewChannel(cfg.DRAM),
 		ret:  sim.NewQueue[*mem.Request](name+".ret", cfg.ReturnQueueDepth, 0),
+
+		hitAdmit: hitAdmit,
 	}
 }
 
@@ -324,7 +335,7 @@ func (p *Partition) accessL2(c sim.Cycle) {
 	// needs hit-pipe space; misses need a DRAM slot (plus one for a
 	// possible dirty eviction). A side-effect-free tag probe tells the
 	// two cases apart so DRAM backpressure never blocks L2 hits.
-	if r.Kind == mem.KindLoad && !p.hit.CanPush() {
+	if r.Kind == mem.KindLoad && p.hit.Len() >= p.hitAdmit {
 		p.stats.L2Stalls++
 		p.l2Blocked, p.l2ParkReason = r, parkHitPipe
 		return
@@ -490,7 +501,7 @@ func (p *Partition) l2HeadParked() bool {
 	}
 	switch p.l2ParkReason {
 	case parkHitPipe:
-		return !p.hit.CanPush()
+		return p.hit.Len() >= p.hitAdmit
 	case parkDRAMSlots:
 		return p.dram.FreeSlots() < 2
 	case parkDRAMFull, parkWB:

@@ -132,9 +132,6 @@ func resolveConfig(job Job) (gpu.Config, error) {
 	if job.Engine != "" {
 		cfg.Engine, err = sim.ParseEngine(job.Engine)
 	}
-	if job.Workers > 1 {
-		cfg.Workers = job.Workers
-	}
 	return cfg, err
 }
 

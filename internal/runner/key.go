@@ -22,9 +22,6 @@ type JobKey string
 //
 //   - Engine: execution machinery; the CI engine-determinism gate proves
 //     tick and event runs are byte-identical.
-//   - Workers: the intra-simulation stepping width, likewise machinery;
-//     the CI par-determinism gate proves -par 1 and -par 8 runs are
-//     byte-identical.
 //   - Options.Label: a report tag rendered from the requesting job, not
 //     an input to the simulation.
 //   - Options.Seed: grid expansion has already resolved it into Job.Seed
@@ -37,7 +34,6 @@ type JobKey string
 func (j Job) Key() JobKey {
 	n := j
 	n.Engine = ""
-	n.Workers = 0
 	n.Options.Label = ""
 	n.Options.Seed = 0
 	data, err := json.Marshal(n)

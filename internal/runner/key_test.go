@@ -45,6 +45,24 @@ func TestJobKeyStableAndDiscriminating(t *testing.T) {
 	}
 }
 
+// TestJobKeyGolden pins two keys as literals: the key is the cache path
+// and the shard placement of every stored result, so a change to Job,
+// Options or Overrides that moves either digest orphans warm caches.
+func TestJobKeyGolden(t *testing.T) {
+	for want, job := range map[JobKey]Job{
+		"b762cc144ee55f0cbd231f1842033b9b07bf420463c78936ef176fbe0656c28d": {
+			Kind: KindDynamic, Arch: "GF100", Kernel: "bfs", Seed: 42, Engine: "tick",
+			Options: Options{Vertices: 512, BlockDim: 64, Label: "fig1/bfs", Seed: 42}},
+		"853ccc2fcc97edb8813433a92415de5a215662aabd45bd0e26655020a7e07877": {
+			Kind: KindStatic, Arch: "GK104", Seed: 7,
+			Options: Options{Accesses: 48, Overrides: config.Overrides{DRAMSched: "FCFS", L1MSHRs: 16}}},
+	} {
+		if got := job.Key(); got != want {
+			t.Errorf("%s: key %s, want %s", job.Name(), got, want)
+		}
+	}
+}
+
 func TestJobKeyValid(t *testing.T) {
 	for _, bad := range []JobKey{"", "abc", JobKey(make([]byte, 64)),
 		"ABCDEF0123456789ABCDEF0123456789ABCDEF0123456789ABCDEF0123456789"} {

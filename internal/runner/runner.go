@@ -57,12 +57,6 @@ type Job struct {
 	// CI engine-determinism gate enforces — so it is excluded from
 	// exports and job identity.
 	Engine string `json:"-"`
-	// Workers is the intra-simulation phase-parallel stepping width
-	// (gpu.Config.Workers); 0 or 1 steps serially. Like Engine — and
-	// like the runner's own -j — it is execution machinery that must
-	// never change results (the CI par-determinism gate enforces it),
-	// so it too is excluded from exports and job identity.
-	Workers int `json:"-"`
 }
 
 // Name returns a stable human-readable job identifier.

@@ -82,7 +82,6 @@ type Station struct {
 	cache  *Cache // may be nil: dedup still works, nothing persists
 	exec   runner.ExecFunc
 	engine string
-	par    int
 
 	queue chan *jobState
 	wg    sync.WaitGroup
@@ -104,10 +103,6 @@ type StationConfig struct {
 	// Engine pins the simulation loop for executed jobs ("" → default;
 	// engines are result-identical, so this never affects cached bytes).
 	Engine string
-	// Par sets each simulation's phase-parallel stepping width
-	// (gpu.Config.Workers; <=1 → serial). Worker counts are
-	// result-identical too, so this never affects cached bytes either.
-	Par int
 	// Exec overrides the job executor (tests; nil → runner.Execute).
 	Exec runner.ExecFunc
 }
@@ -123,7 +118,6 @@ func NewStation(cache *Cache, cfg StationConfig) *Station {
 		cache:  cache,
 		exec:   cfg.Exec,
 		engine: cfg.Engine,
-		par:    cfg.Par,
 		queue:  make(chan *jobState, bound),
 		stop:   make(chan struct{}),
 		states: map[runner.JobKey]*jobState{},
@@ -192,7 +186,6 @@ func (s *Station) run(st *jobState) {
 
 	job := st.job
 	job.Engine = s.engine
-	job.Workers = s.par
 	res := execCapturing(s.exec, job)
 	res.Job = st.job // wire identity: what was submitted, not how it ran
 

@@ -99,35 +99,15 @@
 // which counts full-queue observations rather than events and is
 // excluded from engine-equivalence comparisons.
 //
-// # Parallel phase stepping
+// # One goroutine per device
 //
-// Pool shards one phase of one cycle — "tick every memory partition",
-// "tick every busy core" — across worker goroutines. Run(n, fn) is a
-// full barrier: every fn(i) happens-before Run returns, so the engine
-// may freely read and merge worker results afterwards. Within a Run
-// call, fn(i) for distinct i execute concurrently in arbitrary order;
-// determinism therefore comes from an ownership discipline, not from
-// scheduling:
+// A device is stepped by one goroutine: the paper's experiments are
+// grids of independent simulations, and the runner spreads those over
+// the cores. Within a cycle every SM ticks before any SM's global stores
+// and atomics commit (SM.FlushCycle, in SM index order); that commit
+// point is part of the timing model, not a concurrency device.
 //
-//  1. During a parallel phase, fn(i) may mutate only state owned by
-//     component i. Anything cross-component — functional-memory
-//     stores and atomics, observer callbacks, block-retire
-//     notifications — is appended to per-component effect logs
-//     instead of applied.
-//  2. After the barrier, the engine replays those logs serially in
-//     component-index order (SM.FlushCycle), which reproduces the
-//     exact interleaving the serial loop produced. Atomics commit
-//     their read-modify-write at flush time, so racing SMs observe
-//     the same old values at any worker count.
-//  3. Identifier allocation must be per-component: shared counters
-//     would hand out IDs in scheduling order. Each SM draws request
-//     IDs from its own sequence, tagged with its index.
-//
-// Phases that are inherently serial — crossbar transfer, inject/accept,
-// the dispatcher tail, wake re-arming — stay on the caller. A nil Pool
-// (workers <= 1) runs every phase inline, and because the effect-log
-// path is unconditional, the serial and parallel executions are the
-// same code acting in the same order: `-par 1` and `-par 8` are
-// byte-identical by construction, which the CI par-determinism gate
-// and TestWorkerCountInvariance in internal/gpu pin.
+// Pool (pool.go) is deprecated and no simulator code calls it. It stays
+// only because bench/ledger_sim.go times it (sim.pool.run_ns_op); the
+// benchmark PR that retires that line deletes pool.go and pool_test.go.
 package sim

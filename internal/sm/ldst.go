@@ -55,9 +55,9 @@ func (s *SM) getMemInst() *memInst {
 // issueMemInst is called at instruction issue: functional effects happen
 // now (stores write memory, loads read it into registers), addresses are
 // captured, and the instruction enters the LDST queue for timing.
-// Global/local effects are deferred — logged and overlaid rather than
-// applied — so the shared functional store stays read-only until the
-// GPU's end-of-phase FlushCycle commits the logs in SM index order.
+// Global/local stores and atomics are deferred — logged and overlaid
+// rather than applied — until FlushCycle commits them after every SM
+// has ticked.
 func (s *SM) issueMemInst(c sim.Cycle, ws int, in *isa.Instruction, passMask uint32) {
 	w := s.warps[ws]
 	bs := &s.blocks[w.BlockSlot]

@@ -268,19 +268,13 @@ type SM struct {
 	// issuedThisCycle is exported to the GPU for exposure accounting.
 	issuedThisCycle int
 
-	// Deferred cycle effects. During a tick — which the GPU may run
-	// concurrently with other SMs' ticks — the functional global store
-	// is read-only: stores and atomics append to memLog and shadow
-	// themselves in memOvl so this SM's own loads still observe them,
-	// while observer completions and block retirements queue in
-	// obsLog/retireLog. FlushCycle commits and delivers everything;
-	// it is the only place deferred state escapes the SM, so results
-	// cannot depend on tick concurrency (see internal/sim/doc.go,
-	// "Parallel phase stepping").
-	memLog    []memOp
-	memOvl    map[uint64]ovlEntry
-	obsLog    []obsEvent
-	retireLog []retireEvent
+	// Deferred global stores and atomics. A tick never writes the
+	// functional global store: stores and atomics append to memLog and
+	// shadow themselves in memOvl, so this SM's own later loads observe
+	// them while every other SM ticking in the same cycle still reads the
+	// committed words. FlushCycle commits the log.
+	memLog []memOp
+	memOvl map[uint64]ovlEntry
 
 	// Shared bank-conflict scratch, reused across processShared calls so
 	// the steady-state path allocates nothing: bankWords[b] collects the
@@ -327,18 +321,6 @@ type ovlEntry struct {
 	abs   bool
 	val   uint32
 	delta uint32
-}
-
-// obsEvent is a deferred observer.RequestDone delivery.
-type obsEvent struct {
-	c   sim.Cycle
-	req *mem.Request
-}
-
-// retireEvent is a deferred onBlockRetire delivery.
-type retireEvent struct {
-	c        sim.Cycle
-	kernelID int
 }
 
 type txnCtx struct {
@@ -756,8 +738,7 @@ func (s *SM) Tick(c sim.Cycle) {
 
 // readGlobal reads the functional global store as this SM's deferred
 // ops would leave it: the cycle's overlay first, the committed word
-// otherwise. Concurrent ticks only ever reach the committed store
-// through Load32, which is safe because every writer defers.
+// otherwise.
 func (s *SM) readGlobal(addr uint64) uint32 {
 	if len(s.memOvl) != 0 {
 		if e, ok := s.memOvl[addr]; ok {
@@ -789,48 +770,30 @@ func (s *SM) deferAtom(addr uint64, delta uint32, t *isa.ThreadCtx, dst isa.Reg)
 	s.memOvl[addr] = e
 }
 
-// FlushCycle commits the SM's deferred cycle effects: the functional
-// memory log replays in program order (atomics read-modify-write the
-// committed store and deliver old values to their lanes), completed
-// requests reach the observer, and block retirements reach the
-// dispatcher hook. The GPU calls it once per ticked SM, in SM index
-// order, after the whole SM phase — with every writer deferred, same-
-// cycle cross-SM effects resolve in that fixed order no matter how the
-// ticks were scheduled. Standalone harnesses driving Tick directly
+// FlushCycle commits the cycle's deferred global stores and atomics in
+// program order (atomics read-modify-write the committed store and
+// deliver old values to their lanes). The commit point is part of the
+// timing model: the GPU calls it once per ticked SM, in SM index order,
+// after every SM has ticked, so a store becomes visible to other SMs
+// from the next cycle on and same-cycle atomics from different SMs
+// resolve in SM index order. Standalone harnesses driving Tick directly
 // (tests) must call it after each Tick.
 func (s *SM) FlushCycle() {
-	if len(s.memLog) != 0 {
-		for i := range s.memLog {
-			op := &s.memLog[i]
-			if op.atom {
-				old := s.memory.Load32(op.addr)
-				s.memory.Store32(op.addr, old+op.val)
-				op.t.WriteReg(op.dst, old)
-			} else {
-				s.memory.Store32(op.addr, op.val)
-			}
-		}
-		s.memLog = s.memLog[:0]
-		clear(s.memOvl)
+	if len(s.memLog) == 0 {
+		return
 	}
-	if len(s.obsLog) != 0 {
-		for _, e := range s.obsLog {
-			s.observer.RequestDone(e.c, e.req)
-			// The observer delivery is the tracked load's retire point;
-			// per the Observer contract the request is dead afterwards
-			// and its objects go back to the pool.
-			s.reqPool.Put(e.req)
+	for i := range s.memLog {
+		op := &s.memLog[i]
+		if op.atom {
+			old := s.memory.Load32(op.addr)
+			s.memory.Store32(op.addr, old+op.val)
+			op.t.WriteReg(op.dst, old)
+		} else {
+			s.memory.Store32(op.addr, op.val)
 		}
-		s.obsLog = s.obsLog[:0]
 	}
-	if len(s.retireLog) != 0 {
-		for _, e := range s.retireLog {
-			if s.onBlockRetire != nil {
-				s.onBlockRetire(e.c, e.kernelID)
-			}
-		}
-		s.retireLog = s.retireLog[:0]
-	}
+	s.memLog = s.memLog[:0]
+	clear(s.memOvl)
 }
 
 func (s *SM) drainExec(c sim.Cycle) {
@@ -855,7 +818,11 @@ func (s *SM) drainRetire(c sim.Cycle) {
 func (s *SM) completeTransaction(c sim.Cycle, comp completion) {
 	if comp.req != nil && comp.req.Log != nil {
 		comp.req.Log.Mark(mem.PtReturnSM, c)
-		s.obsLog = append(s.obsLog, obsEvent{c: c, req: comp.req})
+		// The observer delivery is the tracked load's retire point; per
+		// the Observer contract the request is dead afterwards and its
+		// objects go back to the pool.
+		s.observer.RequestDone(c, comp.req)
+		s.reqPool.Put(comp.req)
 	}
 	mi := comp.mi
 	if mi == nil {
@@ -896,6 +863,8 @@ func (s *SM) retireWarpIfDone(c sim.Cycle, ws int) {
 		bs.active = false
 		s.activeBlocks--
 		s.stats.BlocksRetired++
-		s.retireLog = append(s.retireLog, retireEvent{c: c, kernelID: bs.kernelID})
+		if s.onBlockRetire != nil {
+			s.onBlockRetire(c, bs.kernelID)
+		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 
 	"gpulat/internal/isa"
 	"gpulat/internal/mem"
+	"gpulat/internal/sim"
 )
 
 func TestAtomicFetchAddSerializes(t *testing.T) {
@@ -190,5 +191,88 @@ func TestIssuedThisCycleTracking(t *testing.T) {
 	s.Tick(2)
 	if s.IssuedThisCycle() != 0 {
 		t.Fatalf("idle SM issued %d", s.IssuedThisCycle())
+	}
+}
+
+// TestSameCycleStoreVisibility pins the store commit point, which is
+// part of the timing model: a global store reaches the functional memory
+// at FlushCycle, after every SM has ticked. SM 0 issues a store and, from
+// a second warp, a load of the same word in one cycle; SM 1 issues a load
+// of that word in the same cycle. SM 0's own load must see the new value
+// (the overlay), SM 1's must see the old one, and a load SM 1 issues
+// after the flush must see the new one.
+func TestSameCycleStoreVisibility(t *testing.T) {
+	const word, out, oldVal, newVal = 0x1000, 0x2000, 5, 9
+	// Every program reaches its third instruction — the memory access — on
+	// the same cycle: it waits on r1, which is issued second.
+	storer := isa.NewBuilder("storer")
+	storer.MovI(2, newVal).Param(1, 0).Stg(1, 0, 2).Exit()
+	loader := func(name string, reload bool) *isa.Program {
+		b := isa.NewBuilder(name)
+		b.Param(4, 1).Param(1, 0).Ldg(3, 1, 0)
+		if reload {
+			b.Ldg(5, 1, 0).Stg(4, 4, 5)
+		}
+		return b.Stg(4, 0, 3).Exit().Build()
+	}
+	kernel := func(p *isa.Program, out uint32) *Kernel {
+		return &Kernel{Program: p, Params: []uint32{word, out}, BlockDim: 1, GridDim: 1}
+	}
+
+	m := mem.NewMemory()
+	m.Store32(word, oldVal)
+	cfg := testSMConfig()
+	cfg.IssueWidth = 2
+	var id uint64
+	newID := func() uint64 { id++; return id }
+	s0 := New(cfg, m, newID, nil)
+	cfg.ID = 1
+	s1 := New(cfg, m, newID, nil)
+	// LRR picks the higher warp slot first each cycle here, so the storer
+	// takes SM 0's second block: its store precedes the same-cycle load.
+	s0.LaunchBlock(kernel(loader("own", false), out), 0, 0)
+	s0.LaunchBlock(kernel(storer.Build(), 0), 1, 0)
+	s1.LaunchBlock(kernel(loader("other", true), out+8), 0, 0)
+
+	lb0, lb1 := &loopback{delay: 20}, &loopback{delay: 20}
+	stored := false
+	for c := sim.Cycle(0); s0.Busy() || s1.Busy() || len(lb0.pending)+len(lb1.pending) > 0; c++ {
+		if c > 1000 {
+			t.Fatal("SMs did not drain")
+		}
+		lb0.tick(c, s0)
+		lb1.tick(c, s1)
+		s0.Tick(c)
+		s1.Tick(c)
+		issued := !stored && s0.Stats().StoresIssued == 1
+		if issued {
+			if s0.Stats().LoadsIssued != 1 || s1.Stats().LoadsIssued != 1 {
+				t.Fatalf("cycle %d: the store and both loads no longer issue in one cycle (loads issued: sm0 %d, sm1 %d)",
+					c, s0.Stats().LoadsIssued, s1.Stats().LoadsIssued)
+			}
+			if got := m.Load32(word); got != oldVal {
+				t.Fatalf("cycle %d: store reached memory before FlushCycle (word = %d)", c, got)
+			}
+		}
+		s0.FlushCycle()
+		s1.FlushCycle()
+		if issued {
+			stored = true
+			if got := m.Load32(word); got != newVal {
+				t.Fatalf("cycle %d: FlushCycle did not commit the store (word = %d)", c, got)
+			}
+		}
+	}
+	if !stored {
+		t.Fatal("store never issued")
+	}
+	if got := m.Load32(out); got != newVal {
+		t.Errorf("SM 0's same-cycle load read %d, want its own store's %d", got, newVal)
+	}
+	if got := m.Load32(out + 8); got != oldVal {
+		t.Errorf("SM 1's same-cycle load read %d, want the old word %d", got, oldVal)
+	}
+	if got := m.Load32(out + 12); got != newVal {
+		t.Errorf("SM 1's load after the flush read %d, want %d", got, newVal)
 	}
 }
