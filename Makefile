@@ -197,16 +197,25 @@ SHARD_B1      ?= 127.0.0.1:18765
 SHARD_B2      ?= 127.0.0.1:18766
 SHARD_B3      ?= 127.0.0.1:18770
 SHARD_JOURNAL ?= /tmp/gpulat-shard-journal.jsonl
+# Every phase runs under SHARD_TRAP: each serve writes its pid file the
+# moment it starts (again after every kill-and-restart), and however the
+# phase ends the trap SIGKILLs and reaps whatever the four files name.
+# /bin/sh may be dash, which runs an EXIT trap on `exit` but not on a
+# signal — hence the second trap, so an interrupted or timed-out gate
+# cleans up too. The target ends by asserting nothing it started is
+# still running.
+SHARD_PIDS = /tmp/gpulat-b1.pid /tmp/gpulat-b2.pid /tmp/gpulat-b3.pid /tmp/gpulat-coord.pid
+SHARD_TRAP = trap 'for f in $(SHARD_PIDS); do \
+		test -f $$f && { kill -9 $$(cat $$f); wait $$(cat $$f); } 2>/dev/null || true; done' EXIT; \
+	trap 'exit 1' INT TERM HUP
 shard-determinism:
 	$(GO) build -o /tmp/gpulat-ci ./cmd/gpulat
 	$(GO) test -race -count=1 -run 'TestStationSubmitAfterClose|TestStationSubmitCloseRace|TestStationDoUnblocksOnConcurrentClose|TestCoordinatorSubmitAfterClose|TestCoordinatorFailsOver' ./internal/service
-	rm -rf /tmp/gpulat-shard-b1 /tmp/gpulat-shard-b2 \
-		/tmp/gpulat-b1.pid /tmp/gpulat-b2.pid /tmp/gpulat-coord.pid
+	rm -rf /tmp/gpulat-shard-b1 /tmp/gpulat-shard-b2 $(SHARD_PIDS)
 	/tmp/gpulat-ci bench-suite -quick -quiet -j 8 -csv  > /tmp/gpulat-direct.csv
 	/tmp/gpulat-ci bench-suite -quick -quiet -j 8 -json > /tmp/gpulat-direct.json
 	set -e; \
-	trap 'for f in /tmp/gpulat-b1.pid /tmp/gpulat-b2.pid /tmp/gpulat-coord.pid; do \
-		test -f $$f && kill -9 $$(cat $$f) 2>/dev/null; done; true' EXIT; \
+	$(SHARD_TRAP); \
 	/tmp/gpulat-ci serve -addr $(SHARD_B1) -cache-dir /tmp/gpulat-shard-b1 -quiet & echo $$! > /tmp/gpulat-b1.pid; \
 	/tmp/gpulat-ci serve -addr $(SHARD_B2) -cache-dir /tmp/gpulat-shard-b2 -quiet & echo $$! > /tmp/gpulat-b2.pid; \
 	/tmp/gpulat-ci serve -addr $(SHARD_COORD) -backends $(SHARD_B1),$(SHARD_B2) -quiet & echo $$! > /tmp/gpulat-coord.pid; \
@@ -232,10 +241,8 @@ shard-determinism:
 	done; \
 	grep -q '"circuit": "open"' /tmp/gpulat-shard-backendsz.json
 	set -e; \
-	trap 'for f in /tmp/gpulat-b1.pid /tmp/gpulat-b2.pid /tmp/gpulat-b3.pid /tmp/gpulat-coord.pid; do \
-		test -f $$f && kill -9 $$(cat $$f) 2>/dev/null; done; true' EXIT; \
-	rm -rf /tmp/gpulat-shard-b1 /tmp/gpulat-shard-b2 /tmp/gpulat-shard-b3 \
-		/tmp/gpulat-b1.pid /tmp/gpulat-b2.pid /tmp/gpulat-b3.pid /tmp/gpulat-coord.pid; \
+	$(SHARD_TRAP); \
+	rm -rf /tmp/gpulat-shard-b1 /tmp/gpulat-shard-b2 /tmp/gpulat-shard-b3 $(SHARD_PIDS); \
 	/tmp/gpulat-ci serve -addr $(SHARD_B1) -cache-dir /tmp/gpulat-shard-b1 -quiet & echo $$! > /tmp/gpulat-b1.pid; \
 	/tmp/gpulat-ci serve -addr $(SHARD_B2) -cache-dir /tmp/gpulat-shard-b2 -quiet & echo $$! > /tmp/gpulat-b2.pid; \
 	/tmp/gpulat-ci serve -addr $(SHARD_COORD) -backends $(SHARD_B1) -quiet & echo $$! > /tmp/gpulat-coord.pid; \
@@ -252,21 +259,23 @@ shard-determinism:
 		-join http://$(SHARD_COORD) -advertise $(SHARD_B3) -quiet & echo $$! > /tmp/gpulat-b3.pid; \
 	for i in $$(seq 1 40); do \
 		/tmp/gpulat-ci submit -addr http://$(SHARD_COORD) -backendsz > /tmp/gpulat-shard-backendsz.json 2>/dev/null || true; \
-		grep -q '"epoch": 3' /tmp/gpulat-shard-backendsz.json && break; \
+		/tmp/gpulat-ci submit -addr http://$(SHARD_COORD) -statsz > /tmp/gpulat-shard-statsz.json 2>/dev/null || true; \
+		grep -q '"epoch": 3' /tmp/gpulat-shard-backendsz.json \
+			&& grep -q '"handoff_transferred"' /tmp/gpulat-shard-statsz.json \
+			&& curl -sf http://$(SHARD_B3)/metrics | grep -Eq 'gpulat_cache_transfer_in_total [1-9]' \
+			&& curl -sf http://$(SHARD_COORD)/metrics | grep -Eq 'gpulat_station_handoff_transferred_total [1-9]' \
+			&& break; \
 		sleep 0.25; \
 	done; \
 	grep -q '"epoch": 3' /tmp/gpulat-shard-backendsz.json; \
 	grep -q '"ring_share"' /tmp/gpulat-shard-backendsz.json; \
-	/tmp/gpulat-ci submit -addr http://$(SHARD_COORD) -statsz > /tmp/gpulat-shard-statsz.json; \
 	grep -q '"ring_epoch": 3' /tmp/gpulat-shard-statsz.json; \
 	grep -q '"handoff_transferred"' /tmp/gpulat-shard-statsz.json; \
 	curl -sf http://$(SHARD_B3)/metrics | grep -Eq 'gpulat_cache_transfer_in_total [1-9]'; \
 	curl -sf http://$(SHARD_COORD)/metrics | grep -Eq 'gpulat_station_handoff_transferred_total [1-9]'
 	set -e; \
-	trap 'for f in /tmp/gpulat-b1.pid /tmp/gpulat-b2.pid /tmp/gpulat-coord.pid; do \
-		test -f $$f && kill -9 $$(cat $$f) 2>/dev/null; done; true' EXIT; \
-	rm -rf /tmp/gpulat-shard-b1 /tmp/gpulat-shard-b2 \
-		/tmp/gpulat-b1.pid /tmp/gpulat-b2.pid /tmp/gpulat-coord.pid; \
+	$(SHARD_TRAP); \
+	rm -rf /tmp/gpulat-shard-b1 /tmp/gpulat-shard-b2 $(SHARD_PIDS); \
 	/tmp/gpulat-ci serve -addr $(SHARD_B1) -cache-dir /tmp/gpulat-shard-b1 -quiet & echo $$! > /tmp/gpulat-b1.pid; \
 	/tmp/gpulat-ci serve -addr $(SHARD_B2) -cache-dir /tmp/gpulat-shard-b2 -quiet & echo $$! > /tmp/gpulat-b2.pid; \
 	/tmp/gpulat-ci serve -addr $(SHARD_COORD) -backends $(SHARD_B1),$(SHARD_B2) -quiet & echo $$! > /tmp/gpulat-coord.pid; \
@@ -280,10 +289,8 @@ shard-determinism:
 	grep -q '"action": "leave"' /tmp/gpulat-shard-leavechange.json; \
 	grep -q '"members": 1' /tmp/gpulat-shard-leavechange.json
 	set -e; \
-	trap 'for f in /tmp/gpulat-b1.pid /tmp/gpulat-coord.pid; do \
-		test -f $$f && kill -9 $$(cat $$f) 2>/dev/null; done; true' EXIT; \
-	rm -rf /tmp/gpulat-shard-b1 $(SHARD_JOURNAL) \
-		/tmp/gpulat-b1.pid /tmp/gpulat-coord.pid; \
+	$(SHARD_TRAP); \
+	rm -rf /tmp/gpulat-shard-b1 $(SHARD_JOURNAL) $(SHARD_PIDS); \
 	/tmp/gpulat-ci serve -addr $(SHARD_B1) -cache-dir /tmp/gpulat-shard-b1 -quiet & echo $$! > /tmp/gpulat-b1.pid; \
 	/tmp/gpulat-ci serve -addr $(SHARD_COORD) -backends $(SHARD_B1) -journal $(SHARD_JOURNAL) -quiet & echo $$! > /tmp/gpulat-coord.pid; \
 	/tmp/gpulat-ci submit -addr http://$(SHARD_COORD) -quiet -suite -quick -csv > /tmp/gpulat-shard-crash.csv & SUBMIT=$$!; \
@@ -301,6 +308,8 @@ shard-determinism:
 	cmp /tmp/gpulat-direct.csv /tmp/gpulat-shard-recovered.csv; \
 	/tmp/gpulat-ci submit -addr http://$(SHARD_COORD) -quiet -suite -quick -json > /tmp/gpulat-shard-recovered.json; \
 	cmp /tmp/gpulat-direct.json /tmp/gpulat-shard-recovered.json
+	@if pgrep -af '^/tmp/gpulat-ci serve -addr ($(SHARD_COORD)|$(SHARD_B1)|$(SHARD_B2)|$(SHARD_B3)) '; then \
+		echo "shard-determinism: the serve processes above outlived the gate"; exit 1; fi
 	@echo "shard-determinism: coordinator byte-identical to direct across a backend kill, join/leave mid-grid, a warm self-registered joiner, and a journal-replayed coordinator crash"
 
 # The repository benchmark (bench/) is a Go module of its own, outside

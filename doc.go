@@ -87,9 +87,9 @@
 // call failures and its live keys re-route to the survivors. The pool
 // is elastic: backends join and leave at runtime under an
 // epoch-versioned ring (`gpulat backends`, `serve -join`), joiners are
-// warmed by cache transfer instead of recompute, queued keys steal to
-// idle backends, and `serve -journal` write-ahead journals in-flight
-// grids across coordinator crashes. Figure 2's
+// warmed by cache transfer instead of recompute, and `serve -journal`
+// write-ahead journals in-flight grids across coordinator crashes.
+// Figure 2's
 // exposure report renders half-open latency buckets — [lo,hi), last
 // bucket inclusive — so a boundary load belongs to exactly one bucket.
 package gpulat

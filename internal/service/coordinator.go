@@ -7,6 +7,7 @@ import (
 	"math/rand/v2"
 	"net/http"
 	"os"
+	"slices"
 	"sync"
 	"time"
 
@@ -29,9 +30,6 @@ type CoordinatorConfig struct {
 	FailThreshold int
 	// CallTimeout bounds one forwarded HTTP call (default 15s).
 	CallTimeout time.Duration
-	// MaxReroutes bounds how many times one key is re-placed after
-	// backend failures before it fails outright (default 8).
-	MaxReroutes int
 	// QueueBound caps live (non-terminal) keys the coordinator will
 	// admit — the sharded analogue of StationConfig.QueueBound, so a
 	// coordinator still exerts 503 backpressure instead of growing its
@@ -42,10 +40,6 @@ type CoordinatorConfig struct {
 	// JSONL file and are replayed on start, so an in-flight grid
 	// survives a coordinator crash (see journal.go).
 	JournalPath string
-	// StealThreshold is the minimum queued-key backlog on one backend
-	// before the prober steals work to an idle backend (0 → default 8;
-	// negative disables stealing).
-	StealThreshold int
 }
 
 func (cfg *CoordinatorConfig) fill() {
@@ -58,14 +52,8 @@ func (cfg *CoordinatorConfig) fill() {
 	if cfg.CallTimeout <= 0 {
 		cfg.CallTimeout = 15 * time.Second
 	}
-	if cfg.MaxReroutes <= 0 {
-		cfg.MaxReroutes = 8
-	}
 	if cfg.QueueBound <= 0 {
 		cfg.QueueBound = 4096 * max(len(cfg.Backends), 1)
-	}
-	if cfg.StealThreshold == 0 {
-		cfg.StealThreshold = 8
 	}
 }
 
@@ -114,16 +102,20 @@ type MembershipChange struct {
 // backend across coordinator restarts and unrelated pool changes, and
 // that backend's persistent cache keeps answering it.
 //
+// Where a live key runs is decided in one place: place. Admission, the
+// prober's sweep, Join, Leave, a failed forward and a failed status or
+// result proxy all hand it their keys, and it alone forwards them. A
+// health prober plus per-backend circuit state detect failures; live
+// keys on a failed backend re-route to survivors within a bounded
+// budget.
+//
 // Membership is elastic: Join and Leave rebuild the ring under lock,
 // bump a monotonic epoch, and touch only the keys whose ownership the
 // change moved — live moved keys re-forward to the new owner (backends
 // dedupe by key, so duplicate forwards are harmless), and finished
 // moved keys warm-hand their cached results to the new owner via the
-// backend cache-transfer endpoints instead of recomputing. A health
-// prober plus per-backend circuit state detect failures; live keys on a
-// failed backend re-route to survivors. The prober also steals queued
-// keys from overloaded backends to idle ones to cut tail latency, and
-// with JournalPath set, every accepted job and membership change is
+// backend cache-transfer endpoints instead of recomputing. With
+// JournalPath set, every accepted job and membership change is
 // write-ahead journaled so an in-flight grid survives coordinator
 // crash, not just backend death. Results are proxied once and memoized,
 // which keeps the client-observable contract byte-identical to a
@@ -156,7 +148,6 @@ type Coordinator struct {
 	rerouted    int64
 	handoffKeys int64
 	handoffXfer int64
-	stolen      int64
 	replayed    int64
 
 	journalErrOnce sync.Once
@@ -231,56 +222,6 @@ func (c *Coordinator) journalAppend(rec JournalRecord) {
 	}
 }
 
-// maybeRotateJournal compacts the log once it holds substantially more
-// records than the live state it would replay to: a snapshot of the
-// current membership delta (relative to the configured backend list)
-// plus every known job, written atomically over the old log.
-func (c *Coordinator) maybeRotateJournal() {
-	if c.journal == nil {
-		return
-	}
-	c.mu.Lock()
-	states := len(c.states)
-	c.mu.Unlock()
-	if n := c.journal.Records(); n < 4096 || n <= 2*(states+c.pool.Len()) {
-		return
-	}
-	c.memberMu.Lock()
-	defer c.memberMu.Unlock()
-	var snap []JournalRecord
-	// Membership first, so replayed jobs can route immediately.
-	cfgSet := map[string]bool{}
-	for _, a := range c.cfg.Backends {
-		if n := normalizeBackendAddr(a); n != "" {
-			cfgSet[n] = true
-		}
-	}
-	cur := map[string]bool{}
-	epoch := c.pool.Epoch()
-	for _, b := range c.pool.All() {
-		cur[b.Addr()] = true
-		if !cfgSet[b.Addr()] {
-			snap = append(snap, JournalRecord{T: journalJoin, Addr: b.Addr(), Epoch: epoch})
-		}
-	}
-	for a := range cfgSet {
-		if !cur[a] {
-			snap = append(snap, JournalRecord{T: journalLeave, Addr: a, Epoch: epoch})
-		}
-	}
-	c.mu.Lock()
-	for _, st := range c.states {
-		job := st.job
-		snap = append(snap, JournalRecord{T: journalJob, Key: st.key, Job: &job})
-	}
-	c.mu.Unlock()
-	if err := c.journal.Rotate(snap); err != nil {
-		c.journalErrOnce.Do(func() {
-			fmt.Fprintf(os.Stderr, "gpulat: coordinator journal rotation failed: %v\n", err)
-		})
-	}
-}
-
 // Close stops the prober and fails every non-terminal key so no local
 // waiter blocks; Close is idempotent, and Submit after Close returns
 // ErrStationClosed in bounded time. The journal file survives Close —
@@ -348,8 +289,8 @@ func (c *Coordinator) SubmitMany(ctx context.Context, jobs []runner.Job) ([]JobT
 		return nil, ErrStationClosed
 	}
 	tickets := make([]JobTicket, 0, len(jobs))
-	groups := map[*Backend][]*routedJob{}
 	var admitted []*routedJob // newly-created states, in order, for the journal
+	var refused error
 	for _, job := range jobs {
 		key := job.Key()
 		c.submitted++
@@ -358,29 +299,20 @@ func (c *Coordinator) SubmitMany(ctx context.Context, jobs []runner.Job) ([]JobT
 			tickets = append(tickets, JobTicket{Key: key, Status: st.status})
 			continue
 		}
-		refuse := func(err error) ([]JobTicket, error) {
-			c.rejected++
-			c.mu.Unlock()
-			// The accepted prefix is real: journal it, then forward what
-			// was already grouped before refusing the rest — an accepted
-			// ticket must correspond to a journaled and forwarded (or
-			// explicitly failing) job, never to one silently stranded in
-			// the states map.
-			for _, st := range admitted {
-				job := st.job
-				c.journalAppend(JournalRecord{T: journalJob, Key: st.key, Job: &job})
-			}
-			for gb, g := range groups {
-				c.forward(ctx, gb, g)
-			}
-			return tickets, err
-		}
+		var b *Backend
 		if c.live >= c.cfg.QueueBound {
-			return refuse(ErrQueueFull)
+			refused = ErrQueueFull
+		} else if b = c.pool.Route(key, nil); b == nil {
+			refused = ErrNoBackends
 		}
-		b := c.pool.Route(key, nil)
-		if b == nil {
-			return refuse(ErrNoBackends)
+		if refused != nil {
+			// The accepted prefix is real: it is journaled and forwarded
+			// below before the rest is refused — an accepted ticket must
+			// correspond to a journaled and forwarded (or explicitly
+			// failing) job, never to one silently stranded in the states
+			// map.
+			c.rejected++
+			break
 		}
 		st := &routedJob{key: key, job: job, backend: b, status: StatusQueued}
 		if old, replaced := c.states[key]; replaced && !old.done {
@@ -391,7 +323,6 @@ func (c *Coordinator) SubmitMany(ctx context.Context, jobs []runner.Job) ([]JobT
 		c.states[key] = st
 		c.live++
 		admitted = append(admitted, st)
-		groups[b] = append(groups[b], st)
 		tickets = append(tickets, JobTicket{Key: key, Status: StatusQueued})
 	}
 	c.mu.Unlock()
@@ -403,10 +334,7 @@ func (c *Coordinator) SubmitMany(ctx context.Context, jobs []runner.Job) ([]JobT
 		job := st.job
 		c.journalAppend(JournalRecord{T: journalJob, Key: st.key, Job: &job})
 	}
-
-	for b, group := range groups {
-		c.forward(ctx, b, group)
-	}
+	c.place(ctx, admitted, nil)
 
 	// Refresh ticket statuses after forwarding: a backend answering from
 	// its cache reports "done" immediately, which lets clients skip the
@@ -418,8 +346,7 @@ func (c *Coordinator) SubmitMany(ctx context.Context, jobs []runner.Job) ([]JobT
 		}
 	}
 	c.mu.Unlock()
-	c.maybeRotateJournal()
-	return tickets, nil
+	return tickets, refused
 }
 
 // Join adds addr to the pool at a new epoch and reacts to the exact
@@ -455,8 +382,8 @@ func (c *Coordinator) Join(ctx context.Context, addr string) (MembershipChange, 
 
 	// Split the delta: live keys re-forward to the joiner; finished
 	// keys warm-hand their cached results, pulled from wherever each
-	// was actually computed (which a reroute or steal may have made a
-	// different backend than the old ring owner).
+	// was actually computed (which a reroute may have made a different
+	// backend than the old ring owner).
 	var liveMoved []*routedJob
 	pulls := map[string][]runner.JobKey{}
 	c.mu.Lock()
@@ -491,7 +418,7 @@ func (c *Coordinator) Join(ctx context.Context, addr string) (MembershipChange, 
 	c.handoffXfer += int64(ch.Transferred)
 	c.mu.Unlock()
 
-	c.forward(ctx, b, liveMoved)
+	c.place(ctx, liveMoved, nil)
 	return ch, nil
 }
 
@@ -554,26 +481,17 @@ func (c *Coordinator) Leave(ctx context.Context, addr string) (MembershipChange,
 		pullsByOwner[to][from] = append(pullsByOwner[to][from], mv.Key)
 	}
 	// Every live key placed on the leaver drains to a survivor — not
-	// just ring-moved ones: steals and reroutes may have parked keys
-	// there that the ring never owned.
-	drain := map[*Backend][]*routedJob{}
+	// just ring-moved ones: reroutes may have parked keys there that the
+	// ring never owned.
+	var drain []*routedJob
 	for _, st := range c.states {
-		if st.done || st.backend != b {
-			continue
+		if !st.done && st.backend == b {
+			drain = append(drain, st)
 		}
-		nb := c.pool.Route(st.key, nil)
-		if nb == nil {
-			c.failLocked(st, ErrNoBackends.Error())
-			continue
-		}
-		st.backend = nb
-		st.forwarded = false
-		st.status = StatusQueued
-		drain[nb] = append(drain[nb], st)
-		ch.Reassigned++
 	}
 	c.handoffKeys += int64(len(moves))
 	c.mu.Unlock()
+	ch.Reassigned = c.place(ctx, drain, b)
 
 	for owner, pulls := range pullsByOwner {
 		ch.Transferred += c.pullCaches(ctx, owner, pulls)
@@ -581,10 +499,6 @@ func (c *Coordinator) Leave(ctx context.Context, addr string) (MembershipChange,
 	c.mu.Lock()
 	c.handoffXfer += int64(ch.Transferred)
 	c.mu.Unlock()
-
-	for nb, group := range drain {
-		c.forward(ctx, nb, group)
-	}
 	return ch, nil
 }
 
@@ -609,15 +523,13 @@ func (c *Coordinator) ownershipMoves(before, after *runner.Ring) []runner.KeyMov
 func (c *Coordinator) pullCaches(ctx context.Context, owner *Backend, pulls map[string][]runner.JobKey) int {
 	transferred := 0
 	for from, keys := range pulls {
-		for len(keys) > 0 {
-			n := min(len(keys), maxForwardBatch)
+		for chunk := range slices.Chunk(keys, maxForwardBatch) {
 			pctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), c.cfg.CallTimeout)
-			res, err := owner.client.CachePull(pctx, from, keys[:n])
+			res, err := owner.client.CachePull(pctx, from, chunk)
 			cancel()
 			if err == nil {
 				transferred += res.Transferred
 			}
-			keys = keys[n:]
 		}
 	}
 	return transferred
@@ -628,19 +540,11 @@ func (c *Coordinator) pullCaches(ctx context.Context, owner *Backend, pulls map[
 // far end's per-request bound.
 const maxForwardBatch = maxJobsPerRequest / 2
 
-// forward submits one backend's batch in bounded chunks, re-placing
-// jobs whose backend turns out to be dead. ctx contributes only values
-// (the trace ID); each chunk gets its own timeout detached from the
-// caller's cancellation.
+// forward submits one chunk of a backend's batch, handing the jobs back
+// to place when the backend turns out to be dead. ctx contributes only
+// values (the trace ID); each chunk gets its own timeout detached from
+// the caller's cancellation.
 func (c *Coordinator) forward(ctx context.Context, b *Backend, group []*routedJob) {
-	for len(group) > 0 {
-		n := min(len(group), maxForwardBatch)
-		c.forwardChunk(ctx, b, group[:n])
-		group = group[n:]
-	}
-}
-
-func (c *Coordinator) forwardChunk(ctx context.Context, b *Backend, group []*routedJob) {
 	jobs := make([]runner.Job, len(group))
 	for i, st := range group {
 		jobs[i] = st.job
@@ -674,58 +578,91 @@ func (c *Coordinator) forwardChunk(ctx context.Context, b *Backend, group []*rou
 		return
 	}
 	b.reportFailure(c.cfg.FailThreshold, err, false)
-	c.replaceGroup(ctx, group, b)
+	c.place(ctx, group, b)
 }
 
-// resubmit re-places one key after its backend failed it; ctx
-// contributes only the trace ID.
-func (c *Coordinator) resubmit(ctx context.Context, st *routedJob, from *Backend) {
-	c.replaceGroup(ctx, []*routedJob{st}, from)
-}
+// rerouteBudget bounds how many times one key is re-placed after backend
+// failures before it fails outright.
+const rerouteBudget = 8
 
-// replaceGroup re-places every live key of group off `from`: each key
-// walks the ring past the failed backend, the re-placements are grouped
-// by new owner and re-forwarded as BATCHES (a failed 500-job batch
-// becomes one bulk POST per survivor, not 500 sequential calls), and a
-// batch whose new owner also fails recurses — bounded, because every
-// hop spends one unit of each key's reroute budget. Keys whose budget
-// runs out, or that no routable backend will take, fail terminally so
-// their waiters unblock. Safe to call concurrently for the same state:
-// the first caller to move st.backend wins and later callers (guarded
-// by st.backend != from) skip it.
-func (c *Coordinator) replaceGroup(ctx context.Context, group []*routedJob, from *Backend) {
+// place is the one function that gives a live key a backend, and the
+// only caller of forward. A key keeps a backend that is a routable pool
+// member other than avoid, and is forwarded there only if the backend
+// has not acknowledged it yet (an admission, a Join's reassignment, a
+// chunk parked by backpressure or by a forward that raced Close on the
+// far end). Any other key walks the ring, and why it lost its backend
+// decides what that costs:
+//
+//   - never placed (journal replay into an empty or all-down pool): it
+//     takes the first routable backend, or waits for the next sweep;
+//   - its backend left the pool: it drains to a survivor without
+//     touching the reroute budget or the rerouted counters;
+//   - its backend failed — its circuit is open, or it is avoid, the
+//     backend a caller just watched fail, which may not have tripped its
+//     circuit yet: the move spends one unit of the key's reroute budget
+//     and counts in rerouted / rerouted_away.
+//
+// A key that left or failed and that no routable backend will take, or
+// whose budget has run out, fails terminally so its waiters unblock.
+// With avoid set only keys still on avoid move, so concurrent reporters
+// of one failure re-place a key once: the first to move st.backend wins.
+// Placements are grouped by backend and forwarded as BATCHES, in bounded
+// chunks (a failed 500-job batch becomes one bulk POST per survivor, not
+// 500 sequential calls); a chunk whose new owner also fails comes back
+// here through forward — bounded, because every such hop spends budget.
+// Duplicate forwards are harmless: backends dedupe by key. ctx
+// contributes only the trace ID. Returns how many keys moved.
+func (c *Coordinator) place(ctx context.Context, group []*routedJob, avoid *Backend) (moved int) {
 	targets := map[*Backend][]*routedJob{}
 	c.mu.Lock()
 	for _, st := range group {
-		if st.done || c.closed || st.backend != from {
+		if st.done || (avoid != nil && st.backend != avoid) {
 			continue
 		}
-		if st.reroutes >= c.cfg.MaxReroutes {
+		from := st.backend
+		member := from != nil && c.pool.has(from)
+		if member && from != avoid && from.routable() {
+			if !st.forwarded {
+				targets[from] = append(targets[from], st)
+			}
+			continue
+		}
+		// A member that gets here failed (it is avoid, or its circuit is
+		// open); a nil or departed from costs the key nothing.
+		if member && st.reroutes >= rerouteBudget {
 			c.failLocked(st, fmt.Sprintf(
 				"service: job %s still unplaced after %d reroutes: %v", st.key, st.reroutes, ErrNoBackends))
 			continue
 		}
-		st.reroutes++
+		// Route skips from, but hands it back when it is the only
+		// routable member left: retrying the sole survivor beats failing.
 		b := c.pool.Route(st.key, from)
 		if b == nil {
-			c.failLocked(st, ErrNoBackends.Error())
+			if from != nil {
+				c.failLocked(st, ErrNoBackends.Error())
+			}
 			continue
+		}
+		if member {
+			st.reroutes++
+			c.rerouted++
+			if b != from {
+				from.noteRerouted()
+			}
 		}
 		st.backend = b
 		st.forwarded = false
 		st.status = StatusQueued
-		c.rerouted++
 		targets[b] = append(targets[b], st)
+		moved++
 	}
 	c.mu.Unlock()
 	for b, sub := range targets {
-		if from != nil && from != b {
-			for range sub {
-				from.noteRerouted()
-			}
+		for chunk := range slices.Chunk(sub, maxForwardBatch) {
+			c.forward(ctx, b, chunk)
 		}
-		c.forward(ctx, b, sub)
 	}
+	return moved
 }
 
 // jitter returns d scaled by a uniform factor in [0.75, 1.25), so a
@@ -740,20 +677,16 @@ func jitter(d time.Duration) time.Duration {
 
 // prober drives the failure detector: every ProbeInterval (jittered
 // ±25%) it probes each backend's /v1/healthz (feeding the same circuit
-// state the forwarding path uses), then sweeps for live keys stranded
-// on unroutable backends, re-places them, and steals queued work from
-// overloaded backends to idle ones. Detection-to-reroute latency is
-// therefore bounded by ProbeInterval × FailThreshold even if no client
-// is polling. The first round waits out one (jittered) interval — an
-// immediate round would race the caller's first SubmitMany on the same
-// connections, where a probe's context cancellation can poison a
-// just-pooled keep-alive conn under the forward's POST.
+// state the forwarding path uses), then sweeps every live key through
+// place. Detection-to-reroute latency is therefore bounded by
+// ProbeInterval × FailThreshold even if no client is polling. The first
+// round waits out one (jittered) interval — an immediate round would
+// race the caller's first SubmitMany on the same connections, where a
+// probe's context cancellation can poison a just-pooled keep-alive conn
+// under the forward's POST.
 func (c *Coordinator) prober() {
 	defer c.wg.Done()
-	probeTimeout := c.cfg.ProbeInterval
-	if probeTimeout > time.Second {
-		probeTimeout = time.Second
-	}
+	probeTimeout := min(c.cfg.ProbeInterval, time.Second)
 	timer := time.NewTimer(jitter(c.cfg.ProbeInterval))
 	defer timer.Stop()
 	for {
@@ -774,174 +707,24 @@ func (c *Coordinator) prober() {
 			}
 		}
 		c.sweepStranded()
-		c.stealWork()
-		c.maybeRotateJournal()
 		timer.Reset(jitter(c.cfg.ProbeInterval))
 	}
 }
 
-// sweepStranded is the prober's safety net: live keys whose backend is
-// unroutable are re-placed, keys that were accepted but never
-// successfully forwarded (e.g. an admission batch that hit ErrNoBackends
-// part-way, or a forward raced by Close on the far end) are re-forwarded
-// to their assigned backend, and keys with no placement at all (journal
-// replay into an empty pool) are placed as soon as a backend is
-// routable. Duplicate forwards are harmless — backends dedupe by key.
+// sweepStranded is the prober's safety net: every live key goes through
+// place, which moves the ones stranded on an unroutable backend,
+// forwards the ones accepted but never acknowledged, gives the unplaced
+// ones a backend once one is routable, and leaves the rest alone.
 func (c *Coordinator) sweepStranded() {
-	replace := map[*Backend][]*routedJob{}
-	reforward := map[*Backend][]*routedJob{}
-	place := map[*Backend][]*routedJob{}
+	var live []*routedJob
 	c.mu.Lock()
 	for _, st := range c.states {
-		switch {
-		case st.done:
-		case st.backend == nil:
-			if b := c.pool.Route(st.key, nil); b != nil {
-				st.backend = b
-				place[b] = append(place[b], st)
-			}
-		case !st.backend.routable():
-			replace[st.backend] = append(replace[st.backend], st)
-		case !st.forwarded:
-			reforward[st.backend] = append(reforward[st.backend], st)
+		if !st.done {
+			live = append(live, st)
 		}
 	}
 	c.mu.Unlock()
-	for from, group := range replace {
-		c.replaceGroup(context.Background(), group, from)
-	}
-	for b, group := range reforward {
-		c.forward(context.Background(), b, group)
-	}
-	for b, group := range place {
-		c.forward(context.Background(), b, group)
-	}
-}
-
-// stealBatch bounds one steal round: at most this many keys move (and
-// at most this many per-key status checks go out) per prober tick.
-const stealBatch = 128
-
-// stealWork cuts tail latency on an unbalanced pool: when a routable
-// backend reports itself idle (its own statsz shows nothing queued or
-// running) while another reports a queued backlog of at least
-// StealThreshold jobs, up to half of the donor's still-queued keys move
-// to the idle backends and re-forward there. The queue depths come from
-// the backends' OWN statsz — the coordinator's key statuses go stale
-// when no client is polling — and each forwarded candidate's status is
-// re-checked against the donor before it moves, so finished work is
-// never recomputed on the thief (the check also refreshes the
-// coordinator's view of keys that turn out to be running or done).
-func (c *Coordinator) stealWork() {
-	threshold := c.cfg.StealThreshold
-	if threshold <= 0 {
-		return
-	}
-	var routable []*Backend
-	for _, b := range c.pool.All() {
-		if b.routable() {
-			routable = append(routable, b)
-		}
-	}
-	if len(routable) < 2 {
-		return
-	}
-	viewTimeout := c.cfg.ProbeInterval
-	if viewTimeout > time.Second {
-		viewTimeout = time.Second
-	}
-	depth := make(map[*Backend]int, len(routable))
-	var idle []*Backend
-	var donor *Backend
-	for _, b := range routable {
-		ctx, cancel := context.WithTimeout(context.Background(), viewTimeout)
-		sz, err := b.client.Statsz(ctx)
-		cancel()
-		if err != nil {
-			continue // no view, no role this round
-		}
-		if sz.Station.Queued == 0 && sz.Station.Running == 0 {
-			idle = append(idle, b)
-			continue
-		}
-		depth[b] = sz.Station.Queued
-		if depth[b] >= threshold && (donor == nil || depth[b] > depth[donor]) {
-			donor = b
-		}
-	}
-	if donor == nil || len(idle) == 0 {
-		return
-	}
-	take := min(depth[donor]/2, stealBatch)
-	if take <= 0 {
-		return
-	}
-	// Candidates: keys placed on the donor that the coordinator last saw
-	// queued. Unforwarded ones (parked by backpressure) are definitely
-	// not running anywhere — steal them without a check.
-	var sure, check []*routedJob
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return
-	}
-	for _, st := range c.states {
-		if st.done || st.backend != donor || st.status != StatusQueued {
-			continue
-		}
-		if st.forwarded {
-			check = append(check, st)
-		} else {
-			sure = append(sure, st)
-		}
-	}
-	c.mu.Unlock()
-
-	var stolen []*routedJob
-	for _, st := range sure {
-		if len(stolen) >= take {
-			break
-		}
-		stolen = append(stolen, st)
-	}
-	for _, st := range check {
-		if len(stolen) >= take {
-			break
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), viewTimeout)
-		js, err := donor.client.Status(ctx, st.key)
-		cancel()
-		if err != nil {
-			break // donor gone mid-round; the sweep handles that path
-		}
-		if js.Status == StatusQueued {
-			stolen = append(stolen, st)
-			continue
-		}
-		// Opportunistic refresh: the donor is further along than we knew.
-		c.mu.Lock()
-		if !st.done && st.backend == donor {
-			st.status = js.Status
-		}
-		c.mu.Unlock()
-	}
-
-	moved := map[*Backend][]*routedJob{}
-	c.mu.Lock()
-	for i, st := range stolen {
-		if st.done || st.backend != donor {
-			continue
-		}
-		thief := idle[i%len(idle)]
-		st.backend = thief
-		st.forwarded = false
-		moved[thief] = append(moved[thief], st)
-		c.stolen++
-	}
-	c.mu.Unlock()
-	for thief, group := range moved {
-		c.forward(context.Background(), thief, group)
-	}
+	c.place(context.Background(), live, nil)
 }
 
 // Status reports a key's position without waiting; see Wait.
@@ -976,7 +759,6 @@ func (c *Coordinator) Wait(ctx context.Context, key runner.JobKey, d time.Durati
 	defer cancel()
 	defer context.AfterFunc(c.ctx, cancel)()
 	js, err := b.client.Wait(wctx, key, d)
-	var ae *APIError
 	switch {
 	case err == nil:
 		b.reportSuccess(false)
@@ -987,19 +769,10 @@ func (c *Coordinator) Wait(ctx context.Context, key runner.JobKey, d time.Durati
 		c.mu.Unlock()
 	case ctx.Err() != nil || c.ctx.Err() != nil:
 		// We hung up, not the backend.
-	case !errors.As(err, &ae):
-		// Transport failure: count it against the circuit and re-place now.
-		b.reportFailure(c.cfg.FailThreshold, err, false)
-		c.resubmit(ctx, st, b)
-		return StatusQueued, true
-	case ae.Code == http.StatusNotFound:
-		// The backend answered but has never heard of the key — it
-		// restarted and lost its in-memory states. Re-place the job.
-		c.resubmit(ctx, st, b)
+	case c.proxyFailed(ctx, st, b, err):
 		return StatusQueued, true
 	}
-	// Any other API answer means the backend is alive; report the last
-	// status we believed.
+	// The backend is alive; report the last status we believed.
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return st.status, true
@@ -1049,22 +822,27 @@ func (c *Coordinator) Result(ctx context.Context, key runner.JobKey) (runner.Res
 		c.mu.Unlock()
 		return res, true
 	}
-	var ae *APIError
-	if errors.As(err, &ae) {
-		switch ae.Code {
-		case http.StatusConflict:
-			// Known but not finished yet.
-			return runner.Result{}, false
-		case http.StatusNotFound:
-			c.resubmit(ctx, st, b)
-			return runner.Result{}, false
-		default:
-			return runner.Result{}, false
-		}
-	}
-	b.reportFailure(c.cfg.FailThreshold, err, false)
-	c.resubmit(ctx, st, b)
+	// Not fetched: the key is known but unfinished (409), or it was just
+	// re-placed.
+	c.proxyFailed(ctx, st, b, err)
 	return runner.Result{}, false
+}
+
+// proxyFailed classifies the error of a status or result call proxied to
+// b for st, and reports whether it re-placed the key. A transport
+// failure counts against b's circuit and re-places now; a 404 means b
+// answered but has never heard of the key — it restarted and lost its
+// in-memory states — so the key is re-placed with no circuit penalty;
+// any other API answer means b is alive and the key stays.
+func (c *Coordinator) proxyFailed(ctx context.Context, st *routedJob, b *Backend, err error) bool {
+	var ae *APIError
+	if !errors.As(err, &ae) {
+		b.reportFailure(c.cfg.FailThreshold, err, false)
+	} else if ae.Code != http.StatusNotFound {
+		return false
+	}
+	c.place(ctx, []*routedJob{st}, b)
+	return true
 }
 
 // Stats snapshots the coordinator's counters. Executed/CacheHits are
@@ -1080,15 +858,10 @@ func (c *Coordinator) Stats() StationStats {
 		Rerouted:           c.rerouted,
 		HandoffKeys:        c.handoffKeys,
 		HandoffTransferred: c.handoffXfer,
-		Stolen:             c.stolen,
 		Replayed:           c.replayed,
 	}
 	for _, st := range c.states {
 		switch {
-		case st.done && st.status == StatusFailed:
-			s.Failed++
-		case st.done:
-			s.Done++
 		case st.status == StatusDone:
 			s.Done++
 		case st.status == StatusFailed:

@@ -53,13 +53,10 @@
 //     instead of recomputing. Joins arrive via POST /v1/backends/join
 //     (admin or the `gpulat backends` CLI) or a backend's own
 //     `serve -join` self-registration. An optional write-ahead journal
-//     (CoordinatorConfig.JournalPath, JSONL, torn-tail tolerant,
-//     rotated when it dwarfs the live state) records accepted jobs and
-//     membership changes before tickets return, so a coordinator
-//     killed mid-grid replays its in-flight keys on restart. A work
-//     stealer moves queued keys from a backend whose own statsz shows
-//     a backlog past CoordinatorConfig.StealThreshold to idle
-//     backends, re-verifying each key's status on the donor first.
+//     (CoordinatorConfig.JournalPath, JSONL, torn-tail tolerant)
+//     records accepted jobs and membership changes before tickets
+//     return, so a coordinator killed mid-grid replays its in-flight
+//     keys on restart.
 //
 // The whole layer preserves the repo's determinism discipline: cached
 // results are stored in the comparable encoding (wall-clock fields

@@ -3,10 +3,13 @@ package service
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -271,45 +274,6 @@ func TestCoordinatorJournalRecovery(t *testing.T) {
 	}
 }
 
-// TestCoordinatorStealsFromOverloadedBackend: with one backend wedged
-// behind a deep queue and the other idle, the prober moves queued keys
-// to the idle backend and they complete there.
-func TestCoordinatorStealsFromOverloadedBackend(t *testing.T) {
-	wedge := make(chan struct{})
-	b1, _ := newCachedBackend(t, wedge) // every execution blocks
-	unwedge := releaser(t, wedge)
-	b2, _ := newCachedBackend(t, nil)
-	coord, err := NewCoordinator(CoordinatorConfig{
-		Backends:       []string{b1.ts.URL, b2.ts.URL},
-		ProbeInterval:  20 * time.Millisecond,
-		FailThreshold:  2,
-		StealThreshold: 4,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(coord.Close)
-
-	jobs := make([]runner.Job, 60)
-	for i := range jobs {
-		jobs[i] = testJob(i)
-	}
-	if _, err := coord.SubmitMany(context.Background(), jobs); err != nil {
-		t.Fatal(err)
-	}
-	// b2 finishes its share and idles; b1's queue backs up past the
-	// threshold; the prober must start stealing.
-	deadline := time.Now().Add(15 * time.Second)
-	for coord.Stats().Stolen == 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("nothing stolen: %+v", coord.Stats())
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	unwedge()
-	waitAllDone(t, coord, jobs)
-}
-
 // TestMembershipAndCacheHTTPSurface drives join/leave and the cache
 // transfer endpoints over HTTP, including the error mapping (non-member
 // → 404, last backend → 409, station → 404 for all of them).
@@ -442,4 +406,236 @@ func ownedBy(t *testing.T, coord *Coordinator, jobs []runner.Job, addr string) r
 func apiCode(err error, code int) bool {
 	var ae *APIError
 	return errors.As(err, &ae) && ae.Code == code
+}
+
+// TestNoDuplicateExecutionWithoutFailure: while every backend is alive
+// the tier runs each job exactly once, however lopsided the queues — one
+// backend wedged behind its whole share while the other idles through
+// many probe rounds. Moving a queued key to the idle backend would not
+// help: a station has no cancel, so the wedged one still runs its copy.
+func TestNoDuplicateExecutionWithoutFailure(t *testing.T) {
+	wedge := make(chan struct{})
+	b1, _ := newCachedBackend(t, wedge) // every execution blocks
+	unwedge := releaser(t, wedge)
+	b2, _ := newCachedBackend(t, nil)
+	coord := quickCoordinator(t, []string{b1.ts.URL, b2.ts.URL})
+
+	jobs := make([]runner.Job, 60)
+	for i := range jobs {
+		jobs[i] = testJob(i)
+	}
+	if _, err := coord.SubmitMany(context.Background(), jobs); err != nil {
+		t.Fatal(err)
+	}
+	eventually(t, "20 probe rounds over the lopsided pool", func() bool {
+		for _, b := range coord.Backends() {
+			if b.Probes < 20 {
+				return false
+			}
+		}
+		return true
+	})
+	unwedge()
+	waitAllDone(t, coord, jobs)
+	if n := b1.execs.count() + b2.execs.count(); n != len(jobs) {
+		t.Fatalf("pool executed %d simulations for %d jobs (b1=%d b2=%d)", n, len(jobs), b1.execs.count(), b2.execs.count())
+	}
+	if s := coord.Stats(); s.Rerouted != 0 {
+		t.Fatalf("keys moved with no backend failing: %+v", s)
+	}
+}
+
+// newFailingBackend is a live backend whose POST /v1/jobs answers 500
+// for its first `failures` calls (negative: always); everything else,
+// health probes included, reaches a real station. It returns the base
+// URL, the POST counter and the execution counter.
+func newFailingBackend(t *testing.T, failures int64) (string, *atomic.Int64, *countingExec) {
+	t.Helper()
+	ce := &countingExec{}
+	station := NewStation(nil, StationConfig{Workers: 2, Exec: ce.exec})
+	inner := NewServer(station, nil)
+	posts := new(atomic.Int64)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost && r.URL.Path == "/v1/jobs" {
+			if n := posts.Add(1); failures < 0 || n <= failures {
+				writeError(w, http.StatusInternalServerError, "broken on purpose")
+				return
+			}
+		}
+		inner.ServeHTTP(w, r)
+	}))
+	t.Cleanup(func() { ts.Close(); station.Close() })
+	return ts.URL, posts, ce
+}
+
+// TestPlaceRule pins what it costs a key to be given a backend, one row
+// per reason it needs one (see Coordinator.place). The rows that count
+// forwards keep the prober out of the way with an hour-long interval and
+// keep every circuit closed with a threshold no test reaches.
+func TestPlaceRule(t *testing.T) {
+	ctx := context.Background()
+	quiet := func(t *testing.T, addrs ...string) *Coordinator {
+		t.Helper()
+		coord, err := NewCoordinator(CoordinatorConfig{Backends: addrs, ProbeInterval: time.Hour, FailThreshold: 100})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(coord.Close)
+		return coord
+	}
+	state := func(coord *Coordinator, key runner.JobKey) (st *routedJob, backend *Backend, reroutes int) {
+		coord.mu.Lock()
+		defer coord.mu.Unlock()
+		st = coord.states[key]
+		return st, st.backend, st.reroutes
+	}
+	reroutedAway := func(coord *Coordinator) (n int64) {
+		for _, b := range coord.Backends() {
+			n += b.ReroutedAway
+		}
+		return n
+	}
+
+	// Waits for a backend, then costs nothing.
+	t.Run("never placed", func(t *testing.T) {
+		path := filepath.Join(t.TempDir(), "coordinator.jsonl")
+		j, _, err := OpenJournal(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs := []runner.Job{testJob(0), testJob(1), testJob(2)}
+		for i := range jobs {
+			if err := j.Append(JournalRecord{T: journalJob, Key: jobs[i].Key(), Job: &jobs[i]}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		j.Close()
+		coord, err := NewCoordinator(CoordinatorConfig{ProbeInterval: 20 * time.Millisecond, JournalPath: path})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(coord.Close)
+		coord.sweepStranded() // an empty pool: nothing to place on, nothing fails
+		if s := coord.Stats(); s.Replayed != 3 || s.Queued != 3 || s.Failed != 0 {
+			t.Fatalf("replay into an empty pool: %+v", s)
+		}
+		// The pool's Join, not the coordinator's: that one hands an
+		// empty ring's keys to the joiner itself, and the point here is
+		// that the sweep does.
+		b1 := newTestBackend(t, nil)
+		coord.pool.Join(b1.ts.URL)
+		waitAllDone(t, coord, jobs)
+		for _, job := range jobs {
+			if _, _, reroutes := state(coord, job.Key()); reroutes != 0 {
+				t.Fatalf("first placement of %s spent %d reroutes", job.Key(), reroutes)
+			}
+		}
+		if s := coord.Stats(); s.Rerouted != 0 || b1.execs.count() != 3 {
+			t.Fatalf("stats %+v, joiner ran %d of 3", s, b1.execs.count())
+		}
+	})
+	// Drains for free; fails only when every survivor is down.
+	t.Run("backend left", func(t *testing.T) {
+		dead := httptest.NewServer(nil)
+		dead.Close()
+		wedge := make(chan struct{})
+		b2 := newTestBackend(t, wedge)
+		b3 := newTestBackend(t, wedge)
+		releaser(t, wedge)
+		coord := quickCoordinator(t, []string{dead.URL, b2.ts.URL, b3.ts.URL})
+		eventually(t, "the dead member's circuit to open", func() bool { return coord.pool.Healthy() == 2 })
+
+		jobs := make([]runner.Job, 24)
+		for i := range jobs {
+			jobs[i] = testJob(i)
+		}
+		if _, err := coord.SubmitMany(ctx, jobs); err != nil {
+			t.Fatal(err)
+		}
+		ch, err := coord.Leave(ctx, b2.ts.URL)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := coord.Stats()
+		if ch.Reassigned == 0 || s.Failed != 0 || s.Rerouted != 0 || reroutedAway(coord) != 0 {
+			t.Fatalf("drain to a live survivor: change %+v, stats %+v, rerouted away %d", ch, s, reroutedAway(coord))
+		}
+		for _, job := range jobs {
+			if _, b, reroutes := state(coord, job.Key()); b.Addr() != normalizeBackendAddr(b3.ts.URL) || reroutes != 0 {
+				t.Fatalf("key %s on %s after %d reroutes, want the live survivor for free", job.Key(), b.Addr(), reroutes)
+			}
+		}
+		// Now the only survivor is the one whose circuit is open.
+		ch, err = coord.Leave(ctx, b3.ts.URL)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s := coord.Stats(); ch.Reassigned != 0 || s.Failed != len(jobs) || s.Rerouted != 0 {
+			t.Fatalf("drain with every survivor down: change %+v, stats %+v", ch, s)
+		}
+		for _, job := range jobs {
+			if res, ok := coord.Result(ctx, job.Key()); !ok || res.Err != ErrNoBackends.Error() {
+				t.Fatalf("key %s: %+v, %v; want ErrNoBackends", job.Key(), res, ok)
+			}
+		}
+	})
+	// One reroute a hop, terminal at the bound.
+	t.Run("backend failed", func(t *testing.T) {
+		u1, posts1, _ := newFailingBackend(t, -1)
+		u2, posts2, _ := newFailingBackend(t, -1)
+		coord := quiet(t, u1, u2)
+		job := testJob(0)
+		if _, _, err := coord.Submit(ctx, job); err != nil {
+			t.Fatal(err)
+		}
+		res, ok := coord.Result(ctx, job.Key())
+		if want := fmt.Sprintf("still unplaced after %d reroutes", rerouteBudget); !ok || !strings.Contains(res.Err, want) {
+			t.Fatalf("result %+v, %v; want %q", res, ok, want)
+		}
+		// The first forward plus one per hop, each hop off a different
+		// backend than it lands on.
+		if s, posts := coord.Stats(), posts1.Load()+posts2.Load(); s.Rerouted != rerouteBudget || posts != rerouteBudget+1 || reroutedAway(coord) != rerouteBudget {
+			t.Fatalf("stats %+v, %d forwards, %d rerouted away; want %d hops", s, posts, reroutedAway(coord), rerouteBudget)
+		}
+	})
+	// The sole routable backend is retried even when it is avoid.
+	t.Run("sole survivor", func(t *testing.T) {
+		u, posts, execs := newFailingBackend(t, 1)
+		coord := quiet(t, u)
+		job := testJob(0)
+		if _, _, err := coord.Submit(ctx, job); err != nil {
+			t.Fatal(err)
+		}
+		waitAllDone(t, coord, []runner.Job{job})
+		if s := coord.Stats(); s.Rerouted != 1 || reroutedAway(coord) != 0 || posts.Load() != 2 || execs.count() != 1 {
+			t.Fatalf("stats %+v, rerouted away %d, %d forwards, %d runs", s, reroutedAway(coord), posts.Load(), execs.count())
+		}
+	})
+	// One failure, many reporters: the key moves once.
+	t.Run("concurrent reporters", func(t *testing.T) {
+		b1 := newTestBackend(t, nil)
+		b2 := newTestBackend(t, nil)
+		coord := quiet(t, b1.ts.URL, b2.ts.URL)
+		job := testJob(0)
+		if _, _, err := coord.Submit(ctx, job); err != nil {
+			t.Fatal(err)
+		}
+		st, from, _ := state(coord, job.Key())
+		var wg sync.WaitGroup
+		for range 8 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if !coord.proxyFailed(ctx, st, from, errors.New("connection reset")) {
+					t.Error("a transport failure was not treated as one")
+				}
+			}()
+		}
+		wg.Wait()
+		_, now, reroutes := state(coord, job.Key())
+		if s := coord.Stats(); s.Rerouted != 1 || reroutes != 1 || now == from || reroutedAway(coord) != 1 {
+			t.Fatalf("stats %+v, %d reroutes, rerouted away %d, moved=%v", s, reroutes, reroutedAway(coord), now != from)
+		}
+		waitAllDone(t, coord, []runner.Job{job})
+	})
 }

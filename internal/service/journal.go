@@ -23,12 +23,9 @@ import (
 // configured backend list in the order they happened, reconstructing
 // the ring epoch the crashed coordinator had reached.
 //
-// The log is compacted by atomic rotation: a snapshot of the live state
-// (every known job once, plus the current membership) is written to a
-// temp file in the same directory and renamed over the journal, so a
-// crash during rotation leaves either the old complete log or the new
-// complete one, never a mix. A torn final line — the signature of dying
-// mid-Append — is tolerated on replay and dropped.
+// A torn final line — the signature of dying mid-Append — is tolerated
+// on replay and dropped. The log is never compacted: it holds one line
+// per accepted job and membership change for the coordinator's lifetime.
 
 // Journal record types.
 const (
@@ -51,10 +48,8 @@ type JournalRecord struct {
 
 // Journal is the append-only JSONL coordinator log.
 type Journal struct {
-	mu      sync.Mutex
-	path    string
-	f       *os.File
-	records int
+	mu sync.Mutex
+	f  *os.File
 }
 
 // OpenJournal opens (creating if needed) the journal at path and
@@ -94,11 +89,8 @@ func OpenJournal(path string) (*Journal, []JournalRecord, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("service: journal open: %w", err)
 	}
-	return &Journal{path: path, f: f, records: len(records)}, records, nil
+	return &Journal{f: f}, records, nil
 }
-
-// Path returns the journal's file path.
-func (j *Journal) Path() string { return j.path }
 
 // Append writes one record durably (one write(2), no userspace
 // buffering) before returning.
@@ -113,66 +105,6 @@ func (j *Journal) Append(rec JournalRecord) error {
 	if _, err := j.f.Write(data); err != nil {
 		return fmt.Errorf("service: journal append: %w", err)
 	}
-	j.records++
-	return nil
-}
-
-// Records returns how many records the log currently holds (replayed +
-// appended since open) — the coordinator's rotation trigger.
-func (j *Journal) Records() int {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.records
-}
-
-// Rotate atomically replaces the log with the given compacted snapshot:
-// temp file in the same directory, then rename over the live path. The
-// append handle switches to the new file before Rotate returns, so no
-// record written after a successful Rotate can land in the old inode.
-func (j *Journal) Rotate(snapshot []JournalRecord) error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	tmp, err := os.CreateTemp(filepath.Dir(j.path), ".journal-*")
-	if err != nil {
-		return fmt.Errorf("service: journal rotate: %w", err)
-	}
-	w := bufio.NewWriter(tmp)
-	for _, rec := range snapshot {
-		data, err := json.Marshal(rec)
-		if err == nil {
-			_, err = w.Write(append(data, '\n'))
-		}
-		if err != nil {
-			tmp.Close()
-			os.Remove(tmp.Name())
-			return fmt.Errorf("service: journal rotate: %w", err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("service: journal rotate: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("service: journal rotate: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("service: journal rotate: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), j.path); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("service: journal rotate: %w", err)
-	}
-	f, err := os.OpenFile(j.path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("service: journal reopen after rotate: %w", err)
-	}
-	j.f.Close()
-	j.f = f
-	j.records = len(snapshot)
 	return nil
 }
 

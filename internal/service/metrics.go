@@ -64,8 +64,6 @@ func newServerMetrics(svc JobService, cache *Cache, started time.Time) *serverMe
 			func(s StationStats) int64 { return s.HandoffKeys }},
 		{"gpulat_station_handoff_transferred_total", "Cached results warm-copied to a key's new owner instead of recomputed (coordinator only).",
 			func(s StationStats) int64 { return s.HandoffTransferred }},
-		{"gpulat_station_stolen_total", "Queued keys moved from an overloaded backend to an idle one (coordinator only).",
-			func(s StationStats) int64 { return s.Stolen }},
 		{"gpulat_station_replayed_total", "Jobs re-admitted from the write-ahead journal at startup (coordinator only).",
 			func(s StationStats) int64 { return s.Replayed }},
 	}

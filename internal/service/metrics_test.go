@@ -6,6 +6,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -130,6 +132,25 @@ func TestMetricsEndpointCoordinator(t *testing.T) {
 	}
 	if _, ok := s.Value("gpulat_cache_hits_total", nil); ok {
 		t.Errorf("coordinator (no cache) must not expose cache families")
+	}
+	// The whole family list, pinned: what dashboards and the shard gate
+	// grep for.
+	var got []string
+	for family := range s.Type {
+		got = append(got, family)
+	}
+	slices.Sort(got)
+	families := strings.Fields(`
+		gpulat_backend_assigned gpulat_backend_consecutive_failures gpulat_backend_probes_total
+		gpulat_backend_rerouted_away_total gpulat_backend_ring_share gpulat_backend_submitted_total
+		gpulat_backend_up gpulat_build_info gpulat_http_request_duration_seconds
+		gpulat_http_requests_total gpulat_http_waiting gpulat_ring_epoch
+		gpulat_station_cache_hits_total gpulat_station_deduped_total gpulat_station_executed_total
+		gpulat_station_handoff_keys_total gpulat_station_handoff_transferred_total gpulat_station_jobs
+		gpulat_station_rejected_total gpulat_station_replayed_total gpulat_station_rerouted_total
+		gpulat_station_submitted_total gpulat_station_workers gpulat_uptime_seconds`)
+	if !slices.Equal(got, families) {
+		t.Errorf("coordinator families:\n got %v\nwant %v", got, families)
 	}
 }
 
@@ -379,4 +400,61 @@ func TestUnmatchedRouteLabel(t *testing.T) {
 	if v, ok := s.Value("gpulat_http_requests_total", map[string]string{"route": "unmatched", "code": "404"}); !ok || v != 3 {
 		t.Errorf("unmatched requests = %v, %v; want 3", v, ok)
 	}
+}
+
+// statsOnly is a JobService that answers nothing but Stats.
+type statsOnly struct {
+	JobService
+	stats StationStats
+}
+
+func (s statsOnly) Stats() StationStats { return s.stats }
+
+// TestStatszAndMetricsCannotDrift: /v1/statsz marshals StationStats and
+// CacheStats by reflection while /metrics maps them by hand, so a counter
+// added to one surface could be forgotten on the other. Every monotonic
+// counter with JSON name x must be scraped as gpulat_station_x_total /
+// gpulat_cache_x_total with the field's own value.
+func TestStatszAndMetricsCannotDrift(t *testing.T) {
+	var stats StationStats
+	fields := reflect.ValueOf(&stats).Elem()
+	for i := range fields.NumField() {
+		if f := fields.Field(i); f.Kind() == reflect.Int64 {
+			f.SetInt(int64(100 + i)) // distinct, so a crossed mapping shows
+		}
+	}
+	cache, err := OpenCache(t.TempDir(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range 3 { // a miss, a put and a hit each; the bound of 1 evicts
+		job := testJob(i)
+		cache.Get(job.Key())
+		if err := cache.Put(job, testResult(job)); err != nil {
+			t.Fatal(err)
+		}
+		cache.Get(job.Key())
+	}
+	ts := httptest.NewServer(NewServer(statsOnly{stats: stats}, cache))
+	t.Cleanup(ts.Close)
+	s := scrapeMetrics(t, ts.URL)
+
+	check := func(prefix string, v reflect.Value, only string) {
+		for i := range v.NumField() {
+			f, name := v.Field(i), v.Type().Field(i).Name
+			if f.Kind() != reflect.Int64 || (only != "" && !strings.Contains(only, name)) {
+				continue
+			}
+			jsonName, _, _ := strings.Cut(v.Type().Field(i).Tag.Get("json"), ",")
+			family := prefix + jsonName + "_total"
+			if got, ok := s.Value(family, nil); !ok || got != float64(f.Int()) || f.Int() == 0 {
+				t.Errorf("%s.%s = %d, scraped %s = %v (present %v)", v.Type().Name(), name, f.Int(), family, got, ok)
+			}
+			if s.Type[family] != metrics.KindCounter {
+				t.Errorf("%s is a %v, want a counter", family, s.Type[family])
+			}
+		}
+	}
+	check("gpulat_station_", reflect.ValueOf(stats), "")
+	check("gpulat_cache_", reflect.ValueOf(cache.Stats()), "Hits Misses Puts Evictions") // Bytes is a gauge
 }

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"log"
 	"net/http"
 	"strconv"
 	"strings"
@@ -133,10 +132,6 @@ type Server struct {
 	// drain ends when ReleaseWaits runs, and every held status wait with it.
 	drain        context.Context
 	releaseWaits context.CancelFunc
-	// Logger, when set, gets one line per finished request including its
-	// trace ID — the log stream the X-Gpulat-Trace header is greppable
-	// in across a sharded tier.
-	Logger *log.Logger
 }
 
 // NewServer wires the endpoints over a Station or a Coordinator. cache
@@ -223,10 +218,6 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	elapsed := time.Since(start)
 	s.metrics.requests.With(route, strconv.Itoa(sw.code)).Inc()
 	s.metrics.latency.With(route).Observe(elapsed.Seconds())
-	if s.Logger != nil {
-		s.Logger.Printf("%s %s %d %s trace=%s", r.Method, r.URL.Path, sw.code,
-			elapsed.Round(time.Microsecond), trace)
-	}
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {

@@ -50,9 +50,6 @@ type StationStats struct {
 	// only).
 	HandoffKeys        int64 `json:"handoff_keys,omitempty"`
 	HandoffTransferred int64 `json:"handoff_transferred,omitempty"`
-	// Stolen counts queued keys moved from an overloaded backend to an
-	// idle one by the work stealer (coordinator only).
-	Stolen int64 `json:"stolen,omitempty"`
 	// Replayed counts jobs re-admitted from the write-ahead journal at
 	// startup (coordinator only).
 	Replayed int64 `json:"replayed,omitempty"`
