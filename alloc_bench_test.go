@@ -2,10 +2,12 @@ package gpulat
 
 // Allocation benchmarks and the allocation-regression gate for the
 // per-cycle hot path. The simulator's steady state — coalescing, cache
-// lookups, the full device Step — must not allocate: GC pressure is
-// wall-clock cost on every simulated cycle, and a single stray
-// make/append in a Tick silently costs more than any micro-optimisation
-// saves. BENCH_alloc.json pins the budget (allocs/op per benchmark);
+// lookups, crossbar arbitration, the full device Step — must not
+// allocate: GC pressure is wall-clock cost on every simulated cycle, and
+// a single stray make/append in a Tick silently costs more than any
+// micro-optimisation saves. The one path that must allocate, the
+// tracker storing a load record, must pay for each record once.
+// BENCH_alloc.json pins the budget (allocs/op per benchmark);
 // TestAllocRegression fails when a measurement exceeds it. Refresh the
 // baseline with `make alloc-baseline` after an intentional change.
 
@@ -13,10 +15,14 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"gpulat/internal/cache"
+	"gpulat/internal/core"
 	"gpulat/internal/gpu"
+	"gpulat/internal/icnt"
 	"gpulat/internal/isa"
 	"gpulat/internal/kernels"
 	"gpulat/internal/mem"
@@ -204,6 +210,94 @@ func benchSMIssue(b *testing.B, resident int) {
 	}
 }
 
+// allocSaturatedCrossbar builds the GF100 request network's shape (15
+// SMs to 6 partitions) and returns a step that offers a packet at every
+// input that has room, arbitrates, and drains every output — each cycle
+// grants on all six outputs, with mixed sizes so busy windows overlap.
+func allocSaturatedCrossbar() (step func()) {
+	x := icnt.New(icnt.Config{Name: "bench.req", Inputs: 15, Outputs: 6,
+		Latency: 4, FlitBytes: 32, InjectDepth: 8, EjectDepth: 8})
+	c := sim.Cycle(0)
+	step = func() {
+		for i := 0; i < 15; i++ {
+			if x.CanInject(i) {
+				x.Inject(c, i, icnt.Packet{Dst: (i + int(c)) % 6, Size: 8 + 32*uint32(i%2)})
+			}
+		}
+		x.Tick(c)
+		for o := 0; o < 6; o++ {
+			x.PopEject(c, o)
+		}
+		c++
+	}
+	for i := 0; i < 1000; i++ {
+		step()
+	}
+	return step
+}
+
+// BenchmarkAllocIcntTick measures one saturated crossbar cycle —
+// injection, arbitration, ejection (budget: 0 allocs/op).
+func BenchmarkAllocIcntTick(b *testing.B) {
+	step := allocSaturatedCrossbar()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		step()
+	}
+}
+
+// allocTrackedLoad is a completed L1-hit load, reusable: the tracker
+// reduces it to a LoadRecord and keeps no reference.
+func allocTrackedLoad() *mem.Request {
+	l := &mem.StageLog{}
+	l.Mark(mem.PtIssue, 100)
+	l.Mark(mem.PtCreated, 102)
+	l.Mark(mem.PtL1Access, 118)
+	l.Mark(mem.PtReturnSM, 147)
+	return &mem.Request{SM: 3, Warp: 7, Log: l}
+}
+
+// BenchmarkAllocTrackerRequestDone measures storing one load record on
+// a tracker that keeps them all, as every dynamic experiment does.
+// B/op is the figure: one record's size means each is written once;
+// several times that means storage is being re-copied as it grows.
+func BenchmarkAllocTrackerRequestDone(b *testing.B) {
+	tr, req := core.NewTracker(), allocTrackedLoad()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if tr.Len() == trackerRunLen {
+			tr.Reset() // a new run: bounds the benchmark's memory at ~19 MB
+		}
+		tr.RequestDone(147, req)
+	}
+}
+
+// trackerRunLen is the loads one measured tracker run stores: a 67k-load
+// gather's worth twice over, enough for the growth policy to dominate.
+const trackerRunLen = 1 << 17
+
+// trackerRecordBudget is the most a stored load may cost in allocated
+// bytes, amortised over a long run: the record itself plus slack for
+// the chunk list and the unfilled tail of the last chunk.
+const trackerRecordBudget = int64(unsafe.Sizeof(core.LoadRecord{})) + 16
+
+// trackerBytesPerRecord stores trackerRunLen records and returns the
+// allocations and allocated bytes per record.
+func trackerBytesPerRecord() (allocs float64, bytes int64) {
+	tr, req := core.NewTracker(), allocTrackedLoad()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < trackerRunLen; i++ {
+		tr.RequestDone(147, req)
+	}
+	runtime.ReadMemStats(&after)
+	// Whole allocations per record, as AllocsPerRun reports them.
+	return float64((after.Mallocs - before.Mallocs) / trackerRunLen),
+		int64(after.TotalAlloc-before.TotalAlloc) / trackerRunLen
+}
+
 // measureAllocs runs the gated paths under testing.AllocsPerRun.
 func measureAllocs(tb testing.TB) map[string]float64 {
 	var cs mem.CoalesceScratch
@@ -237,13 +331,15 @@ func measureAllocs(tb testing.TB) map[string]float64 {
 		"BenchmarkAllocSMTick": testing.AllocsPerRun(200, func() {
 			g.Step()
 		}),
-		"BenchmarkAllocSMIssue": testing.AllocsPerRun(200, issueStep),
+		"BenchmarkAllocSMIssue":  testing.AllocsPerRun(200, issueStep),
+		"BenchmarkAllocIcntTick": testing.AllocsPerRun(200, allocSaturatedCrossbar()),
 	}
 }
 
 // TestAllocRegression is the allocation gate: each measured path must
 // stay within its committed BENCH_alloc.json budget (exactly zero for a
-// zero baseline, 10% headroom otherwise). GPULAT_ALLOC_BASELINE=write
+// zero baseline, 10% headroom otherwise), and a stored load record
+// within trackerRecordBudget bytes. GPULAT_ALLOC_BASELINE=write
 // refreshes the baseline instead of comparing — bytes/op comes from a
 // full -benchmem run of the corresponding benchmark.
 func TestAllocRegression(t *testing.T) {
@@ -254,6 +350,14 @@ func TestAllocRegression(t *testing.T) {
 		t.Skip("steady-state warm-up is too slow for -short")
 	}
 	measured := measureAllocs(t)
+	trackerAllocs, got := trackerBytesPerRecord()
+	measured["BenchmarkAllocTrackerRequestDone"] = trackerAllocs
+	if got > trackerRecordBudget {
+		t.Errorf("BenchmarkAllocTrackerRequestDone: %d bytes allocated per stored record exceeds %d (one %d-byte LoadRecord + slack) — record storage is being re-copied",
+			got, trackerRecordBudget, unsafe.Sizeof(core.LoadRecord{}))
+	} else {
+		t.Logf("BenchmarkAllocTrackerRequestDone: %d bytes per stored record (budget %d)", got, trackerRecordBudget)
+	}
 
 	if os.Getenv("GPULAT_ALLOC_BASELINE") == "write" {
 		writeAllocBaseline(t, measured)
@@ -292,6 +396,9 @@ func writeAllocBaseline(t *testing.T, measured map[string]float64) {
 		"BenchmarkAllocCache":    BenchmarkAllocCache,
 		"BenchmarkAllocSMTick":   BenchmarkAllocSMTick,
 		"BenchmarkAllocSMIssue":  func(b *testing.B) { benchSMIssue(b, 48) },
+
+		"BenchmarkAllocIcntTick":           BenchmarkAllocIcntTick,
+		"BenchmarkAllocTrackerRequestDone": BenchmarkAllocTrackerRequestDone,
 	}
 	out := make(map[string]allocStat, len(measured))
 	for name, allocs := range measured {

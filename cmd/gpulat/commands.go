@@ -516,7 +516,7 @@ func cmdExport(args []string) error {
 	if err != nil {
 		return err
 	}
-	return core.WriteRecordsCSV(os.Stdout, res.Tracker.Records())
+	return core.WriteRecordsCSV(os.Stdout, res.Tracker)
 }
 
 func cmdConfig(args []string) error {

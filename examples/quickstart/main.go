@@ -29,13 +29,8 @@ func main() {
 	fmt.Printf("  cycles:       %d\n", res.Cycles)
 	fmt.Printf("  instructions: %d (IPC %.2f)\n", res.Instructions, res.IPC())
 
-	recs := res.Tracker.Records()
-	var sum float64
-	for _, r := range recs {
-		sum += float64(r.InstTotal)
-	}
 	fmt.Printf("  global loads: %d, mean latency %.1f cycles\n",
-		len(recs), sum/float64(len(recs)))
+		res.Tracker.Len(), res.Tracker.MeanLoadLatency())
 
 	er := res.Exposure(16)
 	fmt.Printf("  exposed latency: %.1f%% of load latency could not be\n"+

@@ -50,7 +50,7 @@ func TestRunWorkloadOnSmallDevice(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Cycles == 0 || len(res.Tracker.Records()) == 0 {
+	if res.Cycles == 0 || res.Tracker.Len() == 0 {
 		t.Fatal("instrumentation produced nothing")
 	}
 	var sb strings.Builder

@@ -45,7 +45,7 @@ type BreakdownReport struct {
 // the requested number of buckets spanning [min, max] observed latency.
 // numBuckets ≈ 48 reproduces the paper's bucket count.
 func (t *Tracker) Breakdown(workload, arch string, numBuckets int) *BreakdownReport {
-	if len(t.records) == 0 || numBuckets <= 0 {
+	if t.n == 0 || numBuckets <= 0 {
 		return &BreakdownReport{Workload: workload, Arch: arch}
 	}
 	lo, hi := t.totalRange()
@@ -57,7 +57,7 @@ func (t *Tracker) Breakdown(workload, arch string, numBuckets int) *BreakdownRep
 // buckets (the paper uses ≈38-cycle buckets), however many are needed to
 // cover the observed range.
 func (t *Tracker) BreakdownWidth(workload, arch string, width sim.Cycle) *BreakdownReport {
-	if len(t.records) == 0 || width == 0 {
+	if t.n == 0 || width == 0 {
 		return &BreakdownReport{Workload: workload, Arch: arch}
 	}
 	lo, hi := t.totalRange()
@@ -65,15 +65,12 @@ func (t *Tracker) BreakdownWidth(workload, arch string, width sim.Cycle) *Breakd
 	return t.breakdownBuckets(workload, arch, lo, width, n)
 }
 
+// totalRange returns the smallest and largest request lifetime; the
+// tracker must hold at least one record.
 func (t *Tracker) totalRange() (lo, hi sim.Cycle) {
-	lo, hi = t.records[0].Total, t.records[0].Total
-	for _, r := range t.records {
-		if r.Total < lo {
-			lo = r.Total
-		}
-		if r.Total > hi {
-			hi = r.Total
-		}
+	lo = sim.Never
+	for r := range t.All() {
+		lo, hi = min(lo, r.Total), max(hi, r.Total)
 	}
 	return lo, hi
 }
@@ -88,7 +85,7 @@ func (t *Tracker) breakdownBuckets(workload, arch string, lo, width sim.Cycle, n
 		rep.Buckets[i].Lo = lo + sim.Cycle(i)*width
 		rep.Buckets[i].Hi = lo + sim.Cycle(i+1)*width
 	}
-	for _, r := range t.records {
+	for r := range t.All() {
 		idx := int((r.Total - lo) / width)
 		if idx >= numBuckets {
 			idx = numBuckets - 1

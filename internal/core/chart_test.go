@@ -12,14 +12,11 @@ import (
 func TestBreakdownRenderChart(t *testing.T) {
 	tr := NewTracker()
 	var hit [NumStages]sim.Cycle
-	hit[StageSMBase] = 50
 	var miss [NumStages]sim.Cycle
 	miss[StageSMBase] = 100
 	miss[StageDRAMQueue] = 900
-	tr.records = append(tr.records,
-		mkRecord(0, 0, 50, hit),
-		mkRecord(0, 0, 1000, miss),
-	)
+	feed(tr, 0, 0, 50, hit)
+	feed(tr, 0, 0, 1000, miss)
 	rep := tr.Breakdown("t", "tiny", 8)
 	var sb strings.Builder
 	rep.RenderChart(&sb, 10)
@@ -51,9 +48,7 @@ func TestExposureRenderChart(t *testing.T) {
 	for c := sim.Cycle(0); c < 600; c++ {
 		tr.IssueSlot(0, c, 0) // never issues: fully exposed
 	}
-	var st [NumStages]sim.Cycle
-	st[StageSMBase] = 400
-	tr.records = append(tr.records, mkRecord(0, 100, 500, st))
+	feed(tr, 0, 100, 500, [NumStages]sim.Cycle{})
 	rep := tr.Exposure("t", "tiny", 4)
 	var sb strings.Builder
 	rep.RenderChart(&sb, 10)

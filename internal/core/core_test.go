@@ -170,9 +170,28 @@ func TestExposureMatchesNaiveProperty(t *testing.T) {
 	}
 }
 
-func mkRecord(sm int, issue, ret sim.Cycle, stages [NumStages]sim.Cycle) LoadRecord {
-	return LoadRecord{SM: sm, IssueAt: issue, CreatedAt: issue, ReturnAt: ret,
-		Total: ret - issue, InstTotal: ret - issue, Stages: stages}
+// feed delivers one completed load to tr the way the simulator does,
+// through RequestDone, with a stage log that yields the given stage
+// durations. The zero stages value is an L1 hit (the whole lifetime is
+// SMBase); otherwise the durations must sum to ret-issue.
+func feed(tr *Tracker, sm int, issue, ret sim.Cycle, stages [NumStages]sim.Cycle) {
+	l := &mem.StageLog{}
+	l.Mark(mem.PtIssue, issue)
+	l.Mark(mem.PtCreated, issue)
+	if stages == ([NumStages]sim.Cycle{}) {
+		l.Mark(mem.PtL1Access, issue)
+	} else {
+		c := issue
+		for p := mem.PtL1Access; p <= mem.PtDRAMDone; p++ {
+			c += stages[stageEndingAt[p]]
+			l.Mark(p, c)
+		}
+		if c+stages[StageFetch2SM] != ret {
+			panic("feed: stage durations do not sum to the load's lifetime")
+		}
+	}
+	l.Mark(mem.PtReturnSM, ret)
+	tr.RequestDone(ret, &mem.Request{SM: sm, Log: l})
 }
 
 func TestBreakdownBucketing(t *testing.T) {
@@ -180,15 +199,14 @@ func TestBreakdownBucketing(t *testing.T) {
 	// Two fast "hits" (50 cycles, all SMBase) and two slow misses
 	// (1000 cycles, mostly DRAM queue).
 	var hit [NumStages]sim.Cycle
-	hit[StageSMBase] = 50
 	var miss [NumStages]sim.Cycle
 	miss[StageSMBase] = 100
 	miss[StageDRAMQueue] = 700
 	miss[StageFetch2SM] = 200
-	tr.records = append(tr.records,
-		mkRecord(0, 0, 50, hit), mkRecord(0, 10, 60, hit),
-		mkRecord(0, 0, 1000, miss), mkRecord(0, 5, 1005, miss),
-	)
+	feed(tr, 0, 0, 50, hit)
+	feed(tr, 0, 10, 60, hit)
+	feed(tr, 0, 0, 1000, miss)
+	feed(tr, 0, 5, 1005, miss)
 	rep := tr.Breakdown("test", "tiny", 10)
 	if rep.Requests != 4 {
 		t.Fatalf("requests = %d", rep.Requests)
@@ -232,12 +250,9 @@ func TestExposureReport(t *testing.T) {
 		tr.IssueSlot(0, c, 0)
 		tr.IssueSlot(1, c, 1)
 	}
-	var st [NumStages]sim.Cycle
-	st[StageSMBase] = 400
-	tr.records = append(tr.records,
-		mkRecord(0, 100, 500, st),
-		mkRecord(1, 100, 500, st),
-	)
+	var hit [NumStages]sim.Cycle
+	feed(tr, 0, 100, 500, hit)
+	feed(tr, 1, 100, 500, hit)
 	rep := tr.Exposure("test", "tiny", 4)
 	if rep.Requests != 2 {
 		t.Fatalf("requests = %d", rep.Requests)
@@ -258,11 +273,9 @@ func TestExposureReport(t *testing.T) {
 func TestTrackerReset(t *testing.T) {
 	tr := NewTracker()
 	tr.IssueSlot(0, 5, 1)
-	var st [NumStages]sim.Cycle
-	st[StageSMBase] = 10
-	tr.records = append(tr.records, mkRecord(0, 0, 10, st))
+	feed(tr, 0, 0, 10, [NumStages]sim.Cycle{})
 	tr.Reset()
-	if len(tr.Records()) != 0 {
+	if tr.Len() != 0 {
 		t.Fatal("records survived reset")
 	}
 	if tr.exposedCycles(0, 0, 10) != 10 {
@@ -286,7 +299,7 @@ func TestTrackerDropsBadLogs(t *testing.T) {
 	tr := NewTracker()
 	r := &mem.Request{ID: 1, Log: &mem.StageLog{}} // incomplete log
 	tr.RequestDone(0, r)
-	if tr.BadLogs() != 1 || len(tr.Records()) != 0 {
-		t.Fatalf("bad log not counted: %d records %d bad", len(tr.Records()), tr.BadLogs())
+	if tr.BadLogs() != 1 || tr.Len() != 0 {
+		t.Fatalf("bad log not counted: %d records %d bad", tr.Len(), tr.BadLogs())
 	}
 }

@@ -108,8 +108,8 @@ func coKernelResult(arch string, ks *sched.KernelState, wl *kernels.Workload, tr
 	kst := ks.Stats()
 	keep := func(r *LoadRecord) bool { return r.Kernel == ks.ID }
 	var lats []float64
-	for _, r := range tr.Records() {
-		if r.Kernel == ks.ID {
+	for r := range tr.All() {
+		if keep(r) {
 			lats = append(lats, float64(r.InstTotal))
 		}
 	}

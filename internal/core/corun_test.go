@@ -67,8 +67,8 @@ func TestRunCoRunReconciles(t *testing.T) {
 				if res.Device.KernelsLaunched != 2 {
 					t.Fatalf("device KernelsLaunched = %d, want 2", res.Device.KernelsLaunched)
 				}
-				if loads != len(res.Tracker.Records()) {
-					t.Fatalf("per-kernel loads %d != tracked records %d", loads, len(res.Tracker.Records()))
+				if loads != res.Tracker.Len() {
+					t.Fatalf("per-kernel loads %d != tracked records %d", loads, res.Tracker.Len())
 				}
 			}
 			for i, k := range tick.Kernels {

@@ -38,10 +38,9 @@ func (r *DynamicResult) Exposure(buckets int) *ExposureReport {
 // LoadSummary summarizes the instruction-visible latency of the run's
 // tracked loads.
 func (r *DynamicResult) LoadSummary() stats.Summary {
-	recs := r.Tracker.Records()
-	xs := make([]float64, len(recs))
-	for i, rec := range recs {
-		xs[i] = float64(rec.InstTotal)
+	xs := make([]float64, 0, r.Tracker.Len())
+	for rec := range r.Tracker.All() {
+		xs = append(xs, float64(rec.InstTotal))
 	}
 	return stats.Summarize(xs)
 }

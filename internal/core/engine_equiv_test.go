@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"fmt"
+	"iter"
 	"reflect"
 	"testing"
 
@@ -82,14 +83,17 @@ func TestEngineEquivalenceAcrossPresets(t *testing.T) {
 			if rt.Launches != re.Launches {
 				t.Fatalf("launches: tick %d, event %d", rt.Launches, re.Launches)
 			}
-			recT, recE := rt.Tracker.Records(), re.Tracker.Records()
-			if len(recT) != len(recE) {
-				t.Fatalf("tracked loads: tick %d, event %d", len(recT), len(recE))
+			if nt, ne := rt.Tracker.Len(), re.Tracker.Len(); nt != ne {
+				t.Fatalf("tracked loads: tick %d, event %d", nt, ne)
 			}
-			for i := range recT {
-				if recT[i] != recE[i] {
-					t.Fatalf("load record %d diverged:\ntick:  %+v\nevent: %+v", i, recT[i], recE[i])
+			nextE, stop := iter.Pull(re.Tracker.All())
+			defer stop()
+			i := 0
+			for recT := range rt.Tracker.All() {
+				if recE, _ := nextE(); *recT != *recE {
+					t.Fatalf("load record %d diverged:\ntick:  %+v\nevent: %+v", i, *recT, *recE)
 				}
+				i++
 			}
 			if bt, be := rt.Breakdown(24), re.Breakdown(24); !reflect.DeepEqual(bt, be) {
 				t.Fatalf("breakdown reports diverged:\ntick:  %+v\nevent: %+v", bt, be)

@@ -32,8 +32,8 @@ func TestBFSDynamicExperiment(t *testing.T) {
 	if res.Tracker.BadLogs() != 0 {
 		t.Fatalf("%d corrupt stage logs", res.Tracker.BadLogs())
 	}
-	if len(res.Tracker.Records()) < 1000 {
-		t.Fatalf("only %d loads tracked", len(res.Tracker.Records()))
+	if res.Tracker.Len() < 1000 {
+		t.Fatalf("only %d loads tracked", res.Tracker.Len())
 	}
 
 	// --- Figure 1 shape ---

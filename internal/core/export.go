@@ -5,10 +5,11 @@ import (
 	"io"
 )
 
-// WriteRecordsCSV dumps every tracked load as one CSV row (per-request
-// raw data for external analysis/plotting): identifiers, the three
-// lifetime timestamps, both totals, and the eight stage durations.
-func WriteRecordsCSV(w io.Writer, records []LoadRecord) error {
+// WriteRecordsCSV dumps every tracked load as one CSV row, in delivery
+// order (per-request raw data for external analysis/plotting):
+// identifiers, the three lifetime timestamps, both totals, and the eight
+// stage durations.
+func WriteRecordsCSV(w io.Writer, t *Tracker) error {
 	if _, err := fmt.Fprint(w, "sm,warp,space,issue,created,return,req_total,inst_total,merged_l1,merged_l2"); err != nil {
 		return err
 	}
@@ -20,7 +21,7 @@ func WriteRecordsCSV(w io.Writer, records []LoadRecord) error {
 	if _, err := fmt.Fprintln(w); err != nil {
 		return err
 	}
-	for _, r := range records {
+	for r := range t.All() {
 		if _, err := fmt.Fprintf(w, "%d,%d,%s,%d,%d,%d,%d,%d,%t,%t",
 			r.SM, r.Warp, r.Space, r.IssueAt, r.CreatedAt, r.ReturnAt,
 			r.Total, r.InstTotal, r.MergedL1, r.MergedL2); err != nil {

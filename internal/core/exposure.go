@@ -64,26 +64,20 @@ func (t *Tracker) Exposure(workload, arch string, numBuckets int) *ExposureRepor
 // interference question the co-run experiments ask.
 func (t *Tracker) ExposureWhere(workload, arch string, numBuckets int, keep func(*LoadRecord) bool) *ExposureReport {
 	rep := &ExposureReport{Workload: workload, Arch: arch}
-	records := t.records
-	if keep != nil {
-		records = nil
-		for i := range t.records {
-			if keep(&t.records[i]) {
-				records = append(records, t.records[i])
-			}
+	if keep == nil {
+		keep = func(*LoadRecord) bool { return true }
+	}
+	// Two passes over the records in place — the latency range, then the
+	// buckets — asking keep twice rather than copying what it accepts.
+	lo, hi, kept := sim.Never, sim.Cycle(0), 0
+	for r := range t.All() {
+		if keep(r) {
+			lo, hi = min(lo, r.InstTotal), max(hi, r.InstTotal)
+			kept++
 		}
 	}
-	if len(records) == 0 || numBuckets <= 0 {
+	if kept == 0 || numBuckets <= 0 {
 		return rep
-	}
-	lo, hi := records[0].InstTotal, records[0].InstTotal
-	for _, r := range records {
-		if r.InstTotal < lo {
-			lo = r.InstTotal
-		}
-		if r.InstTotal > hi {
-			hi = r.InstTotal
-		}
 	}
 	width := (hi - lo + sim.Cycle(numBuckets)) / sim.Cycle(numBuckets)
 	if width == 0 {
@@ -94,7 +88,10 @@ func (t *Tracker) ExposureWhere(workload, arch string, numBuckets int, keep func
 		rep.Buckets[i].Lo = lo + sim.Cycle(i)*width
 		rep.Buckets[i].Hi = lo + sim.Cycle(i+1)*width
 	}
-	for _, r := range records {
+	for r := range t.All() {
+		if !keep(r) {
+			continue
+		}
 		exposed := t.exposedCycles(r.SM, r.IssueAt, r.ReturnAt)
 		hidden := r.InstTotal - exposed
 		idx := int((r.InstTotal - lo) / width)

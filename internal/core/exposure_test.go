@@ -15,16 +15,13 @@ import (
 // read as a member of two buckets.
 func TestExposureBucketsHalfOpen(t *testing.T) {
 	tr := NewTracker()
-	var st [NumStages]sim.Cycle
+	var hit [NumStages]sim.Cycle
 	// Latencies 100 and 500 over 4 buckets: lo=100, hi=500,
 	// width=(400+4)/4=101, so the boundary between bucket 0 and 1 is at
 	// 201. A load of exactly 201 must count once, in bucket 1.
-	st[StageSMBase] = 1
-	tr.records = append(tr.records,
-		mkRecord(0, 0, 100, st),
-		mkRecord(0, 0, 201, st),
-		mkRecord(0, 0, 500, st),
-	)
+	feed(tr, 0, 0, 100, hit)
+	feed(tr, 0, 0, 201, hit)
+	feed(tr, 0, 0, 500, hit)
 	rep := tr.Exposure("halfopen", "tiny", 4)
 	if len(rep.Buckets) != 4 {
 		t.Fatalf("buckets = %d", len(rep.Buckets))
@@ -54,12 +51,9 @@ func TestExposureBucketsHalfOpen(t *testing.T) {
 // wrapped by the index clamp.
 func TestExposureMaxLatencyInLastBucket(t *testing.T) {
 	tr := NewTracker()
-	var st [NumStages]sim.Cycle
-	st[StageSMBase] = 1
-	tr.records = append(tr.records,
-		mkRecord(0, 0, 10, st),
-		mkRecord(0, 0, 1000, st),
-	)
+	var hit [NumStages]sim.Cycle
+	feed(tr, 0, 0, 10, hit)
+	feed(tr, 0, 0, 1000, hit)
 	rep := tr.Exposure("max", "tiny", 8)
 	last := rep.Buckets[len(rep.Buckets)-1]
 	if last.Count != 1 {
@@ -74,12 +68,9 @@ func TestExposureMaxLatencyInLastBucket(t *testing.T) {
 // prints as [lo,hi) except the last, which prints [lo,hi].
 func TestExposureRangeLabels(t *testing.T) {
 	tr := NewTracker()
-	var st [NumStages]sim.Cycle
-	st[StageSMBase] = 1
-	tr.records = append(tr.records,
-		mkRecord(0, 0, 100, st),
-		mkRecord(0, 0, 500, st),
-	)
+	var hit [NumStages]sim.Cycle
+	feed(tr, 0, 0, 100, hit)
+	feed(tr, 0, 0, 500, hit)
 	rep := tr.Exposure("labels", "tiny", 4)
 	for i := range rep.Buckets {
 		label := rep.RangeLabel(i)

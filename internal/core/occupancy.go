@@ -50,20 +50,12 @@ func OccupancySweep(cfg gpu.Config, warpLimits []int, build func() (*kernels.Mul
 		if err != nil {
 			return nil, fmt.Errorf("occupancy %d warps: %w", w, err)
 		}
-		recs := res.Tracker.Records()
-		var meanLat float64
-		for _, r := range recs {
-			meanLat += float64(r.InstTotal)
-		}
-		if len(recs) > 0 {
-			meanLat /= float64(len(recs))
-		}
 		out = append(out, OccupancyPoint{
 			MaxWarps:        w,
 			Cycles:          uint64(res.Cycles),
 			IPC:             res.IPC(),
 			ExposedPct:      res.Exposure(16).OverallExposedPct(),
-			MeanLoadLatency: meanLat,
+			MeanLoadLatency: res.Tracker.MeanLoadLatency(),
 		})
 	}
 	return out, nil

@@ -5,7 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
-	"gpulat/internal/sim"
+	"gpulat/internal/mem"
 )
 
 func sweepOf(stride uint32, latencies map[uint32]float64) []SweepPoint {
@@ -131,14 +131,14 @@ func TestRenderLevels(t *testing.T) {
 }
 
 func TestWriteRecordsCSV(t *testing.T) {
-	var stg [NumStages]sim.Cycle
-	stg[StageSMBase] = 45
-	recs := []LoadRecord{{
-		SM: 1, Warp: 2, IssueAt: 10, CreatedAt: 12, ReturnAt: 57,
-		Total: 45, InstTotal: 47, Stages: stg, MergedL1: true,
-	}}
+	l := &mem.StageLog{MergedAtL1: true}
+	l.Mark(mem.PtIssue, 10)
+	l.Mark(mem.PtCreated, 12)
+	l.Mark(mem.PtReturnSM, 57)
+	tr := NewTracker()
+	tr.RequestDone(57, &mem.Request{SM: 1, Warp: 2, Log: l})
 	var sb strings.Builder
-	if err := WriteRecordsCSV(&sb, recs); err != nil {
+	if err := WriteRecordsCSV(&sb, tr); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(sb.String()), "\n")

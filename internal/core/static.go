@@ -78,15 +78,10 @@ func chase(cfg gpu.Config, pc kernels.PChaseConfig, warm bool) (float64, error) 
 	if err := wl.Verify(g.Memory); err != nil {
 		return 0, err
 	}
-	recs := tr.Records()
-	if len(recs) == 0 {
+	if tr.Len() == 0 {
 		return 0, fmt.Errorf("core: chase produced no tracked loads")
 	}
-	var sum float64
-	for _, r := range recs {
-		sum += float64(r.InstTotal)
-	}
-	return sum / float64(len(recs)), nil
+	return tr.MeanLoadLatency(), nil
 }
 
 // levelFootprints derives chase footprints from the architecture's cache

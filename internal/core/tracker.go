@@ -1,6 +1,7 @@
 package core
 
 import (
+	"iter"
 	"math/bits"
 
 	"gpulat/internal/mem"
@@ -37,8 +38,18 @@ type LoadRecord struct {
 // (gpu.IssueObserver) and feeds the breakdown and exposure analyses.
 // A single Tracker instance is attached to a GPU for the lifetime of an
 // experiment; Reset discards data between warmup and timed phases.
+//
+// Records are kept in delivery order — the order RequestDone was called,
+// which `gpulat export` writes out row for row, so it is part of that
+// command's bytes — and are read through Len and All. Storage is a list
+// of chunks that are filled once and never re-copied: the first holds
+// firstChunk records and each next one twice the last, up to maxChunk, so
+// a 48-load chase allocates two small chunks and a run of any length
+// pays for each record once.
 type Tracker struct {
-	records []LoadRecord
+	// chunks holds the records; every chunk but the last is full.
+	chunks [][]LoadRecord
+	n      int
 	// issued[sm] is a bitmap over cycles: bit set = the SM issued at
 	// least one instruction that cycle.
 	issued  [][]uint64
@@ -46,6 +57,14 @@ type Tracker struct {
 
 	badLogs uint64
 }
+
+// Record-chunk capacities, in records (144 bytes each): small enough
+// that a tracked job with a handful of loads costs ~2 KB, large enough
+// that chunk bookkeeping vanishes on a long run.
+const (
+	firstChunk = 16
+	maxChunk   = 4096
+)
 
 // NewTracker returns an empty tracker.
 func NewTracker() *Tracker { return &Tracker{} }
@@ -64,7 +83,17 @@ func (t *Tracker) RequestDone(c sim.Cycle, r *mem.Request) {
 		created = issue
 	}
 	ret := r.Log.MustAt(mem.PtReturnSM)
-	t.records = append(t.records, LoadRecord{
+
+	last := len(t.chunks) - 1
+	if last < 0 || len(t.chunks[last]) == cap(t.chunks[last]) {
+		size := firstChunk
+		if last >= 0 {
+			size = min(2*cap(t.chunks[last]), maxChunk)
+		}
+		t.chunks = append(t.chunks, make([]LoadRecord, 0, size))
+		last++
+	}
+	t.chunks[last] = append(t.chunks[last], LoadRecord{
 		SM:        r.SM,
 		Warp:      r.Warp,
 		Kernel:    r.Kernel,
@@ -78,6 +107,7 @@ func (t *Tracker) RequestDone(c sim.Cycle, r *mem.Request) {
 		MergedL1:  r.Log.MergedAtL1,
 		MergedL2:  r.Log.MergedAtL2,
 	})
+	t.n++
 }
 
 // IssueSlot implements gpu.IssueObserver.
@@ -99,8 +129,36 @@ func (t *Tracker) IssueSlot(smID int, c sim.Cycle, issued int) {
 	t.issued[smID][word] |= 1 << (c % 64)
 }
 
-// Records returns the collected loads.
-func (t *Tracker) Records() []LoadRecord { return t.records }
+// Len returns the number of collected loads.
+func (t *Tracker) Len() int { return t.n }
+
+// All iterates over the collected loads in delivery order. The pointers
+// are into the tracker's own storage: read through them, do not write,
+// and do not keep them past Reset.
+func (t *Tracker) All() iter.Seq[*LoadRecord] {
+	return func(yield func(*LoadRecord) bool) {
+		for _, ch := range t.chunks {
+			for i := range ch {
+				if !yield(&ch[i]) {
+					return
+				}
+			}
+		}
+	}
+}
+
+// MeanLoadLatency returns the mean instruction-visible latency
+// (InstTotal) of the collected loads, 0 when there are none.
+func (t *Tracker) MeanLoadLatency() float64 {
+	if t.n == 0 {
+		return 0
+	}
+	var sum float64
+	for r := range t.All() {
+		sum += float64(r.InstTotal)
+	}
+	return sum / float64(t.n)
+}
 
 // BadLogs returns the number of requests dropped due to incomplete or
 // inconsistent instrumentation (must be zero in a healthy simulation).
@@ -108,7 +166,7 @@ func (t *Tracker) BadLogs() uint64 { return t.badLogs }
 
 // Reset discards all collected data (e.g. after a warmup phase).
 func (t *Tracker) Reset() {
-	t.records = nil
+	t.chunks, t.n = nil, 0
 	for i := range t.issued {
 		t.issued[i] = nil
 		t.maxSeen[i] = 0

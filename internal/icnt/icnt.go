@@ -7,6 +7,13 @@
 // L1 cache and the interconnection network" — is the paper's L1toICNT
 // latency component, one of the two dominant contributors in Figure 1.
 //
+// Arbitration (Tick) costs O(inputs + outputs) a cycle, not their
+// product: an input's head packet names exactly one output, so one pass
+// over the inputs sorts the ready heads into a per-output bitmask of
+// requesters, and each free output then grants the first set bit at or
+// after its round-robin pointer. An empty network therefore costs one
+// length check per input and one busy-window compare per output.
+//
 // Under the event engine the crossbar wakes (NextEvent) when a packet
 // in traversal arrives at its output port or an ejection-queue head is
 // ready for its consumer; a packet freshly injected the same cycle
@@ -16,6 +23,7 @@ package icnt
 
 import (
 	"fmt"
+	"math/bits"
 	"strings"
 
 	"gpulat/internal/mem"
@@ -53,6 +61,8 @@ func (c Config) validate() error {
 	switch {
 	case c.Inputs <= 0 || c.Outputs <= 0:
 		return fmt.Errorf("icnt %s: ports must be positive", c.Name)
+	case c.Inputs > 64:
+		return fmt.Errorf("icnt %s: %d inputs, but arbitration keeps an output's requesters in one 64-bit mask", c.Name, c.Inputs)
 	case c.FlitBytes == 0:
 		return fmt.Errorf("icnt %s: flit bytes must be positive", c.Name)
 	case c.InjectDepth <= 0 || c.EjectDepth <= 0:
@@ -68,9 +78,9 @@ type Crossbar struct {
 	eject   []*sim.Queue[Packet]
 	outBusy []sim.Cycle
 	rr      []int
-	// usedInput is Tick's per-cycle arbitration scratch, cleared at the
-	// start of each tick so arbitration allocates nothing.
-	usedInput []bool
+	// want is Tick's per-cycle arbitration scratch: want[o] has bit i set
+	// when input i's head packet is ready and addressed to output o.
+	want []uint64
 
 	stats Stats
 }
@@ -93,12 +103,12 @@ func New(cfg Config) *Crossbar {
 		panic(err)
 	}
 	x := &Crossbar{
-		cfg:       cfg,
-		inject:    make([]*sim.Queue[Packet], cfg.Inputs),
-		eject:     make([]*sim.Queue[Packet], cfg.Outputs),
-		outBusy:   make([]sim.Cycle, cfg.Outputs),
-		rr:        make([]int, cfg.Outputs),
-		usedInput: make([]bool, cfg.Inputs),
+		cfg:     cfg,
+		inject:  make([]*sim.Queue[Packet], cfg.Inputs),
+		eject:   make([]*sim.Queue[Packet], cfg.Outputs),
+		outBusy: make([]sim.Cycle, cfg.Outputs),
+		rr:      make([]int, cfg.Outputs),
+		want:    make([]uint64, cfg.Outputs),
 	}
 	for i := range x.inject {
 		x.inject[i] = sim.NewQueue[Packet](fmt.Sprintf("%s.inject%d", cfg.Name, i), cfg.InjectDepth, 0)
@@ -145,11 +155,18 @@ func (x *Crossbar) occupancy(size uint32) sim.Cycle {
 }
 
 // Tick arbitrates each output port: round-robin over inputs whose head
-// packet targets the port. An input forwards at most one packet per cycle.
+// packet targets the port. An input forwards at most one packet per
+// cycle — its head is read once, before any grant, so the packet behind
+// a granted one is not a candidate until the next cycle.
 func (x *Crossbar) Tick(c sim.Cycle) {
-	usedInput := x.usedInput
-	clear(usedInput)
-	for o := 0; o < x.cfg.Outputs; o++ {
+	want := x.want
+	clear(want)
+	for i, q := range x.inject {
+		if pkt, ok := q.Peek(c); ok {
+			want[pkt.Dst] |= 1 << uint(i)
+		}
+	}
+	for o, m := range want {
 		if x.outBusy[o] > c {
 			continue
 		}
@@ -157,23 +174,19 @@ func (x *Crossbar) Tick(c sim.Cycle) {
 			x.stats.EjectBlocked++
 			continue
 		}
-		start := x.rr[o]
-		for k := 0; k < x.cfg.Inputs; k++ {
-			i := (start + k) % x.cfg.Inputs
-			if usedInput[i] {
-				continue
-			}
-			pkt, ok := x.inject[i].Peek(c)
-			if !ok || pkt.Dst != o {
-				continue
-			}
-			x.inject[i].Pop(c)
-			x.eject[o].Push(c, pkt)
-			x.outBusy[o] = c + x.occupancy(pkt.Size)
-			x.rr[o] = (i + 1) % x.cfg.Inputs
-			usedInput[i] = true
-			break
+		if m == 0 {
+			continue
 		}
+		// First requester at or after the pointer, else wrap to the lowest.
+		from := m &^ (1<<uint(x.rr[o]) - 1)
+		if from == 0 {
+			from = m
+		}
+		i := bits.TrailingZeros64(from)
+		pkt, _ := x.inject[i].Pop(c)
+		x.eject[o].Push(c, pkt)
+		x.outBusy[o] = c + x.occupancy(pkt.Size)
+		x.rr[o] = (i + 1) % x.cfg.Inputs
 	}
 }
 

@@ -1,6 +1,10 @@
 package icnt
 
 import (
+	"fmt"
+	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -158,6 +162,7 @@ func TestInvalidConfigPanics(t *testing.T) {
 		func(c *Config) { c.FlitBytes = 0 },
 		func(c *Config) { c.InjectDepth = 0 },
 		func(c *Config) { c.EjectDepth = 0 },
+		func(c *Config) { c.Inputs = 65 },
 	}
 	for i, mutate := range cases {
 		cfg := testConfig()
@@ -170,6 +175,131 @@ func TestInvalidConfigPanics(t *testing.T) {
 			}()
 			New(cfg)
 		}()
+	}
+}
+
+// TestTooManyInputsNamesTheLimit: the 64-input bound is a property of
+// the arbitration mask, and the refusal says so.
+func TestTooManyInputsNamesTheLimit(t *testing.T) {
+	cfg := testConfig()
+	cfg.Inputs = 64
+	if err := cfg.validate(); err != nil {
+		t.Fatalf("64 inputs refused: %v", err)
+	}
+	cfg.Inputs = 65
+	err := cfg.validate()
+	if err == nil || !strings.Contains(err.Error(), "65 inputs") || !strings.Contains(err.Error(), "64-bit mask") {
+		t.Fatalf("65 inputs: got %v, want an error naming the 64-bit mask", err)
+	}
+}
+
+// refTick is the arbitration Tick replaced: for every free output, scan
+// all inputs from the round-robin pointer and re-read each head. It is
+// O(inputs × outputs) and kept only as the reference the mask
+// arbitration is proven against, grant for grant.
+func (x *Crossbar) refTick(c sim.Cycle) {
+	granted := make([]bool, x.cfg.Inputs)
+	for o := 0; o < x.cfg.Outputs; o++ {
+		if x.outBusy[o] > c {
+			continue
+		}
+		if !x.eject[o].CanPush() {
+			x.stats.EjectBlocked++
+			continue
+		}
+		start := x.rr[o]
+		for k := 0; k < x.cfg.Inputs; k++ {
+			i := (start + k) % x.cfg.Inputs
+			if granted[i] {
+				continue
+			}
+			pkt, ok := x.inject[i].Peek(c)
+			if !ok || pkt.Dst != o {
+				continue
+			}
+			x.inject[i].Pop(c)
+			x.eject[o].Push(c, pkt)
+			x.outBusy[o] = c + x.occupancy(pkt.Size)
+			x.rr[o] = (i + 1) % x.cfg.Inputs
+			granted[i] = true
+			break
+		}
+	}
+}
+
+// sameState compares what DebugState renders — every queue's occupancy
+// and head readiness, the busy windows, the round-robin pointers —
+// without formatting it 20k times a case.
+func sameState(a, b *Crossbar) bool {
+	sameQueues := func(qa, qb []*sim.Queue[Packet]) bool {
+		for i := range qa {
+			if qa[i].Len() != qb[i].Len() || qa[i].NextReady() != qb[i].NextReady() {
+				return false
+			}
+		}
+		return true
+	}
+	return slices.Equal(a.rr, b.rr) && slices.Equal(a.outBusy, b.outBusy) &&
+		sameQueues(a.inject, b.inject) && sameQueues(a.eject, b.eject)
+}
+
+// TestArbitrationMatchesReferenceScan drives two crossbars — one ticked
+// by Tick, one by refTick — with identical seeded traffic: random
+// destinations, mixed packet sizes (so output busy windows differ),
+// bursts and lulls of injection, and consumers that pop eagerly in some
+// phases and rarely in others (so ejection queues fill and outputs
+// block). Every cycle both must hold the same full state (queue
+// occupancy, busy windows, round-robin pointers), pop the same packets,
+// and count the same stats, EjectBlocked included.
+func TestArbitrationMatchesReferenceScan(t *testing.T) {
+	const cycles = 20000
+	sizes := []uint32{8, 32, 40, 128, 136}
+	for _, inputs := range []int{1, 2, 15, 30, 64} {
+		for _, outputs := range []int{1, 6, 8} {
+			t.Run(fmt.Sprintf("%dx%d", inputs, outputs), func(t *testing.T) {
+				cfg := Config{Name: "lock", Inputs: inputs, Outputs: outputs,
+					Latency: 3, FlitBytes: 32, InjectDepth: 4, EjectDepth: 2}
+				got, ref := New(cfg), New(cfg)
+				rng := rand.New(rand.NewSource(int64(1000*inputs + outputs)))
+				var id uint64
+				for c := sim.Cycle(0); c < cycles; c++ {
+					// Injection pressure changes every 256 cycles, from
+					// nearly idle to saturating.
+					load := []int{2, 30, 70, 100}[(c/256)%4]
+					for i := 0; i < inputs; i++ {
+						if rng.Intn(100) >= load || !got.CanInject(i) {
+							continue
+						}
+						id++
+						p := pkt(id, rng.Intn(outputs), sizes[rng.Intn(len(sizes))])
+						got.Inject(c, i, p)
+						ref.Inject(c, i, p)
+					}
+					got.Tick(c)
+					ref.refTick(c)
+					if !sameState(got, ref) {
+						t.Fatalf("cycle %d: state diverged\nmask: %s\nscan: %s", c, got.DebugState(), ref.DebugState())
+					}
+					drain := []int{90, 50, 4}[(c/1024)%3]
+					for o := 0; o < outputs; o++ {
+						if rng.Intn(100) >= drain {
+							continue // consumer not ready: back-pressure
+						}
+						pg, okg := got.PopEject(c, o)
+						pr, okr := ref.PopEject(c, o)
+						if okg != okr || pg != pr {
+							t.Fatalf("cycle %d output %d: popped %+v/%v, reference %+v/%v", c, o, pg, okg, pr, okr)
+						}
+					}
+				}
+				if got.Stats() != ref.Stats() {
+					t.Fatalf("stats diverged:\nmask: %+v\nscan: %+v", got.Stats(), ref.Stats())
+				}
+				if st := got.Stats(); st.Delivered == 0 || st.EjectBlocked == 0 {
+					t.Fatalf("traffic too light to prove anything: %+v", st)
+				}
+			})
+		}
 	}
 }
 
