@@ -6,14 +6,17 @@ package gpulat
 // allocate: GC pressure is wall-clock cost on every simulated cycle, and
 // a single stray make/append in a Tick silently costs more than any
 // micro-optimisation saves. The one path that must allocate, the
-// tracker storing a load record, must pay for each record once.
-// BENCH_alloc.json pins the budget (allocs/op per benchmark);
-// TestAllocRegression fails when a measurement exceeds it. Refresh the
-// baseline with `make alloc-baseline` after an intentional change.
+// tracker storing a load record, must pay for each record once; and a
+// launched warp must cost the registers its program names, not the
+// architectural 64. BENCH_alloc.json pins the budget (allocs/op per
+// benchmark); TestAllocRegression fails when a measurement exceeds it.
+// Refresh the baseline with `make alloc-baseline` after an intentional
+// change.
 
 import (
 	"encoding/json"
 	"fmt"
+	"math/bits"
 	"os"
 	"runtime"
 	"testing"
@@ -28,6 +31,7 @@ import (
 	"gpulat/internal/mem"
 	"gpulat/internal/sim"
 	"gpulat/internal/sm"
+	"gpulat/internal/warp"
 )
 
 const allocBaselineFile = "BENCH_alloc.json"
@@ -298,6 +302,99 @@ func trackerBytesPerRecord() (allocs float64, bytes int64) {
 		int64(after.TotalAlloc-before.TotalAlloc) / trackerRunLen
 }
 
+// warpLaunchWarps is the block size, in warps, of the launch benchmark.
+const warpLaunchWarps = 4
+
+// allocWarpLaunch builds a stand-alone GF100 SM behind a memory stub
+// that answers every load at once, with a request pool so only the
+// launch allocates, and returns a step that launches one 4-warp block of
+// vecadd and ticks it to retirement — warmed past the first launches'
+// one-time growth — plus the most a warp may allocate: its register file
+// sized by the program ((NumRegs + zero row + immediate row) × WarpSize
+// words), the Warp struct, and slack for its one-entry divergence stack
+// and size-class rounding.
+func allocWarpLaunch(tb testing.TB) (step func(), warpBudget int64) {
+	cfg, err := Preset("GF100")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	ws := cfg.SM.WarpSize
+	wl := kernels.VecAdd(warpLaunchWarps*ws, warpLaunchWarps*ws, 1, 0)
+	m := mem.NewMemory()
+	wl.Setup(m)
+	var seq uint64
+	pool := &mem.RequestPool{}
+	s := sm.New(cfg.SM, m, func() uint64 { seq++; return seq }, nil)
+	s.SetRequestPool(pool)
+	var loads []*mem.Request
+	c := sim.Cycle(0)
+	step = func() {
+		s.LaunchBlock(wl.Kernel, 0, 0)
+		for s.Busy() || len(loads) > 0 {
+			for {
+				r, ok := s.PopMiss(c)
+				if !ok {
+					break
+				}
+				if r.Kind == mem.KindStore {
+					pool.Put(r)
+				} else {
+					loads = append(loads, r)
+				}
+			}
+			n := 0
+			for _, r := range loads {
+				if s.CanAcceptResponse() {
+					s.AcceptResponse(c, r)
+				} else {
+					loads[n] = r
+					n++
+				}
+			}
+			loads = loads[:n]
+			s.Tick(c)
+			s.FlushCycle()
+			c++
+		}
+	}
+	for i := 0; i < 8; i++ {
+		step()
+	}
+	// Counted here from the issue requirements, not read from the
+	// Program.NumRegs that sizes the file under test.
+	var named uint64
+	for _, n := range wl.Kernel.Program.Need {
+		named |= n.Regs
+	}
+	return step, int64((bits.OnesCount64(named)+2)*ws*4) + int64(unsafe.Sizeof(warp.Warp{})) + 64
+}
+
+// BenchmarkAllocWarpLaunch measures launching one 4-warp block and
+// running it to retirement on a stand-alone SM. B/op ÷ 4 is the figure:
+// what a resident warp costs the allocator and the collector.
+func BenchmarkAllocWarpLaunch(b *testing.B) {
+	step, _ := allocWarpLaunch(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		step()
+	}
+}
+
+// warpLaunchBytesPerWarp launches and retires 64 blocks and returns the
+// allocated bytes per warp and the per-warp budget.
+func warpLaunchBytesPerWarp(tb testing.TB) (bytes, budget int64) {
+	step, budget := allocWarpLaunch(tb)
+	const launches = 64
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < launches; i++ {
+		step()
+	}
+	runtime.ReadMemStats(&after)
+	return int64(after.TotalAlloc-before.TotalAlloc) / (launches * warpLaunchWarps), budget
+}
+
 // measureAllocs runs the gated paths under testing.AllocsPerRun.
 func measureAllocs(tb testing.TB) map[string]float64 {
 	var cs mem.CoalesceScratch
@@ -316,6 +413,7 @@ func measureAllocs(tb testing.TB) map[string]float64 {
 
 	g := allocSteadyDevice(tb)
 	issueStep := allocIssueSM(tb, 48)
+	launchStep, _ := allocWarpLaunch(tb)
 
 	return map[string]float64{
 		"BenchmarkAllocCoalesce": testing.AllocsPerRun(200, func() {
@@ -333,13 +431,16 @@ func measureAllocs(tb testing.TB) map[string]float64 {
 		}),
 		"BenchmarkAllocSMIssue":  testing.AllocsPerRun(200, issueStep),
 		"BenchmarkAllocIcntTick": testing.AllocsPerRun(200, allocSaturatedCrossbar()),
+		// Three per warp: the Warp, its register file, its divergence stack.
+		"BenchmarkAllocWarpLaunch": testing.AllocsPerRun(50, launchStep),
 	}
 }
 
 // TestAllocRegression is the allocation gate: each measured path must
 // stay within its committed BENCH_alloc.json budget (exactly zero for a
-// zero baseline, 10% headroom otherwise), and a stored load record
-// within trackerRecordBudget bytes. GPULAT_ALLOC_BASELINE=write
+// zero baseline, 10% headroom otherwise), a stored load record within
+// trackerRecordBudget bytes and a launched warp within the budget
+// allocWarpLaunch derives from its program. GPULAT_ALLOC_BASELINE=write
 // refreshes the baseline instead of comparing — bytes/op comes from a
 // full -benchmem run of the corresponding benchmark.
 func TestAllocRegression(t *testing.T) {
@@ -357,6 +458,13 @@ func TestAllocRegression(t *testing.T) {
 			got, trackerRecordBudget, unsafe.Sizeof(core.LoadRecord{}))
 	} else {
 		t.Logf("BenchmarkAllocTrackerRequestDone: %d bytes per stored record (budget %d)", got, trackerRecordBudget)
+	}
+
+	if got, budget := warpLaunchBytesPerWarp(t); got > budget {
+		t.Errorf("BenchmarkAllocWarpLaunch: %d bytes allocated per launched warp exceeds %d (register rows for the registers vecadd names + the Warp + slack) — the register file is not sized by the program",
+			got, budget)
+	} else {
+		t.Logf("BenchmarkAllocWarpLaunch: %d bytes per launched warp (budget %d)", got, budget)
 	}
 
 	if os.Getenv("GPULAT_ALLOC_BASELINE") == "write" {
@@ -399,6 +507,7 @@ func writeAllocBaseline(t *testing.T, measured map[string]float64) {
 
 		"BenchmarkAllocIcntTick":           BenchmarkAllocIcntTick,
 		"BenchmarkAllocTrackerRequestDone": BenchmarkAllocTrackerRequestDone,
+		"BenchmarkAllocWarpLaunch":         BenchmarkAllocWarpLaunch,
 	}
 	out := make(map[string]allocStat, len(measured))
 	for name, allocs := range measured {

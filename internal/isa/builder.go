@@ -237,7 +237,8 @@ func (b *Builder) Atom(d, a Reg, off int32, v Reg) *Builder {
 }
 
 // Build resolves labels, verifies the program ends every path in EXIT,
-// and computes reconvergence points. It panics on assembly errors.
+// computes reconvergence points and predecodes what the issue stage and
+// a warp's register file need. It panics on assembly errors.
 func (b *Builder) Build() *Program {
 	insts := make([]Instruction, len(b.insts))
 	copy(insts, b.insts)
@@ -258,10 +259,7 @@ func (b *Builder) Build() *Program {
 		panic(err)
 	}
 	p.Reconv = Analyze(p)
-	p.Need = make([]IssueNeed, len(insts))
-	for pc := range insts {
-		p.Need[pc] = insts[pc].issueNeed()
-	}
+	p.predecode()
 	return p
 }
 

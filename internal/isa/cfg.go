@@ -80,11 +80,12 @@ func buildCFG(p *Program) ([]block, map[int]int) {
 }
 
 // Analyze computes the reconvergence PC for every branch instruction.
-// The result maps branch PC → reconvergence PC; a branch whose immediate
-// post-dominator is the virtual exit reconverges at program end, encoded
-// as p.Len() (the SIMT stack treats a reconvergence PC past the program
-// as "never", which is correct because all lanes reach EXIT).
-func Analyze(p *Program) map[int]int {
+// The result is indexed by PC and holds each branch's reconvergence PC
+// (zero at every other PC); a branch whose immediate post-dominator is
+// the virtual exit reconverges at program end, encoded as p.Len() (the
+// SIMT stack treats a reconvergence PC past the program as "never",
+// which is correct because all lanes reach EXIT).
+func Analyze(p *Program) []int {
 	blocks, _ := buildCFG(p)
 	nb := len(blocks)
 	exitIdx := nb
@@ -170,7 +171,7 @@ func Analyze(p *Program) map[int]int {
 		}
 	}
 
-	reconv := make(map[int]int)
+	reconv := make([]int, p.Len())
 	// Map each branch to the first PC of its block's ipdom.
 	blockIdxOfPC := make([]int, p.Len())
 	for i, bl := range blocks {

@@ -2,6 +2,7 @@ package isa
 
 import (
 	"fmt"
+	"math/bits"
 	"strings"
 )
 
@@ -133,12 +134,33 @@ func (in *Instruction) operandBStringFromA() string {
 type Program struct {
 	Name  string
 	Insts []Instruction
-	// Reconv maps the PC of every potentially divergent branch to its
-	// reconvergence PC (immediate post-dominator), computed by Analyze.
-	Reconv map[int]int
+	// Reconv[pc] is branch pc's reconvergence PC (immediate
+	// post-dominator), computed by Analyze; zero where pc is no branch.
+	Reconv []int
 	// Need[pc] is what the issue stage must find free before instruction
 	// pc may issue, predecoded by Build and read-only afterwards.
 	Need []IssueNeed
+	// NumRegs counts the registers the program names (reads, or writes
+	// as a Dst; RZ never counts) and RegRow maps each, in index order, to
+	// its row 1..NumRegs of a warp's register file (Lanes); every other
+	// register maps to row 0. A warp's file is sized by NumRegs, not by
+	// the highest index: kernels park temporaries at R60/R61.
+	NumRegs int
+	RegRow  [NumRegs]uint8
+}
+
+// predecode fills Need, NumRegs and RegRow from the instructions.
+func (p *Program) predecode() {
+	p.Need = make([]IssueNeed, len(p.Insts))
+	var named uint64
+	for pc := range p.Insts {
+		p.Need[pc] = p.Insts[pc].issueNeed()
+		named |= p.Need[pc].Regs
+	}
+	for ; named != 0; named &= named - 1 {
+		p.NumRegs++
+		p.RegRow[bits.TrailingZeros64(named)] = uint8(p.NumRegs)
+	}
 }
 
 // IssueNeed is one instruction's issue requirement: the scoreboard

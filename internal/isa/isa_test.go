@@ -44,10 +44,33 @@ func TestBuilderDuplicateLabelPanics(t *testing.T) {
 	NewBuilder("t").Label("a").Label("a")
 }
 
+// warpOf returns a Width-lane warp sized for a hand-built instruction
+// list, predecoded the way Build does it.
+func warpOf(width int, insts ...Instruction) *Lanes {
+	p := &Program{Name: "hand-built", Insts: insts}
+	p.predecode()
+	s := NewLanes(p, width)
+	return &s
+}
+
+// exec1 runs the instructions, guards PT, on a one-lane warp holding the
+// registers of set; R0..R3 always have rows.
+func exec1(set map[Reg]uint32, insts ...Instruction) *Lanes {
+	all := append([]Instruction{{Op: OpIMAD, Dst: 0, SrcA: 1, SrcB: 2, SrcC: 3}}, insts...)
+	for i := range all {
+		all[i].Pred = PT
+	}
+	s := warpOf(1, all...)
+	for r, v := range set {
+		s.Row(r)[0] = v
+	}
+	for i := range insts {
+		s.Exec(&all[i+1], 1)
+	}
+	return s
+}
+
 func TestEvalArithmetic(t *testing.T) {
-	ctx := &ThreadCtx{}
-	ctx.Regs[1] = 7
-	ctx.Regs[2] = 3
 	cases := []struct {
 		in   Instruction
 		want uint32
@@ -65,71 +88,57 @@ func TestEvalArithmetic(t *testing.T) {
 		{Instruction{Op: OpIMAX, Dst: 0, SrcA: 1, SrcB: 2}, 7},
 	}
 	for i, c := range cases {
-		ctx.Eval(&c.in)
-		if got := ctx.Regs[0]; got != c.want {
+		s := exec1(map[Reg]uint32{1: 7, 2: 3}, c.in)
+		if got := s.Row(0)[0]; got != c.want {
 			t.Errorf("case %d (%v): got %d, want %d", i, c.in.Op, got, c.want)
 		}
 	}
 }
 
 func TestEvalIMad(t *testing.T) {
-	ctx := &ThreadCtx{}
-	ctx.Regs[1] = 5
-	ctx.Regs[2] = 6
-	ctx.Regs[3] = 7
-	in := Instruction{Op: OpIMAD, Dst: 0, SrcA: 1, SrcB: 2, SrcC: 3}
-	ctx.Eval(&in)
-	if ctx.Regs[0] != 37 {
-		t.Fatalf("IMAD = %d, want 37", ctx.Regs[0])
+	s := exec1(map[Reg]uint32{1: 5, 2: 6, 3: 7}, Instruction{Op: OpIMAD, Dst: 0, SrcA: 1, SrcB: 2, SrcC: 3})
+	if got := s.Row(0)[0]; got != 37 {
+		t.Fatalf("IMAD = %d, want 37", got)
 	}
 }
 
 func TestEvalFloat(t *testing.T) {
-	ctx := &ThreadCtx{}
-	ctx.Regs[1] = math.Float32bits(1.5)
-	ctx.Regs[2] = math.Float32bits(2.25)
-	in := Instruction{Op: OpFADD, Dst: 0, SrcA: 1, SrcB: 2}
-	ctx.Eval(&in)
-	if got := math.Float32frombits(ctx.Regs[0]); got != 3.75 {
+	set := map[Reg]uint32{1: math.Float32bits(1.5), 2: math.Float32bits(2.25)}
+	s := exec1(set, Instruction{Op: OpFADD, Dst: 0, SrcA: 1, SrcB: 2})
+	if got := math.Float32frombits(s.Row(0)[0]); got != 3.75 {
 		t.Fatalf("FADD = %v", got)
 	}
-	in = Instruction{Op: OpFMUL, Dst: 0, SrcA: 1, SrcB: 2}
-	ctx.Eval(&in)
-	if got := math.Float32frombits(ctx.Regs[0]); got != 3.375 {
+	s = exec1(set, Instruction{Op: OpFMUL, Dst: 0, SrcA: 1, SrcB: 2})
+	if got := math.Float32frombits(s.Row(0)[0]); got != 3.375 {
 		t.Fatalf("FMUL = %v", got)
 	}
 }
 
 func TestEvalRZSemantics(t *testing.T) {
-	ctx := &ThreadCtx{}
-	ctx.Regs[1] = 42
-	in := Instruction{Op: OpIADD, Dst: RZ, SrcA: 1, SrcB: RZ}
-	ctx.Eval(&in)
-	if ctx.ReadReg(RZ) != 0 {
+	s := exec1(map[Reg]uint32{1: 42},
+		Instruction{Op: OpIADD, Dst: RZ, SrcA: 1, SrcB: RZ},
+		Instruction{Op: OpIADD, Dst: 0, SrcA: 1, SrcB: RZ})
+	if s.Row(RZ)[0] != 0 {
 		t.Fatal("RZ must read zero after write")
 	}
-	in = Instruction{Op: OpIADD, Dst: 0, SrcA: 1, SrcB: RZ}
-	ctx.Eval(&in)
-	if ctx.Regs[0] != 42 {
+	if s.Row(0)[0] != 42 {
 		t.Fatal("RZ source must read zero")
 	}
 }
 
 func TestEvalPredicates(t *testing.T) {
-	ctx := &ThreadCtx{}
-	ctx.Regs[1] = 5
-	in := Instruction{Op: OpISETP, PDst: 2, Cmp: CmpSLT, SrcA: 1, Imm: 10, UseImm: true}
-	ctx.Eval(&in)
-	if !ctx.Preds[2] {
+	s := exec1(map[Reg]uint32{1: 5},
+		Instruction{Op: OpISETP, PDst: 2, Cmp: CmpSLT, SrcA: 1, Imm: 10, UseImm: true})
+	if s.Preds[2] != 1 {
 		t.Fatal("5 < 10 should set predicate")
 	}
 	guard := Instruction{Op: OpIADD, Dst: 0, SrcA: 1, Imm: 1, UseImm: true, Pred: 2, PredNeg: true}
-	if ctx.GuardPasses(&guard) {
+	if s.Guard(&guard, 1) != 0 {
 		t.Fatal("@!P2 should fail when P2 true")
 	}
 	// PT semantics.
-	ctx.WritePred(PT, false)
-	if !ctx.ReadPred(PT) {
+	s.Exec(&Instruction{Op: OpISETP, PDst: PT, Cmp: CmpNE, SrcA: 1, SrcB: 1, Pred: PT}, 1)
+	if s.Guard(&Instruction{Pred: PT}, 1) != 1 {
 		t.Fatal("PT must remain true")
 	}
 }
@@ -142,42 +151,55 @@ func TestEvalSignedUnsignedCompare(t *testing.T) {
 	if !CmpSLT.Eval(neg, 1) {
 		t.Fatal("signed: -1 < 1 must be true")
 	}
+	if compare(CmpLT, []uint32{neg}, []uint32{1}) != 0 || compare(CmpSLT, []uint32{neg}, []uint32{1}) != 1 {
+		t.Fatal("warp-wide compare disagrees on 0xFFFFFFFF vs 1")
+	}
 }
 
 func TestEvalSpecialRegisters(t *testing.T) {
-	ctx := &ThreadCtx{TID: 3, NTID: 128, CTAID: 2, NCTAID: 10, LaneID: 3,
-		WarpID: 0, SMID: 7, Clock: 999, Params: []uint32{11, 22}}
+	s := warpOf(4, Instruction{Op: OpS2R, Dst: 0})
+	s.TIDBase, s.NTID, s.CTAID, s.NCTAID = 32, 128, 2, 10
+	s.WarpID, s.SMID, s.Clock, s.Params = 1, 7, 999, []uint32{11, 22}
 	cases := []struct {
 		sr   Special
 		imm  int32
-		want uint32
+		want uint32 // in lane 3
 	}{
-		{SrTID, 0, 3}, {SrNTID, 0, 128}, {SrCTAID, 0, 2}, {SrNCTAID, 0, 10},
-		{SrLaneID, 0, 3}, {SrWarpID, 0, 0}, {SrSMID, 0, 7}, {SrClock, 0, 999},
-		{SrParam, 0, 11}, {SrParam, 1, 22}, {SrParam, 5, 0},
+		{SrTID, 0, 35}, {SrNTID, 0, 128}, {SrCTAID, 0, 2}, {SrNCTAID, 0, 10},
+		{SrLaneID, 0, 3}, {SrWarpID, 0, 1}, {SrSMID, 0, 7}, {SrClock, 0, 999},
+		{SrParam, 0, 11}, {SrParam, 1, 22}, {SrParam, 5, 0}, {SrParam, -1, 0},
 	}
 	for _, c := range cases {
-		in := Instruction{Op: OpS2R, Dst: 0, Special: c.sr, Imm: c.imm}
-		ctx.Eval(&in)
-		if ctx.Regs[0] != c.want {
-			t.Errorf("S2R %v[%d] = %d, want %d", c.sr, c.imm, ctx.Regs[0], c.want)
+		in := Instruction{Op: OpS2R, Dst: 0, Special: c.sr, Imm: c.imm, Pred: PT}
+		s.Exec(&in, 0xF)
+		if got := s.Row(0)[3]; got != c.want {
+			t.Errorf("S2R %v[%d] = %d, want %d", c.sr, c.imm, got, c.want)
 		}
 	}
 }
 
-func TestEvalMemoryAddressing(t *testing.T) {
-	ctx := &ThreadCtx{}
-	ctx.Regs[1] = 0x1000
-	ctx.Regs[2] = 77
-	ld := Instruction{Op: OpLDG, Dst: 0, SrcA: 1, Imm: 8}
-	r := ctx.Eval(&ld)
-	if r.MemAddr != 0x1008 || r.MemSize != 4 {
-		t.Fatalf("load addr=%#x size=%d", r.MemAddr, r.MemSize)
+// TestProgramRegisterRows pins the register predecode: a warp's file has
+// one row per register the program names, in index order, however far
+// apart the indices are.
+func TestProgramRegisterRows(t *testing.T) {
+	p := NewBuilder("rows").
+		S2R(61, SrTID).
+		IAddI(5, 61, 1).
+		Stg(0, 0, 5).
+		Mov(RZ, 9). // a read names R9; a write to RZ names nothing
+		Exit().
+		Build()
+	want := [NumRegs]uint8{0: 1, 5: 2, 9: 3, 61: 4}
+	if p.NumRegs != 4 || p.RegRow != want {
+		t.Fatalf("NumRegs = %d, RegRow = %v; want 4, %v", p.NumRegs, p.RegRow, want)
 	}
-	st := Instruction{Op: OpSTG, SrcA: 1, Imm: -16, SrcB: 2}
-	r = ctx.Eval(&st)
-	if r.MemAddr != 0xFF0 || r.StoreVal != 77 {
-		t.Fatalf("store addr=%#x val=%d", r.MemAddr, r.StoreVal)
+	s := NewLanes(p, 7)
+	if got, want := len(s.regs), (4+2)*7; got != want {
+		t.Fatalf("register file holds %d words, want %d (named + zero row + immediate row)", got, want)
+	}
+	s.Row(61)[6], s.Row(0)[0] = 1, 2
+	if s.regs[4*7+6] != 1 || s.regs[1*7] != 2 {
+		t.Fatal("Row does not index the file through RegRow")
 	}
 }
 

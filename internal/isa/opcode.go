@@ -3,10 +3,12 @@
 // and floating-point arithmetic, predicated branches, barrier
 // synchronization, special-register reads (thread/block IDs, the clock
 // counter used by the paper's microbenchmarks), and loads/stores to the
-// global, local and shared memory spaces. The package also provides
-// functional (per-thread) execution semantics and the control-flow
-// analysis that computes branch reconvergence points (immediate post-
-// dominators) for the SIMT divergence stack.
+// global, local and shared memory spaces. The package also provides the
+// functional execution semantics — warp-wide: Lanes holds one warp's
+// registers as rows and its predicates as lane masks, and executes an
+// instruction once for all its lanes — and the control-flow analysis
+// that computes branch reconvergence points (immediate post-dominators)
+// for the SIMT divergence stack.
 package isa
 
 import "fmt"
@@ -135,29 +137,6 @@ func (c CmpOp) String() string {
 		return cmpNames[c]
 	}
 	return fmt.Sprintf("cmp(%d)", uint8(c))
-}
-
-// Eval applies the comparison to two 32-bit operands.
-func (c CmpOp) Eval(a, b uint32) bool {
-	switch c {
-	case CmpEQ:
-		return a == b
-	case CmpNE:
-		return a != b
-	case CmpLT:
-		return a < b
-	case CmpLE:
-		return a <= b
-	case CmpGT:
-		return a > b
-	case CmpGE:
-		return a >= b
-	case CmpSLT:
-		return int32(a) < int32(b)
-	case CmpSGE:
-		return int32(a) >= int32(b)
-	}
-	panic("isa: unknown comparison")
 }
 
 // Special selects the source of an OpS2R read.

@@ -8,6 +8,7 @@ import (
 	"gpulat/internal/dram"
 	"gpulat/internal/gpu"
 	"gpulat/internal/icnt"
+	"gpulat/internal/isa"
 	"gpulat/internal/mempart"
 	"gpulat/internal/sm"
 )
@@ -74,6 +75,35 @@ func TestCatalogWorkloadsVerify(t *testing.T) {
 				t.Fatal("zero cycles")
 			}
 		})
+	}
+}
+
+// TestCatalogProgramsNameFewRegisters pins what sizes a warp's register
+// file: every catalog program names a dozen registers at most (its
+// highest index + 1 is 62 wherever gidPrologue's R60/R61 temporaries
+// appear) and the rows are dense, in index order.
+func TestCatalogProgramsNameFewRegisters(t *testing.T) {
+	for _, name := range CatalogNames() {
+		wl, err := NewByName(name, ScaleTest, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := wl.Kernel.Program
+		if p.NumRegs < 3 || p.NumRegs > 12 {
+			t.Errorf("%s names %d registers, want 3..12", name, p.NumRegs)
+		}
+		next := uint8(1)
+		for r, row := range p.RegRow {
+			if row != 0 && row != next {
+				t.Fatalf("%s: R%d has row %d, want %d", name, r, row, next)
+			}
+			if row != 0 {
+				next++
+			}
+		}
+		if int(next)-1 != p.NumRegs || p.RegRow[isa.RZ] != 0 {
+			t.Errorf("%s: %d rows mapped for NumRegs %d, RZ on row %d", name, next-1, p.NumRegs, p.RegRow[isa.RZ])
+		}
 	}
 }
 

@@ -43,6 +43,46 @@ func TestMemorySliceHelpers(t *testing.T) {
 	}
 }
 
+// TestMemoryLastPageMemo drives the one-entry page memo through the
+// cases where a stale or wrongly set entry would show.
+func TestMemoryLastPageMemo(t *testing.T) {
+	m := NewMemory()
+	// A load before any page exists neither allocates nor sets the memo
+	// (page number 0 is also the memo's zero value).
+	if m.Load32(8) != 0 || m.last != nil || m.Footprint() != 0 {
+		t.Fatalf("a load of empty memory left last=%p footprint=%d", m.last, m.Footprint())
+	}
+	// Interleaved pages: every access changes page.
+	const a, b = 0x10, 5*pageSize + 0x10
+	for i := uint64(0); i < 8; i++ {
+		m.Store32(a+4*i, uint32(100+i))
+		m.Store32(b+4*i, uint32(200+i))
+	}
+	for i := uint64(0); i < 8; i++ {
+		if ga, gb := m.Load32(a+4*i), m.Load32(b+4*i); ga != uint32(100+i) || gb != uint32(200+i) {
+			t.Fatalf("word %d: pages read %d / %d", i, ga, gb)
+		}
+	}
+	// A load of an unallocated page between two hits of an allocated one
+	// reads zero, allocates nothing and leaves the memo on the real page.
+	held := m.last
+	if m.Load32(9*pageSize) != 0 || m.last != held || m.Load32(b) != 200 {
+		t.Fatal("a load of an unallocated page disturbed the memo")
+	}
+	if got := m.Footprint(); got != 2*pageSize {
+		t.Fatalf("footprint %d after touching two pages, want %d", got, 2*pageSize)
+	}
+	// A word straddling a page boundary goes byte by byte through both
+	// pages, the second not yet allocated.
+	m.Store32(6*pageSize-1, 0xA1B2C3D4)
+	if got := m.Load32(6*pageSize - 1); got != 0xA1B2C3D4 {
+		t.Fatalf("straddling word = %#x", got)
+	}
+	if m.Load32(b) != 200 || m.Load32(a) != 100 || m.Footprint() != 3*pageSize {
+		t.Fatalf("after the straddle: [b]=%d [a]=%d footprint=%d", m.Load32(b), m.Load32(a), m.Footprint())
+	}
+}
+
 // Property: Memory agrees with a map-based reference model under random
 // 32-bit writes and reads.
 func TestMemoryMatchesReferenceModel(t *testing.T) {

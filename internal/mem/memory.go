@@ -6,8 +6,16 @@ package mem
 // separate from timing: execution units read and write Memory at issue
 // time, while the timing model decides when results become architecturally
 // visible to the pipeline.
+//
+// A Memory belongs to one device and is used from that device's goroutine
+// only: even a read writes the last-page memo.
 type Memory struct {
 	pages map[uint64]*page
+	// last is the page most recently found or allocated and lastPN its
+	// number: a warp's lanes touch neighbouring words, so most lookups
+	// skip the map. Nil until a page exists; a miss leaves it alone.
+	last   *page
+	lastPN uint64
 }
 
 const pageShift = 12 // 4 KiB pages
@@ -24,11 +32,18 @@ func NewMemory() *Memory {
 
 func (m *Memory) pageFor(addr uint64, alloc bool) *page {
 	pn := addr >> pageShift
+	if m.last != nil && m.lastPN == pn {
+		return m.last
+	}
 	p := m.pages[pn]
-	if p == nil && alloc {
+	if p == nil {
+		if !alloc {
+			return nil
+		}
 		p = &page{}
 		m.pages[pn] = p
 	}
+	m.last, m.lastPN = p, pn
 	return p
 }
 

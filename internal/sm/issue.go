@@ -164,18 +164,7 @@ func (s *SM) issueFrom(c sim.Cycle, ws int) {
 	prog := bs.kernel.Program
 	pc := w.PC()
 	in := prog.At(pc)
-	active := w.ActiveMask()
-
-	// Per-lane guard evaluation.
-	var passMask uint32
-	for l := 0; l < s.cfg.WarpSize; l++ {
-		if active&(1<<l) == 0 {
-			continue
-		}
-		if w.Threads[l].GuardPasses(in) {
-			passMask |= 1 << l
-		}
-	}
+	passMask := w.Guard(in, w.ActiveMask())
 
 	s.stats.InstIssued++
 	s.issuedThisCycle++
@@ -207,16 +196,8 @@ func (s *SM) issueFrom(c sim.Cycle, ws int) {
 	default:
 		// Arithmetic / moves / predicates: functional execution now,
 		// result latency via the exec pipeline.
-		for l := 0; l < s.cfg.WarpSize; l++ {
-			if passMask&(1<<l) == 0 {
-				continue
-			}
-			t := &w.Threads[l]
-			if in.Op == isa.OpS2R && in.Special == isa.SrClock {
-				t.Clock = uint32(c)
-			}
-			t.Eval(in)
-		}
+		w.Clock = uint32(c)
+		w.Exec(in, passMask)
 		var regMask uint64
 		var predMask uint8
 		if in.Op.WritesDst() && in.Dst != isa.RZ {
@@ -251,7 +232,9 @@ func (s *SM) releaseBarrierIfComplete(blockSlot int) {
 		return
 	}
 	for _, ws := range bs.warps {
-		if w := s.warps[ws]; w != nil && w.AtBarrier {
+		// The slot list is the launch-time one: a warp that exited early
+		// may have handed its slot to another block's warp since.
+		if w := s.warps[ws]; w != nil && w.BlockSlot == blockSlot && w.AtBarrier {
 			w.AtBarrier = false
 			s.refreshWarp(ws)
 		}

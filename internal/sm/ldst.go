@@ -1,10 +1,13 @@
 package sm
 
 import (
+	"math/bits"
+
 	"gpulat/internal/cache"
 	"gpulat/internal/isa"
 	"gpulat/internal/mem"
 	"gpulat/internal/sim"
+	"gpulat/internal/warp"
 )
 
 // memInst is one warp memory instruction traveling through the LDST unit.
@@ -89,41 +92,49 @@ func (s *SM) issueMemInst(c sim.Cycle, ws int, in *isa.Instruction, passMask uin
 	mi.seq = s.instSeq
 	mi.issuedAt = c
 
-	for l := 0; l < s.cfg.WarpSize; l++ {
-		if passMask&(1<<l) == 0 {
-			continue
-		}
-		t := &w.Threads[l]
-		r := t.Eval(in)
-		addr := r.MemAddr
+	// The operand rows, and the destination row when a result is kept.
+	// Lanes are visited in ascending order: the order of mi.accesses
+	// feeds the coalescer.
+	addrs, vals := w.Row(in.SrcA), w.Row(in.SrcB)
+	var dst []uint32
+	if in.Op.WritesDst() && in.Dst != isa.RZ {
+		dst = w.Row(in.Dst)
+	}
+	for m := passMask; m != 0; m &= m - 1 {
+		l := bits.TrailingZeros32(m)
+		offset := uint64(addrs[l]) + uint64(int64(in.Imm))
+		addr := offset
 		switch space {
 		case mem.SpaceLocal:
-			addr = s.localToGlobal(k, t, r.MemAddr)
+			addr = s.localToGlobal(k, w, l, offset)
 			fallthrough
 		case mem.SpaceGlobal:
 			switch {
 			case in.Op == isa.OpATOM:
-				s.deferAtom(addr, r.StoreVal, t, in.Dst)
+				var old *uint32
+				if dst != nil {
+					old = &dst[l]
+				}
+				s.deferAtom(addr, vals[l], old)
 			case kind == mem.KindStore:
-				s.deferStore(addr, r.StoreVal)
-			default:
-				t.WriteReg(in.Dst, s.readGlobal(addr))
+				s.deferStore(addr, vals[l])
+			case dst != nil:
+				dst[l] = s.readGlobal(addr)
 			}
 		case mem.SpaceShared:
-			if len(bs.shared) == 0 {
-				if kind == mem.KindLoad {
-					t.WriteReg(in.Dst, 0)
+			var v uint32
+			if len(bs.shared) != 0 {
+				word := (offset / 4) % uint64(len(bs.shared))
+				if kind == mem.KindStore {
+					bs.shared[word] = vals[l]
 				}
-				break
+				v = bs.shared[word]
 			}
-			word := (r.MemAddr / 4) % uint64(len(bs.shared))
-			if kind == mem.KindStore {
-				bs.shared[word] = r.StoreVal
-			} else {
-				t.WriteReg(in.Dst, bs.shared[word])
+			if dst != nil {
+				dst[l] = v
 			}
 		}
-		mi.accesses = append(mi.accesses, mem.LaneAccess{Lane: l, Addr: addr, Size: r.MemSize})
+		mi.accesses = append(mi.accesses, mem.LaneAccess{Lane: l, Addr: addr, Size: 4})
 	}
 
 	if kind == mem.KindLoad {
@@ -148,8 +159,8 @@ func (s *SM) issueMemInst(c sim.Cycle, ws int, in *isa.Instruction, passMask uin
 // space with per-word interleaving across all threads of the grid, so
 // that lanes accessing the same local offset touch consecutive words —
 // the hardware layout that makes local traffic coalesce.
-func (s *SM) localToGlobal(k *Kernel, t *isa.ThreadCtx, offset uint64) uint64 {
-	gtid := uint64(t.CTAID)*uint64(t.NTID) + uint64(t.TID)
+func (s *SM) localToGlobal(k *Kernel, w *warp.Warp, lane int, offset uint64) uint64 {
+	gtid := uint64(w.CTAID)*uint64(w.NTID) + uint64(w.TID(lane))
 	word := offset / 4
 	total := uint64(k.TotalThreads())
 	return k.LocalBase + (word*total+gtid)*4

@@ -306,12 +306,12 @@ type memOp struct {
 	atom bool
 	addr uint64
 	val  uint32 // store value, or atomic add operand
-	// Atomics write the pre-add word back to a lane register; the lane
-	// and destination are captured here because the old value is only
-	// known at commit. Deferring the write is safe: the destination is
-	// scoreboarded until the atomic's response returns, cycles later.
-	t   *isa.ThreadCtx
-	dst isa.Reg
+	// Atomics write the pre-add word back to a lane register; its word in
+	// the warp's destination row (nil when Dst is RZ) is captured here
+	// because the old value is only known at commit. Deferring the write
+	// is safe: the destination is scoreboarded until the atomic's response
+	// returns, cycles later.
+	old *uint32
 }
 
 // ovlEntry shadows a deferred word so this SM's later same-cycle loads
@@ -468,18 +468,14 @@ func (s *SM) LaunchBlock(k *Kernel, ctaid int, kernelID int) {
 		if rem := k.BlockDim - wi*s.cfg.WarpSize; rem < lanes {
 			lanes = rem
 		}
-		w := warp.New(ws, slot, s.cfg.WarpSize, lanes)
-		for l := 0; l < lanes; l++ {
-			t := &w.Threads[l]
-			t.TID = uint32(wi*s.cfg.WarpSize + l)
-			t.NTID = uint32(k.BlockDim)
-			t.CTAID = uint32(ctaid)
-			t.NCTAID = uint32(k.GridDim)
-			t.LaneID = uint32(l)
-			t.WarpID = uint32(wi)
-			t.SMID = uint32(s.cfg.ID)
-			t.Params = k.Params
-		}
+		w := warp.New(ws, slot, k.Program, s.cfg.WarpSize, lanes)
+		w.TIDBase = uint32(wi * s.cfg.WarpSize)
+		w.NTID = uint32(k.BlockDim)
+		w.CTAID = uint32(ctaid)
+		w.NCTAID = uint32(k.GridDim)
+		w.WarpID = uint32(wi)
+		w.SMID = uint32(s.cfg.ID)
+		w.Params = k.Params
 		s.warps[ws] = w
 		s.warpSeq[ws] = s.launchSeq*1024 + uint64(wi)
 		s.sbRegs[ws] = 0
@@ -759,8 +755,8 @@ func (s *SM) deferStore(addr uint64, v uint32) {
 
 // deferAtom queues a functional atomic add; the lane's old-value write
 // happens at commit, where the pre-add word is known.
-func (s *SM) deferAtom(addr uint64, delta uint32, t *isa.ThreadCtx, dst isa.Reg) {
-	s.memLog = append(s.memLog, memOp{atom: true, addr: addr, val: delta, t: t, dst: dst})
+func (s *SM) deferAtom(addr uint64, delta uint32, old *uint32) {
+	s.memLog = append(s.memLog, memOp{atom: true, addr: addr, val: delta, old: old})
 	e := s.memOvl[addr]
 	if e.abs {
 		e.val += delta
@@ -787,7 +783,9 @@ func (s *SM) FlushCycle() {
 		if op.atom {
 			old := s.memory.Load32(op.addr)
 			s.memory.Store32(op.addr, old+op.val)
-			op.t.WriteReg(op.dst, old)
+			if op.old != nil {
+				*op.old = old
+			}
 		} else {
 			s.memory.Store32(op.addr, op.val)
 		}

@@ -1,9 +1,10 @@
-// Package warp models a SIMT warp: the per-lane architectural state and
-// the divergence (reconvergence) stack that serializes divergent control
-// flow, in the immediate-post-dominator style used by NVIDIA hardware and
-// GPGPU-Sim. Divergence is what turns one BFS neighbor-loop instruction
-// into many serialized memory instructions, a key reason the paper's
-// example workload cannot hide its memory latency.
+// Package warp models a SIMT warp: its architectural state — one
+// warp-wide register file and predicate masks (isa.Lanes), not a context
+// per thread — and the divergence (reconvergence) stack that serializes
+// divergent control flow, in the immediate-post-dominator style used by
+// NVIDIA hardware and GPGPU-Sim. Divergence is what turns one BFS
+// neighbor-loop instruction into many serialized memory instructions, a
+// key reason the paper's example workload cannot hide its memory latency.
 package warp
 
 import (
@@ -32,9 +33,9 @@ type Warp struct {
 	ID        int
 	BlockSlot int
 
-	// Threads holds per-lane architectural state; inactive lanes beyond
-	// the block size have zeroed contexts and never-active masks.
-	Threads []isa.ThreadCtx
+	// Lanes is the warp's registers, predicates and S2R identifiers;
+	// lanes beyond the block size are never in an active mask.
+	isa.Lanes
 
 	stack  []StackEntry
 	exited uint32
@@ -46,8 +47,9 @@ type Warp struct {
 	InstRetired uint64
 }
 
-// New creates a warp whose initial active mask enables activeLanes lanes.
-func New(id, blockSlot, warpSize, activeLanes int) *Warp {
+// New creates a warp of warpSize lanes running prog whose initial active
+// mask enables activeLanes lanes.
+func New(id, blockSlot int, prog *isa.Program, warpSize, activeLanes int) *Warp {
 	if activeLanes <= 0 || activeLanes > warpSize {
 		panic(fmt.Sprintf("warp: active lanes %d out of range (warp size %d)", activeLanes, warpSize))
 	}
@@ -58,7 +60,7 @@ func New(id, blockSlot, warpSize, activeLanes int) *Warp {
 	return &Warp{
 		ID:        id,
 		BlockSlot: blockSlot,
-		Threads:   make([]isa.ThreadCtx, warpSize),
+		Lanes:     isa.NewLanes(prog, warpSize),
 		stack:     []StackEntry{{PC: 0, RPC: NoReconverge, Mask: mask}},
 	}
 }

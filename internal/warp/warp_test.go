@@ -3,10 +3,16 @@ package warp
 import (
 	"testing"
 	"testing/quick"
+
+	"gpulat/internal/isa"
 )
 
+// testProg is what the stack tests' warps run: the divergence stack
+// never reads the program, only its register file is sized by it.
+var testProg = isa.NewBuilder("t").Exit().Build()
+
 func TestInitialState(t *testing.T) {
-	w := New(0, 0, 32, 20)
+	w := New(0, 0, testProg, 32, 20)
 	if w.PC() != 0 {
 		t.Fatal("initial PC not 0")
 	}
@@ -24,11 +30,11 @@ func TestBadLaneCountPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	New(0, 0, 32, 33)
+	New(0, 0, testProg, 32, 33)
 }
 
 func TestUniformBranch(t *testing.T) {
-	w := New(0, 0, 32, 32)
+	w := New(0, 0, testProg, 32, 32)
 	w.Branch(5, 10, 20, 100, w.ActiveMask()) // all taken
 	if w.PC() != 10 || w.StackDepth() != 1 {
 		t.Fatalf("PC=%d depth=%d", w.PC(), w.StackDepth())
@@ -40,7 +46,7 @@ func TestUniformBranch(t *testing.T) {
 }
 
 func TestDivergenceAndReconvergence(t *testing.T) {
-	w := New(0, 0, 32, 32)
+	w := New(0, 0, testProg, 32, 32)
 	taken := uint32(0x0000FFFF)
 	w.Branch(5, 10, 20, 100, taken)
 	// Taken path on top.
@@ -66,7 +72,7 @@ func TestDivergenceAndReconvergence(t *testing.T) {
 }
 
 func TestNestedDivergence(t *testing.T) {
-	w := New(0, 0, 32, 32)
+	w := New(0, 0, testProg, 32, 32)
 	w.Branch(0, 10, 30, 100, 0x000000FF) // outer: 8 lanes to 10
 	if w.PC() != 10 {
 		t.Fatal("outer taken not on top")
@@ -94,7 +100,7 @@ func TestNestedDivergence(t *testing.T) {
 }
 
 func TestExitAllLanes(t *testing.T) {
-	w := New(0, 0, 32, 32)
+	w := New(0, 0, testProg, 32, 32)
 	w.ExitLanes(w.ActiveMask(), 1)
 	if !w.Done() {
 		t.Fatal("warp not done after all lanes exit")
@@ -105,7 +111,7 @@ func TestExitAllLanes(t *testing.T) {
 }
 
 func TestPredicatedExit(t *testing.T) {
-	w := New(0, 0, 32, 32)
+	w := New(0, 0, testProg, 32, 32)
 	w.ExitLanes(0x0000FFFF, 7) // half the lanes exit
 	if w.Done() {
 		t.Fatal("warp done with live lanes")
@@ -116,7 +122,7 @@ func TestPredicatedExit(t *testing.T) {
 }
 
 func TestExitOnDivergentPath(t *testing.T) {
-	w := New(0, 0, 32, 32)
+	w := New(0, 0, testProg, 32, 32)
 	w.Branch(0, 10, 20, 100, 0x000000FF)
 	// Taken path exits entirely: control falls to not-taken path.
 	w.ExitLanes(w.ActiveMask(), 11)
@@ -135,7 +141,7 @@ func TestExitOnDivergentPath(t *testing.T) {
 }
 
 func TestReconvergeAtProgramEnd(t *testing.T) {
-	w := New(0, 0, 32, 32)
+	w := New(0, 0, testProg, 32, 32)
 	// Reconvergence PC == program length: paths never merge by PC.
 	w.Branch(0, 10, 50, 50, 0x1)
 	if w.PC() != 10 {
@@ -154,7 +160,7 @@ func TestReconvergeAtProgramEnd(t *testing.T) {
 }
 
 func TestTakenMaskValidation(t *testing.T) {
-	w := New(0, 0, 32, 8) // only 8 lanes active
+	w := New(0, 0, testProg, 32, 8) // only 8 lanes active
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic for invalid taken mask")
@@ -167,7 +173,7 @@ func TestTakenMaskValidation(t *testing.T) {
 // exited and never leave the stack in an inconsistent state.
 func TestDivergenceTerminationProperty(t *testing.T) {
 	f := func(script []uint32) bool {
-		w := New(0, 0, 32, 32)
+		w := New(0, 0, testProg, 32, 32)
 		steps := 0
 		for !w.Done() && steps < 10000 {
 			steps++
