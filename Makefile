@@ -3,6 +3,13 @@
 
 GO      ?= go
 JOBS    ?= 0   # 0 = GOMAXPROCS
+# Every gate writes its binaries, exports, pid files and caches under TMP
+# (`make TMP=<dir> <gate>` moves them); `make clean` removes it. A plain
+# `=`, not `?=`: an environment TMP (often /tmp itself) must not become
+# the directory clean removes.
+TMP      = /tmp/gpulat-make
+CLI     := $(TMP)/gpulat-ci
+BUILD_CLI = mkdir -p $(TMP) && $(GO) build -o $(CLI) ./cmd/gpulat
 
 .PHONY: all build test vet fmt bench bench-baseline bench-regress alloc-regress alloc-baseline repro repro-quick determinism engine-determinism corun-determinism export-identity service-determinism shard-determinism bench-harness clean
 
@@ -39,17 +46,18 @@ bench:
 # or the run fails. Built, not `go run`, so the report's host block can
 # name the build.
 bench-baseline:
-	$(GO) build -o /tmp/gpulat-ci ./cmd/gpulat
-	/tmp/gpulat-ci bench-kernel > BENCH_kernel.json.tmp
+	$(BUILD_CLI)
+	$(CLI) bench-kernel > BENCH_kernel.json.tmp
 	mv BENCH_kernel.json.tmp BENCH_kernel.json
 
 # Event-engine regression smoke (CI): reduced-scale workloads, single
 # rep, -check fails the run when the engines' cycle counts diverge, the
 # event engine steps more cycles than the tick engine simulates, or it
 # skips nothing. -comparable strips wall-clock fields so the artifact in
-# /tmp is byte-diffable across runs.
+# TMP is byte-diffable across runs.
 bench-regress:
-	$(GO) run ./cmd/gpulat bench-kernel -quick -check -comparable > /tmp/gpulat-bench-regress.json
+	mkdir -p $(TMP)
+	$(GO) run ./cmd/gpulat bench-kernel -quick -check -comparable > $(TMP)/bench-regress.json
 
 # Allocation-regression gate (CI): the per-cycle hot path — coalescer,
 # cache miss+fill, full-device Step — must stay within the committed
@@ -77,42 +85,42 @@ repro-quick:
 # Proves the runner's core contract: -j 1 and -j 8 exports are
 # byte-identical.
 determinism:
-	$(GO) build -o /tmp/gpulat-ci ./cmd/gpulat
-	/tmp/gpulat-ci bench-suite -quick -quiet -j 1 -csv > /tmp/gpulat-j1.csv
-	/tmp/gpulat-ci bench-suite -quick -quiet -j 8 -csv > /tmp/gpulat-j8.csv
-	cmp /tmp/gpulat-j1.csv /tmp/gpulat-j8.csv
+	$(BUILD_CLI)
+	$(CLI) bench-suite -quick -quiet -j 1 -csv > $(TMP)/j1.csv
+	$(CLI) bench-suite -quick -quiet -j 8 -csv > $(TMP)/j8.csv
+	cmp $(TMP)/j1.csv $(TMP)/j8.csv
 	@echo "determinism: -j 1 and -j 8 byte-identical"
 
 # Proves the simulation kernel's core contract: the event-driven loop's
 # exports are byte-identical to the cycle-driven reference, CSV and JSON.
 engine-determinism:
-	$(GO) build -o /tmp/gpulat-ci ./cmd/gpulat
-	/tmp/gpulat-ci bench-suite -quick -quiet -j 8 -engine=tick  -csv  > /tmp/gpulat-tick.csv
-	/tmp/gpulat-ci bench-suite -quick -quiet -j 8 -engine=event -csv  > /tmp/gpulat-event.csv
-	cmp /tmp/gpulat-tick.csv /tmp/gpulat-event.csv
-	/tmp/gpulat-ci bench-suite -quick -quiet -j 8 -engine=tick  -json > /tmp/gpulat-tick.json
-	/tmp/gpulat-ci bench-suite -quick -quiet -j 8 -engine=event -json > /tmp/gpulat-event.json
-	cmp /tmp/gpulat-tick.json /tmp/gpulat-event.json
+	$(BUILD_CLI)
+	$(CLI) bench-suite -quick -quiet -j 8 -engine=tick  -csv  > $(TMP)/tick.csv
+	$(CLI) bench-suite -quick -quiet -j 8 -engine=event -csv  > $(TMP)/event.csv
+	cmp $(TMP)/tick.csv $(TMP)/event.csv
+	$(CLI) bench-suite -quick -quiet -j 8 -engine=tick  -json > $(TMP)/tick.json
+	$(CLI) bench-suite -quick -quiet -j 8 -engine=event -json > $(TMP)/event.json
+	cmp $(TMP)/tick.json $(TMP)/event.json
 	@echo "engine-determinism: tick and event engines byte-identical"
 
 # Proves the stream dispatcher's contract on a quick co-run sweep: the
 # export is byte-identical across worker counts AND across engines (the
 # multi-stream horizons of the event kernel must merge exactly).
 corun-determinism:
-	$(GO) build -o /tmp/gpulat-ci ./cmd/gpulat
-	/tmp/gpulat-ci corun -quick -quiet -j 1 -engine=tick  -csv > /tmp/gpulat-corun-t1.csv
-	/tmp/gpulat-ci corun -quick -quiet -j 8 -engine=tick  -csv > /tmp/gpulat-corun-t8.csv
-	/tmp/gpulat-ci corun -quick -quiet -j 1 -engine=event -csv > /tmp/gpulat-corun-e1.csv
-	/tmp/gpulat-ci corun -quick -quiet -j 8 -engine=event -csv > /tmp/gpulat-corun-e8.csv
-	cmp /tmp/gpulat-corun-t1.csv /tmp/gpulat-corun-t8.csv
-	cmp /tmp/gpulat-corun-e1.csv /tmp/gpulat-corun-e8.csv
-	cmp /tmp/gpulat-corun-t1.csv /tmp/gpulat-corun-e1.csv
+	$(BUILD_CLI)
+	$(CLI) corun -quick -quiet -j 1 -engine=tick  -csv > $(TMP)/corun-t1.csv
+	$(CLI) corun -quick -quiet -j 8 -engine=tick  -csv > $(TMP)/corun-t8.csv
+	$(CLI) corun -quick -quiet -j 1 -engine=event -csv > $(TMP)/corun-e1.csv
+	$(CLI) corun -quick -quiet -j 8 -engine=event -csv > $(TMP)/corun-e8.csv
+	cmp $(TMP)/corun-t1.csv $(TMP)/corun-t8.csv
+	cmp $(TMP)/corun-e1.csv $(TMP)/corun-e8.csv
+	cmp $(TMP)/corun-t1.csv $(TMP)/corun-e1.csv
 	@echo "corun-determinism: -j 1/-j 8 and tick/event byte-identical"
 
 # Proves a change simulates the same bytes as another revision — the
 # check every performance change owes: `make export-identity BASE=<rev>`
 # (default HEAD, the parent of an uncommitted change) unpacks BASE with
-# `git archive` into a temp dir, builds it and the working tree, and
+# `git archive` into a temp dir under TMP, builds it and the working tree, and
 # byte-compares, under both engines, the quick bench grid (CSV and JSON),
 # the quick co-run sweep, and — what the exports do not show — every
 # per-component counter: `simrun -v -trace-sim -` on histogram (atomics:
@@ -121,7 +129,7 @@ corun-determinism:
 # network: the module has no dependencies.
 BASE ?= HEAD
 export-identity:
-	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	@set -e; mkdir -p $(TMP); tmp=$$(mktemp -d $(TMP)/export-identity.XXXXXX); trap 'rm -rf "$$tmp"' EXIT; \
 	mkdir "$$tmp/base"; git archive $(BASE) | tar -x -C "$$tmp/base"; \
 	(cd "$$tmp/base" && $(GO) build -o "$$tmp/gpulat-base" ./cmd/gpulat); \
 	$(GO) build -o "$$tmp/gpulat-new" ./cmd/gpulat; \
@@ -148,27 +156,27 @@ export-identity:
 # reports real cache hits, and the warm submission is >=10x faster.
 SVC_ADDR ?= 127.0.0.1:18763
 service-determinism:
-	$(GO) build -o /tmp/gpulat-ci ./cmd/gpulat
-	rm -rf /tmp/gpulat-svc-cache /tmp/gpulat-serve.pid
-	/tmp/gpulat-ci bench-suite -quick -quiet -j 8 -csv  > /tmp/gpulat-direct.csv
-	/tmp/gpulat-ci bench-suite -quick -quiet -j 8 -json > /tmp/gpulat-direct.json
+	$(BUILD_CLI)
+	rm -rf $(TMP)/svc-cache $(TMP)/serve.pid
+	$(CLI) bench-suite -quick -quiet -j 8 -csv  > $(TMP)/direct.csv
+	$(CLI) bench-suite -quick -quiet -j 8 -json > $(TMP)/direct.json
 	set -e; \
-	trap 'test -f /tmp/gpulat-serve.pid && kill $$(cat /tmp/gpulat-serve.pid) 2>/dev/null; true' EXIT; \
-	/tmp/gpulat-ci serve -addr $(SVC_ADDR) -cache-dir /tmp/gpulat-svc-cache -quiet & echo $$! > /tmp/gpulat-serve.pid; \
+	trap 'test -f $(TMP)/serve.pid && kill $$(cat $(TMP)/serve.pid) 2>/dev/null; true' EXIT; \
+	$(CLI) serve -addr $(SVC_ADDR) -cache-dir $(TMP)/svc-cache -quiet & echo $$! > $(TMP)/serve.pid; \
 	t0=$$(date +%s%N); \
-	/tmp/gpulat-ci submit -addr http://$(SVC_ADDR) -quiet -suite -quick -csv > /tmp/gpulat-svc-cold.csv; \
+	$(CLI) submit -addr http://$(SVC_ADDR) -quiet -suite -quick -csv > $(TMP)/svc-cold.csv; \
 	t1=$$(date +%s%N); \
-	kill $$(cat /tmp/gpulat-serve.pid); wait $$(cat /tmp/gpulat-serve.pid) 2>/dev/null || true; \
-	/tmp/gpulat-ci serve -addr $(SVC_ADDR) -cache-dir /tmp/gpulat-svc-cache -quiet & echo $$! > /tmp/gpulat-serve.pid; \
+	kill $$(cat $(TMP)/serve.pid); wait $$(cat $(TMP)/serve.pid) 2>/dev/null || true; \
+	$(CLI) serve -addr $(SVC_ADDR) -cache-dir $(TMP)/svc-cache -quiet & echo $$! > $(TMP)/serve.pid; \
 	t2=$$(date +%s%N); \
-	/tmp/gpulat-ci submit -addr http://$(SVC_ADDR) -quiet -suite -quick -csv > /tmp/gpulat-svc-warm.csv; \
+	$(CLI) submit -addr http://$(SVC_ADDR) -quiet -suite -quick -csv > $(TMP)/svc-warm.csv; \
 	t3=$$(date +%s%N); \
-	/tmp/gpulat-ci submit -addr http://$(SVC_ADDR) -quiet -suite -quick -json > /tmp/gpulat-svc-warm.json; \
-	/tmp/gpulat-ci submit -addr http://$(SVC_ADDR) -statsz > /tmp/gpulat-svc-statsz.json; \
-	cmp /tmp/gpulat-direct.csv /tmp/gpulat-svc-cold.csv; \
-	cmp /tmp/gpulat-direct.csv /tmp/gpulat-svc-warm.csv; \
-	cmp /tmp/gpulat-direct.json /tmp/gpulat-svc-warm.json; \
-	grep -Eq '"hits": [1-9]' /tmp/gpulat-svc-statsz.json; \
+	$(CLI) submit -addr http://$(SVC_ADDR) -quiet -suite -quick -json > $(TMP)/svc-warm.json; \
+	$(CLI) submit -addr http://$(SVC_ADDR) -statsz > $(TMP)/svc-statsz.json; \
+	cmp $(TMP)/direct.csv $(TMP)/svc-cold.csv; \
+	cmp $(TMP)/direct.csv $(TMP)/svc-warm.csv; \
+	cmp $(TMP)/direct.json $(TMP)/svc-warm.json; \
+	grep -Eq '"hits": [1-9]' $(TMP)/svc-statsz.json; \
 	cold=$$(( (t1 - t0) / 1000000 )); warm=$$(( (t3 - t2) / 1000000 )); \
 	echo "service-determinism: cold $${cold}ms, warm $${warm}ms (served from cache)"; \
 	test $$(( warm * 10 )) -le $$cold
@@ -196,7 +204,7 @@ SHARD_COORD   ?= 127.0.0.1:18764
 SHARD_B1      ?= 127.0.0.1:18765
 SHARD_B2      ?= 127.0.0.1:18766
 SHARD_B3      ?= 127.0.0.1:18770
-SHARD_JOURNAL ?= /tmp/gpulat-shard-journal.jsonl
+SHARD_JOURNAL ?= $(TMP)/shard-journal.jsonl
 # Every phase runs under SHARD_TRAP: each serve writes its pid file the
 # moment it starts (again after every kill-and-restart), and however the
 # phase ends the trap SIGKILLs and reaps whatever the four files name.
@@ -204,111 +212,111 @@ SHARD_JOURNAL ?= /tmp/gpulat-shard-journal.jsonl
 # signal — hence the second trap, so an interrupted or timed-out gate
 # cleans up too. The target ends by asserting nothing it started is
 # still running.
-SHARD_PIDS = /tmp/gpulat-b1.pid /tmp/gpulat-b2.pid /tmp/gpulat-b3.pid /tmp/gpulat-coord.pid
+SHARD_PIDS = $(TMP)/b1.pid $(TMP)/b2.pid $(TMP)/b3.pid $(TMP)/coord.pid
 SHARD_TRAP = trap 'for f in $(SHARD_PIDS); do \
 		test -f $$f && { kill -9 $$(cat $$f); wait $$(cat $$f); } 2>/dev/null || true; done' EXIT; \
 	trap 'exit 1' INT TERM HUP
 shard-determinism:
-	$(GO) build -o /tmp/gpulat-ci ./cmd/gpulat
+	$(BUILD_CLI)
 	$(GO) test -race -count=1 -run 'TestStationSubmitAfterClose|TestStationSubmitCloseRace|TestStationDoUnblocksOnConcurrentClose|TestCoordinatorSubmitAfterClose|TestCoordinatorFailsOver' ./internal/service
-	rm -rf /tmp/gpulat-shard-b1 /tmp/gpulat-shard-b2 $(SHARD_PIDS)
-	/tmp/gpulat-ci bench-suite -quick -quiet -j 8 -csv  > /tmp/gpulat-direct.csv
-	/tmp/gpulat-ci bench-suite -quick -quiet -j 8 -json > /tmp/gpulat-direct.json
+	rm -rf $(TMP)/shard-b1 $(TMP)/shard-b2 $(SHARD_PIDS)
+	$(CLI) bench-suite -quick -quiet -j 8 -csv  > $(TMP)/direct.csv
+	$(CLI) bench-suite -quick -quiet -j 8 -json > $(TMP)/direct.json
 	set -e; \
 	$(SHARD_TRAP); \
-	/tmp/gpulat-ci serve -addr $(SHARD_B1) -cache-dir /tmp/gpulat-shard-b1 -quiet & echo $$! > /tmp/gpulat-b1.pid; \
-	/tmp/gpulat-ci serve -addr $(SHARD_B2) -cache-dir /tmp/gpulat-shard-b2 -quiet & echo $$! > /tmp/gpulat-b2.pid; \
-	/tmp/gpulat-ci serve -addr $(SHARD_COORD) -backends $(SHARD_B1),$(SHARD_B2) -quiet & echo $$! > /tmp/gpulat-coord.pid; \
-	/tmp/gpulat-ci submit -addr http://$(SHARD_COORD) -quiet -suite -quick -csv > /tmp/gpulat-shard-cold.csv; \
-	/tmp/gpulat-ci submit -addr http://$(SHARD_COORD) -backendsz > /tmp/gpulat-shard-backendsz.json; \
-	cmp /tmp/gpulat-direct.csv /tmp/gpulat-shard-cold.csv; \
-	grep -q '"circuit": "closed"' /tmp/gpulat-shard-backendsz.json; \
-	grep -q '"submitted": ' /tmp/gpulat-shard-backendsz.json; \
-	kill $$(cat /tmp/gpulat-coord.pid) && wait $$(cat /tmp/gpulat-coord.pid) 2>/dev/null || true; \
-	/tmp/gpulat-ci serve -addr $(SHARD_COORD) -backends $(SHARD_B1),$(SHARD_B2) -quiet & echo $$! > /tmp/gpulat-coord.pid; \
-	rm -rf /tmp/gpulat-shard-b1 /tmp/gpulat-shard-b2; \
-	/tmp/gpulat-ci submit -addr http://$(SHARD_COORD) -quiet -suite -quick -csv > /tmp/gpulat-shard-kill.csv & SUBMIT=$$!; \
+	$(CLI) serve -addr $(SHARD_B1) -cache-dir $(TMP)/shard-b1 -quiet & echo $$! > $(TMP)/b1.pid; \
+	$(CLI) serve -addr $(SHARD_B2) -cache-dir $(TMP)/shard-b2 -quiet & echo $$! > $(TMP)/b2.pid; \
+	$(CLI) serve -addr $(SHARD_COORD) -backends $(SHARD_B1),$(SHARD_B2) -quiet & echo $$! > $(TMP)/coord.pid; \
+	$(CLI) submit -addr http://$(SHARD_COORD) -quiet -suite -quick -csv > $(TMP)/shard-cold.csv; \
+	$(CLI) submit -addr http://$(SHARD_COORD) -backendsz > $(TMP)/shard-backendsz.json; \
+	cmp $(TMP)/direct.csv $(TMP)/shard-cold.csv; \
+	grep -q '"circuit": "closed"' $(TMP)/shard-backendsz.json; \
+	grep -q '"submitted": ' $(TMP)/shard-backendsz.json; \
+	kill $$(cat $(TMP)/coord.pid) && wait $$(cat $(TMP)/coord.pid) 2>/dev/null || true; \
+	$(CLI) serve -addr $(SHARD_COORD) -backends $(SHARD_B1),$(SHARD_B2) -quiet & echo $$! > $(TMP)/coord.pid; \
+	rm -rf $(TMP)/shard-b1 $(TMP)/shard-b2; \
+	$(CLI) submit -addr http://$(SHARD_COORD) -quiet -suite -quick -csv > $(TMP)/shard-kill.csv & SUBMIT=$$!; \
 	sleep 0.05; \
-	kill -9 $$(cat /tmp/gpulat-b2.pid); rm -f /tmp/gpulat-b2.pid; \
+	kill -9 $$(cat $(TMP)/b2.pid); rm -f $(TMP)/b2.pid; \
 	wait $$SUBMIT; \
-	cmp /tmp/gpulat-direct.csv /tmp/gpulat-shard-kill.csv; \
-	/tmp/gpulat-ci submit -addr http://$(SHARD_COORD) -quiet -suite -quick -json > /tmp/gpulat-shard-kill.json; \
-	cmp /tmp/gpulat-direct.json /tmp/gpulat-shard-kill.json; \
+	cmp $(TMP)/direct.csv $(TMP)/shard-kill.csv; \
+	$(CLI) submit -addr http://$(SHARD_COORD) -quiet -suite -quick -json > $(TMP)/shard-kill.json; \
+	cmp $(TMP)/direct.json $(TMP)/shard-kill.json; \
 	for i in $$(seq 1 40); do \
-		/tmp/gpulat-ci submit -addr http://$(SHARD_COORD) -backendsz > /tmp/gpulat-shard-backendsz.json; \
-		grep -q '"circuit": "open"' /tmp/gpulat-shard-backendsz.json && break; \
+		$(CLI) submit -addr http://$(SHARD_COORD) -backendsz > $(TMP)/shard-backendsz.json; \
+		grep -q '"circuit": "open"' $(TMP)/shard-backendsz.json && break; \
 		sleep 0.25; \
 	done; \
-	grep -q '"circuit": "open"' /tmp/gpulat-shard-backendsz.json
+	grep -q '"circuit": "open"' $(TMP)/shard-backendsz.json
 	set -e; \
 	$(SHARD_TRAP); \
-	rm -rf /tmp/gpulat-shard-b1 /tmp/gpulat-shard-b2 /tmp/gpulat-shard-b3 $(SHARD_PIDS); \
-	/tmp/gpulat-ci serve -addr $(SHARD_B1) -cache-dir /tmp/gpulat-shard-b1 -quiet & echo $$! > /tmp/gpulat-b1.pid; \
-	/tmp/gpulat-ci serve -addr $(SHARD_B2) -cache-dir /tmp/gpulat-shard-b2 -quiet & echo $$! > /tmp/gpulat-b2.pid; \
-	/tmp/gpulat-ci serve -addr $(SHARD_COORD) -backends $(SHARD_B1) -quiet & echo $$! > /tmp/gpulat-coord.pid; \
-	/tmp/gpulat-ci submit -addr http://$(SHARD_COORD) -quiet -suite -quick -csv > /tmp/gpulat-shard-join.csv & SUBMIT=$$!; \
+	rm -rf $(TMP)/shard-b1 $(TMP)/shard-b2 $(TMP)/shard-b3 $(SHARD_PIDS); \
+	$(CLI) serve -addr $(SHARD_B1) -cache-dir $(TMP)/shard-b1 -quiet & echo $$! > $(TMP)/b1.pid; \
+	$(CLI) serve -addr $(SHARD_B2) -cache-dir $(TMP)/shard-b2 -quiet & echo $$! > $(TMP)/b2.pid; \
+	$(CLI) serve -addr $(SHARD_COORD) -backends $(SHARD_B1) -quiet & echo $$! > $(TMP)/coord.pid; \
+	$(CLI) submit -addr http://$(SHARD_COORD) -quiet -suite -quick -csv > $(TMP)/shard-join.csv & SUBMIT=$$!; \
 	sleep 0.05; \
-	/tmp/gpulat-ci backends -addr http://$(SHARD_COORD) join $(SHARD_B2) > /tmp/gpulat-shard-joinchange.json; \
+	$(CLI) backends -addr http://$(SHARD_COORD) join $(SHARD_B2) > $(TMP)/shard-joinchange.json; \
 	wait $$SUBMIT; \
-	cmp /tmp/gpulat-direct.csv /tmp/gpulat-shard-join.csv; \
-	/tmp/gpulat-ci submit -addr http://$(SHARD_COORD) -quiet -suite -quick -json > /tmp/gpulat-shard-join.json; \
-	cmp /tmp/gpulat-direct.json /tmp/gpulat-shard-join.json; \
-	grep -q '"action": "join"' /tmp/gpulat-shard-joinchange.json; \
-	grep -q '"epoch": 2' /tmp/gpulat-shard-joinchange.json; \
-	/tmp/gpulat-ci serve -addr $(SHARD_B3) -cache-dir /tmp/gpulat-shard-b3 \
-		-join http://$(SHARD_COORD) -advertise $(SHARD_B3) -quiet & echo $$! > /tmp/gpulat-b3.pid; \
+	cmp $(TMP)/direct.csv $(TMP)/shard-join.csv; \
+	$(CLI) submit -addr http://$(SHARD_COORD) -quiet -suite -quick -json > $(TMP)/shard-join.json; \
+	cmp $(TMP)/direct.json $(TMP)/shard-join.json; \
+	grep -q '"action": "join"' $(TMP)/shard-joinchange.json; \
+	grep -q '"epoch": 2' $(TMP)/shard-joinchange.json; \
+	$(CLI) serve -addr $(SHARD_B3) -cache-dir $(TMP)/shard-b3 \
+		-join http://$(SHARD_COORD) -advertise $(SHARD_B3) -quiet & echo $$! > $(TMP)/b3.pid; \
 	for i in $$(seq 1 40); do \
-		/tmp/gpulat-ci submit -addr http://$(SHARD_COORD) -backendsz > /tmp/gpulat-shard-backendsz.json 2>/dev/null || true; \
-		/tmp/gpulat-ci submit -addr http://$(SHARD_COORD) -statsz > /tmp/gpulat-shard-statsz.json 2>/dev/null || true; \
-		grep -q '"epoch": 3' /tmp/gpulat-shard-backendsz.json \
-			&& grep -q '"handoff_transferred"' /tmp/gpulat-shard-statsz.json \
+		$(CLI) submit -addr http://$(SHARD_COORD) -backendsz > $(TMP)/shard-backendsz.json 2>/dev/null || true; \
+		$(CLI) submit -addr http://$(SHARD_COORD) -statsz > $(TMP)/shard-statsz.json 2>/dev/null || true; \
+		grep -q '"epoch": 3' $(TMP)/shard-backendsz.json \
+			&& grep -q '"handoff_transferred"' $(TMP)/shard-statsz.json \
 			&& curl -sf http://$(SHARD_B3)/metrics | grep -Eq 'gpulat_cache_transfer_in_total [1-9]' \
 			&& curl -sf http://$(SHARD_COORD)/metrics | grep -Eq 'gpulat_station_handoff_transferred_total [1-9]' \
 			&& break; \
 		sleep 0.25; \
 	done; \
-	grep -q '"epoch": 3' /tmp/gpulat-shard-backendsz.json; \
-	grep -q '"ring_share"' /tmp/gpulat-shard-backendsz.json; \
-	grep -q '"ring_epoch": 3' /tmp/gpulat-shard-statsz.json; \
-	grep -q '"handoff_transferred"' /tmp/gpulat-shard-statsz.json; \
+	grep -q '"epoch": 3' $(TMP)/shard-backendsz.json; \
+	grep -q '"ring_share"' $(TMP)/shard-backendsz.json; \
+	grep -q '"ring_epoch": 3' $(TMP)/shard-statsz.json; \
+	grep -q '"handoff_transferred"' $(TMP)/shard-statsz.json; \
 	curl -sf http://$(SHARD_B3)/metrics | grep -Eq 'gpulat_cache_transfer_in_total [1-9]'; \
 	curl -sf http://$(SHARD_COORD)/metrics | grep -Eq 'gpulat_station_handoff_transferred_total [1-9]'
 	set -e; \
 	$(SHARD_TRAP); \
-	rm -rf /tmp/gpulat-shard-b1 /tmp/gpulat-shard-b2 $(SHARD_PIDS); \
-	/tmp/gpulat-ci serve -addr $(SHARD_B1) -cache-dir /tmp/gpulat-shard-b1 -quiet & echo $$! > /tmp/gpulat-b1.pid; \
-	/tmp/gpulat-ci serve -addr $(SHARD_B2) -cache-dir /tmp/gpulat-shard-b2 -quiet & echo $$! > /tmp/gpulat-b2.pid; \
-	/tmp/gpulat-ci serve -addr $(SHARD_COORD) -backends $(SHARD_B1),$(SHARD_B2) -quiet & echo $$! > /tmp/gpulat-coord.pid; \
-	/tmp/gpulat-ci submit -addr http://$(SHARD_COORD) -quiet -suite -quick -csv > /tmp/gpulat-shard-leave.csv & SUBMIT=$$!; \
+	rm -rf $(TMP)/shard-b1 $(TMP)/shard-b2 $(SHARD_PIDS); \
+	$(CLI) serve -addr $(SHARD_B1) -cache-dir $(TMP)/shard-b1 -quiet & echo $$! > $(TMP)/b1.pid; \
+	$(CLI) serve -addr $(SHARD_B2) -cache-dir $(TMP)/shard-b2 -quiet & echo $$! > $(TMP)/b2.pid; \
+	$(CLI) serve -addr $(SHARD_COORD) -backends $(SHARD_B1),$(SHARD_B2) -quiet & echo $$! > $(TMP)/coord.pid; \
+	$(CLI) submit -addr http://$(SHARD_COORD) -quiet -suite -quick -csv > $(TMP)/shard-leave.csv & SUBMIT=$$!; \
 	sleep 0.05; \
-	/tmp/gpulat-ci backends -addr http://$(SHARD_COORD) leave $(SHARD_B2) > /tmp/gpulat-shard-leavechange.json; \
+	$(CLI) backends -addr http://$(SHARD_COORD) leave $(SHARD_B2) > $(TMP)/shard-leavechange.json; \
 	wait $$SUBMIT; \
-	cmp /tmp/gpulat-direct.csv /tmp/gpulat-shard-leave.csv; \
-	/tmp/gpulat-ci submit -addr http://$(SHARD_COORD) -quiet -suite -quick -json > /tmp/gpulat-shard-leave.json; \
-	cmp /tmp/gpulat-direct.json /tmp/gpulat-shard-leave.json; \
-	grep -q '"action": "leave"' /tmp/gpulat-shard-leavechange.json; \
-	grep -q '"members": 1' /tmp/gpulat-shard-leavechange.json
+	cmp $(TMP)/direct.csv $(TMP)/shard-leave.csv; \
+	$(CLI) submit -addr http://$(SHARD_COORD) -quiet -suite -quick -json > $(TMP)/shard-leave.json; \
+	cmp $(TMP)/direct.json $(TMP)/shard-leave.json; \
+	grep -q '"action": "leave"' $(TMP)/shard-leavechange.json; \
+	grep -q '"members": 1' $(TMP)/shard-leavechange.json
 	set -e; \
 	$(SHARD_TRAP); \
-	rm -rf /tmp/gpulat-shard-b1 $(SHARD_JOURNAL) $(SHARD_PIDS); \
-	/tmp/gpulat-ci serve -addr $(SHARD_B1) -cache-dir /tmp/gpulat-shard-b1 -quiet & echo $$! > /tmp/gpulat-b1.pid; \
-	/tmp/gpulat-ci serve -addr $(SHARD_COORD) -backends $(SHARD_B1) -journal $(SHARD_JOURNAL) -quiet & echo $$! > /tmp/gpulat-coord.pid; \
-	/tmp/gpulat-ci submit -addr http://$(SHARD_COORD) -quiet -suite -quick -csv > /tmp/gpulat-shard-crash.csv & SUBMIT=$$!; \
+	rm -rf $(TMP)/shard-b1 $(SHARD_JOURNAL) $(SHARD_PIDS); \
+	$(CLI) serve -addr $(SHARD_B1) -cache-dir $(TMP)/shard-b1 -quiet & echo $$! > $(TMP)/b1.pid; \
+	$(CLI) serve -addr $(SHARD_COORD) -backends $(SHARD_B1) -journal $(SHARD_JOURNAL) -quiet & echo $$! > $(TMP)/coord.pid; \
+	$(CLI) submit -addr http://$(SHARD_COORD) -quiet -suite -quick -csv > $(TMP)/shard-crash.csv & SUBMIT=$$!; \
 	sleep 0.1; \
-	kill -9 $$(cat /tmp/gpulat-coord.pid); rm -f /tmp/gpulat-coord.pid; \
+	kill -9 $$(cat $(TMP)/coord.pid); rm -f $(TMP)/coord.pid; \
 	wait $$SUBMIT || true; \
-	/tmp/gpulat-ci serve -addr $(SHARD_COORD) -backends $(SHARD_B1) -journal $(SHARD_JOURNAL) -quiet & echo $$! > /tmp/gpulat-coord.pid; \
+	$(CLI) serve -addr $(SHARD_COORD) -backends $(SHARD_B1) -journal $(SHARD_JOURNAL) -quiet & echo $$! > $(TMP)/coord.pid; \
 	for i in $$(seq 1 40); do \
-		/tmp/gpulat-ci submit -addr http://$(SHARD_COORD) -statsz > /tmp/gpulat-shard-statsz.json 2>/dev/null || true; \
-		grep -q '"replayed"' /tmp/gpulat-shard-statsz.json && break; \
+		$(CLI) submit -addr http://$(SHARD_COORD) -statsz > $(TMP)/shard-statsz.json 2>/dev/null || true; \
+		grep -q '"replayed"' $(TMP)/shard-statsz.json && break; \
 		sleep 0.25; \
 	done; \
-	grep -q '"replayed"' /tmp/gpulat-shard-statsz.json; \
-	/tmp/gpulat-ci submit -addr http://$(SHARD_COORD) -quiet -suite -quick -csv > /tmp/gpulat-shard-recovered.csv; \
-	cmp /tmp/gpulat-direct.csv /tmp/gpulat-shard-recovered.csv; \
-	/tmp/gpulat-ci submit -addr http://$(SHARD_COORD) -quiet -suite -quick -json > /tmp/gpulat-shard-recovered.json; \
-	cmp /tmp/gpulat-direct.json /tmp/gpulat-shard-recovered.json
-	@if pgrep -af '^/tmp/gpulat-ci serve -addr ($(SHARD_COORD)|$(SHARD_B1)|$(SHARD_B2)|$(SHARD_B3)) '; then \
+	grep -q '"replayed"' $(TMP)/shard-statsz.json; \
+	$(CLI) submit -addr http://$(SHARD_COORD) -quiet -suite -quick -csv > $(TMP)/shard-recovered.csv; \
+	cmp $(TMP)/direct.csv $(TMP)/shard-recovered.csv; \
+	$(CLI) submit -addr http://$(SHARD_COORD) -quiet -suite -quick -json > $(TMP)/shard-recovered.json; \
+	cmp $(TMP)/direct.json $(TMP)/shard-recovered.json
+	@if pgrep -af '^$(CLI) serve -addr ($(SHARD_COORD)|$(SHARD_B1)|$(SHARD_B2)|$(SHARD_B3)) '; then \
 		echo "shard-determinism: the serve processes above outlived the gate"; exit 1; fi
 	@echo "shard-determinism: coordinator byte-identical to direct across a backend kill, join/leave mid-grid, a warm self-registered joiner, and a journal-replayed coordinator crash"
 
@@ -321,17 +329,4 @@ bench-harness:
 
 clean:
 	$(GO) clean
-	rm -f /tmp/gpulat-ci /tmp/gpulat-bench-regress.json \
-		/tmp/gpulat-j1.csv /tmp/gpulat-j8.csv \
-		/tmp/gpulat-tick.csv /tmp/gpulat-event.csv \
-		/tmp/gpulat-tick.json /tmp/gpulat-event.json \
-		/tmp/gpulat-corun-t1.csv /tmp/gpulat-corun-t8.csv \
-		/tmp/gpulat-corun-e1.csv /tmp/gpulat-corun-e8.csv \
-		/tmp/gpulat-direct.csv /tmp/gpulat-direct.json \
-		/tmp/gpulat-svc-cold.csv /tmp/gpulat-svc-warm.csv \
-		/tmp/gpulat-svc-warm.json /tmp/gpulat-svc-statsz.json \
-		/tmp/gpulat-serve.pid \
-		/tmp/gpulat-shard-cold.csv /tmp/gpulat-shard-kill.csv \
-		/tmp/gpulat-shard-kill.json /tmp/gpulat-shard-backendsz.json \
-		/tmp/gpulat-b1.pid /tmp/gpulat-b2.pid /tmp/gpulat-coord.pid
-	rm -rf /tmp/gpulat-svc-cache /tmp/gpulat-shard-b1 /tmp/gpulat-shard-b2
+	rm -rf $(TMP)

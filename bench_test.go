@@ -1,18 +1,20 @@
 package gpulat
 
 // Benchmark harness: one benchmark per table and figure of the paper,
-// plus the ablations indexed in DESIGN.md. Each benchmark regenerates
-// its experiment end to end (workload generation, simulation,
-// measurement) and reports the paper-relevant scalar as a custom metric,
-// so `go test -bench=. -benchmem` doubles as the full reproduction run.
+// plus the ablations the CLI's ablate-* commands run. Each benchmark
+// regenerates its experiment end to end (workload generation,
+// simulation, measurement) and reports the paper-relevant scalar as a
+// custom metric, so `go test -bench=. -benchmem` doubles as the full
+// reproduction run.
 //
-//	BenchmarkTable1StaticLatency/*     — Table I  (E1)
-//	BenchmarkFig1Breakdown             — Figure 1 (E2)
-//	BenchmarkFig2Exposure              — Figure 2 (E3)
-//	BenchmarkOtherWorkloadsBreakdown/* — §III "other workloads" (E4)
-//	BenchmarkAblationDRAMScheduler/*   — A1: FR-FCFS vs FCFS
-//	BenchmarkAblationWarpScheduler/*   — A2: LRR vs GTO
-//	BenchmarkAblationMSHR/*            — A3: L1 MSHR capacity
+//	BenchmarkTable1StaticLatency/*     — Table I
+//	BenchmarkFig1Breakdown             — Figure 1
+//	BenchmarkFig2Exposure              — Figure 2
+//	BenchmarkOtherWorkloadsBreakdown/* — §III "other workloads"
+//	BenchmarkAblationDRAMScheduler/*   — FR-FCFS vs FCFS
+//	BenchmarkAblationWarpScheduler/*   — LRR vs GTO
+//	BenchmarkAblationMSHR/*            — L1 MSHR capacity
+//	BenchmarkRunnerParallelSweep/*     — experiment runner, 1 vs N workers
 //	BenchmarkSimulatorThroughput       — simulator speed baseline
 
 import (

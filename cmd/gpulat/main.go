@@ -1,24 +1,10 @@
 // Command gpulat regenerates the tables and figures of "On Latency in
 // GPU Throughput Microarchitectures" (ISPASS 2015) on the Go
-// reimplementation of the paper's measurement infrastructure.
+// reimplementation of the paper's measurement infrastructure, and serves
+// the same simulations over HTTP.
 //
-// Usage:
-//
-//	gpulat table1  [-accesses N] [-archs list] [-j N]    Table I
-//	gpulat sweep   [-arch A] [-strides s,..] [-footprints f,..] [-j N]
-//	gpulat fig1    [-arch A] [-kernel K] [-buckets N] [-csv]
-//	gpulat fig2    [-arch A] [-kernel K] [-buckets N] [-csv]
-//	gpulat ablate-dram   [-kernel K] [-j N]    FR-FCFS vs FR-FCFS-cap vs FCFS
-//	gpulat ablate-sched  [-kernel K] [-j N]    LRR vs GTO
-//	gpulat ablate-mshr   [-kernel K] [-j N]    L1 MSHR sweep
-//	gpulat ablate-occupancy [-j N]             latency hiding vs warps/SM
-//	gpulat load-curve    [-j N]                latency vs offered load
-//	gpulat corun   [-pairs a:b,..] [-placements p,..] [-j N]   interference
-//	gpulat bench-suite   [-j N] [-quick] [-json] [-csv]  full paper grid
-//	gpulat simrun  [-arch A] [-kernel K] [-v]  stats dump
-//	gpulat export  [-arch A] [-kernel K]       per-load records CSV
-//	gpulat config  [-arch A]                   preset as editable JSON
-//	gpulat list                                presets and kernels
+// `gpulat help` prints the command list (usage, below, is its one copy);
+// `gpulat <command> -h` prints a command's flags.
 //
 // Every -arch flag accepts a preset name or "file:<path>" for a JSON
 // configuration produced by `gpulat config`. Every sweep-shaped command
@@ -53,33 +39,37 @@ func usagef(format string, args ...any) error {
 }
 
 func main() {
-	if len(os.Args) < 2 {
-		usage()
-		os.Exit(2)
+	if code := dispatch(os.Args[1:]); code != 0 {
+		os.Exit(code)
 	}
-	cmd, args := os.Args[1], os.Args[2:]
+}
+
+// dispatch runs the command line args (without the program name) and
+// returns the process exit code. Uniform exit-code hygiene: every
+// subcommand returns its failure instead of exiting; errors go to
+// stderr; -h exits 0, usage errors and unknown commands exit 2, runtime
+// failures exit 1.
+func dispatch(args []string) int {
+	if len(args) == 0 {
+		usage()
+		return 2
+	}
+	cmd := args[0]
 	run, ok := commands()[cmd]
 	if !ok {
 		if cmd == "-h" || cmd == "--help" || cmd == "help" {
 			usage()
-			return
+			return 0
 		}
 		fmt.Fprintf(os.Stderr, "gpulat: unknown command %q\n\n", cmd)
 		usage()
-		os.Exit(2)
+		return 2
 	}
-	// Uniform exit-code hygiene: every subcommand returns its failure
-	// instead of exiting; errors go to stderr; -h exits 0, usage errors
-	// exit 2, runtime failures exit 1.
-	if err := run(args); err != nil {
-		if errors.Is(err, flag.ErrHelp) {
-			return
-		}
-		if !errors.Is(err, errFlagReported) {
-			fmt.Fprintln(os.Stderr, "gpulat:", err)
-		}
-		os.Exit(exitCode(err))
+	err := run(args[1:])
+	if err != nil && !errors.Is(err, flag.ErrHelp) && !errors.Is(err, errFlagReported) {
+		fmt.Fprintln(os.Stderr, "gpulat:", err)
 	}
+	return exitCode(err)
 }
 
 // exitCode maps a subcommand's error to the CLI contract: 0 success
@@ -107,7 +97,6 @@ func commands() map[string]func([]string) error {
 		"ablate-mshr":      cmdAblateMSHR,
 		"ablate-occupancy": cmdAblateOccupancy,
 		"load-curve":       cmdLoadCurve,
-		"loadcurve":        cmdLoadCurve, // pre-runner spelling
 		"corun":            cmdCoRun,
 		"bench-suite":      cmdBenchSuite,
 		"bench-kernel":     cmdBenchKernel,

@@ -25,6 +25,17 @@ func TestExitCodeClassification(t *testing.T) {
 	}
 }
 
+// TestUnknownCommandsExitTwo: a name that is not a command — the retired
+// "loadcurve" spelling of load-curve among them — exits 2 before
+// anything runs, as does an empty command line.
+func TestUnknownCommandsExitTwo(t *testing.T) {
+	for _, args := range [][]string{{"loadcurve"}, {"no-such-command"}, {}} {
+		if got := dispatch(args); got != 2 {
+			t.Errorf("gpulat %q: exit %d, want 2", args, got)
+		}
+	}
+}
+
 // TestCoRunUsageErrorsExitTwo covers the corun bad-invocation paths:
 // every axis typo must classify as a usage error (exit 2) before any
 // simulation starts.

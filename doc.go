@@ -33,13 +33,13 @@
 // The implementation is seventeen internal packages in a strict layering,
 // hardware at the bottom and the service layer at the top:
 //
-//	sim               clocks, pipelines/queues/calendars, the documented
+//	sim               clocks, latency queues, calendars, the documented
 //	                  NextEvent horizon contract (doc.go), and the subscriber
 //	                  Scheduler the event engine arms wakes on
 //	isa               the small SIMT instruction set and CFG builder
 //	warp, mem         per-warp execution state; memory request types
 //	sm                SIMT cores: warp schedulers (LRR/GTO), L1+MSHRs,
-//	                  the LDST pipeline, scoreboards
+//	                  the LDST pipeline, release-time scoreboards
 //	cache, dram       the cache model; banked DRAM with FR-FCFS/FCFS
 //	icnt, mempart     crossbar interconnect; memory partitions
 //	gpu               assembles SMs x partitions x crossbar into a

@@ -1,7 +1,7 @@
 package sim
 
-// Calendar delivers items at arbitrary future cycles, unlike Pipeline
-// whose depth is constant. It is backed by a stable binary min-heap
+// Calendar delivers items at arbitrary future cycles, unlike Queue whose
+// latency is constant. It is backed by a stable binary min-heap
 // keyed on (readyAt, insertion sequence): Schedule is O(log n) — the
 // insertion sort it replaces was O(n) per call — and ties still emerge
 // in insertion order. Calendar is the event-driven kernel's hot path

@@ -149,7 +149,7 @@ func TestCalendarMatchesReferenceModel(t *testing.T) {
 	}
 }
 
-func TestQueueAndPipelineNextReady(t *testing.T) {
+func TestQueueNextReady(t *testing.T) {
 	q := NewQueue[int]("q", 4, 3)
 	if q.NextReady() != Never {
 		t.Fatal("empty queue must report Never")
@@ -157,14 +157,6 @@ func TestQueueAndPipelineNextReady(t *testing.T) {
 	q.Push(10, 1)
 	if got := q.NextReady(); got != 13 {
 		t.Fatalf("queue NextReady = %d, want 13", got)
-	}
-	p := NewPipeline[int]("p", 5)
-	if p.NextReady() != Never {
-		t.Fatal("empty pipeline must report Never")
-	}
-	p.Enter(7, 1)
-	if got := p.NextReady(); got != 12 {
-		t.Fatalf("pipeline NextReady = %d, want 12", got)
 	}
 }
 

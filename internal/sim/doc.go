@@ -1,9 +1,9 @@
 // Package sim provides the low-level building blocks of the cycle-level
 // GPU timing simulator — the simulation clock, bounded latency queues,
-// fixed-depth pipelines, stable calendars — and the simulation-kernel
-// contract that lets the event-driven engine produce byte-identical
-// results to the cycle-driven reference loop. This file is that
-// contract's specification; the implementation lives in internal/gpu.
+// stable calendars — and the simulation-kernel contract that lets the
+// event-driven engine produce byte-identical results to the cycle-driven
+// reference loop. This file is that contract's specification; the
+// implementation lives in internal/gpu.
 //
 // # Tick semantics
 //

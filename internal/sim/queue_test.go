@@ -125,37 +125,6 @@ func TestQueueFIFOProperty(t *testing.T) {
 	}
 }
 
-func TestPipelineDelivery(t *testing.T) {
-	p := NewPipeline[int]("t", 3)
-	p.Enter(0, 10)
-	p.Enter(1, 11)
-	p.Enter(2, 12)
-	if got := p.Ready(2); got != nil {
-		t.Fatalf("early delivery: %v", got)
-	}
-	if got := p.Ready(3); len(got) != 1 || got[0] != 10 {
-		t.Fatalf("cycle 3 delivery: %v", got)
-	}
-	if got := p.Ready(5); len(got) != 2 || got[0] != 11 || got[1] != 12 {
-		t.Fatalf("cycle 5 delivery: %v", got)
-	}
-	if p.Len() != 0 {
-		t.Fatalf("pipeline not drained: %d", p.Len())
-	}
-}
-
-func TestPipelinePopReady(t *testing.T) {
-	p := NewPipeline[int]("t", 2)
-	p.Enter(0, 7)
-	if _, ok := p.PopReady(1); ok {
-		t.Fatal("popped before ready")
-	}
-	v, ok := p.PopReady(2)
-	if !ok || v != 7 {
-		t.Fatalf("PopReady = %v, %v", v, ok)
-	}
-}
-
 func TestRNGDeterminism(t *testing.T) {
 	a, b := NewRNG(42), NewRNG(42)
 	for i := 0; i < 100; i++ {

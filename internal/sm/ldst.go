@@ -140,11 +140,10 @@ func (s *SM) issueMemInst(c sim.Cycle, ws int, in *isa.Instruction, passMask uin
 	if kind == mem.KindLoad {
 		s.stats.LoadsIssued++
 		if in.Dst != isa.RZ {
-			s.sbRegs[ws] |= 1 << in.Dst
 			// The release time (an L1-hit retire or a network reply) is
 			// not knowable here; the warp's horizon term drops out and its
 			// wake rides the response/retire terms instead.
-			s.regClearAt[ws*64+int(in.Dst)] = sim.Never
+			s.regReady[ws*64+int(in.Dst)] = sim.Never
 		}
 	} else {
 		s.stats.StoresIssued++

@@ -2,6 +2,7 @@ package sm
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"testing"
 
@@ -12,25 +13,45 @@ import (
 
 // The issue stage keeps warp readiness as maintained state (refreshWarp,
 // pickWarp). This file holds the oracle it replaced — the linear scan
-// that re-decodes every warp slot's next instruction on every pick — and
-// the property test that the two agree at every pick of every cycle.
+// that re-decodes every warp slot's next instruction on every pick and
+// reads its operands' release times from the scoreboard — and the
+// property test that the two agree at every pick of every cycle.
 
-// refIssuable is the former issuableIgnoringDelay: residency, scoreboard
-// and structural conditions decoded from scratch.
-func (s *SM) refIssuable(ws int) bool {
+// refIssuable is the former issuable check: residency, branch delay,
+// release times and structural conditions decoded from scratch at c.
+func (s *SM) refIssuable(ws int, c sim.Cycle) bool {
 	w := s.warps[ws]
-	if w == nil || w.Done() || w.AtBarrier {
+	if w == nil || w.Done() || w.AtBarrier || s.blockedTo[ws] > c {
 		return false
 	}
 	in := s.blocks[w.BlockSlot].kernel.Program.At(w.PC())
-	regs, preds := refNeed(in)
-	if s.sbRegs[ws]&regs != 0 || s.sbPreds[ws]&preds != 0 {
+	if s.refRelease(ws, in) > c {
 		return false
 	}
 	return !in.Op.IsMemory() || s.ldstQ.CanPush()
 }
 
-// refNeed decodes the scoreboard entries an instruction needs clear.
+// refRelease is the latest release time among the registers and
+// predicates instruction in needs, read straight from the scoreboard
+// (Never while any of them waits on a load).
+func (s *SM) refRelease(ws int, in *isa.Instruction) sim.Cycle {
+	regs, preds := refNeed(in)
+	var at sim.Cycle
+	for r := 0; r < 64; r++ {
+		if regs&(1<<r) != 0 && s.regReady[ws*64+r] > at {
+			at = s.regReady[ws*64+r]
+		}
+	}
+	for p := 0; p < 8; p++ {
+		if preds&(1<<p) != 0 && s.predReady[ws*8+p] > at {
+			at = s.predReady[ws*8+p]
+		}
+	}
+	return at
+}
+
+// refNeed decodes the registers and predicates whose pending results an
+// instruction must wait for.
 func refNeed(in *isa.Instruction) (regs uint64, preds uint8) {
 	var buf [4]isa.Reg
 	for _, r := range in.SrcRegs(buf[:0]) {
@@ -51,7 +72,7 @@ func refNeed(in *isa.Instruction) (regs uint64, preds uint8) {
 // refPickWarp is the former pickWarp: a scan over every warp slot.
 func (s *SM) refPickWarp(c sim.Cycle, exclude uint64) int {
 	can := func(ws int) bool {
-		return exclude&(1<<ws) == 0 && s.blockedTo[ws] <= c && s.refIssuable(ws)
+		return exclude&(1<<ws) == 0 && s.refIssuable(ws, c)
 	}
 	n := s.cfg.MaxWarps
 	switch s.cfg.Scheduler {
@@ -92,12 +113,14 @@ func (s *SM) checkReadiness() error {
 		bit := uint64(1) << ws
 		live := w != nil && !w.Done() && !w.AtBarrier
 		var need isa.IssueNeed
+		var readyAt sim.Cycle
 		if live {
 			in := s.blocks[w.BlockSlot].kernel.Program.At(w.PC())
 			need.Regs, need.Preds = refNeed(in)
 			need.Mem = in.Op.IsMemory()
+			readyAt = max(s.blockedTo[ws], s.refRelease(ws, in))
 		}
-		clear := live && s.sbRegs[ws]&need.Regs == 0 && s.sbPreds[ws]&need.Preds == 0
+		clear := live && readyAt != sim.Never
 		switch {
 		case (s.resident&bit != 0) != (w != nil):
 			return fmt.Errorf("slot %d: resident bit %v, occupied %v", ws, s.resident&bit != 0, w != nil)
@@ -105,6 +128,8 @@ func (s *SM) checkReadiness() error {
 			return fmt.Errorf("slot %d: live bit %v, want %v", ws, s.live&bit != 0, live)
 		case live && s.need[ws] != need:
 			return fmt.Errorf("slot %d: need %+v, want %+v", ws, s.need[ws], need)
+		case live && s.readyAt[ws] != readyAt:
+			return fmt.Errorf("slot %d: readyAt %d, want %d", ws, s.readyAt[ws], readyAt)
 		case (s.sbClear&bit != 0) != clear:
 			return fmt.Errorf("slot %d: sbClear bit %v, want %v", ws, s.sbClear&bit != 0, clear)
 		case (s.memNext&bit != 0) != (live && need.Mem):
@@ -118,11 +143,11 @@ func (s *SM) checkReadiness() error {
 // is verified before every pick and every pick is compared with the
 // reference scan (the caller verifies the state the tick leaves behind
 // at the top of the next cycle). memNextHits counts picks at which the full-LDST-queue
-// exclusion removed a scoreboard-clear warp.
+// exclusion removed a warp that could otherwise have issued.
 func (s *SM) tickChecked(c sim.Cycle, memNextHits *int) error {
 	s.stats.Cycles++
 	s.issuedThisCycle = 0
-	s.drainExec(c)
+	s.ticked = c
 	s.drainRetire(c)
 	s.processResponses(c)
 	s.tickLDST(c)
@@ -134,8 +159,13 @@ func (s *SM) tickChecked(c sim.Cycle, memNextHits *int) error {
 		if err := s.checkReadiness(); err != nil {
 			return fmt.Errorf("cycle %d, before pick %d: %w", c, slot, err)
 		}
-		if !s.ldstQ.CanPush() && s.sbClear&s.memNext&^issued != 0 {
-			*memNextHits++
+		if !s.ldstQ.CanPush() {
+			for m := s.sbClear & s.memNext &^ issued; m != 0; m &= m - 1 {
+				if s.readyAt[bits.TrailingZeros64(m)] <= c {
+					*memNextHits++
+					break
+				}
+			}
 		}
 		ws, want := s.pickWarp(c, issued), s.refPickWarp(c, issued)
 		if ws != want {
@@ -197,10 +227,10 @@ func RunReadinessCheck(t *testing.T, cfg Config, k *Kernel, setup func(*mem.Memo
 		a, b := ref.s, chk.s
 		if a.stats != b.stats || a.lastSched != b.lastSched || a.greedyWarp != b.greedyWarp ||
 			a.live != b.live || a.sbClear != b.sbClear || a.issuedThisCycle != b.issuedThisCycle {
-			t.Fatalf("cycle %d: tickChecked diverged from Tick:\n%s\n%s", c, a.DebugState(c), b.DebugState(c))
+			t.Fatalf("cycle %d: tickChecked diverged from Tick:\n%s\n%s", c, a.DebugState(), b.DebugState())
 		}
 		if ref.next == k.GridDim && !a.Busy() && len(ref.lb.pending) == 0 {
-			if sa, sb := a.DebugState(c), b.DebugState(c); sa != sb {
+			if sa, sb := a.DebugState(), b.DebugState(); sa != sb {
 				t.Fatalf("final state diverged:\n%s\n%s", sa, sb)
 			}
 			if err := b.checkReadiness(); err != nil {
@@ -351,5 +381,54 @@ func TestStaleCompletionKeepsNewOccupantsScoreboard(t *testing.T) {
 	if loadBack == sim.Never || useIssued < loadBack {
 		t.Fatalf("B's dependent IADD issued at cycle %d, before B's own load returned (cycle %d): A's stale completion released B's register",
 			useIssued, loadBack)
+	}
+}
+
+// TestForeignWritebackKeepsNewOccupantsScoreboard is the arithmetic twin
+// of the test above: a warp may EXIT with an IADD result still in flight.
+// When its slot is relaunched, the new occupant's dependent IADD must wait
+// for its own write of the same register, not the old occupant's.
+func TestForeignWritebackKeepsNewOccupantsScoreboard(t *testing.T) {
+	a := isa.NewBuilder("exit-with-iadd-in-flight")
+	a.IAddI(5, 5, 1).Exit()
+	b := isa.NewBuilder("iadd-then-use")
+	b.IAddI(5, 5, 1).IAddI(6, 5, 1).Exit()
+	ka := &Kernel{Program: a.Build(), BlockDim: 32, GridDim: 1}
+	kb := &Kernel{Program: b.Build(), BlockDim: 32, GridDim: 1}
+
+	cfg := testSMConfig()
+	cfg.ALULatency = 40
+	var id uint64
+	s := New(cfg, mem.NewMemory(), func() uint64 { id++; return id }, nil)
+	const relaunchAt = 5
+	writeIssued, useIssued := sim.Never, sim.Never
+	s.LaunchBlock(ka, 0, 0)
+	for c := sim.Cycle(0); c < 1000 && useIssued == sim.Never; c++ {
+		if c == relaunchAt {
+			if !s.Busy() || s.activeBlocks != 0 {
+				t.Fatalf("cycle %d: want block A retired with its IADD still in flight", c)
+			}
+			s.LaunchBlock(kb, 0, 1)
+			if s.warps[0] == nil {
+				t.Fatal("block B did not reuse warp slot 0")
+			}
+		}
+		s.Tick(c)
+		s.FlushCycle()
+		if c < relaunchAt {
+			continue
+		}
+		switch w := s.warps[0]; {
+		case w == nil || w.PC() > 1:
+			useIssued = c
+		case w.PC() == 1 && writeIssued == sim.Never:
+			writeIssued = c
+		}
+	}
+	if writeIssued == sim.Never || useIssued == sim.Never {
+		t.Fatalf("block B's IADDs did not issue (write %d, use %d)", writeIssued, useIssued)
+	}
+	if lands := writeIssued + cfg.ALULatency; useIssued < lands {
+		t.Fatalf("dependent IADD issued at %d, before B's own R5 write lands at %d", useIssued, lands)
 	}
 }

@@ -1,23 +1,22 @@
 // Package sm models one streaming multiprocessor: warp residency and
 // block slots, warp schedulers (loose round-robin and greedy-then-oldest),
-// a register scoreboard, fixed-latency execution pipelines, and the LDST
-// unit with address coalescing, the L1 data cache, and the miss queue
-// toward the interconnect. The time an instruction-generated memory
-// request spends inside the SM before its L1 access is the paper's
-// "SM Base" latency component; the time a miss waits in the miss queue
-// before network injection is "L1toICNT".
+// a scoreboard of per-register release times, and the LDST unit with
+// address coalescing, the L1 data cache, and the miss queue toward the
+// interconnect. The time an instruction-generated memory request spends
+// inside the SM before its L1 access is the paper's "SM Base" latency
+// component; the time a miss waits in the miss queue before network
+// injection is "L1toICNT".
 //
 // Under the event engine the SM wakes the device (NextEvent /
 // NextSelfEvent) when: a buffered response awaits processing (pins now);
 // a retire event or the LDST queue head comes due; a warp's next
-// instruction becomes issuable — computed exactly from its branch-delay
-// window and the per-register release times of in-flight arithmetic
-// writebacks (regClearAt/predClearAt), so pure pipe-drain cycles are
-// never stepped; or, with nothing else pending, when the execution pipe
-// must drain so the core can report itself idle. A queued miss pins
-// NextEvent (the engine's injection phase must run) without forcing a
-// core tick. Warps blocked on loads carry no term: their wake rides the
-// response/retire horizons.
+// instruction becomes issuable — its readyAt, the latest of its
+// branch-delay window and its operands' release times; or, with no block
+// left and nothing else pending, when the last arithmetic result lands and
+// the core can report itself idle. A queued miss pins NextEvent (the
+// engine's injection phase must run) without forcing a core tick. Warps
+// blocked on loads carry no term: their wake rides the response/retire
+// horizons.
 package sm
 
 import (
@@ -160,13 +159,6 @@ type blockSlot struct {
 	launchSeq      uint64
 }
 
-// wbEvent is an execution-pipe writeback releasing scoreboard entries.
-type wbEvent struct {
-	warpSlot int
-	regMask  uint64
-	predMask uint8
-}
-
 // completion finishes one memory transaction for a warp mem instruction.
 type completion struct {
 	mi  *memInst
@@ -180,45 +172,37 @@ type SM struct {
 
 	warps     []*warp.Warp // indexed by warp slot; nil when free
 	warpSeq   []uint64     // launch sequence for GTO oldest ordering
-	sbRegs    []uint64     // scoreboard: pending dst registers per warp slot
-	sbPreds   []uint8      // scoreboard: pending predicate dsts
 	blockedTo []sim.Cycle  // warp issue blocked until cycle (branch delay)
 	blocks    []blockSlot
 
+	// The scoreboard: for each register and predicate of each warp slot,
+	// the cycle its latest result lands, indexed [slot*64+reg] /
+	// [slot*8+pred]. Arithmetic issue writes issue + ALULatency; a load
+	// writes Never and its completion writes 0. LaunchBlock zeroes the
+	// slot, so nothing an earlier occupant left in flight reaches the new
+	// warp. landsBy is the latest cycle an issued arithmetic result lands:
+	// the SM stays busy until it has ticked at that cycle (ticked is the
+	// cycle of its last Tick).
+	regReady, predReady []sim.Cycle
+	landsBy, ticked     sim.Cycle
+
 	// Issue-stage readiness as maintained state, one bit per warp slot:
 	// resident (slot occupied), live (resident, not done, not at a
-	// barrier), sbClear (live and the scoreboard is clear for its next
-	// instruction) and memNext (live and that instruction needs an
+	// barrier), sbClear (live and no operand of its next instruction waits
+	// on a load) and memNext (live and that instruction needs an
 	// LDST-queue slot); need caches each live warp's next-instruction
-	// requirement. refreshWarp is the only writer. activeBlocks counts
-	// resident blocks.
+	// requirement and readyAt the cycle from which it may issue — the
+	// latest of blockedTo and its operands' release times. refreshWarp is
+	// the only writer. activeBlocks counts resident blocks.
 	resident, live, sbClear, memNext uint64
 	need                             []isa.IssueNeed
+	readyAt                          []sim.Cycle
 	activeBlocks                     int
-
-	// regClearAt/predClearAt record, for every scoreboard bit currently
-	// set, the cycle at which its pending writeback will clear it:
-	// the exact exec-pipe exit for arithmetic results, Never for memory
-	// loads (their completion time is not knowable from SM-local state —
-	// those releases ride the response/retire horizon terms instead).
-	// Entries are written at issue time only; a stale entry under a
-	// cleared bit is never read. Indexed [slot*64+reg] / [slot*8+pred].
-	regClearAt  []sim.Cycle
-	predClearAt []sim.Cycle
-	// wbInFlight counts in-flight exec-pipe writebacks per warp slot;
-	// sbHazard marks slots relaunched while a previous resident's
-	// writebacks were still in flight — their foreign masks will clear
-	// the new warp's scoreboard bits at times regClearAt cannot know, so
-	// NextSelfEvent falls back to waking at every exec drain until the
-	// slot's in-flight count returns to zero.
-	wbInFlight []int
-	sbHazard   []bool
 
 	ldstQ  *sim.Queue[*memInst]
 	missQ  *sim.Queue[*mem.Request]
 	respQ  *sim.Queue[*mem.Request]
 	l1     *cache.Cache
-	exec   *sim.Pipeline[wbEvent]
 	retire *sim.Calendar[completion] // delivers at writeback time
 
 	// outstanding maps request ID → transaction bookkeeping. Values, not
@@ -370,19 +354,15 @@ func New(cfg Config, memory *mem.Memory, newReqID func() uint64, observer mem.Ob
 		memory:      memory,
 		warps:       make([]*warp.Warp, cfg.MaxWarps),
 		warpSeq:     make([]uint64, cfg.MaxWarps),
-		sbRegs:      make([]uint64, cfg.MaxWarps),
-		sbPreds:     make([]uint8, cfg.MaxWarps),
 		blockedTo:   make([]sim.Cycle, cfg.MaxWarps),
+		regReady:    make([]sim.Cycle, cfg.MaxWarps*64),
+		predReady:   make([]sim.Cycle, cfg.MaxWarps*8),
 		need:        make([]isa.IssueNeed, cfg.MaxWarps),
-		regClearAt:  make([]sim.Cycle, cfg.MaxWarps*64),
-		predClearAt: make([]sim.Cycle, cfg.MaxWarps*8),
-		wbInFlight:  make([]int, cfg.MaxWarps),
-		sbHazard:    make([]bool, cfg.MaxWarps),
+		readyAt:     make([]sim.Cycle, cfg.MaxWarps),
 		blocks:      make([]blockSlot, cfg.MaxBlocks),
 		ldstQ:       sim.NewQueue[*memInst](name+".ldst", cfg.LDSTQueueDepth, cfg.LDSTIssueLatency),
 		missQ:       sim.NewQueue[*mem.Request](name+".miss", cfg.MissQueueDepth, 0),
 		respQ:       sim.NewQueue[*mem.Request](name+".resp", cfg.ResponseQueueDepth, 0),
-		exec:        sim.NewPipeline[wbEvent](name+".exec", cfg.ALULatency),
 		retire:      sim.NewCalendar[completion](name + ".retire"),
 		outstanding: make(map[uint64]txnCtx),
 		newReqID:    newReqID,
@@ -478,35 +458,27 @@ func (s *SM) LaunchBlock(k *Kernel, ctaid int, kernelID int) {
 		w.Params = k.Params
 		s.warps[ws] = w
 		s.warpSeq[ws] = s.launchSeq*1024 + uint64(wi)
-		s.sbRegs[ws] = 0
-		s.sbPreds[ws] = 0
 		s.blockedTo[ws] = 0
-		s.sbHazard[ws] = s.wbInFlight[ws] > 0
+		clear(s.regReady[ws*64 : ws*64+64])
+		clear(s.predReady[ws*8 : ws*8+8])
 		s.refreshWarp(ws)
 	}
 }
 
-// Busy reports whether any warp is resident or any memory transaction is
-// outstanding.
+// Busy reports whether any warp is resident, any memory transaction is
+// in flight, or an arithmetic result has yet to land.
 func (s *SM) Busy() bool {
-	return s.activeBlocks > 0 || s.Pending() > 0
-}
-
-// Pending returns the number of memory transactions and timed events
-// buffered anywhere in the SM (the Busy drain check builds on it).
-func (s *SM) Pending() int {
-	return s.ldstQ.Len() + s.missQ.Len() + s.respQ.Len() +
-		s.exec.Len() + s.retire.Len() + len(s.outstanding)
+	return s.activeBlocks > 0 || s.landsBy > s.ticked || len(s.outstanding) > 0 ||
+		s.ldstQ.Len()+s.missQ.Len()+s.respQ.Len()+s.retire.Len() > 0
 }
 
 // NextEvent implements the event-driven kernel's horizon contract. The
-// SM can act when an execution-pipe writeback, a retire event, or the
-// LDST queue head comes due, or when a warp's branch-delay window ends
-// while it is otherwise ready to issue. Buffered handoffs whose progress
-// depends on components outside the SM — responses to process, misses
-// awaiting network injection — pin the horizon at now. Warps blocked on
-// the scoreboard need no term of their own: every release path (exec
-// drain, retire, LDST completion) is already covered by the timed terms.
+// SM can act when a retire event or the LDST queue head comes due, or
+// when a warp's readyAt arrives while the LDST queue could take its
+// instruction. Buffered handoffs whose progress depends on components
+// outside the SM — responses to process, misses awaiting network
+// injection — pin the horizon at now. Warps waiting on a load need no
+// term of their own: its completion is a retire or a response.
 func (s *SM) NextEvent(now sim.Cycle) sim.Cycle {
 	if s.missQ.Len() > 0 {
 		return now
@@ -526,15 +498,10 @@ func (s *SM) NextEvent(now sim.Cycle) sim.Cycle {
 // in the same cycle it drains a miss, which is exactly when the
 // cycle-driven loop's retry would first succeed.
 //
-// Execution-pipe writebacks carry no term of their own: draining one
-// only clears private scoreboard bits, which is invisible until some
-// warp's issue depends on it — and the per-warp terms below already
-// account for every pending clear at its exact time (issueReadyAt).
-// A canonical-state observer (DebugState) applies due-but-undrained
-// writebacks virtually, so deferring the drain to the next real wake
-// is unobservable. The one exception is liveness: with no other term
-// left, the SM must still wake to drain the pipe so the device can
-// report itself done.
+// A landing arithmetic result changes nothing by itself: the warps that
+// read it carry its release time in their readyAt. The one exception is
+// liveness: with no block left and no other term, the SM must still wake
+// when its last result lands so the device can report itself done.
 func (s *SM) NextSelfEvent(now sim.Cycle) sim.Cycle {
 	if !s.Busy() {
 		return sim.Never
@@ -544,10 +511,8 @@ func (s *SM) NextSelfEvent(now sim.Cycle) sim.Cycle {
 	}
 	// Every term below is floored at now, so the horizon cannot improve
 	// once it reaches now — return immediately and skip the remaining
-	// scans. The per-warp loop additionally skips the scoreboard check
-	// for any warp whose delay window alone already rules out improving
-	// the horizon. This is the event engine's re-arm hot path: it runs
-	// after every core tick.
+	// scans. This is the event engine's re-arm hot path: it runs after
+	// every core tick.
 	h := sim.Never
 	if s.retire.Len() > 0 {
 		if h = min(h, max(now, s.retire.NextReady())); h == now {
@@ -559,29 +524,20 @@ func (s *SM) NextSelfEvent(now sim.Cycle) sim.Cycle {
 			return now
 		}
 	}
-	for m := s.live; m != 0; m &= m - 1 {
-		ws := bits.TrailingZeros64(m)
-		t := max(now, s.blockedTo[ws])
-		if t >= h {
-			continue
-		}
-		at, ok := s.issueReadyAt(ws)
-		if !ok {
-			continue
-		}
-		if at > t {
-			t = at
-		}
-		if t < h {
-			if h = t; h == now {
-				return now
-			}
+	// A full LDST queue frees only inside a Tick the queue's own term (or
+	// the miss-drain re-tick) already schedules, so warps that need it
+	// carry no term.
+	cand := s.sbClear
+	if !s.ldstQ.CanPush() {
+		cand &^= s.memNext
+	}
+	for ; cand != 0; cand &= cand - 1 {
+		if h = min(h, max(now, s.readyAt[bits.TrailingZeros64(cand)])); h == now {
+			return now
 		}
 	}
-	if h == sim.Never && s.exec.Len() > 0 {
-		// Liveness fallback: nothing will issue, but the pipe must still
-		// drain before the SM can report itself idle.
-		h = max(now, s.exec.NextReady())
+	if h == sim.Never && s.activeBlocks == 0 && s.landsBy > s.ticked {
+		h = max(now, s.landsBy)
 	}
 	return h
 }
@@ -629,34 +585,23 @@ func (s *SM) WantsMissDrain() bool {
 // injection (the engine-side transfer phase's wake condition).
 func (s *SM) MissQueued() bool { return s.missQ.Len() > 0 }
 
-// DebugState renders the SM's full semantic state — warps, scoreboard,
-// delay windows, buffer occupancy — for the engine-equivalence audit,
-// canonicalized at cycle c: execution-pipe writebacks due at or before
-// c are applied virtually (their scoreboard bits rendered clear, the
-// pipe rendered post-drain). The event engine may leave a due writeback
-// undrained until the SM's next real wake — the drain is representation-
-// only, so a device that deferred it and one that drained every cycle
-// are in the same semantic state and must render identically.
-func (s *SM) DebugState(c sim.Cycle) string {
-	effRegs := append([]uint64(nil), s.sbRegs...)
-	effPreds := append([]uint8(nil), s.sbPreds...)
-	s.exec.EachDue(c, func(wb wbEvent) {
-		effRegs[wb.warpSlot] &^= wb.regMask
-		effPreds[wb.warpSlot] &^= wb.predMask
-	})
-	execLen, execNext := s.exec.PendingAfter(c)
+// DebugState renders the SM's full semantic state — warps, the cycle each
+// can next issue, delay windows, buffer occupancy, the last landing — for
+// the engine-equivalence audit. Every value it prints is written by a
+// Tick or a launch, never by the passage of time, so a device that slept
+// through quiet cycles and one that ticked them render identically.
+func (s *SM) DebugState() string {
 	var b strings.Builder
 	for ws, w := range s.warps {
 		if w == nil {
 			continue
 		}
-		fmt.Fprintf(&b, "w%d={pc=%d m=%#x d=%v b=%v sb=%#x/%#x to=%d} ",
-			ws, w.PC(), w.ActiveMask(), w.Done(), w.AtBarrier,
-			effRegs[ws], effPreds[ws], s.blockedTo[ws])
+		fmt.Fprintf(&b, "w%d={pc=%d m=%#x d=%v b=%v at=%d to=%d} ",
+			ws, w.PC(), w.ActiveMask(), w.Done(), w.AtBarrier, s.readyAt[ws], s.blockedTo[ws])
 	}
-	fmt.Fprintf(&b, "ldst=%d@%d miss=%d resp=%d exec=%d@%d ret=%d@%d out=%d sched=%d/%d",
+	fmt.Fprintf(&b, "ldst=%d@%d miss=%d resp=%d lands=%d ret=%d@%d out=%d sched=%d/%d",
 		s.ldstQ.Len(), s.ldstQ.NextReady(), s.missQ.Len(), s.respQ.Len(),
-		execLen, execNext, s.retire.Len(), s.retire.NextReady(),
+		s.landsBy, s.retire.Len(), s.retire.NextReady(),
 		len(s.outstanding), s.lastSched, s.greedyWarp)
 	return b.String()
 }
@@ -667,11 +612,12 @@ func (s *SM) DebugState(c sim.Cycle) string {
 // for tests and the engine's wake audit.
 func (s *SM) AuditReadiness() error {
 	masks := [...]uint64{s.resident, s.live, s.sbClear, s.memNext}
-	need := slices.Clone(s.need)
+	need, readyAt := slices.Clone(s.need), slices.Clone(s.readyAt)
 	for ws := range s.warps {
 		s.refreshWarp(ws)
 	}
-	if now := [...]uint64{s.resident, s.live, s.sbClear, s.memNext}; masks != now || !slices.Equal(need, s.need) {
+	if now := [...]uint64{s.resident, s.live, s.sbClear, s.memNext}; masks != now ||
+		!slices.Equal(need, s.need) || !slices.Equal(readyAt, s.readyAt) {
 		return fmt.Errorf("sm %d: stale readiness state: resident/live/sbClear/memNext %#x, recomputed %#x",
 			s.cfg.ID, masks, now)
 	}
@@ -720,12 +666,12 @@ func (s *SM) CanAcceptResponse() bool { return s.respQ.CanPush() }
 // AcceptResponse receives a reply from the network.
 func (s *SM) AcceptResponse(c sim.Cycle, r *mem.Request) { s.respQ.Push(c, r) }
 
-// Tick advances the SM one cycle: writeback, memory responses, the LDST
-// unit, then instruction issue (downstream-first ordering).
+// Tick advances the SM one cycle: load writeback, memory responses, the
+// LDST unit, then instruction issue (downstream-first ordering).
 func (s *SM) Tick(c sim.Cycle) {
 	s.stats.Cycles++
 	s.issuedThisCycle = 0
-	s.drainExec(c)
+	s.ticked = c
 	s.drainRetire(c)
 	s.processResponses(c)
 	s.tickLDST(c)
@@ -794,18 +740,6 @@ func (s *SM) FlushCycle() {
 	clear(s.memOvl)
 }
 
-func (s *SM) drainExec(c sim.Cycle) {
-	for _, wb := range s.exec.Ready(c) {
-		s.sbRegs[wb.warpSlot] &^= wb.regMask
-		s.sbPreds[wb.warpSlot] &^= wb.predMask
-		s.wbInFlight[wb.warpSlot]--
-		if s.wbInFlight[wb.warpSlot] == 0 {
-			s.sbHazard[wb.warpSlot] = false
-		}
-		s.refreshWarp(wb.warpSlot)
-	}
-}
-
 func (s *SM) drainRetire(c sim.Cycle) {
 	for _, comp := range s.retire.Ready(c) {
 		s.completeTransaction(c, comp)
@@ -832,15 +766,15 @@ func (s *SM) completeTransaction(c sim.Cycle, comp completion) {
 	}
 }
 
-// finishMemInst releases the scoreboard entries of a completed warp
-// memory instruction and recycles it (finishMemInst is called exactly
-// once per memInst, after its last reference left every queue). A warp
-// may EXIT with a load or atomic still in flight; if its slot has been
-// relaunched since, the pending bit belongs to the new occupant's own
-// instruction and the stale completion must not release it.
+// finishMemInst marks the destination register of a completed warp
+// memory instruction landed and recycles it (finishMemInst is called
+// exactly once per memInst, after its last reference left every queue).
+// A warp may EXIT with a load or atomic still in flight; if its slot has
+// been relaunched since, the register belongs to the new occupant and the
+// stale completion must not touch it.
 func (s *SM) finishMemInst(mi *memInst) {
 	if mi.op.WritesDst() && mi.dst != isa.RZ && s.warpSeq[mi.warpSlot] == mi.warpSeq {
-		s.sbRegs[mi.warpSlot] &^= 1 << mi.dst
+		s.regReady[mi.warpSlot*64+int(mi.dst)] = 0
 		s.refreshWarp(mi.warpSlot)
 	}
 	s.miFree = append(s.miFree, mi)
