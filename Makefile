@@ -11,7 +11,7 @@ TMP      = /tmp/gpulat-make
 CLI     := $(TMP)/gpulat-ci
 BUILD_CLI = mkdir -p $(TMP) && $(GO) build -o $(CLI) ./cmd/gpulat
 
-.PHONY: all build test vet fmt bench bench-baseline bench-regress alloc-regress alloc-baseline repro repro-quick determinism engine-determinism corun-determinism export-identity service-determinism shard-determinism bench-harness clean
+.PHONY: all build test vet fmt alloc-regress alloc-baseline repro repro-quick determinism engine-determinism corun-determinism export-identity service-determinism shard-determinism bench-harness clean
 
 all: build vet fmt test
 
@@ -28,36 +28,6 @@ vet:
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
-
-# Short smoke benchmark (CI); `make bench BENCH=. BENCHTIME=3x` for more.
-# The tick-vs-event simulation-kernel throughput report (cycles simulated
-# per wall-second, per workload) is `make bench-baseline` in full and
-# `make bench-regress` as the checked CI smoke.
-BENCH     ?= SimulatorThroughput
-BENCHTIME ?= 1x
-bench:
-	$(GO) test -bench=$(BENCH) -benchtime=$(BENCHTIME) -run='^$$' .
-
-# Refresh the committed BENCH_kernel.json baseline (wall-clock numbers
-# are machine-dependent: regenerate deliberately, not from CI). Each
-# (workload, engine) pair is timed best-of-3 on a fresh device — the
-# minimum wall is the stable estimator under host scheduler noise (see
-# cmdBenchKernel); the simulated counters must be identical across reps
-# or the run fails. Built, not `go run`, so the report's host block can
-# name the build.
-bench-baseline:
-	$(BUILD_CLI)
-	$(CLI) bench-kernel > BENCH_kernel.json.tmp
-	mv BENCH_kernel.json.tmp BENCH_kernel.json
-
-# Event-engine regression smoke (CI): reduced-scale workloads, single
-# rep, -check fails the run when the engines' cycle counts diverge, the
-# event engine steps more cycles than the tick engine simulates, or it
-# skips nothing. -comparable strips wall-clock fields so the artifact in
-# TMP is byte-diffable across runs.
-bench-regress:
-	mkdir -p $(TMP)
-	$(GO) run ./cmd/gpulat bench-kernel -quick -check -comparable > $(TMP)/bench-regress.json
 
 # Allocation-regression gate (CI): the per-cycle hot path — coalescer,
 # cache miss+fill, full-device Step — must stay within the committed

@@ -459,7 +459,7 @@ func cmdSimRun(args []string) error {
 		er.OverallExposedPct(), er.MostlyExposedPct())
 	if *verbose {
 		fmt.Println()
-		dumpDeviceStats(cfg, res, *vertices)
+		dumpDeviceStats(res.Device)
 	}
 	if *traceSim != "" {
 		if err := writeSimTrace(*traceSim, res); err != nil {

@@ -3,44 +3,14 @@ package main
 import (
 	"fmt"
 	"os"
-	"strings"
 
-	"gpulat/internal/core"
 	"gpulat/internal/gpu"
-	"gpulat/internal/kernels"
 	"gpulat/internal/stats"
 )
 
-// dumpDeviceStats reruns the workload against a fresh device to collect
-// per-component counters (the DynamicResult does not retain the device).
-// vertices must match the headline run's BFS graph size.
-func dumpDeviceStats(cfg gpu.Config, res *core.DynamicResult, vertices int) {
-	// Rerun is cheap relative to interpretation value; determinism makes
-	// it exact.
-	g := gpu.NewWithObservers(cfg, nil, nil)
-	var err error
-	if res.Launches > 1 {
-		gr := kernels.GenScaleFree(vertices, 4, 42)
-		mk, e := kernels.BFS(kernels.BFSConfig{Graph: gr, Source: 0, BlockDim: 128})
-		if e != nil {
-			return
-		}
-		_, _, err = kernels.RunMulti(g, mk)
-	} else {
-		var wl *kernels.Workload
-		name := res.Workload
-		if i := strings.IndexByte(name, '/'); i > 0 {
-			name = name[:i]
-		}
-		wl, err = kernels.NewByName(name, kernels.ScaleExperiment, 42)
-		if err == nil {
-			_, err = kernels.Run(g, wl)
-		}
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "stats rerun:", err)
-		return
-	}
+// dumpDeviceStats prints the per-SM and per-partition counters of a
+// device whose run has finished.
+func dumpDeviceStats(g *gpu.GPU) {
 	smTab := stats.NewTable("SM", "inst", "loads", "stores", "L1 hit", "L1 miss", "merged", "blocks")
 	for _, s := range g.SMs() {
 		st := s.Stats()

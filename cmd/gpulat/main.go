@@ -99,7 +99,6 @@ func commands() map[string]func([]string) error {
 		"load-curve":       cmdLoadCurve,
 		"corun":            cmdCoRun,
 		"bench-suite":      cmdBenchSuite,
-		"bench-kernel":     cmdBenchKernel,
 		"simrun":           cmdSimRun,
 		"export":           cmdExport,
 		"config":           cmdConfig,
@@ -126,7 +125,6 @@ commands:
   load-curve    memory-system latency vs offered load (idle → saturated)
   corun         concurrent-kernel interference: workload pairs × placement policies
   bench-suite   the whole paper-reproduction grid, in parallel
-  bench-kernel  simulator throughput: tick vs event engine, per workload
   simrun        run a workload and dump device statistics
   export        run a workload and dump per-load records as CSV
   config        dump a preset as editable JSON (use with -arch file:<path>)

@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/json"
 	"os"
+	"strings"
 	"testing"
 
 	"gpulat/internal/runner"
@@ -26,10 +27,11 @@ func TestExitCodeClassification(t *testing.T) {
 }
 
 // TestUnknownCommandsExitTwo: a name that is not a command — the retired
-// "loadcurve" spelling of load-curve among them — exits 2 before
-// anything runs, as does an empty command line.
+// "loadcurve" spelling of load-curve and the retired simulator-throughput
+// command (the bench/ module measures the simulator now) among them —
+// exits 2 before anything runs, as does an empty command line.
 func TestUnknownCommandsExitTwo(t *testing.T) {
-	for _, args := range [][]string{{"loadcurve"}, {"no-such-command"}, {}} {
+	for _, args := range [][]string{{"loadcurve"}, {"bench-kernel"}, {"no-such-command"}, {}} {
 		if got := dispatch(args); got != 2 {
 			t.Errorf("gpulat %q: exit %d, want 2", args, got)
 		}
@@ -123,12 +125,26 @@ func TestServeCoordinatorRejectsStationFlags(t *testing.T) {
 // (exit 2), not a silently ignored one.
 func TestParFlagIsGone(t *testing.T) {
 	for name, cmd := range map[string]func([]string) error{
-		"simrun": cmdSimRun, "corun": cmdCoRun, "bench-suite": cmdBenchSuite,
-		"bench-kernel": cmdBenchKernel, "serve": cmdServe,
+		"simrun": cmdSimRun, "corun": cmdCoRun, "bench-suite": cmdBenchSuite, "serve": cmdServe,
 	} {
 		if got := exitCode(cmd([]string{"-par", "2"})); got != 2 {
 			t.Errorf("%s -par 2: exit %d, want 2", name, got)
 		}
+	}
+}
+
+// TestSimRunTinyBFSGraphExitsOne: a BFS graph too small for the
+// generator is a runtime error (exit 1) with a message, not a panic.
+func TestSimRunTinyBFSGraphExitsOne(t *testing.T) {
+	err := cmdSimRun([]string{"-kernel", "bfs", "-vertices", "3"})
+	if err == nil {
+		t.Fatal("accepted")
+	}
+	if got := exitCode(err); got != 1 {
+		t.Errorf("exit %d, want 1 (%v)", got, err)
+	}
+	if strings.Contains(err.Error(), "panic") {
+		t.Errorf("error reports a panic: %v", err)
 	}
 }
 

@@ -96,21 +96,17 @@ func main() {
 	// ticking the other ~20 components during those cycles. A dependent-
 	// load chain leaves the whole machine waiting on one DRAM access at
 	// a time — thousands-cycle gaps with no registration due — and the
-	// clock jumps them outright (see BENCH_kernel.json: the pointerchase
-	// speedup is orders of magnitude, vecadd's is a small multiple).
+	// clock jumps them outright (the bench/ ledger's sim_sparse workload
+	// is that case, sim_dense this one).
 	fmt.Printf("\nwhy so few skips here: vecadd keeps the memory system busy;\n")
 	fmt.Printf("the engine's win on this workload is ticking %d component-cycles\n", fired)
 	fmt.Printf("instead of %d, not jumping the clock.\n", se.Cycles*uint64(len(ws)))
 
-	// 4. `gpulat bench-kernel -comparable` emits this comparison as JSON
-	// with every wall-clock field stripped (wall_seconds,
-	// cycles_per_second, the speedup map): what remains — cycle counts,
-	// stepped/skipped splits — is fully deterministic, so two runs from
-	// different machines, engines, or days must be byte-identical. The
-	// CI gate `make bench-regress` runs it with -quick -check and fails
-	// on any cross-engine divergence, on an event engine that steps more
-	// cycles than the tick engine simulates, or on one that skips
-	// nothing at all.
-	fmt.Printf("\nnext: `gpulat bench-kernel` for timed speedups, ")
-	fmt.Printf("`-comparable` for the\nbyte-diffable form, `make bench-regress` for the CI gate.\n")
+	// 4. The stepped/skipped split and the wake counters are exact, so
+	// `gpulat simrun -trace-sim -` prints them for any kernel, identical
+	// across machines and days. Wall-clock speed is the repository
+	// benchmark's job: `bash bench/run.sh --workload sim_sparse --trace 1`
+	// (or sim_dense) reports cycles per second under both engines.
+	fmt.Printf("\nnext: `gpulat simrun -trace-sim -` for the exact counters of any kernel,\n")
+	fmt.Printf("`bash bench/run.sh --workload sim_sparse --trace 1` for timed engine speeds.\n")
 }

@@ -11,9 +11,9 @@ import (
 // counters on reg — the `-trace-sim` surface. Collection is scrape-time
 // and read-only: every family snapshots counters the simulation already
 // maintains, so exporting a device can never perturb its results. The
-// families mirror what BENCH_kernel.json claims offline (cycles stepped
-// vs. skipped, per-component wake activity) plus the per-kernel
-// dispatch/retire timeline from the stream dispatcher.
+// families are the exact engine counters (cycles stepped vs. skipped,
+// per-component wake activity) plus the per-kernel dispatch/retire
+// timeline from the stream dispatcher.
 func (g *GPU) ExportMetrics(reg *metrics.Registry) {
 	reg.CounterFunc("gpulat_sim_cycles_total",
 		"Simulated cycles (identical across engines).",

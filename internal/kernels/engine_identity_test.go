@@ -35,11 +35,11 @@ func engineStatsSig(g *gpu.GPU) string {
 // TestEngineIdentityOnCatalogKernels runs catalog workloads that
 // saturate L1 MSHRs and DRAM queue slots on the full GF100 machine
 // under both engines and requires identical cycle counts and component
-// statistics. These workloads exercise the blocked-head park states
-// (full miss queue, L1/L2 reservation failures, DRAM backpressure)
-// whose retry counters SkipIdle and SkipStalled must replay exactly —
-// the engine-equivalence micro-workloads in internal/gpu are too small
-// to reach them.
+// statistics, and an event engine that fast-forwards. These workloads
+// exercise the blocked-head park states (full miss queue, L1/L2
+// reservation failures, DRAM backpressure) whose retry counters
+// SkipIdle and SkipStalled must replay exactly — the engine-equivalence
+// micro-workloads in internal/gpu are too small to reach them.
 func TestEngineIdentityOnCatalogKernels(t *testing.T) {
 	// pchase and bfs bracket the horizon extremes: the latency-bound
 	// chase (one outstanding load, everything skippable) and the
@@ -95,6 +95,18 @@ func TestEngineIdentityOnCatalogKernels(t *testing.T) {
 			}
 			if a, b := engineStatsSig(gt), engineStatsSig(ge); a != b {
 				t.Fatalf("stats diverged:\n--- tick ---\n%s--- event ---\n%s", a, b)
+			}
+			// Equal answers from an event engine that steps every cycle
+			// would still be a regression: every case skips something,
+			// and the chase, which waits on one DRAM access at a time,
+			// steps almost nothing (1.6% at this scale).
+			st := ge.Stats()
+			stepped := st.Cycles - st.SkippedCycles
+			if st.SkippedCycles == 0 {
+				t.Errorf("event engine skipped nothing in %d cycles", st.Cycles)
+			}
+			if c.kernel == "pchase" && stepped*20 > st.Cycles {
+				t.Errorf("event engine stepped %d of %d cycles, want at most 5%%", stepped, st.Cycles)
 			}
 		})
 	}

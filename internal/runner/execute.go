@@ -139,20 +139,33 @@ func resolveConfig(job Job) (gpu.Config, error) {
 // KindDynamic payload builder, exported for callers that need the full
 // DynamicResult rather than scalar metrics).
 func RunWorkload(cfg gpu.Config, job Job) (*core.DynamicResult, error) {
-	opt := job.Options
 	if job.Kernel == "bfs" {
-		g := kernels.GenScaleFree(opt.vertices(), 4, job.Seed)
-		mk, err := kernels.BFS(kernels.BFSConfig{Graph: g, Source: 0, BlockDim: opt.blockDim()})
+		mk, err := buildBFS(job)
 		if err != nil {
 			return nil, err
 		}
 		return core.RunDynamicMulti(cfg, mk)
 	}
-	wl, err := kernels.NewByName(job.Kernel, opt.scale(), job.Seed)
+	wl, err := kernels.NewByName(job.Kernel, job.Options.scale(), job.Seed)
 	if err != nil {
 		return nil, err
 	}
 	return core.RunDynamic(cfg, wl)
+}
+
+// bfsAttachEdges is the edges each new vertex of a job's scale-free
+// graph attaches; the graph needs more vertices than that.
+const bfsAttachEdges = 4
+
+// buildBFS generates the job's scale-free graph and the BFS host loop
+// over it.
+func buildBFS(job Job) (*kernels.MultiKernel, error) {
+	n := job.Options.vertices()
+	if n <= bfsAttachEdges {
+		return nil, fmt.Errorf("runner: bfs needs more than %d vertices, got %d", bfsAttachEdges, n)
+	}
+	g := kernels.GenScaleFree(n, bfsAttachEdges, job.Seed)
+	return kernels.BFS(kernels.BFSConfig{Graph: g, Source: 0, BlockDim: job.Options.blockDim()})
 }
 
 func execDynamic(res *Result, cfg gpu.Config, job Job) error {
@@ -251,10 +264,7 @@ func execOccupancy(res *Result, cfg gpu.Config, job Job) error {
 	if o.WarpLimit <= 0 {
 		return fmt.Errorf("runner: occupancy job needs a positive warp limit")
 	}
-	build := func() (*kernels.MultiKernel, error) {
-		g := kernels.GenScaleFree(o.vertices(), 4, job.Seed)
-		return kernels.BFS(kernels.BFSConfig{Graph: g, Source: 0, BlockDim: o.blockDim()})
-	}
+	build := func() (*kernels.MultiKernel, error) { return buildBFS(job) }
 	pts, err := core.OccupancySweep(cfg, []int{o.WarpLimit}, build)
 	if err != nil {
 		return err

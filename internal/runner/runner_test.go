@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -253,5 +254,25 @@ func TestExecuteRejectsBadInputs(t *testing.T) {
 		if !res.Failed() {
 			t.Errorf("Execute(%+v) should fail", job)
 		}
+	}
+}
+
+// TestBFSTooFewVerticesIsAnError: a BFS graph attaches four edges per
+// new vertex, so both job kinds that build one reject four or fewer
+// vertices with an error instead of panicking in the graph generator;
+// five is the smallest graph that runs.
+func TestBFSTooFewVerticesIsAnError(t *testing.T) {
+	for _, job := range []Job{
+		{Kind: KindDynamic, Arch: "GF106", Kernel: "bfs", Options: Options{Vertices: 3}},
+		{Kind: KindOccupancy, Arch: "GF106", Options: Options{Vertices: 4, WarpLimit: 8}},
+	} {
+		want := fmt.Sprintf("runner: bfs needs more than 4 vertices, got %d", job.Options.Vertices)
+		if res := Execute(context.Background(), job); res.Err != want {
+			t.Errorf("%s: error %q, want %q", job.Kind, res.Err, want)
+		}
+	}
+	job := Job{Kind: KindDynamic, Arch: "GF106", Kernel: "bfs", Options: Options{Vertices: 5}}
+	if res := Execute(context.Background(), job); res.Failed() {
+		t.Errorf("5 vertices: %s", res.Err)
 	}
 }
