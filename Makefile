@@ -152,10 +152,9 @@ service-determinism:
 	test $$(( warm * 10 )) -le $$cold
 	@echo "service-determinism: service cold/warm and direct runs byte-identical; warm >=10x faster"
 
-# Proves the sharded tier's contract end to end. Phase 0 pins the
-# station/coordinator lifecycle fix under the race detector (Submit
-# racing or following Close errors in bounded time instead of hanging).
-# Phase 1 fans the quick bench grid from a coordinator over two stock
+# Proves the sharded tier's contract end to end (the Submit-vs-Close
+# lifecycle tests run under the race detector in `make test`). Phase 1
+# fans the quick bench grid from a coordinator over two stock
 # backend serves and byte-diffs the export against a direct run. Phase 2
 # restarts the coordinator (cold routing state), SIGKILLs one backend
 # mid-grid while a submission races, and asserts the grid still
@@ -188,7 +187,6 @@ SHARD_TRAP = trap 'for f in $(SHARD_PIDS); do \
 	trap 'exit 1' INT TERM HUP
 shard-determinism:
 	$(BUILD_CLI)
-	$(GO) test -race -count=1 -run 'TestStationSubmitAfterClose|TestStationSubmitCloseRace|TestStationDoUnblocksOnConcurrentClose|TestCoordinatorSubmitAfterClose|TestCoordinatorFailsOver' ./internal/service
 	rm -rf $(TMP)/shard-b1 $(TMP)/shard-b2 $(SHARD_PIDS)
 	$(CLI) bench-suite -quick -quiet -j 8 -csv  > $(TMP)/direct.csv
 	$(CLI) bench-suite -quick -quiet -j 8 -json > $(TMP)/direct.json

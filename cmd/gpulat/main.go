@@ -136,7 +136,7 @@ commands:
   submit        submit jobs to a running service and collect results; each
                 unfinished job is awaited with one blocking status call
                 (GET /v1/jobs/{key}?wait=) that returns when it completes
-                (-shard i/n for key-hash fan-out, -backendsz for pool view)
+                (-statsz, -healthz, -backendsz print a server document)
   backends      coordinator pool admin: list | join <addr> | leave <addr>
                 (elastic membership: joins warm-hand cached results over)
   version       report the build version and cache scheme tag

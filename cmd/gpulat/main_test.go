@@ -133,6 +133,15 @@ func TestParFlagIsGone(t *testing.T) {
 	}
 }
 
+// TestSubmitShardFlagIsGone: the coordinator's ring is the one way a key
+// is placed by hash, so client-side `-shard i/n` partitioning is an
+// unknown flag (exit 2) rather than a second placement rule.
+func TestSubmitShardFlagIsGone(t *testing.T) {
+	if got := exitCode(cmdSubmit([]string{"-shard", "0/2", "-suite"})); got != 2 {
+		t.Errorf("submit -shard 0/2: exit %d, want 2", got)
+	}
+}
+
 // TestSimRunTinyBFSGraphExitsOne: a BFS graph too small for the
 // generator is a runtime error (exit 1) with a message, not a panic.
 func TestSimRunTinyBFSGraphExitsOne(t *testing.T) {

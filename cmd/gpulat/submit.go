@@ -7,7 +7,6 @@ import (
 	"io"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 	"time"
 
@@ -35,7 +34,6 @@ func cmdSubmit(args []string) error {
 	statsz := fs.Bool("statsz", false, "print the server's /v1/statsz document and exit")
 	healthz := fs.Bool("healthz", false, "print the server's /v1/healthz document and exit")
 	backendsz := fs.Bool("backendsz", false, "print a coordinator's /v1/backendsz document and exit")
-	shard := fs.String("shard", "", "submit only shard i of n ('i/n'): the deterministic key-hash partition of the job list, for uncoordinated multi-submitter fan-out")
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
@@ -60,20 +58,6 @@ func cmdSubmit(args []string) error {
 		}
 	default:
 		return usagef("submit: nothing to submit (want -suite, -jobs, -statsz, -healthz, or -backendsz)")
-	}
-	if *shard != "" {
-		index, count, err := parseShard(*shard)
-		if err != nil {
-			return err
-		}
-		if len(jobs) == 0 {
-			return usagef("submit: -shard needs a job list (-suite or -jobs)")
-		}
-		jobs = runner.PartitionJobs(jobs, count)[index]
-		if len(jobs) == 0 {
-			fmt.Fprintf(os.Stderr, "submit: shard %s holds no jobs\n", *shard)
-			return nil
-		}
 	}
 
 	client := service.NewClient(*addr)
@@ -127,24 +111,6 @@ func cmdSubmit(args []string) error {
 			len(set.Results), *addr, wall.Round(time.Millisecond))
 	}
 	return set.Err()
-}
-
-// parseShard parses "-shard i/n" into (index, count), rejecting any
-// trailing garbage ("1/2/4" must not silently run half the grid).
-func parseShard(s string) (int, int, error) {
-	is, ns, ok := strings.Cut(s, "/")
-	if !ok {
-		return 0, 0, usagef("submit: bad -shard %q (want i/n, e.g. 0/4)", s)
-	}
-	index, err1 := strconv.Atoi(is)
-	count, err2 := strconv.Atoi(ns)
-	if err1 != nil || err2 != nil {
-		return 0, 0, usagef("submit: bad -shard %q (want i/n, e.g. 0/4)", s)
-	}
-	if count < 1 || index < 0 || index >= count {
-		return 0, 0, usagef("submit: -shard %q out of range (want 0 <= i < n)", s)
-	}
-	return index, count, nil
 }
 
 func printJSON(v any) error {

@@ -52,8 +52,7 @@
 //	core              the paper's methodology: static chase, dynamic
 //	                  instrumentation, breakdown/exposure reports
 //	runner            grids -> jobs -> bounded worker pool -> ResultSet,
-//	                  plus Job.Key (the canonical job content hash) and
-//	                  PartitionJobs, deterministic key-hash sharding
+//	                  plus Job.Key (the canonical job content hash)
 //	service           simulation-as-a-service: the content-addressed
 //	                  result cache, in-flight dedup, HTTP server/client,
 //	                  and the sharding Coordinator — a consistent-hash

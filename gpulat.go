@@ -179,14 +179,6 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	return service.NewCoordinator(cfg)
 }
 
-// PartitionJobs splits an expanded job list into n deterministic,
-// disjoint shards by JobKey hash — the client-side counterpart of the
-// coordinator's consistent-hash routing (see also `gpulat submit
-// -shard i/n`).
-func PartitionJobs(jobs []Job, n int) [][]Job {
-	return runner.PartitionJobs(jobs, n)
-}
-
 // NewServiceClient returns a client for the service at base, e.g.
 // "http://127.0.0.1:8091".
 func NewServiceClient(base string) *ServiceClient { return service.NewClient(base) }
@@ -319,9 +311,15 @@ func (o *BFSOptions) fill() {
 	}
 }
 
-// NewBFS builds the BFS workload used by Figures 1 and 2.
+// NewBFS builds the BFS workload used by Figures 1 and 2. A graph the
+// generators cannot build — AttachEdges < 1, Vertices < 2, or a
+// scale-free graph with no more Vertices than AttachEdges — is an error.
 func NewBFS(opt BFSOptions) (*MultiKernel, error) {
 	opt.fill()
+	if opt.AttachEdges < 1 || opt.Vertices < 2 || (!opt.Uniform && opt.Vertices <= opt.AttachEdges) {
+		return nil, fmt.Errorf("gpulat: bfs cannot build a graph of %d vertices with %d attach edges (uniform %v)",
+			opt.Vertices, opt.AttachEdges, opt.Uniform)
+	}
 	var g *kernels.Graph
 	if opt.Uniform {
 		g = kernels.GenUniformRandom(opt.Vertices, opt.AttachEdges*2, opt.Seed)

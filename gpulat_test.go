@@ -74,6 +74,41 @@ func TestNewBFSBuilds(t *testing.T) {
 	}
 }
 
+// TestNewBFSRejectsUnbuildableGraphs: a graph the generators cannot
+// build is an error from NewBFS, RunBFS and OccupancySweep, not a panic.
+func TestNewBFSRejectsUnbuildableGraphs(t *testing.T) {
+	cfg, err := Preset("GF106")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		opt BFSOptions
+		ok  bool
+	}{
+		{BFSOptions{Vertices: 3}, false},
+		{BFSOptions{Vertices: 4}, false},
+		{BFSOptions{Vertices: 1, Uniform: true}, false},
+		{BFSOptions{Vertices: -8}, false},
+		{BFSOptions{Vertices: -8, Uniform: true}, false},
+		{BFSOptions{Vertices: 64, AttachEdges: -1}, false},
+		{BFSOptions{Vertices: 64, AttachEdges: -1, Uniform: true}, false},
+		{BFSOptions{Vertices: 5}, true},
+	} {
+		if _, err := NewBFS(tc.opt); (err == nil) != tc.ok {
+			t.Errorf("NewBFS(%+v) = %v, want ok=%v", tc.opt, err, tc.ok)
+		}
+		if tc.ok {
+			continue
+		}
+		if _, err := RunBFS(cfg, tc.opt); err == nil {
+			t.Errorf("RunBFS(%+v) accepted", tc.opt)
+		}
+		if _, err := OccupancySweep(cfg, []int{8}, tc.opt); err == nil {
+			t.Errorf("OccupancySweep(%+v) accepted", tc.opt)
+		}
+	}
+}
+
 // TestPublicRunnerSurface drives a tiny grid through the re-exported
 // runner API end to end.
 func TestPublicRunnerSurface(t *testing.T) {

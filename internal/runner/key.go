@@ -49,10 +49,9 @@ func (j Job) Key() JobKey {
 // Hash64 returns the key's routing hash: the first 8 bytes of the
 // SHA-256 digest the key spells in hex. Because the key already is a
 // cryptographic hash of the job spec, its prefix is uniformly
-// distributed — shard partitioning (PartitionJobs) and the service
-// layer's consistent-hash ring both place keys with it, which is what
-// keeps a job's placement (and therefore its backend cache locality)
-// stable across processes. Malformed keys hash their raw bytes instead
+// distributed — the service layer's consistent-hash ring places keys
+// with it, which is what keeps a job's placement (and therefore its
+// backend cache locality) stable across processes. Malformed keys hash their raw bytes instead
 // so the function is total.
 func (k JobKey) Hash64() uint64 {
 	if len(k) >= 16 {

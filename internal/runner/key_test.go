@@ -74,3 +74,32 @@ func TestJobKeyValid(t *testing.T) {
 		t.Errorf("real key %q reported invalid", k)
 	}
 }
+
+// TestHash64StableAndSpread: the routing hash is the key's digest
+// prefix (stable across processes by construction) and spreads a small
+// grid over two buckets reasonably.
+func TestHash64StableAndSpread(t *testing.T) {
+	key := Job{Kind: KindDynamic, Arch: "GF106", Kernel: "vecadd", Seed: 1}.Key()
+	if key.Hash64() != key.Hash64() {
+		t.Fatal("Hash64 not deterministic")
+	}
+	// A malformed key must still hash (total function), just not via the
+	// prefix path.
+	if JobKey("zz").Hash64() == 0 {
+		t.Fatal("fallback hash degenerate")
+	}
+	jobs := Grid{
+		Kind:     KindDynamic,
+		Archs:    []string{"GF106", "GK104"},
+		Kernels:  []string{"vecadd", "copy", "gather"},
+		Variants: []Options{{TestScale: true}, {TestScale: true, Label: "b"}},
+		Repeats:  2,
+	}.Jobs()
+	var buckets [2]int
+	for _, job := range jobs {
+		buckets[job.Key().Hash64()%2]++
+	}
+	if buckets[0] == 0 || buckets[1] == 0 {
+		t.Fatalf("degenerate split %v of %d jobs", buckets, len(jobs))
+	}
+}

@@ -48,58 +48,40 @@ func (c *Client) httpClient() *http.Client {
 
 func (c *Client) url(path string) string { return c.Base + path }
 
-// getJSON decodes one GET endpoint into out, mapping non-2xx statuses to
-// errors carrying the server's message.
-func (c *Client) getJSON(ctx context.Context, path string, out any) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.url(path), nil)
+// call sends one request to path — in, when non-nil, as its JSON body —
+// and decodes a 200 answer into out. Any other status is an *APIError
+// carrying the server's message, returned with the raw body for a caller
+// that reads more of a refusal.
+func (c *Client) call(ctx context.Context, method, path string, in, out any) ([]byte, error) {
+	var body io.Reader
+	if in != nil {
+		data, err := json.Marshal(in)
+		if err != nil {
+			return nil, err
+		}
+		body = bytes.NewReader(data)
+	}
+	req, err := http.NewRequestWithContext(ctx, method, c.url(path), body)
 	if err != nil {
-		return err
+		return nil, err
+	}
+	if in != nil {
+		req.Header.Set("Content-Type", "application/json")
 	}
 	setTraceHeader(ctx, req)
 	resp, err := c.httpClient().Do(req)
 	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return httpError(path, resp.StatusCode, body)
-	}
-	return json.Unmarshal(body, out)
-}
-
-// postJSON posts in as JSON and decodes a 200 answer into out (out may
-// be nil), mapping other statuses to *APIError.
-func (c *Client) postJSON(ctx context.Context, path string, in, out any) error {
-	body, err := json.Marshal(in)
-	if err != nil {
-		return err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.url(path), bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	setTraceHeader(ctx, req)
-	resp, err := c.httpClient().Do(req)
-	if err != nil {
-		return err
+		return nil, err
 	}
 	defer resp.Body.Close()
 	data, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if resp.StatusCode != http.StatusOK {
-		return httpError(path, resp.StatusCode, data)
+		return data, httpError(path, resp.StatusCode, data)
 	}
-	if out == nil {
-		return nil
-	}
-	return json.Unmarshal(data, out)
+	return data, json.Unmarshal(data, out)
 }
 
 // APIError is a non-2xx service answer decoded into Go: the HTTP status
@@ -135,14 +117,14 @@ func httpError(path string, code int, body []byte) error {
 // Healthz fetches the server's health/version document.
 func (c *Client) Healthz(ctx context.Context) (Health, error) {
 	var h Health
-	err := c.getJSON(ctx, "/v1/healthz", &h)
+	_, err := c.call(ctx, http.MethodGet, "/v1/healthz", nil, &h)
 	return h, err
 }
 
 // Statsz fetches the server's counters.
 func (c *Client) Statsz(ctx context.Context) (Statsz, error) {
 	var s Statsz
-	err := c.getJSON(ctx, "/v1/statsz", &s)
+	_, err := c.call(ctx, http.MethodGet, "/v1/statsz", nil, &s)
 	return s, err
 }
 
@@ -150,7 +132,7 @@ func (c *Client) Statsz(ctx context.Context) (Statsz, error) {
 // Single-node stations answer 404 (an *APIError).
 func (c *Client) Backendsz(ctx context.Context) (Backendsz, error) {
 	var b Backendsz
-	err := c.getJSON(ctx, "/v1/backendsz", &b)
+	_, err := c.call(ctx, http.MethodGet, "/v1/backendsz", nil, &b)
 	return b, err
 }
 
@@ -159,7 +141,7 @@ func (c *Client) Backendsz(ctx context.Context) (Backendsz, error) {
 // backend never cached the key.
 func (c *Client) CacheEntry(ctx context.Context, key runner.JobKey) (Entry, error) {
 	var e Entry
-	err := c.getJSON(ctx, "/v1/cache/"+string(key), &e)
+	_, err := c.call(ctx, http.MethodGet, "/v1/cache/"+string(key), nil, &e)
 	return e, err
 }
 
@@ -168,7 +150,7 @@ func (c *Client) CacheEntry(ctx context.Context, key runner.JobKey) (Entry, erro
 // cache-warm handoff a membership change triggers.
 func (c *Client) CachePull(ctx context.Context, from string, keys []runner.JobKey) (CachePullResult, error) {
 	var res CachePullResult
-	err := c.postJSON(ctx, "/v1/cache/pull", CachePullRequest{From: from, Keys: keys}, &res)
+	_, err := c.call(ctx, http.MethodPost, "/v1/cache/pull", CachePullRequest{From: from, Keys: keys}, &res)
 	return res, err
 }
 
@@ -176,7 +158,7 @@ func (c *Client) CachePull(ctx context.Context, from string, keys []runner.JobKe
 // client points at. Idempotent: re-joining reports Changed=false.
 func (c *Client) JoinBackend(ctx context.Context, addr string) (MembershipChange, error) {
 	var ch MembershipChange
-	err := c.postJSON(ctx, "/v1/backends/join", membershipRequest{Addr: addr}, &ch)
+	_, err := c.call(ctx, http.MethodPost, "/v1/backends/join", membershipRequest{Addr: addr}, &ch)
 	return ch, err
 }
 
@@ -185,14 +167,14 @@ func (c *Client) JoinBackend(ctx context.Context, addr string) (MembershipChange
 // means it is the last one.
 func (c *Client) LeaveBackend(ctx context.Context, addr string) (MembershipChange, error) {
 	var ch MembershipChange
-	err := c.postJSON(ctx, "/v1/backends/leave", membershipRequest{Addr: addr}, &ch)
+	_, err := c.call(ctx, http.MethodPost, "/v1/backends/leave", membershipRequest{Addr: addr}, &ch)
 	return ch, err
 }
 
 // CatalogInfo fetches the server's job-spec catalog.
 func (c *Client) CatalogInfo(ctx context.Context) (CatalogInfo, error) {
 	var info CatalogInfo
-	err := c.getJSON(ctx, "/v1/catalog", &info)
+	_, err := c.call(ctx, http.MethodGet, "/v1/catalog", nil, &info)
 	return info, err
 }
 
@@ -258,41 +240,17 @@ func (c *Client) Submit(ctx context.Context, jobs []runner.Job) ([]JobTicket, er
 // server accepted before refusing; they are returned alongside the
 // *APIError so Submit can resubmit exactly the remainder.
 func (c *Client) submitOnce(ctx context.Context, jobs []runner.Job) ([]JobTicket, error) {
-	body, err := json.Marshal(SubmitRequest{Jobs: jobs})
-	if err != nil {
-		return nil, err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.url("/v1/jobs"), bytes.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	setTraceHeader(ctx, req)
-	resp, err := c.httpClient().Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode == http.StatusServiceUnavailable {
+	var sr SubmitResponse
+	body, err := c.call(ctx, http.MethodPost, "/v1/jobs", SubmitRequest{Jobs: jobs}, &sr)
+	var ae *APIError
+	if errors.As(err, &ae) && ae.Code == http.StatusServiceUnavailable {
 		var refusal struct {
-			Error    string      `json:"error"`
 			Accepted []JobTicket `json:"accepted"`
 		}
-		_ = json.Unmarshal(data, &refusal)
-		if len(refusal.Accepted) > len(jobs) {
-			refusal.Accepted = refusal.Accepted[:len(jobs)]
-		}
-		return refusal.Accepted, &APIError{Path: "/v1/jobs", Code: resp.StatusCode, Message: refusal.Error}
+		_ = json.Unmarshal(body, &refusal) // unreadable: nothing accepted
+		return refusal.Accepted[:min(len(refusal.Accepted), len(jobs))], err
 	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, httpError("/v1/jobs", resp.StatusCode, data)
-	}
-	var sr SubmitResponse
-	if err := json.Unmarshal(data, &sr); err != nil {
+	if err != nil {
 		return nil, err
 	}
 	if len(sr.Tickets) != len(jobs) {
@@ -315,14 +273,14 @@ func (c *Client) Wait(ctx context.Context, key runner.JobKey, d time.Duration) (
 		path += "?wait=" + d.String()
 	}
 	var js JobStatus
-	err := c.getJSON(ctx, path, &js)
+	_, err := c.call(ctx, http.MethodGet, path, nil, &js)
 	return js, err
 }
 
 // Result fetches one finished job's durable result.
 func (c *Client) Result(ctx context.Context, key runner.JobKey) (WireResult, error) {
 	var wr WireResult
-	err := c.getJSON(ctx, "/v1/results/"+string(key), &wr)
+	_, err := c.call(ctx, http.MethodGet, "/v1/results/"+string(key), nil, &wr)
 	return wr, err
 }
 

@@ -33,7 +33,7 @@ type CoordinatorConfig struct {
 	// QueueBound caps live (non-terminal) keys the coordinator will
 	// admit — the sharded analogue of StationConfig.QueueBound, so a
 	// coordinator still exerts 503 backpressure instead of growing its
-	// states map without limit (default 4096 per configured backend).
+	// key table without limit (default 4096 per configured backend).
 	QueueBound int
 	// JournalPath, when set, enables the write-ahead coordinator
 	// journal: accepted jobs and membership changes append to this
@@ -55,22 +55,6 @@ func (cfg *CoordinatorConfig) fill() {
 	if cfg.QueueBound <= 0 {
 		cfg.QueueBound = 4096 * max(len(cfg.Backends), 1)
 	}
-}
-
-// routedJob tracks one key through the sharded tier: where it was
-// placed, the last status observed there, and the result once terminal.
-type routedJob struct {
-	key     runner.JobKey
-	job     runner.Job
-	backend *Backend // nil: replayed from the journal into an empty pool
-	status  Status
-	result  runner.Result
-	done    bool
-	// forwarded flips once the backend has acknowledged the submission;
-	// until then status proxies answer "queued" locally instead of
-	// asking a backend that has never heard of the key.
-	forwarded bool
-	reroutes  int
 }
 
 // MembershipChange reports one Join or Leave: the epoch it produced and
@@ -121,6 +105,10 @@ type MembershipChange struct {
 // which keeps the client-observable contract byte-identical to a
 // single-process run.
 type Coordinator struct {
+	// jobs is the key-state table: admission, statuses, counters. Its
+	// pending count is what QueueBound caps.
+	jobs
+
 	cfg     CoordinatorConfig
 	pool    *BackendPool
 	journal *Journal
@@ -136,20 +124,6 @@ type Coordinator struct {
 	// deltas are computed against a quiescent ring.
 	memberMu sync.Mutex
 
-	mu     sync.Mutex
-	closed bool
-	states map[runner.JobKey]*routedJob
-	// live counts non-terminal states; admission refuses with
-	// ErrQueueFull once it reaches cfg.QueueBound.
-	live        int
-	submitted   int64
-	deduped     int64
-	rejected    int64
-	rerouted    int64
-	handoffKeys int64
-	handoffXfer int64
-	replayed    int64
-
 	journalErrOnce sync.Once
 }
 
@@ -161,9 +135,9 @@ type Coordinator struct {
 func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	cfg.fill()
 	c := &Coordinator{
-		cfg:    cfg,
-		pool:   NewBackendPool(cfg.Backends, cfg.FailThreshold),
-		states: map[runner.JobKey]*routedJob{},
+		jobs: jobs{byKey: map[runner.JobKey]*jobState{}},
+		cfg:  cfg,
+		pool: NewBackendPool(cfg.Backends, cfg.FailThreshold),
 	}
 	c.ctx, c.stop = context.WithCancel(context.Background())
 	if cfg.JournalPath != "" {
@@ -181,10 +155,11 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 
 // replay applies journal records from a previous incarnation: joins and
 // leaves re-shape the pool in the order they happened (reconstructing
-// the epoch), and job records re-admit their keys as unforwarded live
-// states — the prober's first sweep re-forwards them, and the backends'
-// dedup + caches answer already-finished ones without recomputing.
-// Runs before the prober starts, so no locks are contended.
+// the epoch), and job records re-admit their keys through the same add
+// as SubmitMany, minus the journal write and the forward — the prober's
+// first sweep re-forwards them, and the backends' dedup + caches answer
+// already-finished ones without recomputing. Runs before the prober
+// starts, so no locks are contended.
 func (c *Coordinator) replay(records []JournalRecord) {
 	for _, rec := range records {
 		switch rec.T {
@@ -196,17 +171,14 @@ func (c *Coordinator) replay(records []JournalRecord) {
 			if rec.Job == nil {
 				continue
 			}
-			job := *rec.Job
-			key := job.Key()
-			if _, ok := c.states[key]; ok {
+			key := rec.Job.Key()
+			if c.byKey[key] != nil {
 				continue
 			}
 			// Route may return nil on an empty or all-down pool; the
 			// sweep places the key once a backend is routable.
-			st := &routedJob{key: key, job: job, backend: c.pool.Route(key, nil), status: StatusQueued}
-			c.states[key] = st
-			c.live++
-			c.replayed++
+			c.add(key, *rec.Job).backend = c.pool.Route(key, nil)
+			c.stats.Replayed++
 		}
 	}
 }
@@ -233,11 +205,7 @@ func (c *Coordinator) Close() {
 		return
 	}
 	c.closed = true
-	for _, st := range c.states {
-		if !st.done {
-			c.failLocked(st, "service: coordinator closed before the job finished")
-		}
-	}
+	c.failLive("service: coordinator closed before the job finished")
 	c.mu.Unlock()
 	c.stop()
 	c.wg.Wait()
@@ -245,16 +213,6 @@ func (c *Coordinator) Close() {
 	if c.journal != nil {
 		c.journal.Close()
 	}
-}
-
-// failLocked marks st terminal-failed. Caller holds c.mu.
-func (c *Coordinator) failLocked(st *routedJob, msg string) {
-	if !st.done {
-		c.live--
-	}
-	st.done = true
-	st.status = StatusFailed
-	st.result = runner.Result{Job: st.job, Err: msg}
 }
 
 // Submit admits one job; see SubmitMany.
@@ -283,24 +241,24 @@ func (c *Coordinator) Submit(ctx context.Context, job runner.Job) (runner.JobKey
 // the submitting request is abandoned mid-flight.
 func (c *Coordinator) SubmitMany(ctx context.Context, jobs []runner.Job) ([]JobTicket, error) {
 	c.mu.Lock()
-	if c.closed {
-		c.rejected += int64(len(jobs))
-		c.mu.Unlock()
-		return nil, ErrStationClosed
-	}
 	tickets := make([]JobTicket, 0, len(jobs))
-	var admitted []*routedJob // newly-created states, in order, for the journal
+	var admitted []*jobState // newly-created states, in order, for the journal
 	var refused error
 	for _, job := range jobs {
 		key := job.Key()
-		c.submitted++
-		if st, ok := c.states[key]; ok && st.status != StatusFailed {
-			c.deduped++
-			tickets = append(tickets, JobTicket{Key: key, Status: st.status})
+		status, ok, err := c.attach(key)
+		if err != nil {
+			// Closed: the lock is held, so only the first job sees it.
+			c.mu.Unlock()
+			return nil, err
+		}
+		c.stats.Submitted++
+		if ok {
+			tickets = append(tickets, JobTicket{Key: key, Status: status})
 			continue
 		}
 		var b *Backend
-		if c.live >= c.cfg.QueueBound {
+		if c.pending >= c.cfg.QueueBound {
 			refused = ErrQueueFull
 		} else if b = c.pool.Route(key, nil); b == nil {
 			refused = ErrNoBackends
@@ -309,19 +267,12 @@ func (c *Coordinator) SubmitMany(ctx context.Context, jobs []runner.Job) ([]JobT
 			// The accepted prefix is real: it is journaled and forwarded
 			// below before the rest is refused — an accepted ticket must
 			// correspond to a journaled and forwarded (or explicitly
-			// failing) job, never to one silently stranded in the states
-			// map.
-			c.rejected++
+			// failing) job, never to one silently stranded in the table.
+			c.stats.Rejected++
 			break
 		}
-		st := &routedJob{key: key, job: job, backend: b, status: StatusQueued}
-		if old, replaced := c.states[key]; replaced && !old.done {
-			// Replacing a failed-but-unfetched state: it leaves the live
-			// count with its replacement.
-			c.live--
-		}
-		c.states[key] = st
-		c.live++
+		st := c.add(key, job)
+		st.backend = b
 		admitted = append(admitted, st)
 		tickets = append(tickets, JobTicket{Key: key, Status: StatusQueued})
 	}
@@ -341,9 +292,7 @@ func (c *Coordinator) SubmitMany(ctx context.Context, jobs []runner.Job) ([]JobT
 	// status-poll round entirely on warm grids.
 	c.mu.Lock()
 	for i := range tickets {
-		if st, ok := c.states[tickets[i].Key]; ok {
-			tickets[i].Status = st.status
-		}
+		tickets[i].Status = c.byKey[tickets[i].Key].status
 	}
 	c.mu.Unlock()
 	return tickets, refused
@@ -380,44 +329,21 @@ func (c *Coordinator) Join(ctx context.Context, addr string) (MembershipChange, 
 	moves := c.ownershipMoves(before, after)
 	ch.MovedKeys = len(moves)
 
-	// Split the delta: live keys re-forward to the joiner; finished
-	// keys warm-hand their cached results, pulled from wherever each
-	// was actually computed (which a reroute may have made a different
-	// backend than the old ring owner).
-	var liveMoved []*routedJob
-	pulls := map[string][]runner.JobKey{}
+	// Live moved keys re-forward to the joiner; finished ones are handed
+	// off.
+	var liveMoved []*jobState
 	c.mu.Lock()
 	for _, mv := range moves {
-		st := c.states[mv.Key]
-		if st == nil {
-			continue
+		if st := c.byKey[mv.Key]; st != nil && !st.final() {
+			st.backend = b
+			st.forwarded = false
+			c.set(st, StatusQueued)
+			liveMoved = append(liveMoved, st)
 		}
-		if st.done {
-			if st.status == StatusDone {
-				from := mv.From
-				if st.backend != nil {
-					from = st.backend.Addr()
-				}
-				if from != "" && from != addr {
-					pulls[from] = append(pulls[from], mv.Key)
-				}
-			}
-			continue
-		}
-		st.backend = b
-		st.forwarded = false
-		st.status = StatusQueued
-		liveMoved = append(liveMoved, st)
 	}
-	c.handoffKeys += int64(len(moves))
 	c.mu.Unlock()
 	ch.Reassigned = len(liveMoved)
-
-	ch.Transferred = c.pullCaches(ctx, b, pulls)
-	c.mu.Lock()
-	c.handoffXfer += int64(ch.Transferred)
-	c.mu.Unlock()
-
+	ch.Transferred = c.handOff(ctx, moves)
 	c.place(ctx, liveMoved, nil)
 	return ch, nil
 }
@@ -455,17 +381,48 @@ func (c *Coordinator) Leave(ctx context.Context, addr string) (MembershipChange,
 	moves := c.ownershipMoves(before, after)
 	ch.MovedKeys = len(moves)
 
-	// Finished moved keys: each new owner pulls the cached results. The
-	// pull source is where the key actually ran (usually the leaver).
-	pullsByOwner := map[*Backend]map[string][]runner.JobKey{}
+	// Every live key placed on the leaver drains to a survivor — not
+	// just ring-moved ones: reroutes may have parked keys there that the
+	// ring never owned.
+	var drain []*jobState
+	c.mu.Lock()
+	for _, st := range c.byKey {
+		if !st.final() && st.backend == b {
+			drain = append(drain, st)
+		}
+	}
+	c.mu.Unlock()
+	ch.Reassigned = c.place(ctx, drain, b)
+	ch.Transferred = c.handOff(ctx, moves)
+	return ch, nil
+}
+
+// ownershipMoves computes the exact key-ownership delta between two
+// ring snapshots over every key the coordinator knows.
+func (c *Coordinator) ownershipMoves(before, after *runner.Ring) []runner.KeyMove {
+	c.mu.Lock()
+	keys := make([]runner.JobKey, 0, len(c.byKey))
+	for key := range c.byKey {
+		keys = append(keys, key)
+	}
+	c.mu.Unlock()
+	return runner.OwnershipDelta(before, after, keys)
+}
+
+// handOff is the cache-warm handoff of a membership change: each finished
+// moved key's new owner pulls its cached result from the backend where
+// the key actually ran — which a reroute may have made a different
+// backend than the old ring owner — via POST /v1/cache/pull (which
+// fetches GET /v1/cache/{key} from the source), in bounded chunks. It
+// counts the moved keys and returns how many results transferred;
+// misses mean the source never cached the key (e.g. it ran cacheless)
+// and simply stay cold.
+func (c *Coordinator) handOff(ctx context.Context, moves []runner.KeyMove) int {
+	pulls := map[*Backend]map[string][]runner.JobKey{} // new owner → source → keys
 	c.mu.Lock()
 	for _, mv := range moves {
-		st := c.states[mv.Key]
-		if st == nil || !st.done || st.status != StatusDone {
-			continue
-		}
-		to := c.pool.ByAddr(mv.To)
-		if to == nil {
+		st, to := c.byKey[mv.Key], c.pool.ByAddr(mv.To)
+		if st == nil || to == nil || !st.final() || st.status != StatusDone {
 			continue
 		}
 		from := mv.From
@@ -475,63 +432,30 @@ func (c *Coordinator) Leave(ctx context.Context, addr string) (MembershipChange,
 		if from == "" || from == mv.To {
 			continue
 		}
-		if pullsByOwner[to] == nil {
-			pullsByOwner[to] = map[string][]runner.JobKey{}
+		if pulls[to] == nil {
+			pulls[to] = map[string][]runner.JobKey{}
 		}
-		pullsByOwner[to][from] = append(pullsByOwner[to][from], mv.Key)
+		pulls[to][from] = append(pulls[to][from], mv.Key)
 	}
-	// Every live key placed on the leaver drains to a survivor — not
-	// just ring-moved ones: reroutes may have parked keys there that the
-	// ring never owned.
-	var drain []*routedJob
-	for _, st := range c.states {
-		if !st.done && st.backend == b {
-			drain = append(drain, st)
-		}
-	}
-	c.handoffKeys += int64(len(moves))
+	c.stats.HandoffKeys += int64(len(moves))
 	c.mu.Unlock()
-	ch.Reassigned = c.place(ctx, drain, b)
 
-	for owner, pulls := range pullsByOwner {
-		ch.Transferred += c.pullCaches(ctx, owner, pulls)
-	}
-	c.mu.Lock()
-	c.handoffXfer += int64(ch.Transferred)
-	c.mu.Unlock()
-	return ch, nil
-}
-
-// ownershipMoves computes the exact key-ownership delta between two
-// ring snapshots over every key the coordinator knows.
-func (c *Coordinator) ownershipMoves(before, after *runner.Ring) []runner.KeyMove {
-	c.mu.Lock()
-	keys := make([]runner.JobKey, 0, len(c.states))
-	for key := range c.states {
-		keys = append(keys, key)
-	}
-	c.mu.Unlock()
-	return runner.OwnershipDelta(before, after, keys)
-}
-
-// pullCaches drives the cache-warm handoff: owner pulls the cached
-// results for keys from each source backend via POST /v1/cache/pull
-// (which fetches GET /v1/cache/{key} from the source), in bounded
-// chunks. Returns how many entries actually transferred; misses mean
-// the source never cached the key (e.g. it ran cacheless) and simply
-// stay cold.
-func (c *Coordinator) pullCaches(ctx context.Context, owner *Backend, pulls map[string][]runner.JobKey) int {
 	transferred := 0
-	for from, keys := range pulls {
-		for chunk := range slices.Chunk(keys, maxForwardBatch) {
-			pctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), c.cfg.CallTimeout)
-			res, err := owner.client.CachePull(pctx, from, chunk)
-			cancel()
-			if err == nil {
-				transferred += res.Transferred
+	for to, bySource := range pulls {
+		for from, keys := range bySource {
+			for chunk := range slices.Chunk(keys, maxForwardBatch) {
+				pctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), c.cfg.CallTimeout)
+				res, err := to.client.CachePull(pctx, from, chunk)
+				cancel()
+				if err == nil {
+					transferred += res.Transferred
+				}
 			}
 		}
 	}
+	c.mu.Lock()
+	c.stats.HandoffTransferred += int64(transferred)
+	c.mu.Unlock()
 	return transferred
 }
 
@@ -544,7 +468,7 @@ const maxForwardBatch = maxJobsPerRequest / 2
 // to place when the backend turns out to be dead. ctx contributes only
 // values (the trace ID); each chunk gets its own timeout detached from
 // the caller's cancellation.
-func (c *Coordinator) forward(ctx context.Context, b *Backend, group []*routedJob) {
+func (c *Coordinator) forward(ctx context.Context, b *Backend, group []*jobState) {
 	jobs := make([]runner.Job, len(group))
 	for i, st := range group {
 		jobs[i] = st.job
@@ -557,9 +481,9 @@ func (c *Coordinator) forward(ctx context.Context, b *Backend, group []*routedJo
 		b.noteSubmitted(len(jobs))
 		c.mu.Lock()
 		for i, st := range group {
-			if !st.done && st.backend == b {
+			if st.backend == b {
 				st.forwarded = true
-				st.status = tks[i].Status
+				c.set(st, tks[i].Status)
 			}
 		}
 		c.mu.Unlock()
@@ -612,11 +536,11 @@ const rerouteBudget = 8
 // here through forward — bounded, because every such hop spends budget.
 // Duplicate forwards are harmless: backends dedupe by key. ctx
 // contributes only the trace ID. Returns how many keys moved.
-func (c *Coordinator) place(ctx context.Context, group []*routedJob, avoid *Backend) (moved int) {
-	targets := map[*Backend][]*routedJob{}
+func (c *Coordinator) place(ctx context.Context, group []*jobState, avoid *Backend) (moved int) {
+	targets := map[*Backend][]*jobState{}
 	c.mu.Lock()
 	for _, st := range group {
-		if st.done || (avoid != nil && st.backend != avoid) {
+		if st.final() || (avoid != nil && st.backend != avoid) {
 			continue
 		}
 		from := st.backend
@@ -630,7 +554,7 @@ func (c *Coordinator) place(ctx context.Context, group []*routedJob, avoid *Back
 		// A member that gets here failed (it is avoid, or its circuit is
 		// open); a nil or departed from costs the key nothing.
 		if member && st.reroutes >= rerouteBudget {
-			c.failLocked(st, fmt.Sprintf(
+			c.fail(st, fmt.Sprintf(
 				"service: job %s still unplaced after %d reroutes: %v", st.key, st.reroutes, ErrNoBackends))
 			continue
 		}
@@ -639,20 +563,20 @@ func (c *Coordinator) place(ctx context.Context, group []*routedJob, avoid *Back
 		b := c.pool.Route(st.key, from)
 		if b == nil {
 			if from != nil {
-				c.failLocked(st, ErrNoBackends.Error())
+				c.fail(st, ErrNoBackends.Error())
 			}
 			continue
 		}
 		if member {
 			st.reroutes++
-			c.rerouted++
+			c.stats.Rerouted++
 			if b != from {
 				from.noteRerouted()
 			}
 		}
 		st.backend = b
 		st.forwarded = false
-		st.status = StatusQueued
+		c.set(st, StatusQueued)
 		targets[b] = append(targets[b], st)
 		moved++
 	}
@@ -716,10 +640,10 @@ func (c *Coordinator) prober() {
 // forwards the ones accepted but never acknowledged, gives the unplaced
 // ones a backend once one is routable, and leaves the rest alone.
 func (c *Coordinator) sweepStranded() {
-	var live []*routedJob
+	var live []*jobState
 	c.mu.Lock()
-	for _, st := range c.states {
-		if !st.done {
+	for _, st := range c.byKey {
+		if !st.final() {
 			live = append(live, st)
 		}
 	}
@@ -742,12 +666,12 @@ func (c *Coordinator) Status(key runner.JobKey) (Status, bool) {
 // backend — and the last status known is the answer.
 func (c *Coordinator) Wait(ctx context.Context, key runner.JobKey, d time.Duration) (Status, bool) {
 	c.mu.Lock()
-	st, ok := c.states[key]
-	if !ok {
+	st := c.byKey[key]
+	if st == nil {
 		c.mu.Unlock()
 		return "", false
 	}
-	if st.done || !st.forwarded {
+	if st.final() || !st.forwarded {
 		s := st.status
 		c.mu.Unlock()
 		return s, true
@@ -763,8 +687,8 @@ func (c *Coordinator) Wait(ctx context.Context, key runner.JobKey, d time.Durati
 	case err == nil:
 		b.reportSuccess(false)
 		c.mu.Lock()
-		if !st.done && st.backend == b {
-			st.status = js.Status
+		if st.backend == b {
+			c.set(st, js.Status)
 		}
 		c.mu.Unlock()
 	case ctx.Err() != nil || c.ctx.Err() != nil:
@@ -785,12 +709,12 @@ func (c *Coordinator) Wait(ctx context.Context, key runner.JobKey, d time.Durati
 // abandoned fetch must not read as a backend failure.
 func (c *Coordinator) Result(ctx context.Context, key runner.JobKey) (runner.Result, bool) {
 	c.mu.Lock()
-	st, ok := c.states[key]
-	if !ok {
+	st := c.byKey[key]
+	if st == nil {
 		c.mu.Unlock()
 		return runner.Result{}, false
 	}
-	if st.done {
+	if st.final() {
 		res := st.result
 		c.mu.Unlock()
 		return res, true
@@ -809,15 +733,7 @@ func (c *Coordinator) Result(ctx context.Context, key runner.JobKey) (runner.Res
 	if err == nil {
 		b.reportSuccess(false)
 		c.mu.Lock()
-		if !st.done {
-			st.result = runner.Result{Job: st.job, Metrics: wr.Metrics, Err: wr.Error}
-			st.done = true
-			c.live--
-			st.status = StatusDone
-			if wr.Error != "" {
-				st.status = StatusFailed
-			}
-		}
+		c.finish(st, runner.Result{Job: st.job, Metrics: wr.Metrics, Err: wr.Error})
 		res := st.result
 		c.mu.Unlock()
 		return res, true
@@ -834,45 +750,15 @@ func (c *Coordinator) Result(ctx context.Context, key runner.JobKey) (runner.Res
 // answered but has never heard of the key — it restarted and lost its
 // in-memory states — so the key is re-placed with no circuit penalty;
 // any other API answer means b is alive and the key stays.
-func (c *Coordinator) proxyFailed(ctx context.Context, st *routedJob, b *Backend, err error) bool {
+func (c *Coordinator) proxyFailed(ctx context.Context, st *jobState, b *Backend, err error) bool {
 	var ae *APIError
 	if !errors.As(err, &ae) {
 		b.reportFailure(c.cfg.FailThreshold, err, false)
 	} else if ae.Code != http.StatusNotFound {
 		return false
 	}
-	c.place(ctx, []*routedJob{st}, b)
+	c.place(ctx, []*jobState{st}, b)
 	return true
-}
-
-// Stats snapshots the coordinator's counters. Executed/CacheHits are
-// per-backend facts (visible in each backend's own /v1/statsz); the
-// gauges here are computed over the coordinator's key map.
-func (c *Coordinator) Stats() StationStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	s := StationStats{
-		Submitted:          c.submitted,
-		Deduped:            c.deduped,
-		Rejected:           c.rejected,
-		Rerouted:           c.rerouted,
-		HandoffKeys:        c.handoffKeys,
-		HandoffTransferred: c.handoffXfer,
-		Replayed:           c.replayed,
-	}
-	for _, st := range c.states {
-		switch {
-		case st.status == StatusDone:
-			s.Done++
-		case st.status == StatusFailed:
-			s.Failed++
-		case st.status == StatusRunning:
-			s.Running++
-		default:
-			s.Queued++
-		}
-	}
-	return s
 }
 
 // RingEpoch returns the pool's monotonic membership epoch.
@@ -883,8 +769,8 @@ func (c *Coordinator) RingEpoch() uint64 { return c.pool.Epoch() }
 func (c *Coordinator) Backends() []BackendStatus {
 	assigned := map[string]int{}
 	c.mu.Lock()
-	for _, st := range c.states {
-		if !st.done && st.backend != nil {
+	for _, st := range c.byKey {
+		if !st.final() && st.backend != nil {
 			assigned[st.backend.addr]++
 		}
 	}

@@ -46,26 +46,29 @@ func (c *countingExec) count() int {
 func newTestBackend(t *testing.T, block chan struct{}) *testBackend {
 	t.Helper()
 	ce := &countingExec{block: block}
-	station := NewStation(nil, StationConfig{Workers: 2, Exec: ce.exec})
+	station := newStation(t, nil, StationConfig{Workers: 2, Exec: ce.exec})
 	ts := httptest.NewServer(NewServer(station, nil))
-	b := &testBackend{ts: ts, station: station, execs: ce}
-	t.Cleanup(func() { ts.Close(); station.Close() })
-	return b
+	t.Cleanup(ts.Close)
+	return &testBackend{ts: ts, station: station, execs: ce}
 }
 
 func quickCoordinator(t *testing.T, addrs []string) *Coordinator {
 	t.Helper()
-	coord, err := NewCoordinator(CoordinatorConfig{
+	return newCoordinator(t, CoordinatorConfig{
 		Backends:      addrs,
 		ProbeInterval: 20 * time.Millisecond,
 		FailThreshold: 2,
 		CallTimeout:   5 * time.Second,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(coord.Close)
-	return coord
+}
+
+// quietCoordinator keeps the prober out of the way with an hour-long
+// interval and every circuit closed with a threshold no test reaches:
+// for tests that count forwards, or that must not see a live backend's
+// circuit opened by a probe timing out on a loaded host.
+func quietCoordinator(t *testing.T, addrs ...string) *Coordinator {
+	t.Helper()
+	return newCoordinator(t, CoordinatorConfig{Backends: addrs, ProbeInterval: time.Hour, FailThreshold: 100})
 }
 
 // TestCoordinatorEndToEnd: a client running a job list (with a
@@ -75,7 +78,7 @@ func quickCoordinator(t *testing.T, addrs []string) *Coordinator {
 func TestCoordinatorEndToEnd(t *testing.T) {
 	b1 := newTestBackend(t, nil)
 	b2 := newTestBackend(t, nil)
-	coord := quickCoordinator(t, []string{b1.ts.URL, b2.ts.URL})
+	coord := quietCoordinator(t, b1.ts.URL, b2.ts.URL)
 	front := httptest.NewServer(NewServer(coord, nil))
 	defer front.Close()
 
@@ -281,15 +284,11 @@ func TestCoordinatorQueueBound(t *testing.T) {
 	release := make(chan struct{})
 	defer close(release)
 	b1 := newTestBackend(t, release)
-	coord, err := NewCoordinator(CoordinatorConfig{
+	coord := newCoordinator(t, CoordinatorConfig{
 		Backends:      []string{b1.ts.URL},
 		ProbeInterval: 20 * time.Millisecond,
 		QueueBound:    2,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(coord.Close)
 
 	tickets, err := coord.SubmitMany(context.Background(), []runner.Job{testJob(0), testJob(1), testJob(2)})
 	if err != ErrQueueFull {
@@ -311,9 +310,9 @@ func TestCoordinatorQueueBound(t *testing.T) {
 func TestCoordinatorTreatsBackendQueueFullAsBackpressure(t *testing.T) {
 	release := make(chan struct{})
 	ce := &countingExec{block: release}
-	station := NewStation(nil, StationConfig{Workers: 1, QueueBound: 1, Exec: ce.exec})
+	station := newStation(t, nil, StationConfig{Workers: 1, QueueBound: 1, Exec: ce.exec})
 	ts := httptest.NewServer(NewServer(station, nil))
-	t.Cleanup(func() { ts.Close(); station.Close() })
+	t.Cleanup(ts.Close)
 
 	coord := quickCoordinator(t, []string{ts.URL})
 	// 4 jobs against capacity 2 (1 running + 1 queued): the forward's

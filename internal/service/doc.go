@@ -13,6 +13,10 @@
 //   - Station: in-flight deduplication plus a bounded job queue over a
 //     worker pool. N clients requesting the same JobKey share one
 //     simulation; completed results are written through to the cache.
+//     Station and Coordinator share one key-state table (jobs.go): one
+//     admission rule (attach to a key's state unless it failed), the
+//     only writes of a state's status and result, and the counters
+//     /v1/statsz and /metrics report.
 //
 //   - Server/Client: a small HTTP JSON API (POST /v1/jobs, GET
 //     /v1/jobs/{key}, GET /v1/results/{key}, /v1/healthz, /v1/statsz,

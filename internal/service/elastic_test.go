@@ -25,11 +25,10 @@ func newCachedBackend(t *testing.T, block chan struct{}) (*testBackend, *Cache) 
 		t.Fatal(err)
 	}
 	ce := &countingExec{block: block}
-	station := NewStation(cache, StationConfig{Workers: 2, Exec: ce.exec})
+	station := newStation(t, cache, StationConfig{Workers: 2, Exec: ce.exec})
 	ts := httptest.NewServer(NewServer(station, cache))
-	b := &testBackend{ts: ts, station: station, execs: ce}
-	t.Cleanup(func() { ts.Close(); station.Close() })
-	return b, cache
+	t.Cleanup(ts.Close)
+	return &testBackend{ts: ts, station: station, execs: ce}, cache
 }
 
 // releaser returns a close-once for a wedge channel and registers it as
@@ -239,10 +238,7 @@ func TestCoordinatorJournalRecovery(t *testing.T) {
 		FailThreshold: 2,
 		JournalPath:   journal,
 	}
-	coord1, err := NewCoordinator(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	coord1 := newCoordinator(t, cfg)
 	jobs := make([]runner.Job, 10)
 	for i := range jobs {
 		jobs[i] = testJob(i)
@@ -254,11 +250,7 @@ func TestCoordinatorJournalRecovery(t *testing.T) {
 	coord1.Close()
 	unwedge()
 
-	coord2, err := NewCoordinator(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(coord2.Close)
+	coord2 := newCoordinator(t, cfg)
 	if got := coord2.Stats().Replayed; got != int64(len(jobs)) {
 		t.Fatalf("replayed %d jobs, want %d", got, len(jobs))
 	}
@@ -452,7 +444,7 @@ func TestNoDuplicateExecutionWithoutFailure(t *testing.T) {
 func newFailingBackend(t *testing.T, failures int64) (string, *atomic.Int64, *countingExec) {
 	t.Helper()
 	ce := &countingExec{}
-	station := NewStation(nil, StationConfig{Workers: 2, Exec: ce.exec})
+	station := newStation(t, nil, StationConfig{Workers: 2, Exec: ce.exec})
 	inner := NewServer(station, nil)
 	posts := new(atomic.Int64)
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -464,29 +456,19 @@ func newFailingBackend(t *testing.T, failures int64) (string, *atomic.Int64, *co
 		}
 		inner.ServeHTTP(w, r)
 	}))
-	t.Cleanup(func() { ts.Close(); station.Close() })
+	t.Cleanup(ts.Close)
 	return ts.URL, posts, ce
 }
 
 // TestPlaceRule pins what it costs a key to be given a backend, one row
-// per reason it needs one (see Coordinator.place). The rows that count
-// forwards keep the prober out of the way with an hour-long interval and
-// keep every circuit closed with a threshold no test reaches.
+// per reason it needs one (see Coordinator.place). Every row but the
+// first runs on a quiet coordinator.
 func TestPlaceRule(t *testing.T) {
 	ctx := context.Background()
-	quiet := func(t *testing.T, addrs ...string) *Coordinator {
-		t.Helper()
-		coord, err := NewCoordinator(CoordinatorConfig{Backends: addrs, ProbeInterval: time.Hour, FailThreshold: 100})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(coord.Close)
-		return coord
-	}
-	state := func(coord *Coordinator, key runner.JobKey) (st *routedJob, backend *Backend, reroutes int) {
+	state := func(coord *Coordinator, key runner.JobKey) (st *jobState, backend *Backend, reroutes int) {
 		coord.mu.Lock()
 		defer coord.mu.Unlock()
-		st = coord.states[key]
+		st = coord.byKey[key]
 		return st, st.backend, st.reroutes
 	}
 	reroutedAway := func(coord *Coordinator) (n int64) {
@@ -510,11 +492,7 @@ func TestPlaceRule(t *testing.T) {
 			}
 		}
 		j.Close()
-		coord, err := NewCoordinator(CoordinatorConfig{ProbeInterval: 20 * time.Millisecond, JournalPath: path})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(coord.Close)
+		coord := newCoordinator(t, CoordinatorConfig{ProbeInterval: 20 * time.Millisecond, JournalPath: path})
 		coord.sweepStranded() // an empty pool: nothing to place on, nothing fails
 		if s := coord.Stats(); s.Replayed != 3 || s.Queued != 3 || s.Failed != 0 {
 			t.Fatalf("replay into an empty pool: %+v", s)
@@ -542,8 +520,10 @@ func TestPlaceRule(t *testing.T) {
 		b2 := newTestBackend(t, wedge)
 		b3 := newTestBackend(t, wedge)
 		releaser(t, wedge)
-		coord := quickCoordinator(t, []string{dead.URL, b2.ts.URL, b3.ts.URL})
-		eventually(t, "the dead member's circuit to open", func() bool { return coord.pool.Healthy() == 2 })
+		// No prober: the dead member's circuit is opened here, and no
+		// live member's can open.
+		coord := quietCoordinator(t, dead.URL, b2.ts.URL, b3.ts.URL)
+		coord.pool.ByAddr(dead.URL).reportFailure(1, errors.New("connection refused"), true)
 
 		jobs := make([]runner.Job, 24)
 		for i := range jobs {
@@ -583,7 +563,7 @@ func TestPlaceRule(t *testing.T) {
 	t.Run("backend failed", func(t *testing.T) {
 		u1, posts1, _ := newFailingBackend(t, -1)
 		u2, posts2, _ := newFailingBackend(t, -1)
-		coord := quiet(t, u1, u2)
+		coord := quietCoordinator(t, u1, u2)
 		job := testJob(0)
 		if _, _, err := coord.Submit(ctx, job); err != nil {
 			t.Fatal(err)
@@ -601,7 +581,7 @@ func TestPlaceRule(t *testing.T) {
 	// The sole routable backend is retried even when it is avoid.
 	t.Run("sole survivor", func(t *testing.T) {
 		u, posts, execs := newFailingBackend(t, 1)
-		coord := quiet(t, u)
+		coord := quietCoordinator(t, u)
 		job := testJob(0)
 		if _, _, err := coord.Submit(ctx, job); err != nil {
 			t.Fatal(err)
@@ -615,7 +595,7 @@ func TestPlaceRule(t *testing.T) {
 	t.Run("concurrent reporters", func(t *testing.T) {
 		b1 := newTestBackend(t, nil)
 		b2 := newTestBackend(t, nil)
-		coord := quiet(t, b1.ts.URL, b2.ts.URL)
+		coord := quietCoordinator(t, b1.ts.URL, b2.ts.URL)
 		job := testJob(0)
 		if _, _, err := coord.Submit(ctx, job); err != nil {
 			t.Fatal(err)

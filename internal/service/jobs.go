@@ -1,0 +1,197 @@
+package service
+
+import (
+	"sync"
+
+	"gpulat/internal/runner"
+)
+
+// Status is a job's position in its lifecycle.
+type Status string
+
+const (
+	StatusQueued  Status = "queued"
+	StatusRunning Status = "running"
+	StatusDone    Status = "done"
+	StatusFailed  Status = "failed"
+)
+
+func (s Status) terminal() bool { return s == StatusDone || s == StatusFailed }
+
+// StationStats are a tier's monotonic counters and live gauges.
+type StationStats struct {
+	Submitted int64 `json:"submitted"`
+	Executed  int64 `json:"executed"`
+	// Deduped counts submissions that attached to an already-known key
+	// (in-flight or finished) instead of spawning a simulation.
+	Deduped int64 `json:"deduped"`
+	// CacheHits counts submissions answered straight from the cache.
+	CacheHits int64 `json:"cache_hits"`
+	// Rejected counts refused calls: a batch refused after Close counts
+	// once, as does one refused part-way for capacity.
+	Rejected int64 `json:"rejected"`
+	// Rerouted counts jobs re-forwarded to a different backend after a
+	// failure; always zero for a single-node station (coordinator only).
+	Rerouted int64 `json:"rerouted,omitempty"`
+	// HandoffKeys counts keys whose ring ownership a membership change
+	// (join/leave) moved; HandoffTransferred counts the cached results
+	// warm-copied to the new owner instead of recomputed (coordinator
+	// only).
+	HandoffKeys        int64 `json:"handoff_keys,omitempty"`
+	HandoffTransferred int64 `json:"handoff_transferred,omitempty"`
+	// Replayed counts jobs re-admitted from the write-ahead journal at
+	// startup (coordinator only).
+	Replayed int64 `json:"replayed,omitempty"`
+	Queued   int   `json:"queued"`
+	Running  int   `json:"running"`
+	Done     int   `json:"done"`
+	Failed   int   `json:"failed"`
+	Workers  int   `json:"workers"`
+}
+
+// jobState tracks one key through queued → running → done/failed. Only
+// the jobs table that holds it writes status and result, and result is
+// immutable once ready is closed. backend, forwarded and reroutes are a
+// coordinator's placement of the key; a station leaves them zero.
+type jobState struct {
+	key    runner.JobKey
+	job    runner.Job
+	status Status
+	result runner.Result
+	ready  chan struct{}
+
+	backend *Backend // nil: replayed from the journal into an empty pool
+	// forwarded flips once the backend has acknowledged the submission;
+	// until then status proxies answer "queued" locally instead of
+	// asking a backend that has never heard of the key.
+	forwarded bool
+	reroutes  int
+}
+
+// final reports whether st's result is final.
+func (st *jobState) final() bool {
+	select {
+	case <-st.ready:
+		return true
+	default:
+		return false
+	}
+}
+
+// jobs is the key-state table Station and Coordinator share: it owns the
+// admission rule, every write of a state's status and result, and the
+// counters. Every method but Stats and lookup expects mu held. Every
+// state whose result is not final is in byKey, so the gauges count
+// byKey's states by status.
+type jobs struct {
+	mu     sync.Mutex
+	closed bool
+	byKey  map[runner.JobKey]*jobState
+	stats  StationStats
+	// pending counts states whose result is not final yet; a
+	// coordinator's admission bound reads it.
+	pending int
+}
+
+// lookup returns key's state, or nil.
+func (t *jobs) lookup(key runner.JobKey) *jobState {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.byKey[key]
+}
+
+// attach applies the admission rule to key. After close it refuses with
+// ErrStationClosed, counting a rejection. A known key whose state has not
+// failed dedups onto it: ok is true and status is that state's. A key
+// that is unknown, or failed — failures are never cached (they may be
+// environmental), so a resubmission runs the job again — is the
+// caller's to add.
+func (t *jobs) attach(key runner.JobKey) (status Status, ok bool, err error) {
+	if t.closed {
+		t.stats.Rejected++
+		return "", false, ErrStationClosed
+	}
+	if st := t.byKey[key]; st != nil && st.status != StatusFailed {
+		t.stats.Deduped++
+		return st.status, true, nil
+	}
+	return "", false, nil
+}
+
+// add registers a fresh queued state for job under key, replacing the
+// state key had. A replaced state whose result is not final yet (a
+// coordinator's failed status not fetched) is failed first, so earlier
+// holders of it still see one final result.
+func (t *jobs) add(key runner.JobKey, job runner.Job) *jobState {
+	if old := t.byKey[key]; old != nil {
+		t.fail(old, "service: job resubmitted after it failed")
+		*t.gauge(old.status)--
+	}
+	st := &jobState{key: key, job: job, status: StatusQueued, ready: make(chan struct{})}
+	t.byKey[key] = st
+	t.stats.Queued++
+	t.pending++
+	return st
+}
+
+// set moves st to status s. It is the one write of a status, and a
+// state whose result is final keeps its status.
+func (t *jobs) set(st *jobState, s Status) {
+	if st.final() {
+		return
+	}
+	*t.gauge(st.status)--
+	st.status = s
+	*t.gauge(s)++
+}
+
+// finish stores st's final result — done, or failed when res failed —
+// and closes ready. A state finishes once; later calls change nothing.
+func (t *jobs) finish(st *jobState, res runner.Result) {
+	if st.final() {
+		return
+	}
+	if res.Failed() {
+		t.set(st, StatusFailed)
+	} else {
+		t.set(st, StatusDone)
+	}
+	st.result = res
+	t.pending--
+	close(st.ready)
+}
+
+// fail finishes st as failed with msg.
+func (t *jobs) fail(st *jobState, msg string) {
+	t.finish(st, runner.Result{Job: st.job, Err: msg})
+}
+
+// failLive fails every state whose result is not final, so no waiter
+// blocks on a tier that is closing.
+func (t *jobs) failLive(msg string) {
+	for _, st := range t.byKey {
+		t.fail(st, msg)
+	}
+}
+
+// gauge is the counter of states in status s.
+func (t *jobs) gauge(s Status) *int {
+	switch s {
+	case StatusRunning:
+		return &t.stats.Running
+	case StatusDone:
+		return &t.stats.Done
+	case StatusFailed:
+		return &t.stats.Failed
+	}
+	return &t.stats.Queued
+}
+
+// Stats snapshots the counters. A coordinator's Executed, CacheHits and
+// Workers stay zero: those are per-backend facts, in each backend's own
+// /v1/statsz.
+func (t *jobs) Stats() StationStats {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.stats
+}

@@ -85,12 +85,11 @@ type Statsz struct {
 // cache) and Coordinator (sharded: consistent-hash routing over a pool
 // of backend services). The server never cares which.
 type JobService interface {
-	// Submit admits one job; see Station.Submit for outcome semantics.
-	// ctx carries request metadata (the trace ID) — implementations must
-	// not let its cancellation abandon an admitted job.
-	Submit(ctx context.Context, job runner.Job) (runner.JobKey, Status, error)
-	// SubmitMany admits jobs in order; on refusal it returns the tickets
-	// accepted so far plus the error.
+	// SubmitMany admits jobs in order (see Station.Submit for the
+	// outcomes); on refusal it returns the tickets accepted so far plus
+	// the error. ctx carries request metadata (the trace ID) —
+	// implementations must not let its cancellation abandon an admitted
+	// job.
 	SubmitMany(ctx context.Context, jobs []runner.Job) ([]JobTicket, error)
 	// Wait reports a key's lifecycle position, first blocking up to d
 	// (<= 0: not at all) for it to become terminal, for ctx to end or for
@@ -122,7 +121,7 @@ type membershipManager interface {
 const maxJobsPerRequest = 10000
 
 // Server is the HTTP facade over a JobService: stateless handlers, JSON
-// in and out, every mutation funneled through the service's Submit.
+// in and out, every mutation funneled through the service's SubmitMany.
 type Server struct {
 	svc     JobService
 	cache   *Cache // may be nil
@@ -232,12 +231,21 @@ func writeError(w http.ResponseWriter, code int, format string, args ...any) {
 	writeJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var req SubmitRequest
+// decodeBody decodes r's JSON body into v, refusing unknown fields; on
+// failure it answers 400, naming the body's kind.
+func decodeBody(w http.ResponseWriter, r *http.Request, kind string, v any) bool {
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad submit body: %v", err)
+	if err := dec.Decode(v); err != nil {
+		writeError(w, http.StatusBadRequest, "bad %s body: %v", kind, err)
+		return false
+	}
+	return true
+}
+
+func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	var req SubmitRequest
+	if !decodeBody(w, r, "submit", &req) {
 		return
 	}
 	jobs := req.Jobs
@@ -474,10 +482,7 @@ func (s *Server) handleCachePull(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req CachePullRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad cache-pull body: %v", err)
+	if !decodeBody(w, r, "cache-pull", &req) {
 		return
 	}
 	from := normalizeBackendAddr(req.From)
@@ -531,10 +536,7 @@ func (s *Server) handleMembership(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req membershipRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad membership body: %v", err)
+	if !decodeBody(w, r, "membership", &req) {
 		return
 	}
 	if strings.TrimSpace(req.Addr) == "" {

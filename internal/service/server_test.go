@@ -19,8 +19,7 @@ func newTestServer(t *testing.T, cfg StationConfig) (*httptest.Server, *Cache, *
 	if err != nil {
 		t.Fatal(err)
 	}
-	station := NewStation(cache, cfg)
-	t.Cleanup(station.Close)
+	station := newStation(t, cache, cfg)
 	ts := httptest.NewServer(NewServer(station, cache))
 	t.Cleanup(ts.Close)
 	return ts, cache, station

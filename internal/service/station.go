@@ -10,18 +10,6 @@ import (
 	"gpulat/internal/runner"
 )
 
-// Status is a job's position in the station's lifecycle.
-type Status string
-
-const (
-	StatusQueued  Status = "queued"
-	StatusRunning Status = "running"
-	StatusDone    Status = "done"
-	StatusFailed  Status = "failed"
-)
-
-func (s Status) terminal() bool { return s == StatusDone || s == StatusFailed }
-
 // ErrQueueFull is returned by Submit when the bounded job queue cannot
 // accept more work; HTTP maps it to 503 so clients back off.
 var ErrQueueFull = errors.New("service: job queue full")
@@ -31,44 +19,6 @@ var ErrQueueFull = errors.New("service: job queue full")
 // station refuses it in bounded time instead. HTTP maps it to 503.
 var ErrStationClosed = errors.New("service: station closed")
 
-// StationStats are the station's monotonic counters and live gauges.
-type StationStats struct {
-	Submitted int64 `json:"submitted"`
-	Executed  int64 `json:"executed"`
-	// Deduped counts submissions that attached to an already-known key
-	// (in-flight or finished) instead of spawning a simulation.
-	Deduped int64 `json:"deduped"`
-	// CacheHits counts submissions answered straight from the cache.
-	CacheHits int64 `json:"cache_hits"`
-	Rejected  int64 `json:"rejected"`
-	// Rerouted counts jobs re-forwarded to a different backend after a
-	// failure; always zero for a single-node station (coordinator only).
-	Rerouted int64 `json:"rerouted,omitempty"`
-	// HandoffKeys counts keys whose ring ownership a membership change
-	// (join/leave) moved; HandoffTransferred counts the cached results
-	// warm-copied to the new owner instead of recomputed (coordinator
-	// only).
-	HandoffKeys        int64 `json:"handoff_keys,omitempty"`
-	HandoffTransferred int64 `json:"handoff_transferred,omitempty"`
-	// Replayed counts jobs re-admitted from the write-ahead journal at
-	// startup (coordinator only).
-	Replayed int64 `json:"replayed,omitempty"`
-	Queued   int   `json:"queued"`
-	Running  int   `json:"running"`
-	Done     int   `json:"done"`
-	Failed   int   `json:"failed"`
-	Workers  int   `json:"workers"`
-}
-
-// jobState tracks one key through queued → running → done/failed. The
-// result is immutable once ready is closed.
-type jobState struct {
-	job    runner.Job
-	status Status
-	result runner.Result
-	ready  chan struct{}
-}
-
 // Station executes deduplicated jobs on a bounded worker pool with a
 // bounded intake queue, writing successes through to the cache. It is
 // the server's engine room, but is independently usable (and tested)
@@ -76,6 +26,8 @@ type jobState struct {
 // lifetime: they are the service's result store, a few hundred bytes of
 // metrics per unique job.
 type Station struct {
+	jobs // the key-state table: admission, statuses, counters
+
 	cache  *Cache // may be nil: dedup still works, nothing persists
 	exec   runner.ExecFunc
 	engine string
@@ -83,11 +35,6 @@ type Station struct {
 	queue chan *jobState
 	wg    sync.WaitGroup
 	stop  chan struct{}
-
-	mu     sync.Mutex
-	closed bool
-	states map[runner.JobKey]*jobState
-	stats  StationStats
 }
 
 // StationConfig sizes a Station.
@@ -112,12 +59,12 @@ func NewStation(cache *Cache, cfg StationConfig) *Station {
 	}
 	workers := (&runner.Runner{Workers: cfg.Workers}).EffectiveWorkers()
 	s := &Station{
+		jobs:   jobs{byKey: map[runner.JobKey]*jobState{}},
 		cache:  cache,
 		exec:   cfg.Exec,
 		engine: cfg.Engine,
 		queue:  make(chan *jobState, bound),
 		stop:   make(chan struct{}),
-		states: map[runner.JobKey]*jobState{},
 	}
 	if s.exec == nil {
 		s.exec = runner.Execute
@@ -134,8 +81,8 @@ func NewStation(cache *Cache, cfg StationConfig) *Station {
 // any still-queued jobs so no waiter blocks forever. Close is
 // idempotent, and every Submit that wins the race against it has a
 // terminal outcome: the closed flag flips under s.mu, so a job is either
-// enqueued strictly before the flag flips (and the drain below fails it
-// if no worker ran it) or refused with ErrStationClosed.
+// queued strictly before the flag flips (and failed below if no worker
+// ran it) or refused with ErrStationClosed.
 func (s *Station) Close() {
 	s.mu.Lock()
 	if s.closed {
@@ -146,20 +93,9 @@ func (s *Station) Close() {
 	s.mu.Unlock()
 	close(s.stop)
 	s.wg.Wait()
-	for {
-		select {
-		case st := <-s.queue:
-			s.mu.Lock()
-			st.status = StatusFailed
-			st.result = runner.Result{Job: st.job, Err: "service: station closed before the job ran"}
-			s.stats.Queued--
-			s.stats.Failed++
-			s.mu.Unlock()
-			close(st.ready)
-		default:
-			return
-		}
-	}
+	s.mu.Lock()
+	s.failLive("service: station closed before the job ran")
+	s.mu.Unlock()
 }
 
 func (s *Station) worker() {
@@ -176,9 +112,7 @@ func (s *Station) worker() {
 
 func (s *Station) run(st *jobState) {
 	s.mu.Lock()
-	st.status = StatusRunning
-	s.stats.Queued--
-	s.stats.Running++
+	s.set(st, StatusRunning)
 	s.mu.Unlock()
 
 	job := st.job
@@ -191,18 +125,9 @@ func (s *Station) run(st *jobState) {
 	}
 
 	s.mu.Lock()
-	st.result = res
-	if res.Failed() {
-		st.status = StatusFailed
-		s.stats.Failed++
-	} else {
-		st.status = StatusDone
-		s.stats.Done++
-	}
-	s.stats.Running--
+	s.finish(st, res)
 	s.stats.Executed++
 	s.mu.Unlock()
-	close(st.ready)
 }
 
 // execCapturing runs one job, converting a panic into a failed result —
@@ -227,97 +152,54 @@ func execCapturing(exec runner.ExecFunc, job runner.Job) (res runner.Result) {
 //   - otherwise the job is queued, or ErrQueueFull if the intake bound
 //     is hit.
 //
-// A failed state does NOT dedup: failures are never cached (they may be
-// environmental), so a resubmission of a previously-failed key runs the
-// job again — earlier waiters keep the failed result they already got.
+// A failed state does NOT dedup (see jobs.attach): the job runs again,
+// and earlier waiters keep the failed result they already got.
 //
 // After Close, Submit returns ErrStationClosed: the workers are gone, so
 // admitting the job would strand its waiters.
 //
 // ctx carries cross-cutting request metadata (the trace ID); admission
 // itself is non-blocking and never waits on it.
-func (s *Station) Submit(ctx context.Context, job runner.Job) (runner.JobKey, Status, error) {
-	_ = ctx
+func (s *Station) Submit(_ context.Context, job runner.Job) (runner.JobKey, Status, error) {
 	key := job.Key()
 	s.mu.Lock()
-	if s.closed {
-		s.stats.Rejected++
-		s.mu.Unlock()
-		return key, "", ErrStationClosed
-	}
-	s.stats.Submitted++
-	if st, ok := s.states[key]; ok && st.status != StatusFailed {
-		s.stats.Deduped++
-		status := st.status
-		s.mu.Unlock()
-		return key, status, nil
+	status, ok, err := s.attach(key)
+	if err == nil {
+		s.stats.Submitted++
 	}
 	s.mu.Unlock()
+	if ok || err != nil {
+		return key, status, err
+	}
 
 	// Cache probe outside the lock: it does disk I/O.
+	var hit *Entry
 	if s.cache != nil {
 		if e, ok := s.cache.Get(key); ok {
-			st := &jobState{
-				job:    job,
-				status: StatusDone,
-				result: runner.Result{Job: job, Metrics: e.Metrics},
-				ready:  make(chan struct{}),
-			}
-			close(st.ready)
-			s.mu.Lock()
-			if s.closed {
-				s.stats.Rejected++
-				s.mu.Unlock()
-				return key, "", ErrStationClosed
-			}
-			if prior, raced := s.states[key]; raced && prior.status != StatusFailed {
-				// Another submitter registered the key meanwhile; defer
-				// to the existing state.
-				status := prior.status
-				s.stats.Deduped++
-				s.mu.Unlock()
-				return key, status, nil
-			}
-			if _, replacingFailed := s.states[key]; replacingFailed {
-				s.stats.Failed--
-			}
-			s.states[key] = st
-			s.stats.CacheHits++
-			s.stats.Done++
-			s.mu.Unlock()
-			return key, StatusDone, nil
+			hit = &e
 		}
 	}
 
-	st := &jobState{job: job, status: StatusQueued, ready: make(chan struct{})}
 	s.mu.Lock()
-	if s.closed {
-		// The enqueue below happens under s.mu while closed is still
-		// false, so Close's drain can never miss a queued job.
-		s.stats.Rejected++
-		s.mu.Unlock()
-		return key, "", ErrStationClosed
+	defer s.mu.Unlock()
+	// Close, or another submitter registering the key, may have come
+	// in between.
+	if status, ok, err := s.attach(key); ok || err != nil {
+		return key, status, err
 	}
-	if prior, raced := s.states[key]; raced && prior.status != StatusFailed {
-		status := prior.status
-		s.stats.Deduped++
-		s.mu.Unlock()
-		return key, status, nil
+	if hit != nil {
+		s.finish(s.add(key, job), runner.Result{Job: job, Metrics: hit.Metrics})
+		s.stats.CacheHits++
+		return key, StatusDone, nil
 	}
-	select {
-	case s.queue <- st:
-		if _, replacingFailed := s.states[key]; replacingFailed {
-			s.stats.Failed--
-		}
-		s.states[key] = st
-		s.stats.Queued++
-		s.mu.Unlock()
-		return key, StatusQueued, nil
-	default:
+	// Sends happen only under s.mu, so a free slot seen here stays free
+	// and the send below never blocks.
+	if len(s.queue) == cap(s.queue) {
 		s.stats.Rejected++
-		s.mu.Unlock()
 		return key, "", ErrQueueFull
 	}
+	s.queue <- s.add(key, job)
+	return key, StatusQueued, nil
 }
 
 // SubmitMany submits jobs in order, returning one ticket per accepted
@@ -345,10 +227,8 @@ func (s *Station) Status(key runner.JobKey) (Status, bool) {
 // is terminal, d elapses, ctx ends or the station begins to close,
 // whichever is first. An unknown key answers false at once.
 func (s *Station) Wait(ctx context.Context, key runner.JobKey, d time.Duration) (Status, bool) {
-	s.mu.Lock()
-	st, ok := s.states[key]
-	s.mu.Unlock()
-	if !ok {
+	st := s.lookup(key)
+	if st == nil {
 		return "", false
 	}
 	if d > 0 {
@@ -365,25 +245,18 @@ func (s *Station) Wait(ctx context.Context, key runner.JobKey, d time.Duration) 
 	// state while we waited, and the live one is what Status reports.
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.states[key].status, true
+	return s.byKey[key].status, true
 }
 
 // Result returns the finished result for key. ok is false until the job
 // reaches done or failed (or if the key is unknown); the context is
 // JobService's, unused by a local lookup.
 func (s *Station) Result(_ context.Context, key runner.JobKey) (runner.Result, bool) {
-	s.mu.Lock()
-	st, ok := s.states[key]
-	s.mu.Unlock()
-	if !ok {
+	st := s.lookup(key)
+	if st == nil || !st.final() {
 		return runner.Result{}, false
 	}
-	select {
-	case <-st.ready:
-		return st.result, true
-	default:
-		return runner.Result{}, false
-	}
+	return st.result, true
 }
 
 // Do submits job and blocks until its result is ready or ctx expires —
@@ -394,9 +267,7 @@ func (s *Station) Do(ctx context.Context, job runner.Job) (runner.Result, error)
 	if err != nil {
 		return runner.Result{}, err
 	}
-	s.mu.Lock()
-	st := s.states[key]
-	s.mu.Unlock()
+	st := s.lookup(key)
 	if st == nil {
 		return runner.Result{}, fmt.Errorf("service: state for %s vanished", key)
 	}
@@ -406,11 +277,4 @@ func (s *Station) Do(ctx context.Context, job runner.Job) (runner.Result, error)
 	case <-ctx.Done():
 		return runner.Result{}, ctx.Err()
 	}
-}
-
-// Stats snapshots the station counters.
-func (s *Station) Stats() StationStats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.stats
 }

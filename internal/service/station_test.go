@@ -16,7 +16,7 @@ import (
 func TestStationDedupesInFlight(t *testing.T) {
 	var execs atomic.Int32
 	release := make(chan struct{})
-	st := NewStation(nil, StationConfig{
+	st := newStation(t, nil, StationConfig{
 		Workers: 4,
 		Exec: func(ctx context.Context, job runner.Job) runner.Result {
 			execs.Add(1)
@@ -24,7 +24,6 @@ func TestStationDedupesInFlight(t *testing.T) {
 			return testResult(job)
 		},
 	})
-	defer st.Close()
 
 	job := testJob(0)
 	const clients = 16
@@ -68,7 +67,7 @@ func TestStationDedupesInFlight(t *testing.T) {
 
 func TestStationBoundedQueueRejects(t *testing.T) {
 	block := make(chan struct{})
-	st := NewStation(nil, StationConfig{
+	st := newStation(t, nil, StationConfig{
 		Workers:    1,
 		QueueBound: 1,
 		Exec: func(ctx context.Context, job runner.Job) runner.Result {
@@ -76,7 +75,6 @@ func TestStationBoundedQueueRejects(t *testing.T) {
 			return testResult(job)
 		},
 	})
-	defer st.Close()
 	defer close(block)
 
 	// First job occupies the worker (drained from the queue), second
@@ -111,14 +109,13 @@ func TestStationServesFromCache(t *testing.T) {
 	if err := cache.Put(job, testResult(job)); err != nil {
 		t.Fatal(err)
 	}
-	st := NewStation(cache, StationConfig{
+	st := newStation(t, cache, StationConfig{
 		Workers: 1,
 		Exec: func(ctx context.Context, job runner.Job) runner.Result {
 			t.Error("cache hit still executed")
 			return testResult(job)
 		},
 	})
-	defer st.Close()
 
 	key, status, err := st.Submit(context.Background(), job)
 	if err != nil {
@@ -142,7 +139,7 @@ func TestStationFailurePath(t *testing.T) {
 		t.Fatal(err)
 	}
 	var execs atomic.Int32
-	st := NewStation(cache, StationConfig{
+	st := newStation(t, cache, StationConfig{
 		Workers: 1,
 		Exec: func(ctx context.Context, job runner.Job) runner.Result {
 			if execs.Add(1) == 1 {
@@ -151,7 +148,6 @@ func TestStationFailurePath(t *testing.T) {
 			return testResult(job)
 		},
 	})
-	defer st.Close()
 
 	job := testJob(0)
 	res, err := st.Do(context.Background(), job)
@@ -188,13 +184,12 @@ func TestStationFailurePath(t *testing.T) {
 // TestStationCapturesPanics pins the serve-path contract runner.runOne
 // gives the direct path: a panicking job fails itself, not the process.
 func TestStationCapturesPanics(t *testing.T) {
-	st := NewStation(nil, StationConfig{
+	st := newStation(t, nil, StationConfig{
 		Workers: 1,
 		Exec: func(ctx context.Context, job runner.Job) runner.Result {
 			panic("poison job")
 		},
 	})
-	defer st.Close()
 	res, err := st.Do(context.Background(), testJob(0))
 	if err != nil {
 		t.Fatal(err)
@@ -209,7 +204,7 @@ func TestStationCapturesPanics(t *testing.T) {
 // so no Do or HTTP poller hangs forever.
 func TestStationCloseUnblocksQueuedWaiters(t *testing.T) {
 	release := make(chan struct{})
-	st := NewStation(nil, StationConfig{
+	st := newStation(t, nil, StationConfig{
 		Workers:    1,
 		QueueBound: 8,
 		Exec: func(ctx context.Context, job runner.Job) runner.Result {
@@ -240,7 +235,7 @@ func TestStationCloseUnblocksQueuedWaiters(t *testing.T) {
 // bounded time — it must never enqueue a job no worker will dequeue and
 // leave Do/HTTP waiters hanging until their context expires.
 func TestStationSubmitAfterCloseReturnsError(t *testing.T) {
-	st := NewStation(nil, StationConfig{
+	st := newStation(t, nil, StationConfig{
 		Workers: 1,
 		Exec: func(ctx context.Context, job runner.Job) runner.Result {
 			return testResult(job)
@@ -276,7 +271,7 @@ func TestStationSubmitAfterCloseReturnsError(t *testing.T) {
 // terminal state — nothing hangs, nothing is silently dropped.
 func TestStationSubmitCloseRace(t *testing.T) {
 	for round := 0; round < 8; round++ {
-		st := NewStation(nil, StationConfig{
+		st := newStation(t, nil, StationConfig{
 			Workers:    2,
 			QueueBound: 4,
 			Exec: func(ctx context.Context, job runner.Job) runner.Result {
@@ -331,7 +326,7 @@ func TestStationSubmitCloseRace(t *testing.T) {
 // queue, not a context-deadline hang.
 func TestStationDoUnblocksOnConcurrentClose(t *testing.T) {
 	block := make(chan struct{})
-	st := NewStation(nil, StationConfig{
+	st := newStation(t, nil, StationConfig{
 		Workers:    1,
 		QueueBound: 8,
 		Exec: func(ctx context.Context, job runner.Job) runner.Result {
@@ -388,8 +383,7 @@ func TestStationRealExecute(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := NewStation(cache, StationConfig{Workers: 2})
-	defer st.Close()
+	st := newStation(t, cache, StationConfig{Workers: 2})
 
 	job := runner.Job{
 		Kind: runner.KindDynamic, Arch: "GF106", Kernel: "copy", Seed: 42,
@@ -404,14 +398,13 @@ func TestStationRealExecute(t *testing.T) {
 	}
 
 	// A fresh station sharing the cache dir answers warm from disk.
-	st2 := NewStation(cache, StationConfig{
+	st2 := newStation(t, cache, StationConfig{
 		Workers: 1,
 		Exec: func(ctx context.Context, job runner.Job) runner.Result {
 			t.Error("warm run re-simulated")
 			return runner.Result{Job: job, Err: "unreachable"}
 		},
 	})
-	defer st2.Close()
 	warm, err := st2.Do(context.Background(), job)
 	if err != nil {
 		t.Fatal(err)

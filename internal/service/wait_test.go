@@ -25,7 +25,7 @@ const prompt = time.Second
 func blockedStation(t *testing.T, workers int) (*Station, func()) {
 	t.Helper()
 	wedge := make(chan struct{})
-	st := NewStation(nil, StationConfig{
+	st := newStation(t, nil, StationConfig{
 		Workers: workers,
 		Exec: func(ctx context.Context, job runner.Job) runner.Result {
 			<-wedge
@@ -35,7 +35,6 @@ func blockedStation(t *testing.T, workers int) (*Station, func()) {
 			return testResult(job)
 		},
 	})
-	t.Cleanup(st.Close)
 	return st, releaser(t, wedge)
 }
 
@@ -173,12 +172,29 @@ func fetchStatus(base string, key runner.JobKey, query string) statusAnswer {
 	return statusAnswer{resp.StatusCode, string(body), time.Since(t0)}
 }
 
+// waitRecorder is a Station whose Wait records the hold the server asks
+// for and, until hold is set, answers without holding.
+type waitRecorder struct {
+	*Station
+	hold  atomic.Bool
+	asked atomic.Int64 // the last d, in nanoseconds
+}
+
+func (w *waitRecorder) Wait(ctx context.Context, key runner.JobKey, d time.Duration) (Status, bool) {
+	w.asked.Store(int64(d))
+	if !w.hold.Load() {
+		d = 0
+	}
+	return w.Station.Wait(ctx, key, d)
+}
+
 // TestServerStatusWait covers the ?wait= surface of GET /v1/jobs/{key}
 // and both directions of wire compatibility on the server side: no
 // wait parameter, no behaviour change.
 func TestServerStatusWait(t *testing.T) {
 	st, release := blockedStation(t, 2)
-	ts := httptest.NewServer(NewServer(st, nil))
+	rec := &waitRecorder{Station: st}
+	ts := httptest.NewServer(NewServer(rec, nil))
 	t.Cleanup(ts.Close)
 	ctx := context.Background()
 	key, _, _ := st.Submit(ctx, testJob(0))
@@ -200,11 +216,15 @@ func TestServerStatusWait(t *testing.T) {
 	if a := fetchStatus(ts.URL, key, ""); a.code != http.StatusOK || a.body != want || a.took > prompt {
 		t.Errorf("unwaited status = %+v, want %q at once", a, want)
 	}
-	// Above the cap: clamped, answering the live status at the cap.
-	if a := fetchStatus(ts.URL, key, "?wait=1h"); a.code != http.StatusOK || a.body != want ||
-		a.took < maxStatusWait || a.took > maxStatusWait+prompt {
-		t.Errorf("over-cap wait = %+v, want %q at the %s cap", a, want, maxStatusWait)
+	// Above the cap: the service is asked to hold for the cap, not more
+	// (how a held wait ends is TestStationWait's).
+	if a := fetchStatus(ts.URL, key, "?wait=1h"); a.code != http.StatusOK || a.body != want || a.took > prompt {
+		t.Errorf("over-cap wait = %+v, want %q", a, want)
 	}
+	if asked := time.Duration(rec.asked.Load()); asked != maxStatusWait {
+		t.Errorf("?wait=1h asked the service to hold %s, want the %s cap", asked, maxStatusWait)
+	}
+	rec.hold.Store(true)
 
 	answers := make(chan statusAnswer, 2)
 	for _, k := range []runner.JobKey{key, failKey} {
