@@ -38,6 +38,23 @@ func TestUnknownCommandsExitTwo(t *testing.T) {
 	}
 }
 
+// TestCommandLineExitCodes runs whole command lines through dispatch, as
+// main does: plain `list` exits 0, and an unknown kernel is a runtime
+// failure, exit 1.
+func TestCommandLineExitCodes(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want int
+	}{
+		{[]string{"list"}, 0},
+		{[]string{"simrun", "-kernel", "no-such-kernel"}, 1},
+	} {
+		if got := dispatch(tc.args); got != tc.want {
+			t.Errorf("gpulat %q: exit %d, want %d", tc.args, got, tc.want)
+		}
+	}
+}
+
 // TestCoRunUsageErrorsExitTwo covers the corun bad-invocation paths:
 // every axis typo must classify as a usage error (exit 2) before any
 // simulation starts.

@@ -17,6 +17,7 @@ package dram
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"gpulat/internal/mem"
@@ -108,7 +109,6 @@ type pending struct {
 	bank    int
 	row     uint64
 	arrived sim.Cycle
-	seq     uint64
 }
 
 type inflight struct {
@@ -118,12 +118,14 @@ type inflight struct {
 
 // Channel is one DRAM channel instance.
 type Channel struct {
-	cfg       Config
-	banks     []bankState
-	queue     []pending  // value slice: entries are small and never escape
+	cfg   Config
+	banks []bankState
+	// queue is in arrival order (Push appends, Tick removes in place), so
+	// the oldest of any set of entries is the one with the lowest index.
+	// A value slice: entries are small and never escape.
+	queue     []pending
 	inflight  []inflight // sorted by finish
 	busFreeAt sim.Cycle
-	seq       uint64
 	// completed is the reusable backing store for Completed's result.
 	completed []*mem.Request
 
@@ -190,8 +192,7 @@ func (ch *Channel) Push(c sim.Cycle, req *mem.Request) {
 		panic("dram: push to full queue: " + ch.cfg.Name)
 	}
 	bank, row := ch.decode(req.Addr)
-	ch.seq++
-	ch.queue = append(ch.queue, pending{req: req, bank: bank, row: row, arrived: c, seq: ch.seq})
+	ch.queue = append(ch.queue, pending{req: req, bank: bank, row: row, arrived: c})
 }
 
 // Tick advances the channel one cycle: the scheduler may initiate service
@@ -206,139 +207,93 @@ func (ch *Channel) Tick(c sim.Cycle) {
 	ch.service(c, &p)
 }
 
-// busOK reports whether a request on bank b targeting row would reach
-// the data bus without being delayed by it: commands only issue when
-// their data slot is clear, so bus backpressure keeps requests in the
-// queue — their wait is arbitration time (QtoSch), as in real
-// controllers, not service time.
-func (ch *Channel) busOK(c sim.Cycle, b *bankState, row uint64) bool {
-	var casStart sim.Cycle
+// casStart returns the cycle at which a request to row on bank b,
+// commanded at c, issues its column access: at once on a row hit, after
+// an activate on a closed bank, and after the tRAS floor, a precharge and
+// an activate on a row conflict.
+func (ch *Channel) casStart(c sim.Cycle, b *bankState, row uint64) sim.Cycle {
 	switch {
 	case b.rowOpen && b.openRow == row:
-		casStart = c
+		return c
 	case !b.rowOpen:
-		casStart = c + ch.cfg.TRCD
-	default:
-		pStart := c
-		if b.everActive && b.lastActAt+ch.cfg.TRAS > pStart {
-			pStart = b.lastActAt + ch.cfg.TRAS
-		}
-		casStart = pStart + ch.cfg.TRP + ch.cfg.TRCD
+		return c + ch.cfg.TRCD
 	}
-	return casStart+ch.cfg.TCL >= ch.busFreeAt
+	if b.everActive && b.lastActAt+ch.cfg.TRAS > c {
+		c = b.lastActAt + ch.cfg.TRAS
+	}
+	return c + ch.cfg.TRP + ch.cfg.TRCD
 }
 
-// fcfsHead returns the queue index of the oldest pending request — the
-// only candidate FCFS may schedule. pick and NextEvent share it so the
-// scheduler and its horizon cannot drift apart.
-func (ch *Channel) fcfsHead() int {
-	head := 0
-	for i := range ch.queue {
-		if ch.queue[i].seq < ch.queue[head].seq {
-			head = i
-		}
-	}
-	return head
+// eligible reports whether the scheduler may start p at c: its bank is
+// free, and its data would reach the bus without being delayed by it —
+// commands only issue when their data slot is clear, so bus backpressure
+// keeps requests in the queue; their wait is arbitration time (QtoSch),
+// as in real controllers, not service time.
+func (ch *Channel) eligible(c sim.Cycle, p *pending) bool {
+	b := &ch.banks[p.bank]
+	return b.busyUntil <= c && ch.casStart(c, b, p.row)+ch.cfg.TCL >= ch.busFreeAt
 }
 
+// pick returns the queue index of the request the scheduler starts at c,
+// or -1. FCFS may only start the oldest request. FR-FCFS starts the
+// oldest eligible row hit, else the oldest eligible request; FRFCFSCap
+// does the same but stops counting a bank's hits as hits once they
+// reach CapStreak in a row (plain FR-FCFS has no cap).
 func (ch *Channel) pick(c sim.Cycle) int {
 	if len(ch.queue) == 0 {
 		return -1
 	}
-	switch ch.cfg.Scheduler {
-	case FRFCFSCap:
-		cap := ch.cfg.CapStreak
-		if cap <= 0 {
-			cap = 4
-		}
-		bestHit, bestAny := -1, -1
-		for i := range ch.queue {
-			p := &ch.queue[i]
-			b := &ch.banks[p.bank]
-			if b.busyUntil > c || !ch.busOK(c, b, p.row) {
-				continue
-			}
-			if b.rowOpen && b.openRow == p.row && b.hitStreak < cap {
-				if bestHit < 0 || p.seq < ch.queue[bestHit].seq {
-					bestHit = i
-				}
-			}
-			if bestAny < 0 || p.seq < ch.queue[bestAny].seq {
-				bestAny = i
-			}
-		}
-		if bestHit >= 0 {
-			return bestHit
-		}
-		return bestAny
-	case FCFS:
-		// Strict arrival order: only the head may be scheduled, and only
-		// when its bank is free.
-		head := ch.fcfsHead()
-		hb := &ch.banks[ch.queue[head].bank]
-		if hb.busyUntil <= c && ch.busOK(c, hb, ch.queue[head].row) {
-			return head
+	cap := ch.cfg.CapStreak
+	switch {
+	case ch.cfg.Scheduler == FCFS:
+		if ch.eligible(c, &ch.queue[0]) {
+			return 0
 		}
 		return -1
-	case FRFCFS:
-		bestHit, bestAny := -1, -1
-		for i := range ch.queue {
-			p := &ch.queue[i]
-			b := &ch.banks[p.bank]
-			if b.busyUntil > c || !ch.busOK(c, b, p.row) {
-				continue
-			}
-			if b.rowOpen && b.openRow == p.row {
-				if bestHit < 0 || p.seq < ch.queue[bestHit].seq {
-					bestHit = i
-				}
-			}
-			if bestAny < 0 || p.seq < ch.queue[bestAny].seq {
-				bestAny = i
-			}
-		}
-		if bestHit >= 0 {
-			return bestHit
-		}
-		return bestAny
+	case ch.cfg.Scheduler != FRFCFSCap:
+		cap = math.MaxInt
+	case cap <= 0:
+		cap = 4
 	}
-	return -1
+	oldest := -1
+	for i := range ch.queue {
+		p := &ch.queue[i]
+		if !ch.eligible(c, p) {
+			continue
+		}
+		if b := &ch.banks[p.bank]; b.rowOpen && b.openRow == p.row && b.hitStreak < cap {
+			return i
+		}
+		if oldest < 0 {
+			oldest = i
+		}
+	}
+	return oldest
 }
 
 func (ch *Channel) service(c sim.Cycle, p *pending) {
 	b := &ch.banks[p.bank]
 	cfg := ch.cfg
 
-	var casStart sim.Cycle
-	switch {
-	case b.rowOpen && b.openRow == p.row:
+	casStart := ch.casStart(c, b, p.row)
+	if b.rowOpen && b.openRow == p.row {
 		ch.stats.RowHits++
 		b.hitStreak++
-		casStart = c
-	case !b.rowOpen:
-		ch.stats.RowOpens++
-		b.hitStreak = 0
-		b.lastActAt = c
-		casStart = c + cfg.TRCD
-	default:
-		ch.stats.RowConflicts++
-		b.hitStreak = 0
-		pStart := c
-		if b.everActive && b.lastActAt+cfg.TRAS > pStart {
-			pStart = b.lastActAt + cfg.TRAS
+	} else {
+		if b.rowOpen {
+			ch.stats.RowConflicts++
+		} else {
+			ch.stats.RowOpens++
 		}
-		actStart := pStart + cfg.TRP
-		b.lastActAt = actStart
-		casStart = actStart + cfg.TRCD
+		// The activate precedes the column access by tRCD.
+		b.hitStreak = 0
+		b.lastActAt = casStart - cfg.TRCD
 	}
 	b.rowOpen = true
 	b.openRow = p.row
 	b.everActive = true
 
-	dataStart := casStart + cfg.TCL
-	if dataStart < ch.busFreeAt {
-		dataStart = ch.busFreeAt
-	}
+	dataStart := max(casStart+cfg.TCL, ch.busFreeAt)
 	finish := dataStart + cfg.BurstCycles
 	ch.busFreeAt = finish
 
@@ -399,7 +354,7 @@ func (ch *Channel) InflightLen() int { return len(ch.inflight) }
 
 // earliestSchedulable returns the first cycle t >= now at which pick
 // could schedule request p: its bank must be free (busyUntil <= t) and
-// the data bus must accept the transfer (busOK at t). Both bounds are
+// the data bus must accept the transfer (eligible at t). Both bounds are
 // exact, because the channel's state only mutates inside its own Tick
 // and the event kernel re-arms after every tick of the owning
 // partition — so nothing the horizon depends on can change while it
@@ -407,7 +362,7 @@ func (ch *Channel) InflightLen() int { return len(ch.inflight) }
 func (ch *Channel) earliestSchedulable(now sim.Cycle, p *pending) sim.Cycle {
 	b := &ch.banks[p.bank]
 	t := max(now, b.busyUntil)
-	// busOK(t) tests casStart(t)+TCL >= busFreeAt, and casStart is
+	// eligible's bus test is casStart(t)+TCL >= busFreeAt, and casStart is
 	// nondecreasing in t, so the bus constraint is a single threshold:
 	// lift t up to it. off is the command-to-CAS distance implied by
 	// p's row state.
@@ -437,7 +392,7 @@ func (ch *Channel) earliestSchedulable(now sim.Cycle, p *pending) sim.Cycle {
 // NextEvent implements the event-driven kernel's horizon contract: the
 // earliest cycle at or after now at which the channel can retire an
 // in-flight transfer or schedule a queued request. Both the bank busy
-// windows and the data-bus arbitration window (busOK) are exact bounds
+// windows and the data-bus arbitration window (eligible) are exact bounds
 // — under saturation the bus admits one CAS per burst, and modelling
 // that here is what lets a backed-up partition sleep between bursts
 // instead of polling a scheduler that cannot issue. Never means the
@@ -457,8 +412,7 @@ func (ch *Channel) NextEvent(now sim.Cycle) sim.Cycle {
 	}
 	if ch.cfg.Scheduler == FCFS {
 		// Only the oldest request can ever be scheduled.
-		head := ch.fcfsHead()
-		return min(h, ch.earliestSchedulable(now, &ch.queue[head]))
+		return min(h, ch.earliestSchedulable(now, &ch.queue[0]))
 	}
 	for i := range ch.queue {
 		if t := ch.earliestSchedulable(now, &ch.queue[i]); t < h {
@@ -475,13 +429,13 @@ func (ch *Channel) NextEvent(now sim.Cycle) sim.Cycle {
 // change a simulated cycle makes is visible here.
 func (ch *Channel) DebugState() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "bus=%d seq=%d", ch.busFreeAt, ch.seq)
+	fmt.Fprintf(&b, "bus=%d", ch.busFreeAt)
 	for i := range ch.banks {
 		bk := &ch.banks[i]
 		fmt.Fprintf(&b, " b%d={%v,%d,%d,%d,%d}", i, bk.rowOpen, bk.openRow, bk.busyUntil, bk.lastActAt, bk.hitStreak)
 	}
 	for _, p := range ch.queue {
-		fmt.Fprintf(&b, " q{%d,%d,%d,%d}", p.seq, p.bank, p.row, p.arrived)
+		fmt.Fprintf(&b, " q{%d,%d,%d}", p.bank, p.row, p.arrived)
 	}
 	for _, f := range ch.inflight {
 		fmt.Fprintf(&b, " f{%d,%d}", f.req.ID, f.finish)

@@ -337,3 +337,138 @@ func TestFRFCFSRowLocalityBenefit(t *testing.T) {
 		t.Fatalf("FR-FCFS mean wait %d worse than FCFS %d on row-local workload", fr, fc)
 	}
 }
+
+// refPick is the former pick: every queue entry carried its arrival
+// sequence number (seq[i] for queue[i]), and each policy searched for the
+// lowest among its candidates.
+func (ch *Channel) refPick(c sim.Cycle, seq []uint64) int {
+	busOK := func(b *bankState, row uint64) bool {
+		var casStart sim.Cycle
+		switch {
+		case b.rowOpen && b.openRow == row:
+			casStart = c
+		case !b.rowOpen:
+			casStart = c + ch.cfg.TRCD
+		default:
+			pStart := c
+			if b.everActive && b.lastActAt+ch.cfg.TRAS > pStart {
+				pStart = b.lastActAt + ch.cfg.TRAS
+			}
+			casStart = pStart + ch.cfg.TRP + ch.cfg.TRCD
+		}
+		return casStart+ch.cfg.TCL >= ch.busFreeAt
+	}
+	if len(ch.queue) == 0 {
+		return -1
+	}
+	switch ch.cfg.Scheduler {
+	case FRFCFSCap:
+		cap := ch.cfg.CapStreak
+		if cap <= 0 {
+			cap = 4
+		}
+		bestHit, bestAny := -1, -1
+		for i := range ch.queue {
+			p := &ch.queue[i]
+			b := &ch.banks[p.bank]
+			if b.busyUntil > c || !busOK(b, p.row) {
+				continue
+			}
+			if b.rowOpen && b.openRow == p.row && b.hitStreak < cap {
+				if bestHit < 0 || seq[i] < seq[bestHit] {
+					bestHit = i
+				}
+			}
+			if bestAny < 0 || seq[i] < seq[bestAny] {
+				bestAny = i
+			}
+		}
+		if bestHit >= 0 {
+			return bestHit
+		}
+		return bestAny
+	case FCFS:
+		head := 0
+		for i := range ch.queue {
+			if seq[i] < seq[head] {
+				head = i
+			}
+		}
+		hb := &ch.banks[ch.queue[head].bank]
+		if hb.busyUntil <= c && busOK(hb, ch.queue[head].row) {
+			return head
+		}
+		return -1
+	case FRFCFS:
+		bestHit, bestAny := -1, -1
+		for i := range ch.queue {
+			p := &ch.queue[i]
+			b := &ch.banks[p.bank]
+			if b.busyUntil > c || !busOK(b, p.row) {
+				continue
+			}
+			if b.rowOpen && b.openRow == p.row {
+				if bestHit < 0 || seq[i] < seq[bestHit] {
+					bestHit = i
+				}
+			}
+			if bestAny < 0 || seq[i] < seq[bestAny] {
+				bestAny = i
+			}
+		}
+		if bestHit >= 0 {
+			return bestHit
+		}
+		return bestAny
+	}
+	return -1
+}
+
+// TestPickMatchesSeqReference runs pick in lock-step with the seq-based
+// reference over seeded random traffic — a few rows per bank, so row
+// hits, opens and conflicts all occur, and a quarter stores, so write
+// recovery staggers the banks — under every scheduler.
+func TestPickMatchesSeqReference(t *testing.T) {
+	for _, pol := range []SchedPolicy{FRFCFS, FCFS, FRFCFSCap} {
+		for seed := uint64(1); seed <= 6; seed++ {
+			cfg := testConfig()
+			cfg.Scheduler = pol
+			cfg.CapStreak = 2
+			cfg.QueueDepth = 8
+			ch := NewChannel(cfg)
+			rng := sim.NewRNG(seed)
+			var seq []uint64 // arrival sequence of each queue entry
+			pushed, picked, reordered := uint64(0), 0, 0
+			for c := sim.Cycle(0); c < 3000; c++ {
+				for n := rng.Intn(3); n > 0 && ch.CanPush(); n-- {
+					rowAddr := uint64(rng.Intn(3 * cfg.Banks))
+					kind := mem.KindLoad
+					if rng.Intn(4) == 0 {
+						kind = mem.KindStore
+					}
+					pushed++
+					ch.Push(c, dreq(pushed, rowAddr*uint64(cfg.RowBytes)+uint64(rng.Intn(16))*64, kind))
+					seq = append(seq, pushed)
+				}
+				got, want := ch.pick(c), ch.refPick(c, seq)
+				if got != want {
+					t.Fatalf("%v seed %d cycle %d: pick = %d, seq reference = %d (queue %s)",
+						pol, seed, c, got, want, ch.DebugState())
+				}
+				ch.Tick(c)
+				if got >= 0 {
+					seq = append(seq[:got], seq[got+1:]...)
+					picked++
+				}
+				if got > 0 {
+					reordered++
+				}
+				ch.Completed(c)
+			}
+			// FR-FCFS variants must have passed over the oldest request.
+			if picked < 150 || (pol != FCFS && reordered == 0) {
+				t.Fatalf("%v seed %d: %d requests scheduled, %d out of arrival order", pol, seed, picked, reordered)
+			}
+		}
+	}
+}

@@ -71,6 +71,46 @@ func engineVariants() map[string]Config {
 
 	return map[string]Config{
 		"base": base, "tesla": tesla, "fcfs": fcfs, "cap": capped, "gto": gto,
+		"starved": starvedConfig(),
+	}
+}
+
+// starvedConfig shrinks every queue and MSHR file of tinyConfig until
+// the park states are reached: the L1 and the L2 refuse reservations,
+// the L2 queue head stalls, and the DRAM queue pushes back
+// (TestStarvedConfigReachesParks).
+func starvedConfig() Config {
+	cfg := tinyConfig()
+	cfg.SM.MissQueueDepth, cfg.SM.ResponseQueueDepth = 1, 1
+	cfg.SM.L1.MSHREntries, cfg.SM.L1.MSHRMaxMerge = 1, 1
+	cfg.Partition.L2QueueDepth, cfg.Partition.ReturnQueueDepth = 1, 1
+	cfg.Partition.L2.MSHREntries, cfg.Partition.L2.MSHRMaxMerge = 2, 1
+	cfg.Partition.DRAM.QueueDepth, cfg.Partition.DRAM.BurstCycles = 2, 16
+	for _, net := range []*icnt.Config{&cfg.RequestNet, &cfg.ReplyNet} {
+		net.InjectDepth, net.EjectDepth = 1, 1
+	}
+	return cfg
+}
+
+// TestStarvedConfigReachesParks: on the starved variant every retry
+// counter a park replays is nonzero, so the engine tests above check
+// parked retries too.
+func TestStarvedConfigReachesParks(t *testing.T) {
+	cfg := starvedConfig()
+	cfg.Engine = sim.EngineEvent
+	g, _ := runEngineWorkload(t, cfg, "vecinc")
+	var l1Fails, l2Fails, l2Stalls, dramStalls uint64
+	for _, s := range g.sms {
+		l1Fails += s.L1().Stats().ReservationFails
+	}
+	for _, p := range g.parts {
+		l2Fails += p.L2().Stats().ReservationFails
+		l2Stalls += p.Stats().L2Stalls
+		dramStalls += p.DRAM().Stats().Stalls
+	}
+	if l1Fails == 0 || l2Fails == 0 || l2Stalls == 0 || dramStalls == 0 {
+		t.Fatalf("L1 reservation fails %d, L2 reservation fails %d, L2 stalls %d, DRAM stalls %d: want all nonzero",
+			l1Fails, l2Fails, l2Stalls, dramStalls)
 	}
 }
 
@@ -110,10 +150,12 @@ func runEngineWorkload(t *testing.T, cfg Config, workload string) (*GPU, sim.Cyc
 }
 
 // deviceSignature renders every piece of semantic device state the
-// engines must agree on. Per-cycle idle observations are excluded: the
-// device and SM cycle counters and empty-issue-slot counts advance on
-// skipped cycles by design (and are replayed by SkipIdle), and the
-// crossbar's EjectBlocked counts full-queue observations, not events.
+// engines must agree on. Per-cycle observations are excluded: the device
+// and SM cycle counters and empty-issue-slot counts advance on skipped
+// cycles by design (and are replayed by SkipIdle), a parked retry counts
+// an L1 or L2 reservation failure, an L2 stall or a DRAM stall each cycle
+// (replayed by SkipIdle and SkipStalled), and the crossbar's EjectBlocked
+// counts full-queue observations, not events.
 func deviceSignature(g *GPU) string {
 	var b strings.Builder
 	gs := g.Stats()
@@ -124,14 +166,20 @@ func deviceSignature(g *GPU) string {
 		ss.Cycles, ss.IssueStallEmpty = 0, 0
 		fmt.Fprintf(&b, "sm%d:%+v %s\n", s.Config().ID, ss, s.DebugState())
 		if l1 := s.L1(); l1 != nil {
-			fmt.Fprintf(&b, "  l1:%+v\n", l1.Stats())
+			l1s := l1.Stats()
+			l1s.ReservationFails = 0
+			fmt.Fprintf(&b, "  l1:%+v\n", l1s)
 		}
 	}
 	for i, p := range g.parts {
-		fmt.Fprintf(&b, "part%d:%+v %s\n", i, p.Stats(), p.DebugState())
-		fmt.Fprintf(&b, "  dram:%+v %s\n", p.DRAM().Stats(), p.DRAM().DebugState())
+		ps, ds := p.Stats(), p.DRAM().Stats()
+		ps.L2Stalls, ds.Stalls = 0, 0
+		fmt.Fprintf(&b, "part%d:%+v %s\n", i, ps, p.DebugState())
+		fmt.Fprintf(&b, "  dram:%+v %s\n", ds, p.DRAM().DebugState())
 		if l2 := p.L2(); l2 != nil {
-			fmt.Fprintf(&b, "  l2:%+v\n", l2.Stats())
+			l2s := l2.Stats()
+			l2s.ReservationFails = 0
+			fmt.Fprintf(&b, "  l2:%+v\n", l2s)
 		}
 	}
 	for _, x := range []*icnt.Crossbar{g.reqNet, g.replyNet} {

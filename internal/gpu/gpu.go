@@ -377,21 +377,6 @@ type evState struct {
 	// a stepped cycle and set this flag for the same cycle's tail.
 	needDispatch bool
 
-	// tickAt[i] is the cycle at which SM i's own Tick next does real work
-	// (its NextSelfEvent horizon). It can be LATER than the SM's armed
-	// wake: a queued miss arms the scheduler at now so the injection
-	// transfer phase keeps running, but the core itself is only ticked
-	// when tickAt comes due. Invariant: armed <= tickAt, so the clock
-	// never jumps over a pending core tick.
-	tickAt []sim.Cycle
-
-	// partTickAt[i] is the partition analog: buffered returns arm the
-	// scheduler at now so the reply-transfer phase keeps running, but the
-	// partition's Tick — whose only interaction with the return queue is
-	// filling it — runs only when its NextSelfEvent horizon arrives.
-	// Same invariant: armed <= partTickAt.
-	partTickAt []sim.Cycle
-
 	// lastProc[i] is the cycle through which SM i's per-cycle idle
 	// counters are accounted; fired[id] counts due wake-ups processed.
 	lastProc []sim.Cycle
@@ -427,8 +412,6 @@ func (g *GPU) evReset(start sim.Cycle) {
 		ev.dirtyPart = make([]bool, len(g.parts))
 		ev.dirtySM = make([]bool, len(g.sms))
 		ev.lastProc = make([]sim.Cycle, len(g.sms))
-		ev.tickAt = make([]sim.Cycle, len(g.sms))
-		ev.partTickAt = make([]sim.Cycle, len(g.parts))
 		ev.partLastProc = make([]sim.Cycle, len(g.parts))
 		ev.fired = make([]uint64, ev.sched.Size())
 	}
@@ -444,20 +427,12 @@ func (g *GPU) evReset(start sim.Cycle) {
 	ev.dirtyReq, ev.dirtyRep = false, false
 }
 
-// armAll makes every component due at cycle c, core and partition ticks
-// included: the opening state of a run, and the Never-horizon fallback
-// (where nothing is armed, so replacing each registration is the same as
-// waking it).
+// armAll makes every component due at cycle c: the opening state of a
+// run, and the Never-horizon fallback (where nothing is armed, so
+// replacing each registration is the same as waking it).
 func (g *GPU) armAll(c sim.Cycle) {
-	ev := &g.ev
-	for id := 0; id < ev.sched.Size(); id++ {
-		ev.sched.Rearm(id, c)
-	}
-	for i := range ev.tickAt {
-		ev.tickAt[i] = c
-	}
-	for i := range ev.partTickAt {
-		ev.partTickAt[i] = c
+	for id := 0; id < g.ev.sched.Size(); id++ {
+		g.ev.sched.Rearm(id, c)
 	}
 }
 
@@ -494,26 +469,21 @@ func (g *GPU) catchUpPart(pi int, through sim.Cycle) {
 // (transfer, tick, eject), request network (inject, tick, accept), cores
 // with their flush, dispatch. Ungated (Step, the tick engine) every
 // component ticks, dispatch runs every cycle, and no wake state is read
-// or written. Gated (runEvent) only components whose wake is due tick:
-// the handoff phases between components still run unconditionally (a
-// peek on an empty queue is one length check) so their stall
+// or written. Gated (runEvent) a component ticks exactly when its wake is
+// due: the handoff phases between components still run unconditionally
+// (a peek on an empty queue is one length check) so their stall
 // observations stay identical to the tick engine's, while the
 // per-component Tick work — the expensive part — is gated on the wake
 // calendar, and every mutation marks its component for rearmDirty.
 func (g *GPU) step(c sim.Cycle, gated bool) {
 	ev := &g.ev
 
-	// Memory partitions (includes DRAM). Gated, like the SM core ticks
-	// below, the Tick keys on the partition's own-work horizon, not on its
-	// armed wake: a partition whose only live state is a backed-up return
-	// queue keeps the clock stepping (for the reply-transfer phase) while
-	// its pipeline — which never drains that queue — sleeps.
+	// Memory partitions (includes DRAM).
 	for pi, p := range g.parts {
 		if gated {
-			if ev.partTickAt[pi] > c {
+			if !ev.due(ev.partID[pi], c) {
 				continue
 			}
-			ev.fired[ev.partID[pi]]++
 			g.catchUpPart(pi, c-1)
 			ev.partLastProc[pi] = c
 			ev.dirtyPart[pi] = true
@@ -524,7 +494,7 @@ func (g *GPU) step(c sim.Cycle, gated bool) {
 	// Reply network: partition return queues → network → SMs. A visible
 	// return head pins its partition's horizon at now, so every cycle on
 	// which this transfer (or its inject-stall observation) can happen
-	// is stepped.
+	// is stepped, and the partition was ticked above.
 	injected := false
 	for pi, p := range g.parts {
 		for {
@@ -550,7 +520,7 @@ func (g *GPU) step(c sim.Cycle, gated bool) {
 	// A freshly injected packet can traverse this same cycle (the
 	// injection queues have zero latency), so injection forces a tick
 	// even when the network's armed wake is later.
-	if !gated || ev.netDue(ev.repID, c, injected) {
+	if !gated || ev.due(ev.repID, c) || injected {
 		g.replyNet.Tick(c)
 		if gated {
 			ev.dirtyRep = true
@@ -571,14 +541,14 @@ func (g *GPU) step(c sim.Cycle, gated bool) {
 				g.catchUpSM(si, c-1)
 				ev.dirtyRep = true
 				ev.sched.WakeAt(ev.smID[si], c)
-				ev.tickAt[si] = min(ev.tickAt[si], c)
 			}
 			s.AcceptResponse(c, pkt.Req)
 		}
 	}
 
 	// Request network: SM miss queues → network → partitions. A waiting
-	// miss pins its SM's horizon at now, so these cycles are stepped too.
+	// miss pins its SM's horizon at now, so these cycles are stepped too,
+	// and the SM is due: the core phase below ticks and re-arms it.
 	injected = false
 	for si, s := range g.sms {
 		for {
@@ -597,23 +567,6 @@ func (g *GPU) step(c sim.Cycle, gated bool) {
 				g.catchUpSM(si, c-1)
 			}
 			s.PopMiss(c)
-			if gated {
-				if s.WantsMissDrain() {
-					// The LDST unit was parked behind the full miss queue;
-					// the slot just freed, and the core's retry — which runs
-					// after this phase — would succeed this very cycle.
-					ev.tickAt[si] = min(ev.tickAt[si], c)
-				}
-				if !s.MissQueued() {
-					// Last miss drained: re-arm from live state (the stale
-					// now-pin would otherwise keep the clock stepping
-					// forever). While misses remain, no re-arm is needed —
-					// the pin stays, and a pop alone cannot move
-					// NextSelfEvent except through WantsMissDrain, handled
-					// above.
-					ev.dirtySM[si] = true
-				}
-			}
 			r.Partition = g.cfg.partitionOf(r.Addr)
 			if r.Log != nil {
 				r.Log.Mark(mem.PtICNTInject, c)
@@ -626,7 +579,7 @@ func (g *GPU) step(c sim.Cycle, gated bool) {
 			injected = true
 		}
 	}
-	if !gated || ev.netDue(ev.reqID, c, injected) {
+	if !gated || ev.due(ev.reqID, c) || injected {
 		g.reqNet.Tick(c)
 		if gated {
 			ev.dirtyReq = true
@@ -649,36 +602,30 @@ func (g *GPU) step(c sim.Cycle, gated bool) {
 	// Cores last: issue sees this cycle's returned data next cycle. Every
 	// core ticks before any core's stores and atomics commit: the flush
 	// pass below applies them in SM index order, so no SM observes another
-	// SM's same-cycle write (see sm.FlushCycle). Gated, only busy SMs whose
-	// own-tick horizon (tickAt) is due are ticked; the rest sleep, with
-	// their per-cycle idle counters replayed on the next catch-up. This is
-	// the engine's main lever: a core whose warps are all blocked on
-	// in-flight loads — or whose LDST unit is parked behind a full miss
-	// queue — costs nothing until something arrives or drains. (tickAt can
-	// be later than the SM's armed wake: a queued miss keeps the clock
-	// stepping for the injection phase above without forcing core ticks.)
+	// SM's same-cycle write (see sm.FlushCycle). Gated, only SMs whose wake
+	// is due are ticked; the rest sleep, with their per-cycle idle counters
+	// replayed on the next catch-up. This is the engine's main lever: a
+	// core whose warps are all blocked on in-flight loads — or whose LDST
+	// head the L1 refused — costs nothing until something arrives.
 	g.ticked = g.ticked[:0]
 	for si, s := range g.sms {
-		if gated && ev.tickAt[si] > c {
-			continue
+		if gated {
+			if !ev.due(ev.smID[si], c) {
+				continue
+			}
+			ev.dirtySM[si] = true
 		}
 		if !s.Busy() {
 			// Idle SMs (no resident blocks, nothing in flight) are skipped;
 			// they cannot issue and hold no outstanding loads, so neither
 			// the timing nor the exposure accounting is affected. Gated,
 			// this is a core that drained while armed (e.g. the initial
-			// arm-everything wake on an idle core): disarm via re-arm,
-			// which yields Never.
-			if gated {
-				ev.dirtySM[si] = true
-			}
+			// arm-everything wake on an idle core): the re-arm disarms it.
 			continue
 		}
 		if gated {
-			ev.fired[ev.smID[si]]++
 			g.catchUpSM(si, c-1)
 			ev.lastProc[si] = c
-			ev.dirtySM[si] = true
 		}
 		s.Tick(c)
 		g.ticked = append(g.ticked, s)
@@ -706,14 +653,14 @@ func (g *GPU) step(c sim.Cycle, gated bool) {
 	}
 }
 
-// netDue reports whether a crossbar ticks in gated cycle c: its wake is
-// due (counted as fired) or a packet was just injected into it.
-func (ev *evState) netDue(id int, c sim.Cycle, injected bool) bool {
-	due := ev.sched.Due(id, c)
-	if due {
-		ev.fired[id]++
+// due reports whether component id's wake has come due in gated cycle
+// c, counting the wake-up as fired.
+func (ev *evState) due(id int, c sim.Cycle) bool {
+	if !ev.sched.Due(id, c) {
+		return false
 	}
-	return due || injected
+	ev.fired[id]++
+	return true
 }
 
 // rearmDirty re-registers every component mutated during cycle c with
@@ -726,16 +673,7 @@ func (g *GPU) rearmDirty(c sim.Cycle) {
 	for pi, p := range g.parts {
 		if ev.dirtyPart[pi] {
 			ev.dirtyPart[pi] = false
-			// Tick when the pipeline itself can act; arm the scheduler
-			// additionally on a visible return head so stepping covers the
-			// reply-transfer phase. armed <= partTickAt by construction.
-			selfH := p.NextSelfEvent(next)
-			ev.partTickAt[pi] = selfH
-			armH := selfH
-			if rh := p.ReturnReady(next); rh < armH {
-				armH = rh
-			}
-			ev.sched.Rearm(ev.partID[pi], armH)
+			ev.sched.Rearm(ev.partID[pi], p.NextEvent(next))
 		}
 	}
 	if ev.dirtyReq {
@@ -749,18 +687,7 @@ func (g *GPU) rearmDirty(c sim.Cycle) {
 	for si, s := range g.sms {
 		if ev.dirtySM[si] {
 			ev.dirtySM[si] = false
-			// Tick the core when its own horizon arrives; arm the
-			// scheduler with the full NextEvent (selfH, or a now-pin while
-			// misses await injection) so stepping also covers the transfer
-			// phases. armed <= tickAt by construction: the clock can keep
-			// stepping without core ticks, never the reverse.
-			selfH := s.NextSelfEvent(next)
-			ev.tickAt[si] = selfH
-			armH := selfH
-			if s.MissQueued() {
-				armH = next
-			}
-			ev.sched.Rearm(ev.smID[si], armH)
+			ev.sched.Rearm(ev.smID[si], s.NextEvent(next))
 		}
 	}
 	if ev.audit {
@@ -784,36 +711,27 @@ func (g *GPU) WakeAuditViolations() []string { return g.ev.auditBad }
 
 func (g *GPU) auditWakes(next sim.Cycle) {
 	ev := &g.ev
+	bad := func(format string, args ...any) {
+		if len(ev.auditBad) < 16 {
+			ev.auditBad = append(ev.auditBad, fmt.Sprintf("cycle %d: ", next)+fmt.Sprintf(format, args...))
+		}
+	}
 	check := func(id int, h sim.Cycle) {
-		if h < ev.sched.Armed(id) && len(ev.auditBad) < 16 {
-			ev.auditBad = append(ev.auditBad, fmt.Sprintf(
-				"cycle %d: %s can act at %d but is armed at %d (lost wake-up)",
-				next, ev.sched.Name(id), h, ev.sched.Armed(id)))
+		if h < ev.sched.Armed(id) {
+			bad("%s can act at %d but is armed at %d (lost wake-up)", ev.sched.Name(id), h, ev.sched.Armed(id))
 		}
 	}
 	for pi, p := range g.parts {
 		check(ev.partID[pi], p.NextEvent(next))
-		if h := p.NextSelfEvent(next); h < ev.partTickAt[pi] && len(ev.auditBad) < 16 {
-			ev.auditBad = append(ev.auditBad, fmt.Sprintf(
-				"cycle %d: %s can tick at %d but partTickAt is %d (lost partition tick)",
-				next, ev.sched.Name(ev.partID[pi]), h, ev.partTickAt[pi]))
-		}
 	}
 	check(ev.reqID, g.reqNet.NextEvent(next))
 	check(ev.repID, g.replyNet.NextEvent(next))
 	for si, s := range g.sms {
 		check(ev.smID[si], s.NextEvent(next))
-		// The split tick horizon has its own lost-wake mode: the core's
-		// own Tick able to act before its scheduled tick.
-		if h := s.NextSelfEvent(next); h < ev.tickAt[si] && len(ev.auditBad) < 16 {
-			ev.auditBad = append(ev.auditBad, fmt.Sprintf(
-				"cycle %d: %s can tick at %d but tickAt is %d (lost core tick)",
-				next, ev.sched.Name(ev.smID[si]), h, ev.tickAt[si]))
-		}
-		// The horizons above read the SM's maintained readiness state;
+		// The horizon above reads the SM's maintained readiness state;
 		// audit that state too.
-		if err := s.AuditReadiness(); err != nil && len(ev.auditBad) < 16 {
-			ev.auditBad = append(ev.auditBad, fmt.Sprintf("cycle %d: %v", next, err))
+		if err := s.AuditReadiness(); err != nil {
+			bad("%v", err)
 		}
 	}
 }

@@ -7,13 +7,12 @@
 //
 // Under the event engine the partition wakes (NextEvent) when a ROP or
 // hit-pipe item, the L2 queue head, or the DRAM channel comes due, and
-// pins the horizon at now while a finished reply sits in the return
-// queue (the engine's reply-injection phase must run). An L2 head
-// parked on backpressure (a full DRAM queue, no DRAM slot, a
-// reservation failure, a blocked writeback) drops its term — the retry
-// is a provable no-op until the blocking resource frees inside a Tick —
-// and SkipStalled replays the retry counters the cycle-driven loop
-// would have recorded across the skipped span.
+// is ticked every cycle a finished reply sits in the return queue (it
+// pins the horizon at now). An L2 head parked on backpressure (a full
+// hit pipe or DRAM queue, no DRAM slot, a reservation failure, a blocked
+// writeback) drops its term — the retry is a provable no-op until the
+// blocking resource frees inside a Tick — and SkipStalled replays the
+// retry counters the cycle-driven loop would have recorded.
 package mempart
 
 import (
@@ -81,13 +80,10 @@ type Partition struct {
 
 	// l2Blocked/l2ParkReason record that the last accessL2 pass found the
 	// L2 queue head structurally blocked. While the park holds, a retry
-	// is a provable no-op apart from its per-cycle stall observations, so
-	// the event engine may skip those cycles and replay the counters via
-	// SkipStalled. The park is re-evaluated (set or cleared) by every
-	// accessL2 pass, and the releasing conditions are checked live in
-	// l2HeadParked; every releasing event — a hit-pipe drain, a DRAM
-	// schedule or completion — happens inside this partition's own Tick,
-	// whose remaining horizon terms cover it.
+	// is a provable no-op apart from its per-cycle stall observations,
+	// which SkipStalled replays for the cycles the partition sleeps. Every
+	// accessL2 pass re-evaluates the park; l2HeadParked checks the
+	// releasing conditions live.
 	l2Blocked    *mem.Request
 	l2ParkReason l2Park
 
@@ -417,62 +413,36 @@ func (p *Partition) moveROPToL2Q(c sim.Cycle) {
 }
 
 // NextEvent implements the event-driven kernel's horizon contract: the
-// earliest cycle at which the partition itself can make progress OR the
-// engine's reply-transfer phase can interact with it (a buffered return
-// pins the horizon, since popping it is the engine's job, not Tick's).
-// The engine arms its stepping calendar with this; the tick gate uses
-// the narrower NextSelfEvent.
+// cycle at which the partition next does observable work. A buffered
+// return pins it at now (the ret queue has no latency), so the partition
+// is ticked every cycle the reply phase has something to move; with the
+// return queue empty, the hit pipe can always drain. Otherwise: a DRAM
+// completion or scheduling opportunity, a visible L2 queue head (every
+// such cycle either performs a lookup or counts an observable L2 stall),
+// or a ROP head with L2-queue space. A full L2 queue frees only through
+// this partition's own lookups (covered by the l2q term), and a deferred
+// writeback drains only on visible-L2-head cycles (ditto). Skipped
+// cycles lose nothing but queue-level backpressure marks (sim.Queue
+// stall counters), which are diagnostic-only and outside the engines'
+// parity contract. L2 MSHR occupancy needs no term of its own: an
+// outstanding fetch is always physically present in the DRAM queue or
+// in flight, which the DRAM horizon covers.
 func (p *Partition) NextEvent(now sim.Cycle) sim.Cycle {
-	h := p.NextSelfEvent(now)
-	if h == now {
+	// Cheap queue-head terms first with early exits, so the saturated fast
+	// path skips the DRAM channel scan (re-arm is the engine's hot path).
+	// A parked head (see l2HeadParked) drops the l2q term: its retries are
+	// provable no-ops whose stall observations SkipStalled replays, and
+	// every releasing event is covered by the remaining terms.
+	if p.ret.Len() > 0 {
 		return now
 	}
-	return min(h, p.ReturnReady(now))
-}
-
-// ReturnReady is the engine-facing half of the horizon: the cycle at
-// which the return queue next has a visible head for the reply network
-// (Never when empty). Kept separate from NextSelfEvent because draining
-// the return queue is the run loop's transfer phase — it requires the
-// cycle to be *stepped*, but not the partition to be *ticked*.
-func (p *Partition) ReturnReady(now sim.Cycle) sim.Cycle {
-	if p.ret.Len() == 0 {
-		return sim.Never
-	}
-	return max(now, p.ret.NextReady())
-}
-
-// NextSelfEvent is the cycle at which the partition's own Tick next does
-// observable work: a DRAM completion or scheduling opportunity, a visible
-// L2 queue head (every such cycle either performs a lookup or counts an
-// observable L2 stall), or a queue-to-queue movement that has both a
-// ready head and space to move into. Blocked movements contribute no
-// term: hit→ret waits on return-queue space freed only by the engine's
-// reply phase (which re-arms the partition after every pop), rop→l2q
-// waits on L2-queue space freed only by this partition's own lookups
-// (covered by the l2q term), and a deferred writeback drains only on
-// visible-L2-head cycles (ditto). Skipped cycles lose nothing but
-// queue-level backpressure marks (sim.Queue stall counters), which are
-// diagnostic-only and outside the engines' parity contract. L2 MSHR
-// occupancy needs no term of its own: an outstanding fetch is always
-// physically present in the DRAM queue or in flight, which the DRAM
-// horizon covers.
-func (p *Partition) NextSelfEvent(now sim.Cycle) sim.Cycle {
-	// Cheap queue-head terms first with early exits: under memory-system
-	// saturation the L2 queue head is almost always ready, and skipping
-	// the DRAM channel scan on that fast path keeps the event engine's
-	// re-arm cost (this is its hot path) proportional to what the cycle
-	// will actually do. A parked head (see l2HeadParked) drops the l2q
-	// term: its retries are provable no-ops whose stall observations
-	// SkipStalled replays, and every releasing event is covered by the
-	// remaining terms.
 	h := sim.Never
 	if p.l2q.Len() > 0 && !p.l2HeadParked() {
 		if h = max(now, p.l2q.NextReady()); h == now {
 			return now
 		}
 	}
-	if p.hit.Len() > 0 && p.ret.CanPush() {
+	if p.hit.Len() > 0 {
 		if h = min(h, max(now, p.hit.NextReady())); h == now {
 			return now
 		}
@@ -488,10 +458,9 @@ func (p *Partition) NextSelfEvent(now sim.Cycle) sim.Cycle {
 // l2HeadParked reports whether re-running accessL2 is a provable no-op
 // apart from its per-cycle stall observations: the head's last pass
 // failed on a structural stall whose releasing condition still holds.
-// Space-based conditions are checked live (they can only change inside
-// this partition's own Tick, so they are frozen while it sleeps); a
-// reservation failure is released only by a fill, which likewise only
-// drainDRAM performs — the next tick's accessL2 pass re-evaluates it.
+// Every releasing event — a hit-pipe drain, a DRAM schedule or
+// completion, a fill — happens inside this partition's own Tick, so the
+// conditions are frozen while it sleeps.
 func (p *Partition) l2HeadParked() bool {
 	if p.l2Blocked == nil {
 		return false
@@ -522,19 +491,17 @@ func (p *Partition) SkipStalled(delta sim.Cycle) {
 	if delta == 0 || !p.l2HeadParked() {
 		return
 	}
+	n := uint64(delta)
+	if p.l2ParkReason != parkWB {
+		p.stats.L2Stalls += n
+	}
 	switch p.l2ParkReason {
-	case parkHitPipe:
-		p.stats.L2Stalls += uint64(delta)
 	case parkResv:
 		// The blocked pass reaches the cache before failing, so the
 		// cache's own counter advances along with the partition's.
-		p.stats.L2Stalls += uint64(delta)
-		p.l2.AddReservationFails(uint64(delta))
-	case parkDRAMSlots, parkDRAMFull:
-		p.stats.L2Stalls += uint64(delta)
-		p.dram.AddStalls(uint64(delta))
-	case parkWB:
-		p.dram.AddStalls(uint64(delta))
+		p.l2.AddReservationFails(n)
+	case parkDRAMSlots, parkDRAMFull, parkWB:
+		p.dram.AddStalls(n)
 	}
 }
 
@@ -542,33 +509,30 @@ func (p *Partition) SkipStalled(delta sim.Cycle) {
 // partition, including L2 misses outstanding at the MSHRs (the Drained
 // check builds on it).
 func (p *Partition) Pending() int {
-	mshrs := 0
-	if p.l2 != nil {
-		mshrs = p.l2.MSHRsInUse()
-	}
 	n := p.rop.Len() + p.l2q.Len() + p.hit.Len() + p.ret.Len() +
-		p.dram.QueueLen() + p.dram.InflightLen() + mshrs
+		p.dram.QueueLen() + p.dram.InflightLen() + p.mshrsInUse()
 	if p.pendingWB != nil {
 		n++
 	}
 	return n
 }
 
+// mshrsInUse counts the L2 MSHRs holding outstanding misses (0 without
+// an L2).
+func (p *Partition) mshrsInUse() int {
+	if p.l2 == nil {
+		return 0
+	}
+	return p.l2.MSHRsInUse()
+}
+
 // DebugState renders the partition's buffer occupancy and readiness for
 // the engine-equivalence audit (the DRAM channel and L2 slice expose
 // their own state).
 func (p *Partition) DebugState() string {
-	wb := uint64(0)
-	if p.pendingWB != nil {
-		wb = 1
-	}
-	mshrs := 0
-	if p.l2 != nil {
-		mshrs = p.l2.MSHRsInUse()
-	}
-	return fmt.Sprintf("rop=%d@%d l2q=%d@%d hit=%d ret=%d wb=%d mshr=%d",
+	return fmt.Sprintf("rop=%d@%d l2q=%d@%d hit=%d ret=%d wb=%t mshr=%d",
 		p.rop.Len(), p.rop.NextReady(), p.l2q.Len(), p.l2q.NextReady(),
-		p.hit.Len(), p.ret.Len(), wb, mshrs)
+		p.hit.Len(), p.ret.Len(), p.pendingWB != nil, p.mshrsInUse())
 }
 
 // Drained reports whether no request remains anywhere in the partition.

@@ -41,8 +41,12 @@
 // The Scheduler inverts the polling direction: instead of the engine
 // asking every component for a horizon every cycle, each component has
 // a wake cycle registered (armed) on the scheduler, and the engine
-// steps only cycles at which some wake is due (NextWake). Registration
-// follows two rules:
+// steps only cycles at which some wake is due (NextWake). A component
+// ticks exactly when its wake is due: one horizon, NextEvent, decides
+// both whether a cycle is stepped and whether the component is ticked in
+// it. A buffered handoff pins its owner's NextEvent at now, so the owner
+// is stepped and ticked every cycle it holds one. Registration follows
+// two rules:
 //
 //  1. Re-arm after every mutation. Whenever a component's state changes
 //     — it was ticked, an item was popped from or pushed into one of

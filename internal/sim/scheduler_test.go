@@ -159,9 +159,8 @@ func FuzzCalendar(f *testing.F) {
 }
 
 // FuzzScheduler drives random register/wake/rearm/cancel/next sequences
-// against the armed-slice reference: NextWake must always equal the
-// minimum armed cycle, regardless of how many stale heap entries the
-// sequence manufactured.
+// against a reference copy of every subscriber's armed cycle: NextWake
+// must always equal the minimum, and Armed each subscriber's entry.
 func FuzzScheduler(f *testing.F) {
 	f.Add([]byte{0, 1, 5, 2, 9, 3, 0, 4, 4})
 	f.Add([]byte{0, 0, 0, 1, 7, 2, 2, 1, 3})

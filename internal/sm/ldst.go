@@ -246,16 +246,15 @@ func (s *SM) issueTransaction(c sim.Cycle, mi *memInst) bool {
 		mi.pendingReq = req
 	}
 
+	s.ldstBlockedOn = nil
 	if !useL1 {
 		// No L1 for this space: the request goes straight to the miss
 		// queue. PtL1Access marks the coalescer exit (where the L1
 		// lookup would have happened).
 		if !s.missQ.CanPush() {
 			s.missQ.NoteStall()
-			s.ldstBlockedOn, s.ldstBlockReason = mi, blockMissQ
 			return false
 		}
-		s.ldstBlockedOn, s.ldstBlockReason = nil, blockNone
 		req.Log.Mark(mem.PtL1Access, c)
 		if mi.kind == mem.KindLoad {
 			mi.outstanding++
@@ -270,10 +269,8 @@ func (s *SM) issueTransaction(c sim.Cycle, mi *memInst) bool {
 	// before accessing so an allocated MSHR is never stranded.
 	if !s.missQ.CanPush() {
 		s.missQ.NoteStall()
-		s.ldstBlockedOn, s.ldstBlockReason = mi, blockMissQ
 		return false
 	}
-	s.ldstBlockedOn, s.ldstBlockReason = nil, blockNone
 	res := s.l1.Access(c, req)
 	if res.Status != cache.ReservationFail {
 		req.Log.Mark(mem.PtL1Access, c)
@@ -308,7 +305,7 @@ func (s *SM) issueTransaction(c sim.Cycle, mi *memInst) bool {
 		s.missQ.Push(c, req)
 		return true
 	case cache.ReservationFail:
-		s.ldstBlockedOn, s.ldstBlockReason = mi, blockL1
+		s.ldstBlockedOn = mi
 		return false
 	}
 	return false

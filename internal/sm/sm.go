@@ -7,16 +7,14 @@
 // component; the time a miss waits in the miss queue before network
 // injection is "L1toICNT".
 //
-// Under the event engine the SM wakes the device (NextEvent /
-// NextSelfEvent) when: a buffered response awaits processing (pins now);
-// a retire event or the LDST queue head comes due; a warp's next
+// Under the event engine the SM wakes (NextEvent) when: a buffered
+// response awaits processing or a miss awaits network injection (both pin
+// now); a retire event or the LDST queue head comes due; a warp's next
 // instruction becomes issuable — its readyAt, the latest of its
 // branch-delay window and its operands' release times; or, with no block
 // left and nothing else pending, when the last arithmetic result lands and
-// the core can report itself idle. A queued miss pins NextEvent (the
-// engine's injection phase must run) without forcing a core tick. Warps
-// blocked on loads carry no term: their wake rides the response/retire
-// horizons.
+// the core can report itself idle. Warps blocked on loads carry no term:
+// their wake rides the response/retire horizons.
 package sm
 
 import (
@@ -212,27 +210,15 @@ type SM struct {
 	outstanding map[uint64]txnCtx
 
 	// ldstBlockedOn remembers the LDST-queue head whose last transaction
-	// attempt failed on a structural stall, and ldstBlockReason records
-	// which one:
-	//
-	//   - blockMissQ: the miss queue was full. Releases only when the
-	//     engine's injection phase pops a miss (external to the SM).
-	//   - blockL1: the L1 refused the access (MSHRs exhausted, merge
-	//     slots exhausted, or no evictable way). All three release only
-	//     via an L1 fill, which happens exclusively in this SM's own
-	//     response processing.
-	//
-	// While the same instruction is still at the head and its stall
-	// reason has not been released, re-ticking the LDST unit is a
-	// provable no-op (the retry's only effects — a queue-stall note, a
-	// cache reservation-fail count and LRU stamp advance — are invisible
-	// to the engine-equivalence signatures and preserve relative LRU
-	// order), so NextSelfEvent drops the LDST term and the SM sleeps
-	// until the releasing event arrives, each of which re-ticks the SM in
-	// the same cycle the cycle-driven loop's retry would first succeed.
-	// Cleared whenever an attempt gets past the failing check.
-	ldstBlockedOn   *memInst
-	ldstBlockReason ldstBlock
+	// attempt the L1 refused (MSHRs exhausted, merge slots exhausted, or
+	// no evictable way). All three release only via an L1 fill, which
+	// happens exclusively in this SM's own response processing. While the
+	// same instruction is still at the head, re-ticking the LDST unit is a
+	// provable no-op (the retry's only effects — a cache reservation-fail
+	// count, replayed by SkipIdle, and an LRU stamp advance that preserves
+	// relative LRU order), so NextEvent drops the LDST term and the SM
+	// sleeps until a response arrives. Cleared by every other attempt.
+	ldstBlockedOn *memInst
 
 	newReqID func() uint64
 	observer mem.Observer
@@ -312,15 +298,6 @@ type txnCtx struct {
 	fillL1    bool
 	blockAddr uint64
 }
-
-// ldstBlock is the structural-stall reason parking the LDST head.
-type ldstBlock uint8
-
-const (
-	blockNone ldstBlock = iota
-	blockMissQ
-	blockL1
-)
 
 // Stats counts SM activity.
 type Stats struct {
@@ -473,40 +450,24 @@ func (s *SM) Busy() bool {
 }
 
 // NextEvent implements the event-driven kernel's horizon contract. The
-// SM can act when a retire event or the LDST queue head comes due, or
-// when a warp's readyAt arrives while the LDST queue could take its
-// instruction. Buffered handoffs whose progress depends on components
-// outside the SM — responses to process, misses awaiting network
-// injection — pin the horizon at now. Warps waiting on a load need no
-// term of their own: its completion is a retire or a response.
-func (s *SM) NextEvent(now sim.Cycle) sim.Cycle {
-	if s.missQ.Len() > 0 {
-		return now
-	}
-	return s.NextSelfEvent(now)
-}
-
-// NextSelfEvent is the horizon of the SM's own Tick: the earliest cycle
-// at which calling Tick could do anything beyond idle accounting. It is
-// NextEvent minus the miss-queue pin — a queued miss needs the ENGINE
-// to act (the network-injection transfer phase), not the SM itself, so
-// the event engine arms the scheduler with NextEvent (keeping injection
-// cycles stepped) but ticks the core only when NextSelfEvent is due.
-// Additionally, when the LDST head's last transaction attempt failed on
-// a full miss queue and the queue is still full, the retry is a provable
-// no-op and the LDST term drops out entirely; the engine re-ticks the SM
-// in the same cycle it drains a miss, which is exactly when the
-// cycle-driven loop's retry would first succeed.
+// SM can act when a retire event or the LDST queue head comes due (an
+// L1-parked head excepted, see ldstBlockedOn), or when a warp's readyAt
+// arrives while the LDST queue could take its instruction. Buffered
+// handoffs — responses to process, misses awaiting network injection —
+// pin the horizon at now, so the SM is ticked every cycle one is held,
+// and an LDST retry behind a full miss queue runs exactly as under the
+// cycle-driven loop. Warps waiting on a load need no term of their own:
+// its completion is a retire or a response.
 //
 // A landing arithmetic result changes nothing by itself: the warps that
 // read it carry its release time in their readyAt. The one exception is
 // liveness: with no block left and no other term, the SM must still wake
 // when its last result lands so the device can report itself done.
-func (s *SM) NextSelfEvent(now sim.Cycle) sim.Cycle {
+func (s *SM) NextEvent(now sim.Cycle) sim.Cycle {
 	if !s.Busy() {
 		return sim.Never
 	}
-	if s.respQ.Len() > 0 {
+	if s.respQ.Len() > 0 || s.missQ.Len() > 0 {
 		return now
 	}
 	// Every term below is floored at now, so the horizon cannot improve
@@ -524,9 +485,8 @@ func (s *SM) NextSelfEvent(now sim.Cycle) sim.Cycle {
 			return now
 		}
 	}
-	// A full LDST queue frees only inside a Tick the queue's own term (or
-	// the miss-drain re-tick) already schedules, so warps that need it
-	// carry no term.
+	// A full LDST queue frees only inside a Tick the queue's own term
+	// already schedules, so warps that need it carry no term.
 	cand := s.sbClear
 	if !s.ldstQ.CanPush() {
 		cand &^= s.memNext
@@ -543,47 +503,13 @@ func (s *SM) NextSelfEvent(now sim.Cycle) sim.Cycle {
 }
 
 // ldstHeadParked reports whether re-ticking the LDST unit is a provable
-// no-op: the head's last transaction attempt failed on a structural
-// stall whose releasing event has not happened. For a full miss queue
-// the release is a pop (checked live via CanPush); for an L1 reservation
-// failure the release is a fill, which only this SM's own response
-// processing performs — and a buffered response already pins the horizon
-// at now, so no liveness check is needed here.
+// no-op: the L1 refused the head's last transaction attempt. The release
+// is a fill, which only this SM's own response processing performs — and
+// a buffered response already pins the horizon at now.
 func (s *SM) ldstHeadParked() bool {
-	if s.ldstBlockedOn == nil {
-		return false
-	}
-	if head, ok := s.ldstQ.Head(); !ok || head != s.ldstBlockedOn {
-		return false
-	}
-	switch s.ldstBlockReason {
-	case blockMissQ:
-		return !s.missQ.CanPush()
-	case blockL1:
-		return true
-	}
-	return false
-}
-
-// WantsMissDrain reports whether the LDST unit is parked on miss-queue
-// backpressure: its head instruction's last transaction attempt failed
-// because the miss queue was full. When the engine pops a miss for
-// network injection and this holds, it must tick the SM in the same
-// cycle — the cycle-driven loop's retry (which runs after the injection
-// phase) would succeed that very cycle. Deliberately ignores the queue's
-// current fill level: the engine calls this right after popping, when
-// space exists again.
-func (s *SM) WantsMissDrain() bool {
-	if s.ldstBlockedOn == nil || s.ldstBlockReason != blockMissQ {
-		return false
-	}
 	head, ok := s.ldstQ.Head()
-	return ok && head == s.ldstBlockedOn
+	return ok && s.ldstBlockedOn != nil && head == s.ldstBlockedOn
 }
-
-// MissQueued reports whether any outbound request is waiting for network
-// injection (the engine-side transfer phase's wake condition).
-func (s *SM) MissQueued() bool { return s.missQ.Len() > 0 }
 
 // DebugState renders the SM's full semantic state — warps, the cycle each
 // can next issue, delay windows, buffer occupancy, the last landing — for
@@ -641,12 +567,9 @@ func (s *SM) SkipIdle(delta sim.Cycle) {
 	// An LDST head parked on an L1 reservation failure would have retried
 	// the access — and provably failed, the cache's reservation state
 	// being frozen while the SM sleeps — on every skipped cycle, counting
-	// one ReservationFail each time. (The miss-queue park's retries touch
-	// only queue-level stall marks, which are diagnostic-only.)
-	if s.ldstBlockReason == blockL1 && s.ldstBlockedOn != nil {
-		if head, ok := s.ldstQ.Head(); ok && head == s.ldstBlockedOn {
-			s.l1.AddReservationFails(uint64(delta))
-		}
+	// one ReservationFail each time.
+	if s.ldstHeadParked() {
+		s.l1.AddReservationFails(uint64(delta))
 	}
 }
 
