@@ -11,7 +11,7 @@ TMP      = /tmp/gpulat-make
 CLI     := $(TMP)/gpulat-ci
 BUILD_CLI = mkdir -p $(TMP) && $(GO) build -o $(CLI) ./cmd/gpulat
 
-.PHONY: all build test vet fmt alloc-regress alloc-baseline repro repro-quick determinism engine-determinism corun-determinism export-identity service-determinism shard-determinism bench-harness clean
+.PHONY: all build test vet fmt alloc-regress alloc-baseline repro repro-quick determinism corun-determinism export-identity service-determinism shard-determinism bench-harness clean
 
 all: build vet fmt test
 
@@ -60,18 +60,6 @@ determinism:
 	$(CLI) bench-suite -quick -quiet -j 8 -csv > $(TMP)/j8.csv
 	cmp $(TMP)/j1.csv $(TMP)/j8.csv
 	@echo "determinism: -j 1 and -j 8 byte-identical"
-
-# Proves the simulation kernel's core contract: the event-driven loop's
-# exports are byte-identical to the cycle-driven reference, CSV and JSON.
-engine-determinism:
-	$(BUILD_CLI)
-	$(CLI) bench-suite -quick -quiet -j 8 -engine=tick  -csv  > $(TMP)/tick.csv
-	$(CLI) bench-suite -quick -quiet -j 8 -engine=event -csv  > $(TMP)/event.csv
-	cmp $(TMP)/tick.csv $(TMP)/event.csv
-	$(CLI) bench-suite -quick -quiet -j 8 -engine=tick  -json > $(TMP)/tick.json
-	$(CLI) bench-suite -quick -quiet -j 8 -engine=event -json > $(TMP)/event.json
-	cmp $(TMP)/tick.json $(TMP)/event.json
-	@echo "engine-determinism: tick and event engines byte-identical"
 
 # Proves the stream dispatcher's contract on a quick co-run sweep: the
 # export is byte-identical across worker counts AND across engines (the

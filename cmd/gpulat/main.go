@@ -175,7 +175,7 @@ func jobsFlag(fs *flag.FlagSet) *int {
 }
 
 // engineFlag registers the shared -engine simulation-loop flag; the two
-// engines produce identical results (CI enforces a byte-level diff), so
+// engines produce identical results (a test enforces a byte-level diff), so
 // the fast-forwarding event kernel is the default. The empty default
 // inherits the config's engine, letting a file:<path> configuration pin
 // one.

@@ -22,6 +22,7 @@ package gpu
 
 import (
 	"fmt"
+	"math/bits"
 
 	"gpulat/internal/icnt"
 	"gpulat/internal/mem"
@@ -110,10 +111,9 @@ type GPU struct {
 	cfg    Config
 	Memory *mem.Memory
 
-	sms      []*sm.SM
-	parts    []*mempart.Partition
-	reqNet   *icnt.Crossbar
-	replyNet *icnt.Crossbar
+	sms    []*sm.SM
+	allSMs uint64 // one bit per SM
+	memFabric
 
 	// reqSeq is the device's request-ID sequence.
 	reqSeq uint64
@@ -173,7 +173,8 @@ func NewWithObservers(cfg Config, obs mem.Observer, issueObs IssueObserver) *GPU
 		Memory:   mem.NewMemory(),
 		issueObs: issueObs,
 	}
-	g.reqNet, g.replyNet, g.parts = newMemFabric(cfg, "")
+	g.memFabric = newMemFabric(cfg, "")
+	g.allSMs = 1<<uint(cfg.NumSMs) - 1
 	newID := func() uint64 { g.reqSeq++; return g.reqSeq }
 	g.ticked = make([]*sm.SM, 0, cfg.NumSMs)
 	for i := 0; i < cfg.NumSMs; i++ {
@@ -198,10 +199,20 @@ func NewWithObservers(cfg Config, obs mem.Observer, issueObs IssueObserver) *GPU
 	return g
 }
 
-// newMemFabric builds the memory side of a device — request network,
-// reply network, partitions — naming each component cfg.Name+tag+… (the
-// GPU passes no tag, the SM-less testbench ".tb").
-func newMemFabric(cfg Config, tag string) (reqNet, replyNet *icnt.Crossbar, parts []*mempart.Partition) {
+// memFabric is the memory side of a device — request network,
+// partitions, reply network — and the handoff phases between them that
+// the GPU and the SM-less testbench step alike.
+type memFabric struct {
+	reqNet, replyNet *icnt.Crossbar
+	parts            []*mempart.Partition
+	allParts         uint64 // one bit per partition
+	replySize        uint32 // a load reply's packet bytes
+}
+
+// newMemFabric builds a memFabric, naming each component cfg.Name+tag+…
+// (the GPU passes no tag, the SM-less testbench ".tb").
+func newMemFabric(cfg Config, tag string) memFabric {
+	var parts []*mempart.Partition
 	name := cfg.Name + tag
 	reqCfg := cfg.RequestNet
 	reqCfg.Name = name + ".reqnet"
@@ -220,7 +231,67 @@ func newMemFabric(cfg Config, tag string) (reqNet, replyNet *icnt.Crossbar, part
 		pc.DRAM.Name = fmt.Sprintf("%s.part%d.dram", name, i)
 		parts = append(parts, mempart.New(pc))
 	}
-	return icnt.New(reqCfg), icnt.New(repCfg), parts
+	return memFabric{icnt.New(reqCfg), icnt.New(repCfg), parts,
+		1<<uint(len(parts)) - 1, cfg.ControlPacketBytes + cfg.DataPacketBytes}
+}
+
+// sendReturns moves the visible return heads of the partitions in parts
+// into the reply network, reporting whether any packet was injected.
+func (f *memFabric) sendReturns(c sim.Cycle, parts uint64) (injected bool) {
+	for m := parts; m != 0; m &= m - 1 {
+		pi := bits.TrailingZeros64(m)
+		p := f.parts[pi]
+		for {
+			r, ok := p.PeekReturn(c)
+			if !ok {
+				break
+			}
+			if !f.replyNet.CanInject(pi) {
+				f.replyNet.NoteInjectStall(pi)
+				break
+			}
+			p.PopReturn(c)
+			f.replyNet.Inject(c, pi, icnt.Packet{Req: r, Dst: r.SM, Size: f.replySize})
+			injected = true
+		}
+	}
+	return injected
+}
+
+// acceptRequests hands ejected requests to their partitions while they
+// have room, returning the partitions that took one.
+func (f *memFabric) acceptRequests(c sim.Cycle) (accepted uint64) {
+	for m := f.reqNet.EjectOccupied(); m != 0; m &= m - 1 {
+		pi := bits.TrailingZeros64(m)
+		for f.parts[pi].CanAccept() {
+			pkt, ok := f.reqNet.PopEject(c, pi)
+			if !ok {
+				break
+			}
+			f.parts[pi].Accept(c, pkt.Req)
+			accepted |= 1 << uint(pi)
+		}
+	}
+	return accepted
+}
+
+// nextEvent is the horizon of the partitions and both networks.
+func (f *memFabric) nextEvent(now sim.Cycle) sim.Cycle {
+	h := min(f.reqNet.NextEvent(now), f.replyNet.NextEvent(now))
+	for _, p := range f.parts {
+		h = min(h, p.NextEvent(now))
+	}
+	return h
+}
+
+// drained reports whether the partitions and both networks are empty.
+func (f *memFabric) drained() bool {
+	for _, p := range f.parts {
+		if !p.Drained() {
+			return false
+		}
+	}
+	return f.reqNet.Pending() == 0 && f.replyNet.Pending() == 0
 }
 
 // partitionOf maps a global address to its memory partition.
@@ -314,15 +385,7 @@ func (g *GPU) Done() bool {
 			return false
 		}
 	}
-	for _, p := range g.parts {
-		if !p.Drained() {
-			return false
-		}
-	}
-	if g.reqNet.Pending() > 0 || g.replyNet.Pending() > 0 {
-		return false
-	}
-	return true
+	return g.drained()
 }
 
 // NextEvent returns the earliest cycle at or after now at which any
@@ -334,21 +397,9 @@ func (g *GPU) Done() bool {
 // instead); it remains the tick-oracle view the horizon property test
 // audits cycle by cycle.
 func (g *GPU) NextEvent(now sim.Cycle) sim.Cycle {
-	// Component horizons are >= now by contract, so now is a floor:
-	// once any component pins it there is nothing left to learn.
-	h := sim.Never
-	for _, p := range g.parts {
-		if h = min(h, p.NextEvent(now)); h <= now {
-			return h
-		}
-	}
-	if h = min(h, g.reqNet.NextEvent(now), g.replyNet.NextEvent(now)); h <= now {
-		return h
-	}
+	h := g.nextEvent(now)
 	for _, s := range g.sms {
-		if h = min(h, s.NextEvent(now)); h <= now {
-			return h
-		}
+		h = min(h, s.NextEvent(now))
 	}
 	return h
 }
@@ -360,16 +411,13 @@ func (g *GPU) NextEvent(now sim.Cycle) sim.Cycle {
 // cycle through which idle accounting has been replayed (see SkipIdle
 // in internal/sm and the contract in internal/sim/doc.go).
 type evState struct {
-	sched  *sim.Scheduler
-	partID []int
-	reqID  int
-	repID  int
-	smID   []int
+	sched *sim.Scheduler
+	// IDs are contiguous per kind: partition pi is part0+pi, SM si sm0+si.
+	part0, sm0   int
+	reqID, repID int
 
-	dirtyPart []bool
-	dirtySM   []bool
-	dirtyReq  bool
-	dirtyRep  bool
+	dirtyPart, dirtySM uint64 // bit i: partition (SM) i
+	dirtyReq, dirtyRep bool
 
 	// needDispatch arms the dispatch phase. The dispatcher is not a
 	// calendar subscriber: a dispatch pass can only place work after a
@@ -378,9 +426,8 @@ type evState struct {
 	needDispatch bool
 
 	// lastProc[i] is the cycle through which SM i's per-cycle idle
-	// counters are accounted; fired[id] counts due wake-ups processed.
+	// counters are accounted.
 	lastProc []sim.Cycle
-	fired    []uint64
 
 	// partLastProc[i] is the partition analog of lastProc: the cycle
 	// through which partition i's per-cycle stall observations (a parked
@@ -401,19 +448,18 @@ func (g *GPU) evReset(start sim.Cycle) {
 	ev := &g.ev
 	if ev.sched == nil {
 		ev.sched = sim.NewScheduler(g.cfg.Name + ".wakes")
+		ev.part0 = ev.sched.Size()
 		for i := range g.parts {
-			ev.partID = append(ev.partID, ev.sched.Register(fmt.Sprintf("part%d", i)))
+			ev.sched.Register(fmt.Sprintf("part%d", i))
 		}
 		ev.reqID = ev.sched.Register("reqnet")
 		ev.repID = ev.sched.Register("replynet")
+		ev.sm0 = ev.sched.Size()
 		for i := range g.sms {
-			ev.smID = append(ev.smID, ev.sched.Register(fmt.Sprintf("sm%d", i)))
+			ev.sched.Register(fmt.Sprintf("sm%d", i))
 		}
-		ev.dirtyPart = make([]bool, len(g.parts))
-		ev.dirtySM = make([]bool, len(g.sms))
 		ev.lastProc = make([]sim.Cycle, len(g.sms))
 		ev.partLastProc = make([]sim.Cycle, len(g.parts))
-		ev.fired = make([]uint64, ev.sched.Size())
 	}
 	g.armAll(start)
 	for i := range ev.lastProc {
@@ -422,8 +468,7 @@ func (g *GPU) evReset(start sim.Cycle) {
 	for i := range ev.partLastProc {
 		ev.partLastProc[i] = start
 	}
-	clear(ev.dirtyPart)
-	clear(ev.dirtySM)
+	ev.dirtyPart, ev.dirtySM = 0, 0
 	ev.dirtyReq, ev.dirtyRep = false, false
 }
 
@@ -467,66 +512,50 @@ func (g *GPU) catchUpPart(pi int, through sim.Cycle) {
 // step advances cycle c. It is the one place the device's phase order —
 // which is the timing model — is written: partitions, reply network
 // (transfer, tick, eject), request network (inject, tick, accept), cores
-// with their flush, dispatch. Ungated (Step, the tick engine) every
-// component ticks, dispatch runs every cycle, and no wake state is read
-// or written. Gated (runEvent) a component ticks exactly when its wake is
-// due: the handoff phases between components still run unconditionally
-// (a peek on an empty queue is one length check) so their stall
-// observations stay identical to the tick engine's, while the
-// per-component Tick work — the expensive part — is gated on the wake
-// calendar, and every mutation marks its component for rearmDirty.
+// with their flush, dispatch. Each phase walks a bitmask: the parts and
+// sms to visit, or a crossbar's occupied ejection ports. Ungated (Step,
+// the tick engine) parts and sms are every component, dispatch runs
+// every cycle, and no wake state is read or written. Gated (runEvent)
+// they are the components whose wakes are due, and every mutation marks
+// its component for rearmDirty. A handoff phase skipping the rest loses
+// nothing: a visible return head or a queued miss pins its owner's
+// NextEvent at now, so the stall observations stay the tick engine's.
 func (g *GPU) step(c sim.Cycle, gated bool) {
 	ev := &g.ev
+	parts, sms := g.allParts, g.allSMs
+	if gated {
+		parts = ev.sched.Fire(ev.part0, len(g.parts), c)
+		sms = ev.sched.Fire(ev.sm0, len(g.sms), c)
+		ev.dirtyPart |= parts
+	}
 
 	// Memory partitions (includes DRAM).
-	for pi, p := range g.parts {
+	for m := parts; m != 0; m &= m - 1 {
+		pi := bits.TrailingZeros64(m)
 		if gated {
-			if !ev.due(ev.partID[pi], c) {
-				continue
-			}
 			g.catchUpPart(pi, c-1)
 			ev.partLastProc[pi] = c
-			ev.dirtyPart[pi] = true
 		}
-		p.Tick(c)
+		g.parts[pi].Tick(c)
 	}
 
 	// Reply network: partition return queues → network → SMs. A visible
 	// return head pins its partition's horizon at now, so every cycle on
 	// which this transfer (or its inject-stall observation) can happen
 	// is stepped, and the partition was ticked above.
-	injected := false
-	for pi, p := range g.parts {
-		for {
-			r, ok := p.PeekReturn(c)
-			if !ok {
-				break
-			}
-			if !g.replyNet.CanInject(pi) {
-				g.replyNet.NoteInjectStall(pi)
-				break
-			}
-			p.PopReturn(c)
-			if gated {
-				ev.dirtyPart[pi] = true
-			}
-			g.replyNet.Inject(c, pi, icnt.Packet{
-				Req: r, Dst: r.SM,
-				Size: g.cfg.ControlPacketBytes + g.cfg.DataPacketBytes,
-			})
-			injected = true
-		}
-	}
+	injected := g.sendReturns(c, parts)
 	// A freshly injected packet can traverse this same cycle (the
 	// injection queues have zero latency), so injection forces a tick
 	// even when the network's armed wake is later.
-	if !gated || ev.due(ev.repID, c) || injected {
+	if !gated || ev.sched.Fire(ev.repID, 1, c) != 0 || injected {
 		g.replyNet.Tick(c)
 		if gated {
 			ev.dirtyRep = true
 		}
 	}
-	for si, s := range g.sms {
+	for m := g.replyNet.EjectOccupied(); m != 0; m &= m - 1 {
+		si := bits.TrailingZeros64(m)
+		s := g.sms[si]
 		for s.CanAcceptResponse() {
 			pkt, ok := g.replyNet.PopEject(c, si)
 			if !ok {
@@ -537,10 +566,14 @@ func (g *GPU) step(c sim.Cycle, gated bool) {
 				// then wake it: a buffered response pins its horizon at now,
 				// so it is ticked later this same cycle — reply eject before
 				// the core phase is what lets a reply and its processing
-				// share a cycle under both engines.
+				// share a cycle under both engines. The SM joins sms, its
+				// fire counted once.
 				g.catchUpSM(si, c-1)
 				ev.dirtyRep = true
-				ev.sched.WakeAt(ev.smID[si], c)
+				ev.sched.WakeAt(ev.sm0+si, c)
+				if sms&(1<<uint(si)) == 0 {
+					sms |= ev.sched.Fire(ev.sm0+si, 1, c) << uint(si)
+				}
 			}
 			s.AcceptResponse(c, pkt.Req)
 		}
@@ -550,7 +583,9 @@ func (g *GPU) step(c sim.Cycle, gated bool) {
 	// miss pins its SM's horizon at now, so these cycles are stepped too,
 	// and the SM is due: the core phase below ticks and re-arms it.
 	injected = false
-	for si, s := range g.sms {
+	for m := sms; m != 0; m &= m - 1 {
+		si := bits.TrailingZeros64(m)
+		s := g.sms[si]
 		for {
 			r, ok := s.PeekMiss(c)
 			if !ok {
@@ -579,24 +614,15 @@ func (g *GPU) step(c sim.Cycle, gated bool) {
 			injected = true
 		}
 	}
-	if !gated || ev.due(ev.reqID, c) || injected {
+	if !gated || ev.sched.Fire(ev.reqID, 1, c) != 0 || injected {
 		g.reqNet.Tick(c)
 		if gated {
 			ev.dirtyReq = true
 		}
 	}
-	for pi, p := range g.parts {
-		for p.CanAccept() {
-			pkt, ok := g.reqNet.PopEject(c, pi)
-			if !ok {
-				break
-			}
-			p.Accept(c, pkt.Req)
-			if gated {
-				ev.dirtyReq = true
-				ev.dirtyPart[pi] = true
-			}
-		}
+	if accepted := g.acceptRequests(c); gated && accepted != 0 {
+		ev.dirtyReq = true
+		ev.dirtyPart |= accepted
 	}
 
 	// Cores last: issue sees this cycle's returned data next cycle. Every
@@ -607,14 +633,13 @@ func (g *GPU) step(c sim.Cycle, gated bool) {
 	// replayed on the next catch-up. This is the engine's main lever: a
 	// core whose warps are all blocked on in-flight loads — or whose LDST
 	// head the L1 refused — costs nothing until something arrives.
+	if gated {
+		ev.dirtySM |= sms
+	}
 	g.ticked = g.ticked[:0]
-	for si, s := range g.sms {
-		if gated {
-			if !ev.due(ev.smID[si], c) {
-				continue
-			}
-			ev.dirtySM[si] = true
-		}
+	for m := sms; m != 0; m &= m - 1 {
+		si := bits.TrailingZeros64(m)
+		s := g.sms[si]
 		if !s.Busy() {
 			// Idle SMs (no resident blocks, nothing in flight) are skipped;
 			// they cannot issue and hold no outstanding loads, so neither
@@ -647,20 +672,10 @@ func (g *GPU) step(c sim.Cycle, gated bool) {
 		ev.needDispatch = false
 		for si := range g.sms {
 			g.catchUpSM(si, c)
-			ev.dirtySM[si] = true
 		}
+		ev.dirtySM = g.allSMs
 		g.disp.Dispatch(c)
 	}
-}
-
-// due reports whether component id's wake has come due in gated cycle
-// c, counting the wake-up as fired.
-func (ev *evState) due(id int, c sim.Cycle) bool {
-	if !ev.sched.Due(id, c) {
-		return false
-	}
-	ev.fired[id]++
-	return true
 }
 
 // rearmDirty re-registers every component mutated during cycle c with
@@ -670,12 +685,11 @@ func (ev *evState) due(id int, c sim.Cycle) bool {
 func (g *GPU) rearmDirty(c sim.Cycle) {
 	ev := &g.ev
 	next := c + 1
-	for pi, p := range g.parts {
-		if ev.dirtyPart[pi] {
-			ev.dirtyPart[pi] = false
-			ev.sched.Rearm(ev.partID[pi], p.NextEvent(next))
-		}
+	for m := ev.dirtyPart; m != 0; m &= m - 1 {
+		pi := bits.TrailingZeros64(m)
+		ev.sched.Rearm(ev.part0+pi, g.parts[pi].NextEvent(next))
 	}
+	ev.dirtyPart = 0
 	if ev.dirtyReq {
 		ev.dirtyReq = false
 		ev.sched.Rearm(ev.reqID, g.reqNet.NextEvent(next))
@@ -684,12 +698,11 @@ func (g *GPU) rearmDirty(c sim.Cycle) {
 		ev.dirtyRep = false
 		ev.sched.Rearm(ev.repID, g.replyNet.NextEvent(next))
 	}
-	for si, s := range g.sms {
-		if ev.dirtySM[si] {
-			ev.dirtySM[si] = false
-			ev.sched.Rearm(ev.smID[si], s.NextEvent(next))
-		}
+	for m := ev.dirtySM; m != 0; m &= m - 1 {
+		si := bits.TrailingZeros64(m)
+		ev.sched.Rearm(ev.sm0+si, g.sms[si].NextEvent(next))
 	}
+	ev.dirtySM = 0
 	if ev.audit {
 		g.auditWakes(next)
 	}
@@ -722,12 +735,19 @@ func (g *GPU) auditWakes(next sim.Cycle) {
 		}
 	}
 	for pi, p := range g.parts {
-		check(ev.partID[pi], p.NextEvent(next))
+		check(ev.part0+pi, p.NextEvent(next))
 	}
 	check(ev.reqID, g.reqNet.NextEvent(next))
 	check(ev.repID, g.replyNet.NextEvent(next))
+	// The step's eject phases and the horizons above walk the
+	// crossbars' occupancy masks; audit those against the queues.
+	for _, x := range []*icnt.Crossbar{g.reqNet, g.replyNet} {
+		if err := x.AuditOccupancy(); err != nil {
+			bad("%v", err)
+		}
+	}
 	for si, s := range g.sms {
-		check(ev.smID[si], s.NextEvent(next))
+		check(ev.sm0+si, s.NextEvent(next))
 		// The horizon above reads the SM's maintained readiness state;
 		// audit that state too.
 		if err := s.AuditReadiness(); err != nil {
@@ -758,7 +778,7 @@ func (g *GPU) WakeStats() []WakeStat {
 		out[id] = WakeStat{
 			Name:  g.ev.sched.Name(id),
 			Arms:  g.ev.sched.Arms(id),
-			Fired: g.ev.fired[id],
+			Fired: g.ev.sched.Fires(id),
 		}
 	}
 	return out

@@ -1,9 +1,10 @@
 package gpu
 
 import (
+	"math/bits"
+
 	"gpulat/internal/icnt"
 	"gpulat/internal/mem"
-	"gpulat/internal/mempart"
 	"gpulat/internal/sim"
 )
 
@@ -13,13 +14,13 @@ import (
 // isolates the loaded behavior of the global memory pipeline from core
 // effects — the substrate for latency-versus-offered-load studies.
 type MemSubsystem struct {
-	cfg      Config
-	parts    []*mempart.Partition
-	reqNet   *icnt.Crossbar
-	replyNet *icnt.Crossbar
+	cfg Config
+	memFabric
 
-	// pending[port] holds requests waiting for network injection.
+	// pending[port] holds requests waiting for network injection;
+	// pendOcc has bit port set while pending[port] is non-empty.
 	pending [][]*mem.Request
+	pendOcc uint64
 
 	cycle   sim.Cycle
 	nextID  uint64
@@ -45,7 +46,7 @@ func NewMemSubsystem(cfg Config, onReply func(c sim.Cycle, r *mem.Request)) *Mem
 		onReply = func(sim.Cycle, *mem.Request) {}
 	}
 	ms := &MemSubsystem{cfg: cfg, onReply: onReply, pending: make([][]*mem.Request, cfg.NumSMs)}
-	ms.reqNet, ms.replyNet, ms.parts = newMemFabric(cfg, ".tb")
+	ms.memFabric = newMemFabric(cfg, ".tb")
 	return ms
 }
 
@@ -73,6 +74,7 @@ func (ms *MemSubsystem) Inject(port int, addr uint64, size uint32) *mem.Request 
 	r.Log.Mark(mem.PtCreated, ms.cycle)
 	r.Log.Mark(mem.PtL1Access, ms.cycle)
 	ms.pending[port] = append(ms.pending[port], r)
+	ms.pendOcc |= 1 << uint(port)
 	ms.stats.Injected++
 	return r
 }
@@ -84,24 +86,10 @@ func (ms *MemSubsystem) Step() {
 		p.Tick(c)
 	}
 	// Replies: partitions → reply net → callback.
-	for pi, p := range ms.parts {
-		for {
-			r, ok := p.PeekReturn(c)
-			if !ok {
-				break
-			}
-			if !ms.replyNet.CanInject(pi) {
-				break
-			}
-			p.PopReturn(c)
-			ms.replyNet.Inject(c, pi, icnt.Packet{
-				Req: r, Dst: r.SM,
-				Size: ms.cfg.ControlPacketBytes + ms.cfg.DataPacketBytes,
-			})
-		}
-	}
+	ms.sendReturns(c, ms.allParts)
 	ms.replyNet.Tick(c)
-	for port := 0; port < ms.cfg.NumSMs; port++ {
+	for m := ms.replyNet.EjectOccupied(); m != 0; m &= m - 1 {
+		port := bits.TrailingZeros64(m)
 		for {
 			pkt, ok := ms.replyNet.PopEject(c, port)
 			if !ok {
@@ -113,7 +101,8 @@ func (ms *MemSubsystem) Step() {
 		}
 	}
 	// Requests: pending → request net → partitions.
-	for port := range ms.pending {
+	for m := ms.pendOcc; m != 0; m &= m - 1 {
+		port := bits.TrailingZeros64(m)
 		for len(ms.pending[port]) > 0 {
 			if !ms.reqNet.CanInject(port) {
 				ms.stats.Deferred++
@@ -121,6 +110,9 @@ func (ms *MemSubsystem) Step() {
 			}
 			r := ms.pending[port][0]
 			ms.pending[port] = ms.pending[port][1:]
+			if len(ms.pending[port]) == 0 {
+				ms.pendOcc &^= 1 << uint(port)
+			}
 			r.Partition = ms.cfg.partitionOf(r.Addr)
 			r.Log.Mark(mem.PtICNTInject, c)
 			ms.reqNet.Inject(c, port, icnt.Packet{
@@ -129,32 +121,17 @@ func (ms *MemSubsystem) Step() {
 		}
 	}
 	ms.reqNet.Tick(c)
-	for pi, p := range ms.parts {
-		for p.CanAccept() {
-			pkt, ok := ms.reqNet.PopEject(c, pi)
-			if !ok {
-				break
-			}
-			p.Accept(c, pkt.Req)
-		}
-	}
+	ms.acceptRequests(c)
 	ms.cycle++
 }
 
-// NextEvent mirrors GPU.NextEvent for the testbench: the earliest cycle
-// at which any component can act. Synthetic injections waiting at the
-// ports pin the horizon at now.
+// NextEvent returns the earliest cycle at which any testbench component
+// can act. Synthetic injections waiting at the ports pin it at now.
 func (ms *MemSubsystem) NextEvent(now sim.Cycle) sim.Cycle {
-	for _, pend := range ms.pending {
-		if len(pend) > 0 {
-			return now
-		}
+	if ms.pendOcc != 0 {
+		return now
 	}
-	h := sim.Never
-	for _, p := range ms.parts {
-		h = min(h, p.NextEvent(now))
-	}
-	return min(h, ms.reqNet.NextEvent(now), ms.replyNet.NextEvent(now))
+	return ms.nextEvent(now)
 }
 
 // FastForward jumps the testbench clock to its next event, clamped to
@@ -174,13 +151,5 @@ func (ms *MemSubsystem) FastForward(limit sim.Cycle) bool {
 
 // Drained reports whether every injected request has completed.
 func (ms *MemSubsystem) Drained() bool {
-	if ms.stats.Completed < ms.stats.Injected {
-		return false
-	}
-	for _, p := range ms.parts {
-		if !p.Drained() {
-			return false
-		}
-	}
-	return ms.reqNet.Pending() == 0 && ms.replyNet.Pending() == 0
+	return ms.stats.Completed >= ms.stats.Injected && ms.drained()
 }

@@ -7,12 +7,13 @@
 // L1 cache and the interconnection network" — is the paper's L1toICNT
 // latency component, one of the two dominant contributors in Figure 1.
 //
-// Arbitration (Tick) costs O(inputs + outputs) a cycle, not their
-// product: an input's head packet names exactly one output, so one pass
-// over the inputs sorts the ready heads into a per-output bitmask of
-// requesters, and each free output then grants the first set bit at or
-// after its round-robin pointer. An empty network therefore costs one
-// length check per input and one busy-window compare per output.
+// Arbitration (Tick) costs O(occupied ports) a cycle, kept in bitmasks
+// of non-empty injection and ejection queues: an input's head packet
+// names exactly one output, so one pass over the occupied inputs sorts
+// the ready heads into a per-output bitmask of requesters, and each
+// requested or occupied output (a full one counts EjectBlocked) then
+// grants the first set bit at or after its round-robin pointer. An
+// empty network therefore costs two mask tests.
 //
 // Under the event engine the crossbar wakes (NextEvent) when a packet
 // in traversal arrives at its output port or an ejection-queue head is
@@ -63,6 +64,8 @@ func (c Config) validate() error {
 		return fmt.Errorf("icnt %s: ports must be positive", c.Name)
 	case c.Inputs > 64:
 		return fmt.Errorf("icnt %s: %d inputs, but arbitration keeps an output's requesters in one 64-bit mask", c.Name, c.Inputs)
+	case c.Outputs > 64:
+		return fmt.Errorf("icnt %s: %d outputs, but the occupied ejection queues are one 64-bit mask", c.Name, c.Outputs)
 	case c.FlitBytes == 0:
 		return fmt.Errorf("icnt %s: flit bytes must be positive", c.Name)
 	case c.InjectDepth <= 0 || c.EjectDepth <= 0:
@@ -81,6 +84,8 @@ type Crossbar struct {
 	// want is Tick's per-cycle arbitration scratch: want[o] has bit i set
 	// when input i's head packet is ready and addressed to output o.
 	want []uint64
+	// Bit i is set while injection (ejection) queue i holds a packet.
+	injOcc, ejOcc uint64
 
 	stats Stats
 }
@@ -142,6 +147,7 @@ func (x *Crossbar) Inject(c sim.Cycle, i int, p Packet) {
 		panic(fmt.Sprintf("icnt %s: bad destination %d", x.cfg.Name, p.Dst))
 	}
 	x.inject[i].Push(c, p)
+	x.injOcc |= 1 << uint(i)
 	x.stats.Injected++
 }
 
@@ -157,20 +163,26 @@ func (x *Crossbar) occupancy(size uint32) sim.Cycle {
 // Tick arbitrates each output port: round-robin over inputs whose head
 // packet targets the port. An input forwards at most one packet per
 // cycle — its head is read once, before any grant, so the packet behind
-// a granted one is not a candidate until the next cycle.
+// a granted one is not a candidate until the next cycle. A visit clears
+// its output's want entry, so want is all zero between ticks.
 func (x *Crossbar) Tick(c sim.Cycle) {
-	want := x.want
-	clear(want)
-	for i, q := range x.inject {
-		if pkt, ok := q.Peek(c); ok {
+	want, inject, eject := x.want, x.inject, x.eject
+	var requested uint64
+	for in := x.injOcc; in != 0; in &= in - 1 {
+		i := bits.TrailingZeros64(in)
+		if pkt, ok := inject[i].Peek(c); ok {
 			want[pkt.Dst] |= 1 << uint(i)
+			requested |= 1 << uint(pkt.Dst)
 		}
 	}
-	for o, m := range want {
+	for out := requested | x.ejOcc; out != 0; out &= out - 1 {
+		o := bits.TrailingZeros64(out)
+		m := want[o]
+		want[o] = 0
 		if x.outBusy[o] > c {
 			continue
 		}
-		if !x.eject[o].CanPush() {
+		if !eject[o].CanPush() {
 			x.stats.EjectBlocked++
 			continue
 		}
@@ -183,8 +195,12 @@ func (x *Crossbar) Tick(c sim.Cycle) {
 			from = m
 		}
 		i := bits.TrailingZeros64(from)
-		pkt, _ := x.inject[i].Pop(c)
-		x.eject[o].Push(c, pkt)
+		pkt, _ := inject[i].Pop(c)
+		if inject[i].Len() == 0 {
+			x.injOcc &^= 1 << uint(i)
+		}
+		eject[o].Push(c, pkt)
+		x.ejOcc |= 1 << uint(o)
 		x.outBusy[o] = c + x.occupancy(pkt.Size)
 		x.rr[o] = (i + 1) % x.cfg.Inputs
 	}
@@ -196,9 +212,16 @@ func (x *Crossbar) PopEject(c sim.Cycle, o int) (Packet, bool) {
 	p, ok := x.eject[o].Pop(c)
 	if ok {
 		x.stats.Delivered++
+		if x.eject[o].Len() == 0 {
+			x.ejOcc &^= 1 << uint(o)
+		}
 	}
 	return p, ok
 }
+
+// EjectOccupied returns the output ports whose ejection queues hold a
+// packet, bit o for port o: the only ports a PopEject can succeed on.
+func (x *Crossbar) EjectOccupied() uint64 { return x.ejOcc }
 
 // NextEvent implements the event-driven kernel's horizon contract. A
 // packet inside the traversal pipeline bounds the horizon by its
@@ -212,24 +235,14 @@ func (x *Crossbar) NextEvent(now sim.Cycle) sim.Cycle {
 	// term that reaches it ends the scan (the event engine re-arms after
 	// every tick, making this a hot path).
 	h := sim.Never
-	for _, q := range x.eject {
-		if q.Len() > 0 {
-			if h = min(h, max(now, q.NextReady())); h == now {
-				return now
-			}
+	for out := x.ejOcc; out != 0; out &= out - 1 {
+		if h = min(h, max(now, x.eject[bits.TrailingZeros64(out)].NextReady())); h == now {
+			return now
 		}
 	}
-	for _, q := range x.inject {
-		if q.Len() == 0 {
-			continue
-		}
-		pkt, ok := q.Peek(now)
-		if !ok {
-			// Unreachable with zero-latency injection queues, but stay
-			// conservative if that ever changes.
-			h = min(h, max(now, q.NextReady()))
-			continue
-		}
+	for in := x.injOcc; in != 0; in &= in - 1 {
+		// Injection queues have zero latency: a queued head is visible.
+		pkt, _ := x.inject[bits.TrailingZeros64(in)].Head()
 		if x.eject[pkt.Dst].CanPush() {
 			if h = min(h, max(now, x.outBusy[pkt.Dst])); h == now {
 				return now
@@ -256,6 +269,24 @@ func (x *Crossbar) DebugState() string {
 	}
 	fmt.Fprintf(&b, "busy=%v rr=%v", x.outBusy, x.rr)
 	return b.String()
+}
+
+// AuditOccupancy checks the occupancy masks against the queues they
+// summarise (the engine's wake audit calls it).
+func (x *Crossbar) AuditOccupancy() error {
+	if in, out := occupied(x.inject), occupied(x.eject); in != x.injOcc || out != x.ejOcc {
+		return fmt.Errorf("icnt %s: occupancy masks inject %#x eject %#x, queues give %#x %#x", x.cfg.Name, x.injOcc, x.ejOcc, in, out)
+	}
+	return nil
+}
+
+func occupied(qs []*sim.Queue[Packet]) (m uint64) {
+	for i, q := range qs {
+		if q.Len() > 0 {
+			m |= 1 << uint(i)
+		}
+	}
+	return m
 }
 
 // Pending returns the total number of packets buffered anywhere in the

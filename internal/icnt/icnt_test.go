@@ -2,6 +2,7 @@ package icnt
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"strings"
@@ -163,6 +164,7 @@ func TestInvalidConfigPanics(t *testing.T) {
 		func(c *Config) { c.InjectDepth = 0 },
 		func(c *Config) { c.EjectDepth = 0 },
 		func(c *Config) { c.Inputs = 65 },
+		func(c *Config) { c.Outputs = 65 },
 	}
 	for i, mutate := range cases {
 		cfg := testConfig()
@@ -193,11 +195,17 @@ func TestTooManyInputsNamesTheLimit(t *testing.T) {
 	}
 }
 
-// refTick is the arbitration Tick replaced: for every free output, scan
-// all inputs from the round-robin pointer and re-read each head. It is
-// O(inputs × outputs) and kept only as the reference the mask
-// arbitration is proven against, grant for grant.
-func (x *Crossbar) refTick(c sim.Cycle) {
+// refCrossbar is a crossbar stepped by the scans the occupancy masks and
+// the requester bitmasks replaced. It shares Crossbar's queues, Inject
+// and PopEject, and reads neither occupancy mask, so lock-stepping it
+// with a Crossbar proves the mask walks skip only ports that cannot act.
+type refCrossbar struct{ *Crossbar }
+
+// scanTick is the arbitration Tick the requester bitmasks replaced: for
+// every free output, scan all inputs from the round-robin pointer and
+// re-read each head. It is O(inputs × outputs) and kept only as the
+// reference the mask arbitration is proven against, grant for grant.
+func (x refCrossbar) scanTick(c sim.Cycle) {
 	granted := make([]bool, x.cfg.Inputs)
 	for o := 0; o < x.cfg.Outputs; o++ {
 		if x.outBusy[o] > c {
@@ -244,7 +252,7 @@ func sameState(a, b *Crossbar) bool {
 }
 
 // TestArbitrationMatchesReferenceScan drives two crossbars — one ticked
-// by Tick, one by refTick — with identical seeded traffic: random
+// by Tick, one by scanTick — with identical seeded traffic: random
 // destinations, mixed packet sizes (so output busy windows differ),
 // bursts and lulls of injection, and consumers that pop eagerly in some
 // phases and rarely in others (so ejection queues fill and outputs
@@ -259,7 +267,7 @@ func TestArbitrationMatchesReferenceScan(t *testing.T) {
 			t.Run(fmt.Sprintf("%dx%d", inputs, outputs), func(t *testing.T) {
 				cfg := Config{Name: "lock", Inputs: inputs, Outputs: outputs,
 					Latency: 3, FlitBytes: 32, InjectDepth: 4, EjectDepth: 2}
-				got, ref := New(cfg), New(cfg)
+				got, ref := New(cfg), refCrossbar{New(cfg)}
 				rng := rand.New(rand.NewSource(int64(1000*inputs + outputs)))
 				var id uint64
 				for c := sim.Cycle(0); c < cycles; c++ {
@@ -276,8 +284,8 @@ func TestArbitrationMatchesReferenceScan(t *testing.T) {
 						ref.Inject(c, i, p)
 					}
 					got.Tick(c)
-					ref.refTick(c)
-					if !sameState(got, ref) {
+					ref.scanTick(c)
+					if !sameState(got, ref.Crossbar) {
 						t.Fatalf("cycle %d: state diverged\nmask: %s\nscan: %s", c, got.DebugState(), ref.DebugState())
 					}
 					drain := []int{90, 50, 4}[(c/1024)%3]
@@ -300,6 +308,121 @@ func TestArbitrationMatchesReferenceScan(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// Tick and NextEvent are the full-port scans the occupancy masks
+// replaced: every input is peeked and every output visited each cycle.
+func (x refCrossbar) Tick(c sim.Cycle) {
+	want := x.want
+	clear(want)
+	for i, q := range x.inject {
+		if pkt, ok := q.Peek(c); ok {
+			want[pkt.Dst] |= 1 << uint(i)
+		}
+	}
+	for o, m := range want {
+		if x.outBusy[o] > c {
+			continue
+		}
+		if !x.eject[o].CanPush() {
+			x.stats.EjectBlocked++
+			continue
+		}
+		if m == 0 {
+			continue
+		}
+		from := m &^ (1<<uint(x.rr[o]) - 1)
+		if from == 0 {
+			from = m
+		}
+		i := bits.TrailingZeros64(from)
+		pkt, _ := x.inject[i].Pop(c)
+		x.eject[o].Push(c, pkt)
+		x.outBusy[o] = c + x.occupancy(pkt.Size)
+		x.rr[o] = (i + 1) % x.cfg.Inputs
+	}
+}
+
+func (x refCrossbar) NextEvent(now sim.Cycle) sim.Cycle {
+	h := sim.Never
+	for _, q := range x.eject {
+		if q.Len() > 0 {
+			if h = min(h, max(now, q.NextReady())); h == now {
+				return now
+			}
+		}
+	}
+	for _, q := range x.inject {
+		if q.Len() == 0 {
+			continue
+		}
+		pkt, ok := q.Peek(now)
+		if !ok {
+			h = min(h, max(now, q.NextReady()))
+			continue
+		}
+		if x.eject[pkt.Dst].CanPush() {
+			if h = min(h, max(now, x.outBusy[pkt.Dst])); h == now {
+				return now
+			}
+		}
+	}
+	return h
+}
+
+// TestOccupancyMasksMatchFullScan lock-steps a Crossbar with refCrossbar
+// over seeded random traffic: 1 to 64 ports a side, ejection depth 1 and
+// consumers that skip pops at random, so full ejection queues block
+// outputs nobody is requesting. Every cycle both must pop the same
+// packets, count the same Stats (EjectBlocked included) and report the
+// same NextEvent, and the masks must match the queues.
+func TestOccupancyMasksMatchFullScan(t *testing.T) {
+	sizes := []uint32{8, 40, 136}
+	var blocked uint64
+	for seed := int64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		cfg := Config{Name: "occ", Inputs: 1 + rng.Intn(64), Outputs: 1 + rng.Intn(64),
+			Latency: sim.Cycle(rng.Intn(6)), FlitBytes: 32, InjectDepth: 1 + rng.Intn(4), EjectDepth: 1}
+		got, ref := New(cfg), refCrossbar{New(cfg)}
+		load, drain := 1+rng.Intn(60), 5+rng.Intn(90)
+		var id uint64
+		for c := sim.Cycle(0); c < 1500; c++ {
+			for i := 0; i < cfg.Inputs; i++ {
+				if rng.Intn(100) >= load || !got.CanInject(i) {
+					continue
+				}
+				id++
+				p := pkt(id, rng.Intn(cfg.Outputs), sizes[rng.Intn(len(sizes))])
+				got.Inject(c, i, p)
+				ref.Inject(c, i, p)
+			}
+			got.Tick(c)
+			ref.Tick(c)
+			for o := 0; o < cfg.Outputs; o++ {
+				if rng.Intn(100) >= drain {
+					continue
+				}
+				pg, okg := got.PopEject(c, o)
+				pr, okr := ref.PopEject(c, o)
+				if okg != okr || pg != pr {
+					t.Fatalf("seed %d cycle %d output %d: popped %+v/%v, full scan %+v/%v", seed, c, o, pg, okg, pr, okr)
+				}
+			}
+			if got.Stats() != ref.Stats() {
+				t.Fatalf("seed %d cycle %d: stats %+v, full scan %+v", seed, c, got.Stats(), ref.Stats())
+			}
+			if hg, hr := got.NextEvent(c+1), ref.NextEvent(c+1); hg != hr {
+				t.Fatalf("seed %d cycle %d: NextEvent %d, full scan %d (%s)", seed, c, hg, hr, got.DebugState())
+			}
+			if err := got.AuditOccupancy(); err != nil {
+				t.Fatalf("seed %d cycle %d: %v", seed, c, err)
+			}
+		}
+		blocked += got.Stats().EjectBlocked
+	}
+	if blocked == 0 {
+		t.Fatal("no output ever blocked: the traffic proves nothing about EjectBlocked")
 	}
 }
 

@@ -20,8 +20,8 @@ type JobKey string
 // and seed — and deliberately excludes everything that cannot change
 // results:
 //
-//   - Engine: execution machinery; the CI engine-determinism gate proves
-//     tick and event runs are byte-identical.
+//   - Engine: execution machinery; TestEngineDeterminismQuickGrid
+//     (cmd/gpulat) proves tick and event runs are byte-identical.
 //   - Options.Label: a report tag rendered from the requesting job, not
 //     an input to the simulation.
 //   - Options.Seed: grid expansion has already resolved it into Job.Seed

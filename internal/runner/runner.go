@@ -53,8 +53,8 @@ type Job struct {
 	Seed uint64 `json:"seed"`
 	// Engine selects the simulation loop ("tick" or "event"; empty =
 	// the default event engine). It is execution machinery rather than
-	// an experiment parameter — it must never change results, which the
-	// CI engine-determinism gate enforces — so it is excluded from
+	// an experiment parameter — it must never change results, which
+	// TestEngineDeterminismQuickGrid enforces — so it is excluded from
 	// exports and job identity.
 	Engine string `json:"-"`
 }

@@ -45,8 +45,12 @@
 // ticks exactly when its wake is due: one horizon, NextEvent, decides
 // both whether a cycle is stepped and whether the component is ticked in
 // it. A buffered handoff pins its owner's NextEvent at now, so the owner
-// is stepped and ticked every cycle it holds one. Registration follows
-// two rules:
+// is stepped and ticked every cycle it holds one — which is also why the
+// engine's handoff phases visit only the due components: one that is
+// not due holds no handoff and has no stall to observe. IDs are
+// registered contiguously per component kind, so the engine reads each
+// kind's due set with one Fire and walks it as a bitmask, as it
+// walks the crossbars' occupied ports. Registration follows two rules:
 //
 //  1. Re-arm after every mutation. Whenever a component's state changes
 //     — it was ticked, an item was popped from or pushed into one of
@@ -83,8 +87,8 @@
 // registration, idle replay and re-arming. The Scheduler imposes no
 // order of its own. It is a flat slice of armed cycles, one per
 // subscriber, and answers only "what is the earliest armed cycle"
-// (NextWake) and "is this subscriber due" (Due); there is no heap to pop
-// and so no tie-breaking rule to get wrong. (Calendar, the stable
+// (NextWake) and "which of these subscribers are due" (Fire); there
+// is no heap to pop and so no tie-breaking rule to get wrong. (Calendar, the stable
 // min-heap in this package, orders timed events inside one component —
 // an SM's writeback deliveries — not wakes across components;
 // TestCalendarSameCycleStableOrder pins its tie order.)

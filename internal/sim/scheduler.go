@@ -4,11 +4,11 @@ package sim
 // kernel: components register future wake-ups instead of being polled
 // for horizons. The engine asks NextWake for the earliest registered
 // cycle, jumps the clock there, and ticks exactly the components whose
-// wake is Due — a quiescent component costs nothing per cycle.
+// wake is due (Fire) — a quiescent component costs nothing per cycle.
 //
 // Subscribers are dense integer IDs rather than interface values: the
 // engine owns a fixed component order (the same order the cycle-driven
-// loop uses), and indexing an armed-cycle slice keeps WakeAt/Due off
+// loop uses), and indexing an armed-cycle slice keeps WakeAt/Fire off
 // any interface-dispatch or map path — both sit on the engine's hot
 // loop. IDs are allocated by Register and never recycled.
 //
@@ -26,6 +26,7 @@ type Scheduler struct {
 	armed []Cycle  // per ID: earliest registered wake, Never when disarmed
 	names []string // per ID: diagnostic name
 	arms  []uint64 // per ID: accepted wake registrations
+	fires []uint64 // per ID: due wake-ups taken by Fire
 }
 
 // NewScheduler returns an empty wake scheduler; name labels it for
@@ -39,6 +40,7 @@ func (sc *Scheduler) Register(name string) int {
 	sc.armed = append(sc.armed, Never)
 	sc.names = append(sc.names, name)
 	sc.arms = append(sc.arms, 0)
+	sc.fires = append(sc.fires, 0)
 	return len(sc.armed) - 1
 }
 
@@ -56,8 +58,25 @@ func (sc *Scheduler) Armed(id int) Cycle { return sc.armed[id] }
 // accepted (coalesced duplicates are not counted).
 func (sc *Scheduler) Arms(id int) uint64 { return sc.arms[id] }
 
-// Due reports whether the subscriber's wake cycle has arrived.
-func (sc *Scheduler) Due(id int, now Cycle) bool { return sc.armed[id] <= now }
+// Fires returns the number of due wake-ups Fire has taken for the
+// subscriber.
+func (sc *Scheduler) Fires(id int) uint64 { return sc.fires[id] }
+
+// Fire reports which of the n <= 64 subscribers first..first+n-1 are
+// due — armed at or before now — as bit i for first+i, and counts a
+// fired wake-up for each. The engine registers each component kind
+// under contiguous IDs and fires each kind once per stepped cycle, so
+// one pass over the armed slice gives a kind's due set.
+func (sc *Scheduler) Fire(first, n int, now Cycle) uint64 {
+	var m uint64
+	for i, at := range sc.armed[first : first+n] {
+		if at <= now {
+			m |= 1 << uint(i)
+			sc.fires[first+i]++
+		}
+	}
+	return m
+}
 
 // WakeAt registers a wake-up at cycle at, coalescing with any existing
 // registration: the earliest wins, a duplicate or later registration is

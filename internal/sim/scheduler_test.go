@@ -8,7 +8,7 @@ import (
 func TestSchedulerCoalesceKeepsEarliest(t *testing.T) {
 	sc := NewScheduler("test")
 	a := sc.Register("a")
-	if sc.Armed(a) != Never || sc.Due(a, 1000) {
+	if sc.Armed(a) != Never || sc.Fire(a, 1, 1000) != 0 {
 		t.Fatal("fresh subscriber must start disarmed")
 	}
 	sc.WakeAt(a, 10)
@@ -25,6 +25,27 @@ func TestSchedulerCoalesceKeepsEarliest(t *testing.T) {
 	}
 	if sc.Arms(a) != 2 {
 		t.Fatalf("arms = %d, want 2 (the coalesced duplicate is not counted)", sc.Arms(a))
+	}
+}
+
+func TestSchedulerFire(t *testing.T) {
+	sc := NewScheduler("test")
+	for _, n := range []string{"x", "a", "b", "c"} {
+		sc.Register(n)
+	}
+	sc.WakeAt(1, 10)
+	sc.WakeAt(2, 11)
+	sc.WakeAt(3, 9)
+	if got := sc.Fire(0, 4, 8); got != 0 {
+		t.Fatalf("Fire(0, 4, 8) = %#b, want 0 (x disarmed, the rest later)", got)
+	}
+	if got := sc.Fire(1, 3, 10); got != 0b101 {
+		t.Fatalf("Fire(1, 3, 10) = %#b, want 0b101 (a and c armed at or before 10)", got)
+	}
+	for id, want := range []uint64{0, 1, 0, 1} {
+		if got := sc.Fires(id); got != want {
+			t.Errorf("Fires(%d) = %d, want %d", id, got, want)
+		}
 	}
 }
 
