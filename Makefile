@@ -110,8 +110,8 @@ export-identity:
 # routed through `gpulat serve`/`gpulat submit` exports byte-identical
 # CSV/JSON to a direct bench-suite run, both cold and warm; the warm run
 # is answered from the persistent content-addressed cache (the server is
-# restarted in between, so in-process dedup can't mask it), /v1/statsz
-# reports real cache hits, and the warm submission is >=10x faster.
+# restarted in between, so in-process dedup can't mask it): /v1/statsz
+# reports real cache hits and not one job executed.
 SVC_ADDR ?= 127.0.0.1:18763
 service-determinism:
 	$(BUILD_CLI)
@@ -121,24 +121,18 @@ service-determinism:
 	set -e; \
 	trap 'test -f $(TMP)/serve.pid && kill $$(cat $(TMP)/serve.pid) 2>/dev/null; true' EXIT; \
 	$(CLI) serve -addr $(SVC_ADDR) -cache-dir $(TMP)/svc-cache -quiet & echo $$! > $(TMP)/serve.pid; \
-	t0=$$(date +%s%N); \
 	$(CLI) submit -addr http://$(SVC_ADDR) -quiet -suite -quick -csv > $(TMP)/svc-cold.csv; \
-	t1=$$(date +%s%N); \
 	kill $$(cat $(TMP)/serve.pid); wait $$(cat $(TMP)/serve.pid) 2>/dev/null || true; \
 	$(CLI) serve -addr $(SVC_ADDR) -cache-dir $(TMP)/svc-cache -quiet & echo $$! > $(TMP)/serve.pid; \
-	t2=$$(date +%s%N); \
 	$(CLI) submit -addr http://$(SVC_ADDR) -quiet -suite -quick -csv > $(TMP)/svc-warm.csv; \
-	t3=$$(date +%s%N); \
 	$(CLI) submit -addr http://$(SVC_ADDR) -quiet -suite -quick -json > $(TMP)/svc-warm.json; \
 	$(CLI) submit -addr http://$(SVC_ADDR) -statsz > $(TMP)/svc-statsz.json; \
 	cmp $(TMP)/direct.csv $(TMP)/svc-cold.csv; \
 	cmp $(TMP)/direct.csv $(TMP)/svc-warm.csv; \
 	cmp $(TMP)/direct.json $(TMP)/svc-warm.json; \
 	grep -Eq '"hits": [1-9]' $(TMP)/svc-statsz.json; \
-	cold=$$(( (t1 - t0) / 1000000 )); warm=$$(( (t3 - t2) / 1000000 )); \
-	echo "service-determinism: cold $${cold}ms, warm $${warm}ms (served from cache)"; \
-	test $$(( warm * 10 )) -le $$cold
-	@echo "service-determinism: service cold/warm and direct runs byte-identical; warm >=10x faster"
+	grep -q '"executed": 0,' $(TMP)/svc-statsz.json
+	@echo "service-determinism: service cold/warm and direct runs byte-identical; warm run executed nothing"
 
 # Proves the sharded tier's contract end to end (the Submit-vs-Close
 # lifecycle tests run under the race detector in `make test`). Phase 1

@@ -395,6 +395,30 @@ func warpLaunchBytesPerWarp(tb testing.TB) (bytes, budget int64) {
 	return int64(after.TotalAlloc-before.TotalAlloc) / (launches * warpLaunchWarps), budget
 }
 
+// deviceSink keeps the built device live, so the build is not elided.
+var deviceSink *gpu.GPU
+
+// allocDeviceNew builds one GF106 device, as a served job does before
+// it simulates anything.
+func allocDeviceNew(tb testing.TB) (build func()) {
+	cfg, err := Preset("GF106")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return func() { deviceSink = gpu.New(cfg) }
+}
+
+// BenchmarkAllocDeviceNew measures building a GF106 device: one
+// allocation per cache for its lines, not one per set.
+func BenchmarkAllocDeviceNew(b *testing.B) {
+	build := allocDeviceNew(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		build()
+	}
+}
+
 // measureAllocs runs the gated paths under testing.AllocsPerRun.
 func measureAllocs(tb testing.TB) map[string]float64 {
 	var cs mem.CoalesceScratch
@@ -433,6 +457,7 @@ func measureAllocs(tb testing.TB) map[string]float64 {
 		"BenchmarkAllocIcntTick": testing.AllocsPerRun(200, allocSaturatedCrossbar()),
 		// Three per warp: the Warp, its register file, its divergence stack.
 		"BenchmarkAllocWarpLaunch": testing.AllocsPerRun(50, launchStep),
+		"BenchmarkAllocDeviceNew":  testing.AllocsPerRun(20, allocDeviceNew(tb)),
 	}
 }
 
@@ -508,6 +533,7 @@ func writeAllocBaseline(t *testing.T, measured map[string]float64) {
 		"BenchmarkAllocIcntTick":           BenchmarkAllocIcntTick,
 		"BenchmarkAllocTrackerRequestDone": BenchmarkAllocTrackerRequestDone,
 		"BenchmarkAllocWarpLaunch":         BenchmarkAllocWarpLaunch,
+		"BenchmarkAllocDeviceNew":          BenchmarkAllocDeviceNew,
 	}
 	out := make(map[string]allocStat, len(measured))
 	for name, allocs := range measured {

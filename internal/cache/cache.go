@@ -201,9 +201,12 @@ func New(cfg Config) *Cache {
 	if err := cfg.validate(); err != nil {
 		panic(err)
 	}
+	// One backing array for every way of every set; the capped slices
+	// keep a set from growing into its neighbour.
+	lines := make([]line, cfg.Sets*cfg.Ways)
 	sets := make([][]line, cfg.Sets)
 	for i := range sets {
-		sets[i] = make([]line, cfg.Ways)
+		sets[i] = lines[i*cfg.Ways : (i+1)*cfg.Ways : (i+1)*cfg.Ways]
 	}
 	return &Cache{
 		cfg:   cfg,

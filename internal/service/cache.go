@@ -114,16 +114,22 @@ func (c *Cache) path(key runner.JobKey) string {
 // Corrupt files (torn by a crash mid-rename on exotic filesystems, or
 // hand-edited) count as misses and are removed.
 func (c *Cache) Get(key runner.JobKey) (Entry, bool) {
+	e, _, ok := c.get(key)
+	return e, ok
+}
+
+// get is Get that also hands back the bytes the entry was read from.
+func (c *Cache) get(key runner.JobKey) (Entry, []byte, bool) {
 	var e Entry
 	if !key.Valid() {
 		c.count(&c.misses)
-		return e, false
+		return e, nil, false
 	}
 	p := c.path(key)
 	data, err := os.ReadFile(p)
 	if err != nil {
 		c.count(&c.misses)
-		return e, false
+		return e, nil, false
 	}
 	if err := json.Unmarshal(data, &e); err != nil || e.Key != key {
 		os.Remove(p)
@@ -137,47 +143,53 @@ func (c *Cache) Get(key runner.JobKey) (Entry, bool) {
 			c.bytes = 0
 		}
 		c.mu.Unlock()
-		return Entry{}, false
+		return Entry{}, nil, false
 	}
 	// Refresh recency so LRU eviction spares hot entries. Best effort:
 	// a failed touch only makes the entry look older.
 	now := time.Now()
 	_ = os.Chtimes(p, now, now)
 	c.count(&c.hits)
-	return e, true
+	return e, data, true
 }
 
 // Put stores the result of job under its key, atomically, then enforces
 // the LRU bound. Failed results are rejected: an error string is not a
 // reproducible simulation outcome.
 func (c *Cache) Put(job runner.Job, res runner.Result) error {
+	_, err := c.put(job, res)
+	return err
+}
+
+// put is Put that also hands back the bytes it stored.
+func (c *Cache) put(job runner.Job, res runner.Result) ([]byte, error) {
 	if res.Failed() {
-		return fmt.Errorf("service: refusing to cache failed job %s: %s", job.Name(), res.Err)
+		return nil, fmt.Errorf("service: refusing to cache failed job %s: %s", job.Name(), res.Err)
 	}
 	key := job.Key()
 	e := Entry{Key: key, Job: job, Metrics: res.Metrics}
 	data, err := stats.ComparableJSON(e)
 	if err != nil {
-		return fmt.Errorf("service: encode cache entry: %w", err)
+		return nil, fmt.Errorf("service: encode cache entry: %w", err)
 	}
 	tmp, err := os.CreateTemp(c.dir, "put-*")
 	if err != nil {
-		return fmt.Errorf("service: cache write: %w", err)
+		return nil, fmt.Errorf("service: cache write: %w", err)
 	}
 	if _, err := tmp.Write(data); err != nil {
 		tmp.Close()
 		os.Remove(tmp.Name())
-		return fmt.Errorf("service: cache write: %w", err)
+		return nil, fmt.Errorf("service: cache write: %w", err)
 	}
 	if err := tmp.Close(); err != nil {
 		os.Remove(tmp.Name())
-		return fmt.Errorf("service: cache write: %w", err)
+		return nil, fmt.Errorf("service: cache write: %w", err)
 	}
 	p := c.path(key)
 	prior, existed := fileExists(p)
 	if err := os.Rename(tmp.Name(), p); err != nil {
 		os.Remove(tmp.Name())
-		return fmt.Errorf("service: cache write: %w", err)
+		return nil, fmt.Errorf("service: cache write: %w", err)
 	}
 	c.mu.Lock()
 	c.puts++
@@ -195,7 +207,7 @@ func (c *Cache) Put(job runner.Job, res runner.Result) error {
 	if over > 0 {
 		c.evictLRU(over, key)
 	}
-	return nil
+	return data, nil
 }
 
 // evictLRU removes the n least-recently-used entries, never the one just

@@ -307,13 +307,14 @@ func (c *Client) WaitHealthy(ctx context.Context, timeout time.Duration) error {
 
 // headStart is how long after RunJobs began its first held wait goes
 // out, spent once per call, not once per ticket. Jobs that finish inside
-// it (most single simulations: ~1 ms) are answered without a wait ever
-// being held, and — the reason it exists — a closed-loop caller's request
-// time is then set by this timer, not by how the host schedules the ~2 ms
-// of CPU work a request is spread over: asking at once, identical 20 s
-// runs of the serve_cold benchmark spread 10% in throughput on a shared
-// 2-CPU host (2.3 ms a request); with the head start, 1% (5.8 ms).
-const headStart = 5 * time.Millisecond
+// it (a served chase: ~1 ms) are answered without a wait being held, and
+// a closed-loop caller's pace is then this timer's, not the host
+// scheduler's. It is the smallest value that keeps serve_cold steady on
+// a shared 2-CPU host: over ten 20 s runs each, the middle half of
+// throughput spanned 196, 84, 28 and 21 jobs/s at 0, 1, 2 and 3 ms
+// (median request 2.2, 2.5, 3.0 and 4.0 ms), against a bound of 80 jobs/s,
+// a quarter of the ~320 jobs/s measured at 5 ms.
+const headStart = 2 * time.Millisecond
 
 // sleepCtx waits d (not at all when d <= 0) or until ctx ends.
 func sleepCtx(ctx context.Context, d time.Duration) error {

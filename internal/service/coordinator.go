@@ -702,26 +702,29 @@ func (c *Coordinator) Wait(ctx context.Context, key runner.JobKey, d time.Durati
 	return st.status, true
 }
 
-// Result returns a terminal result, proxying the first fetch to the
-// owning backend and memoizing it locally so later calls (and the
-// coordinator's own failure handling) never depend on the backend
-// staying alive after completion. ctx contributes only its trace ID: an
-// abandoned fetch must not read as a backend failure.
+// Result returns a terminal result (see finished).
 func (c *Coordinator) Result(ctx context.Context, key runner.JobKey) (runner.Result, bool) {
+	if st := c.finished(ctx, key); st != nil {
+		return st.result, true
+	}
+	return runner.Result{}, false
+}
+
+// finished returns key's state once its result is final, else nil,
+// proxying the first fetch to the owning backend and memoizing it
+// locally so later calls (and the coordinator's own failure handling)
+// never depend on the backend staying alive after completion. ctx
+// contributes only its trace ID: an abandoned fetch must not read as a
+// backend failure.
+func (c *Coordinator) finished(ctx context.Context, key runner.JobKey) *jobState {
 	c.mu.Lock()
 	st := c.byKey[key]
-	if st == nil {
+	if st == nil || st.final() || !st.forwarded {
 		c.mu.Unlock()
-		return runner.Result{}, false
-	}
-	if st.final() {
-		res := st.result
-		c.mu.Unlock()
-		return res, true
-	}
-	if !st.forwarded {
-		c.mu.Unlock()
-		return runner.Result{}, false
+		if st == nil || !st.final() {
+			return nil
+		}
+		return st
 	}
 	b := st.backend
 	c.mu.Unlock()
@@ -734,14 +737,13 @@ func (c *Coordinator) Result(ctx context.Context, key runner.JobKey) (runner.Res
 		b.reportSuccess(false)
 		c.mu.Lock()
 		c.finish(st, runner.Result{Job: st.job, Metrics: wr.Metrics, Err: wr.Error})
-		res := st.result
 		c.mu.Unlock()
-		return res, true
+		return st
 	}
 	// Not fetched: the key is known but unfinished (409), or it was just
 	// re-placed.
 	c.proxyFailed(ctx, st, b, err)
-	return runner.Result{}, false
+	return nil
 }
 
 // proxyFailed classifies the error of a status or result call proxied to

@@ -28,7 +28,7 @@
 //     and Client) holds the answer until the key is terminal or d
 //     (capped at maxStatusWait) elapses, so Client.RunJobs spends one
 //     status call per unfinished ticket and returns when the simulation
-//     does (the first call of a RunJobs goes out headStart, 5 ms, after
+//     does (the first call of a RunJobs goes out headStart, 2 ms, after
 //     it began: short jobs are then answered without a held wait, and a
 //     closed-loop caller's pace is a timer's, not the host scheduler's).
 //     Without wait the answer is immediate; Client.Poll is only

@@ -2,8 +2,10 @@ package service
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"gpulat/internal/runner"
+	"gpulat/internal/stats"
 )
 
 // Status is a job's position in its lifecycle.
@@ -51,14 +53,16 @@ type StationStats struct {
 
 // jobState tracks one key through queued → running → done/failed. Only
 // the jobs table that holds it writes status and result, and result is
-// immutable once ready is closed. backend, forwarded and reroutes are a
-// coordinator's placement of the key; a station leaves them zero.
+// immutable once ready is closed, as are its wire bytes once set.
+// backend, forwarded and reroutes are a coordinator's placement of the
+// key; a station leaves them zero.
 type jobState struct {
 	key    runner.JobKey
 	job    runner.Job
 	status Status
 	result runner.Result
 	ready  chan struct{}
+	wire   atomic.Pointer[[]byte]
 
 	backend *Backend // nil: replayed from the journal into an empty pool
 	// forwarded flips once the backend has acknowledged the submission;
@@ -76,6 +80,20 @@ func (st *jobState) final() bool {
 	default:
 		return false
 	}
+}
+
+// encoded returns st's final result in the comparable encoding, the
+// wire format. Only a first call encodes (two racing ones may both).
+func (st *jobState) encoded() ([]byte, error) {
+	if data := st.wire.Load(); data != nil {
+		return *data, nil
+	}
+	r := st.result
+	data, err := stats.ComparableJSON(WireResult{Key: st.key, Job: r.Job, Metrics: r.Metrics, Error: r.Err})
+	if err == nil {
+		st.wire.Store(&data)
+	}
+	return data, err
 }
 
 // jobs is the key-state table Station and Coordinator share: it owns the

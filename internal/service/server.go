@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"gpulat/internal/runner"
-	"gpulat/internal/stats"
 )
 
 // SubmitRequest is the POST /v1/jobs body: either fully expanded jobs,
@@ -98,6 +97,9 @@ type JobService interface {
 	// Result returns the finished result once the key is terminal. ctx
 	// contributes only values (the trace ID).
 	Result(ctx context.Context, key runner.JobKey) (runner.Result, bool)
+	// finished is Result's state, whose wire bytes the result fetch
+	// writes; nil until the key is terminal.
+	finished(ctx context.Context, key runner.JobKey) *jobState
 	// Stats snapshots the tier's counters.
 	Stats() StationStats
 }
@@ -364,8 +366,8 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	res, ok := s.svc.Result(r.Context(), key)
-	if !ok {
+	st := s.svc.finished(r.Context(), key)
+	if st == nil {
 		if _, known := s.svc.Wait(r.Context(), key, 0); known {
 			writeError(w, http.StatusConflict, "job %s not finished", key)
 		} else {
@@ -373,11 +375,7 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	// The comparable encoding is the wire format: results leave the
-	// service with wall-clock fields provably absent.
-	data, err := stats.ComparableJSON(WireResult{
-		Key: key, Job: res.Job, Metrics: res.Metrics, Error: res.Err,
-	})
+	data, err := st.encoded() // once per key, however many clients fetch it
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "encode result: %v", err)
 		return

@@ -8,9 +8,12 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"gpulat/internal/runner"
+	"gpulat/internal/stats"
 )
 
 func newTestServer(t *testing.T, cfg StationConfig) (*httptest.Server, *Cache, *Station) {
@@ -247,4 +250,125 @@ func serveOnce(t *testing.T, ctx context.Context, cacheDir string, jobs []runner
 		t.Fatal(err)
 	}
 	return set, stats
+}
+
+// TestResultBytesAreTheWireEncoding: GET /v1/results/{key} answers
+// exactly stats.ComparableJSON(WireResult{…}) of the result, whichever
+// path finished the key's state: a job that ran, a cache hit on a new
+// station over the same directory (under the stored job and under
+// another label), a repeated fetch, a fetch through a coordinator, a
+// failure and the rerun that replaces it, and a result with no metrics
+// (whose cache entry's bytes are not its wire bytes).
+func TestResultBytesAreTheWireEncoding(t *testing.T) {
+	ctx := context.Background()
+	// check fetches want's key from base; it reports with Errorf, so
+	// several goroutines may run it at once.
+	check := func(t *testing.T, base string, want runner.Result) {
+		t.Helper()
+		key := want.Job.Key()
+		resp, err := http.Get(base + "/v1/results/" + string(key))
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		got, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Errorf("GET result: %d %v: %s", resp.StatusCode, err, got)
+			return
+		}
+		wire, err := stats.ComparableJSON(WireResult{Key: key, Job: want.Job, Metrics: want.Metrics, Error: want.Err})
+		if err != nil {
+			t.Error(err)
+		} else if !bytes.Equal(got, wire) {
+			t.Errorf("result bytes are not the wire encoding:\ngot:\n%s\nwant:\n%s", got, wire)
+		}
+	}
+	// serve starts a station over dir with exec behind an HTTP server.
+	serve := func(t *testing.T, dir string, exec runner.ExecFunc) (*Station, string) {
+		cache, err := OpenCache(dir, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := newStation(t, cache, StationConfig{Workers: 1, Exec: exec})
+		ts := httptest.NewServer(NewServer(st, cache))
+		t.Cleanup(ts.Close)
+		return st, ts.URL
+	}
+	do := func(t *testing.T, st *Station, job runner.Job) runner.Result {
+		t.Helper()
+		res, err := st.Do(ctx, job)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	noExec := func(_ context.Context, job runner.Job) runner.Result {
+		t.Errorf("%s executed; want a cache hit", job.Name())
+		return runner.Result{Job: job, Err: "executed"}
+	}
+
+	t.Run("ran, repeated, cache hit, coordinator", func(t *testing.T) {
+		dir := t.TempDir()
+		job := testJob(0)
+		st, base := serve(t, dir, func(_ context.Context, job runner.Job) runner.Result { return testResult(job) })
+		do(t, st, job)
+		check(t, base, testResult(job))
+		do(t, st, job) // deduplicated onto the finished state
+		check(t, base, testResult(job))
+
+		hit, hitBase := serve(t, dir, noExec)
+		do(t, hit, job)
+		check(t, hitBase, testResult(job))
+		relabeled := job
+		relabeled.Options.Label = "another"
+		other, otherBase := serve(t, dir, noExec)
+		do(t, other, relabeled)
+		check(t, otherBase, testResult(relabeled))
+
+		coord := quietCoordinator(t, base)
+		front := httptest.NewServer(NewServer(coord, nil))
+		t.Cleanup(front.Close)
+		if _, err := NewClient(front.URL).RunJobs(ctx, []runner.Job{job}); err != nil {
+			t.Fatal(err)
+		}
+		check(t, front.URL, testResult(job))
+		check(t, front.URL, testResult(job)) // memoized
+	})
+
+	t.Run("failed, then rerun", func(t *testing.T) {
+		var execs atomic.Int32
+		st, base := serve(t, t.TempDir(), func(_ context.Context, job runner.Job) runner.Result {
+			if execs.Add(1) == 1 {
+				return runner.Result{Job: job, Err: "no such kernel"}
+			}
+			return testResult(job)
+		})
+		job := testJob(1)
+		check(t, base, do(t, st, job))
+		if res := do(t, st, job); res.Failed() {
+			t.Fatalf("rerun failed: %+v", res)
+		}
+		check(t, base, testResult(job))
+	})
+
+	t.Run("no metrics", func(t *testing.T) {
+		dir := t.TempDir()
+		job := testJob(2)
+		st, base := serve(t, dir, func(_ context.Context, job runner.Job) runner.Result { return runner.Result{Job: job} })
+		do(t, st, job)
+		// No bytes are kept yet: the first fetches race to encode them.
+		var wg sync.WaitGroup
+		for range 4 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				check(t, base, runner.Result{Job: job})
+			}()
+		}
+		wg.Wait()
+		hit, hitBase := serve(t, dir, noExec)
+		do(t, hit, job)
+		check(t, hitBase, runner.Result{Job: job})
+	})
 }

@@ -121,7 +121,11 @@ func (s *Station) run(st *jobState) {
 	res.Job = st.job // wire identity: what was submitted, not how it ran
 
 	if !res.Failed() && s.cache != nil {
-		_ = s.cache.Put(st.job, res)
+		// The entry's bytes are the wire bytes unless there are no
+		// metrics: "metrics" is omitempty on the wire only.
+		if data, err := s.cache.put(st.job, res); err == nil && len(res.Metrics) > 0 {
+			st.wire.Store(&data)
+		}
 	}
 
 	s.mu.Lock()
@@ -174,9 +178,10 @@ func (s *Station) Submit(_ context.Context, job runner.Job) (runner.JobKey, Stat
 
 	// Cache probe outside the lock: it does disk I/O.
 	var hit *Entry
+	var data []byte
 	if s.cache != nil {
-		if e, ok := s.cache.Get(key); ok {
-			hit = &e
+		if e, d, ok := s.cache.get(key); ok {
+			hit, data = &e, d
 		}
 	}
 
@@ -188,7 +193,13 @@ func (s *Station) Submit(_ context.Context, job runner.Job) (runner.JobKey, Stat
 		return key, status, err
 	}
 	if hit != nil {
-		s.finish(s.add(key, job), runner.Result{Job: job, Metrics: hit.Metrics})
+		st := s.add(key, job)
+		// As in run, and only under the job the entry was stored with:
+		// a label or seed spelling is part of the wire bytes, not the key.
+		if len(hit.Metrics) > 0 && hit.Job == job {
+			st.wire.Store(&data)
+		}
+		s.finish(st, runner.Result{Job: job, Metrics: hit.Metrics})
 		s.stats.CacheHits++
 		return key, StatusDone, nil
 	}
@@ -249,14 +260,21 @@ func (s *Station) Wait(ctx context.Context, key runner.JobKey, d time.Duration) 
 }
 
 // Result returns the finished result for key. ok is false until the job
-// reaches done or failed (or if the key is unknown); the context is
-// JobService's, unused by a local lookup.
-func (s *Station) Result(_ context.Context, key runner.JobKey) (runner.Result, bool) {
-	st := s.lookup(key)
-	if st == nil || !st.final() {
-		return runner.Result{}, false
+// reaches done or failed (or if the key is unknown).
+func (s *Station) Result(ctx context.Context, key runner.JobKey) (runner.Result, bool) {
+	if st := s.finished(ctx, key); st != nil {
+		return st.result, true
 	}
-	return st.result, true
+	return runner.Result{}, false
+}
+
+// finished returns key's state once its result is final, else nil; the
+// context is JobService's, unused by a local lookup.
+func (s *Station) finished(_ context.Context, key runner.JobKey) *jobState {
+	if st := s.lookup(key); st != nil && st.final() {
+		return st
+	}
+	return nil
 }
 
 // Do submits job and blocks until its result is ready or ctx expires —
