@@ -6,17 +6,22 @@ package gpulat
 // allocate: GC pressure is wall-clock cost on every simulated cycle, and
 // a single stray make/append in a Tick silently costs more than any
 // micro-optimisation saves. The one path that must allocate, the
-// tracker storing a load record, must pay for each record once; and a
+// tracker storing a load record, must pay for each record once; a
 // launched warp must cost the registers its program names, not the
-// architectural 64. BENCH_alloc.json pins the budget (allocs/op per
-// benchmark); TestAllocRegression fails when a measurement exceeds it.
-// Refresh the baseline with `make alloc-baseline` after an intentional
-// change.
+// architectural 64; and a served submit of a finished key must write the
+// result bytes its state keeps, not encode them again. BENCH_alloc.json
+// pins the budget (allocs/op per benchmark); TestAllocRegression fails
+// when a measurement exceeds it. Refresh the baseline with
+// `make alloc-baseline` after an intentional change.
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"math/bits"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"runtime"
 	"testing"
@@ -29,6 +34,8 @@ import (
 	"gpulat/internal/isa"
 	"gpulat/internal/kernels"
 	"gpulat/internal/mem"
+	"gpulat/internal/runner"
+	"gpulat/internal/service"
 	"gpulat/internal/sim"
 	"gpulat/internal/sm"
 	"gpulat/internal/warp"
@@ -419,6 +426,48 @@ func BenchmarkAllocDeviceNew(b *testing.B) {
 	}
 }
 
+// allocSubmitFinished returns one POST /v1/jobs of a finished key,
+// answered by NewServer over a Station into a recorder: the submit of a
+// warm re-run, whose ticket carries the result's kept wire bytes.
+func allocSubmitFinished(tb testing.TB) (submit func()) {
+	st := service.NewStation(nil, service.StationConfig{Workers: 1,
+		Exec: func(_ context.Context, job runner.Job) runner.Result {
+			return runner.Result{Job: job, Metrics: []runner.Metric{{Name: "cycles", Value: 2462}, {Name: "ipc", Value: 0.5}}}
+		}})
+	tb.Cleanup(st.Close)
+	job := runner.Job{Kind: runner.KindDynamic, Arch: "GF106", Kernel: "vecadd", Options: runner.Options{TestScale: true}}
+	if _, err := st.Do(context.Background(), job); err != nil {
+		tb.Fatal(err)
+	}
+	srv := service.NewServer(st, nil)
+	body, err := json.Marshal(service.SubmitRequest{Jobs: []runner.Job{job}})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	submit = func() {
+		req := httptest.NewRequest(http.MethodPost, "/v1/jobs", bytes.NewReader(body))
+		req.Header.Set(service.TraceHeader, "alloc")
+		w := httptest.NewRecorder()
+		srv.ServeHTTP(w, req)
+		if w.Code != http.StatusOK || !bytes.Contains(w.Body.Bytes(), []byte(`"result":`)) {
+			tb.Fatalf("submit of a finished key: HTTP %d %s", w.Code, w.Body)
+		}
+	}
+	submit() // the first answer encodes the result's wire bytes
+	return submit
+}
+
+// BenchmarkAllocSubmitFinished measures a submit whose ticket is already
+// done: the answer carries the bytes the key's state keeps, encoded once.
+func BenchmarkAllocSubmitFinished(b *testing.B) {
+	submit := allocSubmitFinished(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		submit()
+	}
+}
+
 // measureAllocs runs the gated paths under testing.AllocsPerRun.
 func measureAllocs(tb testing.TB) map[string]float64 {
 	var cs mem.CoalesceScratch
@@ -458,6 +507,8 @@ func measureAllocs(tb testing.TB) map[string]float64 {
 		// Three per warp: the Warp, its register file, its divergence stack.
 		"BenchmarkAllocWarpLaunch": testing.AllocsPerRun(50, launchStep),
 		"BenchmarkAllocDeviceNew":  testing.AllocsPerRun(20, allocDeviceNew(tb)),
+		// The request, its decode, the answer's encode, the instruments.
+		"BenchmarkAllocSubmitFinished": testing.AllocsPerRun(200, allocSubmitFinished(tb)),
 	}
 }
 
@@ -534,6 +585,7 @@ func writeAllocBaseline(t *testing.T, measured map[string]float64) {
 		"BenchmarkAllocTrackerRequestDone": BenchmarkAllocTrackerRequestDone,
 		"BenchmarkAllocWarpLaunch":         BenchmarkAllocWarpLaunch,
 		"BenchmarkAllocDeviceNew":          BenchmarkAllocDeviceNew,
+		"BenchmarkAllocSubmitFinished":     BenchmarkAllocSubmitFinished,
 	}
 	out := make(map[string]allocStat, len(measured))
 	for name, allocs := range measured {

@@ -166,8 +166,9 @@ func NewStation(cache *ResultCache, cfg StationConfig) *Station {
 // NewServiceHandler returns the simulation service's HTTP handler
 // (POST /v1/jobs, GET /v1/jobs/{key}, /v1/results/{key}, /v1/healthz,
 // /v1/statsz, /v1/backendsz, /v1/catalog) over a Station or a
-// Coordinator. cache may be nil (a coordinator's caches live on its
-// backends).
+// Coordinator. A ticket or status that is terminal carries the job's
+// result, so a finished job costs a client one round trip. cache may be
+// nil (a coordinator's caches live on its backends).
 func NewServiceHandler(svc JobService, cache *ResultCache) http.Handler {
 	return service.NewServer(svc, cache)
 }

@@ -62,8 +62,10 @@ func (s Stage) String() string {
 	return fmt.Sprintf("stage(%d)", int(s))
 }
 
-// stageEndingAt maps a stage-log point to the Stage that ends at it.
-var stageEndingAt = map[mem.Point]Stage{
+// stageEndingAt is the Stage that ends at each stage-log point, an
+// array because StageDurations reads it once per marked point of every
+// tracked load.
+var stageEndingAt = [mem.NumPoints]Stage{
 	mem.PtL1Access:    StageSMBase,
 	mem.PtICNTInject:  StageL1ToICNT,
 	mem.PtROPArrive:   StageICNTToROP,

@@ -307,13 +307,13 @@ func (c *Client) WaitHealthy(ctx context.Context, timeout time.Duration) error {
 
 // headStart is how long after RunJobs began its first held wait goes
 // out, spent once per call, not once per ticket. Jobs that finish inside
-// it (a served chase: ~1 ms) are answered without a wait being held, and
-// a closed-loop caller's pace is then this timer's, not the host
-// scheduler's. It is the smallest value that keeps serve_cold steady on
-// a shared 2-CPU host: over ten 20 s runs each, the middle half of
-// throughput spanned 196, 84, 28 and 21 jobs/s at 0, 1, 2 and 3 ms
-// (median request 2.2, 2.5, 3.0 and 4.0 ms), against a bound of 80 jobs/s,
-// a quarter of the ~320 jobs/s measured at 5 ms.
+// it (a served chase: ~1 ms) are answered, result included, without a
+// wait being held, and a closed-loop caller's pace is then this timer's,
+// not the host scheduler's. It is the smallest value that keeps
+// serve_cold steady on a shared 2-CPU host: over ten 20 s runs each, the
+// middle half of throughput spanned 196, 84, 28 and 21 jobs/s at 0, 1, 2
+// and 3 ms (median request 2.2, 2.5, 3.0 and 4.0 ms), against a bound of
+// 80 jobs/s, a quarter of the ~320 jobs/s measured at 5 ms.
 const headStart = 2 * time.Millisecond
 
 // sleepCtx waits d (not at all when d <= 0) or until ctx ends.
@@ -329,11 +329,14 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 // RunJobs submits jobs, waits for all of them, and reassembles a
 // ResultSet in submission order with client-local indices — the exact
 // shape a direct runner.Run would have produced, so CSV/JSON exports
-// byte-match a local sweep. Tickets already done (cache hits, dedup onto
-// finished work) skip the status call entirely, which is what makes warm
-// grid re-runs milliseconds instead of minutes; any other ticket costs one
-// held status call that returns the moment the job finishes, the first of
-// them no sooner than headStart after the call began.
+// byte-match a local sweep. A terminal answer carries its result, so a
+// finished job costs one round trip: tickets already done (cache hits,
+// dedup onto finished work) need no further call, which makes a warm grid
+// re-run one POST; any other ticket costs one held status call that
+// returns, result included, the moment the job finishes, the first of
+// them no sooner than headStart after the call began. Only a terminal
+// answer without its result (a server that predates inline results)
+// costs a result fetch.
 func (c *Client) RunJobs(ctx context.Context, jobs []runner.Job) (*runner.ResultSet, error) {
 	began := time.Now()
 	tickets, err := c.Submit(ctx, jobs)
@@ -351,7 +354,7 @@ func (c *Client) RunJobs(ctx context.Context, jobs []runner.Job) (*runner.Result
 	}
 	set := &runner.ResultSet{Results: make([]runner.Result, len(jobs))}
 	for i, t := range tickets {
-		status := t.Status
+		status, result := t.Status, t.Result
 		floor := poll
 		// pause sleeps out what is left of the floor since `since` (nothing
 		// after a held wait, all of it after an immediate answer), then
@@ -372,19 +375,24 @@ func (c *Client) RunJobs(ctx context.Context, jobs []runner.Job) (*runner.Result
 				if err != nil {
 					return nil, err
 				}
-				if status = js.Status; status.terminal() {
+				if status, result = js.Status, js.Result; status.terminal() {
 					break
 				}
 				if err := pause(asked); err != nil {
 					return nil, err
 				}
 			}
-			wr, err := c.Result(ctx, t.Key)
-			if err != nil {
-				// 409: the "done" we saw evaporated between the status
-				// answer and the fetch — a sharded server's backend died
-				// in that window and the job is re-running. Resume
-				// waiting; every other failure is terminal.
+			var wr WireResult
+			var err error
+			if result != nil {
+				err = json.Unmarshal(result, &wr)
+			} else if wr, err = c.Result(ctx, t.Key); err != nil {
+				// A terminal answer without its result (a server that
+				// predates inline results) costs a fetch. 409: the "done"
+				// we saw evaporated between the status answer and the
+				// fetch — a sharded server's backend died in that window
+				// and the job is re-running. Resume waiting; every other
+				// failure is terminal.
 				var ae *APIError
 				if errors.As(err, &ae) && ae.Code == http.StatusConflict {
 					if err := pause(time.Now()); err != nil {
@@ -393,6 +401,8 @@ func (c *Client) RunJobs(ctx context.Context, jobs []runner.Job) (*runner.Result
 					status = StatusQueued
 					continue
 				}
+			}
+			if err != nil {
 				return nil, err
 			}
 			// Reassemble under the job we submitted: keys are content

@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand/v2"
@@ -101,8 +102,9 @@ type MembershipChange struct {
 // backend cache-transfer endpoints instead of recomputing. With
 // JournalPath set, every accepted job and membership change is
 // write-ahead journaled so an in-flight grid survives coordinator
-// crash, not just backend death. Results are proxied once and memoized,
-// which keeps the client-observable contract byte-identical to a
+// crash, not just backend death. Results are memoized from the backend
+// answers that carry them (fetched once from a backend whose answers do
+// not), which keeps the client-observable contract byte-identical to a
 // single-process run.
 type Coordinator struct {
 	// jobs is the key-state table: admission, statuses, counters. Its
@@ -288,8 +290,8 @@ func (c *Coordinator) SubmitMany(ctx context.Context, jobs []runner.Job) ([]JobT
 	c.place(ctx, admitted, nil)
 
 	// Refresh ticket statuses after forwarding: a backend answering from
-	// its cache reports "done" immediately, which lets clients skip the
-	// status-poll round entirely on warm grids.
+	// its cache reports "done" immediately, with the result, which lets
+	// clients skip the status poll and the result fetch on warm grids.
 	c.mu.Lock()
 	for i := range tickets {
 		tickets[i].Status = c.byKey[tickets[i].Key].status
@@ -483,7 +485,7 @@ func (c *Coordinator) forward(ctx context.Context, b *Backend, group []*jobState
 		for i, st := range group {
 			if st.backend == b {
 				st.forwarded = true
-				c.set(st, tks[i].Status)
+				c.learn(st, tks[i].Status, tks[i].Result)
 			}
 		}
 		c.mu.Unlock()
@@ -688,7 +690,7 @@ func (c *Coordinator) Wait(ctx context.Context, key runner.JobKey, d time.Durati
 		b.reportSuccess(false)
 		c.mu.Lock()
 		if st.backend == b {
-			c.set(st, js.Status)
+			c.learn(st, js.Status, js.Result)
 		}
 		c.mu.Unlock()
 	case ctx.Err() != nil || c.ctx.Err() != nil:
@@ -710,12 +712,24 @@ func (c *Coordinator) Result(ctx context.Context, key runner.JobKey) (runner.Res
 	return runner.Result{}, false
 }
 
-// finished returns key's state once its result is final, else nil,
-// proxying the first fetch to the owning backend and memoizing it
-// locally so later calls (and the coordinator's own failure handling)
-// never depend on the backend staying alive after completion. ctx
-// contributes only its trace ID: an abandoned fetch must not read as a
-// backend failure.
+// learn records a backend's answer for st, under c.mu: a terminal one
+// that carried its result finishes st, memoizing the result with no
+// fetch; otherwise st takes the answer's status.
+func (c *Coordinator) learn(st *jobState, status Status, result json.RawMessage) {
+	var wr WireResult
+	if status.terminal() && json.Unmarshal(result, &wr) == nil {
+		c.finish(st, runner.Result{Job: st.job, Metrics: wr.Metrics, Err: wr.Error})
+	} else {
+		c.set(st, status)
+	}
+}
+
+// finished returns key's state once its result is final, else nil. The
+// result is memoized from the backend answer that carried it (see learn)
+// or else from one proxied fetch, so later calls (and the coordinator's
+// own failure handling) never depend on the backend staying alive after
+// completion. ctx contributes only its trace ID: an abandoned fetch must
+// not read as a backend failure.
 func (c *Coordinator) finished(ctx context.Context, key runner.JobKey) *jobState {
 	c.mu.Lock()
 	st := c.byKey[key]

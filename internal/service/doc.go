@@ -33,6 +33,12 @@
 //     closed-loop caller's pace is a timer's, not the host scheduler's).
 //     Without wait the answer is immediate; Client.Poll is only
 //     the floor between two non-terminal answers from an older server.
+//     A terminal answer — a ticket already done or failed, a status
+//     that is — carries its result (the bytes GET /v1/results/{key}
+//     writes), so a finished job costs one round trip and a warm grid
+//     re-run is one POST; the result fetch is left for an answer
+//     without one (an older server), and a coordinator keeps the results
+//     its backends' answers carry.
 //
 //   - Coordinator/BackendPool: the sharded tier behind `gpulat serve
 //     -backends`. The coordinator serves the same API but runs nothing

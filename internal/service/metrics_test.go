@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"path"
 	"reflect"
 	"slices"
 	"strings"
@@ -212,13 +213,14 @@ func TestTraceHeaderPropagation(t *testing.T) {
 		t.Errorf("backend never saw the trace header; saw %v", seen)
 	}
 
-	// The status (wait) and result forwards carry the inbound ID too,
-	// not just the submit forward.
+	// The status (wait) forward carries the inbound ID too, not just the
+	// submit forward. Its answer carries the result, which the
+	// coordinator keeps, so the result read forwards nothing.
 	key := runner.Job{Kind: runner.KindDynamic, Arch: "GF106", Kernel: "vecadd", Seed: 9,
 		Options: runner.Options{TestScale: true}}.Key()
 	ctx := WithTrace(context.Background(), "trace-prop-read")
 	client := NewClient(front.URL)
-	if js, err := client.Wait(ctx, key, time.Second); err != nil || js.Status != StatusDone {
+	if js, err := client.Wait(ctx, key, time.Second); err != nil || js.Status != StatusDone || js.Result == nil {
 		t.Fatalf("waited status = %+v, %v", js, err)
 	}
 	if _, err := client.Result(ctx, key); err != nil {
@@ -227,8 +229,36 @@ func TestTraceHeaderPropagation(t *testing.T) {
 	mu.Lock()
 	reads := seen["GET trace-prop-read"]
 	mu.Unlock()
-	if reads != 2 {
-		t.Errorf("backend saw %d GETs under the reader's trace ID, want the status and the result forward; saw %v", reads, seen)
+	if reads != 1 {
+		t.Errorf("backend saw %d GETs under the reader's trace ID, want the status forward; saw %v", reads, seen)
+	}
+
+	// A backend whose answers carry no result makes the coordinator proxy
+	// the result fetch, and that forward carries the inbound ID too.
+	stub := &flakyQueueServer{accepted: map[runner.JobKey]runner.Job{}}
+	stubHandler := stub.handler()
+	bare := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		seen[r.Method+" "+path.Dir(r.URL.Path)+" "+r.Header.Get(TraceHeader)]++
+		mu.Unlock()
+		stubHandler.ServeHTTP(w, r)
+	}))
+	t.Cleanup(bare.Close)
+	bareFront := httptest.NewServer(NewServer(quietCoordinator(t, bare.URL), nil))
+	t.Cleanup(bareFront.Close)
+	bareClient := NewClient(bareFront.URL)
+	if _, err := bareClient.Submit(ctx, []runner.Job{testJob(9)}); err != nil {
+		t.Fatal(err)
+	}
+	ctx = WithTrace(context.Background(), "trace-prop-fallback")
+	if js, err := bareClient.Wait(ctx, testJob(9).Key(), time.Second); err != nil || js.Status != StatusDone || js.Result == nil {
+		t.Fatalf("waited status through a result-less backend = %+v, %v", js, err)
+	}
+	mu.Lock()
+	status, result := seen["GET /v1/jobs trace-prop-fallback"], seen["GET /v1/results trace-prop-fallback"]
+	mu.Unlock()
+	if status != 1 || result != 1 {
+		t.Errorf("result-less backend saw %d status and %d result GETs under the reader's trace ID, want one each; saw %v", status, result, seen)
 	}
 
 	// No inbound ID: the server mints one and echoes it.

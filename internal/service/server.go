@@ -21,10 +21,13 @@ type SubmitRequest struct {
 	Grid *runner.Grid `json:"grid,omitempty"`
 }
 
-// JobTicket is one accepted job: its content key and admission status.
+// JobTicket is one accepted job: its content key and admission status
+// and, exactly when that status is terminal, its result (a WireResult),
+// so a finished job costs its client no result fetch.
 type JobTicket struct {
-	Key    runner.JobKey `json:"key"`
-	Status Status        `json:"status"`
+	Key    runner.JobKey   `json:"key"`
+	Status Status          `json:"status"`
+	Result json.RawMessage `json:"result,omitempty"`
 }
 
 // SubmitResponse answers POST /v1/jobs, tickets in request order.
@@ -32,11 +35,13 @@ type SubmitResponse struct {
 	Tickets []JobTicket `json:"tickets"`
 }
 
-// JobStatus answers GET /v1/jobs/{key}.
+// JobStatus answers GET /v1/jobs/{key}; like a ticket, it carries the
+// result exactly when the status is terminal.
 type JobStatus struct {
-	Key    runner.JobKey `json:"key"`
-	Status Status        `json:"status"`
-	Error  string        `json:"error,omitempty"`
+	Key    runner.JobKey   `json:"key"`
+	Status Status          `json:"status"`
+	Error  string          `json:"error,omitempty"`
+	Result json.RawMessage `json:"result,omitempty"`
 }
 
 // WireResult answers GET /v1/results/{key}: the durable, comparable
@@ -97,8 +102,8 @@ type JobService interface {
 	// Result returns the finished result once the key is terminal. ctx
 	// contributes only values (the trace ID).
 	Result(ctx context.Context, key runner.JobKey) (runner.Result, bool)
-	// finished is Result's state, whose wire bytes the result fetch
-	// writes; nil until the key is terminal.
+	// finished is Result's state, whose wire bytes every terminal answer
+	// and the result fetch write; nil until the key is terminal.
 	finished(ctx context.Context, key runner.JobKey) *jobState
 	// Stats snapshots the tier's counters.
 	Stats() StationStats
@@ -221,11 +226,19 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.metrics.latency.With(route).Observe(elapsed.Seconds())
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
+func writeJSON(w http.ResponseWriter, code int, v any) { writeJSONIndent(w, code, v, true) }
+
+// writeJSONIndent is writeJSON, unindented unless indent. An answer that
+// carries a result goes unindented: re-indenting the result doubles the
+// write (one ticket with a 426-byte result, on a 2-CPU Xeon: 13 against
+// 6 µs, 3.6 against 1.5 KB).
+func writeJSONIndent(w http.ResponseWriter, code int, v any, indent bool) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
+	if indent {
+		enc.SetIndent("", "  ")
+	}
 	_ = enc.Encode(v)
 }
 
@@ -272,17 +285,27 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	tickets, err := s.svc.SubmitMany(r.Context(), jobs)
+	indent := true
+	for i, t := range tickets {
+		js, encErr := s.answer(r.Context(), t.Key, t.Status)
+		if encErr != nil {
+			writeError(w, http.StatusInternalServerError, "encode result: %v", encErr)
+			return
+		}
+		tickets[i] = JobTicket{Key: t.Key, Status: js.Status, Result: js.Result}
+		indent = indent && js.Result == nil
+	}
 	if err != nil {
 		// Admission refused part-way (queue full, station closed, no
 		// healthy backends): report how far we got so the client can
 		// resubmit the remainder after backing off.
-		writeJSON(w, errHTTPStatus(err), map[string]any{
+		writeJSONIndent(w, errHTTPStatus(err), map[string]any{
 			"error":    err.Error(),
 			"accepted": tickets,
-		})
+		}, indent)
 		return
 	}
-	writeJSON(w, http.StatusOK, SubmitResponse{Tickets: tickets})
+	writeJSONIndent(w, http.StatusOK, SubmitResponse{Tickets: tickets}, indent)
 }
 
 // errHTTPStatus maps a service admission error to its HTTP status:
@@ -352,13 +375,32 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "unknown job %s", key)
 		return
 	}
-	js := JobStatus{Key: key, Status: status}
-	if status == StatusFailed {
-		if res, ok := s.svc.Result(ctx, key); ok {
-			js.Error = res.Err
-		}
+	js, err := s.answer(r.Context(), key, status)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, "encode result: %v", err)
+		return
 	}
-	writeJSON(w, http.StatusOK, js)
+	writeJSONIndent(w, http.StatusOK, js, js.Result == nil)
+}
+
+// answer is key's status as an answer reports it. No terminal status
+// goes on the wire without its result, read through svc.finished; when
+// there is none to read (a coordinator re-placed the key as it fetched
+// it, or a failed key was just resubmitted), the answer is the key's
+// refreshed status, a still terminal one reading as queued, so the
+// client keeps waiting.
+func (s *Server) answer(ctx context.Context, key runner.JobKey, status Status) (js JobStatus, err error) {
+	js = JobStatus{Key: key, Status: status}
+	if !status.terminal() {
+		return js, nil
+	}
+	if st := s.svc.finished(ctx, key); st != nil {
+		js.Status, js.Error = st.status, st.result.Err
+		js.Result, err = st.encoded() // once per key, however many answers carry it
+	} else if js.Status, _ = s.svc.Wait(ctx, key, 0); js.Status.terminal() {
+		js.Status = StatusQueued
+	}
+	return js, err
 }
 
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {

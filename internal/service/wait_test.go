@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"encoding/json"
 	"io"
 	"net"
 	"net/http"
@@ -236,10 +237,12 @@ func TestServerStatusWait(t *testing.T) {
 	sawDone, sawFailed := false, false
 	for range 2 {
 		a := <-answers
+		var js JobStatus
+		_ = json.Unmarshal([]byte(a.body), &js)
 		switch {
-		case a.code == http.StatusOK && strings.Contains(a.body, `"status": "done"`):
+		case a.code == http.StatusOK && js.Status == StatusDone:
 			sawDone = true
-		case a.code == http.StatusOK && strings.Contains(a.body, `"status": "failed"`) && strings.Contains(a.body, `"error": "boom"`):
+		case a.code == http.StatusOK && js.Status == StatusFailed && js.Error == "boom":
 			sawFailed = true
 		default:
 			t.Errorf("waited status = HTTP %d %s", a.code, a.body)
