@@ -70,7 +70,7 @@ func (t *Tracker) BreakdownWidth(workload, arch string, width sim.Cycle) *Breakd
 func (t *Tracker) totalRange() (lo, hi sim.Cycle) {
 	lo = sim.Never
 	for r := range t.All() {
-		lo, hi = min(lo, r.Total), max(hi, r.Total)
+		lo, hi = min(lo, r.Total()), max(hi, r.Total())
 	}
 	return lo, hi
 }
@@ -86,15 +86,15 @@ func (t *Tracker) breakdownBuckets(workload, arch string, lo, width sim.Cycle, n
 		rep.Buckets[i].Hi = lo + sim.Cycle(i+1)*width
 	}
 	for r := range t.All() {
-		idx := int((r.Total - lo) / width)
+		idx := int((r.Total() - lo) / width)
 		if idx >= numBuckets {
 			idx = numBuckets - 1
 		}
 		b := &rep.Buckets[idx]
 		b.Count++
-		for s := Stage(0); s < NumStages; s++ {
-			b.StageSum[s] += r.Stages[s]
-			rep.TotalStage[s] += r.Stages[s]
+		for s, d := range r.Stages() {
+			b.StageSum[s] += d
+			rep.TotalStage[s] += d
 		}
 		rep.Requests++
 	}

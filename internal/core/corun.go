@@ -106,11 +106,11 @@ func RunCoRun(cfg gpu.Config, pair *kernels.CoRunPair, buckets int) (*CoRunResul
 
 func coKernelResult(arch string, ks *sched.KernelState, wl *kernels.Workload, tr *Tracker, buckets int) CoKernelResult {
 	kst := ks.Stats()
-	keep := func(r *LoadRecord) bool { return r.Kernel == ks.ID }
+	keep := func(r *LoadRecord) bool { return r.Kernel() == ks.ID }
 	var lats []float64
 	for r := range tr.All() {
 		if keep(r) {
-			lats = append(lats, float64(r.InstTotal))
+			lats = append(lats, float64(r.InstTotal()))
 		}
 	}
 	er := tr.ExposureWhere(wl.Name, arch, buckets, keep)

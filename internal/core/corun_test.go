@@ -100,8 +100,8 @@ func TestExposureWhereFilters(t *testing.T) {
 	}
 	tr := res.Tracker
 	all := tr.Exposure("all", "GF106", 16)
-	a := tr.ExposureWhere("a", "GF106", 16, func(r *LoadRecord) bool { return r.Kernel == 0 })
-	b := tr.ExposureWhere("b", "GF106", 16, func(r *LoadRecord) bool { return r.Kernel == 1 })
+	a := tr.ExposureWhere("a", "GF106", 16, func(r *LoadRecord) bool { return r.Kernel() == 0 })
+	b := tr.ExposureWhere("b", "GF106", 16, func(r *LoadRecord) bool { return r.Kernel() == 1 })
 	if a.Requests+b.Requests != all.Requests {
 		t.Fatalf("filtered requests %d+%d != total %d", a.Requests, b.Requests, all.Requests)
 	}

@@ -40,7 +40,7 @@ func (r *DynamicResult) Exposure(buckets int) *ExposureReport {
 func (r *DynamicResult) LoadSummary() stats.Summary {
 	xs := make([]float64, 0, r.Tracker.Len())
 	for rec := range r.Tracker.All() {
-		xs = append(xs, float64(rec.InstTotal))
+		xs = append(xs, float64(rec.InstTotal()))
 	}
 	return stats.Summarize(xs)
 }

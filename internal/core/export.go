@@ -23,12 +23,12 @@ func WriteRecordsCSV(w io.Writer, t *Tracker) error {
 	}
 	for r := range t.All() {
 		if _, err := fmt.Fprintf(w, "%d,%d,%s,%d,%d,%d,%d,%d,%t,%t",
-			r.SM, r.Warp, r.Space, r.IssueAt, r.CreatedAt, r.ReturnAt,
-			r.Total, r.InstTotal, r.MergedL1, r.MergedL2); err != nil {
+			r.SM(), r.Warp(), r.Space(), r.IssueAt(), r.CreatedAt(), r.ReturnAt(),
+			r.Total(), r.InstTotal(), r.MergedL1(), r.MergedL2()); err != nil {
 			return err
 		}
-		for s := Stage(0); s < NumStages; s++ {
-			if _, err := fmt.Fprintf(w, ",%d", r.Stages[s]); err != nil {
+		for _, d := range r.Stages() {
+			if _, err := fmt.Fprintf(w, ",%d", d); err != nil {
 				return err
 			}
 		}

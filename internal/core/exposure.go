@@ -57,7 +57,7 @@ func (t *Tracker) Exposure(workload, arch string, numBuckets int) *ExposureRepor
 
 // ExposureWhere is Exposure restricted to the loads keep accepts (nil
 // keeps every load). Under concurrent kernels it attributes exposure
-// per kernel: filter by LoadRecord.Kernel and the report covers only
+// per kernel: filter by LoadRecord.Kernel() and the report covers only
 // that kernel's loads, while the hidden/exposed classification still
 // sees every co-resident kernel's issue activity — a load counts as
 // hidden when ANY resident work covered the wait, which is exactly the
@@ -72,7 +72,7 @@ func (t *Tracker) ExposureWhere(workload, arch string, numBuckets int, keep func
 	lo, hi, kept := sim.Never, sim.Cycle(0), 0
 	for r := range t.All() {
 		if keep(r) {
-			lo, hi = min(lo, r.InstTotal), max(hi, r.InstTotal)
+			lo, hi = min(lo, r.InstTotal()), max(hi, r.InstTotal())
 			kept++
 		}
 	}
@@ -92,9 +92,10 @@ func (t *Tracker) ExposureWhere(workload, arch string, numBuckets int, keep func
 		if !keep(r) {
 			continue
 		}
-		exposed := t.exposedCycles(r.SM, r.IssueAt, r.ReturnAt)
-		hidden := r.InstTotal - exposed
-		idx := int((r.InstTotal - lo) / width)
+		inst := r.InstTotal()
+		exposed := t.exposedCycles(r.SM(), r.IssueAt(), r.ReturnAt())
+		hidden := inst - exposed
+		idx := int((inst - lo) / width)
 		if idx >= numBuckets {
 			idx = numBuckets - 1
 		}
@@ -105,7 +106,7 @@ func (t *Tracker) ExposureWhere(workload, arch string, numBuckets int, keep func
 		rep.TotalExposed += exposed
 		rep.TotalHidden += hidden
 		rep.Requests++
-		if 2*exposed > r.InstTotal {
+		if 2*exposed > inst {
 			rep.LoadsMostlyExposed++
 		}
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"iter"
+	"math"
 	"math/bits"
 
 	"gpulat/internal/mem"
@@ -9,28 +10,55 @@ import (
 )
 
 // LoadRecord is one completed tracked load, reduced to what the analysis
-// needs (the full request is not retained).
+// needs (the full request is not retained) and stored in 56 bytes: the
+// issue cycle at full width, everything else as offsets and durations
+// that RequestDone has checked fit. Read it through its accessors.
 type LoadRecord struct {
-	SM   int
-	Warp int
-	// Kernel is the device-wide launch sequence number of the issuing
-	// kernel (0 in single-kernel runs) — the key for per-kernel latency
-	// and exposure attribution when streams co-run.
-	Kernel int
-	Space  mem.Space
-	// IssueAt is instruction issue; CreatedAt is transaction creation
-	// in the LDST unit; ReturnAt is register writeback.
-	IssueAt   sim.Cycle
-	CreatedAt sim.Cycle
-	ReturnAt  sim.Cycle
-	// Total is the request lifetime (creation → return), the latency
-	// Figure 1 buckets; InstTotal is the instruction-visible latency
-	// (issue → return), which Figure 2's exposure analysis covers.
-	Total     sim.Cycle
-	InstTotal sim.Cycle
-	Stages    [NumStages]sim.Cycle
-	MergedL1  bool
-	MergedL2  bool
+	issueAt sim.Cycle
+	stages  [NumStages]uint32
+	// created and inst are the creation and return cycles as offsets
+	// from issueAt.
+	created, inst uint32
+	kernel        int32
+	sm, warp      uint8
+	space         mem.Space
+	flags         uint8 // mergedL1 | mergedL2
+}
+
+const (
+	mergedL1 uint8 = 1 << iota
+	mergedL2
+)
+
+// SM and Warp identify the issuing warp. Kernel is the device-wide
+// launch sequence number of the issuing kernel (0 in single-kernel runs)
+// — the key for per-kernel latency and exposure attribution when streams
+// co-run.
+func (r *LoadRecord) SM() int          { return int(r.sm) }
+func (r *LoadRecord) Warp() int        { return int(r.warp) }
+func (r *LoadRecord) Kernel() int      { return int(r.kernel) }
+func (r *LoadRecord) Space() mem.Space { return r.space }
+func (r *LoadRecord) MergedL1() bool   { return r.flags&mergedL1 != 0 }
+func (r *LoadRecord) MergedL2() bool   { return r.flags&mergedL2 != 0 }
+
+// IssueAt is instruction issue; CreatedAt is transaction creation in the
+// LDST unit; ReturnAt is register writeback.
+func (r *LoadRecord) IssueAt() sim.Cycle   { return r.issueAt }
+func (r *LoadRecord) CreatedAt() sim.Cycle { return r.issueAt + sim.Cycle(r.created) }
+func (r *LoadRecord) ReturnAt() sim.Cycle  { return r.issueAt + sim.Cycle(r.inst) }
+
+// Total is the request lifetime (creation → return), the latency Figure 1
+// buckets; InstTotal is the instruction-visible latency (issue → return),
+// which Figure 2's exposure analysis covers.
+func (r *LoadRecord) Total() sim.Cycle     { return sim.Cycle(r.inst - r.created) }
+func (r *LoadRecord) InstTotal() sim.Cycle { return sim.Cycle(r.inst) }
+
+// Stages returns the eight stage durations (they sum to Total).
+func (r *LoadRecord) Stages() (dur [NumStages]sim.Cycle) {
+	for s, d := range r.stages {
+		dur[s] = sim.Cycle(d)
+	}
+	return dur
 }
 
 // Tracker implements the paper's instrumentation: it observes completed
@@ -45,44 +73,56 @@ type LoadRecord struct {
 // of chunks that are filled once and never re-copied: the first holds
 // firstChunk records and each next one twice the last, up to maxChunk, so
 // a 48-load chase allocates two small chunks and a run of any length
-// pays for each record once.
+// pays for each record once. The issue bitmaps are fixed-size chunks,
+// each written in place (see IssueSlot), so nothing the tracker keeps
+// is ever re-copied.
 type Tracker struct {
 	// chunks holds the records; every chunk but the last is full.
 	chunks [][]LoadRecord
 	n      int
-	// issued[sm] is a bitmap over cycles: bit set = the SM issued at
-	// least one instruction that cycle.
-	issued  [][]uint64
-	maxSeen []sim.Cycle
+	// issued[sm] is a directory of bitmap chunks over cycles: bit set =
+	// the SM issued at least one instruction that cycle; a nil chunk is
+	// a span in which it issued nothing.
+	issued [][]*issueChunk
 
 	badLogs uint64
 }
 
-// Record-chunk capacities, in records (144 bytes each): small enough
-// that a tracked job with a handful of loads costs ~2 KB, large enough
+// Record-chunk capacities, in records (56 bytes each): small enough
+// that a tracked job with a handful of loads costs ~1 KB, large enough
 // that chunk bookkeeping vanishes on a long run.
 const (
 	firstChunk = 16
 	maxChunk   = 4096
 )
 
+// chunkWords sizes an issueChunk, one fixed span of an SM's issue
+// bitmap: 2^16 cycles in 8 KiB.
+const chunkWords = 1024
+
+type issueChunk [chunkWords]uint64
+
 // NewTracker returns an empty tracker.
 func NewTracker() *Tracker { return &Tracker{} }
 
-// RequestDone implements mem.Observer.
+// RequestDone implements mem.Observer. A load whose fields do not fit
+// the record — a latency of 2^32 cycles or more, a kernel ID beyond
+// int32, an SM or warp beyond uint8 — is counted in BadLogs, never
+// stored truncated.
 func (t *Tracker) RequestDone(c sim.Cycle, r *mem.Request) {
 	dur, ok := StageDurations(r.Log)
-	if !ok {
+	inst, _ := r.Log.Total()
+	// A valid log is monotonic, so the creation offset and every stage
+	// duration are at most inst: bounding inst bounds them all.
+	if !ok || inst > math.MaxUint32 || r.Kernel != int(int32(r.Kernel)) || uint(r.SM)|uint(r.Warp) > math.MaxUint8 {
 		t.badLogs++
 		return
 	}
-	instTotal, _ := r.Log.Total()
 	issue := r.Log.MustAt(mem.PtIssue)
 	created, okc := r.Log.At(mem.PtCreated)
 	if !okc {
 		created = issue
 	}
-	ret := r.Log.MustAt(mem.PtReturnSM)
 
 	last := len(t.chunks) - 1
 	if last < 0 || len(t.chunks[last]) == cap(t.chunks[last]) {
@@ -93,40 +133,51 @@ func (t *Tracker) RequestDone(c sim.Cycle, r *mem.Request) {
 		t.chunks = append(t.chunks, make([]LoadRecord, 0, size))
 		last++
 	}
-	t.chunks[last] = append(t.chunks[last], LoadRecord{
-		SM:        r.SM,
-		Warp:      r.Warp,
-		Kernel:    r.Kernel,
-		Space:     r.Space,
-		IssueAt:   issue,
-		CreatedAt: created,
-		ReturnAt:  ret,
-		Total:     ret - created,
-		InstTotal: instTotal,
-		Stages:    dur,
-		MergedL1:  r.Log.MergedAtL1,
-		MergedL2:  r.Log.MergedAtL2,
-	})
+	rec := LoadRecord{
+		issueAt: issue,
+		created: uint32(created - issue),
+		inst:    uint32(inst),
+		kernel:  int32(r.Kernel),
+		sm:      uint8(r.SM),
+		warp:    uint8(r.Warp),
+		space:   r.Space,
+	}
+	for s, d := range dur {
+		rec.stages[s] = uint32(d)
+	}
+	if r.Log.MergedAtL1 {
+		rec.flags |= mergedL1
+	}
+	if r.Log.MergedAtL2 {
+		rec.flags |= mergedL2
+	}
+	t.chunks[last] = append(t.chunks[last], rec)
 	t.n++
 }
 
-// IssueSlot implements gpu.IssueObserver.
+// IssueSlot implements gpu.IssueObserver. The first call for an SM
+// registers it (from then on it reads as exposed wherever it did not
+// issue); a chunk of its bitmap is allocated on the first issue inside
+// the chunk's span and written in place from then on, so the bitmap
+// costs one bit per cycle of the spans the SM issued in, each allocated
+// once, plus one directory pointer per span.
 func (t *Tracker) IssueSlot(smID int, c sim.Cycle, issued int) {
 	for smID >= len(t.issued) {
 		t.issued = append(t.issued, nil)
-		t.maxSeen = append(t.maxSeen, 0)
-	}
-	if c > t.maxSeen[smID] {
-		t.maxSeen[smID] = c
 	}
 	if issued <= 0 {
 		return
 	}
-	word := int(c / 64)
-	for word >= len(t.issued[smID]) {
-		t.issued[smID] = append(t.issued[smID], 0)
+	dir := t.issued[smID]
+	k := int(c / (64 * chunkWords))
+	if k >= len(dir) {
+		dir = append(dir, make([]*issueChunk, k+1-len(dir))...)
+		t.issued[smID] = dir
 	}
-	t.issued[smID][word] |= 1 << (c % 64)
+	if dir[k] == nil {
+		dir[k] = new(issueChunk)
+	}
+	dir[k][c/64%chunkWords] |= 1 << (c % 64)
 }
 
 // Len returns the number of collected loads.
@@ -155,7 +206,7 @@ func (t *Tracker) MeanLoadLatency() float64 {
 	}
 	var sum float64
 	for r := range t.All() {
-		sum += float64(r.InstTotal)
+		sum += float64(r.InstTotal())
 	}
 	return sum / float64(t.n)
 }
@@ -169,32 +220,42 @@ func (t *Tracker) Reset() {
 	t.chunks, t.n = nil, 0
 	for i := range t.issued {
 		t.issued[i] = nil
-		t.maxSeen[i] = 0
 	}
 	t.badLogs = 0
 }
 
 // exposedCycles counts cycles in [from, to) during which SM smID issued
-// no instruction.
+// no instruction: a span whose chunk was never allocated is all exposed,
+// so an SM registered by IssueSlot that never issued reads as fully
+// exposed. An SM IssueSlot never saw reads 0.
 func (t *Tracker) exposedCycles(smID int, from, to sim.Cycle) sim.Cycle {
 	if smID < 0 || smID >= len(t.issued) || to <= from {
 		return 0
 	}
-	bm := t.issued[smID]
-	var hidden sim.Cycle
-	// Count set bits (issued cycles) in [from, to); exposed = span-hidden.
-	for w := int(from / 64); w <= int((to-1)/64) && w < len(bm); w++ {
-		word := bm[w]
-		lo := sim.Cycle(w) * 64
-		// Mask off bits outside [from, to).
-		if from > lo {
-			word &^= (1 << (from - lo)) - 1
+	dir := t.issued[smID]
+	first, last := from/64, (to-1)/64
+	// Count the issued cycles of whole words first..last, a chunk's
+	// slice at a time, then drop those before from and from to on.
+	hidden := 0
+	for k := first / chunkWords; k <= last/chunkWords && k < sim.Cycle(len(dir)); k++ {
+		if ch := dir[k]; ch != nil {
+			base := k * chunkWords
+			for _, w := range ch[max(first, base)-base : min(last, base+chunkWords-1)-base+1] {
+				hidden += bits.OnesCount64(w)
+			}
 		}
-		hiBit := lo + 64
-		if to < hiBit {
-			word &= (1 << (to - lo)) - 1
-		}
-		hidden += sim.Cycle(bits.OnesCount64(word))
 	}
-	return (to - from) - hidden
+	hidden -= bits.OnesCount64(issueWord(dir, first) & (1<<(from%64) - 1))
+	if to%64 != 0 {
+		hidden -= bits.OnesCount64(issueWord(dir, last) &^ (1<<(to%64) - 1))
+	}
+	return (to - from) - sim.Cycle(hidden)
+}
+
+// issueWord returns word w of an issue bitmap, 0 in an unallocated chunk.
+func issueWord(dir []*issueChunk, w sim.Cycle) uint64 {
+	if k := w / chunkWords; k < sim.Cycle(len(dir)) && dir[k] != nil {
+		return dir[k][w%chunkWords]
+	}
+	return 0
 }

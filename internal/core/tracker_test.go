@@ -1,11 +1,16 @@
 package core
 
 import (
+	"math"
+	"math/rand/v2"
 	"reflect"
+	"runtime"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"gpulat/internal/config"
+	"gpulat/internal/gpu"
 	"gpulat/internal/kernels"
 	"gpulat/internal/mem"
 	"gpulat/internal/sim"
@@ -21,10 +26,31 @@ func flat(tr *Tracker) []LoadRecord {
 	return out
 }
 
+// wide is a load record at full width: every value an accessor returns.
+type wide struct {
+	SM, Warp, Kernel                               int
+	Space                                          mem.Space
+	IssueAt, CreatedAt, ReturnAt, Total, InstTotal sim.Cycle
+	Stages                                         [NumStages]sim.Cycle
+	MergedL1, MergedL2                             bool
+}
+
+// widen reads every field of recs through the accessors.
+func widen(recs []LoadRecord) []wide {
+	out := make([]wide, len(recs))
+	for i := range recs {
+		r := &recs[i]
+		out[i] = wide{r.SM(), r.Warp(), r.Kernel(), r.Space(),
+			r.IssueAt(), r.CreatedAt(), r.ReturnAt(), r.Total(), r.InstTotal(),
+			r.Stages(), r.MergedL1(), r.MergedL2()}
+	}
+	return out
+}
+
 // fillDistinct delivers n loads that differ in every field the tracker
 // derives, and returns the records it must now hold, in order.
-func fillDistinct(tr *Tracker, n int) []LoadRecord {
-	var want []LoadRecord
+func fillDistinct(tr *Tracker, n int) []wide {
+	var want []wide
 	for i := 0; i < n; i++ {
 		issue := sim.Cycle(10 * i)
 		ret := issue + 40 + sim.Cycle(i%7)
@@ -35,7 +61,7 @@ func fillDistinct(tr *Tracker, n int) []LoadRecord {
 		l.Mark(mem.PtICNTInject, issue+9)
 		l.Mark(mem.PtReturnSM, ret)
 		tr.RequestDone(ret, &mem.Request{SM: i % 5, Warp: i % 48, Kernel: i % 2, Log: l})
-		rec := LoadRecord{SM: i % 5, Warp: i % 48, Kernel: i % 2,
+		rec := wide{SM: i % 5, Warp: i % 48, Kernel: i % 2,
 			IssueAt: issue, CreatedAt: issue + 2, ReturnAt: ret,
 			Total: ret - issue - 2, InstTotal: ret - issue, MergedL2: i%3 == 0}
 		rec.Stages[StageSMBase] = 3
@@ -59,7 +85,7 @@ func TestTrackerStorageOrder(t *testing.T) {
 			if tr.Len() != n {
 				t.Fatalf("n=%d round %d: Len = %d", n, round, tr.Len())
 			}
-			if got := flat(tr); !slices.Equal(got, want) {
+			if got := widen(flat(tr)); !slices.Equal(got, want) {
 				t.Fatalf("n=%d round %d: records differ from what was delivered (got %d)", n, round, len(got))
 			}
 			tr.Reset()
@@ -109,9 +135,9 @@ func refBreakdown(recs []LoadRecord, workload, arch string, numBuckets int) *Bre
 	if len(recs) == 0 {
 		return rep
 	}
-	lo, hi := recs[0].Total, recs[0].Total
+	lo, hi := recs[0].Total(), recs[0].Total()
 	for _, r := range recs {
-		lo, hi = min(lo, r.Total), max(hi, r.Total)
+		lo, hi = min(lo, r.Total()), max(hi, r.Total())
 	}
 	width := (hi - lo + sim.Cycle(numBuckets)) / sim.Cycle(numBuckets)
 	rep.Buckets = make([]BreakdownBucket, numBuckets)
@@ -120,11 +146,11 @@ func refBreakdown(recs []LoadRecord, workload, arch string, numBuckets int) *Bre
 		rep.Buckets[i].Hi = lo + sim.Cycle(i+1)*width
 	}
 	for _, r := range recs {
-		b := &rep.Buckets[min(int((r.Total-lo)/width), numBuckets-1)]
+		b := &rep.Buckets[min(int((r.Total()-lo)/width), numBuckets-1)]
 		b.Count++
 		for s := Stage(0); s < NumStages; s++ {
-			b.StageSum[s] += r.Stages[s]
-			rep.TotalStage[s] += r.Stages[s]
+			b.StageSum[s] += r.Stages()[s]
+			rep.TotalStage[s] += r.Stages()[s]
 		}
 		rep.Requests++
 	}
@@ -136,9 +162,9 @@ func refExposure(tr *Tracker, recs []LoadRecord, workload, arch string, numBucke
 	if len(recs) == 0 {
 		return rep
 	}
-	lo, hi := recs[0].InstTotal, recs[0].InstTotal
+	lo, hi := recs[0].InstTotal(), recs[0].InstTotal()
 	for _, r := range recs {
-		lo, hi = min(lo, r.InstTotal), max(hi, r.InstTotal)
+		lo, hi = min(lo, r.InstTotal()), max(hi, r.InstTotal())
 	}
 	width := (hi - lo + sim.Cycle(numBuckets)) / sim.Cycle(numBuckets)
 	rep.Buckets = make([]ExposureBucket, numBuckets)
@@ -147,15 +173,15 @@ func refExposure(tr *Tracker, recs []LoadRecord, workload, arch string, numBucke
 		rep.Buckets[i].Hi = lo + sim.Cycle(i+1)*width
 	}
 	for _, r := range recs {
-		exposed := tr.exposedCycles(r.SM, r.IssueAt, r.ReturnAt)
-		b := &rep.Buckets[min(int((r.InstTotal-lo)/width), numBuckets-1)]
+		exposed := tr.exposedCycles(r.SM(), r.IssueAt(), r.ReturnAt())
+		b := &rep.Buckets[min(int((r.InstTotal()-lo)/width), numBuckets-1)]
 		b.Count++
 		b.Exposed += exposed
-		b.Hidden += r.InstTotal - exposed
+		b.Hidden += r.InstTotal() - exposed
 		rep.TotalExposed += exposed
-		rep.TotalHidden += r.InstTotal - exposed
+		rep.TotalHidden += r.InstTotal() - exposed
 		rep.Requests++
-		if 2*exposed > r.InstTotal {
+		if 2*exposed > r.InstTotal() {
 			rep.LoadsMostlyExposed++
 		}
 	}
@@ -188,7 +214,7 @@ func TestReportsMatchFlatReference(t *testing.T) {
 			t.Fatalf("Exposure(%d) differs from the flat reference:\ngot  %+v\nwant %+v", buckets, got, want)
 		}
 	}
-	onSM0 := func(r *LoadRecord) bool { return r.SM == 0 }
+	onSM0 := func(r *LoadRecord) bool { return r.SM() == 0 }
 	var kept []LoadRecord
 	for _, r := range recs {
 		if onSM0(&r) {
@@ -224,12 +250,222 @@ func TestExposureWhereEqualsExposureOfKept(t *testing.T) {
 			feed(only, smID, issue, ret, hit)
 		}
 	}
-	got := all.ExposureWhere("w", "a", 8, func(r *LoadRecord) bool { return r.SM == 1 })
+	got := all.ExposureWhere("w", "a", 8, func(r *LoadRecord) bool { return r.SM() == 1 })
 	want := only.Exposure("w", "a", 8)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("ExposureWhere(keep) != Exposure over the kept loads:\ngot  %+v\nwant %+v", got, want)
 	}
 	if got.Requests == 0 || got.TotalExposed == 0 || got.TotalHidden == 0 {
 		t.Fatalf("degenerate report: %+v", got)
+	}
+}
+
+// keepingObserver forwards every completed load to a Tracker and keeps,
+// beside it, the full-width values of the load's StageLog.
+type keepingObserver struct {
+	tr   *Tracker
+	kept []wide
+}
+
+func (o *keepingObserver) RequestDone(c sim.Cycle, r *mem.Request) {
+	o.tr.RequestDone(c, r)
+	dur, ok := StageDurations(r.Log)
+	if !ok {
+		return
+	}
+	issue, ret := r.Log.MustAt(mem.PtIssue), r.Log.MustAt(mem.PtReturnSM)
+	created, okc := r.Log.At(mem.PtCreated)
+	if !okc {
+		created = issue
+	}
+	inst, _ := r.Log.Total()
+	o.kept = append(o.kept, wide{r.SM, r.Warp, r.Kernel, r.Space,
+		issue, created, ret, ret - created, inst,
+		dur, r.Log.MergedAtL1, r.Log.MergedAtL2})
+}
+
+// TestCompactRecordsMatchStageLogs: under both engines, for every
+// catalog kernel, a BFS and a co-run pair, the compact records read back
+// through their accessors equal, record by record in delivery order, the
+// full-width values taken from each load's StageLog.
+func TestCompactRecordsMatchStageLogs(t *testing.T) {
+	type run func(g *gpu.GPU) error
+	runs := map[string]run{}
+	for _, name := range kernels.CatalogNames() {
+		runs[name] = func(g *gpu.GPU) error {
+			wl, err := kernels.NewByName(name, kernels.ScaleTest, 7)
+			if err == nil {
+				_, err = kernels.Run(g, wl)
+			}
+			return err
+		}
+	}
+	runs["bfs"] = func(g *gpu.GPU) error {
+		mk, err := kernels.BFS(kernels.BFSConfig{Graph: kernels.GenScaleFree(1<<9, 4, 42), Source: 0, BlockDim: 128})
+		if err == nil {
+			_, _, err = kernels.RunMulti(g, mk)
+		}
+		return err
+	}
+	runs["gather+copy"] = func(g *gpu.GPU) error {
+		pair, err := kernels.CoRun("gather", "copy", kernels.ScaleTest, 7, 8)
+		if err != nil {
+			return err
+		}
+		pair.A.Setup(g.Memory)
+		pair.B.Setup(g.Memory)
+		if _, err = g.Enqueue("A", pair.A.Kernel); err == nil {
+			_, err = g.Enqueue("B", pair.B.Kernel)
+		}
+		if err == nil {
+			_, err = g.Run()
+		}
+		return err
+	}
+	merged, records := [2]int{}, 0
+	for name, do := range runs {
+		for _, engine := range []sim.Engine{sim.EngineTick, sim.EngineEvent} {
+			cfg := config.GF106()
+			cfg.Engine = engine
+			obs := &keepingObserver{tr: NewTracker()}
+			if err := do(gpu.NewWithObservers(cfg, obs, obs.tr)); err != nil {
+				t.Fatalf("%s (%s): %v", name, engine, err)
+			}
+			got := widen(flat(obs.tr))
+			if obs.tr.BadLogs() != 0 || len(got) != len(obs.kept) || len(got) == 0 {
+				t.Fatalf("%s (%s): %d records, %d bad logs, %d loads delivered", name, engine, len(got), obs.tr.BadLogs(), len(obs.kept))
+			}
+			records += len(got)
+			for i := range got {
+				if got[i] != obs.kept[i] {
+					t.Fatalf("%s (%s): record %d reads back as\n%+v\nwant\n%+v", name, engine, i, got[i], obs.kept[i])
+				}
+				if got[i].MergedL1 {
+					merged[0]++
+				}
+				if got[i].MergedL2 {
+					merged[1]++
+				}
+			}
+		}
+	}
+	if merged[0] == 0 || merged[1] == 0 {
+		t.Fatalf("merged at L1/L2: %v loads; the runs must exercise both flags", merged)
+	}
+	t.Logf("%d runs, %d records, %d merged at L1, %d at L2", 2*len(runs), records, merged[0], merged[1])
+}
+
+// TestRequestDoneRejectsOverflow: a load that does not fit the compact
+// record is a bad log, never a stored, wrapped value; the widest load
+// that fits is stored exactly.
+func TestRequestDoneRejectsOverflow(t *testing.T) {
+	load := func(issue, ret sim.Cycle, kernel int) *mem.Request {
+		l := &mem.StageLog{}
+		l.Mark(mem.PtIssue, issue)
+		l.Mark(mem.PtReturnSM, ret)
+		return &mem.Request{Kernel: kernel, Log: l}
+	}
+	const issue = sim.Cycle(5)
+	for _, tc := range []struct {
+		name string
+		req  *mem.Request
+	}{
+		{"latency 2^32", load(issue, issue+1<<32, 0)},
+		{"kernel 2^31", load(issue, issue+10, 1<<31)},
+		{"warp 256", &mem.Request{Warp: 256, Log: load(issue, issue+10, 0).Log}},
+	} {
+		tr := NewTracker()
+		tr.RequestDone(0, tc.req)
+		if tr.Len() != 0 || tr.BadLogs() != 1 {
+			t.Fatalf("%s: %d records stored (first %+v), %d bad logs; want none stored, one bad log",
+				tc.name, tr.Len(), widen(flat(tr)), tr.BadLogs())
+		}
+	}
+	tr := NewTracker()
+	tr.RequestDone(0, load(issue, issue+math.MaxUint32, math.MinInt32))
+	if got := widen(flat(tr)); tr.BadLogs() != 0 || len(got) != 1 ||
+		got[0].InstTotal != math.MaxUint32 || got[0].Total != math.MaxUint32 ||
+		got[0].ReturnAt != issue+math.MaxUint32 || got[0].Kernel != math.MinInt32 {
+		t.Fatalf("widest load that fits: %+v, %d bad logs", got, tr.BadLogs())
+	}
+}
+
+// TestExposedCyclesMatchesNaive: seeded random issue patterns on three
+// SMs over several bitmap chunks, with silent gaps longer than a chunk
+// (chunks that are never allocated), and query spans that cross chunk
+// boundaries, start before the first issue, run past the last chunk or
+// fall on an SM that never issued — every answer equals a per-cycle map.
+func TestExposedCyclesMatchesNaive(t *testing.T) {
+	const span = 64 * chunkWords
+	rng := rand.New(rand.NewPCG(35, 1))
+	tr := NewTracker()
+	end := sim.Cycle(7 * span)
+	var issued [4][]bool // per SM, per cycle
+	for sm := range issued {
+		issued[sm] = make([]bool, end+4*span)
+	}
+	for sm := 0; sm < 3; sm++ {
+		for c := sim.Cycle(span / 3); c < end; c++ {
+			// SM 1 is silent through chunks 2 and 3, SM 2 through 1-4.
+			silent := (sm == 1 && c/span >= 2 && c/span < 4) || (sm == 2 && c/span >= 1 && c/span < 5)
+			if !silent && rng.IntN(3) == 0 {
+				tr.IssueSlot(sm, c, 1)
+				issued[sm][c] = true
+			} else if c%97 == 0 {
+				tr.IssueSlot(sm, c, 0)
+			}
+		}
+	}
+	tr.IssueSlot(3, 100, 0) // SM 3 is seen but never issues
+	if tr.issued[1][2] != nil || tr.issued[2][3] != nil || len(tr.issued[3]) != 0 {
+		t.Fatal("a chunk was allocated for a span with no issue")
+	}
+	naive := func(sm int, from, to sim.Cycle) (n sim.Cycle) {
+		for _, was := range issued[sm][from:to] {
+			if !was {
+				n++
+			}
+		}
+		return n
+	}
+	var spans [][2]sim.Cycle
+	for k := sim.Cycle(1); k < 8; k++ {
+		spans = append(spans, [2]sim.Cycle{k*span - 70, k*span + 70}, [2]sim.Cycle{k*span - 1, k*span + 1})
+	}
+	spans = append(spans, [2]sim.Cycle{0, span / 2}, [2]sim.Cycle{0, 10}, [2]sim.Cycle{end - 5, end + 3*span},
+		[2]sim.Cycle{end + span, end + span + 9}, [2]sim.Cycle{span / 2, 6*span + 11}, [2]sim.Cycle{0, end + 100})
+	for i := 0; i < 200; i++ {
+		from := sim.Cycle(rng.IntN(int(end + span)))
+		spans = append(spans, [2]sim.Cycle{from, from + sim.Cycle(rng.IntN(3*span))})
+	}
+	for sm := 0; sm < 4; sm++ {
+		for _, s := range spans {
+			if got, want := tr.exposedCycles(sm, s[0], s[1]), naive(sm, s[0], s[1]); got != want {
+				t.Fatalf("SM %d [%d,%d): exposed %d, per-cycle map says %d", sm, s[0], s[1], got, want)
+			}
+		}
+	}
+}
+
+// TestIssueBitmapAllocatesOnce: 2^22 cycles of IssueSlot on one SM
+// allocate the bitmap's own bits (N/8 bytes) plus at most one chunk and
+// the directory — each chunk once, none re-copied. A bitmap grown by
+// append one word at a time allocates 2,512,152 bytes here (4.8 × N/8).
+func TestIssueBitmapAllocatesOnce(t *testing.T) {
+	const n = 1 << 22
+	tr := NewTracker()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for c := sim.Cycle(0); c < n; c++ {
+		tr.IssueSlot(0, c, int(c%2))
+	}
+	runtime.ReadMemStats(&after)
+	chunks := n / (64 * chunkWords)
+	dir := 2 * chunks * int(unsafe.Sizeof((*issueChunk)(nil))) // a doubling append's total
+	budget := n/8 + int(unsafe.Sizeof(issueChunk{})) + dir + 64
+	if got := int(after.TotalAlloc - before.TotalAlloc); got > budget {
+		t.Fatalf("%d cycles of IssueSlot allocated %d bytes; budget %d (N/8 + one chunk + directory)", n, got, budget)
+	} else {
+		t.Logf("%d cycles of IssueSlot allocated %d bytes (N/8 = %d, budget %d)", n, got, n/8, budget)
 	}
 }
