@@ -8,6 +8,7 @@ package cache
 
 import (
 	"fmt"
+	"math/bits"
 
 	"gpulat/internal/mem"
 	"gpulat/internal/sim"
@@ -83,8 +84,8 @@ func (c Config) validate() error {
 		return fmt.Errorf("cache %s: sets must be a positive power of two, got %d", c.Name, c.Sets)
 	case c.Ways <= 0:
 		return fmt.Errorf("cache %s: ways must be positive, got %d", c.Name, c.Ways)
-	case c.LineSize == 0 || c.LineSize&(c.LineSize-1) != 0:
-		return fmt.Errorf("cache %s: line size must be a power of two, got %d", c.Name, c.LineSize)
+	case c.LineSize < 2 || c.LineSize&(c.LineSize-1) != 0:
+		return fmt.Errorf("cache %s: line size must be a power of two of at least 2, got %d", c.Name, c.LineSize)
 	case c.MSHREntries <= 0:
 		return fmt.Errorf("cache %s: MSHR entries must be positive, got %d", c.Name, c.MSHREntries)
 	case c.MSHRMaxMerge <= 0:
@@ -149,30 +150,48 @@ const (
 	lineValid
 )
 
+// line is one way's replacement state. Its tag lives in the cache's keys
+// array, so a set scan reads 8 bytes per way; mshr is the way's in-flight
+// fetch, non-nil exactly while the line is reserved. stamp orders victims:
+// the last use under LRU (allocation, hit, fill), the allocation under
+// FIFO.
 type line struct {
-	tag     uint64
-	state   lineState
-	dirty   bool
-	lastUse uint64 // LRU stamp
-	allocAt uint64 // FIFO stamp
+	state lineState
+	dirty bool
+	stamp uint64
+	mshr  *mshrEntry
 }
 
 type mshrEntry struct {
-	blockAddr uint64
-	requests  []*mem.Request
+	requests []*mem.Request
 	// storeFill marks that the fill must leave the line dirty (a merged
 	// or primary store under write-allocate).
 	storeFill bool
 }
 
+// present marks a way's key as holding a block: block addresses are
+// line-aligned and lines are at least 2 bytes, so bit 0 is free.
+const present = 1
+
 // Cache is one set-associative cache instance. It is purely a tag/state
 // model: data contents live in the functional mem.Memory, so the cache
-// tracks presence, not bytes.
+// tracks presence, not bytes. Set s owns ways [s*Ways, (s+1)*Ways) of
+// keys (block address | present, 0 for an invalid way) and lines.
 type Cache struct {
-	cfg     Config
-	sets    [][]line
-	mshrs   map[uint64]*mshrEntry
-	stampSq uint64
+	cfg       Config
+	keys      []uint64
+	lines     []line
+	lineShift uint
+	setMask   uint64
+	mshrs     int // lines reserved, each holding one MSHR entry
+	stampSq   uint64
+
+	// memoKey/memoWay remember the last lookup: the key and its way, or
+	// -1 when absent. Only a victim allocation or Reset changes a key,
+	// so a Probe followed by its Access, or a head retried every cycle,
+	// scans the set once.
+	memoKey uint64
+	memoWay int
 
 	// mshrFree recycles MSHR entries (and their merged-request slices)
 	// released by Fill, so steady-state miss traffic allocates nothing;
@@ -201,17 +220,12 @@ func New(cfg Config) *Cache {
 	if err := cfg.validate(); err != nil {
 		panic(err)
 	}
-	// One backing array for every way of every set; the capped slices
-	// keep a set from growing into its neighbour.
-	lines := make([]line, cfg.Sets*cfg.Ways)
-	sets := make([][]line, cfg.Sets)
-	for i := range sets {
-		sets[i] = lines[i*cfg.Ways : (i+1)*cfg.Ways : (i+1)*cfg.Ways]
-	}
 	return &Cache{
-		cfg:   cfg,
-		sets:  sets,
-		mshrs: make(map[uint64]*mshrEntry, cfg.MSHREntries),
+		cfg:       cfg,
+		keys:      make([]uint64, cfg.Sets*cfg.Ways),
+		lines:     make([]line, cfg.Sets*cfg.Ways),
+		lineShift: uint(bits.TrailingZeros32(cfg.LineSize)),
+		setMask:   uint64(cfg.Sets - 1),
 	}
 }
 
@@ -229,8 +243,10 @@ func (c *Cache) Stats() Stats { return c.stats }
 // counter, so crediting it is the entire replay.
 func (c *Cache) AddReservationFails(n uint64) { c.stats.ReservationFails += n }
 
-func (c *Cache) index(blockAddr uint64) int {
-	return int((blockAddr / uint64(c.cfg.LineSize)) % uint64(c.cfg.Sets))
+// setBase is the first way of blockAddr's set: LineSize and Sets are
+// powers of two, so the set index is a shift and a mask.
+func (c *Cache) setBase(blockAddr uint64) int {
+	return int(blockAddr>>c.lineShift&c.setMask) * c.cfg.Ways
 }
 
 // BlockAddr truncates addr to the cache's line granularity.
@@ -238,43 +254,37 @@ func (c *Cache) BlockAddr(addr uint64) uint64 {
 	return mem.LineAddr(addr, c.cfg.LineSize)
 }
 
+// lookup returns blockAddr's line, or nil when no way holds it. A miss on
+// the memo scans the set's keys and memoizes the answer.
 func (c *Cache) lookup(blockAddr uint64) *line {
-	set := c.sets[c.index(blockAddr)]
-	for i := range set {
-		if set[i].state != lineInvalid && set[i].tag == blockAddr {
-			return &set[i]
+	if key := blockAddr | present; key != c.memoKey {
+		c.memoKey, c.memoWay = key, -1
+		base := c.setBase(blockAddr)
+		for w, k := range c.keys[base : base+c.cfg.Ways] {
+			if k == key {
+				c.memoWay = base + w
+				break
+			}
 		}
 	}
-	return nil
+	if c.memoWay < 0 {
+		return nil
+	}
+	return &c.lines[c.memoWay]
 }
 
-// victim selects an evictable way in the set for blockAddr, or nil if all
+// victim selects an evictable way in the set for blockAddr, or -1 if all
 // ways are reserved (fetch in flight) and nothing may be displaced.
-func (c *Cache) victim(blockAddr uint64) *line {
-	set := c.sets[c.index(blockAddr)]
-	var best *line
-	for i := range set {
-		ln := &set[i]
-		switch ln.state {
-		case lineInvalid:
-			return ln
-		case lineReserved:
-			continue
-		case lineValid:
-			if best == nil {
-				best = ln
-				continue
-			}
-			switch c.cfg.Replacement {
-			case LRU:
-				if ln.lastUse < best.lastUse {
-					best = ln
-				}
-			case FIFO:
-				if ln.allocAt < best.allocAt {
-					best = ln
-				}
-			}
+func (c *Cache) victim(blockAddr uint64) int {
+	base, best := c.setBase(blockAddr), -1
+	for w := base; w < base+c.cfg.Ways; w++ {
+		ln := &c.lines[w]
+		switch {
+		case ln.state == lineInvalid:
+			return w
+		case ln.state == lineReserved: // a fetch in flight is never displaced
+		case best < 0 || ln.stamp < c.lines[best].stamp:
+			best = w
 		}
 	}
 	return best
@@ -290,7 +300,6 @@ func (c *Cache) getMSHR() *mshrEntry {
 	e := c.mshrFree[n-1]
 	c.mshrFree = c.mshrFree[:n-1]
 	e.requests = e.requests[:0]
-	e.storeFill = false
 	return e
 }
 
@@ -307,7 +316,9 @@ func (c *Cache) Access(cy sim.Cycle, req *mem.Request) AccessResult {
 	if ln := c.lookup(blockAddr); ln != nil {
 		switch ln.state {
 		case lineValid:
-			ln.lastUse = c.stampSq
+			if c.cfg.Replacement == LRU {
+				ln.stamp = c.stampSq
+			}
 			if req.Kind == mem.KindStore {
 				if c.cfg.Write == WriteBackAlloc {
 					ln.dirty = true
@@ -319,7 +330,7 @@ func (c *Cache) Access(cy sim.Cycle, req *mem.Request) AccessResult {
 			return AccessResult{Status: Hit}
 		case lineReserved:
 			// Merge into the in-flight fetch.
-			entry := c.mshrs[blockAddr]
+			entry := ln.mshr
 			if entry == nil {
 				panic(fmt.Sprintf("cache %s: reserved line %#x without MSHR", c.cfg.Name, blockAddr))
 			}
@@ -350,38 +361,33 @@ func (c *Cache) Access(cy sim.Cycle, req *mem.Request) AccessResult {
 		return AccessResult{Status: Miss}
 	}
 
-	if len(c.mshrs) >= c.cfg.MSHREntries {
+	if c.mshrs >= c.cfg.MSHREntries {
 		c.stats.ReservationFails++
 		return AccessResult{Status: ReservationFail}
 	}
-	vic := c.victim(blockAddr)
-	if vic == nil {
+	w := c.victim(blockAddr)
+	if w < 0 {
 		c.stats.ReservationFails++
 		return AccessResult{Status: ReservationFail}
 	}
 
+	vic := &c.lines[w]
 	var wb *Eviction
 	if vic.state == lineValid {
 		c.stats.Evictions++
 		if vic.dirty {
-			c.wbScratch = Eviction{Addr: vic.tag, Size: c.cfg.LineSize}
+			c.wbScratch = Eviction{Addr: c.keys[w] &^ present, Size: c.cfg.LineSize}
 			wb = &c.wbScratch
 			c.stats.Writebacks++
 		}
 	}
-	vic.tag = blockAddr
-	vic.state = lineReserved
-	vic.dirty = false
-	vic.lastUse = c.stampSq
-	vic.allocAt = c.stampSq
-
 	entry := c.getMSHR()
-	entry.blockAddr = blockAddr
 	entry.requests = append(entry.requests, req)
-	if req.Kind == mem.KindStore {
-		entry.storeFill = true
-	}
-	c.mshrs[blockAddr] = entry
+	entry.storeFill = req.Kind == mem.KindStore
+	*vic = line{state: lineReserved, stamp: c.stampSq, mshr: entry}
+	c.keys[w] = blockAddr | present
+	c.memoKey, c.memoWay = blockAddr|present, w
+	c.mshrs++
 	c.stats.Misses++
 	return AccessResult{Status: Miss, Writeback: wb}
 }
@@ -395,20 +401,19 @@ func (c *Cache) Access(cy sim.Cycle, req *mem.Request) AccessResult {
 // drain, the partition's DRAM drain) consume it before their next
 // access pass.
 func (c *Cache) Fill(cy sim.Cycle, blockAddr uint64) []*mem.Request {
-	entry := c.mshrs[blockAddr]
-	if entry == nil {
+	ln := c.lookup(blockAddr)
+	if ln == nil || ln.mshr == nil || blockAddr != c.BlockAddr(blockAddr) {
 		panic(fmt.Sprintf("cache %s: fill for unknown block %#x", c.cfg.Name, blockAddr))
 	}
-	delete(c.mshrs, blockAddr)
-
-	ln := c.lookup(blockAddr)
-	if ln == nil || ln.state != lineReserved {
-		panic(fmt.Sprintf("cache %s: fill for non-reserved block %#x", c.cfg.Name, blockAddr))
-	}
+	entry := ln.mshr
+	ln.mshr = nil
+	c.mshrs--
 	ln.state = lineValid
 	ln.dirty = entry.storeFill && c.cfg.Write == WriteBackAlloc
 	c.stampSq++
-	ln.lastUse = c.stampSq
+	if c.cfg.Replacement == LRU {
+		ln.stamp = c.stampSq
+	}
 	c.stats.Fills++
 	c.mshrFree = append(c.mshrFree, entry)
 	return entry.requests
@@ -431,7 +436,7 @@ func (c *Cache) Probe(addr uint64) Status {
 }
 
 // MSHRsInUse returns the number of outstanding miss entries.
-func (c *Cache) MSHRsInUse() int { return len(c.mshrs) }
+func (c *Cache) MSHRsInUse() int { return c.mshrs }
 
 // Contains reports whether blockAddr is present and valid (test helper
 // and warmup verification).
@@ -443,10 +448,7 @@ func (c *Cache) Contains(addr uint64) bool {
 // Reset invalidates all lines and clears MSHRs (between-kernel reuse).
 // Dirty data is discarded; callers that need writeback must drain first.
 func (c *Cache) Reset() {
-	for s := range c.sets {
-		for w := range c.sets[s] {
-			c.sets[s][w] = line{}
-		}
-	}
-	clear(c.mshrs)
+	clear(c.keys)
+	clear(c.lines)
+	c.mshrs, c.memoKey = 0, 0
 }

@@ -137,8 +137,8 @@ func (x *Crossbar) Stats() Stats { return x.stats }
 // CanInject reports whether input port i can accept a packet.
 func (x *Crossbar) CanInject(i int) bool { return x.inject[i].CanPush() }
 
-// NoteInjectStall records upstream backpressure at input i.
-func (x *Crossbar) NoteInjectStall(i int) { x.stats.InjectStalls++; x.inject[i].NoteStall() }
+// NoteInjectStall records upstream backpressure at an input port.
+func (x *Crossbar) NoteInjectStall(int) { x.stats.InjectStalls++ }
 
 // Inject places a packet into input port i's queue at cycle c. The caller
 // must check CanInject; injection into a full queue panics.

@@ -288,9 +288,6 @@ func (p *Partition) drainHitPipe(c sim.Cycle) {
 		}
 		p.ret.Push(c, r)
 	}
-	if p.hit.Len() > 0 {
-		p.ret.NoteStall()
-	}
 }
 
 // accessL2 performs at most one L2 lookup per cycle on the L2 queue head.
@@ -406,9 +403,6 @@ func (p *Partition) moveROPToL2Q(c sim.Cycle) {
 			r.Log.Mark(mem.PtL2QArrive, c)
 		}
 		p.l2q.Push(c, r)
-	}
-	if p.rop.Len() > 0 {
-		p.l2q.NoteStall()
 	}
 }
 

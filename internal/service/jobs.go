@@ -165,6 +165,9 @@ func (t *jobs) set(st *jobState, s Status) {
 
 // finish stores st's final result — done, or failed when res failed —
 // and closes ready. A state finishes once; later calls change nothing.
+// The result keeps what goes on the wire: its Payload (for a dynamic
+// job, the device and tracker it ran on) is dropped, so a served key
+// does not pin its simulator for the life of the table.
 func (t *jobs) finish(st *jobState, res runner.Result) {
 	if st.final() {
 		return
@@ -174,6 +177,7 @@ func (t *jobs) finish(st *jobState, res runner.Result) {
 	} else {
 		t.set(st, StatusDone)
 	}
+	res.Payload = nil
 	st.result = res
 	t.pending--
 	close(st.ready)

@@ -279,7 +279,8 @@ func (s *Station) finished(_ context.Context, key runner.JobKey) *jobState {
 
 // Do submits job and blocks until its result is ready or ctx expires —
 // the synchronous convenience the dedup tests and in-process callers
-// use.
+// use. The result carries no Payload; run the job through a
+// runner.Runner for the typed report.
 func (s *Station) Do(ctx context.Context, job runner.Job) (runner.Result, error) {
 	key, _, err := s.Submit(ctx, job)
 	if err != nil {

@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -417,4 +418,35 @@ func TestStationRealExecute(t *testing.T) {
 			t.Fatalf("metric %d drifted: %+v vs %+v", i, warm.Metrics[i], cold.Metrics[i])
 		}
 	}
+}
+
+// TestStationKeepsNoSimulator: a finished state keeps what goes on the
+// wire, not the device and tracker a dynamic job ran on, so a station's
+// live heap grows with the keys it has served by a few KiB each, not by
+// a simulator each.
+func TestStationKeepsNoSimulator(t *testing.T) {
+	st := newStation(t, nil, StationConfig{Workers: 2})
+	liveHeap := func() int64 {
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return int64(m.HeapAlloc)
+	}
+	before, n := liveHeap(), 0
+	for _, kernel := range []string{"vecadd", "bfs", "spmv"} {
+		for seed := uint64(1); seed <= 50; seed++ {
+			job := runner.Job{Kind: runner.KindDynamic, Arch: "GF106", Kernel: kernel, Seed: seed,
+				Options: runner.Options{TestScale: true}}
+			res, err := st.Do(context.Background(), job)
+			if err != nil || res.Failed() {
+				t.Fatalf("%s seed %d: %v %s", kernel, seed, err, res.Err)
+			}
+			n++
+		}
+	}
+	per := (liveHeap() - before) / int64(n)
+	if per > 8<<10 {
+		t.Fatalf("live heap grew %d bytes per served job over %d jobs; the budget is 8 KiB", per, n)
+	}
+	t.Logf("live heap grew %d bytes per served job over %d jobs", per, n)
 }

@@ -8,19 +8,20 @@ package sim
 // finite buffering and therefore backpressure, the paper's "loaded queue"
 // latency contributor.
 //
+// The entries live in a fixed ring of capacity slots: Pop advances the
+// head instead of shifting, so every operation is O(1) and the queue
+// never allocates after NewQueue. The head's readiness is kept beside
+// the ring, so the per-cycle poll of a waiting or empty queue (Peek,
+// NextReady) is one compare.
+//
 // The zero Queue is not usable; construct with NewQueue.
 type Queue[T any] struct {
 	name    string
-	items   []queueEntry[T]
-	cap     int
+	ring    []queueEntry[T]
+	head    int   // slot of the oldest entry
+	n       int   // entries buffered
+	ready   Cycle // the oldest entry's readyAt; Never (which no cycle reaches) when empty
 	latency Cycle
-
-	// Stats.
-	pushes     uint64
-	pops       uint64
-	stallCount uint64 // CanPush()==false observations
-	occupSum   uint64 // sum of Len() over observed cycles (via Observe)
-	observed   uint64
 }
 
 type queueEntry[T any] struct {
@@ -34,19 +35,14 @@ func NewQueue[T any](name string, capacity int, latency Cycle) *Queue[T] {
 	if capacity < 1 {
 		panic("sim: queue capacity must be >= 1: " + name)
 	}
-	return &Queue[T]{
-		name:    name,
-		items:   make([]queueEntry[T], 0, capacity),
-		cap:     capacity,
-		latency: latency,
-	}
+	return &Queue[T]{name: name, ring: make([]queueEntry[T], capacity), ready: Never, latency: latency}
 }
 
 // Name returns the queue's diagnostic name.
 func (q *Queue[T]) Name() string { return q.name }
 
 // CanPush reports whether the queue has room for another entry.
-func (q *Queue[T]) CanPush() bool { return len(q.items) < q.cap }
+func (q *Queue[T]) CanPush() bool { return q.n < len(q.ring) }
 
 // Push appends an item at cycle c. The item becomes visible at c+latency.
 // Push panics if the queue is full; callers must check CanPush first —
@@ -55,20 +51,24 @@ func (q *Queue[T]) Push(c Cycle, item T) {
 	if !q.CanPush() {
 		panic("sim: push to full queue: " + q.name)
 	}
-	q.items = append(q.items, queueEntry[T]{item: item, readyAt: c + q.latency})
-	q.pushes++
+	tail := q.head + q.n
+	if tail >= len(q.ring) {
+		tail -= len(q.ring)
+	}
+	q.ring[tail] = queueEntry[T]{item: item, readyAt: c + q.latency}
+	if q.n == 0 {
+		q.ready = c + q.latency
+	}
+	q.n++
 }
-
-// NoteStall records that a producer observed the queue full this cycle.
-func (q *Queue[T]) NoteStall() { q.stallCount++ }
 
 // Peek returns the front item if it is visible at cycle c.
 func (q *Queue[T]) Peek(c Cycle) (T, bool) {
-	var zero T
-	if len(q.items) == 0 || q.items[0].readyAt > c {
+	if q.ready > c {
+		var zero T
 		return zero, false
 	}
-	return q.items[0].item, true
+	return q.ring[q.head].item, true
 }
 
 // Head returns the front item regardless of whether it is visible yet
@@ -76,72 +76,40 @@ func (q *Queue[T]) Peek(c Cycle) (T, bool) {
 // uses it to reason about what the head WILL be when it becomes visible
 // without needing to know the current cycle.
 func (q *Queue[T]) Head() (T, bool) {
-	var zero T
-	if len(q.items) == 0 {
+	if q.n == 0 {
+		var zero T
 		return zero, false
 	}
-	return q.items[0].item, true
+	return q.ring[q.head].item, true
 }
 
 // Pop removes and returns the front item if it is visible at cycle c.
-func (q *Queue[T]) Pop(c Cycle) (T, bool) {
-	var zero T
-	if len(q.items) == 0 || q.items[0].readyAt > c {
-		return zero, false
+// The vacated slot is zeroed so the ring holds no stale pointer.
+func (q *Queue[T]) Pop(c Cycle) (it T, ok bool) {
+	if q.ready > c {
+		return it, false
 	}
-	it := q.items[0].item
-	// Shift; queues are short (tens of entries) so O(n) copy is fine and
-	// keeps memory stable versus a ring buffer's pointer bookkeeping.
-	copy(q.items, q.items[1:])
-	q.items = q.items[:len(q.items)-1]
-	q.pops++
+	e := &q.ring[q.head]
+	it, *e = e.item, queueEntry[T]{}
+	if q.head++; q.head == len(q.ring) {
+		q.head = 0
+	}
+	if q.n--; q.n > 0 {
+		q.ready = q.ring[q.head].readyAt
+	} else {
+		q.ready = Never
+	}
 	return it, true
 }
 
 // Len returns the number of entries currently buffered (visible or not).
-func (q *Queue[T]) Len() int { return len(q.items) }
+func (q *Queue[T]) Len() int { return q.n }
 
 // NextReady returns the cycle at which the oldest entry becomes visible
 // to Peek/Pop, or Never when the queue is empty. Entries are pushed at
 // non-decreasing cycles with a constant latency, so the head is always
 // the earliest (the event-driven kernel's horizon hook).
-func (q *Queue[T]) NextReady() Cycle {
-	if len(q.items) == 0 {
-		return Never
-	}
-	return q.items[0].readyAt
-}
+func (q *Queue[T]) NextReady() Cycle { return q.ready }
 
 // Latency returns the queue's minimum traversal latency.
 func (q *Queue[T]) Latency() Cycle { return q.latency }
-
-// Observe accumulates occupancy statistics; call once per cycle if
-// occupancy tracking is desired.
-func (q *Queue[T]) Observe() {
-	q.occupSum += uint64(len(q.items))
-	q.observed++
-}
-
-// Stats returns push/pop/stall counters and mean occupancy.
-func (q *Queue[T]) Stats() QueueStats {
-	mean := 0.0
-	if q.observed > 0 {
-		mean = float64(q.occupSum) / float64(q.observed)
-	}
-	return QueueStats{
-		Name:          q.name,
-		Pushes:        q.pushes,
-		Pops:          q.pops,
-		Stalls:        q.stallCount,
-		MeanOccupancy: mean,
-	}
-}
-
-// QueueStats is a snapshot of queue activity counters.
-type QueueStats struct {
-	Name          string
-	Pushes        uint64
-	Pops          uint64
-	Stalls        uint64
-	MeanOccupancy float64
-}

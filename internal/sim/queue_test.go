@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -67,23 +69,6 @@ func TestQueueZeroCapacityPanics(t *testing.T) {
 	NewQueue[int]("t", 0, 0)
 }
 
-func TestQueueStats(t *testing.T) {
-	q := NewQueue[int]("stats", 2, 0)
-	q.Push(0, 1)
-	q.Push(0, 2)
-	q.NoteStall()
-	q.Observe()
-	q.Pop(0)
-	q.Observe()
-	st := q.Stats()
-	if st.Pushes != 2 || st.Pops != 1 || st.Stalls != 1 {
-		t.Fatalf("bad stats: %+v", st)
-	}
-	if st.MeanOccupancy != 1.5 {
-		t.Fatalf("mean occupancy = %v, want 1.5", st.MeanOccupancy)
-	}
-}
-
 // Property: for any interleaving of pushes and pops, the queue preserves
 // FIFO order and never exceeds capacity.
 func TestQueueFIFOProperty(t *testing.T) {
@@ -122,6 +107,130 @@ func TestQueueFIFOProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// refQueue is the shifting queue the ring replaced: a slice whose Pop
+// copies every later entry down one slot. Lock-stepping it with a Queue
+// proves the ring's head, count and wrap-around keep the same FIFO.
+type refQueue[T any] struct {
+	items   []queueEntry[T]
+	cap     int
+	latency Cycle
+}
+
+func (q *refQueue[T]) CanPush() bool { return len(q.items) < q.cap }
+
+func (q *refQueue[T]) Push(c Cycle, item T) {
+	if !q.CanPush() {
+		panic("sim: push to full queue")
+	}
+	q.items = append(q.items, queueEntry[T]{item: item, readyAt: c + q.latency})
+}
+
+func (q *refQueue[T]) Peek(c Cycle) (T, bool) {
+	var zero T
+	if len(q.items) == 0 || q.items[0].readyAt > c {
+		return zero, false
+	}
+	return q.items[0].item, true
+}
+
+func (q *refQueue[T]) Head() (T, bool) {
+	var zero T
+	if len(q.items) == 0 {
+		return zero, false
+	}
+	return q.items[0].item, true
+}
+
+func (q *refQueue[T]) Pop(c Cycle) (T, bool) {
+	it, ok := q.Peek(c)
+	if ok {
+		copy(q.items, q.items[1:])
+		q.items = q.items[:len(q.items)-1]
+	}
+	return it, ok
+}
+
+func (q *refQueue[T]) NextReady() Cycle {
+	if len(q.items) == 0 {
+		return Never
+	}
+	return q.items[0].readyAt
+}
+
+// pushPanics reports whether push panicked.
+func pushPanics(push func()) (panicked bool) {
+	defer func() { panicked = recover() != nil }()
+	push()
+	return false
+}
+
+// TestQueueMatchesShiftReference drives the ring and the shifting
+// reference through the same seeded Push/Peek/Pop/Head/NextReady/Len/
+// CanPush stream, capacities 1-70 and latencies 0-5, pushing into full
+// queues on purpose, and requires every answer to agree.
+func TestQueueMatchesShiftReference(t *testing.T) {
+	for capacity := 1; capacity <= 70; capacity++ {
+		for lat := Cycle(0); lat <= 5; lat++ {
+			rng := rand.New(rand.NewSource(int64(capacity*8) + int64(lat)))
+			q := NewQueue[*int]("ring", capacity, lat)
+			ref := &refQueue[*int]{cap: capacity, latency: lat}
+			var c Cycle
+			next, wraps, fulls := 0, 0, 0
+			// A push bias that drifts keeps the queue swinging between
+			// empty and full, so the head wraps many times.
+			for step := 0; step < 40*capacity+200; step++ {
+				bias := 20 + 60*((step/(3*capacity+5))%2)
+				where := fmt.Sprintf("cap %d lat %d step %d", capacity, lat, step)
+				switch {
+				case rng.Intn(100) < bias:
+					v := next
+					next++
+					got := pushPanics(func() { q.Push(c, &v) })
+					want := pushPanics(func() { ref.Push(c, &v) })
+					if got != want {
+						t.Fatalf("%s: push panicked=%v, reference %v", where, got, want)
+					}
+					if got {
+						fulls++
+					}
+				default:
+					got, gok := q.Pop(c)
+					want, wok := ref.Pop(c)
+					if gok != wok || got != want {
+						t.Fatalf("%s: Pop(%d) = %v,%v; reference %v,%v", where, c, got, gok, want, wok)
+					}
+					if gok && q.head == 0 {
+						wraps++
+					}
+				}
+				c += Cycle(rng.Intn(2))
+				gp, gpok := q.Peek(c)
+				wp, wpok := ref.Peek(c)
+				gh, ghok := q.Head()
+				wh, whok := ref.Head()
+				if gp != wp || gpok != wpok || gh != wh || ghok != whok {
+					t.Fatalf("%s: Peek %v,%v Head %v,%v; reference Peek %v,%v Head %v,%v",
+						where, gp, gpok, gh, ghok, wp, wpok, wh, whok)
+				}
+				if q.Len() != len(ref.items) || q.CanPush() != ref.CanPush() || q.NextReady() != ref.NextReady() {
+					t.Fatalf("%s: Len %d CanPush %v NextReady %d; reference %d %v %d", where,
+						q.Len(), q.CanPush(), q.NextReady(), len(ref.items), ref.CanPush(), ref.NextReady())
+				}
+			}
+			// Popped slots hold no stale pointer.
+			for i, e := range q.ring {
+				if live := (i-q.head+len(q.ring))%len(q.ring) < q.n; !live && e.item != nil {
+					t.Fatalf("cap %d lat %d: free slot %d still holds an item", capacity, lat, i)
+				}
+			}
+			if wraps < 5 || fulls == 0 {
+				t.Fatalf("cap %d lat %d: the head wrapped %d times and %d pushes met a full queue; the stream does not exercise the ring",
+					capacity, lat, wraps, fulls)
+			}
+		}
 	}
 }
 

@@ -252,7 +252,6 @@ func (s *SM) issueTransaction(c sim.Cycle, mi *memInst) bool {
 		// queue. PtL1Access marks the coalescer exit (where the L1
 		// lookup would have happened).
 		if !s.missQ.CanPush() {
-			s.missQ.NoteStall()
 			return false
 		}
 		req.Log.Mark(mem.PtL1Access, c)
@@ -268,7 +267,6 @@ func (s *SM) issueTransaction(c sim.Cycle, mi *memInst) bool {
 	// L1 path. A miss needs a miss-queue slot; reserve conservatively
 	// before accessing so an allocated MSHR is never stranded.
 	if !s.missQ.CanPush() {
-		s.missQ.NoteStall()
 		return false
 	}
 	res := s.l1.Access(c, req)
