@@ -79,13 +79,17 @@ corun-determinism:
 # check every performance change owes: `make export-identity BASE=<rev>`
 # (default HEAD, the parent of an uncommitted change) unpacks BASE with
 # `git archive` into a temp dir under TMP, builds it and the working tree, and
-# byte-compares, under both engines, the quick bench grid (CSV and JSON),
-# the quick co-run sweep, and — what the exports do not show — every
-# per-component counter: `simrun -v -trace-sim -` on histogram (atomics:
-# the cross-SM commit order) and bfs (per-SM, per-partition and per-wake
-# counters), plus bfs's per-load records in Tracker delivery order. No
-# network: the module has no dependencies.
+# byte-compares, under both engines, the quick and full bench grids, the
+# quick co-run sweep, every experiment command at its default flags (plus
+# the fig1/fig2 CSV and chart views and sweep -detect), and — what the
+# exports do not show — every per-component counter: `simrun -v
+# -trace-sim -` on histogram (atomics: the cross-SM commit order) and bfs
+# (per-SM, per-partition and per-wake counters), plus bfs's per-load
+# records in Tracker delivery order. It then byte-compares the stderr of
+# `gpulat help` and of every command's -h, which pins the flag surface.
+# No network: the module has no dependencies.
 BASE ?= HEAD
+EXPERIMENTS = table1 sweep fig1 fig2 ablate-dram ablate-sched ablate-mshr ablate-occupancy load-curve
 export-identity:
 	@set -e; mkdir -p $(TMP); tmp=$$(mktemp -d $(TMP)/export-identity.XXXXXX); trap 'rm -rf "$$tmp"' EXIT; \
 	mkdir "$$tmp/base"; git archive $(BASE) | tar -x -C "$$tmp/base"; \
@@ -94,17 +98,29 @@ export-identity:
 	for e in tick event; do \
 		for x in "bench-suite -quick -quiet -j 8 -engine=$$e -csv" \
 				"bench-suite -quick -quiet -j 8 -engine=$$e -json" \
+				"bench-suite -quiet -engine=$$e -csv" \
 				"corun -quick -quiet -j 8 -engine=$$e -csv" \
 				"simrun -arch GF100 -kernel histogram -engine=$$e -v -trace-sim -" \
 				"simrun -arch GF100 -kernel bfs -engine=$$e -v -trace-sim -" \
-				"export -kernel bfs -engine=$$e"; do \
+				"export -kernel bfs -engine=$$e" \
+				$(foreach c,$(EXPERIMENTS),"$(c) -engine=$$e") \
+				"fig1 -engine=$$e -csv" "fig1 -engine=$$e -chart" \
+				"fig2 -engine=$$e -csv" "fig2 -engine=$$e -chart" \
+				"sweep -engine=$$e -detect"; do \
 			"$$tmp/gpulat-base" $$x > "$$tmp/base.out" 2> "$$tmp/base.err" || { cat "$$tmp/base.err"; exit 1; }; \
 			"$$tmp/gpulat-new" $$x > "$$tmp/new.out" 2> "$$tmp/new.err" || { cat "$$tmp/new.err"; exit 1; }; \
 			cmp "$$tmp/base.out" "$$tmp/new.out" || { echo "export-identity: '$$x' differs from $(BASE)"; exit 1; }; \
 			echo "export-identity: same bytes: $$x"; \
 		done; \
 	done; \
-	echo "export-identity: quick grid (CSV + JSON), co-run export, simrun counter dumps and bfs per-load records byte-identical to $(BASE) under both engines"
+	for c in help $$("$$tmp/gpulat-base" help 2>&1 | sed -n 's/^  \([a-z][a-z0-9-]*\)  .*/\1/p'); do \
+		x="$$c -h"; test $$c != help || x=help; \
+		"$$tmp/gpulat-base" $$x 2> "$$tmp/base.err" || { cat "$$tmp/base.err"; exit 1; }; \
+		"$$tmp/gpulat-new" $$x 2> "$$tmp/new.err" || { cat "$$tmp/new.err"; exit 1; }; \
+		cmp "$$tmp/base.err" "$$tmp/new.err" || { echo "export-identity: stderr of '$$x' differs from $(BASE)"; exit 1; }; \
+		echo "export-identity: same help: $$x"; \
+	done; \
+	echo "export-identity: bench grids, co-run export, experiment commands, simrun counter dumps, bfs per-load records and help byte-identical to $(BASE) under both engines"
 
 # Proves the service layer's contract end to end: the quick bench grid
 # routed through `gpulat serve`/`gpulat submit` exports byte-identical

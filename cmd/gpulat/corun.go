@@ -78,7 +78,7 @@ func cmdCoRun(args []string) error {
 	var archList []string
 	for _, arch := range strings.Split(*archs, ",") {
 		arch = strings.TrimSpace(arch)
-		if _, err := mustConfig(arch); err != nil {
+		if _, err := config.ByNameOrFile(arch); err != nil {
 			return usagef("%v", err)
 		}
 		archList = append(archList, arch)
@@ -116,15 +116,12 @@ func cmdCoRun(args []string) error {
 		}
 	}
 
-	set, err := runJobsExec(list, *jobs, !*quiet, *engine, exec)
+	set, err := runJobs(list, *jobs, !*quiet, *engine, exec)
 	if err != nil {
 		return err
 	}
-	switch {
-	case *jsonOut:
-		return set.WriteJSON(os.Stdout)
-	case *csvOut:
-		return set.WriteCSV(os.Stdout)
+	if *jsonOut || *csvOut {
+		return writeSet(set, *jsonOut, *csvOut)
 	}
 
 	// The table renders from metrics and the job spec, never from the

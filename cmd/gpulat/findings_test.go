@@ -1,0 +1,142 @@
+package main
+
+import (
+	"bytes"
+	"cmp"
+	"context"
+	"fmt"
+	"os"
+	"path/filepath"
+	"slices"
+	"strings"
+	"testing"
+
+	"gpulat/internal/runner"
+)
+
+// quickSuites memoizes one run of the quick suite per engine, so every
+// test that reads it shares the simulation.
+var quickSuites = map[string]*runner.ResultSet{}
+
+func quickSuite(t *testing.T, engine string) *runner.ResultSet {
+	t.Helper()
+	if set, ok := quickSuites[engine]; ok {
+		return set
+	}
+	jobs := suiteJobs(true)
+	for i := range jobs {
+		jobs[i].Engine = engine
+	}
+	set, err := runner.New(0).Run(context.Background(), jobs)
+	if err == nil {
+		err = set.Err()
+	}
+	if err != nil {
+		t.Fatalf("-engine=%s: %v", engine, err)
+	}
+	quickSuites[engine] = set
+	return set
+}
+
+func experimentNamed(t *testing.T, name string) experiment {
+	t.Helper()
+	for _, e := range experiments {
+		if e.name == name {
+			return e
+		}
+	}
+	t.Fatalf("no experiment %q", name)
+	return experiment{}
+}
+
+// findings renders what the quick suite says about the paper's claims:
+// Table I per level and architecture, Figure 1's stage shares per
+// latency bucket and Figure 2's exposure for BFS on GF100, and the order
+// each ablation puts its variants in.
+func findings(t *testing.T, set *runner.ResultSet) string {
+	sections := map[string]*runner.ResultSet{}
+	for _, r := range set.Results {
+		section, _, _ := strings.Cut(r.Job.Options.Label, "/")
+		if sections[section] == nil {
+			sections[section] = &runner.ResultSet{}
+		}
+		sections[section].Results = append(sections[section].Results, r)
+	}
+	var b bytes.Buffer
+	render := func(name string, p params, set *runner.ResultSet) {
+		if err := experimentNamed(t, name).render(p, set, &b); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		b.WriteString("\n")
+	}
+	render("table1", params{}, sections["table1"])
+
+	fig := sections["fig1+fig2"]
+	b.WriteString("Figure 1 — BFS on GF100, stage shares (%) per latency bucket\n")
+	render("fig1", params{buckets: 48, csv: true}, fig)
+	fmt.Fprintf(&b, "Figure 2 — BFS on GF100: %.1f%% of load latency exposed; %.1f%% of loads >50%% exposed\n\n",
+		metric(&fig.Results[0], "exposed_pct"), metric(&fig.Results[0], "mostly_exposed_pct"))
+
+	for _, o := range []struct{ section, metric string }{
+		{"ablate-dram", "mean_lat"},
+		{"ablate-sched", "cycles"},
+		{"ablate-mshr", "cycles"},
+		{"ablate-occupancy", "exposed_pct"},
+	} {
+		rs := slices.Clone(sections[o.section].Results)
+		slices.SortStableFunc(rs, func(a, b runner.Result) int {
+			return cmp.Compare(metric(&a, o.metric), metric(&b, o.metric))
+		})
+		fmt.Fprintf(&b, "%s by %s, lowest first:", o.section, o.metric)
+		for i := range rs {
+			sep := " <"
+			switch {
+			case i == 0:
+				sep = ""
+			case metric(&rs[i], o.metric) == metric(&rs[i-1], o.metric):
+				sep = " ="
+			}
+			fmt.Fprintf(&b, "%s %s", sep, strings.TrimPrefix(rs[i].Job.Options.Label, o.section+"/"))
+		}
+		b.WriteString("\n")
+	}
+	return b.String()
+}
+
+// TestPaperFindings compares the quick suite's findings with the
+// committed testdata/findings.golden. The identity gates compare a
+// change only with its parent; this file shows drift across many.
+// GPULAT_FINDINGS_GOLDEN=write refreshes it — say which finding moved
+// and why.
+func TestPaperFindings(t *testing.T) {
+	got := findings(t, quickSuite(t, "event"))
+	golden := filepath.Join("testdata", "findings.golden")
+	if os.Getenv("GPULAT_FINDINGS_GOLDEN") == "write" {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("read golden (run with GPULAT_FINDINGS_GOLDEN=write to create): %v", err)
+	}
+	if got == string(want) {
+		return
+	}
+	gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+	for i := range max(len(gl), len(wl)) {
+		g, w := "", ""
+		if i < len(gl) {
+			g = gl[i]
+		}
+		if i < len(wl) {
+			w = wl[i]
+		}
+		if g != w {
+			t.Errorf("findings differ from %s at line %d:\ngot:  %s\nwant: %s", golden, i+1, g, w)
+		}
+	}
+}

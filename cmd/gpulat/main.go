@@ -23,8 +23,6 @@ import (
 	"strconv"
 	"strings"
 
-	"gpulat/internal/config"
-	"gpulat/internal/gpu"
 	"gpulat/internal/runner"
 	"gpulat/internal/service"
 	"gpulat/internal/sim"
@@ -87,27 +85,24 @@ func exitCode(err error) int {
 }
 
 func commands() map[string]func([]string) error {
-	return map[string]func([]string) error{
-		"table1":           cmdTable1,
-		"sweep":            cmdSweep,
-		"fig1":             func(a []string) error { return cmdFig(a, false) },
-		"fig2":             func(a []string) error { return cmdFig(a, true) },
-		"ablate-dram":      cmdAblateDRAM,
-		"ablate-sched":     cmdAblateSched,
-		"ablate-mshr":      cmdAblateMSHR,
-		"ablate-occupancy": cmdAblateOccupancy,
-		"load-curve":       cmdLoadCurve,
-		"corun":            cmdCoRun,
-		"bench-suite":      cmdBenchSuite,
-		"simrun":           cmdSimRun,
-		"export":           cmdExport,
-		"config":           cmdConfig,
-		"list":             cmdList,
-		"serve":            cmdServe,
-		"submit":           cmdSubmit,
-		"backends":         cmdBackends,
-		"version":          cmdVersion,
+	cmds := map[string]func([]string) error{
+		"corun":       cmdCoRun,
+		"bench-suite": cmdBenchSuite,
+		"simrun":      cmdSimRun,
+		"export":      cmdExport,
+		"config":      cmdConfig,
+		"list":        cmdList,
+		"serve":       cmdServe,
+		"submit":      cmdSubmit,
+		"backends":    cmdBackends,
+		"version":     cmdVersion,
 	}
+	for _, e := range experiments {
+		if e.flags != nil {
+			cmds[e.name] = func(args []string) error { return runExperiment(e, args) }
+		}
+	}
+	return cmds
 }
 
 func usage() {
@@ -202,9 +197,10 @@ func cacheFlags(fs *flag.FlagSet) cacheOpts {
 }
 
 // exec resolves the flags into a caching executor, or nil when caching
-// is off (the runner then uses its plain executor).
+// is off or the flags were never registered (the runner then uses its
+// plain executor).
 func (c cacheOpts) exec() (runner.ExecFunc, error) {
-	if !*c.enabled && *c.dir == "" {
+	if c.enabled == nil || !*c.enabled && *c.dir == "" {
 		return nil, nil
 	}
 	cache, err := service.OpenCache(*c.dir, *c.entries)
@@ -217,16 +213,11 @@ func (c cacheOpts) exec() (runner.ExecFunc, error) {
 // runJobs executes a job list on a bounded pool with progress reporting
 // on stderr and Ctrl-C cancellation, after validating the -engine
 // selection and stamping it on every job (so no command can forget it).
-// Job errors are aggregated into the returned error; the partial
-// ResultSet is always returned.
-func runJobs(jobs []runner.Job, workers int, progress bool, engine string) (*runner.ResultSet, error) {
-	return runJobsExec(jobs, workers, progress, engine, nil)
-}
-
-// runJobsExec is runJobs with an injected executor (nil = the default);
-// the -cache flag routes the service layer's caching executor through
-// here.
-func runJobsExec(jobs []runner.Job, workers int, progress bool, engine string, exec runner.ExecFunc) (*runner.ResultSet, error) {
+// exec injects an executor (nil = the default); the -cache flag routes
+// the service layer's caching executor through here. Job errors are
+// aggregated into the returned error; the partial ResultSet is always
+// returned.
+func runJobs(jobs []runner.Job, workers int, progress bool, engine string, exec runner.ExecFunc) (*runner.ResultSet, error) {
 	if _, err := sim.ParseEngine(engine); err != nil {
 		return nil, usagef("%v", err)
 	}
@@ -262,25 +253,17 @@ func runJobsExec(jobs []runner.Job, workers int, progress bool, engine string, e
 	return set, set.Err()
 }
 
-// mustConfig resolves an architecture preset name or a "file:<path>"
-// JSON configuration.
-func mustConfig(name string) (gpu.Config, error) {
-	return config.ByNameOrFile(name)
-}
-
-// applyEngineConfig overrides cfg's engine with the -engine selection;
-// the empty flag default keeps the config's own (commands that run a
-// device directly instead of through the runner use this).
-func applyEngineConfig(cfg gpu.Config, engine string) (gpu.Config, error) {
-	if engine == "" {
-		return cfg, nil
+// writeSet prints a result set as JSON, as long-form CSV, or as the
+// summary table.
+func writeSet(set *runner.ResultSet, jsonOut, csvOut bool) error {
+	switch {
+	case jsonOut:
+		return set.WriteJSON(os.Stdout)
+	case csvOut:
+		return set.WriteCSV(os.Stdout)
 	}
-	eng, err := sim.ParseEngine(engine)
-	if err != nil {
-		return cfg, usagef("%v", err)
-	}
-	cfg.Engine = eng
-	return cfg, nil
+	set.SummaryTable().Render(os.Stdout)
+	return nil
 }
 
 func parseU32List(s string) ([]uint32, error) {

@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"os"
 	"strings"
@@ -185,7 +184,7 @@ func TestSimulationErrorsExitOne(t *testing.T) {
 	set, err := runJobs([]runner.Job{
 		{Kind: runner.KindCoRun, Arch: "GF106", Kernel: "gather", Seed: 1,
 			Options: runner.Options{TestScale: true}},
-	}, 1, false, "")
+	}, 1, false, "", nil)
 	if err == nil {
 		t.Fatal("failing job produced no error")
 	}
@@ -201,7 +200,7 @@ func TestSimulationErrorsExitOne(t *testing.T) {
 	_, err = runJobs([]runner.Job{
 		{Kind: runner.KindDynamic, Arch: "GF106", Kernel: "no-such-kernel", Seed: 1,
 			Options: runner.Options{TestScale: true}},
-	}, 1, false, "")
+	}, 1, false, "", nil)
 	if err == nil {
 		t.Fatal("unknown workload produced no error")
 	}
@@ -254,18 +253,9 @@ func TestListJSONCatalog(t *testing.T) {
 // CSV and JSON exports are byte-identical to the tick engine's.
 func TestEngineDeterminismQuickGrid(t *testing.T) {
 	export := func(engine string) (csv, js []byte) {
-		jobs := suiteJobs(true)
-		for i := range jobs {
-			jobs[i].Engine = engine
-		}
-		set, err := runner.New(0).Run(context.Background(), jobs)
-		if err == nil {
-			err = set.Err()
-		}
+		set := quickSuite(t, engine)
 		var c, j bytes.Buffer
-		if err == nil {
-			err = set.WriteCSV(&c)
-		}
+		err := set.WriteCSV(&c)
 		if err == nil {
 			err = set.WriteJSON(&j)
 		}

@@ -94,17 +94,8 @@ func cmdSubmit(args []string) error {
 		return err
 	}
 	wall := time.Since(start)
-	switch {
-	case *jsonOut:
-		if err := set.WriteJSON(os.Stdout); err != nil {
-			return err
-		}
-	case *csvOut:
-		if err := set.WriteCSV(os.Stdout); err != nil {
-			return err
-		}
-	default:
-		set.SummaryTable().Render(os.Stdout)
+	if err := writeSet(set, *jsonOut, *csvOut); err != nil {
+		return err
 	}
 	if !*quiet {
 		fmt.Fprintf(os.Stderr, "submit: %d jobs via %s in %s\n",

@@ -1,138 +1,61 @@
 package main
 
 import (
+	"flag"
 	"fmt"
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"strings"
 	"time"
 
 	"gpulat/internal/runner"
 )
 
-// suiteJobs assembles the whole paper-reproduction grid: Table I on all
-// four generations, Figures 1–2, the "other workloads" breakdowns, the
-// three ablations, and the load curve — every experiment the README
-// walks through, as one parallel job list. quick shrinks inputs to CI
-// smoke size while keeping every section represented.
+// suiteJobs assembles the whole paper-reproduction grid: every
+// experiment with a section, as one parallel job list, each job labelled
+// "<section>/<variant>". quick shrinks inputs to CI smoke size while
+// keeping every section represented.
 func suiteJobs(quick bool) []runner.Job {
-	accesses := 256
-	cycles := 0 // LoadedLatency default (50k)
-	vertices := 0
-	testScale := false
+	var list []runner.Job
+	for _, e := range experiments {
+		if e.section == "" {
+			continue
+		}
+		p := suiteParams(e, quick)
+		jobs, err := e.jobs(p)
+		if err != nil {
+			panic(fmt.Sprintf("suite section %s: %v", e.section, err)) // fixed params cannot fail
+		}
+		for _, j := range jobs {
+			o := &j.Options
+			o.Label = strings.TrimSuffix(e.section+"/"+o.Label, "/")
+			o.TestScale = quick
+			if o.Vertices == 0 {
+				o.Vertices = p.vertices
+			}
+			list = append(list, j)
+		}
+	}
+	return list
+}
+
+// suiteParams are e's params in the suite: its command's flag defaults
+// at the suite's scale (the runner's own defaults at full scale, smoke
+// sizes with quick), then the entry's own suite values.
+func suiteParams(e experiment, quick bool) params {
+	var p params
+	if e.flags != nil {
+		e.flags(flag.NewFlagSet(e.name, flag.ContinueOnError), &p)
+	}
+	p.vertices, p.buckets, p.cycles = 0, 0, 0
 	if quick {
-		accesses = 48
-		cycles = 8_000
-		vertices = 1 << 9
-		testScale = true
+		p.accesses, p.vertices, p.cycles = 48, 1<<9, 8_000
 	}
-
-	label := func(section string, o runner.Options) runner.Options {
-		if o.Label == "" {
-			o.Label = section
-		} else {
-			o.Label = section + "/" + o.Label
-		}
-		o.TestScale = testScale
-		if o.Vertices == 0 {
-			o.Vertices = vertices
-		}
-		return o
+	if e.suite != nil {
+		e.suite(&p)
 	}
-	withLabels := func(section string, opts []runner.Options) []runner.Options {
-		out := make([]runner.Options, len(opts))
-		for i, o := range opts {
-			out[i] = label(section, o)
-		}
-		return out
-	}
-
-	var jobs []runner.Job
-
-	// Table I: one static measurement per generation.
-	jobs = append(jobs, runner.Grid{
-		Kind:     runner.KindStatic,
-		Archs:    []string{"GT200", "GF106", "GK104", "GM107"},
-		Variants: []runner.Options{label("table1", runner.Options{Accesses: accesses})},
-	}.Jobs()...)
-
-	// Figures 1 and 2 share one instrumented BFS run on GF100.
-	jobs = append(jobs, runner.Grid{
-		Kind:      runner.KindDynamic,
-		Archs:     []string{"GF100"},
-		Kernels:   []string{"bfs"},
-		Variants:  []runner.Options{label("fig1+fig2", runner.Options{})},
-		FixedSeed: true,
-	}.Jobs()...)
-
-	// §III "other workloads": the per-kernel breakdowns.
-	jobs = append(jobs, runner.Grid{
-		Kind:     runner.KindDynamic,
-		Archs:    []string{"GF100"},
-		Kernels:  []string{"vecadd", "spmv", "transpose", "histogram", "stencil2d", "reduce"},
-		Variants: []runner.Options{label("workloads", runner.Options{})},
-		BaseSeed: 7, FixedSeed: true,
-	}.Jobs()...)
-
-	// A1: DRAM scheduler, on synthetic near-saturation traffic.
-	jobs = append(jobs, runner.Grid{
-		Kind:  runner.KindLoaded,
-		Archs: []string{"GF100"},
-		Variants: withLabels("ablate-dram",
-			dramSchedVariants(runner.Options{OfferedLoad: 0.04, Cycles: 30_000})),
-		BaseSeed: 1, FixedSeed: true,
-	}.Jobs()...)
-
-	// A2: warp scheduler.
-	var schedVariants []runner.Options
-	for _, sched := range []string{"LRR", "GTO"} {
-		o := runner.Options{Label: sched}
-		o.Overrides.WarpSched = sched
-		schedVariants = append(schedVariants, o)
-	}
-	jobs = append(jobs, runner.Grid{
-		Kind: runner.KindDynamic, Archs: []string{"GF100"}, Kernels: []string{"bfs"},
-		Variants: withLabels("ablate-sched", schedVariants), FixedSeed: true,
-	}.Jobs()...)
-
-	// A3: L1 MSHR capacity.
-	var mshrVariants []runner.Options
-	for _, mshrs := range []int{4, 16, 64} {
-		o := runner.Options{Label: fmt.Sprintf("mshr=%d", mshrs)}
-		o.Overrides.L1MSHRs = mshrs
-		mshrVariants = append(mshrVariants, o)
-	}
-	jobs = append(jobs, runner.Grid{
-		Kind: runner.KindDynamic, Archs: []string{"GF100"}, Kernels: []string{"bfs"},
-		Variants: withLabels("ablate-mshr", mshrVariants), FixedSeed: true,
-	}.Jobs()...)
-
-	// Latency hiding vs occupancy.
-	var occVariants []runner.Options
-	for _, w := range []int{4, 16, 48} {
-		occVariants = append(occVariants, runner.Options{
-			Label: fmt.Sprintf("warps=%d", w), WarpLimit: w,
-		})
-	}
-	jobs = append(jobs, runner.Grid{
-		Kind: runner.KindOccupancy, Archs: []string{"GF100"},
-		Variants: withLabels("ablate-occupancy", occVariants), FixedSeed: true,
-	}.Jobs()...)
-
-	// Load curve: idle → saturated.
-	var loadVariants []runner.Options
-	for _, load := range []float64{0.005, 0.02, 0.1, 0.4} {
-		loadVariants = append(loadVariants, runner.Options{
-			Label: fmt.Sprintf("load=%g", load), OfferedLoad: load, Cycles: cycles,
-		})
-	}
-	jobs = append(jobs, runner.Grid{
-		Kind: runner.KindLoaded, Archs: []string{"GF100"},
-		Variants: withLabels("load-curve", loadVariants),
-		BaseSeed: 1, FixedSeed: true,
-	}.Jobs()...)
-
-	return jobs
+	return p
 }
 
 // cmdBenchSuite runs the whole paper-reproduction grid on the parallel
@@ -187,7 +110,7 @@ func cmdBenchSuite(args []string) error {
 
 	list := suiteJobs(*quick)
 	start := time.Now()
-	set, err := runJobsExec(list, *jobs, !*quiet, *engine, exec)
+	set, err := runJobs(list, *jobs, !*quiet, *engine, exec)
 	if err != nil {
 		// Partial failures still produce the summary below; hard
 		// cancellation aborts.
@@ -197,17 +120,8 @@ func cmdBenchSuite(args []string) error {
 	}
 	wall := time.Since(start)
 
-	switch {
-	case *jsonOut:
-		if werr := set.WriteJSON(os.Stdout); werr != nil {
-			return werr
-		}
-	case *csvOut:
-		if werr := set.WriteCSV(os.Stdout); werr != nil {
-			return werr
-		}
-	default:
-		set.SummaryTable().Render(os.Stdout)
+	if werr := writeSet(set, *jsonOut, *csvOut); werr != nil {
+		return werr
 	}
 	fmt.Fprintf(os.Stderr, "bench-suite: %d jobs, wall %s, job-time sum %s, workers %d\n",
 		len(set.Results), wall.Round(time.Millisecond),
