@@ -25,6 +25,32 @@ func parsePairs(s string) ([][2]string, error) {
 	return out, nil
 }
 
+// corunJobs is the co-run grid: every pair under every placement on
+// every architecture, all variants of a pair at one seed.
+func corunJobs(archs []string, pairs [][2]string, placements []string, seed uint64, buckets int, quick bool) []runner.Job {
+	var list []runner.Job
+	for _, arch := range archs {
+		for _, pair := range pairs {
+			for _, place := range placements {
+				list = append(list, runner.Job{
+					Kind:   runner.KindCoRun,
+					Arch:   arch,
+					Kernel: pair[0],
+					Seed:   seed,
+					Options: runner.Options{
+						Label:     pair[0] + "+" + pair[1] + "/" + place,
+						KernelB:   pair[1],
+						Overrides: config.Overrides{Placement: place},
+						Buckets:   buckets,
+						TestScale: quick,
+					},
+				})
+			}
+		}
+	}
+	return list
+}
+
 // cmdCoRun sweeps concurrent-kernel interference: every requested
 // workload pair co-runs on independent streams under every placement
 // policy on every architecture, and the per-kernel latency-exposure
@@ -95,27 +121,7 @@ func cmdCoRun(args []string) error {
 		placeList = append(placeList, p)
 	}
 
-	var list []runner.Job
-	for _, arch := range archList {
-		for _, pair := range pairList {
-			for _, place := range placeList {
-				list = append(list, runner.Job{
-					Kind:   runner.KindCoRun,
-					Arch:   arch,
-					Kernel: pair[0],
-					Seed:   *seed,
-					Options: runner.Options{
-						Label:     pair[0] + "+" + pair[1] + "/" + place,
-						KernelB:   pair[1],
-						Overrides: config.Overrides{Placement: place},
-						Buckets:   *buckets,
-						TestScale: *quick,
-					},
-				})
-			}
-		}
-	}
-
+	list := corunJobs(archList, pairList, placeList, *seed, *buckets, *quick)
 	set, err := runJobs(list, *jobs, !*quiet, *engine, exec)
 	if err != nil {
 		return err

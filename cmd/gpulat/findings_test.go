@@ -14,27 +14,35 @@ import (
 	"gpulat/internal/runner"
 )
 
-// quickSuites memoizes one run of the quick suite per engine, so every
-// test that reads it shares the simulation.
+// quickSuites memoizes one run of the quick suite per engine and worker
+// count, so every test that reads it shares the simulation.
 var quickSuites = map[string]*runner.ResultSet{}
 
-func quickSuite(t *testing.T, engine string) *runner.ResultSet {
+// quickSuite is bench-suite -quick under engine on runner.New(workers).
+func quickSuite(t *testing.T, engine string, workers int) *runner.ResultSet {
 	t.Helper()
-	if set, ok := quickSuites[engine]; ok {
+	memo := fmt.Sprintf("%s/%d", engine, workers)
+	if set, ok := quickSuites[memo]; ok {
 		return set
 	}
-	jobs := suiteJobs(true)
+	quickSuites[memo] = runGrid(t, suiteJobs(true), engine, workers)
+	return quickSuites[memo]
+}
+
+// runGrid runs jobs under engine on runner.New(workers), as the sweep
+// commands do, and fails t if any job fails.
+func runGrid(t *testing.T, jobs []runner.Job, engine string, workers int) *runner.ResultSet {
+	t.Helper()
 	for i := range jobs {
 		jobs[i].Engine = engine
 	}
-	set, err := runner.New(0).Run(context.Background(), jobs)
+	set, err := runner.New(workers).Run(context.Background(), jobs)
 	if err == nil {
 		err = set.Err()
 	}
 	if err != nil {
-		t.Fatalf("-engine=%s: %v", engine, err)
+		t.Fatalf("-engine=%s -j %d: %v", engine, workers, err)
 	}
-	quickSuites[engine] = set
 	return set
 }
 
@@ -109,7 +117,7 @@ func findings(t *testing.T, set *runner.ResultSet) string {
 // GPULAT_FINDINGS_GOLDEN=write refreshes it — say which finding moved
 // and why.
 func TestPaperFindings(t *testing.T) {
-	got := findings(t, quickSuite(t, "event"))
+	got := findings(t, quickSuite(t, "event", 0))
 	golden := filepath.Join("testdata", "findings.golden")
 	if os.Getenv("GPULAT_FINDINGS_GOLDEN") == "write" {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bytes"
 	"encoding/json"
 	"os"
 	"strings"
@@ -245,40 +244,5 @@ func TestListJSONCatalog(t *testing.T) {
 	}
 	if info.Workloads[0] != "bfs" {
 		t.Fatalf("bfs missing from workloads: %v", info.Workloads)
-	}
-}
-
-// TestEngineDeterminismQuickGrid is the simulation kernel's core
-// contract over every section of bench-suite -quick: the event engine's
-// CSV and JSON exports are byte-identical to the tick engine's.
-func TestEngineDeterminismQuickGrid(t *testing.T) {
-	export := func(engine string) (csv, js []byte) {
-		set := quickSuite(t, engine)
-		var c, j bytes.Buffer
-		err := set.WriteCSV(&c)
-		if err == nil {
-			err = set.WriteJSON(&j)
-		}
-		if err != nil {
-			t.Fatalf("-engine=%s: %v", engine, err)
-		}
-		return c.Bytes(), j.Bytes()
-	}
-	tickCSV, tickJSON := export("tick")
-	eventCSV, eventJSON := export("event")
-	for _, f := range []struct {
-		name        string
-		tick, event []byte
-	}{{"CSV", tickCSV, eventCSV}, {"JSON", tickJSON, eventJSON}} {
-		if !bytes.Equal(f.tick, f.event) {
-			tl, el := strings.Split(string(f.tick), "\n"), strings.Split(string(f.event), "\n")
-			for i := range min(len(tl), len(el)) {
-				if tl[i] != el[i] {
-					t.Errorf("%s line %d differs:\ntick:  %s\nevent: %s", f.name, i+1, tl[i], el[i])
-					break
-				}
-			}
-			t.Errorf("%s: tick and event exports differ (%d vs %d bytes)", f.name, len(f.tick), len(f.event))
-		}
 	}
 }

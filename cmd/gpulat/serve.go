@@ -184,8 +184,8 @@ func cmdServe(args []string) error {
 		}()
 	}
 
-	// SIGTERM is how process managers (and the service-determinism make
-	// gate) stop the server; both it and Ctrl-C get a graceful drain.
+	// SIGTERM is how process managers (and `make serve-smoke`) stop the
+	// server; both it and Ctrl-C get a graceful drain.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	errCh := make(chan error, 1)

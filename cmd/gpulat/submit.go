@@ -20,7 +20,7 @@ import (
 // polling only against a server too old to hold the request), and renders the reassembled
 // ResultSet exactly as the local sweep commands would — so a service
 // round-trip of `-suite -quick -csv` byte-matches `bench-suite -quick
-// -csv`, which `make service-determinism` enforces in CI.
+// -csv`, which TestServiceMatchesDirect and `make serve-smoke` enforce.
 func cmdSubmit(args []string) error {
 	fs := newFlags("submit")
 	addr := fs.String("addr", "http://127.0.0.1:8091", "service base URL")

@@ -2,6 +2,7 @@ package gpulat
 
 import (
 	"context"
+	"net/http/httptest"
 	"strings"
 	"testing"
 )
@@ -110,7 +111,7 @@ func TestNewBFSRejectsUnbuildableGraphs(t *testing.T) {
 }
 
 // TestPublicRunnerSurface drives a tiny grid through the re-exported
-// runner API end to end.
+// runner and service APIs end to end.
 func TestPublicRunnerSurface(t *testing.T) {
 	grid := Grid{
 		Kind:     KindDynamic,
@@ -140,5 +141,27 @@ func TestPublicRunnerSurface(t *testing.T) {
 	}
 	if !strings.Contains(csv.String(), "vecadd") {
 		t.Errorf("CSV export missing job rows:\n%s", csv.String())
+	}
+
+	// The same grid served over HTTP by a cached station exports the
+	// same bytes.
+	cache, err := OpenResultCache(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := NewStation(cache, StationConfig{Workers: 2})
+	defer st.Close()
+	srv := httptest.NewServer(NewServiceHandler(st, cache))
+	defer srv.Close()
+	served, err := NewServiceClient(srv.URL).RunJobs(context.Background(), jobs)
+	var servedCSV strings.Builder
+	if err == nil {
+		err = served.WriteCSV(&servedCSV)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if servedCSV.String() != csv.String() {
+		t.Errorf("served CSV differs from the direct run:\n%s", servedCSV.String())
 	}
 }

@@ -74,8 +74,8 @@
 // the service must export byte-identical CSV/JSON to a cold direct run
 // — as must a sharded run, including one that loses a backend mid-grid,
 // grows or shrinks the pool mid-grid, or loses the coordinator itself
-// and replays its journal. `make service-determinism` and `make
-// shard-determinism` enforce all of it in CI.
+// and replays its journal. TestServiceMatchesDirect and
+// TestShardedTierMatchesDirect (cmd/gpulat) enforce all of it.
 //
 // Lifecycle is bounded: once Station.Close (or Coordinator.Close)
 // begins, Submit returns ErrStationClosed instead of admitting a job no

@@ -1,12 +1,17 @@
 package service
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -198,7 +203,9 @@ func TestCoordinatorLeaveReassignsLiveKeys(t *testing.T) {
 	b1, _ := newCachedBackend(t, nil)
 	b2, _ := newCachedBackend(t, release) // b2's executions wedge until released
 	unwedge := releaser(t, release)
-	coord := quickCoordinator(t, []string{b1.ts.URL, b2.ts.URL})
+	// No prober: on a loaded host a 20 ms probe can time out twice and
+	// reroute b2's keys before the leave has any to drain.
+	coord := quietCoordinator(t, b1.ts.URL, b2.ts.URL)
 
 	jobs := make([]runner.Job, 24)
 	for i := range jobs {
@@ -262,6 +269,53 @@ func TestCoordinatorJournalRecovery(t *testing.T) {
 		want := testResult(job)
 		if len(res.Metrics) != len(want.Metrics) || res.Metrics[0] != want.Metrics[0] {
 			t.Fatalf("replayed result drifted for %s: %+v", job.Key(), res)
+		}
+	}
+}
+
+// TestJournalAppendAfterTornTail cuts a journal at every byte offset k,
+// as a death mid-Append would, then opens it, appends one record and
+// replays: the replay must be exactly the records whose line ends
+// within the first k bytes, then the new one. A torn tail left in the
+// file would swallow the acknowledged record appended after it.
+func TestJournalAppendAfterTornTail(t *testing.T) {
+	jobs := []runner.Job{testJob(0), testJob(1), testJob(2)}
+	recs := []JournalRecord{
+		{T: journalJob, Key: jobs[0].Key(), Job: &jobs[0]},
+		{T: journalJoin, Addr: "127.0.0.1:1", Epoch: 2},
+		{T: journalJob, Key: jobs[1].Key(), Job: &jobs[1]},
+		{T: journalLeave, Addr: "127.0.0.1:1", Epoch: 3},
+	}
+	extra := JournalRecord{T: journalJob, Key: jobs[2].Key(), Job: &jobs[2]}
+	var full []byte
+	for _, rec := range recs {
+		line, err := json.Marshal(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		full = append(append(full, line...), '\n')
+	}
+	path := filepath.Join(t.TempDir(), "journal.jsonl")
+	open := func() (*Journal, []JournalRecord) {
+		j, replayed, err := OpenJournal(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return j, replayed
+	}
+	for k := range len(full) + 1 {
+		if err := os.WriteFile(path, full[:k], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		j, _ := open()
+		if err := errors.Join(j.Append(extra), j.Close()); err != nil {
+			t.Fatal(err)
+		}
+		j, got := open()
+		j.Close()
+		if want := append(slices.Clone(recs[:bytes.Count(full[:k], []byte("\n"))]), extra); !reflect.DeepEqual(got, want) {
+			t.Fatalf("journal cut at byte %d of %d: replayed %d records, want the %d complete ones and the one appended after the cut",
+				k, len(full), len(got), len(want)-1)
 		}
 	}
 }

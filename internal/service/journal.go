@@ -1,7 +1,7 @@
 package service
 
 import (
-	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -56,36 +56,34 @@ type Journal struct {
 // returns the replayable records already in it. Unparsable lines are
 // skipped: a SIGKILL mid-append leaves a torn last line, and losing
 // that one record is exactly the write-ahead contract (it was never
-// acknowledged).
+// acknowledged). The torn tail is cut off the file, or the next Append
+// would extend it into one unparsable line and lose an acknowledged
+// record too.
 func OpenJournal(path string) (*Journal, []JournalRecord, error) {
 	if dir := filepath.Dir(path); dir != "" && dir != "." {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			return nil, nil, fmt.Errorf("service: journal dir: %w", err)
 		}
 	}
+	data, err := os.ReadFile(path)
+	if err != nil && !os.IsNotExist(err) {
+		return nil, nil, fmt.Errorf("service: journal read: %w", err)
+	}
+	data = data[:bytes.LastIndexByte(data, '\n')+1]
 	var records []JournalRecord
-	if data, err := os.Open(path); err == nil {
-		sc := bufio.NewScanner(data)
-		sc.Buffer(make([]byte, 0, 64*1024), 16<<20)
-		for sc.Scan() {
-			line := sc.Bytes()
-			if len(line) == 0 {
-				continue
-			}
-			var rec JournalRecord
-			if json.Unmarshal(line, &rec) != nil || rec.T == "" {
-				continue // torn or foreign line: drop it
-			}
-			records = append(records, rec)
+	for line := range bytes.Lines(data) {
+		var rec JournalRecord
+		if json.Unmarshal(line, &rec) != nil || rec.T == "" {
+			continue // torn or foreign line: drop it
 		}
-		data.Close()
-		if err := sc.Err(); err != nil {
-			return nil, nil, fmt.Errorf("service: journal read: %w", err)
-		}
-	} else if !os.IsNotExist(err) {
-		return nil, nil, fmt.Errorf("service: journal open: %w", err)
+		records = append(records, rec)
 	}
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	if err == nil {
+		if err = f.Truncate(int64(len(data))); err != nil {
+			f.Close()
+		}
+	}
 	if err != nil {
 		return nil, nil, fmt.Errorf("service: journal open: %w", err)
 	}

@@ -166,92 +166,6 @@ func TestServerGridSubmission(t *testing.T) {
 	}
 }
 
-// TestServerWarmRunIsByteIdentical is the acceptance criterion in
-// miniature: a cold service run, a warm service re-run, and a direct
-// local run of the same tiny grid must export byte-identical CSV and
-// JSON, with the warm run served from cache.
-func TestServerWarmRunIsByteIdentical(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs real simulations")
-	}
-	ctx := context.Background()
-	cacheDir := t.TempDir()
-
-	grid := runner.Grid{
-		Kind:     runner.KindDynamic,
-		Archs:    []string{"GF106"},
-		Kernels:  []string{"vecadd", "copy"},
-		Variants: []runner.Options{{Label: "svc", TestScale: true}},
-	}
-	jobs := grid.Jobs()
-
-	direct, err := runner.New(2).Run(ctx, append([]runner.Job(nil), jobs...))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Cold: a fresh service over an empty cache simulates everything.
-	cold, coldStats := serveOnce(t, ctx, cacheDir, jobs)
-	// Warm: a RESTARTED service over the same cache dir must answer
-	// entirely from disk — the persistence claim, not just in-process
-	// dedup.
-	warm, warmStats := serveOnce(t, ctx, cacheDir, jobs)
-
-	render := func(set *runner.ResultSet) (string, string) {
-		var csv, js bytes.Buffer
-		if err := set.WriteCSV(&csv); err != nil {
-			t.Fatal(err)
-		}
-		if err := set.WriteJSON(&js); err != nil {
-			t.Fatal(err)
-		}
-		return csv.String(), js.String()
-	}
-	dCSV, dJSON := render(direct)
-	cCSV, cJSON := render(cold)
-	wCSV, wJSON := render(warm)
-	if dCSV != cCSV || dCSV != wCSV {
-		t.Fatalf("CSV drift:\ndirect:\n%s\ncold:\n%s\nwarm:\n%s", dCSV, cCSV, wCSV)
-	}
-	if dJSON != cJSON || dJSON != wJSON {
-		t.Fatalf("JSON drift across direct/cold/warm runs")
-	}
-
-	if coldStats.Station.Executed != int64(len(jobs)) || coldStats.Station.CacheHits != 0 {
-		t.Fatalf("cold stats: %+v", coldStats.Station)
-	}
-	if warmStats.Station.CacheHits != int64(len(jobs)) || warmStats.Station.Executed != 0 {
-		t.Fatalf("warm run not served from the persistent cache: %+v", warmStats.Station)
-	}
-	if warmStats.Cache.Hits != int64(len(jobs)) {
-		t.Fatalf("cache counters: %+v", warmStats.Cache)
-	}
-}
-
-// serveOnce spins up a service over cacheDir, runs jobs through the
-// HTTP client, and returns the results plus the final counters.
-func serveOnce(t *testing.T, ctx context.Context, cacheDir string, jobs []runner.Job) (*runner.ResultSet, Statsz) {
-	t.Helper()
-	cache, err := OpenCache(cacheDir, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	station := NewStation(cache, StationConfig{Workers: 4})
-	defer station.Close()
-	ts := httptest.NewServer(NewServer(station, cache))
-	defer ts.Close()
-	client := NewClient(ts.URL)
-	set, err := client.RunJobs(ctx, jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stats, err := client.Statsz(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return set, stats
-}
-
 // TestResultBytesAreTheWireEncoding: GET /v1/results/{key} answers
 // exactly stats.ComparableJSON(WireResult{…}) of the result, whichever
 // path finished the key's state: a job that ran, a cache hit on a new
