@@ -61,7 +61,7 @@
 //	stats             summaries, histograms, tables, and the comparable
 //	                  JSON encoding determinism gates diff
 //	metrics           zero-dependency Prometheus instruments (counters,
-//	                  gauges, histograms, scrape-time collectors), the
+//	                  gauges, histograms, struct-tag walks), the
 //	                  text exposition writer, and a parser + format
 //	                  validator; backs the servers' /metrics endpoint,
 //	                  simrun -trace-sim, and the bench/ harness's scrapes

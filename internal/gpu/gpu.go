@@ -139,16 +139,17 @@ type GPU struct {
 	stats Stats
 }
 
-// Stats aggregates device-level counters.
+// Stats aggregates device-level counters. The tags are their -trace-sim
+// families, exported in field order.
 type Stats struct {
 	// Cycles is the total simulated time, identical for both engines.
-	Cycles          uint64
-	KernelsLaunched uint64
-	BlocksDispatch  uint64
+	Cycles uint64 `metric:"gpulat_sim_cycles_total,counter,Simulated cycles (identical across engines)."`
 	// SkippedCycles is the portion of Cycles the event-driven kernel
 	// fast-forwarded instead of stepping (0 under the tick engine); the
 	// skip ratio is the engine's speedup lever.
-	SkippedCycles uint64
+	SkippedCycles   uint64 `metric:"gpulat_sim_skipped_cycles_total,counter,Cycles the event engine fast-forwarded instead of stepping."`
+	KernelsLaunched uint64 `metric:"gpulat_sim_kernels_launched_total,counter,Kernels launched on the device."`
+	BlocksDispatch  uint64 `metric:"gpulat_sim_blocks_dispatched_total,counter,Thread blocks placed on SMs across all kernels."`
 }
 
 // New constructs a GPU with a fresh functional memory.
@@ -761,9 +762,9 @@ func (g *GPU) auditWakes(next sim.Cycle) {
 // led to processing. The examples/engine_internals walkthrough prints
 // these to show where the engine spends its stepped cycles.
 type WakeStat struct {
-	Name  string
-	Arms  uint64
-	Fired uint64
+	Name  string `metric:"component"`
+	Arms  uint64 `metric:"gpulat_sim_component_arms_total,counter,Wake registrations the event scheduler accepted, per component."`
+	Fired uint64 `metric:"gpulat_sim_component_wakes_total,counter,Due wake-ups that led to processing, per component."`
 }
 
 // WakeStats returns per-component wake counters accumulated by the

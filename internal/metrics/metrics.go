@@ -1,26 +1,33 @@
 // Package metrics is a zero-dependency metrics layer with a Prometheus
-// text-exposition writer: counters, gauges, and cumulative histograms,
-// plain or labeled, plus scrape-time collector functions that snapshot
-// counters other subsystems already maintain (StationStats, CacheStats,
-// BackendStatus, gpu.WakeStats) without double bookkeeping. No
+// text-exposition writer. It has two kinds of family. Instruments
+// (counters, gauges and cumulative histograms, plain or labeled) are
+// for what only the metrics layer counts, such as HTTP requests. Walk
+// exports what a subsystem already counts (StationStats, CacheStats,
+// BackendStatus, gpu.Stats, ...): each family is declared once, in the
+// tag of the struct field that holds it, and a scrape calls the
+// subsystem's snapshot function once for all of its families. No
 // client_golang import — consistent with the repo's stdlib-only stance.
 //
 // Concurrency: instruments are safe for concurrent use (atomics for the
 // hot Inc/Observe paths, a mutex only on labeled-child creation), and a
-// scrape never blocks writers. Collector functions run on the scraping
-// goroutine at exposition time and must themselves be safe to call
-// concurrently with the code they observe.
+// scrape never blocks writers. Snapshot functions run on the scraping
+// goroutine and must be safe to call concurrently with the code they
+// observe.
 //
-// Exposition order is deterministic: families in registration order,
-// labeled children sorted by label values — so golden-file tests can
-// byte-compare a scrape.
+// Exposition order is deterministic: families in registration order (a
+// walk's in field order), an instrument's labeled children sorted by
+// label values and a walked family's samples in field and row order —
+// so golden-file tests can byte-compare a scrape.
 package metrics
 
 import (
 	"fmt"
 	"io"
+	"maps"
 	"math"
 	"net/http"
+	"reflect"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -61,27 +68,26 @@ type histSnapshot struct {
 	count  uint64
 }
 
-// family is one registered metric family; collect snapshots its current
-// samples at scrape time.
+// family is one registered metric family. An instrument's collect
+// snapshots its current samples at scrape time; a walked family reads
+// its samples from its source's snapshot.
 type family struct {
 	name       string
 	help       string
 	kind       Kind
 	labelNames []string
 	collect    func(emit func(sample))
+	walked     *walked
 }
 
 // Registry holds metric families and writes the text exposition.
 type Registry struct {
 	mu       sync.Mutex
 	families []*family
-	byName   map[string]*family
 }
 
 // NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{byName: map[string]*family{}}
-}
+func NewRegistry() *Registry { return &Registry{} }
 
 // nameRe is the accepted metric/label name shape. Deliberately stricter
 // than Prometheus (no uppercase, no colons): every gpulat metric is
@@ -104,22 +110,24 @@ func validName(s string) bool {
 	return true
 }
 
-func (r *Registry) register(f *family) {
-	if !validName(f.name) {
-		panic(fmt.Sprintf("metrics: invalid metric name %q", f.name))
-	}
-	for _, l := range f.labelNames {
-		if !validName(l) || l == "le" {
-			panic(fmt.Sprintf("metrics: invalid label name %q on %q", l, f.name))
-		}
-	}
+// register adds fams, adjacent and in order.
+func (r *Registry) register(fams ...*family) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if _, dup := r.byName[f.name]; dup {
-		panic(fmt.Sprintf("metrics: duplicate metric name %q", f.name))
+	for _, f := range fams {
+		if !validName(f.name) {
+			panic(fmt.Sprintf("metrics: invalid metric name %q", f.name))
+		}
+		for _, l := range f.labelNames {
+			if !validName(l) || l == "le" {
+				panic(fmt.Sprintf("metrics: invalid label name %q on %q", l, f.name))
+			}
+		}
+		if slices.ContainsFunc(r.families, func(g *family) bool { return g.name == f.name }) {
+			panic(fmt.Sprintf("metrics: duplicate metric name %q", f.name))
+		}
+		r.families = append(r.families, f)
 	}
-	r.byName[f.name] = f
-	r.families = append(r.families, f)
 }
 
 // ---- value cells -----------------------------------------------------
@@ -136,7 +144,6 @@ func (a *atomicFloat) Add(v float64) {
 	}
 }
 
-func (a *atomicFloat) Set(v float64) { a.bits.Store(math.Float64bits(v)) }
 func (a *atomicFloat) Load() float64 { return math.Float64frombits(a.bits.Load()) }
 
 // Counter is a monotonically increasing value.
@@ -159,10 +166,8 @@ func (c *Counter) Value() float64 { return c.v.Load() }
 // Gauge is a value that can go up and down.
 type Gauge struct{ v atomicFloat }
 
-func (g *Gauge) Set(v float64) { g.v.Set(v) }
-func (g *Gauge) Add(v float64) { g.v.Add(v) }
-func (g *Gauge) Inc()          { g.v.Add(1) }
-func (g *Gauge) Dec()          { g.v.Add(-1) }
+func (g *Gauge) Inc() { g.v.Add(1) }
+func (g *Gauge) Dec() { g.v.Add(-1) }
 
 // Value returns the current value.
 func (g *Gauge) Value() float64 { return g.v.Load() }
@@ -241,11 +246,7 @@ func (v *vec[T]) with(values ...string) *T {
 // each visits children sorted by label values (deterministic scrapes).
 func (v *vec[T]) each(fn func(values []string, child *T)) {
 	v.mu.Lock()
-	keys := make([]string, 0, len(v.children))
-	for k := range v.children {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
+	keys := slices.Sorted(maps.Keys(v.children))
 	children := make([]*T, len(keys))
 	for i, k := range keys {
 		children[i] = v.children[k]
@@ -265,12 +266,6 @@ type CounterVec struct{ vec[Counter] }
 
 // With returns the child counter for the given label values.
 func (v *CounterVec) With(values ...string) *Counter { return v.with(values...) }
-
-// GaugeVec is a gauge family partitioned by labels.
-type GaugeVec struct{ vec[Gauge] }
-
-// With returns the child gauge for the given label values.
-func (v *GaugeVec) With(values ...string) *Gauge { return v.with(values...) }
 
 // HistogramVec is a histogram family partitioned by labels.
 type HistogramVec struct {
@@ -298,15 +293,6 @@ func (r *Registry) NewGauge(name, help string) *Gauge {
 	return g
 }
 
-// NewHistogram registers and returns a histogram with the given finite
-// bucket upper bounds (nil selects DefBuckets; +Inf is implicit).
-func (r *Registry) NewHistogram(name, help string, buckets []float64) *Histogram {
-	h := newHistogram(buckets)
-	r.register(&family{name: name, help: help, kind: KindHistogram,
-		collect: func(emit func(sample)) { emit(sample{hist: h.snapshot()}) }})
-	return h
-}
-
 // NewCounterVec registers a labeled counter family.
 func (r *Registry) NewCounterVec(name, help string, labels ...string) *CounterVec {
 	v := &CounterVec{vec[Counter]{
@@ -323,34 +309,14 @@ func (r *Registry) NewCounterVec(name, help string, labels ...string) *CounterVe
 	return v
 }
 
-// NewGaugeVec registers a labeled gauge family.
-func (r *Registry) NewGaugeVec(name, help string, labels ...string) *GaugeVec {
-	v := &GaugeVec{vec[Gauge]{
-		labelNames: labels,
-		children:   map[string]*Gauge{},
-		newChild:   func() *Gauge { return &Gauge{} },
-	}}
-	r.register(&family{name: name, help: help, kind: KindGauge, labelNames: labels,
-		collect: func(emit func(sample)) {
-			v.each(func(values []string, g *Gauge) {
-				emit(sample{labels: values, value: g.Value()})
-			})
-		}})
-	return v
-}
-
 // NewHistogramVec registers a labeled histogram family (nil buckets
 // selects DefBuckets).
 func (r *Registry) NewHistogramVec(name, help string, buckets []float64, labels ...string) *HistogramVec {
-	if len(buckets) == 0 {
-		buckets = DefBuckets
-	}
-	bs := make([]float64, len(buckets))
-	copy(bs, buckets)
+	uppers := newHistogram(buckets).uppers // checked once, copied per child
 	v := &HistogramVec{vec[Histogram]{
 		labelNames: labels,
 		children:   map[string]*Histogram{},
-		newChild:   func() *Histogram { return newHistogram(bs) },
+		newChild:   func() *Histogram { return newHistogram(uppers) },
 	}}
 	r.register(&family{name: name, help: help, kind: KindHistogram, labelNames: labels,
 		collect: func(emit func(sample)) {
@@ -361,48 +327,11 @@ func (r *Registry) NewHistogramVec(name, help string, buckets []float64, labels 
 	return v
 }
 
-// CounterFunc registers a counter whose value is read by fn at scrape
-// time — the bridge to counters another subsystem already maintains
-// under its own lock.
-func (r *Registry) CounterFunc(name, help string, fn func() float64) {
-	r.register(&family{name: name, help: help, kind: KindCounter,
-		collect: func(emit func(sample)) { emit(sample{value: fn()}) }})
-}
-
-// GaugeFunc registers a gauge read by fn at scrape time.
-func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
-	r.register(&family{name: name, help: help, kind: KindGauge,
-		collect: func(emit func(sample)) { emit(sample{value: fn()}) }})
-}
-
-// VecFunc registers a labeled family (counter or gauge) whose samples
-// are produced by collect at scrape time: collect calls emit once per
-// child with that child's label values and value. Sample order is
-// whatever collect emits — keep it deterministic.
-func (r *Registry) VecFunc(kind Kind, name, help string, labels []string, collect func(emit func(labelValues []string, v float64))) {
-	if kind != KindCounter && kind != KindGauge {
-		panic("metrics: VecFunc supports counter and gauge families only")
-	}
-	r.register(&family{name: name, help: help, kind: kind, labelNames: labels,
-		collect: func(emit func(sample)) {
-			collect(func(values []string, v float64) {
-				if len(values) != len(labels) {
-					panic(fmt.Sprintf("metrics: %s emitted %d label values, want %d", name, len(values), len(labels)))
-				}
-				emit(sample{labels: values, value: v})
-			})
-		}})
-}
-
 // Info registers a constant-value gauge pinned at 1 whose labels carry
 // build facts (the Prometheus "info metric" idiom, e.g.
 // gpulat_build_info{version="...",scheme="..."} 1).
 func (r *Registry) Info(name, help string, labels map[string]string) {
-	names := make([]string, 0, len(labels))
-	for k := range labels {
-		names = append(names, k)
-	}
-	sort.Strings(names)
+	names := slices.Sorted(maps.Keys(labels))
 	values := make([]string, len(names))
 	for i, k := range names {
 		values[i] = labels[k]
@@ -428,37 +357,34 @@ func formatValue(v float64) string {
 var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
 var helpEscaper = strings.NewReplacer(`\`, `\\`, "\n", `\n`)
 
-// writeLabels renders {a="x",b="y"} (with an optional extra le pair for
-// histogram buckets); empty label sets render nothing.
-func writeLabels(b *strings.Builder, names, values []string, le string) {
-	if len(names) == 0 && le == "" {
-		return
+// writeSample writes one line: the family name and suffix, its labels
+// as {a="x",b="y"} (an le pair last for a histogram bucket; no braces
+// for none), then value.
+func writeSample(b *strings.Builder, f *family, labels []string, suffix, le, value string) {
+	names := f.labelNames
+	if le != "" {
+		names, labels = append(slices.Clip(names), "le"), append(slices.Clip(labels), le)
 	}
-	b.WriteByte('{')
-	first := true
+	b.WriteString(f.name)
+	b.WriteString(suffix)
+	sep := byte('{')
 	for i, n := range names {
-		if !first {
-			b.WriteByte(',')
-		}
-		first = false
+		b.WriteByte(sep)
+		sep = ','
 		b.WriteString(n)
 		b.WriteString(`="`)
-		b.WriteString(labelEscaper.Replace(values[i]))
+		b.WriteString(labelEscaper.Replace(labels[i]))
 		b.WriteByte('"')
 	}
-	if le != "" {
-		if !first {
-			b.WriteByte(',')
-		}
-		b.WriteString(`le="`)
-		b.WriteString(le)
-		b.WriteByte('"')
+	if len(names) > 0 {
+		b.WriteByte('}')
 	}
-	b.WriteByte('}')
+	b.WriteString(" " + value + "\n")
 }
 
 // WriteTo writes the full text exposition (version 0.0.4 format):
-// families in registration order, each with its HELP and TYPE lines.
+// families in registration order, each with its HELP and TYPE lines. It
+// takes one snapshot of each walked source.
 func (r *Registry) WriteTo(w io.Writer) (int64, error) {
 	r.mu.Lock()
 	fams := make([]*family, len(r.families))
@@ -466,19 +392,24 @@ func (r *Registry) WriteTo(w io.Writer) (int64, error) {
 	r.mu.Unlock()
 
 	var b strings.Builder
+	var src *source // a source's families are adjacent: take it once per run of them
+	var root reflect.Value
 	for _, f := range fams {
 		fmt.Fprintf(&b, "# HELP %s %s\n", f.name, helpEscaper.Replace(f.help))
 		fmt.Fprintf(&b, "# TYPE %s %s\n", f.name, f.kind)
-		f.collect(func(s sample) {
+		collect := f.collect
+		if w := f.walked; w != nil {
+			if w.src != src {
+				src, root = w.src, w.src.take()
+			}
+			collect = func(emit func(sample)) { w.read(root, emit) }
+		}
+		collect(func(s sample) {
 			if f.kind == KindHistogram {
 				writeHistogram(&b, f, s)
-				return
+			} else {
+				writeSample(&b, f, s.labels, "", "", formatValue(s.value))
 			}
-			b.WriteString(f.name)
-			writeLabels(&b, f.labelNames, s.labels, "")
-			b.WriteByte(' ')
-			b.WriteString(formatValue(s.value))
-			b.WriteByte('\n')
 		})
 	}
 	n, err := io.WriteString(w, b.String())
@@ -486,30 +417,15 @@ func (r *Registry) WriteTo(w io.Writer) (int64, error) {
 }
 
 func writeHistogram(b *strings.Builder, f *family, s sample) {
-	h := s.hist
-	cum := uint64(0)
+	h, cum := s.hist, uint64(0)
 	for i, upper := range h.uppers {
 		cum += h.counts[i]
-		b.WriteString(f.name)
-		b.WriteString("_bucket")
-		writeLabels(b, f.labelNames, s.labels, formatValue(upper))
-		fmt.Fprintf(b, " %d\n", cum)
+		writeSample(b, f, s.labels, "_bucket", formatValue(upper), strconv.FormatUint(cum, 10))
 	}
 	cum += h.counts[len(h.uppers)]
-	b.WriteString(f.name)
-	b.WriteString("_bucket")
-	writeLabels(b, f.labelNames, s.labels, "+Inf")
-	fmt.Fprintf(b, " %d\n", cum)
-
-	b.WriteString(f.name)
-	b.WriteString("_sum")
-	writeLabels(b, f.labelNames, s.labels, "")
-	fmt.Fprintf(b, " %s\n", formatValue(h.sum))
-
-	b.WriteString(f.name)
-	b.WriteString("_count")
-	writeLabels(b, f.labelNames, s.labels, "")
-	fmt.Fprintf(b, " %d\n", h.count)
+	writeSample(b, f, s.labels, "_bucket", "+Inf", strconv.FormatUint(cum, 10))
+	writeSample(b, f, s.labels, "_sum", "", formatValue(h.sum))
+	writeSample(b, f, s.labels, "_count", "", strconv.FormatUint(h.count, 10))
 }
 
 // Handler returns the GET /metrics endpoint over this registry.

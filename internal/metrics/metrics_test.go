@@ -4,10 +4,38 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 )
+
+// walkStats is a snapshot of every shape Walk accepts.
+type walkStats struct {
+	Jobs    int64 `metric:"test_walked_jobs_total,counter,Jobs walked."`
+	Queued  int   `metric:"test_walked_jobs{state=queued},gauge,Jobs by state."`
+	Running int   `metric:"test_walked_jobs{state=running}"`
+	Up      bool  `metric:"test_walked_up,gauge,Whether it is up."`
+	Note    string
+	Skipped int `metric:"-"`
+	Nested  struct {
+		Depth uint64 `metric:"test_walked_depth,gauge,A nested field."`
+	}
+	Backends []walkBackend
+}
+
+type walkBackend struct {
+	Addr  string  `metric:"backend"`
+	Share float64 `metric:"test_walked_share,gauge,Share by backend."`
+	Fails int     `metric:"test_walked_fails_total,counter,Failures by backend."`
+}
+
+func testWalkStats() walkStats {
+	s := walkStats{Jobs: 12, Queued: 4, Running: 2, Up: true, Note: "not a metric", Skipped: 9,
+		Backends: []walkBackend{{"http://b2:2", 0.75, 3}, {"http://b1:1", 0.25, 0}}}
+	s.Nested.Depth = 5
+	return s
+}
 
 // testRegistry builds one family of every shape the service exposes, so
 // the golden file and the linter exercise the full writer surface.
@@ -20,28 +48,17 @@ func testRegistry() *Registry {
 	c.Add(41)
 	c.Inc()
 	g := r.NewGauge("test_queue_depth", "Jobs waiting.")
-	g.Set(7)
+	for range 7 {
+		g.Inc()
+	}
 	cv := r.NewCounterVec("test_http_requests_total", "Requests by route and code.", "route", "code")
 	cv.With("/v1/jobs", "200").Add(3)
 	cv.With("/v1/jobs", "503").Inc()
 	cv.With("/v1/healthz", "200").Add(9)
-	gv := r.NewGaugeVec("test_backend_up", "Backend routability.", "backend")
-	gv.With("http://b1:1").Set(1)
-	gv.With("http://b2:2").Set(0)
-	h := r.NewHistogram("test_latency_seconds", "Request latency.", []float64{0.01, 0.1, 1})
-	for _, v := range []float64{0.002, 0.02, 0.05, 0.5, 3} {
-		h.Observe(v)
-	}
 	hv := r.NewHistogramVec("test_route_latency_seconds", "Latency by route.", []float64{0.25, 2.5}, "route")
 	hv.With("/v1/results").Observe(0.1)
 	hv.With("/v1/results").Observe(1)
-	r.CounterFunc("test_collected_total", "Scrape-time counter.", func() float64 { return 12 })
-	r.GaugeFunc("test_collected_gauge", "Scrape-time gauge.", func() float64 { return 2.5 })
-	r.VecFunc(KindGauge, "test_collected_vec", "Scrape-time labeled gauge.", []string{"state"},
-		func(emit func([]string, float64)) {
-			emit([]string{"queued"}, 4)
-			emit([]string{"running"}, 2)
-		})
+	Walk(r, testWalkStats)
 	return r
 }
 
@@ -101,18 +118,24 @@ func TestParseRoundTrip(t *testing.T) {
 	if v, ok := s.Value("test_build_info", map[string]string{"version": "v1.2.3"}); !ok || v != 1 {
 		t.Errorf("info metric = %v, %v; want 1", v, ok)
 	}
-	if s.Type["test_latency_seconds"] != KindHistogram {
-		t.Errorf("TYPE of histogram = %q", s.Type["test_latency_seconds"])
+	if s.Type["test_route_latency_seconds"] != KindHistogram {
+		t.Errorf("TYPE of histogram = %q", s.Type["test_route_latency_seconds"])
 	}
-	// Cumulative buckets: 0.01→1, 0.1→3, 1→4, +Inf→5.
-	if v, _ := s.Value("test_latency_seconds_bucket", map[string]string{"le": "+Inf"}); v != 5 {
-		t.Errorf("+Inf bucket = %v, want 5", v)
+	// Cumulative buckets: 0.25→1, 2.5→2, +Inf→2.
+	route := map[string]string{"route": "/v1/results"}
+	for le, want := range map[string]float64{"0.25": 1, "2.5": 2, "+Inf": 2} {
+		if v, _ := s.Value("test_route_latency_seconds_bucket", map[string]string{"route": "/v1/results", "le": le}); v != want {
+			t.Errorf("le=%s bucket = %v, want %v", le, v, want)
+		}
 	}
-	if v, _ := s.Value("test_latency_seconds_bucket", map[string]string{"le": "0.1"}); v != 3 {
-		t.Errorf("0.1 bucket = %v, want 3", v)
+	if v, _ := s.Value("test_route_latency_seconds_count", route); v != 2 {
+		t.Errorf("_count = %v, want 2", v)
 	}
-	if v, _ := s.Value("test_latency_seconds_count", nil); v != 5 {
-		t.Errorf("_count = %v, want 5", v)
+	if v, ok := s.Value("test_walked_jobs", map[string]string{"state": "running"}); !ok || v != 2 {
+		t.Errorf("walked constant-label sample = %v, %v; want 2", v, ok)
+	}
+	if v, ok := s.Value("test_walked_share", map[string]string{"backend": "http://b2:2"}); !ok || v != 0.75 {
+		t.Errorf("walked row sample = %v, %v; want 0.75", v, ok)
 	}
 }
 
@@ -141,8 +164,7 @@ func TestLintRejects(t *testing.T) {
 
 func TestLabelEscaping(t *testing.T) {
 	r := NewRegistry()
-	gv := r.NewGaugeVec("test_escape", "Label escaping.", "path")
-	gv.With("a\"b\\c\nd").Set(1)
+	r.NewCounterVec("test_escape", "Label escaping.", "path").With("a\"b\\c\nd").Inc()
 	out := expose(t, r)
 	if err := Lint([]byte(out)); err != nil {
 		t.Fatalf("Lint: %v\n%s", err, out)
@@ -195,7 +217,7 @@ func TestDuplicateRegistrationPanics(t *testing.T) {
 func TestConcurrentScrape(t *testing.T) {
 	r := NewRegistry()
 	c := r.NewCounter("test_total", "x")
-	h := r.NewHistogram("test_hist", "x", nil)
+	h := r.NewHistogramVec("test_hist", "x", nil).With()
 	cv := r.NewCounterVec("test_vec_total", "x", "k")
 	const iters = 1000
 	var wg sync.WaitGroup
@@ -219,5 +241,65 @@ func TestConcurrentScrape(t *testing.T) {
 	wg.Wait()
 	if got := c.Value(); got != 4*iters || math.IsNaN(got) {
 		t.Fatalf("counter = %v, want %d", got, 4*iters)
+	}
+}
+
+// TestWalkReadsOneSnapshotPerScrape: every walked family of a scrape
+// comes from one call of the snapshot function.
+func TestWalkReadsOneSnapshotPerScrape(t *testing.T) {
+	r := NewRegistry()
+	calls := 0
+	Walk(r, func() walkStats { calls++; return testWalkStats() })
+	for scrape := 1; scrape <= 2; scrape++ {
+		expose(t, r)
+		if calls != scrape {
+			t.Fatalf("%d scrapes called the snapshot %d times", scrape, calls)
+		}
+	}
+}
+
+// TestWalkSelectsFields: naming fields walks only those top-level
+// fields.
+func TestWalkSelectsFields(t *testing.T) {
+	r := NewRegistry()
+	Walk(r, testWalkStats, "Jobs", "Backends")
+	s, err := Parse([]byte(expose(t, r)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for name := range s.Type {
+		got = append(got, name)
+	}
+	slices.Sort(got)
+	if want := []string{"test_walked_fails_total", "test_walked_jobs_total", "test_walked_share"}; !slices.Equal(got, want) {
+		t.Errorf("families %v, want %v", got, want)
+	}
+}
+
+// TestWalkPanicsOnUntaggedNumber: a numeric field must declare its
+// family or opt out with metric:"-", so a counter added to a stats
+// struct cannot go unexported; a tag whose kind is not counter or gauge
+// panics too.
+func TestWalkPanicsOnUntaggedNumber(t *testing.T) {
+	type untagged struct {
+		Tagged int64 `metric:"test_tagged_total,counter,Tagged."`
+		Added  int64
+	}
+	type badKind struct {
+		Latency float64 `metric:"test_latency,histogram,Not walkable."`
+	}
+	for name, walk := range map[string]func(*Registry){
+		"untagged": func(r *Registry) { Walk(r, func() untagged { return untagged{} }) },
+		"bad kind": func(r *Registry) { Walk(r, func() badKind { return badKind{} }) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: Walk did not panic", name)
+				}
+			}()
+			walk(NewRegistry())
+		}()
 	}
 }

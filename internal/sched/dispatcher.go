@@ -18,12 +18,13 @@ type KernelStats struct {
 	// BlocksDispatched counts blocks placed on SMs; BlocksRetired counts
 	// blocks whose warps all completed. The kernel is done when both
 	// equal its grid size.
-	BlocksDispatched int
-	BlocksRetired    int
+	BlocksDispatched int `metric:"gpulat_sim_kernel_blocks_dispatched,gauge,Blocks of the kernel placed on SMs."`
+	BlocksRetired    int `metric:"gpulat_sim_kernel_blocks_retired,gauge,Blocks of the kernel that ran to completion."`
 	// LaunchedAt is the cycle the kernel became head of its stream and
-	// began dispatching; CompletedAt is the cycle its last block retired.
-	LaunchedAt  sim.Cycle
-	CompletedAt sim.Cycle
+	// began dispatching; CompletedAt is the cycle its last block retired
+	// (0 until then).
+	LaunchedAt  sim.Cycle `metric:"gpulat_sim_kernel_launched_cycle,gauge,Cycle the kernel began dispatching."`
+	CompletedAt sim.Cycle `metric:"gpulat_sim_kernel_completed_cycle,gauge,Cycle the kernel's last block retired (0 while running)."`
 }
 
 // KernelState is one launched (or queued) kernel's dispatch bookkeeping.

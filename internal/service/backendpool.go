@@ -27,27 +27,27 @@ var ErrLastBackend = errors.New("service: cannot remove the last backend")
 // BackendStatus is one backend's routing and health view, reported by
 // GET /v1/backendsz on a coordinator.
 type BackendStatus struct {
-	Addr    string `json:"addr"`
-	Healthy bool   `json:"healthy"`
+	Addr    string `json:"addr" metric:"backend"`
+	Healthy bool   `json:"healthy" metric:"gpulat_backend_up,gauge,1 while the backend's circuit is closed (routable), else 0."`
 	// Circuit is "closed" while the backend is routable and "open" after
 	// FailThreshold consecutive failures; the health prober closes it
 	// again on the first successful probe.
 	Circuit             string `json:"circuit"`
-	ConsecutiveFailures int    `json:"consecutive_failures,omitempty"`
+	ConsecutiveFailures int    `json:"consecutive_failures,omitempty" metric:"gpulat_backend_consecutive_failures,gauge,Worse of the backend's consecutive probe/call failure streaks."`
 	LastError           string `json:"last_error,omitempty"`
-	Probes              int64  `json:"probes"`
+	Probes              int64  `json:"probes" metric:"gpulat_backend_probes_total,counter,Health probes sent to the backend."`
 	// Submitted counts jobs forwarded to this backend (including
 	// re-forwards after reroutes elsewhere failed).
-	Submitted int64 `json:"submitted"`
+	Submitted int64 `json:"submitted" metric:"gpulat_backend_submitted_total,counter,Jobs forwarded to the backend (including re-forwards)."`
 	// Assigned is the number of live (non-terminal) keys currently
 	// placed on this backend.
-	Assigned int `json:"assigned"`
+	Assigned int `json:"assigned" metric:"gpulat_backend_assigned,gauge,Live (non-terminal) keys currently placed on the backend."`
 	// ReroutedAway counts keys moved off this backend after it failed.
-	ReroutedAway int64 `json:"rerouted_away,omitempty"`
+	ReroutedAway int64 `json:"rerouted_away,omitempty" metric:"gpulat_backend_rerouted_away_total,counter,Keys moved off the backend after it failed."`
 	// Share is the fraction of the consistent-hash ring this backend's
 	// vnodes own — the expected share of a uniform key population it
 	// serves at the current membership epoch.
-	Share float64 `json:"ring_share"`
+	Share float64 `json:"ring_share" metric:"gpulat_backend_ring_share,gauge,Fraction of the consistent-hash ring the backend's vnodes own at the current epoch."`
 }
 
 // Backend is one routable `gpulat serve` endpoint plus its circuit

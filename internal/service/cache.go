@@ -27,13 +27,13 @@ type Entry struct {
 
 // CacheStats are the cache's monotonic counters plus its current size.
 type CacheStats struct {
-	Hits      int64 `json:"hits"`
-	Misses    int64 `json:"misses"`
-	Puts      int64 `json:"puts"`
-	Evictions int64 `json:"evictions"`
-	Entries   int   `json:"entries"`
+	Hits      int64 `json:"hits" metric:"gpulat_cache_hits_total,counter,Result-cache lookups answered from disk."`
+	Misses    int64 `json:"misses" metric:"gpulat_cache_misses_total,counter,Result-cache lookups that found nothing."`
+	Puts      int64 `json:"puts" metric:"gpulat_cache_puts_total,counter,Results written through to the cache."`
+	Evictions int64 `json:"evictions" metric:"gpulat_cache_evictions_total,counter,Entries removed by the LRU bound."`
+	Entries   int   `json:"entries" metric:"gpulat_cache_entries,gauge,Entries currently in the result cache."`
 	// Bytes is the summed on-disk size of the stored entries.
-	Bytes int64 `json:"bytes"`
+	Bytes int64 `json:"bytes" metric:"gpulat_cache_bytes,gauge,On-disk size of the result cache in bytes."`
 }
 
 // Cache is a persistent content-addressed result store. Entries live as

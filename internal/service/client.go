@@ -20,9 +20,11 @@ import (
 type Client struct {
 	Base string
 	HTTP *http.Client
-	// Poll is the old-server fallback interval only (default 25ms, backing
-	// off to 8x): RunJobs waits by long-poll, and Poll is the floor between
-	// two non-terminal answers, so a server that ignores wait is not spun on.
+	// Poll is the floor between two non-terminal status answers (default
+	// 25ms, backing off to 8x). RunJobs waits by long-poll, but an answer
+	// can still come back at once: from a server that ignores wait, or
+	// from a coordinator for a key it has not forwarded yet (a chunk
+	// parked by backend backpressure), so Poll keeps RunJobs from spinning.
 	Poll time.Duration
 	// Backoff is the starting delay before resubmitting jobs a 503
 	// (queue full, no healthy backends) refused (default 50ms, doubling

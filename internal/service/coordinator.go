@@ -593,9 +593,10 @@ func (c *Coordinator) place(ctx context.Context, group []*jobState, avoid *Backe
 
 // jitter returns d scaled by a uniform factor in [0.75, 1.25), so a
 // fleet of coordinators (or a pool of retrying clients) never settles
-// into lockstep — the thundering-herd guard on recovery.
+// into lockstep — the thundering-herd guard on recovery. Below 2 ns
+// there is nothing to spread, and d comes back unchanged.
 func jitter(d time.Duration) time.Duration {
-	if d <= 0 {
+	if d < 2 {
 		return d
 	}
 	return 3*d/4 + rand.N(d/2)

@@ -389,3 +389,19 @@ func jsonDecode(r *http.Request, v any) error {
 	defer r.Body.Close()
 	return json.NewDecoder(r.Body).Decode(v)
 }
+
+// TestJitterBounds: jitter never panics and keeps d within
+// [3d/4, 5d/4), down to 1 ns, which it returns unchanged.
+func TestJitterBounds(t *testing.T) {
+	for _, d := range []time.Duration{1, 2, 3, time.Millisecond} {
+		lo, hi := 3*d/4, 5*d/4
+		if d == 1 {
+			lo, hi = 1, 2
+		}
+		for range 100 {
+			if got := jitter(d); got < lo || got >= hi {
+				t.Fatalf("jitter(%v) = %v, want in [%v, %v)", d, got, lo, hi)
+			}
+		}
+	}
+}

@@ -31,8 +31,9 @@
 //     does (the first call of a RunJobs goes out headStart, 2 ms, after
 //     it began: short jobs are then answered without a held wait, and a
 //     closed-loop caller's pace is a timer's, not the host scheduler's).
-//     Without wait the answer is immediate; Client.Poll is only
-//     the floor between two non-terminal answers from an older server.
+//     Without wait the answer is immediate. Client.Poll is the floor
+//     between two non-terminal answers: an older server answers at once,
+//     and so does a coordinator for a key it has not forwarded yet.
 //     A terminal answer — a ticket already done or failed, a status
 //     that is — carries its result (the bytes GET /v1/results/{key}
 //     writes), so a finished job costs one round trip and a warm grid

@@ -20,35 +20,38 @@ const (
 
 func (s Status) terminal() bool { return s == StatusDone || s == StatusFailed }
 
-// StationStats are a tier's monotonic counters and live gauges.
+// StationStats are a tier's monotonic counters and live gauges. The
+// metric tags are their /metrics families (see metrics.Walk).
 type StationStats struct {
-	Submitted int64 `json:"submitted"`
-	Executed  int64 `json:"executed"`
+	Submitted int64 `json:"submitted" metric:"gpulat_station_submitted_total,counter,Jobs submitted to this service (before dedup)."`
+	Executed  int64 `json:"executed" metric:"gpulat_station_executed_total,counter,Jobs actually simulated by this station's workers."`
 	// Deduped counts submissions that attached to an already-known key
 	// (in-flight or finished) instead of spawning a simulation.
-	Deduped int64 `json:"deduped"`
+	Deduped int64 `json:"deduped" metric:"gpulat_station_deduped_total,counter,Submissions attached to an already-known key."`
 	// CacheHits counts submissions answered straight from the cache.
-	CacheHits int64 `json:"cache_hits"`
+	CacheHits int64 `json:"cache_hits" metric:"gpulat_station_cache_hits_total,counter,Submissions answered straight from the result cache."`
 	// Rejected counts refused calls: a batch refused after Close counts
 	// once, as does one refused part-way for capacity.
-	Rejected int64 `json:"rejected"`
+	Rejected int64 `json:"rejected" metric:"gpulat_station_rejected_total,counter,Submissions refused (queue full or service closed)."`
 	// Rerouted counts jobs re-forwarded to a different backend after a
 	// failure; always zero for a single-node station (coordinator only).
-	Rerouted int64 `json:"rerouted,omitempty"`
+	Rerouted int64 `json:"rerouted,omitempty" metric:"gpulat_station_rerouted_total,counter,Jobs re-placed on another backend after a failure (coordinator only)."`
 	// HandoffKeys counts keys whose ring ownership a membership change
 	// (join/leave) moved; HandoffTransferred counts the cached results
 	// warm-copied to the new owner instead of recomputed (coordinator
 	// only).
-	HandoffKeys        int64 `json:"handoff_keys,omitempty"`
-	HandoffTransferred int64 `json:"handoff_transferred,omitempty"`
+	HandoffKeys        int64 `json:"handoff_keys,omitempty" metric:"gpulat_station_handoff_keys_total,counter,Keys whose ring ownership a membership change moved (coordinator only)."`
+	HandoffTransferred int64 `json:"handoff_transferred,omitempty" metric:"gpulat_station_handoff_transferred_total,counter,Cached results warm-copied to a key's new owner instead of recomputed (coordinator only)."`
 	// Replayed counts jobs re-admitted from the write-ahead journal at
 	// startup (coordinator only).
-	Replayed int64 `json:"replayed,omitempty"`
-	Queued   int   `json:"queued"`
-	Running  int   `json:"running"`
-	Done     int   `json:"done"`
-	Failed   int   `json:"failed"`
-	Workers  int   `json:"workers"`
+	Replayed int64 `json:"replayed,omitempty" metric:"gpulat_station_replayed_total,counter,Jobs re-admitted from the write-ahead journal at startup (coordinator only)."`
+	// Queued, Running, Done and Failed count every known key by state,
+	// finished ones included.
+	Queued  int `json:"queued" metric:"gpulat_station_jobs{state=queued},gauge,Jobs currently known to this service, by lifecycle state."`
+	Running int `json:"running" metric:"gpulat_station_jobs{state=running}"`
+	Done    int `json:"done" metric:"gpulat_station_jobs{state=done}"`
+	Failed  int `json:"failed" metric:"gpulat_station_jobs{state=failed}"`
+	Workers int `json:"workers" metric:"gpulat_station_workers,gauge,Size of the simulation worker pool (0 for a coordinator)."`
 }
 
 // jobState tracks one key through queued → running → done/failed. Only

@@ -6,11 +6,14 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path"
+	"path/filepath"
 	"reflect"
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -92,7 +95,7 @@ func TestMetricsEndpointStation(t *testing.T) {
 	if v, _ := s.Value("gpulat_http_request_duration_seconds_count", map[string]string{"route": "/v1/jobs"}); v < 1 {
 		t.Errorf("no /v1/jobs latency observed")
 	}
-	// A second scrape must still lint (scrape-time collectors are
+	// A second scrape must still lint (the walk's snapshot is
 	// re-entrant) and must have counted the first one.
 	s2 := scrapeMetrics(t, ts.URL)
 	if v, _ := s2.Value("gpulat_http_requests_total", map[string]string{"route": "/metrics", "code": "200"}); v < 1 {
@@ -432,59 +435,133 @@ func TestUnmatchedRouteLabel(t *testing.T) {
 	}
 }
 
-// statsOnly is a JobService that answers nothing but Stats.
-type statsOnly struct {
+// statsStub is a JobService that answers only Stats, counting the reads.
+type statsStub struct {
 	JobService
 	stats StationStats
+	reads *atomic.Int64
 }
 
-func (s statsOnly) Stats() StationStats { return s.stats }
+func (s statsStub) Stats() StationStats {
+	s.reads.Add(1)
+	return s.stats
+}
 
-// TestStatszAndMetricsCannotDrift: /v1/statsz marshals StationStats and
-// CacheStats by reflection while /metrics maps them by hand, so a counter
-// added to one surface could be forgotten on the other. Every monotonic
-// counter with JSON name x must be scraped as gpulat_station_x_total /
-// gpulat_cache_x_total with the field's own value.
-func TestStatszAndMetricsCannotDrift(t *testing.T) {
-	var stats StationStats
-	fields := reflect.ValueOf(&stats).Elem()
+// reporterStub adds a coordinator's backendReporter to statsStub.
+type reporterStub struct {
+	statsStub
+	backends     []BackendStatus
+	epoch        uint64
+	backendReads *atomic.Int64
+}
+
+func (s reporterStub) Backends() []BackendStatus {
+	s.backendReads.Add(1)
+	return slices.Clone(s.backends)
+}
+
+func (s reporterStub) RingEpoch() uint64 { return s.epoch }
+
+// distinct sets every numeric or boolean field of the struct v points
+// to a value no other field holds (base+i), so a crossed mapping shows.
+func distinct(v any, base int) {
+	fields := reflect.ValueOf(v).Elem()
 	for i := range fields.NumField() {
-		if f := fields.Field(i); f.Kind() == reflect.Int64 {
-			f.SetInt(int64(100 + i)) // distinct, so a crossed mapping shows
+		switch f := fields.Field(i); f.Kind() {
+		case reflect.Int, reflect.Int64:
+			f.SetInt(int64(base + i))
+		case reflect.Float64:
+			f.SetFloat(float64(base+i) / 1000)
+		case reflect.Bool:
+			f.SetBool(base%2 == 0)
 		}
 	}
-	cache, err := OpenCache(t.TempDir(), 1)
+}
+
+// stubTiers returns a station server over a real cache with known
+// counters and a coordinator server over two backends, both on stubs
+// whose every numeric field is distinct, plus the stubs' read counters.
+func stubTiers(t *testing.T) (station, coord *Server, statsReads, backendReads *atomic.Int64) {
+	t.Helper()
+	cache, err := OpenCache(t.TempDir(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range 3 { // a miss, a put and a hit each; the bound of 1 evicts
+	for i := range 4 { // 4 misses and 4 puts; the bound of 2 evicts 2
 		job := testJob(i)
 		cache.Get(job.Key())
 		if err := cache.Put(job, testResult(job)); err != nil {
 			t.Fatal(err)
 		}
-		cache.Get(job.Key())
 	}
-	ts := httptest.NewServer(NewServer(statsOnly{stats: stats}, cache))
-	t.Cleanup(ts.Close)
-	s := scrapeMetrics(t, ts.URL)
+	cache.Get(testJob(0).Key()) // evicted: a fifth miss
+	for range 3 {
+		cache.Get(testJob(3).Key()) // 3 hits
+	}
+	statsReads, backendReads = new(atomic.Int64), new(atomic.Int64)
+	stub := statsStub{reads: statsReads}
+	distinct(&stub.stats, 100)
+	backends := []BackendStatus{{Addr: "http://b1:1", Circuit: "closed"}, {Addr: "http://b2:2", Circuit: "open"}}
+	distinct(&backends[0], 200)
+	distinct(&backends[1], 301)
+	return NewServer(stub, cache),
+		NewServer(reporterStub{statsStub: stub, backends: backends, epoch: 7, backendReads: backendReads}, nil),
+		statsReads, backendReads
+}
 
-	check := func(prefix string, v reflect.Value, only string) {
-		for i := range v.NumField() {
-			f, name := v.Field(i), v.Type().Field(i).Name
-			if f.Kind() != reflect.Int64 || (only != "" && !strings.Contains(only, name)) {
-				continue
-			}
-			jsonName, _, _ := strings.Cut(v.Type().Field(i).Tag.Get("json"), ",")
-			family := prefix + jsonName + "_total"
-			if got, ok := s.Value(family, nil); !ok || got != float64(f.Int()) || f.Int() == 0 {
-				t.Errorf("%s.%s = %d, scraped %s = %v (present %v)", v.Type().Name(), name, f.Int(), family, got, ok)
-			}
-			if s.Type[family] != metrics.KindCounter {
-				t.Errorf("%s is a %v, want a counter", family, s.Type[family])
-			}
+// stableExposition scrapes srv's /metrics once and returns it minus the
+// wall-clock families (uptime and the HTTP instruments), with families
+// sorted by name.
+func stableExposition(t *testing.T, srv *Server) string {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	body := rec.Body.String()
+	if err := metrics.Lint([]byte(body)); err != nil {
+		t.Fatalf("exposition failed validation: %v\n%s", err, body)
+	}
+	var blocks []string
+	for _, block := range strings.Split(body, "# HELP ")[1:] {
+		name, _, _ := strings.Cut(block, " ")
+		if name != "gpulat_uptime_seconds" && !strings.HasPrefix(name, "gpulat_http_") {
+			blocks = append(blocks, "# HELP "+block)
 		}
 	}
-	check("gpulat_station_", reflect.ValueOf(stats), "")
-	check("gpulat_cache_", reflect.ValueOf(cache.Stats()), "Hits Misses Puts Evictions") // Bytes is a gauge
+	slices.Sort(blocks)
+	return strings.Join(blocks, "")
+}
+
+// TestMetricsExpositionGolden pins every family a station and a
+// coordinator export from their stats (name, HELP, TYPE, labels and the
+// field each value comes from) against testdata/metrics.golden;
+// GPULAT_METRICS_GOLDEN=write refreshes it.
+func TestMetricsExpositionGolden(t *testing.T) {
+	station, coord, _, _ := stubTiers(t)
+	got := "== station ==\n" + stableExposition(t, station) + "== coordinator ==\n" + stableExposition(t, coord)
+	golden := filepath.Join("testdata", "metrics.golden")
+	if os.Getenv("GPULAT_METRICS_GOLDEN") == "write" {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("read golden (run with GPULAT_METRICS_GOLDEN=write to create): %v", err)
+	}
+	if got != string(want) {
+		t.Errorf("exposition differs from %s:\n--- got ---\n%s--- want ---\n%s", golden, got, want)
+	}
+}
+
+// TestOneReadPerScrape: a scrape takes one snapshot of each source, so
+// every family of one scrape describes the same moment.
+func TestOneReadPerScrape(t *testing.T) {
+	_, coord, statsReads, backendReads := stubTiers(t)
+	stableExposition(t, coord)
+	if s, b := statsReads.Load(), backendReads.Load(); s != 1 || b != 1 {
+		t.Errorf("one scrape read Stats() %d times and Backends() %d times, want once each", s, b)
+	}
 }

@@ -66,7 +66,8 @@ type Health struct {
 	UptimeSeconds float64 `json:"uptime_seconds"`
 }
 
-// Statsz answers GET /v1/statsz.
+// Statsz answers GET /v1/statsz, and each /metrics scrape walks one
+// (see newServerMetrics).
 type Statsz struct {
 	Version string       `json:"version"`
 	Scheme  string       `json:"scheme"`
@@ -78,10 +79,10 @@ type Statsz struct {
 	// RingEpoch is the sharded tier's monotonic membership epoch (1 for
 	// the initial membership, bumped per join/leave); absent for a
 	// single-node station.
-	RingEpoch uint64 `json:"ring_epoch,omitempty"`
+	RingEpoch uint64 `json:"ring_epoch,omitempty" metric:"gpulat_ring_epoch,gauge,Monotonic membership epoch of the backend pool's consistent-hash ring."`
 	// UptimeSeconds is wall clock and therefore volatile; the comparable
 	// encoding strips it, so statsz snapshots can still be diffed.
-	UptimeSeconds float64 `json:"uptime_seconds"`
+	UptimeSeconds float64 `json:"uptime_seconds" metric:"gpulat_uptime_seconds,gauge,Seconds since this server started."`
 }
 
 // JobService is the execution tier the HTTP server drives. Two
@@ -151,7 +152,7 @@ func NewServer(svc JobService, cache *Cache) *Server {
 		started: time.Now(),
 	}
 	s.drain, s.releaseWaits = context.WithCancel(context.Background())
-	s.metrics = newServerMetrics(svc, cache, s.started)
+	s.metrics = newServerMetrics(s)
 	s.mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
 	s.mux.HandleFunc("GET "+statusRoute, s.handleStatus)
 	s.mux.HandleFunc("GET /v1/results/{key}", s.handleResult)
@@ -438,6 +439,12 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
+	writeJSON(w, http.StatusOK, s.statsz())
+}
+
+// statsz snapshots every counter the server reports, reading each
+// source once.
+func (s *Server) statsz() Statsz {
 	st := Statsz{
 		Version:       Version(),
 		Scheme:        SchemeTag(),
@@ -451,7 +458,7 @@ func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
 		st.Backends = rep.Backends()
 		st.RingEpoch = rep.RingEpoch()
 	}
-	writeJSON(w, http.StatusOK, st)
+	return st
 }
 
 // Backendsz answers GET /v1/backendsz: the sharded tier's per-backend
