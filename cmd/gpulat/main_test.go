@@ -1,10 +1,14 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
+	"net/http"
 	"os"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"gpulat/internal/runner"
 )
@@ -133,6 +137,33 @@ func TestServeCoordinatorRejectsStationFlags(t *testing.T) {
 		}
 		if got := exitCode(err); got != 2 {
 			t.Errorf("%s: exit %d, want 2 (%v)", name, got, err)
+		}
+	}
+}
+
+// TestServeJoinRegisters: the registration loop of `serve -join` makes
+// the backend a member of the coordinator's pool, and it ends with its
+// context.
+func TestServeJoinRegisters(t *testing.T) {
+	_, client := newTier(t, "")
+	idle := http.DefaultTransport.(*http.Transport)
+	baseline := runtime.NumGoroutine()
+	ctx, cancel := context.WithCancel(context.Background())
+	go register(ctx, client, client.Base, "127.0.0.1:1", true)
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		bz, err := client.Backendsz(context.Background())
+		if err == nil && bz.Epoch == 2 && len(bz.Backends) == 1 && bz.Backends[0].Addr == "http://127.0.0.1:1" {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("backendsz never listed the registered backend at epoch 2: %+v, %v", bz, err)
+		}
+	}
+	cancel()
+	for deadline := time.Now().Add(10 * time.Second); runtime.NumGoroutine() > baseline; time.Sleep(5 * time.Millisecond) {
+		idle.CloseIdleConnections()
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the registration loop's context ended, %d before it started", runtime.NumGoroutine(), baseline)
 		}
 	}
 }

@@ -146,9 +146,7 @@ func cmdServe(args []string) error {
 	srv.RegisterOnShutdown(handler.ReleaseWaits)
 
 	// Backend registration: with -join, announce this backend to the
-	// coordinator once the listener is up, then keep re-asserting —
-	// joins are idempotent, and the re-assert heals a coordinator that
-	// restarted without its journal (or that starts after us).
+	// coordinator once the listener is up (see register).
 	var coordClient *service.Client
 	adv := ""
 	if *joinURL != "" {
@@ -165,23 +163,7 @@ func cmdServe(args []string) error {
 	regCtx, regStop := context.WithCancel(context.Background())
 	defer regStop()
 	if coordClient != nil {
-		go func() {
-			for {
-				jctx, cancel := context.WithTimeout(regCtx, 5*time.Second)
-				_, err := coordClient.JoinBackend(jctx, adv)
-				cancel()
-				if err != nil && !*quiet && regCtx.Err() == nil {
-					fmt.Fprintf(os.Stderr, "gpulat serve: join %s: %v (will retry)\n", *joinURL, err)
-				}
-				select {
-				case <-regCtx.Done():
-					return
-				// Jittered so a fleet of backends doesn't re-register in
-				// lockstep.
-				case <-time.After(8*time.Second + rand.N(4*time.Second)):
-				}
-			}
-		}()
+		go register(regCtx, coordClient, *joinURL, adv, *quiet)
 	}
 
 	// SIGTERM is how process managers (and `make serve-smoke`) stop the
@@ -209,6 +191,27 @@ func cmdServe(args []string) error {
 		defer cancel()
 		_ = srv.Shutdown(shutdownCtx)
 		return nil
+	}
+}
+
+// register announces this backend to the coordinator as adv, then keeps
+// re-asserting until ctx ends — joins are idempotent, and the re-assert
+// heals a coordinator that restarted without its journal (or that starts
+// after us).
+func register(ctx context.Context, coord *service.Client, joinURL, adv string, quiet bool) {
+	for {
+		jctx, cancel := context.WithTimeout(ctx, 5*time.Second)
+		_, err := coord.JoinBackend(jctx, adv)
+		cancel()
+		if err != nil && !quiet && ctx.Err() == nil {
+			fmt.Fprintf(os.Stderr, "gpulat serve: join %s: %v (will retry)\n", joinURL, err)
+		}
+		select {
+		case <-ctx.Done():
+			return
+		// Jittered so a fleet of backends doesn't re-register in lockstep.
+		case <-time.After(8*time.Second + rand.N(4*time.Second)):
+		}
 	}
 }
 

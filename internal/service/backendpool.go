@@ -1,10 +1,13 @@
 package service
 
 import (
+	"encoding/json"
 	"errors"
+	"fmt"
+	"maps"
 	"net/http"
+	"slices"
 	"strings"
-	"sync"
 
 	"gpulat/internal/runner"
 )
@@ -51,17 +54,17 @@ type BackendStatus struct {
 }
 
 // Backend is one routable `gpulat serve` endpoint plus its circuit
-// state. All mutation goes through report* so the failure counts and
-// the circuit flag stay consistent. Probe failures and forwarded-call
-// failures are counted SEPARATELY: either kind of consecutive-failure
-// streak opens the circuit, and — crucially — a succeeding health probe
-// does not reset the call-failure streak, so a backend whose /v1/healthz
-// answers happily while its job handling is broken still fails out.
+// state, guarded by the coordinator's lock. All circuit mutation goes
+// through report* so the failure counts and the circuit flag stay
+// consistent. Probe failures and forwarded-call failures are counted
+// SEPARATELY: either kind of consecutive-failure streak opens the
+// circuit, and — crucially — a succeeding health probe does not reset
+// the call-failure streak, so a backend whose /v1/healthz answers
+// happily while its job handling is broken still fails out.
 type Backend struct {
 	addr   string // normalized base URL, e.g. "http://127.0.0.1:8092"
 	client *Client
 
-	mu               sync.Mutex
 	open             bool
 	consecCallFails  int
 	consecProbeFails int
@@ -71,22 +74,9 @@ type Backend struct {
 	rerouted         int64
 }
 
-// Addr returns the backend's normalized base URL.
-func (b *Backend) Addr() string { return b.addr }
-
-// routable reports whether the circuit is closed.
-func (b *Backend) routable() bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return !b.open
-}
-
-// reportFailure records one failed probe or forwarded call and returns
-// true when exactly this failure opened the circuit (the transition the
-// coordinator uses to trigger a proactive reroute sweep).
-func (b *Backend) reportFailure(threshold int, err error, probe bool) bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
+// reportFailure records one failed probe or forwarded call, opening the
+// circuit when either streak reaches threshold.
+func (b *Backend) reportFailure(threshold int, err error, probe bool) {
 	if probe {
 		b.consecProbeFails++
 	} else {
@@ -95,90 +85,23 @@ func (b *Backend) reportFailure(threshold int, err error, probe bool) bool {
 	if err != nil {
 		b.lastErr = err.Error()
 	}
-	if !b.open && (b.consecProbeFails >= threshold || b.consecCallFails >= threshold) {
-		b.open = true
-		return true
-	}
-	return false
+	b.open = b.open || b.consecProbeFails >= threshold || b.consecCallFails >= threshold
 }
 
-// reportSuccess records one successful probe or forwarded call,
-// returning true on the open→closed transition. A successful call is
-// the strongest health signal: it clears both streaks and closes the
-// circuit. A successful probe clears only the probe streak while the
-// circuit is closed — it must not mask an accumulating call-failure
-// streak — but while the circuit is OPEN it closes it and resets both
-// (the recovery path: a restarted backend answers probes before anyone
-// routes calls to it again).
-func (b *Backend) reportSuccess(probe bool) bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if probe {
+// reportSuccess records one successful probe or forwarded call. A
+// successful call is the strongest health signal: it clears both streaks
+// and closes the circuit. A successful probe clears only the probe
+// streak while the circuit is closed — it must not mask an accumulating
+// call-failure streak — but while the circuit is OPEN it closes it and
+// resets both (the recovery path: a restarted backend answers probes
+// before anyone routes calls to it again).
+func (b *Backend) reportSuccess(probe bool) {
+	if probe && !b.open {
 		b.consecProbeFails = 0
-		if !b.open {
-			return false
-		}
-	} else {
-		b.consecCallFails = 0
-		b.consecProbeFails = 0
+		return
 	}
-	b.lastErr = ""
-	if b.open {
-		b.open = false
-		b.consecCallFails = 0
-		b.consecProbeFails = 0
-		return true
-	}
-	return false
+	b.open, b.consecCallFails, b.consecProbeFails, b.lastErr = false, 0, 0, ""
 }
-
-func (b *Backend) noteProbe() {
-	b.mu.Lock()
-	b.probes++
-	b.mu.Unlock()
-}
-
-func (b *Backend) noteSubmitted(n int) {
-	b.mu.Lock()
-	b.submitted += int64(n)
-	b.mu.Unlock()
-}
-
-func (b *Backend) noteRerouted() {
-	b.mu.Lock()
-	b.rerouted++
-	b.mu.Unlock()
-}
-
-// status snapshots the backend (Assigned and Share are filled by the
-// pool/coordinator, which own the ring and the key→backend map).
-// ConsecutiveFailures reports the worse of the two streaks.
-func (b *Backend) status() BackendStatus {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	circuit := "closed"
-	if b.open {
-		circuit = "open"
-	}
-	fails := b.consecCallFails
-	if b.consecProbeFails > fails {
-		fails = b.consecProbeFails
-	}
-	return BackendStatus{
-		Addr:                b.addr,
-		Healthy:             !b.open,
-		Circuit:             circuit,
-		ConsecutiveFailures: fails,
-		LastError:           b.lastErr,
-		Probes:              b.probes,
-		Submitted:           b.submitted,
-		ReroutedAway:        b.rerouted,
-	}
-}
-
-// ringVnodes is the virtual-node count per backend; see
-// runner.RingVnodes for the arc-ratio rationale.
-const ringVnodes = runner.RingVnodes
 
 // normalizeBackendAddr turns "host:port" into a base URL and strips
 // trailing slashes; full URLs pass through.
@@ -190,17 +113,15 @@ func normalizeBackendAddr(addr string) string {
 	return strings.TrimRight(addr, "/")
 }
 
-// BackendPool owns the mutable set of backends and the consistent-hash
-// ring that places JobKeys on them. Membership is a first-class runtime
-// concept: Join and Leave rebuild the ring under the pool lock and bump
-// a monotonic epoch, and each membership change hands the caller
-// immutable before/after ring snapshots so it can compute the exact
-// key-ownership delta (runner.OwnershipDelta) the change moved. Each
-// backend contributes ringVnodes virtual points, so (a) load spreads
-// evenly even with two backends and (b) one membership change only
-// remaps the keys whose arc it touched — every other key keeps its
-// placement, which is what preserves backend-local cache affinity
-// across pool changes.
+// BackendPool is the mutable set of backends and the consistent-hash
+// ring that places JobKeys on them. Join and Leave rebuild the ring and
+// bump a monotonic epoch; the ring is immutable, so a caller that kept
+// the one before a change can compute the exact key-ownership delta
+// (runner.OwnershipDelta). Each backend contributes runner.RingVnodes
+// virtual points, so load spreads evenly even with two backends and one
+// membership change only remaps the keys whose arc it touched, which
+// preserves backend-local cache affinity. The pool holds no lock: a
+// coordinator's pool is part of its placement core, under its lock.
 //
 // An empty pool is valid: it routes nothing (callers see ErrNoBackends)
 // until the first Join — the shape of a coordinator started with no
@@ -210,7 +131,6 @@ type BackendPool struct {
 	// transport is the connection pool the backend clients share.
 	transport *http.Transport
 
-	mu       sync.RWMutex
 	epoch    uint64
 	backends []*Backend
 	byAddr   map[string]*Backend
@@ -225,20 +145,14 @@ func NewBackendPool(addrs []string, failThreshold int) *BackendPool {
 	if failThreshold <= 0 {
 		failThreshold = 3
 	}
-	p := &BackendPool{threshold: failThreshold, byAddr: map[string]*Backend{}, epoch: 1}
+	p := &BackendPool{threshold: failThreshold, byAddr: map[string]*Backend{}, ring: runner.NewRing(nil, runner.RingVnodes)}
 	p.transport = http.DefaultTransport.(*http.Transport).Clone()
 	p.transport.MaxIdleConns = 0 // the per-host bound governs
 	p.transport.MaxIdleConnsPerHost = backendIdleConns
-	for _, raw := range addrs {
-		addr := normalizeBackendAddr(raw)
-		if addr == "" || p.byAddr[addr] != nil {
-			continue
-		}
-		b := p.newBackend(addr)
-		p.backends = append(p.backends, b)
-		p.byAddr[addr] = b
+	for _, addr := range addrs {
+		p.Join(addr)
 	}
-	p.ring = runner.NewRing(p.addrsLocked(), ringVnodes)
+	p.epoch = 1
 	return p
 }
 
@@ -247,104 +161,43 @@ func NewBackendPool(addrs []string, failThreshold int) *BackendPool {
 // transport's two per host would re-dial for every further waiter.
 const backendIdleConns = 64
 
-func (p *BackendPool) newBackend(addr string) *Backend {
+// Join adds addr to the pool, rebuilding the ring and bumping the
+// epoch. It is idempotent: joining a present member changes nothing and
+// reports joined=false.
+func (p *BackendPool) Join(addr string) (b *Backend, joined bool) {
+	addr = normalizeBackendAddr(addr)
+	if have := p.byAddr[addr]; have != nil || addr == "" {
+		return have, false
+	}
 	client := NewClient(addr)
 	client.HTTP = &http.Client{Transport: p.transport}
 	// The coordinator handles rerouting itself; keep the forwarding
 	// client's own 503 retries short so a wedged backend fails over
 	// quickly instead of being politely waited on.
 	client.MaxAttempts = 3
-	return &Backend{addr: addr, client: client}
-}
-
-func (p *BackendPool) addrsLocked() []string {
-	addrs := make([]string, len(p.backends))
-	for i, b := range p.backends {
-		addrs[i] = b.addr
-	}
-	return addrs
-}
-
-// Join adds addr to the pool, rebuilding the ring and bumping the
-// epoch. It is idempotent: joining a present member changes nothing and
-// reports joined=false. The returned before/after rings are immutable
-// snapshots for ownership-delta computation.
-func (p *BackendPool) Join(addr string) (b *Backend, epoch uint64, before, after *runner.Ring, joined bool) {
-	addr = normalizeBackendAddr(addr)
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if addr == "" {
-		return nil, p.epoch, p.ring, p.ring, false
-	}
-	if have := p.byAddr[addr]; have != nil {
-		return have, p.epoch, p.ring, p.ring, false
-	}
-	b = p.newBackend(addr)
+	b = &Backend{addr: addr, client: client}
 	p.backends = append(p.backends, b)
 	p.byAddr[addr] = b
-	before = p.ring
-	p.ring = before.WithMember(addr)
+	p.ring = p.ring.WithMember(addr)
 	p.epoch++
-	return b, p.epoch, before, p.ring, true
+	return b, true
 }
 
 // Leave removes addr from the pool, rebuilding the ring and bumping the
-// epoch. Removing a non-member reports removed=false with the Backend
-// nil. The removed Backend object stays functional (its HTTP client
-// still works) so in-flight drains and cache handoffs can keep talking
-// to the departing process.
-func (p *BackendPool) Leave(addr string) (b *Backend, epoch uint64, before, after *runner.Ring, removed bool) {
+// epoch, and returns the removed Backend (nil for a non-member). It
+// stays functional (its HTTP client still works) so drains and cache
+// handoffs can keep talking to the departing process.
+func (p *BackendPool) Leave(addr string) *Backend {
 	addr = normalizeBackendAddr(addr)
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	b = p.byAddr[addr]
+	b := p.byAddr[addr]
 	if b == nil {
-		return nil, p.epoch, p.ring, p.ring, false
+		return nil
 	}
 	delete(p.byAddr, addr)
-	keep := p.backends[:0]
-	for _, have := range p.backends {
-		if have != b {
-			keep = append(keep, have)
-		}
-	}
-	p.backends = keep
-	before = p.ring
-	p.ring = before.WithoutMember(addr)
+	p.backends = slices.DeleteFunc(p.backends, func(have *Backend) bool { return have == b })
+	p.ring = p.ring.WithoutMember(addr)
 	p.epoch++
-	return b, p.epoch, before, p.ring, true
-}
-
-// Close releases the idle backend connections; a later call re-dials.
-func (p *BackendPool) Close() { p.transport.CloseIdleConnections() }
-
-// Epoch returns the monotonic membership epoch: 1 for the initial
-// membership, bumped by every successful Join or Leave.
-func (p *BackendPool) Epoch() uint64 {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	return p.epoch
-}
-
-// Ring returns the current immutable ring snapshot.
-func (p *BackendPool) Ring() *runner.Ring {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	return p.ring
-}
-
-// Len returns the member count.
-func (p *BackendPool) Len() int {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	return len(p.backends)
-}
-
-// All snapshots the member list in configuration-then-join order.
-func (p *BackendPool) All() []*Backend {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	return append([]*Backend{}, p.backends...)
+	return b
 }
 
 // Route returns the backend owning key: the key's ring owner, or the
@@ -354,78 +207,470 @@ func (p *BackendPool) All() []*Backend {
 // left, in which case it is returned anyway: retrying the sole survivor
 // beats failing the job. Returns nil when nothing is routable.
 func (p *BackendPool) Route(key runner.JobKey, avoid *Backend) *Backend {
-	p.mu.RLock()
-	ring := p.ring
-	byAddr := p.byAddr
-	p.mu.RUnlock()
-
 	var chosen *Backend
-	ring.Walk(key, func(member string) bool {
-		b := byAddr[member]
-		if b == nil || b == avoid || !b.routable() {
+	p.ring.Walk(key, func(member string) bool {
+		b := p.byAddr[member]
+		if b == nil || b == avoid || b.open {
 			return true
 		}
 		chosen = b
 		return false
 	})
-	if chosen != nil {
-		return chosen
-	}
-	if avoid != nil && avoid.routable() && p.has(avoid) {
+	if chosen == nil && avoid != nil && !avoid.open && p.has(avoid) {
 		return avoid
 	}
-	return nil
+	return chosen
 }
 
-// Owner returns the key's pure ring owner at the current epoch,
-// ignoring circuit state — the placement identity membership deltas and
-// cache handoff reason about, as opposed to Route's failure-aware
-// answer.
-func (p *BackendPool) Owner(key runner.JobKey) *Backend {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	addr, ok := p.ring.Owner(key)
-	if !ok {
-		return nil
+func (p *BackendPool) has(b *Backend) bool { return p.byAddr[b.addr] == b }
+
+// placement is the coordinator's decision core: the key table, the pool
+// and every rule that gives a key a backend, all under the table's one
+// lock (jobs.mu), which its methods expect held. None makes a call,
+// reads a clock or starts a goroutine. A decision (admit, join, leave,
+// sweep, close) returns a plan, which the Coordinator carries out once
+// it has dropped the lock, and each outcome comes back as the next
+// event (forwarded, waited, fetched, handedOff, probed), which may plan
+// again.
+type placement struct {
+	jobs
+	pool       *BackendPool
+	queueBound int
+}
+
+func newPlacement(cfg CoordinatorConfig) *placement {
+	return &placement{
+		jobs:       jobs{byKey: map[runner.JobKey]*jobState{}},
+		pool:       NewBackendPool(cfg.Backends, cfg.FailThreshold),
+		queueBound: cfg.QueueBound,
 	}
-	return p.byAddr[addr]
 }
 
-// ByAddr returns the member with the given (normalized) address.
-func (p *BackendPool) ByAddr(addr string) *Backend {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	return p.byAddr[normalizeBackendAddr(addr)]
+// plan is what one decision leaves to do outside the lock, in order:
+// journal records to append, forwards to send (one batch per backend)
+// and the cache pulls of a membership change that moved `moved` keys.
+// The zero plan does nothing.
+type plan struct {
+	journal  []JournalRecord
+	forwards []forward
+	pulls    []pull
+	moved    int
 }
 
-func (p *BackendPool) has(b *Backend) bool {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	return p.byAddr[b.addr] == b
+type forward struct {
+	b     *Backend
+	group []*jobState
 }
 
-// Healthy counts routable backends.
-func (p *BackendPool) Healthy() int {
-	n := 0
-	for _, b := range p.All() {
-		if b.routable() {
-			n++
+// pull asks to fetch keys' cached results from the backend at from.
+type pull struct {
+	to   *Backend
+	from string
+	keys []runner.JobKey
+}
+
+func (p *plan) empty() bool {
+	return len(p.journal) == 0 && len(p.forwards) == 0 && len(p.pulls) == 0 && p.moved == 0
+}
+
+// send adds st to b's batch.
+func (p *plan) send(b *Backend, st *jobState) {
+	for i := range p.forwards {
+		if p.forwards[i].b == b {
+			p.forwards[i].group = append(p.forwards[i].group, st)
+			return
 		}
 	}
-	return n
+	p.forwards = append(p.forwards, forward{b, []*jobState{st}})
 }
 
-// Statuses snapshots every backend in configuration-then-join order,
-// including each member's ring-share fraction at the current epoch.
-func (p *BackendPool) Statuses() []BackendStatus {
-	p.mu.RLock()
-	backends := append([]*Backend{}, p.backends...)
-	shares := p.ring.Shares()
-	p.mu.RUnlock()
-	out := make([]BackendStatus, len(backends))
-	for i, b := range backends {
-		out[i] = b.status()
-		out[i].Share = shares[b.addr]
+// admit applies the admission rule to jobs in order and places each new
+// key on its ring backend. Known keys dedup as on a station. A full
+// table refuses with ErrQueueFull and an unroutable key with
+// ErrNoBackends, keeping the accepted prefix: an accepted ticket is a
+// journaled and forwarded (or explicitly failing) job, never one
+// stranded in the table. After close the whole call is refused.
+//
+// A replayed job was accepted by an earlier incarnation and is in the
+// journal already: it is re-admitted whatever the bound or the pool (an
+// unroutable one waits for the sweep), counts as replayed, and is not
+// journaled again.
+func (c *placement) admit(jobs []runner.Job, replayed bool) ([]JobTicket, plan, error) {
+	var p plan
+	var admitted []*jobState
+	var refused error
+	tickets := make([]JobTicket, 0, len(jobs))
+	for _, job := range jobs {
+		key := job.Key()
+		if !replayed {
+			status, known, err := c.attach(key)
+			if err != nil {
+				return nil, plan{}, err
+			}
+			c.stats.Submitted++
+			if known {
+				tickets = append(tickets, JobTicket{Key: key, Status: status})
+				continue
+			}
+		} else if c.byKey[key] != nil {
+			continue
+		}
+		b := c.pool.Route(key, nil)
+		switch {
+		case replayed:
+			c.stats.Replayed++
+		case c.pending >= c.queueBound:
+			refused = ErrQueueFull
+		case b == nil:
+			refused = ErrNoBackends
+		}
+		if refused != nil {
+			c.stats.Rejected++
+			break
+		}
+		st := c.add(key, job)
+		st.backend = b
+		if !replayed {
+			p.journal = append(p.journal, JournalRecord{T: journalJob, Key: key, Job: &st.job})
+		}
+		admitted = append(admitted, st)
+		tickets = append(tickets, JobTicket{Key: key, Status: StatusQueued})
+	}
+	c.place(&p, admitted, nil)
+	return tickets, p, refused
+}
+
+// rerouteBudget bounds how many times one key is re-placed after backend
+// failures before it fails outright.
+const rerouteBudget = 8
+
+// place is the one rule that gives a live key a backend, and the only
+// source of forwards. A key keeps a backend that is a routable pool
+// member other than avoid, and is forwarded there only if the backend
+// has not acknowledged it yet (an admission, a Join's reassignment, a
+// chunk parked by backpressure or by a forward cut short). Any other key
+// walks the ring, and why it lost its backend decides what that costs:
+//
+//   - never placed (journal replay into an empty or all-down pool): it
+//     takes the first routable backend, or waits for the next sweep;
+//   - its backend left the pool: it drains to a survivor without
+//     touching the reroute budget or the rerouted counters;
+//   - its backend failed — its circuit is open, or it is avoid, the
+//     backend a caller just watched fail, which may not have tripped its
+//     circuit yet: the move spends one unit of the key's reroute budget
+//     and counts in rerouted / rerouted_away.
+//
+// A key that left or failed and that no routable backend will take, or
+// whose budget has run out, fails terminally so its waiters unblock.
+// With avoid set only keys still on avoid move, so several reporters of
+// one failure re-place a key once. A batch whose new owner also fails
+// comes back here through forwarded — bounded, because every such hop
+// spends budget. Duplicate forwards are harmless: backends dedupe by
+// key. Returns how many keys moved.
+func (c *placement) place(p *plan, group []*jobState, avoid *Backend) (moved int) {
+	for _, st := range group {
+		if st.final() || (avoid != nil && st.backend != avoid) {
+			continue
+		}
+		from := st.backend
+		member := from != nil && c.pool.has(from)
+		if member && from != avoid && !from.open {
+			if !st.forwarded {
+				p.send(from, st)
+			}
+			continue
+		}
+		// A member that gets here failed (it is avoid, or its circuit is
+		// open); a nil or departed from costs the key nothing.
+		if member && st.reroutes >= rerouteBudget {
+			c.fail(st, fmt.Sprintf(
+				"service: job %s still unplaced after %d reroutes: %v", st.key, st.reroutes, ErrNoBackends))
+			continue
+		}
+		// Route skips from, but hands it back when it is the only
+		// routable member left: retrying the sole survivor beats failing.
+		b := c.pool.Route(st.key, from)
+		if b == nil {
+			if from != nil {
+				c.fail(st, ErrNoBackends.Error())
+			}
+			continue
+		}
+		if member {
+			st.reroutes++
+			c.stats.Rerouted++
+			if b != from {
+				from.rerouted++
+			}
+		}
+		st.backend = b
+		st.forwarded = false
+		c.set(st, StatusQueued)
+		p.send(b, st)
+		moved++
+	}
+	return moved
+}
+
+// forwarded takes the outcome of forwarding group to b. An answer
+// acknowledges the keys still placed on b and records what it said for
+// each (see learn). A 503 means b ANSWERED: it is alive but its queue is
+// full past the forwarding client's own retries. That is backpressure,
+// not death: no circuit penalty, and no reroute, which would dump the
+// load on an equally-busy survivor and forfeit cache affinity. The
+// batch stays assigned and unforwarded; the next sweep re-forwards it as
+// capacity frees, and whatever prefix b did admit simply dedupes there.
+// Any other error is b failing, and the batch is re-placed.
+func (c *placement) forwarded(b *Backend, group []*jobState, tks []JobTicket, err error) (p plan) {
+	var ae *APIError
+	switch {
+	case err == nil:
+		b.reportSuccess(false)
+		b.submitted += int64(len(group))
+		for i, st := range group {
+			if st.backend == b {
+				st.forwarded = true
+				c.learn(st, tks[i].Status, tks[i].Result)
+			}
+		}
+	case errors.As(err, &ae) && ae.Code == http.StatusServiceUnavailable:
+	default:
+		b.reportFailure(c.pool.threshold, err, false)
+		c.place(&p, group, b)
+	}
+	return p
+}
+
+// learn records a backend's answer for st: a terminal one that carried
+// its result finishes st, memoizing the result with no fetch; otherwise
+// st takes the answer's status.
+func (c *placement) learn(st *jobState, status Status, result json.RawMessage) {
+	var wr WireResult
+	if status.terminal() && json.Unmarshal(result, &wr) == nil {
+		c.finish(st, runner.Result{Job: st.job, Metrics: wr.Metrics, Err: wr.Error})
+	} else {
+		c.set(st, status)
+	}
+}
+
+// waited takes the outcome of a status call proxied to b for st.
+func (c *placement) waited(st *jobState, b *Backend, js JobStatus, err error) plan {
+	if err != nil {
+		return c.proxyFailed(st, b, err)
+	}
+	b.reportSuccess(false)
+	if st.backend == b {
+		c.learn(st, js.Status, js.Result)
+	}
+	return plan{}
+}
+
+// fetched takes the outcome of a result fetch proxied to b for st.
+func (c *placement) fetched(st *jobState, b *Backend, wr WireResult, err error) plan {
+	if err != nil {
+		return c.proxyFailed(st, b, err)
+	}
+	b.reportSuccess(false)
+	c.finish(st, runner.Result{Job: st.job, Metrics: wr.Metrics, Err: wr.Error})
+	return plan{}
+}
+
+// proxyFailed classifies the error of a status or result call proxied
+// to b for st. A transport failure counts against b's circuit and
+// re-places the key now; a 404 means b answered but has never heard of
+// the key — it restarted and lost its in-memory states — so the key is
+// re-placed with no circuit penalty; any other API answer means b is
+// alive and the key stays.
+func (c *placement) proxyFailed(st *jobState, b *Backend, err error) (p plan) {
+	var ae *APIError
+	if !errors.As(err, &ae) {
+		b.reportFailure(c.pool.threshold, err, false)
+	} else if ae.Code != http.StatusNotFound {
+		return p
+	}
+	c.place(&p, []*jobState{st}, b)
+	return p
+}
+
+// probed takes one health probe's outcome for b.
+func (c *placement) probed(b *Backend, err error) {
+	b.probes++
+	if err != nil {
+		b.reportFailure(c.pool.threshold, err, true)
+	} else {
+		b.reportSuccess(true)
+	}
+}
+
+// sweep is the safety net after each probe round: every live key goes
+// through place, which moves the ones stranded on an unroutable backend,
+// forwards the ones accepted but never acknowledged, gives the unplaced
+// ones a backend once one is routable, and leaves the rest alone.
+func (c *placement) sweep() (p plan) {
+	c.place(&p, c.live(), nil)
+	return p
+}
+
+// live lists every state whose result is not final.
+func (c *placement) live() (sts []*jobState) {
+	for _, st := range c.byKey {
+		if !st.final() {
+			sts = append(sts, st)
+		}
+	}
+	return sts
+}
+
+// join adds addr to the pool at a new epoch and reacts to the exact
+// ownership delta the ring change produced: live moved keys re-forward
+// to the joiner, and finished moved keys are handed off (see handOff).
+// Re-joining a present member reports Changed=false and bumps nothing.
+func (c *placement) join(addr string) (MembershipChange, plan, error) {
+	var p plan
+	addr = normalizeBackendAddr(addr)
+	if addr == "" {
+		return MembershipChange{}, p, errors.New("service: join needs a backend address")
+	}
+	if c.closed {
+		return MembershipChange{}, p, ErrStationClosed
+	}
+	before := c.pool.ring
+	b, joined := c.pool.Join(addr)
+	ch := MembershipChange{Addr: addr, Action: "join", Epoch: c.pool.epoch, Changed: joined, Members: len(c.pool.backends)}
+	if !joined {
+		return ch, p, nil
+	}
+	p.journal = append(p.journal, JournalRecord{T: journalJoin, Addr: addr, Epoch: ch.Epoch})
+	moves := c.handOff(&p, before)
+	var live []*jobState
+	for _, mv := range moves {
+		if st := c.byKey[mv.Key]; !st.final() {
+			st.backend = b
+			st.forwarded = false
+			c.set(st, StatusQueued)
+			live = append(live, st)
+		}
+	}
+	ch.MovedKeys, ch.Reassigned = len(moves), len(live)
+	c.place(&p, live, nil)
+	return ch, p, nil
+}
+
+// leave removes addr from the pool at a new epoch, draining it: every
+// live key placed on the leaver — not just the ring-moved ones: a
+// routing around an open circuit or a reroute may have parked keys there
+// that the ring never gave it — re-places on a survivor, and the finished
+// moved keys are handed off. Removing the last member is refused with
+// ErrLastBackend, and a non-member with ErrUnknownBackend.
+func (c *placement) leave(addr string) (MembershipChange, plan, error) {
+	var p plan
+	addr = normalizeBackendAddr(addr)
+	switch {
+	case c.closed:
+		return MembershipChange{}, p, ErrStationClosed
+	case c.pool.byAddr[addr] == nil:
+		return MembershipChange{}, p, fmt.Errorf("%w: %s", ErrUnknownBackend, addr)
+	case len(c.pool.backends) == 1:
+		return MembershipChange{}, p, ErrLastBackend
+	}
+	before := c.pool.ring
+	b := c.pool.Leave(addr)
+	ch := MembershipChange{Addr: addr, Action: "leave", Epoch: c.pool.epoch, Changed: true, Members: len(c.pool.backends)}
+	p.journal = append(p.journal, JournalRecord{T: journalLeave, Addr: addr, Epoch: ch.Epoch})
+	ch.Reassigned = c.place(&p, c.live(), b) // avoid=b: exactly the keys on b move
+	ch.MovedKeys = len(c.handOff(&p, before))
+	return ch, p, nil
+}
+
+// handOff plans the cache-warm handoff of a membership change from ring
+// before to the current one and returns the exact ownership delta over
+// every known key. Each finished moved key's new owner pulls its cached
+// result from the backend where the key actually ran — which a reroute
+// may have made a different backend than the old ring owner — via POST
+// /v1/cache/pull (which fetches GET /v1/cache/{key} from the source).
+// A miss means the source never cached the key (e.g. it ran cacheless),
+// which then simply stays cold.
+func (c *placement) handOff(p *plan, before *runner.Ring) []runner.KeyMove {
+	moves := runner.OwnershipDelta(before, c.pool.ring, slices.Collect(maps.Keys(c.byKey)))
+	p.moved += len(moves)
+next:
+	for _, mv := range moves {
+		st, to := c.byKey[mv.Key], c.pool.byAddr[mv.To]
+		from := mv.From
+		if st.backend != nil {
+			from = st.backend.addr
+		}
+		if to == nil || !st.final() || st.status != StatusDone || from == "" || from == mv.To {
+			continue
+		}
+		for i := range p.pulls {
+			if pl := &p.pulls[i]; pl.to == to && pl.from == from {
+				pl.keys = append(pl.keys, mv.Key)
+				continue next
+			}
+		}
+		p.pulls = append(p.pulls, pull{to, from, []runner.JobKey{mv.Key}})
+	}
+	return moves
+}
+
+// handedOff records a carried-out handoff: the keys it moved and the
+// results its pulls transferred.
+func (c *placement) handedOff(moved, transferred int) {
+	c.stats.HandoffKeys += int64(moved)
+	c.stats.HandoffTransferred += int64(transferred)
+}
+
+// close refuses every later decision and fails every live key so no
+// waiter blocks. It reports false when the table was closed already.
+func (c *placement) close() bool {
+	if c.closed {
+		return false
+	}
+	c.closed = true
+	c.failLive("service: coordinator closed before the job finished")
+	return true
+}
+
+// replay re-applies a previous incarnation's journal through the
+// decisions live traffic takes — admit for a job, join and leave for a
+// membership change, in the order they happened, which reconstructs the
+// epoch — and drops their plans: the records are on disk already, and
+// the prober's first sweep forwards every replayed key (the backends'
+// dedup and caches answer finished ones without recomputing).
+func (c *placement) replay(records []JournalRecord) {
+	for _, rec := range records {
+		switch {
+		case rec.T == journalJoin:
+			c.join(rec.Addr)
+		case rec.T == journalLeave:
+			c.leave(rec.Addr)
+		case rec.T == journalJob && rec.Job != nil:
+			c.admit([]runner.Job{*rec.Job}, true)
+		}
+	}
+}
+
+// backends reports every member in configuration-then-join order: its
+// circuit and counters, its ring share at the current epoch and its
+// live keys. ConsecutiveFailures is the worse of the two streaks.
+func (c *placement) backends() []BackendStatus {
+	shares := c.pool.ring.Shares()
+	out := make([]BackendStatus, len(c.pool.backends))
+	for i, b := range c.pool.backends {
+		out[i] = BackendStatus{
+			Addr: b.addr, Healthy: !b.open, Circuit: "closed",
+			ConsecutiveFailures: max(b.consecCallFails, b.consecProbeFails), LastError: b.lastErr,
+			Probes: b.probes, Submitted: b.submitted, ReroutedAway: b.rerouted, Share: shares[b.addr],
+		}
+		if b.open {
+			out[i].Circuit = "open"
+		}
+	}
+	for _, st := range c.live() {
+		if i := slices.Index(c.pool.backends, st.backend); i >= 0 {
+			out[i].Assigned++
+		}
 	}
 	return out
 }

@@ -22,21 +22,21 @@ func poolKeys(n int) []runner.JobKey {
 func TestBackendPoolEmptyIsValid(t *testing.T) {
 	for _, addrs := range [][]string{nil, {" ", ""}} {
 		p := NewBackendPool(addrs, 0)
-		if p.Len() != 0 || p.Healthy() != 0 {
-			t.Fatalf("pool over %q not empty: len=%d", addrs, p.Len())
+		if len(p.backends) != 0 {
+			t.Fatalf("pool over %q not empty: len=%d", addrs, len(p.backends))
 		}
 		if b := p.Route(testJob(0).Key(), nil); b != nil {
-			t.Fatalf("empty pool routed to %s", b.Addr())
+			t.Fatalf("empty pool routed to %s", b.addr)
 		}
-		if p.Epoch() != 1 {
-			t.Fatalf("initial epoch = %d, want 1", p.Epoch())
+		if p.epoch != 1 {
+			t.Fatalf("initial epoch = %d, want 1", p.epoch)
 		}
 	}
 	p := NewBackendPool(nil, 0)
-	if _, epoch, _, _, joined := p.Join("a:1"); !joined || epoch != 2 {
-		t.Fatalf("first join: joined=%v epoch=%d", joined, epoch)
+	if _, joined := p.Join("a:1"); !joined || p.epoch != 2 {
+		t.Fatalf("first join: joined=%v epoch=%d", joined, p.epoch)
 	}
-	if b := p.Route(testJob(0).Key(), nil); b == nil || b.Addr() != "http://a:1" {
+	if b := p.Route(testJob(0).Key(), nil); b == nil || b.addr != "http://a:1" {
 		t.Fatalf("pool not routable after first join: %v", b)
 	}
 }
@@ -46,8 +46,8 @@ func TestBackendPoolNormalizesAndDedupes(t *testing.T) {
 	if len(p.backends) != 2 {
 		t.Fatalf("backends = %d, want 2 (dup collapsed)", len(p.backends))
 	}
-	if p.backends[0].Addr() != "http://127.0.0.1:1" {
-		t.Fatalf("addr not normalized: %s", p.backends[0].Addr())
+	if p.backends[0].addr != "http://127.0.0.1:1" {
+		t.Fatalf("addr not normalized: %s", p.backends[0].addr)
 	}
 }
 
@@ -62,13 +62,13 @@ func TestBackendPoolRoutingIsDeterministicAndSpread(t *testing.T) {
 	for _, key := range poolKeys(300) {
 		a := p1.Route(key, nil)
 		b := p2.Route(key, nil)
-		if a == nil || b == nil || a.Addr() != b.Addr() {
+		if a == nil || b == nil || a.addr != b.addr {
 			t.Fatalf("routing not deterministic for %s", key)
 		}
 		if a != p1.Route(key, nil) {
 			t.Fatalf("routing not stable for %s", key)
 		}
-		counts[a.Addr()]++
+		counts[a.addr]++
 	}
 	for _, addr := range addrs {
 		n := counts[normalizeBackendAddr(addr)]
@@ -86,11 +86,11 @@ func TestBackendPoolFailureOnlyRemapsOwnedKeys(t *testing.T) {
 	keys := poolKeys(300)
 	before := map[runner.JobKey]string{}
 	for _, key := range keys {
-		before[key] = p.Route(key, nil).Addr()
+		before[key] = p.Route(key, nil).addr
 	}
 	dead := p.backends[1]
 	dead.reportFailure(1, errors.New("down"), false)
-	if dead.routable() {
+	if !dead.open {
 		t.Fatal("circuit did not open at threshold")
 	}
 	remapped := 0
@@ -99,12 +99,12 @@ func TestBackendPoolFailureOnlyRemapsOwnedKeys(t *testing.T) {
 		if b == nil || b == dead {
 			t.Fatalf("key %s routed to dead backend", key)
 		}
-		if before[key] == dead.Addr() {
+		if before[key] == dead.addr {
 			remapped++
 			continue
 		}
-		if b.Addr() != before[key] {
-			t.Fatalf("key %s moved from healthy backend %s to %s", key, before[key], b.Addr())
+		if b.addr != before[key] {
+			t.Fatalf("key %s moved from healthy backend %s to %s", key, before[key], b.addr)
 		}
 	}
 	if remapped == 0 {
@@ -113,7 +113,7 @@ func TestBackendPoolFailureOnlyRemapsOwnedKeys(t *testing.T) {
 	// Recovery closes the circuit and restores the original placement.
 	dead.reportSuccess(false)
 	for _, key := range keys {
-		if p.Route(key, nil).Addr() != before[key] {
+		if p.Route(key, nil).addr != before[key] {
 			t.Fatalf("placement of %s not restored after recovery", key)
 		}
 	}
@@ -135,10 +135,10 @@ func TestBackendPoolRouteAvoidAndExhaustion(t *testing.T) {
 	}
 	owner.reportFailure(1, errors.New("down"), false)
 	if got := p.Route(key, nil); got != nil {
-		t.Fatalf("all-down pool routed to %s", got.Addr())
+		t.Fatalf("all-down pool routed to %s", got.addr)
 	}
-	if p.Healthy() != 0 {
-		t.Fatalf("healthy = %d", p.Healthy())
+	if !owner.open || !other.open {
+		t.Fatal("a backend stayed healthy in an all-down pool")
 	}
 }
 
@@ -148,38 +148,38 @@ func TestBackendPoolRouteAvoidAndExhaustion(t *testing.T) {
 // streak. And once the circuit is open, a good probe is the recovery
 // path that closes it.
 func TestBackendCircuitProbeAndCallStreaksAreIndependent(t *testing.T) {
-	p := NewBackendPool([]string{"a:1"}, 3)
-	b := p.backends[0]
+	c := newCore("a:1")
+	b := c.pool.backends[0]
 	for i := 0; i < 2; i++ {
 		b.reportFailure(3, errors.New("jobs wedged"), false)
 		b.reportSuccess(true) // chirpy healthz in between
 	}
-	if !b.routable() {
+	if b.open {
 		t.Fatal("circuit opened before the call threshold")
 	}
-	if opened := b.reportFailure(3, errors.New("jobs wedged"), false); !opened {
+	if b.reportFailure(3, errors.New("jobs wedged"), false); !b.open {
 		t.Fatal("third consecutive call failure did not open the circuit despite healthy probes")
 	}
 	// Recovery: with the circuit open, a good probe closes it and
 	// resets both streaks.
-	if closed := b.reportSuccess(true); !closed {
+	if b.reportSuccess(true); b.open {
 		t.Fatal("good probe did not close the open circuit")
 	}
-	if !b.routable() || p.Statuses()[0].ConsecutiveFailures != 0 {
-		t.Fatalf("recovery did not reset streaks: %+v", p.Statuses()[0])
+	if b.open || c.backends()[0].ConsecutiveFailures != 0 {
+		t.Fatalf("recovery did not reset streaks: %+v", c.backends()[0])
 	}
 }
 
 func TestBackendStatusSnapshot(t *testing.T) {
-	p := NewBackendPool([]string{"a:1"}, 2)
-	b := p.backends[0]
+	c := newCore("a:1")
+	b := c.pool.backends[0]
 	b.reportFailure(2, fmt.Errorf("boom"), false)
-	sts := p.Statuses()
+	sts := c.backends()
 	if len(sts) != 1 || !sts[0].Healthy || sts[0].Circuit != "closed" || sts[0].ConsecutiveFailures != 1 {
 		t.Fatalf("one failure below threshold: %+v", sts[0])
 	}
 	b.reportFailure(2, fmt.Errorf("boom again"), false)
-	sts = p.Statuses()
+	sts = c.backends()
 	if sts[0].Healthy || sts[0].Circuit != "open" || sts[0].LastError == "" {
 		t.Fatalf("circuit not reported open: %+v", sts[0])
 	}

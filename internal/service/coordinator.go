@@ -2,11 +2,8 @@ package service
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
 	"math/rand/v2"
-	"net/http"
 	"os"
 	"slices"
 	"sync"
@@ -87,44 +84,31 @@ type MembershipChange struct {
 // backend across coordinator restarts and unrelated pool changes, and
 // that backend's persistent cache keeps answering it.
 //
-// Where a live key runs is decided in one place: place. Admission, the
-// prober's sweep, Join, Leave, a failed forward and a failed status or
-// result proxy all hand it their keys, and it alone forwards them. A
-// health prober plus per-backend circuit state detect failures; live
-// keys on a failed backend re-route to survivors within a bounded
-// budget.
-//
-// Membership is elastic: Join and Leave rebuild the ring under lock,
-// bump a monotonic epoch, and touch only the keys whose ownership the
-// change moved — live moved keys re-forward to the new owner (backends
-// dedupe by key, so duplicate forwards are harmless), and finished
-// moved keys warm-hand their cached results to the new owner via the
-// backend cache-transfer endpoints instead of recomputing. With
-// JournalPath set, every accepted job and membership change is
-// write-ahead journaled so an in-flight grid survives coordinator
-// crash, not just backend death. Results are memoized from the backend
-// answers that carry them (fetched once from a backend whose answers do
-// not), which keeps the client-observable contract byte-identical to a
-// single-process run.
+// Every decision — admission, where a live key runs, what a backend's
+// answer means, circuit state, the ownership delta of a Join or Leave,
+// the prober's sweep — is made by the placement core under the key
+// table's one lock, with no I/O. The Coordinator is the shell around
+// it: it takes the lock, asks the core, drops the lock, and carries out
+// the plan the core returned (journal appends, forwards, cache pulls),
+// feeding each outcome back in. Membership is elastic (Join, Leave);
+// with JournalPath set, an in-flight grid survives a coordinator crash.
+// Results are memoized from the backend answers that carry them
+// (fetched once from a backend whose answers do not), which keeps the
+// client-observable contract byte-identical to a single-process run.
 type Coordinator struct {
-	// jobs is the key-state table: admission, statuses, counters. Its
-	// pending count is what QueueBound caps.
-	jobs
+	// placement is the decision core; its jobs table's mu is the one
+	// lock, and its pending count is what QueueBound caps.
+	*placement
 
 	cfg     CoordinatorConfig
-	pool    *BackendPool
 	journal *Journal
 
 	// ctx ends when Close begins, stopping the prober and hanging up
-	// every long-poll held open on a backend.
+	// every call still out to a backend. wg counts the prober and every
+	// plan being carried out.
 	ctx  context.Context
 	stop context.CancelFunc
 	wg   sync.WaitGroup
-
-	// memberMu serializes membership changes (Join/Leave/replay) so two
-	// concurrent Leaves cannot race the pool down to zero and ownership
-	// deltas are computed against a quiescent ring.
-	memberMu sync.Mutex
 
 	journalErrOnce sync.Once
 }
@@ -136,11 +120,7 @@ type Coordinator struct {
 // registration joins.
 func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	cfg.fill()
-	c := &Coordinator{
-		jobs: jobs{byKey: map[runner.JobKey]*jobState{}},
-		cfg:  cfg,
-		pool: NewBackendPool(cfg.Backends, cfg.FailThreshold),
-	}
+	c := &Coordinator{placement: newPlacement(cfg), cfg: cfg}
 	c.ctx, c.stop = context.WithCancel(context.Background())
 	if cfg.JournalPath != "" {
 		j, records, err := OpenJournal(cfg.JournalPath)
@@ -155,63 +135,95 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	return c, nil
 }
 
-// replay applies journal records from a previous incarnation: joins and
-// leaves re-shape the pool in the order they happened (reconstructing
-// the epoch), and job records re-admit their keys through the same add
-// as SubmitMany, minus the journal write and the forward — the prober's
-// first sweep re-forwards them, and the backends' dedup + caches answer
-// already-finished ones without recomputing. Runs before the prober
-// starts, so no locks are contended.
-func (c *Coordinator) replay(records []JournalRecord) {
-	for _, rec := range records {
-		switch rec.T {
-		case journalJoin:
-			c.pool.Join(rec.Addr)
-		case journalLeave:
-			c.pool.Leave(rec.Addr)
-		case journalJob:
-			if rec.Job == nil {
-				continue
-			}
-			key := rec.Job.Key()
-			if c.byKey[key] != nil {
-				continue
-			}
-			// Route may return nil on an empty or all-down pool; the
-			// sweep places the key once a backend is routable.
-			c.add(key, *rec.Job).backend = c.pool.Route(key, nil)
-			c.stats.Replayed++
+// act carries out a plan the core returned to a caller holding c.mu:
+// it drops the lock, appends the journal records, sends the forwards in
+// bounded chunks and runs the cache pulls, feeding each outcome back to
+// the core. Close waits for every plan decided before it, so none
+// appends to a closed journal. Returns how many cached results the
+// pulls transferred.
+func (c *Coordinator) act(ctx context.Context, p plan) (transferred int) {
+	if p.empty() {
+		c.mu.Unlock()
+		return 0
+	}
+	c.wg.Add(1)
+	c.mu.Unlock()
+	defer c.wg.Done()
+	for i := 0; c.journal != nil && i < len(p.journal); i++ {
+		if err := c.journal.Append(p.journal[i]); err != nil {
+			c.journalErrOnce.Do(func() {
+				fmt.Fprintf(os.Stderr, "gpulat: coordinator journal write failed (crash recovery degraded): %v\n", err)
+			})
 		}
 	}
+	for _, f := range p.forwards {
+		for chunk := range slices.Chunk(f.group, maxForwardBatch) {
+			c.forward(ctx, f.b, chunk)
+		}
+	}
+	for _, pl := range p.pulls {
+		for chunk := range slices.Chunk(pl.keys, maxForwardBatch) {
+			pctx, cancel := c.callCtx(ctx)
+			res, err := pl.to.client.CachePull(pctx, pl.from, chunk)
+			cancel()
+			if err == nil {
+				transferred += res.Transferred
+			}
+		}
+	}
+	if p.moved > 0 {
+		c.mu.Lock()
+		c.handedOff(p.moved, transferred)
+		c.mu.Unlock()
+	}
+	return transferred
 }
 
-func (c *Coordinator) journalAppend(rec JournalRecord) {
-	if c.journal == nil {
-		return
+// maxForwardBatch bounds one forwarded POST, safely under the backend
+// server's maxJobsPerRequest so a large failover batch never trips the
+// far end's per-request bound.
+const maxForwardBatch = maxJobsPerRequest / 2
+
+// callCtx bounds one forward or cache pull: CallTimeout, cut short by
+// Close, with ctx's values (the trace ID, so a submission is greppable
+// across the tier) but not its cancellation — an admitted job's forward
+// must complete even if the submitting request is abandoned.
+func (c *Coordinator) callCtx(ctx context.Context) (context.Context, context.CancelFunc) {
+	ctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), c.cfg.CallTimeout)
+	stop := context.AfterFunc(c.ctx, cancel)
+	return ctx, func() { stop(); cancel() }
+}
+
+// forward submits one chunk of a backend's batch and hands the outcome
+// to the core.
+func (c *Coordinator) forward(ctx context.Context, b *Backend, group []*jobState) {
+	jobs := make([]runner.Job, len(group))
+	for i, st := range group {
+		jobs[i] = st.job
 	}
-	if err := c.journal.Append(rec); err != nil {
-		c.journalErrOnce.Do(func() {
-			fmt.Fprintf(os.Stderr, "gpulat: coordinator journal write failed (crash recovery degraded): %v\n", err)
-		})
-	}
+	fctx, cancel := c.callCtx(ctx)
+	tks, err := b.client.Submit(fctx, jobs)
+	cancel()
+	c.mu.Lock()
+	c.act(ctx, c.forwarded(b, group, tks, err))
 }
 
 // Close stops the prober and fails every non-terminal key so no local
-// waiter blocks; Close is idempotent, and Submit after Close returns
-// ErrStationClosed in bounded time. The journal file survives Close —
-// it is the recovery state a successor replays.
+// waiter blocks; Close is idempotent, and Submit, Join and Leave after
+// Close return ErrStationClosed. Calls still out to backends are hung
+// up, and Close returns once every plan decided before it has been
+// carried out. The journal file survives Close — it is the recovery
+// state a successor replays.
 func (c *Coordinator) Close() {
 	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
+	closing := c.close()
+	c.mu.Unlock()
+	if !closing {
 		return
 	}
-	c.closed = true
-	c.failLive("service: coordinator closed before the job finished")
-	c.mu.Unlock()
 	c.stop()
 	c.wg.Wait()
-	c.pool.Close()
+	c.pool.transport.CloseIdleConnections()
 	if c.journal != nil {
 		c.journal.Close()
 	}
@@ -227,68 +239,17 @@ func (c *Coordinator) Submit(ctx context.Context, job runner.Job) (runner.JobKey
 	return tickets[0].Key, tickets[0].Status, nil
 }
 
-// SubmitMany places each job on its ring backend and forwards the
+// SubmitMany admits jobs (see placement.admit) and forwards the
 // admissions as one batched POST per backend — a grid expanded
 // server-side becomes a handful of bulk submissions, not one HTTP call
-// per job. Duplicate keys (in the batch or already known) dedup onto the
-// existing state exactly like Station.Submit; previously-failed keys are
-// replaced and re-run. Every newly-admitted job is write-ahead journaled
-// (when a journal is configured) before its ticket is returned. Returns
-// ErrStationClosed after Close and ErrNoBackends (with the tickets
-// accepted so far) when a job cannot be placed.
-//
-// ctx rides along on the forwarded POSTs for its values (the trace ID,
-// so a submission is greppable across the tier), but forwards detach
-// from its cancellation: an admitted job's forward must complete even if
-// the submitting request is abandoned mid-flight.
+// per job. Every newly-admitted job is write-ahead journaled (when a
+// journal is configured) before its ticket is returned. ctx rides along
+// on the forwarded POSTs for its values, but forwards detach from its
+// cancellation (see callCtx).
 func (c *Coordinator) SubmitMany(ctx context.Context, jobs []runner.Job) ([]JobTicket, error) {
 	c.mu.Lock()
-	tickets := make([]JobTicket, 0, len(jobs))
-	var admitted []*jobState // newly-created states, in order, for the journal
-	var refused error
-	for _, job := range jobs {
-		key := job.Key()
-		status, ok, err := c.attach(key)
-		if err != nil {
-			// Closed: the lock is held, so only the first job sees it.
-			c.mu.Unlock()
-			return nil, err
-		}
-		c.stats.Submitted++
-		if ok {
-			tickets = append(tickets, JobTicket{Key: key, Status: status})
-			continue
-		}
-		var b *Backend
-		if c.pending >= c.cfg.QueueBound {
-			refused = ErrQueueFull
-		} else if b = c.pool.Route(key, nil); b == nil {
-			refused = ErrNoBackends
-		}
-		if refused != nil {
-			// The accepted prefix is real: it is journaled and forwarded
-			// below before the rest is refused — an accepted ticket must
-			// correspond to a journaled and forwarded (or explicitly
-			// failing) job, never to one silently stranded in the table.
-			c.stats.Rejected++
-			break
-		}
-		st := c.add(key, job)
-		st.backend = b
-		admitted = append(admitted, st)
-		tickets = append(tickets, JobTicket{Key: key, Status: StatusQueued})
-	}
-	c.mu.Unlock()
-
-	// Write-ahead: accepted jobs hit the journal before their tickets
-	// are returned (and before forwarding, whose acknowledgement the
-	// journal does not need).
-	for _, st := range admitted {
-		job := st.job
-		c.journalAppend(JournalRecord{T: journalJob, Key: st.key, Job: &job})
-	}
-	c.place(ctx, admitted, nil)
-
+	tickets, p, err := c.admit(jobs, false)
+	c.act(ctx, p)
 	// Refresh ticket statuses after forwarding: a backend answering from
 	// its cache reports "done" immediately, with the result, which lets
 	// clients skip the status poll and the result fetch on warm grids.
@@ -297,298 +258,33 @@ func (c *Coordinator) SubmitMany(ctx context.Context, jobs []runner.Job) ([]JobT
 		tickets[i].Status = c.byKey[tickets[i].Key].status
 	}
 	c.mu.Unlock()
-	return tickets, refused
+	return tickets, err
 }
 
-// Join adds addr to the pool at a new epoch and reacts to the exact
-// ownership delta the ring change produced: live moved keys re-forward
-// to the joiner, and finished moved keys warm-hand their cached results
-// to the joiner's cache — the joiner pulls them from the backend that
-// actually computed each key via GET /v1/cache/{key}, so a pool scale-up
-// costs cache transfers, not recomputation. Idempotent: re-joining a
-// present member reports Changed=false and bumps nothing.
+// Join adds addr to the pool at a new epoch: live keys whose ownership
+// moved re-forward to the joiner, and finished ones warm-hand their
+// cached results to the joiner's cache — the joiner pulls them from the
+// backend that actually computed each key via GET /v1/cache/{key}, so a
+// pool scale-up costs cache transfers, not recomputation. Idempotent:
+// re-joining a present member reports Changed=false and bumps nothing.
 func (c *Coordinator) Join(ctx context.Context, addr string) (MembershipChange, error) {
-	addr = normalizeBackendAddr(addr)
-	if addr == "" {
-		return MembershipChange{}, errors.New("service: join needs a backend address")
-	}
 	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return MembershipChange{}, ErrStationClosed
-	}
-	c.mu.Unlock()
-
-	c.memberMu.Lock()
-	defer c.memberMu.Unlock()
-	b, epoch, before, after, joined := c.pool.Join(addr)
-	ch := MembershipChange{Addr: addr, Action: "join", Epoch: epoch, Changed: joined, Members: c.pool.Len()}
-	if !joined {
-		return ch, nil
-	}
-	c.journalAppend(JournalRecord{T: journalJoin, Addr: addr, Epoch: epoch})
-
-	moves := c.ownershipMoves(before, after)
-	ch.MovedKeys = len(moves)
-
-	// Live moved keys re-forward to the joiner; finished ones are handed
-	// off.
-	var liveMoved []*jobState
-	c.mu.Lock()
-	for _, mv := range moves {
-		if st := c.byKey[mv.Key]; st != nil && !st.final() {
-			st.backend = b
-			st.forwarded = false
-			c.set(st, StatusQueued)
-			liveMoved = append(liveMoved, st)
-		}
-	}
-	c.mu.Unlock()
-	ch.Reassigned = len(liveMoved)
-	ch.Transferred = c.handOff(ctx, moves)
-	c.place(ctx, liveMoved, nil)
-	return ch, nil
+	ch, p, err := c.join(addr)
+	ch.Transferred = c.act(ctx, p)
+	return ch, err
 }
 
 // Leave removes addr from the pool at a new epoch, draining it: every
-// live key placed on the leaver re-forwards to its new ring owner, and
-// the leaver's finished keys warm-hand their cached results to each new
+// live key placed on the leaver re-forwards to a survivor, and the
+// leaver's finished keys warm-hand their cached results to each new
 // owner (best effort — the leaver may already be gone). Removing the
 // last member is refused with ErrLastBackend; removing a non-member is
 // ErrUnknownBackend.
 func (c *Coordinator) Leave(ctx context.Context, addr string) (MembershipChange, error) {
-	addr = normalizeBackendAddr(addr)
 	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return MembershipChange{}, ErrStationClosed
-	}
-	c.mu.Unlock()
-
-	c.memberMu.Lock()
-	defer c.memberMu.Unlock()
-	if c.pool.ByAddr(addr) == nil {
-		return MembershipChange{}, fmt.Errorf("%w: %s", ErrUnknownBackend, addr)
-	}
-	if c.pool.Len() == 1 {
-		return MembershipChange{}, ErrLastBackend
-	}
-	b, epoch, before, after, removed := c.pool.Leave(addr)
-	ch := MembershipChange{Addr: addr, Action: "leave", Epoch: epoch, Changed: removed, Members: c.pool.Len()}
-	if !removed {
-		return MembershipChange{}, fmt.Errorf("%w: %s", ErrUnknownBackend, addr)
-	}
-	c.journalAppend(JournalRecord{T: journalLeave, Addr: addr, Epoch: epoch})
-
-	moves := c.ownershipMoves(before, after)
-	ch.MovedKeys = len(moves)
-
-	// Every live key placed on the leaver drains to a survivor — not
-	// just ring-moved ones: reroutes may have parked keys there that the
-	// ring never owned.
-	var drain []*jobState
-	c.mu.Lock()
-	for _, st := range c.byKey {
-		if !st.final() && st.backend == b {
-			drain = append(drain, st)
-		}
-	}
-	c.mu.Unlock()
-	ch.Reassigned = c.place(ctx, drain, b)
-	ch.Transferred = c.handOff(ctx, moves)
-	return ch, nil
-}
-
-// ownershipMoves computes the exact key-ownership delta between two
-// ring snapshots over every key the coordinator knows.
-func (c *Coordinator) ownershipMoves(before, after *runner.Ring) []runner.KeyMove {
-	c.mu.Lock()
-	keys := make([]runner.JobKey, 0, len(c.byKey))
-	for key := range c.byKey {
-		keys = append(keys, key)
-	}
-	c.mu.Unlock()
-	return runner.OwnershipDelta(before, after, keys)
-}
-
-// handOff is the cache-warm handoff of a membership change: each finished
-// moved key's new owner pulls its cached result from the backend where
-// the key actually ran — which a reroute may have made a different
-// backend than the old ring owner — via POST /v1/cache/pull (which
-// fetches GET /v1/cache/{key} from the source), in bounded chunks. It
-// counts the moved keys and returns how many results transferred;
-// misses mean the source never cached the key (e.g. it ran cacheless)
-// and simply stay cold.
-func (c *Coordinator) handOff(ctx context.Context, moves []runner.KeyMove) int {
-	pulls := map[*Backend]map[string][]runner.JobKey{} // new owner → source → keys
-	c.mu.Lock()
-	for _, mv := range moves {
-		st, to := c.byKey[mv.Key], c.pool.ByAddr(mv.To)
-		if st == nil || to == nil || !st.final() || st.status != StatusDone {
-			continue
-		}
-		from := mv.From
-		if st.backend != nil {
-			from = st.backend.Addr()
-		}
-		if from == "" || from == mv.To {
-			continue
-		}
-		if pulls[to] == nil {
-			pulls[to] = map[string][]runner.JobKey{}
-		}
-		pulls[to][from] = append(pulls[to][from], mv.Key)
-	}
-	c.stats.HandoffKeys += int64(len(moves))
-	c.mu.Unlock()
-
-	transferred := 0
-	for to, bySource := range pulls {
-		for from, keys := range bySource {
-			for chunk := range slices.Chunk(keys, maxForwardBatch) {
-				pctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), c.cfg.CallTimeout)
-				res, err := to.client.CachePull(pctx, from, chunk)
-				cancel()
-				if err == nil {
-					transferred += res.Transferred
-				}
-			}
-		}
-	}
-	c.mu.Lock()
-	c.stats.HandoffTransferred += int64(transferred)
-	c.mu.Unlock()
-	return transferred
-}
-
-// maxForwardBatch bounds one forwarded POST, safely under the backend
-// server's maxJobsPerRequest so a large failover batch never trips the
-// far end's per-request bound.
-const maxForwardBatch = maxJobsPerRequest / 2
-
-// forward submits one chunk of a backend's batch, handing the jobs back
-// to place when the backend turns out to be dead. ctx contributes only
-// values (the trace ID); each chunk gets its own timeout detached from
-// the caller's cancellation.
-func (c *Coordinator) forward(ctx context.Context, b *Backend, group []*jobState) {
-	jobs := make([]runner.Job, len(group))
-	for i, st := range group {
-		jobs[i] = st.job
-	}
-	fctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), c.cfg.CallTimeout)
-	tks, err := b.client.Submit(fctx, jobs)
-	cancel()
-	if err == nil {
-		b.reportSuccess(false)
-		b.noteSubmitted(len(jobs))
-		c.mu.Lock()
-		for i, st := range group {
-			if st.backend == b {
-				st.forwarded = true
-				c.learn(st, tks[i].Status, tks[i].Result)
-			}
-		}
-		c.mu.Unlock()
-		return
-	}
-	var ae *APIError
-	if errors.As(err, &ae) && ae.Code == http.StatusServiceUnavailable {
-		// The backend ANSWERED: it is alive but refusing — its queue is
-		// full past the forwarding client's own retries. That is
-		// backpressure, not death: no circuit penalty, and no reroute,
-		// which would dump the load on an equally-busy survivor and
-		// forfeit cache affinity. The chunk stays assigned and
-		// unforwarded; the prober's sweep re-forwards it as capacity
-		// frees, and whatever prefix the backend did admit simply dedupes
-		// there.
-		return
-	}
-	b.reportFailure(c.cfg.FailThreshold, err, false)
-	c.place(ctx, group, b)
-}
-
-// rerouteBudget bounds how many times one key is re-placed after backend
-// failures before it fails outright.
-const rerouteBudget = 8
-
-// place is the one function that gives a live key a backend, and the
-// only caller of forward. A key keeps a backend that is a routable pool
-// member other than avoid, and is forwarded there only if the backend
-// has not acknowledged it yet (an admission, a Join's reassignment, a
-// chunk parked by backpressure or by a forward that raced Close on the
-// far end). Any other key walks the ring, and why it lost its backend
-// decides what that costs:
-//
-//   - never placed (journal replay into an empty or all-down pool): it
-//     takes the first routable backend, or waits for the next sweep;
-//   - its backend left the pool: it drains to a survivor without
-//     touching the reroute budget or the rerouted counters;
-//   - its backend failed — its circuit is open, or it is avoid, the
-//     backend a caller just watched fail, which may not have tripped its
-//     circuit yet: the move spends one unit of the key's reroute budget
-//     and counts in rerouted / rerouted_away.
-//
-// A key that left or failed and that no routable backend will take, or
-// whose budget has run out, fails terminally so its waiters unblock.
-// With avoid set only keys still on avoid move, so concurrent reporters
-// of one failure re-place a key once: the first to move st.backend wins.
-// Placements are grouped by backend and forwarded as BATCHES, in bounded
-// chunks (a failed 500-job batch becomes one bulk POST per survivor, not
-// 500 sequential calls); a chunk whose new owner also fails comes back
-// here through forward — bounded, because every such hop spends budget.
-// Duplicate forwards are harmless: backends dedupe by key. ctx
-// contributes only the trace ID. Returns how many keys moved.
-func (c *Coordinator) place(ctx context.Context, group []*jobState, avoid *Backend) (moved int) {
-	targets := map[*Backend][]*jobState{}
-	c.mu.Lock()
-	for _, st := range group {
-		if st.final() || (avoid != nil && st.backend != avoid) {
-			continue
-		}
-		from := st.backend
-		member := from != nil && c.pool.has(from)
-		if member && from != avoid && from.routable() {
-			if !st.forwarded {
-				targets[from] = append(targets[from], st)
-			}
-			continue
-		}
-		// A member that gets here failed (it is avoid, or its circuit is
-		// open); a nil or departed from costs the key nothing.
-		if member && st.reroutes >= rerouteBudget {
-			c.fail(st, fmt.Sprintf(
-				"service: job %s still unplaced after %d reroutes: %v", st.key, st.reroutes, ErrNoBackends))
-			continue
-		}
-		// Route skips from, but hands it back when it is the only
-		// routable member left: retrying the sole survivor beats failing.
-		b := c.pool.Route(st.key, from)
-		if b == nil {
-			if from != nil {
-				c.fail(st, ErrNoBackends.Error())
-			}
-			continue
-		}
-		if member {
-			st.reroutes++
-			c.stats.Rerouted++
-			if b != from {
-				from.noteRerouted()
-			}
-		}
-		st.backend = b
-		st.forwarded = false
-		c.set(st, StatusQueued)
-		targets[b] = append(targets[b], st)
-		moved++
-	}
-	c.mu.Unlock()
-	for b, sub := range targets {
-		for chunk := range slices.Chunk(sub, maxForwardBatch) {
-			c.forward(ctx, b, chunk)
-		}
-	}
-	return moved
+	ch, p, err := c.leave(addr)
+	ch.Transferred = c.act(ctx, p)
+	return ch, err
 }
 
 // jitter returns d scaled by a uniform factor in [0.75, 1.25), so a
@@ -622,36 +318,21 @@ func (c *Coordinator) prober() {
 			return
 		case <-timer.C:
 		}
-		for _, b := range c.pool.All() {
+		c.mu.Lock()
+		members := slices.Clone(c.pool.backends)
+		c.mu.Unlock()
+		for _, b := range members {
 			ctx, cancel := context.WithTimeout(context.Background(), probeTimeout)
 			_, err := b.client.Healthz(ctx)
 			cancel()
-			b.noteProbe()
-			if err != nil {
-				b.reportFailure(c.cfg.FailThreshold, err, true)
-			} else {
-				b.reportSuccess(true)
-			}
+			c.mu.Lock()
+			c.probed(b, err)
+			c.mu.Unlock()
 		}
-		c.sweepStranded()
+		c.mu.Lock()
+		c.act(context.Background(), c.sweep())
 		timer.Reset(jitter(c.cfg.ProbeInterval))
 	}
-}
-
-// sweepStranded is the prober's safety net: every live key goes through
-// place, which moves the ones stranded on an unroutable backend,
-// forwards the ones accepted but never acknowledged, gives the unplaced
-// ones a backend once one is routable, and leaves the rest alone.
-func (c *Coordinator) sweepStranded() {
-	var live []*jobState
-	c.mu.Lock()
-	for _, st := range c.byKey {
-		if !st.final() {
-			live = append(live, st)
-		}
-	}
-	c.mu.Unlock()
-	c.place(context.Background(), live, nil)
 }
 
 // Status reports a key's position without waiting; see Wait.
@@ -668,41 +349,37 @@ func (c *Coordinator) Status(key runner.JobKey) (Status, bool) {
 // or the coordinator closes, the forward is hung up — no penalty to the
 // backend — and the last status known is the answer.
 func (c *Coordinator) Wait(ctx context.Context, key runner.JobKey, d time.Duration) (Status, bool) {
-	c.mu.Lock()
-	st := c.byKey[key]
-	if st == nil {
-		c.mu.Unlock()
-		return "", false
+	st, s, b := c.remote(key)
+	if b == nil {
+		return s, st != nil
 	}
-	if st.final() || !st.forwarded {
-		s := st.status
-		c.mu.Unlock()
-		return s, true
-	}
-	b := st.backend
-	c.mu.Unlock()
-
 	wctx, cancel := context.WithTimeout(ctx, c.cfg.CallTimeout)
 	defer cancel()
 	defer context.AfterFunc(c.ctx, cancel)()
 	js, err := b.client.Wait(wctx, key, d)
-	switch {
-	case err == nil:
-		b.reportSuccess(false)
-		c.mu.Lock()
-		if st.backend == b {
-			c.learn(st, js.Status, js.Result)
-		}
-		c.mu.Unlock()
-	case ctx.Err() != nil || c.ctx.Err() != nil:
-		// We hung up, not the backend.
-	case c.proxyFailed(ctx, st, b, err):
-		return StatusQueued, true
+	c.mu.Lock()
+	var p plan
+	if err == nil || (ctx.Err() == nil && c.ctx.Err() == nil) { // not a hang-up of ours
+		p = c.waited(st, b, js, err)
 	}
-	// The backend is alive; report the last status we believed.
+	s = st.status
+	c.act(ctx, p)
+	return s, true
+}
+
+// remote returns key's state and status and, when only its backend can
+// say more — the key is forwarded and not final — that backend.
+func (c *Coordinator) remote(key runner.JobKey) (*jobState, Status, *Backend) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return st.status, true
+	st := c.byKey[key]
+	if st == nil {
+		return nil, "", nil
+	}
+	if st.final() || !st.forwarded {
+		return st, st.status, nil
+	}
+	return st, st.status, st.backend
 }
 
 // Result returns a terminal result (see finished).
@@ -713,18 +390,6 @@ func (c *Coordinator) Result(ctx context.Context, key runner.JobKey) (runner.Res
 	return runner.Result{}, false
 }
 
-// learn records a backend's answer for st, under c.mu: a terminal one
-// that carried its result finishes st, memoizing the result with no
-// fetch; otherwise st takes the answer's status.
-func (c *Coordinator) learn(st *jobState, status Status, result json.RawMessage) {
-	var wr WireResult
-	if status.terminal() && json.Unmarshal(result, &wr) == nil {
-		c.finish(st, runner.Result{Job: st.job, Metrics: wr.Metrics, Err: wr.Error})
-	} else {
-		c.set(st, status)
-	}
-}
-
 // finished returns key's state once its result is final, else nil. The
 // result is memoized from the backend answer that carried it (see learn)
 // or else from one proxied fetch, so later calls (and the coordinator's
@@ -732,69 +397,34 @@ func (c *Coordinator) learn(st *jobState, status Status, result json.RawMessage)
 // completion. ctx contributes only its trace ID: an abandoned fetch must
 // not read as a backend failure.
 func (c *Coordinator) finished(ctx context.Context, key runner.JobKey) *jobState {
-	c.mu.Lock()
-	st := c.byKey[key]
-	if st == nil || st.final() || !st.forwarded {
-		c.mu.Unlock()
-		if st == nil || !st.final() {
+	st, _, b := c.remote(key)
+	if b != nil {
+		ctx = context.WithoutCancel(ctx)
+		rctx, cancel := context.WithTimeout(ctx, c.cfg.CallTimeout)
+		wr, err := b.client.Result(rctx, key)
+		cancel()
+		c.mu.Lock()
+		if c.act(ctx, c.fetched(st, b, wr, err)); err != nil {
 			return nil
 		}
-		return st
 	}
-	b := st.backend
-	c.mu.Unlock()
-
-	ctx = context.WithoutCancel(ctx)
-	rctx, cancel := context.WithTimeout(ctx, c.cfg.CallTimeout)
-	wr, err := b.client.Result(rctx, key)
-	cancel()
-	if err == nil {
-		b.reportSuccess(false)
-		c.mu.Lock()
-		c.finish(st, runner.Result{Job: st.job, Metrics: wr.Metrics, Err: wr.Error})
-		c.mu.Unlock()
-		return st
+	if st == nil || !st.final() {
+		return nil
 	}
-	// Not fetched: the key is known but unfinished (409), or it was just
-	// re-placed.
-	c.proxyFailed(ctx, st, b, err)
-	return nil
-}
-
-// proxyFailed classifies the error of a status or result call proxied to
-// b for st, and reports whether it re-placed the key. A transport
-// failure counts against b's circuit and re-places now; a 404 means b
-// answered but has never heard of the key — it restarted and lost its
-// in-memory states — so the key is re-placed with no circuit penalty;
-// any other API answer means b is alive and the key stays.
-func (c *Coordinator) proxyFailed(ctx context.Context, st *jobState, b *Backend, err error) bool {
-	var ae *APIError
-	if !errors.As(err, &ae) {
-		b.reportFailure(c.cfg.FailThreshold, err, false)
-	} else if ae.Code != http.StatusNotFound {
-		return false
-	}
-	c.place(ctx, []*jobState{st}, b)
-	return true
+	return st
 }
 
 // RingEpoch returns the pool's monotonic membership epoch.
-func (c *Coordinator) RingEpoch() uint64 { return c.pool.Epoch() }
+func (c *Coordinator) RingEpoch() uint64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.pool.epoch
+}
 
 // Backends reports the pool with per-backend live-key assignment counts
 // and ring shares — the /v1/backendsz document.
 func (c *Coordinator) Backends() []BackendStatus {
-	assigned := map[string]int{}
 	c.mu.Lock()
-	for _, st := range c.byKey {
-		if !st.final() && st.backend != nil {
-			assigned[st.backend.addr]++
-		}
-	}
-	c.mu.Unlock()
-	statuses := c.pool.Statuses()
-	for i := range statuses {
-		statuses[i].Assigned = assigned[statuses[i].Addr]
-	}
-	return statuses
+	defer c.mu.Unlock()
+	return c.backends()
 }

@@ -145,10 +145,7 @@ func TestCoordinatorFailsOverWhenBackendDies(t *testing.T) {
 	b2 := newTestBackend(t, release) // b2's executions block until released
 	coord := quickCoordinator(t, []string{b1.ts.URL, b2.ts.URL})
 
-	jobs := make([]runner.Job, 16)
-	for i := range jobs {
-		jobs[i] = testJob(i)
-	}
+	jobs := testJobs(16)
 	tickets, err := coord.SubmitMany(context.Background(), jobs)
 	if err != nil {
 		t.Fatal(err)
@@ -371,7 +368,7 @@ func TestCoordinatorNoBackendsIs503Shaped(t *testing.T) {
 	coord := quickCoordinator(t, []string{"127.0.0.1:1"})
 	// Wait for the prober to open the circuit.
 	deadline := time.Now().Add(10 * time.Second)
-	for coord.pool.Healthy() != 0 {
+	for coord.Backends()[0].Healthy {
 		if time.Now().After(deadline) {
 			t.Fatal("dead backend never failed out")
 		}

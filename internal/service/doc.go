@@ -52,22 +52,29 @@
 //     backend re-route to survivors and re-submit, which is safe
 //     because backends dedupe by key.
 //
-//     Membership is elastic and epoch-versioned: BackendPool.Join and
-//     Leave rebuild the ring under lock, bump a monotonic epoch, and
-//     report the exact set of keys whose ownership moved. The
-//     coordinator reacts to that delta only — moved live keys
+//     Every decision is made under one lock, the key table's (jobs.mu),
+//     by a placement core that makes no call, reads no clock and starts
+//     no goroutine: admission, where each live key runs, what a
+//     backend's answer or error means, circuit state, the ownership
+//     delta of a join or leave, and the prober's sweep. The pool's ring,
+//     members, epoch and circuits are plain fields under that lock. A
+//     decision returns a plan (journal records, forwards grouped by
+//     backend, cache pulls) that the Coordinator carries out after
+//     dropping the lock, feeding each outcome back in; Close waits for
+//     every plan decided before it.
+//
+//     Membership is elastic and epoch-versioned: a join or leave reacts
+//     to the exact set of keys whose ownership moved — moved live keys
 //     re-forward to their new owner (a leave drains every live key off
-//     the leaver), and moved finished keys warm-hand their cached
-//     results to the new owner, which pulls them from the backend that
-//     actually computed each key (POST /v1/cache/pull driving GET
-//     /v1/cache/{key}, entries validated against their content address)
-//     instead of recomputing. Joins arrive via POST /v1/backends/join
-//     (admin or the `gpulat backends` CLI) or a backend's own
-//     `serve -join` self-registration. An optional write-ahead journal
-//     (CoordinatorConfig.JournalPath, JSONL, torn-tail tolerant)
-//     records accepted jobs and membership changes before tickets
-//     return, so a coordinator killed mid-grid replays its in-flight
-//     keys on restart.
+//     the leaver), and moved finished keys are pulled by the new owner
+//     from the backend that computed them (POST /v1/cache/pull driving
+//     GET /v1/cache/{key}, entries validated against their content
+//     address) instead of recomputed. Joins arrive via POST
+//     /v1/backends/join or a backend's own `serve -join`. An optional
+//     write-ahead journal (CoordinatorConfig.JournalPath, JSONL,
+//     torn-tail tolerant) records accepted jobs and membership changes
+//     before tickets return; a restarted coordinator replays it through
+//     the same admission and join/leave decisions live traffic takes.
 //
 // The whole layer preserves the repo's determinism discipline: cached
 // results are stored in the comparable encoding (wall-clock fields

@@ -12,7 +12,6 @@ import (
 	"path/filepath"
 	"reflect"
 	"slices"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -79,10 +78,7 @@ func TestCoordinatorJoinWarmHandsOffCache(t *testing.T) {
 	b2, cache2 := newCachedBackend(t, nil)
 	coord := quickCoordinator(t, []string{b1.ts.URL})
 
-	jobs := make([]runner.Job, 24)
-	for i := range jobs {
-		jobs[i] = testJob(i)
-	}
+	jobs := testJobs(24)
 	if _, err := coord.SubmitMany(context.Background(), jobs); err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +108,7 @@ func TestCoordinatorJoinWarmHandsOffCache(t *testing.T) {
 	// The joiner's cache must now answer its newly-owned keys directly.
 	owned := 0
 	for _, job := range jobs {
-		if owner, _ := coord.pool.Ring().Owner(job.Key()); owner == normalizeBackendAddr(b2.ts.URL) {
+		if ringOwner(coord, job.Key()) == normalizeBackendAddr(b2.ts.URL) {
 			owned++
 			if _, ok := cache2.Get(job.Key()); !ok {
 				t.Fatalf("moved key %s not in the joiner's cache", job.Key())
@@ -161,10 +157,7 @@ func TestCoordinatorLeaveDrainsToSurvivors(t *testing.T) {
 	b2, _ := newCachedBackend(t, nil)
 	coord := quickCoordinator(t, []string{b1.ts.URL, b2.ts.URL})
 
-	jobs := make([]runner.Job, 24)
-	for i := range jobs {
-		jobs[i] = testJob(i)
-	}
+	jobs := testJobs(24)
 	if _, err := coord.SubmitMany(context.Background(), jobs); err != nil {
 		t.Fatal(err)
 	}
@@ -192,84 +185,6 @@ func TestCoordinatorLeaveDrainsToSurvivors(t *testing.T) {
 	}
 	if _, err := coord.Leave(context.Background(), b1.ts.URL); !errors.Is(err, ErrLastBackend) {
 		t.Fatalf("leave of last backend = %v, want ErrLastBackend", err)
-	}
-}
-
-// TestCoordinatorLeaveReassignsLiveKeys: leaving while its keys are
-// still queued/running re-forwards them to survivors without charging
-// anyone's reroute budget, and the grid completes.
-func TestCoordinatorLeaveReassignsLiveKeys(t *testing.T) {
-	release := make(chan struct{})
-	b1, _ := newCachedBackend(t, nil)
-	b2, _ := newCachedBackend(t, release) // b2's executions wedge until released
-	unwedge := releaser(t, release)
-	// No prober: on a loaded host a 20 ms probe can time out twice and
-	// reroute b2's keys before the leave has any to drain.
-	coord := quietCoordinator(t, b1.ts.URL, b2.ts.URL)
-
-	jobs := make([]runner.Job, 24)
-	for i := range jobs {
-		jobs[i] = testJob(i)
-	}
-	if _, err := coord.SubmitMany(context.Background(), jobs); err != nil {
-		t.Fatal(err)
-	}
-	ch, err := coord.Leave(context.Background(), b2.ts.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ch.Reassigned == 0 {
-		t.Fatalf("leave mid-grid reassigned nothing: %+v", ch)
-	}
-	// b2's wedged copies never release; the reassigned keys must finish
-	// on b1 regardless.
-	waitAllDone(t, coord, jobs)
-	unwedge()
-	if s := coord.Stats(); s.Rerouted != 0 {
-		t.Fatalf("drain charged the reroute budget: %+v", s)
-	}
-}
-
-// TestCoordinatorJournalRecovery is the crash contract: a coordinator
-// killed mid-grid is restarted against its journal and the grid
-// completes — no client resubmission, no lost keys.
-func TestCoordinatorJournalRecovery(t *testing.T) {
-	release := make(chan struct{})
-	b1, _ := newCachedBackend(t, release)
-	unwedge := releaser(t, release)
-	journal := filepath.Join(t.TempDir(), "wal", "coordinator.jsonl")
-
-	cfg := CoordinatorConfig{
-		Backends:      []string{b1.ts.URL},
-		ProbeInterval: 20 * time.Millisecond,
-		FailThreshold: 2,
-		JournalPath:   journal,
-	}
-	coord1 := newCoordinator(t, cfg)
-	jobs := make([]runner.Job, 10)
-	for i := range jobs {
-		jobs[i] = testJob(i)
-	}
-	if _, err := coord1.SubmitMany(context.Background(), jobs); err != nil {
-		t.Fatal(err)
-	}
-	// "Crash": Close stops the prober but leaves the journal on disk.
-	coord1.Close()
-	unwedge()
-
-	coord2 := newCoordinator(t, cfg)
-	if got := coord2.Stats().Replayed; got != int64(len(jobs)) {
-		t.Fatalf("replayed %d jobs, want %d", got, len(jobs))
-	}
-	// The successor drives the grid to done on its own — the replayed
-	// keys re-forward, the backend dedupes, nobody resubmits.
-	waitAllDone(t, coord2, jobs)
-	for _, job := range jobs {
-		res, _ := coord2.Result(context.Background(), job.Key())
-		want := testResult(job)
-		if len(res.Metrics) != len(want.Metrics) || res.Metrics[0] != want.Metrics[0] {
-			t.Fatalf("replayed result drifted for %s: %+v", job.Key(), res)
-		}
 	}
 }
 
@@ -387,6 +302,57 @@ func TestMembershipAndCacheHTTPSurface(t *testing.T) {
 	}
 }
 
+// TestMembershipRacesClose: Join and Leave racing Close are decided
+// under the same lock as the closed flag, so every change that was
+// reported is in the journal, the journal does not grow once Close has
+// returned, and a call made after that is refused.
+func TestMembershipRacesClose(t *testing.T) {
+	ctx := context.Background()
+	path := filepath.Join(t.TempDir(), "coordinator.jsonl")
+	coord := newCoordinator(t, CoordinatorConfig{Backends: []string{"127.0.0.1:1"}, ProbeInterval: time.Hour, JournalPath: path})
+	var closed atomic.Bool
+	var changes atomic.Int64
+	var wg sync.WaitGroup
+	for g := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				after := closed.Load()
+				addr := fmt.Sprintf("127.0.0.1:%d", 2+g+4*(i/2))
+				call := coord.Join
+				if i%2 == 1 {
+					call = coord.Leave
+				}
+				ch, err := call(ctx, addr)
+				if after && !errors.Is(err, ErrStationClosed) {
+					t.Errorf("%s of %s after Close returned: %v", ch.Action, addr, err)
+				}
+				if err != nil {
+					return
+				}
+				changes.Add(1)
+			}
+		}()
+	}
+	eventually(t, "some membership changes", func() bool { return changes.Load() >= 40 })
+	coord.Close()
+	info, err := os.Stat(path)
+	closed.Store(true)
+	wg.Wait()
+	if after, serr := os.Stat(path); errors.Join(err, serr) != nil || after.Size() != info.Size() {
+		t.Fatalf("journal grew from %d bytes after Close returned (%v)", info.Size(), errors.Join(err, serr))
+	}
+	j, records, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	if len(records) != int(changes.Load()) {
+		t.Fatalf("journal holds %d records for %d reported changes", len(records), changes.Load())
+	}
+}
+
 // TestCoordinatorFailsOverMidWait: the backend holding a client's
 // long-poll dies with the job wedged on it. The waiter itself observes
 // the death — no next poll, no prober round — re-places the key, and the
@@ -402,7 +368,7 @@ func TestCoordinatorFailsOverMidWait(t *testing.T) {
 
 	var job runner.Job
 	for i := 0; ; i++ {
-		if job = testJob(i); coord.pool.Owner(job.Key()).Addr() == normalizeBackendAddr(doomed.ts.URL) {
+		if job = testJob(i); ringOwner(coord, job.Key()) == normalizeBackendAddr(doomed.ts.URL) {
 			break
 		}
 	}
@@ -437,11 +403,19 @@ func TestCoordinatorFailsOverMidWait(t *testing.T) {
 	}
 }
 
+// ringOwner is key's owner on coord's ring, ignoring circuit state.
+func ringOwner(coord *Coordinator, key runner.JobKey) string {
+	coord.mu.Lock()
+	defer coord.mu.Unlock()
+	owner, _ := coord.pool.ring.Owner(key)
+	return owner
+}
+
 // ownedBy returns a key from jobs that the ring places on addr.
 func ownedBy(t *testing.T, coord *Coordinator, jobs []runner.Job, addr string) runner.JobKey {
 	t.Helper()
 	for _, job := range jobs {
-		if owner, _ := coord.pool.Ring().Owner(job.Key()); owner == normalizeBackendAddr(addr) {
+		if ringOwner(coord, job.Key()) == normalizeBackendAddr(addr) {
 			return job.Key()
 		}
 	}
@@ -466,10 +440,7 @@ func TestNoDuplicateExecutionWithoutFailure(t *testing.T) {
 	b2, _ := newCachedBackend(t, nil)
 	coord := quickCoordinator(t, []string{b1.ts.URL, b2.ts.URL})
 
-	jobs := make([]runner.Job, 60)
-	for i := range jobs {
-		jobs[i] = testJob(i)
-	}
+	jobs := testJobs(60)
 	if _, err := coord.SubmitMany(context.Background(), jobs); err != nil {
 		t.Fatal(err)
 	}
@@ -489,187 +460,4 @@ func TestNoDuplicateExecutionWithoutFailure(t *testing.T) {
 	if s := coord.Stats(); s.Rerouted != 0 {
 		t.Fatalf("keys moved with no backend failing: %+v", s)
 	}
-}
-
-// newFailingBackend is a live backend whose POST /v1/jobs answers 500
-// for its first `failures` calls (negative: always); everything else,
-// health probes included, reaches a real station. It returns the base
-// URL, the POST counter and the execution counter.
-func newFailingBackend(t *testing.T, failures int64) (string, *atomic.Int64, *countingExec) {
-	t.Helper()
-	ce := &countingExec{}
-	station := newStation(t, nil, StationConfig{Workers: 2, Exec: ce.exec})
-	inner := NewServer(station, nil)
-	posts := new(atomic.Int64)
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Method == http.MethodPost && r.URL.Path == "/v1/jobs" {
-			if n := posts.Add(1); failures < 0 || n <= failures {
-				writeError(w, http.StatusInternalServerError, "broken on purpose")
-				return
-			}
-		}
-		inner.ServeHTTP(w, r)
-	}))
-	t.Cleanup(ts.Close)
-	return ts.URL, posts, ce
-}
-
-// TestPlaceRule pins what it costs a key to be given a backend, one row
-// per reason it needs one (see Coordinator.place). Every row but the
-// first runs on a quiet coordinator.
-func TestPlaceRule(t *testing.T) {
-	ctx := context.Background()
-	state := func(coord *Coordinator, key runner.JobKey) (st *jobState, backend *Backend, reroutes int) {
-		coord.mu.Lock()
-		defer coord.mu.Unlock()
-		st = coord.byKey[key]
-		return st, st.backend, st.reroutes
-	}
-	reroutedAway := func(coord *Coordinator) (n int64) {
-		for _, b := range coord.Backends() {
-			n += b.ReroutedAway
-		}
-		return n
-	}
-
-	// Waits for a backend, then costs nothing.
-	t.Run("never placed", func(t *testing.T) {
-		path := filepath.Join(t.TempDir(), "coordinator.jsonl")
-		j, _, err := OpenJournal(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		jobs := []runner.Job{testJob(0), testJob(1), testJob(2)}
-		for i := range jobs {
-			if err := j.Append(JournalRecord{T: journalJob, Key: jobs[i].Key(), Job: &jobs[i]}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		j.Close()
-		coord := newCoordinator(t, CoordinatorConfig{ProbeInterval: 20 * time.Millisecond, JournalPath: path})
-		coord.sweepStranded() // an empty pool: nothing to place on, nothing fails
-		if s := coord.Stats(); s.Replayed != 3 || s.Queued != 3 || s.Failed != 0 {
-			t.Fatalf("replay into an empty pool: %+v", s)
-		}
-		// The pool's Join, not the coordinator's: that one hands an
-		// empty ring's keys to the joiner itself, and the point here is
-		// that the sweep does.
-		b1 := newTestBackend(t, nil)
-		coord.pool.Join(b1.ts.URL)
-		waitAllDone(t, coord, jobs)
-		for _, job := range jobs {
-			if _, _, reroutes := state(coord, job.Key()); reroutes != 0 {
-				t.Fatalf("first placement of %s spent %d reroutes", job.Key(), reroutes)
-			}
-		}
-		if s := coord.Stats(); s.Rerouted != 0 || b1.execs.count() != 3 {
-			t.Fatalf("stats %+v, joiner ran %d of 3", s, b1.execs.count())
-		}
-	})
-	// Drains for free; fails only when every survivor is down.
-	t.Run("backend left", func(t *testing.T) {
-		dead := httptest.NewServer(nil)
-		dead.Close()
-		wedge := make(chan struct{})
-		b2 := newTestBackend(t, wedge)
-		b3 := newTestBackend(t, wedge)
-		releaser(t, wedge)
-		// No prober: the dead member's circuit is opened here, and no
-		// live member's can open.
-		coord := quietCoordinator(t, dead.URL, b2.ts.URL, b3.ts.URL)
-		coord.pool.ByAddr(dead.URL).reportFailure(1, errors.New("connection refused"), true)
-
-		jobs := make([]runner.Job, 24)
-		for i := range jobs {
-			jobs[i] = testJob(i)
-		}
-		if _, err := coord.SubmitMany(ctx, jobs); err != nil {
-			t.Fatal(err)
-		}
-		ch, err := coord.Leave(ctx, b2.ts.URL)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s := coord.Stats()
-		if ch.Reassigned == 0 || s.Failed != 0 || s.Rerouted != 0 || reroutedAway(coord) != 0 {
-			t.Fatalf("drain to a live survivor: change %+v, stats %+v, rerouted away %d", ch, s, reroutedAway(coord))
-		}
-		for _, job := range jobs {
-			if _, b, reroutes := state(coord, job.Key()); b.Addr() != normalizeBackendAddr(b3.ts.URL) || reroutes != 0 {
-				t.Fatalf("key %s on %s after %d reroutes, want the live survivor for free", job.Key(), b.Addr(), reroutes)
-			}
-		}
-		// Now the only survivor is the one whose circuit is open.
-		ch, err = coord.Leave(ctx, b3.ts.URL)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if s := coord.Stats(); ch.Reassigned != 0 || s.Failed != len(jobs) || s.Rerouted != 0 {
-			t.Fatalf("drain with every survivor down: change %+v, stats %+v", ch, s)
-		}
-		for _, job := range jobs {
-			if res, ok := coord.Result(ctx, job.Key()); !ok || res.Err != ErrNoBackends.Error() {
-				t.Fatalf("key %s: %+v, %v; want ErrNoBackends", job.Key(), res, ok)
-			}
-		}
-	})
-	// One reroute a hop, terminal at the bound.
-	t.Run("backend failed", func(t *testing.T) {
-		u1, posts1, _ := newFailingBackend(t, -1)
-		u2, posts2, _ := newFailingBackend(t, -1)
-		coord := quietCoordinator(t, u1, u2)
-		job := testJob(0)
-		if _, _, err := coord.Submit(ctx, job); err != nil {
-			t.Fatal(err)
-		}
-		res, ok := coord.Result(ctx, job.Key())
-		if want := fmt.Sprintf("still unplaced after %d reroutes", rerouteBudget); !ok || !strings.Contains(res.Err, want) {
-			t.Fatalf("result %+v, %v; want %q", res, ok, want)
-		}
-		// The first forward plus one per hop, each hop off a different
-		// backend than it lands on.
-		if s, posts := coord.Stats(), posts1.Load()+posts2.Load(); s.Rerouted != rerouteBudget || posts != rerouteBudget+1 || reroutedAway(coord) != rerouteBudget {
-			t.Fatalf("stats %+v, %d forwards, %d rerouted away; want %d hops", s, posts, reroutedAway(coord), rerouteBudget)
-		}
-	})
-	// The sole routable backend is retried even when it is avoid.
-	t.Run("sole survivor", func(t *testing.T) {
-		u, posts, execs := newFailingBackend(t, 1)
-		coord := quietCoordinator(t, u)
-		job := testJob(0)
-		if _, _, err := coord.Submit(ctx, job); err != nil {
-			t.Fatal(err)
-		}
-		waitAllDone(t, coord, []runner.Job{job})
-		if s := coord.Stats(); s.Rerouted != 1 || reroutedAway(coord) != 0 || posts.Load() != 2 || execs.count() != 1 {
-			t.Fatalf("stats %+v, rerouted away %d, %d forwards, %d runs", s, reroutedAway(coord), posts.Load(), execs.count())
-		}
-	})
-	// One failure, many reporters: the key moves once.
-	t.Run("concurrent reporters", func(t *testing.T) {
-		b1 := newTestBackend(t, nil)
-		b2 := newTestBackend(t, nil)
-		coord := quietCoordinator(t, b1.ts.URL, b2.ts.URL)
-		job := testJob(0)
-		if _, _, err := coord.Submit(ctx, job); err != nil {
-			t.Fatal(err)
-		}
-		st, from, _ := state(coord, job.Key())
-		var wg sync.WaitGroup
-		for range 8 {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				if !coord.proxyFailed(ctx, st, from, errors.New("connection reset")) {
-					t.Error("a transport failure was not treated as one")
-				}
-			}()
-		}
-		wg.Wait()
-		_, now, reroutes := state(coord, job.Key())
-		if s := coord.Stats(); s.Rerouted != 1 || reroutes != 1 || now == from || reroutedAway(coord) != 1 {
-			t.Fatalf("stats %+v, %d reroutes, rerouted away %d, moved=%v", s, reroutes, reroutedAway(coord), now != from)
-		}
-		waitAllDone(t, coord, []runner.Job{job})
-	})
 }
