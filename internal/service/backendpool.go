@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"maps"
 	"net/http"
 	"slices"
 	"strings"
@@ -113,118 +112,13 @@ func normalizeBackendAddr(addr string) string {
 	return strings.TrimRight(addr, "/")
 }
 
-// BackendPool is the mutable set of backends and the consistent-hash
-// ring that places JobKeys on them. Join and Leave rebuild the ring and
-// bump a monotonic epoch; the ring is immutable, so a caller that kept
-// the one before a change can compute the exact key-ownership delta
-// (runner.OwnershipDelta). Each backend contributes runner.RingVnodes
-// virtual points, so load spreads evenly even with two backends and one
-// membership change only remaps the keys whose arc it touched, which
-// preserves backend-local cache affinity. The pool holds no lock: a
-// coordinator's pool is part of its placement core, under its lock.
-//
-// An empty pool is valid: it routes nothing (callers see ErrNoBackends)
-// until the first Join — the shape of a coordinator started with no
-// static -backends list, waiting for `gpulat serve -join` registrations.
-type BackendPool struct {
-	threshold int
-	// transport is the connection pool the backend clients share.
-	transport *http.Transport
-
-	epoch    uint64
-	backends []*Backend
-	byAddr   map[string]*Backend
-	ring     *runner.Ring
-}
-
-// NewBackendPool builds the ring over addrs ("host:port" or base URLs);
-// blanks and duplicates are dropped, and an empty list is a valid empty
-// pool. failThreshold <= 0 selects 3 consecutive failures before a
-// circuit opens. The initial membership is epoch 1.
-func NewBackendPool(addrs []string, failThreshold int) *BackendPool {
-	if failThreshold <= 0 {
-		failThreshold = 3
-	}
-	p := &BackendPool{threshold: failThreshold, byAddr: map[string]*Backend{}, ring: runner.NewRing(nil, runner.RingVnodes)}
-	p.transport = http.DefaultTransport.(*http.Transport).Clone()
-	p.transport.MaxIdleConns = 0 // the per-host bound governs
-	p.transport.MaxIdleConnsPerHost = backendIdleConns
-	for _, addr := range addrs {
-		p.Join(addr)
-	}
-	p.epoch = 1
-	return p
-}
-
 // backendIdleConns sizes the per-backend keep-alive pool: a forwarded
 // long-poll holds its connection for the whole wait, so the default
 // transport's two per host would re-dial for every further waiter.
 const backendIdleConns = 64
 
-// Join adds addr to the pool, rebuilding the ring and bumping the
-// epoch. It is idempotent: joining a present member changes nothing and
-// reports joined=false.
-func (p *BackendPool) Join(addr string) (b *Backend, joined bool) {
-	addr = normalizeBackendAddr(addr)
-	if have := p.byAddr[addr]; have != nil || addr == "" {
-		return have, false
-	}
-	client := NewClient(addr)
-	client.HTTP = &http.Client{Transport: p.transport}
-	// The coordinator handles rerouting itself; keep the forwarding
-	// client's own 503 retries short so a wedged backend fails over
-	// quickly instead of being politely waited on.
-	client.MaxAttempts = 3
-	b = &Backend{addr: addr, client: client}
-	p.backends = append(p.backends, b)
-	p.byAddr[addr] = b
-	p.ring = p.ring.WithMember(addr)
-	p.epoch++
-	return b, true
-}
-
-// Leave removes addr from the pool, rebuilding the ring and bumping the
-// epoch, and returns the removed Backend (nil for a non-member). It
-// stays functional (its HTTP client still works) so drains and cache
-// handoffs can keep talking to the departing process.
-func (p *BackendPool) Leave(addr string) *Backend {
-	addr = normalizeBackendAddr(addr)
-	b := p.byAddr[addr]
-	if b == nil {
-		return nil
-	}
-	delete(p.byAddr, addr)
-	p.backends = slices.DeleteFunc(p.backends, func(have *Backend) bool { return have == b })
-	p.ring = p.ring.WithoutMember(addr)
-	p.epoch++
-	return b
-}
-
-// Route returns the backend owning key: the key's ring owner, or the
-// next member clockwise when the owner's circuit is open. avoid (the
-// backend a caller just watched fail, which may not have tripped its
-// circuit yet) is skipped too — unless it is the only routable backend
-// left, in which case it is returned anyway: retrying the sole survivor
-// beats failing the job. Returns nil when nothing is routable.
-func (p *BackendPool) Route(key runner.JobKey, avoid *Backend) *Backend {
-	var chosen *Backend
-	p.ring.Walk(key, func(member string) bool {
-		b := p.byAddr[member]
-		if b == nil || b == avoid || b.open {
-			return true
-		}
-		chosen = b
-		return false
-	})
-	if chosen == nil && avoid != nil && !avoid.open && p.has(avoid) {
-		return avoid
-	}
-	return chosen
-}
-
-func (p *BackendPool) has(b *Backend) bool { return p.byAddr[b.addr] == b }
-
 // placement is the coordinator's decision core: the key table, the pool
+// of backends with the consistent-hash ring that places JobKeys on them,
 // and every rule that gives a key a backend, all under the table's one
 // lock (jobs.mu), which its methods expect held. None makes a call,
 // reads a clock or starts a goroutine. A decision (admit, join, leave,
@@ -232,19 +126,97 @@ func (p *BackendPool) has(b *Backend) bool { return p.byAddr[b.addr] == b }
 // it has dropped the lock, and each outcome comes back as the next
 // event (forwarded, waited, fetched, handedOff, probed), which may plan
 // again.
+//
+// Each backend contributes runner.RingVnodes virtual points, so load
+// spreads evenly even with two backends. A join or leave swaps in a new
+// immutable ring and bumps a monotonic epoch; comparing the ring before
+// with the one after gives the exact ownership delta, which only remaps
+// the keys whose arc the change touched and so preserves backend-local
+// cache affinity. An empty pool is valid: it routes nothing (callers see
+// ErrNoBackends) until the first join — the shape of a coordinator
+// started with no static -backends list, waiting for `gpulat serve
+// -join` registrations.
 type placement struct {
 	jobs
-	pool       *BackendPool
 	queueBound int
+	threshold  int // consecutive failures that open a circuit
+	// transport is the connection pool the backend clients share.
+	transport *http.Transport
+
+	epoch   uint64
+	members []*Backend // configuration-then-join order
+	byAddr  map[string]*Backend
+	ring    *runner.Ring
+	// positions holds every key the table has held, with its ring
+	// position, so an ownership delta walks a flat list and touches a
+	// key's state only when the key moved.
+	positions []position
 }
 
-func newPlacement(cfg CoordinatorConfig) *placement {
-	return &placement{
-		jobs:       jobs{byKey: map[runner.JobKey]*jobState{}},
-		pool:       NewBackendPool(cfg.Backends, cfg.FailThreshold),
-		queueBound: cfg.QueueBound,
-	}
+type position struct {
+	hash uint64 // runner.JobKey.Hash64
+	key  runner.JobKey
 }
+
+// newPlacement builds the pool over cfg.Backends ("host:port" or base
+// URLs) at epoch 1; blanks and duplicates are dropped.
+func newPlacement(cfg CoordinatorConfig) *placement {
+	c := &placement{
+		jobs:       jobs{byKey: map[runner.JobKey]*jobState{}},
+		queueBound: cfg.QueueBound,
+		threshold:  cfg.FailThreshold,
+		transport:  http.DefaultTransport.(*http.Transport).Clone(),
+		epoch:      1,
+		byAddr:     map[string]*Backend{},
+	}
+	c.transport.MaxIdleConns = 0 // the per-host bound governs
+	c.transport.MaxIdleConnsPerHost = backendIdleConns
+	var addrs []string
+	for _, addr := range cfg.Backends {
+		if addr = normalizeBackendAddr(addr); addr != "" && c.byAddr[addr] == nil {
+			c.addMember(addr)
+			addrs = append(addrs, addr)
+		}
+	}
+	c.ring = runner.NewRing(addrs, runner.RingVnodes)
+	return c
+}
+
+// addMember makes addr a member with its own client; the ring is the
+// caller's to update.
+func (c *placement) addMember(addr string) *Backend {
+	// The coordinator handles rerouting itself; keep the forwarding
+	// client's own 503 retries short so a wedged backend fails over
+	// quickly instead of being politely waited on.
+	b := &Backend{addr: addr, client: &Client{Base: addr, HTTP: &http.Client{Transport: c.transport}, MaxAttempts: 3}}
+	c.members = append(c.members, b)
+	c.byAddr[addr] = b
+	return b
+}
+
+// route returns the backend owning key: the key's ring owner, or the
+// next member clockwise when the owner's circuit is open. avoid (the
+// backend a caller just watched fail, which may not have tripped its
+// circuit yet) is skipped too — unless it is the only routable backend
+// left, in which case it is returned anyway: retrying the sole survivor
+// beats failing the job. Returns nil when nothing is routable.
+func (c *placement) route(key runner.JobKey, avoid *Backend) *Backend {
+	var chosen *Backend
+	c.ring.Walk(key, func(member string) bool {
+		b := c.byAddr[member]
+		if b == nil || b == avoid || b.open {
+			return true
+		}
+		chosen = b
+		return false
+	})
+	if chosen == nil && avoid != nil && !avoid.open && c.has(avoid) {
+		return avoid
+	}
+	return chosen
+}
+
+func (c *placement) has(b *Backend) bool { return c.byAddr[b.addr] == b }
 
 // plan is what one decision leaves to do outside the lock, in order:
 // journal records to append, forwards to send (one batch per backend)
@@ -315,7 +287,7 @@ func (c *placement) admit(jobs []runner.Job, replayed bool) ([]JobTicket, plan, 
 		} else if c.byKey[key] != nil {
 			continue
 		}
-		b := c.pool.Route(key, nil)
+		b := c.route(key, nil)
 		switch {
 		case replayed:
 			c.stats.Replayed++
@@ -327,6 +299,9 @@ func (c *placement) admit(jobs []runner.Job, replayed bool) ([]JobTicket, plan, 
 		if refused != nil {
 			c.stats.Rejected++
 			break
+		}
+		if c.byKey[key] == nil {
+			c.positions = append(c.positions, position{key.Hash64(), key})
 		}
 		st := c.add(key, job)
 		st.backend = b
@@ -373,7 +348,7 @@ func (c *placement) place(p *plan, group []*jobState, avoid *Backend) (moved int
 			continue
 		}
 		from := st.backend
-		member := from != nil && c.pool.has(from)
+		member := from != nil && c.has(from)
 		if member && from != avoid && !from.open {
 			if !st.forwarded {
 				p.send(from, st)
@@ -389,7 +364,7 @@ func (c *placement) place(p *plan, group []*jobState, avoid *Backend) (moved int
 		}
 		// Route skips from, but hands it back when it is the only
 		// routable member left: retrying the sole survivor beats failing.
-		b := c.pool.Route(st.key, from)
+		b := c.route(st.key, from)
 		if b == nil {
 			if from != nil {
 				c.fail(st, ErrNoBackends.Error())
@@ -435,7 +410,7 @@ func (c *placement) forwarded(b *Backend, group []*jobState, tks []JobTicket, er
 		}
 	case errors.As(err, &ae) && ae.Code == http.StatusServiceUnavailable:
 	default:
-		b.reportFailure(c.pool.threshold, err, false)
+		b.reportFailure(c.threshold, err, false)
 		c.place(&p, group, b)
 	}
 	return p
@@ -484,7 +459,7 @@ func (c *placement) fetched(st *jobState, b *Backend, wr WireResult, err error) 
 func (c *placement) proxyFailed(st *jobState, b *Backend, err error) (p plan) {
 	var ae *APIError
 	if !errors.As(err, &ae) {
-		b.reportFailure(c.pool.threshold, err, false)
+		b.reportFailure(c.threshold, err, false)
 	} else if ae.Code != http.StatusNotFound {
 		return p
 	}
@@ -496,7 +471,7 @@ func (c *placement) proxyFailed(st *jobState, b *Backend, err error) (p plan) {
 func (c *placement) probed(b *Backend, err error) {
 	b.probes++
 	if err != nil {
-		b.reportFailure(c.pool.threshold, err, true)
+		b.reportFailure(c.threshold, err, true)
 	} else {
 		b.reportSuccess(true)
 	}
@@ -528,30 +503,27 @@ func (c *placement) live() (sts []*jobState) {
 func (c *placement) join(addr string) (MembershipChange, plan, error) {
 	var p plan
 	addr = normalizeBackendAddr(addr)
-	if addr == "" {
+	switch {
+	case addr == "":
 		return MembershipChange{}, p, errors.New("service: join needs a backend address")
-	}
-	if c.closed {
+	case c.closed:
 		return MembershipChange{}, p, ErrStationClosed
+	case c.byAddr[addr] != nil:
+		return MembershipChange{Addr: addr, Action: "join", Epoch: c.epoch, Members: len(c.members)}, p, nil
 	}
-	before := c.pool.ring
-	b, joined := c.pool.Join(addr)
-	ch := MembershipChange{Addr: addr, Action: "join", Epoch: c.pool.epoch, Changed: joined, Members: len(c.pool.backends)}
-	if !joined {
-		return ch, p, nil
-	}
+	before := c.ring
+	b := c.addMember(addr)
+	c.ring = before.WithMember(addr)
+	c.epoch++
+	ch := MembershipChange{Addr: addr, Action: "join", Epoch: c.epoch, Changed: true, Members: len(c.members)}
 	p.journal = append(p.journal, JournalRecord{T: journalJoin, Addr: addr, Epoch: ch.Epoch})
-	moves := c.handOff(&p, before)
-	var live []*jobState
-	for _, mv := range moves {
-		if st := c.byKey[mv.Key]; !st.final() {
-			st.backend = b
-			st.forwarded = false
-			c.set(st, StatusQueued)
-			live = append(live, st)
-		}
+	live := c.handOff(&p, before)
+	for _, st := range live {
+		st.backend = b
+		st.forwarded = false
+		c.set(st, StatusQueued)
 	}
-	ch.MovedKeys, ch.Reassigned = len(moves), len(live)
+	ch.MovedKeys, ch.Reassigned = p.moved, len(live)
 	c.place(&p, live, nil)
 	return ch, p, nil
 }
@@ -565,53 +537,67 @@ func (c *placement) join(addr string) (MembershipChange, plan, error) {
 func (c *placement) leave(addr string) (MembershipChange, plan, error) {
 	var p plan
 	addr = normalizeBackendAddr(addr)
+	b := c.byAddr[addr]
 	switch {
 	case c.closed:
 		return MembershipChange{}, p, ErrStationClosed
-	case c.pool.byAddr[addr] == nil:
+	case b == nil:
 		return MembershipChange{}, p, fmt.Errorf("%w: %s", ErrUnknownBackend, addr)
-	case len(c.pool.backends) == 1:
+	case len(c.members) == 1:
 		return MembershipChange{}, p, ErrLastBackend
 	}
-	before := c.pool.ring
-	b := c.pool.Leave(addr)
-	ch := MembershipChange{Addr: addr, Action: "leave", Epoch: c.pool.epoch, Changed: true, Members: len(c.pool.backends)}
+	before := c.ring
+	delete(c.byAddr, addr)
+	c.members = slices.DeleteFunc(c.members, func(have *Backend) bool { return have == b })
+	c.ring = before.WithoutMember(addr)
+	c.epoch++
+	ch := MembershipChange{Addr: addr, Action: "leave", Epoch: c.epoch, Changed: true, Members: len(c.members)}
 	p.journal = append(p.journal, JournalRecord{T: journalLeave, Addr: addr, Epoch: ch.Epoch})
 	ch.Reassigned = c.place(&p, c.live(), b) // avoid=b: exactly the keys on b move
-	ch.MovedKeys = len(c.handOff(&p, before))
+	c.handOff(&p, before)
+	ch.MovedKeys = p.moved
 	return ch, p, nil
 }
 
 // handOff plans the cache-warm handoff of a membership change from ring
-// before to the current one and returns the exact ownership delta over
-// every known key. Each finished moved key's new owner pulls its cached
-// result from the backend where the key actually ran — which a reroute
-// may have made a different backend than the old ring owner — via POST
-// /v1/cache/pull (which fetches GET /v1/cache/{key} from the source).
-// A miss means the source never cached the key (e.g. it ran cacheless),
-// which then simply stays cold.
-func (c *placement) handOff(p *plan, before *runner.Ring) []runner.KeyMove {
-	moves := runner.OwnershipDelta(before, c.pool.ring, slices.Collect(maps.Keys(c.byKey)))
-	p.moved += len(moves)
+// before to the current one: it counts the exact ownership delta over
+// every known key in p.moved and returns the live moved keys. Each
+// finished moved key's new owner pulls its cached result from the
+// backend where the key actually ran — which a reroute may have made a
+// different backend than the old ring owner — via POST /v1/cache/pull
+// (which fetches GET /v1/cache/{key} from the source). A miss means the
+// source never cached the key (e.g. it ran cacheless), which then simply
+// stays cold.
+func (c *placement) handOff(p *plan, before *runner.Ring) (live []*jobState) {
 next:
-	for _, mv := range moves {
-		st, to := c.byKey[mv.Key], c.pool.byAddr[mv.To]
-		from := mv.From
+	for _, pos := range c.positions {
+		from, _ := before.OwnerHash(pos.hash)
+		to, _ := c.ring.OwnerHash(pos.hash)
+		if from == to {
+			continue
+		}
+		p.moved++
+		st := c.byKey[pos.key]
+		if !st.final() {
+			live = append(live, st)
+			continue
+		}
 		if st.backend != nil {
 			from = st.backend.addr
 		}
-		if to == nil || !st.final() || st.status != StatusDone || from == "" || from == mv.To {
+		dst := c.byAddr[to]
+		if dst == nil || st.status != StatusDone || from == "" || from == to {
 			continue
 		}
 		for i := range p.pulls {
-			if pl := &p.pulls[i]; pl.to == to && pl.from == from {
-				pl.keys = append(pl.keys, mv.Key)
+			if pl := &p.pulls[i]; pl.to == dst && pl.from == from {
+				pl.keys = append(pl.keys, st.key)
 				continue next
 			}
 		}
-		p.pulls = append(p.pulls, pull{to, from, []runner.JobKey{mv.Key}})
+		p.pulls = append(p.pulls, pull{dst, from, []runner.JobKey{st.key}})
 	}
-	return moves
+	return live
 }
 
 // handedOff records a carried-out handoff: the keys it moved and the
@@ -655,9 +641,9 @@ func (c *placement) replay(records []JournalRecord) {
 // circuit and counters, its ring share at the current epoch and its
 // live keys. ConsecutiveFailures is the worse of the two streaks.
 func (c *placement) backends() []BackendStatus {
-	shares := c.pool.ring.Shares()
-	out := make([]BackendStatus, len(c.pool.backends))
-	for i, b := range c.pool.backends {
+	shares := c.ring.Shares()
+	out := make([]BackendStatus, len(c.members))
+	for i, b := range c.members {
 		out[i] = BackendStatus{
 			Addr: b.addr, Healthy: !b.open, Circuit: "closed",
 			ConsecutiveFailures: max(b.consecCallFails, b.consecProbeFails), LastError: b.lastErr,
@@ -668,7 +654,7 @@ func (c *placement) backends() []BackendStatus {
 		}
 	}
 	for _, st := range c.live() {
-		if i := slices.Index(c.pool.backends, st.backend); i >= 0 {
+		if i := slices.Index(c.members, st.backend); i >= 0 {
 			out[i].Assigned++
 		}
 	}

@@ -21,33 +21,33 @@ func poolKeys(n int) []runner.JobKey {
 // functional, and the first Join makes it routable.
 func TestBackendPoolEmptyIsValid(t *testing.T) {
 	for _, addrs := range [][]string{nil, {" ", ""}} {
-		p := NewBackendPool(addrs, 0)
-		if len(p.backends) != 0 {
-			t.Fatalf("pool over %q not empty: len=%d", addrs, len(p.backends))
+		c := newCore(addrs...)
+		if len(c.members) != 0 {
+			t.Fatalf("pool over %q not empty: len=%d", addrs, len(c.members))
 		}
-		if b := p.Route(testJob(0).Key(), nil); b != nil {
+		if b := c.route(testJob(0).Key(), nil); b != nil {
 			t.Fatalf("empty pool routed to %s", b.addr)
 		}
-		if p.epoch != 1 {
-			t.Fatalf("initial epoch = %d, want 1", p.epoch)
+		if c.epoch != 1 {
+			t.Fatalf("initial epoch = %d, want 1", c.epoch)
 		}
 	}
-	p := NewBackendPool(nil, 0)
-	if _, joined := p.Join("a:1"); !joined || p.epoch != 2 {
-		t.Fatalf("first join: joined=%v epoch=%d", joined, p.epoch)
+	c := newCore()
+	if ch, _, err := c.join("a:1"); err != nil || !ch.Changed || c.epoch != 2 {
+		t.Fatalf("first join: %+v, %v, epoch=%d", ch, err, c.epoch)
 	}
-	if b := p.Route(testJob(0).Key(), nil); b == nil || b.addr != "http://a:1" {
+	if b := c.route(testJob(0).Key(), nil); b == nil || b.addr != "http://a:1" {
 		t.Fatalf("pool not routable after first join: %v", b)
 	}
 }
 
 func TestBackendPoolNormalizesAndDedupes(t *testing.T) {
-	p := NewBackendPool([]string{"127.0.0.1:1", "http://127.0.0.1:1/", "127.0.0.1:2"}, 0)
-	if len(p.backends) != 2 {
-		t.Fatalf("backends = %d, want 2 (dup collapsed)", len(p.backends))
+	c := newCore("127.0.0.1:1", "http://127.0.0.1:1/", "127.0.0.1:2")
+	if len(c.members) != 2 || c.ring.Len() != 2 {
+		t.Fatalf("members = %d, ring %d; want 2 (dup collapsed)", len(c.members), c.ring.Len())
 	}
-	if p.backends[0].addr != "http://127.0.0.1:1" {
-		t.Fatalf("addr not normalized: %s", p.backends[0].addr)
+	if c.members[0].addr != "http://127.0.0.1:1" {
+		t.Fatalf("addr not normalized: %s", c.members[0].addr)
 	}
 }
 
@@ -56,16 +56,16 @@ func TestBackendPoolNormalizesAndDedupes(t *testing.T) {
 // key population spreads over all backends.
 func TestBackendPoolRoutingIsDeterministicAndSpread(t *testing.T) {
 	addrs := []string{"10.0.0.1:9", "10.0.0.2:9", "10.0.0.3:9"}
-	p1 := NewBackendPool(addrs, 0)
-	p2 := NewBackendPool(addrs, 0)
+	p1 := newCore(addrs...)
+	p2 := newCore(addrs...)
 	counts := map[string]int{}
 	for _, key := range poolKeys(300) {
-		a := p1.Route(key, nil)
-		b := p2.Route(key, nil)
+		a := p1.route(key, nil)
+		b := p2.route(key, nil)
 		if a == nil || b == nil || a.addr != b.addr {
 			t.Fatalf("routing not deterministic for %s", key)
 		}
-		if a != p1.Route(key, nil) {
+		if a != p1.route(key, nil) {
 			t.Fatalf("routing not stable for %s", key)
 		}
 		counts[a.addr]++
@@ -82,20 +82,20 @@ func TestBackendPoolRoutingIsDeterministicAndSpread(t *testing.T) {
 // property consistent hashing buys: opening one backend's circuit
 // remaps exactly the keys it owned — every other key keeps its backend.
 func TestBackendPoolFailureOnlyRemapsOwnedKeys(t *testing.T) {
-	p := NewBackendPool([]string{"a:1", "b:1", "c:1"}, 1)
+	p := newCore("a:1", "b:1", "c:1")
 	keys := poolKeys(300)
 	before := map[runner.JobKey]string{}
 	for _, key := range keys {
-		before[key] = p.Route(key, nil).addr
+		before[key] = p.route(key, nil).addr
 	}
-	dead := p.backends[1]
+	dead := p.members[1]
 	dead.reportFailure(1, errors.New("down"), false)
 	if !dead.open {
 		t.Fatal("circuit did not open at threshold")
 	}
 	remapped := 0
 	for _, key := range keys {
-		b := p.Route(key, nil)
+		b := p.route(key, nil)
 		if b == nil || b == dead {
 			t.Fatalf("key %s routed to dead backend", key)
 		}
@@ -113,28 +113,28 @@ func TestBackendPoolFailureOnlyRemapsOwnedKeys(t *testing.T) {
 	// Recovery closes the circuit and restores the original placement.
 	dead.reportSuccess(false)
 	for _, key := range keys {
-		if p.Route(key, nil).addr != before[key] {
+		if p.route(key, nil).addr != before[key] {
 			t.Fatalf("placement of %s not restored after recovery", key)
 		}
 	}
 }
 
 func TestBackendPoolRouteAvoidAndExhaustion(t *testing.T) {
-	p := NewBackendPool([]string{"a:1", "b:1"}, 1)
+	p := newCore("a:1", "b:1")
 	key := testJob(0).Key()
-	owner := p.Route(key, nil)
-	other := p.Route(key, owner)
+	owner := p.route(key, nil)
+	other := p.route(key, owner)
 	if other == nil || other == owner {
 		t.Fatalf("avoid not honored: owner=%v other=%v", owner, other)
 	}
 	// With the other backend down, avoid's sole survivor is returned
 	// anyway — retrying the last routable backend beats failing the job.
 	other.reportFailure(1, errors.New("down"), false)
-	if got := p.Route(key, owner); got != owner {
+	if got := p.route(key, owner); got != owner {
 		t.Fatalf("sole survivor not returned: %v", got)
 	}
 	owner.reportFailure(1, errors.New("down"), false)
-	if got := p.Route(key, nil); got != nil {
+	if got := p.route(key, nil); got != nil {
 		t.Fatalf("all-down pool routed to %s", got.addr)
 	}
 	if !owner.open || !other.open {
@@ -149,7 +149,7 @@ func TestBackendPoolRouteAvoidAndExhaustion(t *testing.T) {
 // path that closes it.
 func TestBackendCircuitProbeAndCallStreaksAreIndependent(t *testing.T) {
 	c := newCore("a:1")
-	b := c.pool.backends[0]
+	b := c.members[0]
 	for i := 0; i < 2; i++ {
 		b.reportFailure(3, errors.New("jobs wedged"), false)
 		b.reportSuccess(true) // chirpy healthz in between
@@ -172,7 +172,7 @@ func TestBackendCircuitProbeAndCallStreaksAreIndependent(t *testing.T) {
 
 func TestBackendStatusSnapshot(t *testing.T) {
 	c := newCore("a:1")
-	b := c.pool.backends[0]
+	b := c.members[0]
 	b.reportFailure(2, fmt.Errorf("boom"), false)
 	sts := c.backends()
 	if len(sts) != 1 || !sts[0].Healthy || sts[0].Circuit != "closed" || sts[0].ConsecutiveFailures != 1 {

@@ -138,23 +138,24 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 // act carries out a plan the core returned to a caller holding c.mu:
 // it drops the lock, appends the journal records, sends the forwards in
 // bounded chunks and runs the cache pulls, feeding each outcome back to
-// the core. Close waits for every plan decided before it, so none
-// appends to a closed journal. Returns how many cached results the
-// pulls transferred.
+// the core. The journal's lock is taken before c.mu is dropped (the one
+// lock order, c.mu then the journal's), so the file keeps the order the
+// decisions were made in. Close waits for every plan decided before it,
+// so none appends to a closed journal. Returns how many cached results
+// the pulls transferred.
 func (c *Coordinator) act(ctx context.Context, p plan) (transferred int) {
 	if p.empty() {
 		c.mu.Unlock()
 		return 0
 	}
 	c.wg.Add(1)
-	c.mu.Unlock()
 	defer c.wg.Done()
-	for i := 0; c.journal != nil && i < len(p.journal); i++ {
-		if err := c.journal.Append(p.journal[i]); err != nil {
-			c.journalErrOnce.Do(func() {
-				fmt.Fprintf(os.Stderr, "gpulat: coordinator journal write failed (crash recovery degraded): %v\n", err)
-			})
-		}
+	if c.journal == nil || len(p.journal) == 0 {
+		c.mu.Unlock()
+	} else if err := c.journal.Append(c.mu.Unlock, p.journal...); err != nil {
+		c.journalErrOnce.Do(func() {
+			fmt.Fprintf(os.Stderr, "gpulat: coordinator journal write failed (crash recovery degraded): %v\n", err)
+		})
 	}
 	for _, f := range p.forwards {
 		for chunk := range slices.Chunk(f.group, maxForwardBatch) {
@@ -223,7 +224,7 @@ func (c *Coordinator) Close() {
 	}
 	c.stop()
 	c.wg.Wait()
-	c.pool.transport.CloseIdleConnections()
+	c.transport.CloseIdleConnections()
 	if c.journal != nil {
 		c.journal.Close()
 	}
@@ -319,7 +320,7 @@ func (c *Coordinator) prober() {
 		case <-timer.C:
 		}
 		c.mu.Lock()
-		members := slices.Clone(c.pool.backends)
+		members := slices.Clone(c.members)
 		c.mu.Unlock()
 		for _, b := range members {
 			ctx, cancel := context.WithTimeout(context.Background(), probeTimeout)
@@ -418,7 +419,7 @@ func (c *Coordinator) finished(ctx context.Context, key runner.JobKey) *jobState
 func (c *Coordinator) RingEpoch() uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.pool.epoch
+	return c.epoch
 }
 
 // Backends reports the pool with per-backend live-key assignment counts

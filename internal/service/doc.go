@@ -41,7 +41,7 @@
 //     without one (an older server), and a coordinator keeps the results
 //     its backends' answers carry.
 //
-//   - Coordinator/BackendPool: the sharded tier behind `gpulat serve
+//   - Coordinator: the sharded tier behind `gpulat serve
 //     -backends`. The coordinator serves the same API but runs nothing
 //     locally: each job routes to one backend `gpulat serve` by
 //     consistent hashing on its JobKey (64 vnodes per backend), which
@@ -61,7 +61,9 @@
 //     decision returns a plan (journal records, forwards grouped by
 //     backend, cache pulls) that the Coordinator carries out after
 //     dropping the lock, feeding each outcome back in; Close waits for
-//     every plan decided before it.
+//     every plan decided before it. A plan's journal records are written
+//     under the journal's lock, taken before the table's is dropped, so
+//     the journal holds them in the order they were decided.
 //
 //     Membership is elastic and epoch-versioned: a join or leave reacts
 //     to the exact set of keys whose ownership moved — moved live keys

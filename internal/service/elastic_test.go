@@ -223,7 +223,7 @@ func TestJournalAppendAfterTornTail(t *testing.T) {
 			t.Fatal(err)
 		}
 		j, _ := open()
-		if err := errors.Join(j.Append(extra), j.Close()); err != nil {
+		if err := errors.Join(j.Append(func() {}, extra), j.Close()); err != nil {
 			t.Fatal(err)
 		}
 		j, got := open()
@@ -299,6 +299,37 @@ func TestMembershipAndCacheHTTPSurface(t *testing.T) {
 	}
 	if e.Job.Key() != e.Key {
 		t.Fatalf("served entry not content-addressed: %+v", e)
+	}
+}
+
+// TestJournalKeepsDecisionOrder: Joins and Leaves of one address race
+// many times over. The journal holds them in the order they were
+// decided, so a successor replaying it reaches the same members at the
+// same epoch; appended out of order, a replayed leave would precede the
+// join it followed, be refused, and leave the address in.
+func TestJournalKeepsDecisionOrder(t *testing.T) {
+	cfg := CoordinatorConfig{Backends: []string{"127.0.0.1:1"}, ProbeInterval: time.Hour,
+		JournalPath: filepath.Join(t.TempDir(), "coordinator.jsonl")}
+	coord := newCoordinator(t, cfg)
+	var wg sync.WaitGroup
+	for g := range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 300 {
+				if g%2 == 0 {
+					coord.Join(context.Background(), "127.0.0.1:2")
+				} else {
+					coord.Leave(context.Background(), "127.0.0.1:2")
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	coord.Close()
+	r := newCoordinator(t, cfg) // both quiescent: the writers are done, the probers sleep
+	if !slices.Equal(r.ring.Members(), coord.ring.Members()) || r.epoch != coord.epoch {
+		t.Fatalf("replay reached %v at epoch %d, want %v at %d", r.ring.Members(), r.epoch, coord.ring.Members(), coord.epoch)
 	}
 }
 
@@ -407,7 +438,7 @@ func TestCoordinatorFailsOverMidWait(t *testing.T) {
 func ringOwner(coord *Coordinator, key runner.JobKey) string {
 	coord.mu.Lock()
 	defer coord.mu.Unlock()
-	owner, _ := coord.pool.ring.Owner(key)
+	owner, _ := coord.ring.Owner(key)
 	return owner
 }
 

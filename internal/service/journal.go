@@ -90,16 +90,23 @@ func OpenJournal(path string) (*Journal, []JournalRecord, error) {
 	return &Journal{f: f}, records, nil
 }
 
-// Append writes one record durably (one write(2), no userspace
-// buffering) before returning.
-func (j *Journal) Append(rec JournalRecord) error {
-	data, err := json.Marshal(rec)
-	if err != nil {
-		return fmt.Errorf("service: journal encode: %w", err)
-	}
-	data = append(data, '\n')
+// Append writes recs durably (one write(2), no userspace buffering)
+// before returning. It takes the journal's lock before it calls release,
+// so callers that decide under a lock of their own and pass its unlock
+// as release append in the order they decided — the order replay
+// re-applies membership changes in.
+func (j *Journal) Append(release func(), recs ...JournalRecord) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	release()
+	var data []byte
+	for _, rec := range recs {
+		line, err := json.Marshal(rec)
+		if err != nil {
+			return fmt.Errorf("service: journal encode: %w", err)
+		}
+		data = append(append(data, line...), '\n')
+	}
 	if _, err := j.f.Write(data); err != nil {
 		return fmt.Errorf("service: journal append: %w", err)
 	}

@@ -67,8 +67,8 @@ func TestCoordinatorCore(t *testing.T) {
 		}
 		c := newCore("a:1")
 		c.replay(slices.Concat(p1.journal, p2.journal, p3.journal))
-		if s := c.stats; s.Replayed != 10 || s.Queued != 10 || s.Submitted != 0 || c.pool.epoch != 2 || len(c.pool.backends) != 2 {
-			t.Fatalf("replay: stats %+v, epoch %d, %d members; want 10 replayed over 2 members at epoch 2", s, c.pool.epoch, len(c.pool.backends))
+		if s := c.stats; s.Replayed != 10 || s.Queued != 10 || s.Submitted != 0 || c.epoch != 2 || len(c.members) != 2 {
+			t.Fatalf("replay: stats %+v, epoch %d, %d members; want 10 replayed over 2 members at epoch 2", s, c.epoch, len(c.members))
 		}
 		for _, f := range c.sweep().forwards {
 			c.forwarded(f.b, f.group, acks(f.group, StatusDone), nil)
@@ -82,7 +82,7 @@ func TestCoordinatorCore(t *testing.T) {
 	// circuit — on a survivor, for free, and the grid completes.
 	t.Run("leave reassigns live keys", func(t *testing.T) {
 		c := newCore("a:1", "b:1", "c:1")
-		a, leaver := c.pool.backends[0], c.pool.backends[1]
+		a, leaver := c.members[0], c.members[1]
 		c.probed(a, errors.New("down"))
 		c.probed(a, errors.New("down"))
 		jobs := testJobs(24)
@@ -96,7 +96,7 @@ func TestCoordinatorCore(t *testing.T) {
 		c.probed(a, nil)
 		parked := 0
 		for _, st := range c.byKey {
-			if owner, _ := c.pool.ring.Owner(st.key); st.backend == leaver && owner != leaver.addr {
+			if owner, _ := c.ring.Owner(st.key); st.backend == leaver && owner != leaver.addr {
 				parked++
 			}
 		}
@@ -151,10 +151,11 @@ func TestPlaceRule(t *testing.T) {
 		if p, s := c.sweep(), c.stats; !p.empty() || s.Replayed != 3 || s.Queued != 3 || s.Failed != 0 {
 			t.Fatalf("replay into an empty pool: %+v, plan %+v", s, p)
 		}
-		// The pool's Join, not the core's: that one hands an empty ring's
-		// keys to the joiner itself, and the point here is that the sweep
-		// does.
-		b1, _ := c.pool.Join("b1:1")
+		// A member added by hand, not by the core's join: that one hands
+		// an empty ring's keys to the joiner itself, and the point here is
+		// that the sweep does.
+		b1 := c.addMember("http://b1:1")
+		c.ring = c.ring.WithMember(b1.addr)
 		p := c.sweep()
 		if len(p.forwards) != 1 || p.forwards[0].b != b1 || len(p.forwards[0].group) != 3 {
 			t.Fatalf("sweep after the join planned %+v; want the 3 keys on the joiner", p.forwards)
@@ -172,7 +173,7 @@ func TestPlaceRule(t *testing.T) {
 	// Drains for free; fails only when every survivor is down.
 	t.Run("backend left", func(t *testing.T) {
 		c := newCore("dead:1", "b2:1", "b3:1")
-		dead, b2, b3 := c.pool.backends[0], c.pool.backends[1], c.pool.backends[2]
+		dead, b2, b3 := c.members[0], c.members[1], c.members[2]
 		dead.reportFailure(1, errors.New("connection refused"), true)
 		jobs := testJobs(24)
 		_, p, err := c.admit(jobs, false)
@@ -202,7 +203,7 @@ func TestPlaceRule(t *testing.T) {
 	// One reroute a hop, terminal at the bound.
 	t.Run("backend failed", func(t *testing.T) {
 		c := newCore("u1:1", "u2:1")
-		c.pool.threshold = 100 // no circuit opens
+		c.threshold = 100 // no circuit opens
 		_, p, _ := c.admit(testJobs(1), false)
 		forwards := forwardFailing(c, p)
 		st := c.byKey[testJob(0).Key()]
@@ -218,7 +219,7 @@ func TestPlaceRule(t *testing.T) {
 	// The sole routable backend is retried even when it is avoid.
 	t.Run("sole survivor", func(t *testing.T) {
 		c := newCore("u:1")
-		c.pool.threshold = 100
+		c.threshold = 100
 		_, p, _ := c.admit(testJobs(1), false)
 		f := p.forwards[0]
 		p = c.forwarded(f.b, f.group, nil, &APIError{Code: http.StatusInternalServerError})
@@ -352,7 +353,7 @@ func walkCore(t *testing.T, seed uint64, steps int) {
 				fail("key %s rerouted %d times", st.key, st.reroutes)
 			} else if st.backend != nil {
 				placed++
-				if !c.pool.has(st.backend) {
+				if !c.has(st.backend) {
 					fail("live key %s sits on non-member %s", st.key, st.backend.addr)
 				}
 			}
@@ -416,7 +417,7 @@ func walkCore(t *testing.T, seed uint64, steps int) {
 			if rng.IntN(3) == 0 {
 				err = errors.New("probe timed out")
 			}
-			c.probed(c.pool.backends[rng.IntN(len(c.pool.backends))], err)
+			c.probed(c.members[rng.IntN(len(c.members))], err)
 		case "join":
 			_, p, _ := c.join(addrs[rng.IntN(len(addrs))])
 			take(p)
@@ -431,7 +432,7 @@ func walkCore(t *testing.T, seed uint64, steps int) {
 
 	// The faults stop: every circuit closes on a good probe, and every
 	// forward and wait is answered done.
-	for _, b := range c.pool.backends {
+	for _, b := range c.members {
 		c.probed(b, nil)
 	}
 	for round := 0; c.pending > 0; round++ {
@@ -457,7 +458,7 @@ func walkCore(t *testing.T, seed uint64, steps int) {
 	// A successor replaying the journal reaches the same membership.
 	r := newCore(addrs[:3]...)
 	r.replay(journal)
-	if !slices.Equal(r.pool.ring.Members(), c.pool.ring.Members()) || r.pool.epoch != c.pool.epoch {
-		fail("replay reached %v at epoch %d, want %v at %d", r.pool.ring.Members(), r.pool.epoch, c.pool.ring.Members(), c.pool.epoch)
+	if !slices.Equal(r.ring.Members(), c.ring.Members()) || r.epoch != c.epoch {
+		fail("replay reached %v at epoch %d, want %v at %d", r.ring.Members(), r.epoch, c.ring.Members(), c.epoch)
 	}
 }
