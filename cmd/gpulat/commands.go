@@ -269,8 +269,8 @@ var experiments = []experiment{
 }
 
 // runExperiment is every experiment command: parse e's flags, run its
-// grid, render.
-func runExperiment(e experiment, args []string) error {
+// grid, render to w.
+func runExperiment(e experiment, args []string, w io.Writer) error {
 	fs := newFlags(e.name)
 	var p params
 	e.flags(fs, &p)
@@ -300,7 +300,7 @@ func runExperiment(e experiment, args []string) error {
 	if cfg, err := config.ByNameOrFile(p.arch); err == nil {
 		p.archName = cfg.Name
 	}
-	return e.render(p, set, os.Stdout)
+	return e.render(p, set, w)
 }
 
 // workloadFlags registers the flags that pick one workload on one

@@ -148,3 +148,47 @@ func TestPaperFindings(t *testing.T) {
 		}
 	}
 }
+
+// TestFigGoldens runs the fig1 and fig2 commands on BFS at test scale
+// (512 vertices) in the table, -csv and -chart views, under both
+// engines, and compares each figure's three views with
+// testdata/<fig>.golden; the engines must print the same bytes.
+// GPULAT_GOLDEN=write refreshes the files — say which view moved and why.
+func TestFigGoldens(t *testing.T) {
+	for _, fig := range []string{"fig1", "fig2"} {
+		var got bytes.Buffer
+		for _, view := range []string{"table", "-csv", "-chart"} {
+			fmt.Fprintf(&got, "== %s %s ==\n", fig, view)
+			var first []byte
+			for _, engine := range []string{"event", "tick"} {
+				args := []string{"-vertices", "512", "-engine", engine}
+				if view != "table" {
+					args = append(args, view)
+				}
+				var out bytes.Buffer
+				if err := runExperiment(experimentNamed(t, fig), args, &out); err != nil {
+					t.Fatalf("%s %q: %v", fig, args, err)
+				}
+				if first == nil {
+					first = out.Bytes()
+					got.Write(first)
+				} else if !bytes.Equal(out.Bytes(), first) {
+					t.Errorf("%s %s: -engine %s prints other bytes than -engine event:\n%s", fig, view, engine, out.Bytes())
+				}
+			}
+		}
+		golden := filepath.Join("testdata", fig+".golden")
+		if os.Getenv("GPULAT_GOLDEN") == "write" {
+			if err := os.WriteFile(golden, got.Bytes(), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want, err := os.ReadFile(golden)
+		if err != nil {
+			t.Fatalf("read golden (run with GPULAT_GOLDEN=write to create): %v", err)
+		}
+		if !bytes.Equal(got.Bytes(), want) {
+			t.Errorf("%s differs from %s:\n--- got ---\n%s--- want ---\n%s", fig, golden, got.Bytes(), want)
+		}
+	}
+}

@@ -99,7 +99,7 @@ func commands() map[string]func([]string) error {
 	}
 	for _, e := range experiments {
 		if e.flags != nil {
-			cmds[e.name] = func(args []string) error { return runExperiment(e, args) }
+			cmds[e.name] = func(args []string) error { return runExperiment(e, args, os.Stdout) }
 		}
 	}
 	return cmds
