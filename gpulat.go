@@ -41,6 +41,9 @@ type (
 	DynamicResult = core.DynamicResult
 	// Tracker is the latency instrumentation observer.
 	Tracker = core.Tracker
+	// LoadAggregate is a run's loads folded into per-latency sums, the
+	// input of every report (DynamicResult.Aggregate).
+	LoadAggregate = core.LoadAggregate
 	// SweepPoint is one cell of the stride×footprint latency surface.
 	SweepPoint = core.SweepPoint
 	// Graph is a CSR graph for the BFS workload.

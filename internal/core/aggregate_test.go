@@ -1,0 +1,256 @@
+package core
+
+import (
+	"fmt"
+	"io"
+	"math"
+	"math/rand/v2"
+	"reflect"
+	"slices"
+	"strings"
+	"testing"
+
+	"gpulat/internal/config"
+	"gpulat/internal/kernels"
+	"gpulat/internal/sim"
+	"gpulat/internal/stats"
+)
+
+// The record walk below is how the reports were built before the
+// aggregate: straight from the tracker's records and issue bitmaps. It
+// is kept as the slow oracle the aggregate is checked against.
+
+func walkBreakdown(t *Tracker, workload, arch string, numBuckets int) *BreakdownReport {
+	if t.n == 0 || numBuckets <= 0 {
+		return &BreakdownReport{Workload: workload, Arch: arch}
+	}
+	lo, hi := walkTotalRange(t)
+	width := (hi - lo + sim.Cycle(numBuckets)) / sim.Cycle(numBuckets)
+	return walkBreakdownBuckets(t, workload, arch, lo, width, numBuckets)
+}
+
+func walkBreakdownWidth(t *Tracker, workload, arch string, width sim.Cycle) *BreakdownReport {
+	if t.n == 0 || width == 0 {
+		return &BreakdownReport{Workload: workload, Arch: arch}
+	}
+	lo, hi := walkTotalRange(t)
+	n := int((hi-lo)/width) + 1
+	return walkBreakdownBuckets(t, workload, arch, lo, width, n)
+}
+
+func walkTotalRange(t *Tracker) (lo, hi sim.Cycle) {
+	lo = sim.Never
+	for r := range t.All() {
+		lo, hi = min(lo, r.Total()), max(hi, r.Total())
+	}
+	return lo, hi
+}
+
+func walkBreakdownBuckets(t *Tracker, workload, arch string, lo, width sim.Cycle, numBuckets int) *BreakdownReport {
+	rep := &BreakdownReport{Workload: workload, Arch: arch}
+	rep.Buckets = make([]BreakdownBucket, numBuckets)
+	for i := range rep.Buckets {
+		rep.Buckets[i].Lo = lo + sim.Cycle(i)*width
+		rep.Buckets[i].Hi = lo + sim.Cycle(i+1)*width
+	}
+	for r := range t.All() {
+		idx := int((r.Total() - lo) / width)
+		if idx >= numBuckets {
+			idx = numBuckets - 1
+		}
+		b := &rep.Buckets[idx]
+		b.Count++
+		for s, d := range r.Stages() {
+			b.StageSum[s] += d
+			rep.TotalStage[s] += d
+		}
+		rep.Requests++
+	}
+	return rep
+}
+
+// walkExposure is the Figure 2 report over the loads keep accepts (nil
+// keeps every load).
+func walkExposure(t *Tracker, workload, arch string, numBuckets int, keep func(*LoadRecord) bool) *ExposureReport {
+	rep := &ExposureReport{Workload: workload, Arch: arch}
+	if keep == nil {
+		keep = func(*LoadRecord) bool { return true }
+	}
+	lo, hi, kept := sim.Never, sim.Cycle(0), 0
+	for r := range t.All() {
+		if keep(r) {
+			lo, hi = min(lo, r.InstTotal()), max(hi, r.InstTotal())
+			kept++
+		}
+	}
+	if kept == 0 || numBuckets <= 0 {
+		return rep
+	}
+	width := (hi - lo + sim.Cycle(numBuckets)) / sim.Cycle(numBuckets)
+	rep.Buckets = make([]ExposureBucket, numBuckets)
+	for i := range rep.Buckets {
+		rep.Buckets[i].Lo = lo + sim.Cycle(i)*width
+		rep.Buckets[i].Hi = lo + sim.Cycle(i+1)*width
+	}
+	for r := range t.All() {
+		if !keep(r) {
+			continue
+		}
+		inst := r.InstTotal()
+		exposed := t.exposedCycles(r.SM(), r.IssueAt(), r.ReturnAt())
+		hidden := inst - exposed
+		idx := int((inst - lo) / width)
+		if idx >= numBuckets {
+			idx = numBuckets - 1
+		}
+		b := &rep.Buckets[idx]
+		b.Count++
+		b.Exposed += exposed
+		b.Hidden += hidden
+		rep.TotalExposed += exposed
+		rep.TotalHidden += hidden
+		rep.Requests++
+		if 2*exposed > inst {
+			rep.LoadsMostlyExposed++
+		}
+	}
+	return rep
+}
+
+// walkSummary is stats.Summarize over the instruction-visible latency
+// of the loads keep accepts, in delivery order.
+func walkSummary(t *Tracker, keep func(*LoadRecord) bool) stats.Summary {
+	var xs []float64
+	for r := range t.All() {
+		if keep(r) {
+			xs = append(xs, float64(r.InstTotal()))
+		}
+	}
+	return stats.Summarize(xs)
+}
+
+func walkMeanLoadLatency(t *Tracker) float64 {
+	if t.n == 0 {
+		return 0
+	}
+	var sum float64
+	for r := range t.All() {
+		sum += float64(r.InstTotal())
+	}
+	return sum / float64(t.n)
+}
+
+// testRuns memoizes, per engine, one run on GF106 of every catalog
+// kernel at test scale and of BFS at the runner's test scale (512
+// vertices), so the tests that read whole runs share the simulations.
+var testRuns = map[string]*DynamicResult{}
+
+var bothEngines = []sim.Engine{sim.EngineTick, sim.EngineEvent}
+
+func testRun(t *testing.T, name string, engine sim.Engine) *DynamicResult {
+	t.Helper()
+	key := name + "/" + engine.String()
+	if res, ok := testRuns[key]; ok {
+		return res
+	}
+	cfg := config.GF106()
+	cfg.Engine = engine
+	var res *DynamicResult
+	var err error
+	if name == "bfs" {
+		var mk *kernels.MultiKernel
+		mk, err = kernels.BFS(kernels.BFSConfig{Graph: kernels.GenScaleFree(1<<9, 4, 3), Source: 0, BlockDim: 128})
+		if err == nil {
+			res, err = RunDynamicMulti(cfg, mk)
+		}
+	} else {
+		var wl *kernels.Workload
+		wl, err = kernels.NewByName(name, kernels.ScaleTest, 3)
+		if err == nil {
+			res, err = RunDynamic(cfg, wl)
+		}
+	}
+	if err != nil {
+		t.Fatalf("%s: %v", key, err)
+	}
+	testRuns[key] = res
+	return res
+}
+
+// rendered is a report's table, CSV and chart, as the fig commands
+// print them.
+func rendered(r interface {
+	Render(io.Writer)
+	RenderCSV(io.Writer)
+	RenderChart(io.Writer, int)
+}, height int) string {
+	var b strings.Builder
+	r.Render(&b)
+	r.RenderCSV(&b)
+	r.RenderChart(&b, height)
+	return b.String()
+}
+
+// TestAggregateMatchesRecordWalkProperty: over every catalog kernel and
+// a BFS at test scale, under both engines, with random bucket counts,
+// widths and chart heights, every report built from the aggregate
+// equals the record walk's field for field and renders the same bytes
+// in all three views, whole-run and per kernel, and the load summaries
+// and mean are bitwise equal.
+func TestAggregateMatchesRecordWalkProperty(t *testing.T) {
+	rng := rand.New(rand.NewPCG(41, 41))
+	for _, name := range append(kernels.CatalogNames(), "bfs") {
+		for _, engine := range bothEngines {
+			res := testRun(t, name, engine)
+			tr, agg := res.Tracker, res.Aggregate()
+			n, width, height := 1+rng.IntN(64), sim.Cycle(1+rng.IntN(96)), 1+rng.IntN(30)
+			at := fmt.Sprintf("%s/%v buckets=%d width=%d height=%d", name, engine, n, width, height)
+			same := func(what string, got, want interface {
+				Render(io.Writer)
+				RenderCSV(io.Writer)
+				RenderChart(io.Writer, int)
+			}) {
+				t.Helper()
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s: %s from the aggregate differs from the record walk:\ngot  %+v\nwant %+v", at, what, got, want)
+				}
+				if g, w := rendered(got, height), rendered(want, height); g != w {
+					t.Fatalf("%s: %s renders differ:\n--- aggregate ---\n%s--- record walk ---\n%s", at, what, g, w)
+				}
+			}
+			same("Breakdown", agg.Breakdown(name, "GF106", n), walkBreakdown(tr, name, "GF106", n))
+			same("BreakdownWidth", agg.BreakdownWidth(name, "GF106", width), walkBreakdownWidth(tr, name, "GF106", width))
+			same("Exposure", agg.Exposure(name, "GF106", n), walkExposure(tr, name, "GF106", n, nil))
+			all := func(*LoadRecord) bool { return true }
+			if g, w := agg.LoadSummary(), walkSummary(tr, all); summaryBits(g) != summaryBits(w) {
+				t.Fatalf("%s: LoadSummary %+v, record walk %+v", at, g, w)
+			}
+			if g, w := agg.MeanLoadLatency(), walkMeanLoadLatency(tr); math.Float64bits(g) != math.Float64bits(w) {
+				t.Fatalf("%s: MeanLoadLatency %v, record walk %v", at, g, w)
+			}
+			var ids []int
+			for r := range tr.All() {
+				if !slices.Contains(ids, r.Kernel()) {
+					ids = append(ids, r.Kernel())
+				}
+			}
+			for _, k := range ids {
+				of := func(r *LoadRecord) bool { return r.Kernel() == k }
+				same(fmt.Sprintf("KernelExposure(%d)", k), agg.KernelExposure(name, "GF106", n, k), walkExposure(tr, name, "GF106", n, of))
+				if g, w := agg.KernelLoadSummary(k), walkSummary(tr, of); summaryBits(g) != summaryBits(w) {
+					t.Fatalf("%s: KernelLoadSummary(%d) %+v, record walk %+v", at, k, g, w)
+				}
+			}
+			if name == "bfs" && len(ids) < 2 {
+				t.Fatalf("%s: BFS ran %d kernel launches; the per-kernel reports need several", at, len(ids))
+			}
+		}
+	}
+}
+
+// summaryBits is s with every float as its bit pattern.
+func summaryBits(s stats.Summary) [9]uint64 {
+	return [9]uint64{uint64(s.Count), math.Float64bits(s.Min), math.Float64bits(s.Max),
+		math.Float64bits(s.Mean), math.Float64bits(s.P50), math.Float64bits(s.P90),
+		math.Float64bits(s.P99), math.Float64bits(s.StdDev), math.Float64bits(s.Sum)}
+}

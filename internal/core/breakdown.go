@@ -41,64 +41,59 @@ type BreakdownReport struct {
 	Requests   int
 }
 
-// Breakdown builds the Figure 1 report from the tracker's records with
-// the requested number of buckets spanning [min, max] observed latency.
-// numBuckets ≈ 48 reproduces the paper's bucket count.
-func (t *Tracker) Breakdown(workload, arch string, numBuckets int) *BreakdownReport {
-	if t.n == 0 || numBuckets <= 0 {
+// Breakdown builds the Figure 1 report with the requested number of
+// buckets spanning [min, max] observed latency. numBuckets ≈ 48
+// reproduces the paper's bucket count.
+func (a *LoadAggregate) Breakdown(workload, arch string, numBuckets int) *BreakdownReport {
+	if len(a.life) == 0 || numBuckets <= 0 {
 		return &BreakdownReport{Workload: workload, Arch: arch}
 	}
-	lo, hi := t.totalRange()
+	lo, hi := a.life[0].total, a.life[len(a.life)-1].total
 	width := (hi - lo + sim.Cycle(numBuckets)) / sim.Cycle(numBuckets)
-	return t.breakdownBuckets(workload, arch, lo, width, numBuckets)
+	return a.breakdownBuckets(workload, arch, lo, width, numBuckets)
 }
 
 // BreakdownWidth builds the Figure 1 report with fixed-width latency
 // buckets (the paper uses ≈38-cycle buckets), however many are needed to
 // cover the observed range.
-func (t *Tracker) BreakdownWidth(workload, arch string, width sim.Cycle) *BreakdownReport {
-	if t.n == 0 || width == 0 {
+func (a *LoadAggregate) BreakdownWidth(workload, arch string, width sim.Cycle) *BreakdownReport {
+	if len(a.life) == 0 || width == 0 {
 		return &BreakdownReport{Workload: workload, Arch: arch}
 	}
-	lo, hi := t.totalRange()
-	n := int((hi-lo)/width) + 1
-	return t.breakdownBuckets(workload, arch, lo, width, n)
+	lo, hi := a.life[0].total, a.life[len(a.life)-1].total
+	return a.breakdownBuckets(workload, arch, lo, width, int((hi-lo)/width)+1)
 }
 
-// totalRange returns the smallest and largest request lifetime; the
-// tracker must hold at least one record.
-func (t *Tracker) totalRange() (lo, hi sim.Cycle) {
-	lo = sim.Never
-	for r := range t.All() {
-		lo, hi = min(lo, r.Total()), max(hi, r.Total())
-	}
-	return lo, hi
-}
-
-func (t *Tracker) breakdownBuckets(workload, arch string, lo, width sim.Cycle, numBuckets int) *BreakdownReport {
+func (a *LoadAggregate) breakdownBuckets(workload, arch string, lo, width sim.Cycle, numBuckets int) *BreakdownReport {
 	rep := &BreakdownReport{Workload: workload, Arch: arch}
-	if width == 0 {
-		width = 1
-	}
 	rep.Buckets = make([]BreakdownBucket, numBuckets)
 	for i := range rep.Buckets {
 		rep.Buckets[i].Lo = lo + sim.Cycle(i)*width
 		rep.Buckets[i].Hi = lo + sim.Cycle(i+1)*width
 	}
-	for r := range t.All() {
-		idx := int((r.Total() - lo) / width)
-		if idx >= numBuckets {
-			idx = numBuckets - 1
-		}
-		b := &rep.Buckets[idx]
-		b.Count++
-		for s, d := range r.Stages() {
+	for i := range a.life {
+		c := &a.life[i]
+		b := &rep.Buckets[min(int((c.total-lo)/width), numBuckets-1)]
+		b.Count += c.count
+		for s, d := range c.stage {
 			b.StageSum[s] += d
 			rep.TotalStage[s] += d
 		}
-		rep.Requests++
+		rep.Requests += c.count
 	}
 	return rep
+}
+
+// Breakdown is the Figure 1 report over the tracker's loads; see
+// LoadAggregate.Breakdown.
+func (t *Tracker) Breakdown(workload, arch string, numBuckets int) *BreakdownReport {
+	return t.Aggregate().Breakdown(workload, arch, numBuckets)
+}
+
+// BreakdownWidth is the fixed-width Figure 1 report over the tracker's
+// loads; see LoadAggregate.BreakdownWidth.
+func (t *Tracker) BreakdownWidth(workload, arch string, width sim.Cycle) *BreakdownReport {
+	return t.Aggregate().BreakdownWidth(workload, arch, width)
 }
 
 // TopContributors returns the stages ranked by total contribution

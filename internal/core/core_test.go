@@ -175,6 +175,11 @@ func TestExposureMatchesNaiveProperty(t *testing.T) {
 // durations. The zero stages value is an L1 hit (the whole lifetime is
 // SMBase); otherwise the durations must sum to ret-issue.
 func feed(tr *Tracker, sm int, issue, ret sim.Cycle, stages [NumStages]sim.Cycle) {
+	feedKernel(tr, sm, 0, issue, ret, stages)
+}
+
+// feedKernel is feed for a load of the given kernel.
+func feedKernel(tr *Tracker, sm, kernel int, issue, ret sim.Cycle, stages [NumStages]sim.Cycle) {
 	l := &mem.StageLog{}
 	l.Mark(mem.PtIssue, issue)
 	l.Mark(mem.PtCreated, issue)
@@ -191,7 +196,7 @@ func feed(tr *Tracker, sm int, issue, ret sim.Cycle, stages [NumStages]sim.Cycle
 		}
 	}
 	l.Mark(mem.PtReturnSM, ret)
-	tr.RequestDone(ret, &mem.Request{SM: sm, Log: l})
+	tr.RequestDone(ret, &mem.Request{SM: sm, Kernel: kernel, Log: l})
 }
 
 func TestBreakdownBucketing(t *testing.T) {

@@ -95,25 +95,20 @@ func RunCoRun(cfg gpu.Config, pair *kernels.CoRunPair, buckets int) (*CoRunResul
 		Tracker:   tr,
 		Device:    g.Stats(),
 	}
+	agg := tr.Aggregate()
 	for _, side := range []struct {
 		ks *sched.KernelState
 		wl *kernels.Workload
 	}{{ksA, pair.A}, {ksB, pair.B}} {
-		res.Kernels = append(res.Kernels, coKernelResult(cfg.Name, side.ks, side.wl, tr, buckets))
+		res.Kernels = append(res.Kernels, coKernelResult(cfg.Name, side.ks, side.wl, agg, buckets))
 	}
 	return res, nil
 }
 
-func coKernelResult(arch string, ks *sched.KernelState, wl *kernels.Workload, tr *Tracker, buckets int) CoKernelResult {
+func coKernelResult(arch string, ks *sched.KernelState, wl *kernels.Workload, agg *LoadAggregate, buckets int) CoKernelResult {
 	kst := ks.Stats()
-	keep := func(r *LoadRecord) bool { return r.Kernel() == ks.ID }
-	var lats []float64
-	for r := range tr.All() {
-		if keep(r) {
-			lats = append(lats, float64(r.InstTotal()))
-		}
-	}
-	er := tr.ExposureWhere(wl.Name, arch, buckets, keep)
+	lat := agg.KernelLoadSummary(ks.ID)
+	er := agg.KernelExposure(wl.Name, arch, buckets, ks.ID)
 	return CoKernelResult{
 		KernelID:         ks.ID,
 		Stream:           ks.Stream,
@@ -123,8 +118,8 @@ func coKernelResult(arch string, ks *sched.KernelState, wl *kernels.Workload, tr
 		CyclesResident:   ks.CyclesResident(),
 		BlocksDispatched: kst.BlocksDispatched,
 		BlocksRetired:    kst.BlocksRetired,
-		Loads:            len(lats),
-		LoadLat:          stats.Summarize(lats),
+		Loads:            lat.Count,
+		LoadLat:          lat,
 		ExposedPct:       er.OverallExposedPct(),
 		MostlyExposedPct: er.MostlyExposedPct(),
 	}

@@ -82,10 +82,10 @@ func TestRunCoRunReconciles(t *testing.T) {
 	}
 }
 
-// TestExposureWhereFilters checks the per-kernel exposure filter against
-// the unfiltered report: bucket totals of the two kernels must sum to
-// the whole.
-func TestExposureWhereFilters(t *testing.T) {
+// TestKernelExposureFilters checks the per-kernel exposure view against
+// the whole-run report: bucket totals of the two kernels must sum to the
+// whole.
+func TestKernelExposureFilters(t *testing.T) {
 	cfg, err := config.ByNameOrFile("GF106")
 	if err != nil {
 		t.Fatal(err)
@@ -98,10 +98,10 @@ func TestExposureWhereFilters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := res.Tracker
-	all := tr.Exposure("all", "GF106", 16)
-	a := tr.ExposureWhere("a", "GF106", 16, func(r *LoadRecord) bool { return r.Kernel() == 0 })
-	b := tr.ExposureWhere("b", "GF106", 16, func(r *LoadRecord) bool { return r.Kernel() == 1 })
+	agg := res.Tracker.Aggregate()
+	all := agg.Exposure("all", "GF106", 16)
+	a := agg.KernelExposure("a", "GF106", 16, 0)
+	b := agg.KernelExposure("b", "GF106", 16, 1)
 	if a.Requests+b.Requests != all.Requests {
 		t.Fatalf("filtered requests %d+%d != total %d", a.Requests, b.Requests, all.Requests)
 	}

@@ -3,7 +3,6 @@ package core
 import (
 	"testing"
 
-	"gpulat/internal/config"
 	"gpulat/internal/kernels"
 	"gpulat/internal/sim"
 )
@@ -11,20 +10,13 @@ import (
 // TestDeviceDrainedAtDone is a conservation check at the end of a run:
 // once a catalog kernel finishes, under either engine, every miss a
 // cache reserved has been filled, every partition queue is empty, no SM
-// holds a warp or a transaction, and the tracker read every load's log.
+// holds a warp or a transaction, the tracker read every load's log,
+// every load's stage durations sum to its lifetime, and so do the
+// aggregate's stage sums to the loads' lifetimes.
 func TestDeviceDrainedAtDone(t *testing.T) {
 	for _, name := range kernels.CatalogNames() {
-		for _, engine := range []sim.Engine{sim.EngineTick, sim.EngineEvent} {
-			cfg := config.GF106()
-			cfg.Engine = engine
-			wl, err := kernels.NewByName(name, kernels.ScaleTest, 3)
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := RunDynamic(cfg, wl)
-			if err != nil {
-				t.Fatalf("%s/%v: %v", name, engine, err)
-			}
+		for _, engine := range bothEngines {
+			res := testRun(t, name, engine)
 			for _, s := range res.Device.SMs() {
 				if l1 := s.L1(); l1 != nil && l1.MSHRsInUse() != 0 {
 					t.Errorf("%s/%v: SM %d ends with %d L1 MSHRs in use", name, engine, s.Config().ID, l1.MSHRsInUse())
@@ -46,6 +38,21 @@ func TestDeviceDrainedAtDone(t *testing.T) {
 			}
 			if res.Tracker.Len() == 0 {
 				t.Errorf("%s/%v: the tracker recorded no load", name, engine)
+			}
+			var lifetimes sim.Cycle
+			for r := range res.Tracker.All() {
+				if sum := TotalOf(r.Stages()); sum != r.Total() {
+					t.Fatalf("%s/%v: a load on SM %d issued at %d has stages summing to %d, lifetime %d",
+						name, engine, r.SM(), r.IssueAt(), sum, r.Total())
+				}
+				lifetimes += r.Total()
+			}
+			var staged sim.Cycle
+			for _, c := range res.Aggregate().life {
+				staged += TotalOf(c.stage)
+			}
+			if staged != lifetimes {
+				t.Errorf("%s/%v: the aggregate's stage sums add to %d cycles, the loads' lifetimes to %d", name, engine, staged, lifetimes)
 			}
 		}
 	}

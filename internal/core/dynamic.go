@@ -7,9 +7,12 @@ import (
 	"gpulat/internal/stats"
 )
 
-// DynamicResult is the outcome of an instrumented workload run: the
-// tracker holds every completed load's stage log and the issue-slot
-// bitmaps, from which the Figure 1 and Figure 2 reports derive.
+// DynamicResult is the outcome of an instrumented workload run. The
+// Figure 1 and Figure 2 reports and the load summary read its
+// LoadAggregate, folded from the tracker when the run finished. Until
+// Release, the tracker still holds every completed load's record and
+// the issue-slot bitmaps; after it, the tracker is empty and the
+// aggregate is all the result keeps of the loads.
 type DynamicResult struct {
 	Arch     string
 	Workload string
@@ -23,27 +26,42 @@ type DynamicResult struct {
 	// export its engine/dispatch counters (gpu.ExportMetrics) after the
 	// run. Never serialized; excluded from comparable encodings.
 	Device *gpu.GPU `json:"-"`
+
+	agg *LoadAggregate
+}
+
+// Aggregate returns the run's per-latency aggregate: the one taken when
+// the run finished or, for a result built by hand, a fold of its
+// tracker as it stands.
+func (r *DynamicResult) Aggregate() *LoadAggregate {
+	if r.agg != nil {
+		return r.agg
+	}
+	return r.Tracker.Aggregate()
+}
+
+// Release frees the tracker's per-load records and issue bitmaps and
+// keeps only the aggregate, which every report reads: what a result
+// held after its run (the runner's payload) needs. Tracker.All yields
+// nothing afterwards.
+func (r *DynamicResult) Release() {
+	r.agg = r.Aggregate()
+	r.Tracker.Reset()
 }
 
 // Breakdown builds the Figure 1 report over the run's tracked loads.
 func (r *DynamicResult) Breakdown(buckets int) *BreakdownReport {
-	return r.Tracker.Breakdown(r.Workload, r.Arch, buckets)
+	return r.Aggregate().Breakdown(r.Workload, r.Arch, buckets)
 }
 
 // Exposure builds the Figure 2 report over the run's tracked loads.
 func (r *DynamicResult) Exposure(buckets int) *ExposureReport {
-	return r.Tracker.Exposure(r.Workload, r.Arch, buckets)
+	return r.Aggregate().Exposure(r.Workload, r.Arch, buckets)
 }
 
 // LoadSummary summarizes the instruction-visible latency of the run's
 // tracked loads.
-func (r *DynamicResult) LoadSummary() stats.Summary {
-	xs := make([]float64, 0, r.Tracker.Len())
-	for rec := range r.Tracker.All() {
-		xs = append(xs, float64(rec.InstTotal()))
-	}
-	return stats.Summarize(xs)
-}
+func (r *DynamicResult) LoadSummary() stats.Summary { return r.Aggregate().LoadSummary() }
 
 // IPC returns device-wide instructions per cycle.
 func (r *DynamicResult) IPC() float64 {
@@ -90,5 +108,6 @@ func finish(cfg gpu.Config, name string, g *gpu.GPU, tr *Tracker, cycles sim.Cyc
 		Launches:     launches,
 		Instructions: inst,
 		Device:       g,
+		agg:          tr.Aggregate(),
 	}
 }

@@ -51,66 +51,53 @@ type ExposureReport struct {
 // hidden when the SM issued at least one instruction (from any warp)
 // that cycle, exposed otherwise — the operational form of the paper's
 // "cannot be hidden through the execution of other independent work".
-func (t *Tracker) Exposure(workload, arch string, numBuckets int) *ExposureReport {
-	return t.ExposureWhere(workload, arch, numBuckets, nil)
+func (a *LoadAggregate) Exposure(workload, arch string, numBuckets int) *ExposureReport {
+	return exposure(workload, arch, numBuckets, a.inst)
 }
 
-// ExposureWhere is Exposure restricted to the loads keep accepts (nil
-// keeps every load). Under concurrent kernels it attributes exposure
-// per kernel: filter by LoadRecord.Kernel() and the report covers only
-// that kernel's loads, while the hidden/exposed classification still
-// sees every co-resident kernel's issue activity — a load counts as
-// hidden when ANY resident work covered the wait, which is exactly the
-// interference question the co-run experiments ask.
-func (t *Tracker) ExposureWhere(workload, arch string, numBuckets int, keep func(*LoadRecord) bool) *ExposureReport {
+// KernelExposure is Exposure over one kernel's loads
+// (LoadRecord.Kernel). Under concurrent kernels it attributes exposure
+// per kernel: the report covers only that kernel's loads, while the
+// hidden/exposed classification still saw every co-resident kernel's
+// issue activity — a load counts as hidden when ANY resident work
+// covered the wait, which is exactly the interference question the
+// co-run experiments ask.
+func (a *LoadAggregate) KernelExposure(workload, arch string, numBuckets, kernel int) *ExposureReport {
+	return exposure(workload, arch, numBuckets, a.kernelCells(kernel))
+}
+
+// exposure buckets cells, which ascend by latency, into the Figure 2
+// report.
+func exposure(workload, arch string, numBuckets int, cells []instCell) *ExposureReport {
 	rep := &ExposureReport{Workload: workload, Arch: arch}
-	if keep == nil {
-		keep = func(*LoadRecord) bool { return true }
-	}
-	// Two passes over the records in place — the latency range, then the
-	// buckets — asking keep twice rather than copying what it accepts.
-	lo, hi, kept := sim.Never, sim.Cycle(0), 0
-	for r := range t.All() {
-		if keep(r) {
-			lo, hi = min(lo, r.InstTotal()), max(hi, r.InstTotal())
-			kept++
-		}
-	}
-	if kept == 0 || numBuckets <= 0 {
+	if len(cells) == 0 || numBuckets <= 0 {
 		return rep
 	}
+	lo, hi := cells[0].inst, cells[len(cells)-1].inst
 	width := (hi - lo + sim.Cycle(numBuckets)) / sim.Cycle(numBuckets)
-	if width == 0 {
-		width = 1
-	}
 	rep.Buckets = make([]ExposureBucket, numBuckets)
 	for i := range rep.Buckets {
 		rep.Buckets[i].Lo = lo + sim.Cycle(i)*width
 		rep.Buckets[i].Hi = lo + sim.Cycle(i+1)*width
 	}
-	for r := range t.All() {
-		if !keep(r) {
-			continue
-		}
-		inst := r.InstTotal()
-		exposed := t.exposedCycles(r.SM(), r.IssueAt(), r.ReturnAt())
-		hidden := inst - exposed
-		idx := int((inst - lo) / width)
-		if idx >= numBuckets {
-			idx = numBuckets - 1
-		}
-		b := &rep.Buckets[idx]
-		b.Count++
-		b.Exposed += exposed
-		b.Hidden += hidden
-		rep.TotalExposed += exposed
-		rep.TotalHidden += hidden
-		rep.Requests++
-		if 2*exposed > inst {
-			rep.LoadsMostlyExposed++
-		}
+	for i := range cells {
+		c := &cells[i]
+		b := &rep.Buckets[min(int((c.inst-lo)/width), numBuckets-1)]
+		b.Count += c.count
+		b.Exposed += c.exposed
+		b.Hidden += c.hidden
+		rep.TotalExposed += c.exposed
+		rep.TotalHidden += c.hidden
+		rep.Requests += c.count
+		rep.LoadsMostlyExposed += c.mostlyExposed
 	}
 	return rep
+}
+
+// Exposure is the Figure 2 report over the tracker's loads; see
+// LoadAggregate.Exposure.
+func (t *Tracker) Exposure(workload, arch string, numBuckets int) *ExposureReport {
+	return t.Aggregate().Exposure(workload, arch, numBuckets)
 }
 
 // OverallExposedPct returns the exposed share across all loads.

@@ -55,7 +55,7 @@ func OccupancySweep(cfg gpu.Config, warpLimits []int, build func() (*kernels.Mul
 			Cycles:          uint64(res.Cycles),
 			IPC:             res.IPC(),
 			ExposedPct:      res.Exposure(16).OverallExposedPct(),
-			MeanLoadLatency: res.Tracker.MeanLoadLatency(),
+			MeanLoadLatency: res.Aggregate().MeanLoadLatency(),
 		})
 	}
 	return out, nil

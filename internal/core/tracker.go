@@ -4,6 +4,7 @@ import (
 	"iter"
 	"math"
 	"math/bits"
+	"unsafe"
 
 	"gpulat/internal/mem"
 	"gpulat/internal/sim"
@@ -200,20 +201,29 @@ func (t *Tracker) All() iter.Seq[*LoadRecord] {
 
 // MeanLoadLatency returns the mean instruction-visible latency
 // (InstTotal) of the collected loads, 0 when there are none.
-func (t *Tracker) MeanLoadLatency() float64 {
-	if t.n == 0 {
-		return 0
-	}
-	var sum float64
-	for r := range t.All() {
-		sum += float64(r.InstTotal())
-	}
-	return sum / float64(t.n)
-}
+func (t *Tracker) MeanLoadLatency() float64 { return t.Aggregate().MeanLoadLatency() }
 
 // BadLogs returns the number of requests dropped due to incomplete or
 // inconsistent instrumentation (must be zero in a healthy simulation).
 func (t *Tracker) BadLogs() uint64 { return t.badLogs }
+
+// Footprint returns the bytes the tracker's record chunks and issue
+// bitmaps (chunks and directories) take: what Reset frees.
+func (t *Tracker) Footprint() int {
+	n := 0
+	for _, ch := range t.chunks {
+		n += cap(ch) * int(unsafe.Sizeof(LoadRecord{}))
+	}
+	for _, dir := range t.issued {
+		n += cap(dir) * int(unsafe.Sizeof((*issueChunk)(nil)))
+		for _, ch := range dir {
+			if ch != nil {
+				n += int(unsafe.Sizeof(*ch))
+			}
+		}
+	}
+	return n
+}
 
 // Reset discards all collected data (e.g. after a warmup phase).
 func (t *Tracker) Reset() {

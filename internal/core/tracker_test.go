@@ -127,112 +127,10 @@ func TestMeanLoadLatency(t *testing.T) {
 	}
 }
 
-// refBreakdown and refExposure are the reports as they were computed
-// from one flat record slice (numBuckets-spanning form only), kept as
-// the reference the in-place chunk walk is compared against.
-func refBreakdown(recs []LoadRecord, workload, arch string, numBuckets int) *BreakdownReport {
-	rep := &BreakdownReport{Workload: workload, Arch: arch}
-	if len(recs) == 0 {
-		return rep
-	}
-	lo, hi := recs[0].Total(), recs[0].Total()
-	for _, r := range recs {
-		lo, hi = min(lo, r.Total()), max(hi, r.Total())
-	}
-	width := (hi - lo + sim.Cycle(numBuckets)) / sim.Cycle(numBuckets)
-	rep.Buckets = make([]BreakdownBucket, numBuckets)
-	for i := range rep.Buckets {
-		rep.Buckets[i].Lo = lo + sim.Cycle(i)*width
-		rep.Buckets[i].Hi = lo + sim.Cycle(i+1)*width
-	}
-	for _, r := range recs {
-		b := &rep.Buckets[min(int((r.Total()-lo)/width), numBuckets-1)]
-		b.Count++
-		for s := Stage(0); s < NumStages; s++ {
-			b.StageSum[s] += r.Stages()[s]
-			rep.TotalStage[s] += r.Stages()[s]
-		}
-		rep.Requests++
-	}
-	return rep
-}
-
-func refExposure(tr *Tracker, recs []LoadRecord, workload, arch string, numBuckets int) *ExposureReport {
-	rep := &ExposureReport{Workload: workload, Arch: arch}
-	if len(recs) == 0 {
-		return rep
-	}
-	lo, hi := recs[0].InstTotal(), recs[0].InstTotal()
-	for _, r := range recs {
-		lo, hi = min(lo, r.InstTotal()), max(hi, r.InstTotal())
-	}
-	width := (hi - lo + sim.Cycle(numBuckets)) / sim.Cycle(numBuckets)
-	rep.Buckets = make([]ExposureBucket, numBuckets)
-	for i := range rep.Buckets {
-		rep.Buckets[i].Lo = lo + sim.Cycle(i)*width
-		rep.Buckets[i].Hi = lo + sim.Cycle(i+1)*width
-	}
-	for _, r := range recs {
-		exposed := tr.exposedCycles(r.SM(), r.IssueAt(), r.ReturnAt())
-		b := &rep.Buckets[min(int((r.InstTotal()-lo)/width), numBuckets-1)]
-		b.Count++
-		b.Exposed += exposed
-		b.Hidden += r.InstTotal() - exposed
-		rep.TotalExposed += exposed
-		rep.TotalHidden += r.InstTotal() - exposed
-		rep.Requests++
-		if 2*exposed > r.InstTotal() {
-			rep.LoadsMostlyExposed++
-		}
-	}
-	return rep
-}
-
-// TestReportsMatchFlatReference runs a small BFS (tens of chunks' worth
-// of loads on two SMs' issue bitmaps) and requires Breakdown, Exposure
-// and a filtered ExposureWhere to equal, field for field, the reports
-// computed the old way from a flat copy of the records.
-func TestReportsMatchFlatReference(t *testing.T) {
-	mk, err := kernels.BFS(kernels.BFSConfig{Graph: kernels.GenScaleFree(1<<11, 4, 42), Source: 0, BlockDim: 128})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := RunDynamicMulti(config.GF106(), mk)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := res.Tracker
-	recs := flat(tr)
-	if len(recs) <= 4*firstChunk {
-		t.Fatalf("only %d loads: the run does not span enough chunks", len(recs))
-	}
-	for _, buckets := range []int{1, 16, 48} {
-		if got, want := tr.Breakdown("bfs", "GF106", buckets), refBreakdown(recs, "bfs", "GF106", buckets); !reflect.DeepEqual(got, want) {
-			t.Fatalf("Breakdown(%d) differs from the flat reference:\ngot  %+v\nwant %+v", buckets, got, want)
-		}
-		if got, want := tr.Exposure("bfs", "GF106", buckets), refExposure(tr, recs, "bfs", "GF106", buckets); !reflect.DeepEqual(got, want) {
-			t.Fatalf("Exposure(%d) differs from the flat reference:\ngot  %+v\nwant %+v", buckets, got, want)
-		}
-	}
-	onSM0 := func(r *LoadRecord) bool { return r.SM() == 0 }
-	var kept []LoadRecord
-	for _, r := range recs {
-		if onSM0(&r) {
-			kept = append(kept, r)
-		}
-	}
-	if len(kept) == 0 || len(kept) == len(recs) {
-		t.Fatalf("filter keeps %d of %d loads: not a real subset", len(kept), len(recs))
-	}
-	if got, want := tr.ExposureWhere("bfs", "GF106", 16, onSM0), refExposure(tr, kept, "bfs", "GF106", 16); !reflect.DeepEqual(got, want) {
-		t.Fatalf("ExposureWhere differs from the flat reference over the kept loads:\ngot  %+v\nwant %+v", got, want)
-	}
-}
-
-// TestExposureWhereEqualsExposureOfKept: filtering at report time is the
-// same as never having tracked the rejected loads — given the same issue
-// activity, which the filter deliberately does not touch.
-func TestExposureWhereEqualsExposureOfKept(t *testing.T) {
+// TestKernelExposureEqualsExposureOfKept: reporting one kernel's loads
+// is the same as never having tracked the other kernel's — given the
+// same issue activity, which the per-kernel view deliberately keeps.
+func TestKernelExposureEqualsExposureOfKept(t *testing.T) {
 	all, only := NewTracker(), NewTracker()
 	for c := sim.Cycle(0); c < 4000; c++ {
 		for smID := 0; smID < 2; smID++ {
@@ -243,20 +141,23 @@ func TestExposureWhereEqualsExposureOfKept(t *testing.T) {
 	}
 	var hit [NumStages]sim.Cycle
 	for i := 0; i < 5*firstChunk; i++ {
-		smID, issue := i%2, sim.Cycle(13*i)
+		smID, kernel, issue := i%2, i/2%2, sim.Cycle(13*i)
 		ret := issue + 20 + sim.Cycle(i*i%400)
-		feed(all, smID, issue, ret, hit)
-		if smID == 1 {
-			feed(only, smID, issue, ret, hit)
+		feedKernel(all, smID, kernel, issue, ret, hit)
+		if kernel == 1 {
+			feedKernel(only, smID, kernel, issue, ret, hit)
 		}
 	}
-	got := all.ExposureWhere("w", "a", 8, func(r *LoadRecord) bool { return r.SM() == 1 })
-	want := only.Exposure("w", "a", 8)
+	agg := all.Aggregate()
+	got, want := agg.KernelExposure("w", "a", 8, 1), only.Exposure("w", "a", 8)
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("ExposureWhere(keep) != Exposure over the kept loads:\ngot  %+v\nwant %+v", got, want)
+		t.Fatalf("KernelExposure != Exposure over the kernel's loads alone:\ngot  %+v\nwant %+v", got, want)
 	}
 	if got.Requests == 0 || got.TotalExposed == 0 || got.TotalHidden == 0 {
 		t.Fatalf("degenerate report: %+v", got)
+	}
+	if g, w := agg.KernelLoadSummary(1), only.Aggregate().LoadSummary(); summaryBits(g) != summaryBits(w) {
+		t.Fatalf("KernelLoadSummary %+v != LoadSummary over the kernel's loads alone %+v", g, w)
 	}
 }
 

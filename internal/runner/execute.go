@@ -137,7 +137,8 @@ func resolveConfig(job Job) (gpu.Config, error) {
 
 // RunWorkload executes job's workload with instrumentation (the
 // KindDynamic payload builder, exported for callers that need the full
-// DynamicResult rather than scalar metrics).
+// DynamicResult, every load record included, rather than scalar
+// metrics).
 func RunWorkload(cfg gpu.Config, job Job) (*core.DynamicResult, error) {
 	if job.Kernel == "bfs" {
 		mk, err := buildBFS(job)
@@ -173,6 +174,9 @@ func execDynamic(res *Result, cfg gpu.Config, job Job) error {
 	if err != nil {
 		return err
 	}
+	// The payload outlives the job (a grid keeps every result until the
+	// sweep ends); its reports need only the aggregate, not the records.
+	dr.Release()
 	res.Payload = dr
 	sum := dr.LoadSummary()
 	bd := dr.Breakdown(job.Options.buckets())

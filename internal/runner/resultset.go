@@ -26,8 +26,11 @@ type Result struct {
 	Job     Job      `json:"job"`
 	Metrics []Metric `json:"metrics,omitempty"`
 	Err     string   `json:"error,omitempty"`
-	// Payload holds the experiment's full typed result (e.g.
-	// *core.DynamicResult) for callers that render rich reports.
+	// Payload holds the experiment's typed result for callers that
+	// render rich reports. A dynamic job's *core.DynamicResult keeps its
+	// device and the per-latency aggregate every report reads, not its
+	// load records or issue bitmaps (DynamicResult.Release); run the
+	// job through RunWorkload for those.
 	Payload any `json:"-"`
 	// Elapsed is the job's wall time (not exported: nondeterministic).
 	Elapsed time.Duration `json:"-"`

@@ -5,12 +5,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"gpulat/internal/config"
+	"gpulat/internal/core"
 )
 
 // testGrid is a small but heterogeneous sweep that runs at unit-test
@@ -275,4 +277,54 @@ func TestBFSTooFewVerticesIsAnError(t *testing.T) {
 	if res := Execute(context.Background(), job); res.Failed() {
 		t.Errorf("5 vertices: %s", res.Err)
 	}
+}
+
+// TestDynamicPayloadKeepsNoRecords: a finished dynamic job's payload
+// keeps the aggregate its reports read, not the tracker's load records
+// or issue bitmaps, so a grid held until the sweep ends does not hold
+// every job's loads. It logs the live heap each result retains beside
+// the tracker storage the same job holds when run through RunWorkload.
+func TestDynamicPayloadKeepsNoRecords(t *testing.T) {
+	liveHeap := func() int64 {
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return int64(m.HeapAlloc)
+	}
+	jobs := Grid{Kind: KindDynamic, Archs: []string{"GF106"}, Kernels: []string{"bfs", "spmv", "vecadd"},
+		Variants: []Options{{TestScale: true}, {TestScale: true, Label: "again"}}}.Jobs()
+	before := liveHeap()
+	results := make([]Result, len(jobs))
+	for i, job := range jobs {
+		results[i] = Execute(context.Background(), job)
+	}
+	per := (liveHeap() - before) / int64(len(jobs))
+	for i := range results {
+		r := &results[i]
+		if r.Failed() {
+			t.Fatalf("%s: %s", r.Job.Name(), r.Err)
+		}
+		dr := r.Payload.(*core.DynamicResult)
+		if n, b := dr.Tracker.Len(), dr.Tracker.Footprint(); n != 0 || b != 0 {
+			t.Errorf("%s: the payload's tracker keeps %d load records and %d bytes of records and issue bitmaps", r.Job.Name(), n, b)
+		}
+		if dr.Breakdown(8).Requests == 0 || dr.Exposure(8).Requests == 0 {
+			t.Errorf("%s: the released payload's reports are empty", r.Job.Name())
+		}
+	}
+	var full int
+	for _, job := range jobs[:3] {
+		cfg, err := resolveConfig(job)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dr, err := RunWorkload(cfg, job)
+		if err != nil {
+			t.Fatal(err)
+		}
+		full += dr.Tracker.Footprint()
+	}
+	t.Logf("live heap grew %d bytes per finished dynamic job over %d jobs; the same jobs' trackers hold %d bytes each when kept whole",
+		per, len(jobs), full/3)
+	runtime.KeepAlive(results)
 }

@@ -261,14 +261,10 @@ func (c *Client) submitOnce(ctx context.Context, jobs []runner.Job) ([]JobTicket
 	return sr.Tickets, nil
 }
 
-// Status fetches one job's lifecycle position.
-func (c *Client) Status(ctx context.Context, key runner.JobKey) (JobStatus, error) {
-	return c.Wait(ctx, key, 0)
-}
-
-// Wait is Status, asking the server to hold the answer up to d (it caps
-// d itself) until the job is terminal. A server that predates ?wait=
-// answers at once, so callers must tolerate a non-terminal answer.
+// Wait fetches one job's lifecycle position, asking the server to hold
+// the answer up to d (it caps d itself; <= 0: not at all) until the job
+// is terminal. A server that predates ?wait= answers at once, so
+// callers must tolerate a non-terminal answer.
 func (c *Client) Wait(ctx context.Context, key runner.JobKey, d time.Duration) (JobStatus, error) {
 	path := "/v1/jobs/" + string(key)
 	if d > 0 {

@@ -336,11 +336,6 @@ func (c *Coordinator) prober() {
 	}
 }
 
-// Status reports a key's position without waiting; see Wait.
-func (c *Coordinator) Status(key runner.JobKey) (Status, bool) {
-	return c.Wait(context.Background(), key, 0)
-}
-
 // Wait reports a key's position, answering locally for done and
 // unforwarded keys and otherwise forwarding the (long-)poll to the
 // owning backend under the caller's trace ID. Backend failures observed

@@ -171,7 +171,7 @@ func TestCoordinatorFailsOverWhenBackendDies(t *testing.T) {
 				break
 			}
 			if time.Now().After(deadline) {
-				st, _ := coord.Status(tk.Key)
+				st, _ := coord.Wait(context.Background(), tk.Key, 0)
 				t.Fatalf("key %s stuck in %q after backend death: %+v", tk.Key, st, coord.Stats())
 			}
 			time.Sleep(5 * time.Millisecond)
@@ -334,7 +334,7 @@ func TestCoordinatorTreatsBackendQueueFullAsBackpressure(t *testing.T) {
 				break
 			}
 			if time.Now().After(deadline) {
-				st, _ := coord.Status(job.Key())
+				st, _ := coord.Wait(context.Background(), job.Key(), 0)
 				t.Fatalf("job %s parked forever (status %q): %+v", job.Key(), st, coord.Stats())
 			}
 			time.Sleep(5 * time.Millisecond)

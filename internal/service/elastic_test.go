@@ -61,7 +61,7 @@ func waitAllDone(t *testing.T, coord *Coordinator, jobs []runner.Job) {
 				break
 			}
 			if time.Now().After(deadline) {
-				st, _ := coord.Status(job.Key())
+				st, _ := coord.Wait(context.Background(), job.Key(), 0)
 				t.Fatalf("job %s stuck in %q: %+v", job.Key(), st, coord.Stats())
 			}
 			time.Sleep(5 * time.Millisecond)

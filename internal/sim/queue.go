@@ -110,6 +110,3 @@ func (q *Queue[T]) Len() int { return q.n }
 // non-decreasing cycles with a constant latency, so the head is always
 // the earliest (the event-driven kernel's horizon hook).
 func (q *Queue[T]) NextReady() Cycle { return q.ready }
-
-// Latency returns the queue's minimum traversal latency.
-func (q *Queue[T]) Latency() Cycle { return q.latency }

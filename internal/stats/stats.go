@@ -15,13 +15,12 @@ import (
 
 // Summary holds order statistics of a sample.
 type Summary struct {
-	Count          int
-	Min, Max       float64
-	Mean           float64
-	P50, P90, P99  float64
-	StdDev         float64
-	Sum            float64
-	negativeInputs int
+	Count         int
+	Min, Max      float64
+	Mean          float64
+	P50, P90, P99 float64
+	StdDev        float64
+	Sum           float64
 }
 
 // Summarize computes summary statistics; an empty sample returns zeros.
@@ -36,24 +35,57 @@ func Summarize(xs []float64) Summary {
 		sum += v
 		sq += v * v
 	}
-	n := float64(len(s))
+	return summary(len(s), sum, sq, func(rank int) float64 { return s[rank] })
+}
+
+// Run is N equal values V of a sample.
+type Run struct {
+	V float64
+	N int
+}
+
+// SummarizeRuns is Summarize over a sample given as runs of equal values
+// in ascending order of V. It adds each value and its square one at a
+// time, in that order, as Summarize does, so the two agree bit for bit:
+// N*V and N*V*V round differently once the sums pass 2^53.
+func SummarizeRuns(runs []Run) Summary {
+	n := 0
+	var sum, sq float64
+	for _, r := range runs {
+		n += r.N
+		for range r.N {
+			sum += r.V
+			sq += r.V * r.V
+		}
+	}
+	if n == 0 {
+		return Summary{}
+	}
+	return summary(n, sum, sq, func(rank int) float64 {
+		for _, r := range runs {
+			if rank < r.N {
+				return r.V
+			}
+			rank -= r.N
+		}
+		panic("stats: rank past the last run")
+	})
+}
+
+// summary finishes a non-empty sample of count values from their sum,
+// their sum of squares and at, the value of each rank in ascending order.
+func summary(count int, sum, sq float64, at func(rank int) float64) Summary {
+	n := float64(count)
 	mean := sum / n
 	variance := sq/n - mean*mean
 	if variance < 0 {
 		variance = 0
 	}
 	q := func(p float64) float64 {
-		idx := int(math.Ceil(p*n)) - 1
-		if idx < 0 {
-			idx = 0
-		}
-		if idx >= len(s) {
-			idx = len(s) - 1
-		}
-		return s[idx]
+		return at(min(max(int(math.Ceil(p*n))-1, 0), count-1))
 	}
 	return Summary{
-		Count: len(s), Min: s[0], Max: s[len(s)-1], Mean: mean,
+		Count: count, Min: at(0), Max: at(count - 1), Mean: mean,
 		P50: q(0.50), P90: q(0.90), P99: q(0.99),
 		StdDev: math.Sqrt(variance), Sum: sum,
 	}

@@ -87,6 +87,53 @@ func TestMedianMatchesSortProperty(t *testing.T) {
 	}
 }
 
+// Property: SummarizeRuns equals Summarize over the expanded sample bit
+// for bit, on latencies large enough that the sum of squares passes 2^53
+// and N*V*V would round differently from N additions.
+func TestSummarizeRunsMatchesSummarizeProperty(t *testing.T) {
+	f := func(raw []uint16, counts []uint8, scale uint8) bool {
+		var runs []Run
+		var xs []float64
+		v := float64(0)
+		for i, step := range raw {
+			v += float64(step) * float64(uint64(1)<<(scale%28))
+			n := 1
+			if i < len(counts) {
+				n = int(counts[i] % 40) // some runs are empty
+			}
+			runs = append(runs, Run{V: v, N: n})
+			for range n {
+				xs = append(xs, v)
+			}
+		}
+		return summaryBits(SummarizeRuns(runs)) == summaryBits(Summarize(xs))
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+	// One long run whose squares, added one at a time, round away from
+	// N*V*V: the case that pins the order of the additions.
+	big := Run{V: 300_000_007, N: 1000}
+	xs, sq := make([]float64, big.N), 0.0
+	for i := range xs {
+		xs[i] = big.V
+		sq += big.V * big.V
+	}
+	if sq == float64(big.N)*big.V*big.V {
+		t.Fatal("the long run does not separate N*V*V from N additions")
+	}
+	if got, want := SummarizeRuns([]Run{big}), Summarize(xs); summaryBits(got) != summaryBits(want) {
+		t.Fatalf("runs %+v, sample %+v", got, want)
+	}
+}
+
+// summaryBits is s with every float as its bit pattern.
+func summaryBits(s Summary) [9]uint64 {
+	return [9]uint64{uint64(s.Count), math.Float64bits(s.Min), math.Float64bits(s.Max),
+		math.Float64bits(s.Mean), math.Float64bits(s.P50), math.Float64bits(s.P90),
+		math.Float64bits(s.P99), math.Float64bits(s.StdDev), math.Float64bits(s.Sum)}
+}
+
 func TestHistogramBuckets(t *testing.T) {
 	h := NewHistogram(0, 10, 5)
 	for _, v := range []float64{-1, 0, 5, 9.99, 10, 49, 50, 1000} {
