@@ -1,7 +1,7 @@
 package core
 
 import (
-	"cmp"
+	"maps"
 	"slices"
 
 	"gpulat/internal/sim"
@@ -44,45 +44,48 @@ type instCell struct {
 // Aggregate folds the tracker's records and issue bitmaps into a
 // LoadAggregate in one pass; the tracker is left as it was.
 func (t *Tracker) Aggregate() *LoadAggregate {
-	type instKey struct {
-		inst   sim.Cycle
-		kernel int
-	}
-	a := &LoadAggregate{}
-	lifeAt, instAt := map[sim.Cycle]int{}, map[instKey]int{}
+	// Cells collect in first-seen order, found through maps keyed by one
+	// word (a record's latencies and kernel ID are 32 bits wide), and are
+	// put in key order at the end: sorting the keys, not the cells. The
+	// first 4096 cells of each kind need no growth.
+	hint := min(t.n, 4096)
+	life, inst := make([]lifeCell, 0, hint), make([]instCell, 0, hint)
+	lifeAt, instAt := make(map[uint32]int, hint), make(map[uint64]int, hint)
 	for r := range t.All() {
-		i, ok := lifeAt[r.Total()]
+		i, ok := lifeAt[r.inst-r.created]
 		if !ok {
-			i = len(a.life)
-			lifeAt[r.Total()] = i
-			a.life = append(a.life, lifeCell{total: r.Total()})
+			i = len(life)
+			lifeAt[r.inst-r.created] = i
+			life = append(life, lifeCell{total: r.Total()})
 		}
-		lc := &a.life[i]
+		lc := &life[i]
 		lc.count++
-		for s, d := range r.Stages() {
-			lc.stage[s] += d
+		for s, d := range r.stages {
+			lc.stage[s] += sim.Cycle(d)
 		}
 
-		k := instKey{r.InstTotal(), r.Kernel()}
-		j, ok := instAt[k]
+		j, ok := instAt[uint64(r.inst)<<32|uint64(uint32(r.kernel))]
 		if !ok {
-			j = len(a.inst)
-			instAt[k] = j
-			a.inst = append(a.inst, instCell{inst: k.inst, kernel: k.kernel})
+			j = len(inst)
+			instAt[uint64(r.inst)<<32|uint64(uint32(r.kernel))] = j
+			inst = append(inst, instCell{inst: r.InstTotal(), kernel: r.Kernel()})
 		}
-		ic := &a.inst[j]
+		ic := &inst[j]
 		exposed := t.exposedCycles(r.SM(), r.IssueAt(), r.ReturnAt())
 		ic.count++
 		ic.exposed += exposed
-		ic.hidden += k.inst - exposed
-		if 2*exposed > k.inst {
+		ic.hidden += ic.inst - exposed
+		if 2*exposed > ic.inst {
 			ic.mostlyExposed++
 		}
 	}
-	slices.SortFunc(a.life, func(x, y lifeCell) int { return cmp.Compare(x.total, y.total) })
-	slices.SortFunc(a.inst, func(x, y instCell) int {
-		return cmp.Or(cmp.Compare(x.inst, y.inst), cmp.Compare(x.kernel, y.kernel))
-	})
+	a := &LoadAggregate{life: make([]lifeCell, 0, len(life)), inst: make([]instCell, 0, len(inst))}
+	for _, k := range slices.Sorted(maps.Keys(lifeAt)) {
+		a.life = append(a.life, life[lifeAt[k]])
+	}
+	for _, k := range slices.Sorted(maps.Keys(instAt)) {
+		a.inst = append(a.inst, inst[instAt[k]])
+	}
 	return a
 }
 

@@ -15,12 +15,13 @@ import (
 
 // Summary holds order statistics of a sample.
 type Summary struct {
-	Count         int
-	Min, Max      float64
-	Mean          float64
-	P50, P90, P99 float64
-	StdDev        float64
-	Sum           float64
+	Count          int
+	Min, Max       float64
+	Mean           float64
+	P50, P90, P99  float64
+	StdDev         float64
+	Sum            float64
+	negativeInputs int
 }
 
 // Summarize computes summary statistics; an empty sample returns zeros.
