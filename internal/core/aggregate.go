@@ -1,8 +1,7 @@
 package core
 
 import (
-	"maps"
-	"slices"
+	"math"
 
 	"gpulat/internal/sim"
 	"gpulat/internal/stats"
@@ -18,9 +17,8 @@ type LoadAggregate struct {
 	// ascending order: Figure 1's input.
 	life []lifeCell
 	// inst has one cell per distinct instruction-visible latency
-	// (InstTotal) and kernel, ascending by latency, then kernel: the
-	// input of Figure 2 and of the latency summaries, whole-run or per
-	// kernel.
+	// (InstTotal) and kernel, ascending by latency: the input of Figure
+	// 2 and of the latency summaries, whole-run or per kernel.
 	inst []instCell
 }
 
@@ -42,35 +40,56 @@ type instCell struct {
 }
 
 // Aggregate folds the tracker's records and issue bitmaps into a
-// LoadAggregate in one pass; the tracker is left as it was.
+// LoadAggregate; the tracker is left as it was.
 func (t *Tracker) Aggregate() *LoadAggregate {
-	// Cells collect in first-seen order, found through maps keyed by one
-	// word (a record's latencies and kernel ID are 32 bits wide), and are
-	// put in key order at the end: sorting the keys, not the cells. The
-	// first 4096 cells of each kind need no growth.
-	hint := min(t.n, 4096)
-	life, inst := make([]lifeCell, 0, hint), make([]instCell, 0, hint)
-	lifeAt, instAt := make(map[uint32]int, hint), make(map[uint64]int, hint)
+	a := &LoadAggregate{}
+	if t.n == 0 {
+		return a
+	}
+	// A cell is found through a table indexed by latency over the range
+	// the records span (the first pass finds it), 4 bytes a cycle: a
+	// run's latencies lie within a few thousand cycles of each other
+	// (16,443 for transpose, the widest catalog kernel at experiment
+	// scale on GF100), so a lookup is one load from a small table where
+	// a map pays a hash.
+	loT, hiT, loI, hiI := uint32(math.MaxUint32), uint32(0), uint32(math.MaxUint32), uint32(0)
 	for r := range t.All() {
-		i, ok := lifeAt[r.inst-r.created]
-		if !ok {
-			i = len(life)
-			lifeAt[r.inst-r.created] = i
+		loT, hiT = min(loT, r.inst-r.created), max(hiT, r.inst-r.created)
+		loI, hiI = min(loI, r.inst), max(hiI, r.inst)
+	}
+	// lifeAt holds a cell's index + 1 (0: none yet). instAt holds the
+	// latency's newest cell + 1; its cells of other kernels chain back
+	// through next.
+	lifeAt, instAt := make([]int32, hiT-loT+1), make([]int32, hiI-loI+1)
+	// A run has no more distinct latencies than loads or than cycles of
+	// range; one kernel's run has no more inst cells either.
+	life := make([]lifeCell, 0, min(t.n, len(lifeAt)))
+	inst := make([]instCell, 0, min(t.n, len(instAt)))
+	next := make([]int32, 0, cap(inst))
+	for r := range t.All() {
+		i := &lifeAt[r.inst-r.created-loT]
+		if *i == 0 {
 			life = append(life, lifeCell{total: r.Total()})
+			*i = int32(len(life))
 		}
-		lc := &life[i]
+		lc := &life[*i-1]
 		lc.count++
 		for s, d := range r.stages {
 			lc.stage[s] += sim.Cycle(d)
 		}
 
-		j, ok := instAt[uint64(r.inst)<<32|uint64(uint32(r.kernel))]
-		if !ok {
-			j = len(inst)
-			instAt[uint64(r.inst)<<32|uint64(uint32(r.kernel))] = j
-			inst = append(inst, instCell{inst: r.InstTotal(), kernel: r.Kernel()})
+		head := &instAt[r.inst-loI]
+		j := *head
+		for j != 0 && inst[j-1].kernel != r.Kernel() {
+			j = next[j-1]
 		}
-		ic := &inst[j]
+		if j == 0 {
+			inst = append(inst, instCell{inst: r.InstTotal(), kernel: r.Kernel()})
+			next = append(next, *head)
+			j = int32(len(inst))
+			*head = j
+		}
+		ic := &inst[j-1]
 		exposed := t.exposedCycles(r.SM(), r.IssueAt(), r.ReturnAt())
 		ic.count++
 		ic.exposed += exposed
@@ -79,12 +98,17 @@ func (t *Tracker) Aggregate() *LoadAggregate {
 			ic.mostlyExposed++
 		}
 	}
-	a := &LoadAggregate{life: make([]lifeCell, 0, len(life)), inst: make([]instCell, 0, len(inst))}
-	for _, k := range slices.Sorted(maps.Keys(lifeAt)) {
-		a.life = append(a.life, life[lifeAt[k]])
+	a.life = make([]lifeCell, 0, len(life))
+	for _, i := range lifeAt {
+		if i != 0 {
+			a.life = append(a.life, life[i-1])
+		}
 	}
-	for _, k := range slices.Sorted(maps.Keys(instAt)) {
-		a.inst = append(a.inst, inst[instAt[k]])
+	a.inst = make([]instCell, 0, len(inst))
+	for _, j := range instAt {
+		for ; j != 0; j = next[j-1] {
+			a.inst = append(a.inst, inst[j-1])
+		}
 	}
 	return a
 }
