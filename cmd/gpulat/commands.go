@@ -484,7 +484,7 @@ func cmdExport(args []string) error {
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
-	res, err := runWorkload(p, *engine)
+	res, err := runWorkload(p, *engine, core.KeepRecords)
 	if err != nil {
 		return err
 	}
@@ -493,8 +493,9 @@ func cmdExport(args []string) error {
 
 // runWorkload runs p's workload straight on one device, not through the
 // runner, so simrun and export keep the whole run: its device counters
-// and every load record. The -engine selection overrides the config's.
-func runWorkload(p params, engine string) (*core.DynamicResult, error) {
+// and, under opts' core.KeepRecords, every load record. The -engine
+// selection overrides the config's.
+func runWorkload(p params, engine string, opts ...core.TrackerOption) (*core.DynamicResult, error) {
 	cfg, err := config.ByNameOrFile(p.arch)
 	if err != nil {
 		return nil, err
@@ -505,7 +506,7 @@ func runWorkload(p params, engine string) (*core.DynamicResult, error) {
 		}
 	}
 	return runner.RunWorkload(cfg, runner.Job{Kind: runner.KindDynamic, Arch: p.arch, Kernel: p.kernel,
-		Seed: 42, Options: runner.Options{Vertices: p.vertices}})
+		Seed: 42, Options: runner.Options{Vertices: p.vertices}}, opts...)
 }
 
 func cmdConfig(args []string) error {

@@ -31,18 +31,21 @@ func measureChase(t *testing.T, cfg gpu.Config, pc kernels.PChaseConfig) float64
 	if err != nil {
 		t.Fatal(err)
 	}
-	wl.Setup(g.Memory)
 
-	// Warmup lap: covers the ring once so caches are populated. A ring
-	// bigger than the L2 thrashes regardless (sequential chase + LRU),
-	// so skip the lap for the DRAM-level measurement.
-	if pc.FootprintBytes <= 1<<20 {
+	// Warmup lap: covers the ring once so caches are populated; it
+	// writes the whole ring, which holds the timed run's part of it. A
+	// ring bigger than the L2 thrashes regardless (sequential chase +
+	// LRU), so skip the lap for the DRAM-level measurement.
+	if pc.FootprintBytes > 1<<20 {
+		wl.Setup(g.Memory)
+	} else {
 		warm := pc
 		warm.Accesses = int(pc.FootprintBytes / pc.StrideBytes)
 		wwl, err := kernels.PChase(warm)
 		if err != nil {
 			t.Fatal(err)
 		}
+		wwl.Setup(g.Memory)
 		if _, err := g.RunKernel(wwl.Kernel); err != nil {
 			t.Fatal(err)
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"math/rand/v2"
 	"reflect"
 	"slices"
@@ -11,14 +12,87 @@ import (
 	"testing"
 
 	"gpulat/internal/config"
+	"gpulat/internal/gpu"
 	"gpulat/internal/kernels"
 	"gpulat/internal/sim"
 	"gpulat/internal/stats"
 )
 
 // The record walk below is how the reports were built before the
-// aggregate: straight from the tracker's records and issue bitmaps. It
-// is kept as the slow oracle the aggregate is checked against.
+// aggregate: straight from the tracker's records and, for exposure, a
+// per-cycle issue bitmap of each SM. It is kept as the slow oracle the
+// aggregate, folded online from issue-cycle stamps, is checked against.
+
+// issueBitmap is a test-only gpu.IssueObserver that keeps, per SM, one
+// bit per cycle: set when the SM issued at least one instruction. Each
+// SM's bitmap is a directory of fixed-size chunks; a nil chunk is a span
+// in which it issued nothing.
+type issueBitmap struct {
+	issued [][]*issueChunk
+}
+
+// chunkWords sizes an issueChunk: 2^16 cycles in 8 KiB.
+const chunkWords = 1024
+
+type issueChunk [chunkWords]uint64
+
+// IssueSlot implements gpu.IssueObserver. The first call for an SM
+// registers it (from then on it reads as exposed wherever it did not
+// issue).
+func (b *issueBitmap) IssueSlot(smID int, c sim.Cycle, issued int) {
+	for smID >= len(b.issued) {
+		b.issued = append(b.issued, nil)
+	}
+	if issued <= 0 {
+		return
+	}
+	dir := b.issued[smID]
+	k := int(c / (64 * chunkWords))
+	if k >= len(dir) {
+		dir = append(dir, make([]*issueChunk, k+1-len(dir))...)
+		b.issued[smID] = dir
+	}
+	if dir[k] == nil {
+		dir[k] = new(issueChunk)
+	}
+	dir[k][c/64%chunkWords] |= 1 << (c % 64)
+}
+
+// exposedCycles counts cycles in [from, to) during which SM smID issued
+// no instruction: a span whose chunk was never allocated is all exposed,
+// so an SM registered by IssueSlot that never issued reads as fully
+// exposed. An SM IssueSlot never saw reads 0.
+func (b *issueBitmap) exposedCycles(smID int, from, to sim.Cycle) sim.Cycle {
+	if smID < 0 || smID >= len(b.issued) || to <= from {
+		return 0
+	}
+	dir := b.issued[smID]
+	first, last := from/64, (to-1)/64
+	// Count the issued cycles of whole words first..last, a chunk's
+	// slice at a time, then drop those before from and from to on.
+	hidden := 0
+	for k := first / chunkWords; k <= last/chunkWords && k < sim.Cycle(len(dir)); k++ {
+		if ch := dir[k]; ch != nil {
+			base := k * chunkWords
+			for _, w := range ch[max(first, base)-base : min(last, base+chunkWords-1)-base+1] {
+				hidden += bits.OnesCount64(w)
+			}
+		}
+	}
+	hidden -= bits.OnesCount64(issueWord(dir, first) & (1<<(from%64) - 1))
+	if to%64 != 0 {
+		hidden -= bits.OnesCount64(issueWord(dir, last) &^ (1<<(to%64) - 1))
+	}
+	return (to - from) - sim.Cycle(hidden)
+}
+
+// issueWord returns word w of an issue bitmap, 0 in an unallocated chunk.
+func issueWord(dir []*issueChunk, w sim.Cycle) uint64 {
+	if k := w / chunkWords; k < sim.Cycle(len(dir)) && dir[k] != nil {
+		return dir[k][w%chunkWords]
+	}
+	return 0
+}
 
 func walkBreakdown(t *Tracker, workload, arch string, numBuckets int) *BreakdownReport {
 	if t.n == 0 || numBuckets <= 0 {
@@ -70,8 +144,8 @@ func walkBreakdownBuckets(t *Tracker, workload, arch string, lo, width sim.Cycle
 }
 
 // walkExposure is the Figure 2 report over the loads keep accepts (nil
-// keeps every load).
-func walkExposure(t *Tracker, workload, arch string, numBuckets int, keep func(*LoadRecord) bool) *ExposureReport {
+// keeps every load), their exposure read from the issue bitmap b.
+func walkExposure(t *Tracker, b *issueBitmap, workload, arch string, numBuckets int, keep func(*LoadRecord) bool) *ExposureReport {
 	rep := &ExposureReport{Workload: workload, Arch: arch}
 	if keep == nil {
 		keep = func(*LoadRecord) bool { return true }
@@ -97,7 +171,7 @@ func walkExposure(t *Tracker, workload, arch string, numBuckets int, keep func(*
 			continue
 		}
 		inst := r.InstTotal()
-		exposed := t.exposedCycles(r.SM(), r.IssueAt(), r.ReturnAt())
+		exposed := b.exposedCycles(r.SM(), r.IssueAt(), r.ReturnAt())
 		hidden := inst - exposed
 		idx := int((inst - lo) / width)
 		if idx >= numBuckets {
@@ -140,14 +214,21 @@ func walkMeanLoadLatency(t *Tracker) float64 {
 	return sum / float64(t.n)
 }
 
+// testResult is a memoized run: its result, whose tracker keeps every
+// load record, and the issue bitmap its device fed.
+type testResult struct {
+	*DynamicResult
+	issued *issueBitmap
+}
+
 // testRuns memoizes, per engine, one run on GF106 of every catalog
 // kernel at test scale and of BFS at the runner's test scale (512
 // vertices), so the tests that read whole runs share the simulations.
-var testRuns = map[string]*DynamicResult{}
+var testRuns = map[string]*testResult{}
 
 var bothEngines = []sim.Engine{sim.EngineTick, sim.EngineEvent}
 
-func testRun(t *testing.T, name string, engine sim.Engine) *DynamicResult {
+func testRun(t *testing.T, name string, engine sim.Engine) *testResult {
 	t.Helper()
 	key := name + "/" + engine.String()
 	if res, ok := testRuns[key]; ok {
@@ -155,24 +236,28 @@ func testRun(t *testing.T, name string, engine sim.Engine) *DynamicResult {
 	}
 	cfg := config.GF106()
 	cfg.Engine = engine
-	var res *DynamicResult
+	tr, issued := NewTracker(KeepRecords), &issueBitmap{}
+	g := gpu.NewWithObservers(cfg, tr, issued)
+	var cycles sim.Cycle
+	launches := 1
 	var err error
 	if name == "bfs" {
 		var mk *kernels.MultiKernel
 		mk, err = kernels.BFS(kernels.BFSConfig{Graph: kernels.GenScaleFree(1<<9, 4, 3), Source: 0, BlockDim: 128})
 		if err == nil {
-			res, err = RunDynamicMulti(cfg, mk)
+			cycles, launches, err = kernels.RunMulti(g, mk)
 		}
 	} else {
 		var wl *kernels.Workload
 		wl, err = kernels.NewByName(name, kernels.ScaleTest, 3)
 		if err == nil {
-			res, err = RunDynamic(cfg, wl)
+			cycles, err = kernels.Run(g, wl)
 		}
 	}
 	if err != nil {
 		t.Fatalf("%s: %v", key, err)
 	}
+	res := &testResult{finish(cfg, name, g, tr, cycles, launches), issued}
 	testRuns[key] = res
 	return res
 }
@@ -193,10 +278,11 @@ func rendered(r interface {
 
 // TestAggregateMatchesRecordWalkProperty: over every catalog kernel and
 // a BFS at test scale, under both engines, with random bucket counts,
-// widths and chart heights, every report built from the aggregate
-// equals the record walk's field for field and renders the same bytes
-// in all three views, whole-run and per kernel, and the load summaries
-// and mean are bitwise equal.
+// widths and chart heights, every report built from the aggregate the
+// tracker folded as loads retired equals the record walk's over the
+// per-cycle issue bitmap field for field and renders the same bytes in
+// all three views, whole-run and per kernel, and the load summaries and
+// mean are bitwise equal.
 func TestAggregateMatchesRecordWalkProperty(t *testing.T) {
 	rng := rand.New(rand.NewPCG(41, 41))
 	for _, name := range append(kernels.CatalogNames(), "bfs") {
@@ -220,7 +306,7 @@ func TestAggregateMatchesRecordWalkProperty(t *testing.T) {
 			}
 			same("Breakdown", agg.Breakdown(name, "GF106", n), walkBreakdown(tr, name, "GF106", n))
 			same("BreakdownWidth", agg.BreakdownWidth(name, "GF106", width), walkBreakdownWidth(tr, name, "GF106", width))
-			same("Exposure", agg.Exposure(name, "GF106", n), walkExposure(tr, name, "GF106", n, nil))
+			same("Exposure", agg.Exposure(name, "GF106", n), walkExposure(tr, res.issued, name, "GF106", n, nil))
 			all := func(*LoadRecord) bool { return true }
 			if g, w := agg.LoadSummary(), walkSummary(tr, all); summaryBits(g) != summaryBits(w) {
 				t.Fatalf("%s: LoadSummary %+v, record walk %+v", at, g, w)
@@ -236,7 +322,7 @@ func TestAggregateMatchesRecordWalkProperty(t *testing.T) {
 			}
 			for _, k := range ids {
 				of := func(r *LoadRecord) bool { return r.Kernel() == k }
-				same(fmt.Sprintf("KernelExposure(%d)", k), agg.KernelExposure(name, "GF106", n, k), walkExposure(tr, name, "GF106", n, of))
+				same(fmt.Sprintf("KernelExposure(%d)", k), agg.KernelExposure(name, "GF106", n, k), walkExposure(tr, res.issued, name, "GF106", n, of))
 				if g, w := agg.KernelLoadSummary(k), walkSummary(tr, of); summaryBits(g) != summaryBits(w) {
 					t.Fatalf("%s: KernelLoadSummary(%d) %+v, record walk %+v", at, k, g, w)
 				}

@@ -45,10 +45,7 @@ func TestBreakdownRenderChart(t *testing.T) {
 
 func TestExposureRenderChart(t *testing.T) {
 	tr := NewTracker()
-	for c := sim.Cycle(0); c < 600; c++ {
-		tr.IssueSlot(0, c, 0) // never issues: fully exposed
-	}
-	feed(tr, 0, 100, 500, [NumStages]sim.Cycle{})
+	feed(tr, 0, 100, 500, [NumStages]sim.Cycle{}) // fully exposed
 	rep := tr.Exposure("t", "tiny", 4)
 	var sb strings.Builder
 	rep.RenderChart(&sb, 10)

@@ -113,8 +113,10 @@ func TestStageSumEqualsTotalProperty(t *testing.T) {
 	}
 }
 
+// TestTrackerExposureCounting: the test-only issue bitmap the exposure
+// oracle reads counts exposed cycles by window.
 func TestTrackerExposureCounting(t *testing.T) {
-	tr := NewTracker()
+	tr := &issueBitmap{}
 	// SM 0 issues on cycles 10..19 and 30..39; silent 20..29.
 	for c := sim.Cycle(10); c < 40; c++ {
 		issued := 0
@@ -138,7 +140,8 @@ func TestTrackerExposureCounting(t *testing.T) {
 	}
 }
 
-// Property: exposedCycles matches a naive per-cycle model.
+// Property: the issue bitmap's exposedCycles matches a naive per-cycle
+// model.
 func TestExposureMatchesNaiveProperty(t *testing.T) {
 	f := func(pattern []bool, startSeed, lenSeed uint8) bool {
 		if len(pattern) == 0 {
@@ -147,7 +150,7 @@ func TestExposureMatchesNaiveProperty(t *testing.T) {
 		if len(pattern) > 200 {
 			pattern = pattern[:200]
 		}
-		tr := NewTracker()
+		tr := &issueBitmap{}
 		for c, issued := range pattern {
 			n := 0
 			if issued {
@@ -173,14 +176,16 @@ func TestExposureMatchesNaiveProperty(t *testing.T) {
 // feed delivers one completed load to tr the way the simulator does,
 // through RequestDone, with a stage log that yields the given stage
 // durations. The zero stages value is an L1 hit (the whole lifetime is
-// SMBase); otherwise the durations must sum to ret-issue.
+// SMBase); otherwise the durations must sum to ret-issue. Its SM issued
+// in none of its cycles: the load is fully exposed.
 func feed(tr *Tracker, sm int, issue, ret sim.Cycle, stages [NumStages]sim.Cycle) {
-	feedKernel(tr, sm, 0, issue, ret, stages)
+	feedKernel(tr, sm, 0, issue, ret, 0, stages)
 }
 
-// feedKernel is feed for a load of the given kernel.
-func feedKernel(tr *Tracker, sm, kernel int, issue, ret sim.Cycle, stages [NumStages]sim.Cycle) {
-	l := &mem.StageLog{}
+// feedKernel is feed for a load of the given kernel whose SM issued in
+// hidden of its cycles.
+func feedKernel(tr *Tracker, sm, kernel int, issue, ret, hidden sim.Cycle, stages [NumStages]sim.Cycle) {
+	l := &mem.StageLog{IssueStamp: 1000, ReturnStamp: 1000 + uint64(hidden)}
 	l.Mark(mem.PtIssue, issue)
 	l.Mark(mem.PtCreated, issue)
 	if stages == ([NumStages]sim.Cycle{}) {
@@ -251,13 +256,9 @@ func TestExposureReport(t *testing.T) {
 	tr := NewTracker()
 	// SM 0 never issues: all latency exposed. SM 1 always issues: all
 	// hidden.
-	for c := sim.Cycle(0); c < 1000; c++ {
-		tr.IssueSlot(0, c, 0)
-		tr.IssueSlot(1, c, 1)
-	}
 	var hit [NumStages]sim.Cycle
-	feed(tr, 0, 100, 500, hit)
-	feed(tr, 1, 100, 500, hit)
+	feedKernel(tr, 0, 0, 100, 500, 0, hit)
+	feedKernel(tr, 1, 0, 100, 500, 400, hit)
 	rep := tr.Exposure("test", "tiny", 4)
 	if rep.Requests != 2 {
 		t.Fatalf("requests = %d", rep.Requests)
@@ -275,16 +276,22 @@ func TestExposureReport(t *testing.T) {
 	}
 }
 
+// TestTrackerReset: Reset frees the cells, tables and records and keeps
+// the KeepRecords switch.
 func TestTrackerReset(t *testing.T) {
-	tr := NewTracker()
-	tr.IssueSlot(0, 5, 1)
+	tr := NewTracker(KeepRecords)
 	feed(tr, 0, 0, 10, [NumStages]sim.Cycle{})
+	tr.RequestDone(0, &mem.Request{Log: &mem.StageLog{}})
 	tr.Reset()
-	if tr.Len() != 0 {
-		t.Fatal("records survived reset")
+	if tr.Len() != 0 || len(flat(tr)) != 0 || tr.Footprint() != 0 || tr.BadLogs() != 0 {
+		t.Fatalf("Reset left %d loads, %d records, %d bytes, %d bad logs", tr.Len(), len(flat(tr)), tr.Footprint(), tr.BadLogs())
 	}
-	if tr.exposedCycles(0, 0, 10) != 10 {
-		t.Fatal("issue bitmap survived reset")
+	if rep := tr.Exposure("reset", "tiny", 4); rep.Requests != 0 {
+		t.Fatalf("cells survived Reset: %+v", rep)
+	}
+	feed(tr, 0, 0, 10, [NumStages]sim.Cycle{})
+	if len(flat(tr)) != 1 {
+		t.Fatal("Reset dropped the KeepRecords switch")
 	}
 }
 

@@ -63,7 +63,7 @@ type CoRunResult struct {
 // independently. buckets sizes the per-kernel exposure analyses.
 func RunCoRun(cfg gpu.Config, pair *kernels.CoRunPair, buckets int) (*CoRunResult, error) {
 	tr := NewTracker()
-	g := gpu.NewWithObservers(cfg, tr, tr)
+	g := gpu.NewWithObservers(cfg, tr, nil)
 	pair.A.Setup(g.Memory)
 	pair.B.Setup(g.Memory)
 

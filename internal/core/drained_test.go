@@ -10,7 +10,8 @@ import (
 // TestDeviceDrainedAtDone is a conservation check at the end of a run:
 // once a catalog kernel finishes, under either engine, every miss a
 // cache reserved has been filled, every partition queue is empty, no SM
-// holds a warp or a transaction, the tracker read every load's log,
+// holds a warp or a transaction, every request and stage log the
+// device's pool handed out came back, the tracker read every load's log,
 // every load's stage durations sum to its lifetime, and so do the
 // aggregate's stage sums to the loads' lifetimes.
 func TestDeviceDrainedAtDone(t *testing.T) {
@@ -32,6 +33,9 @@ func TestDeviceDrainedAtDone(t *testing.T) {
 				if !p.Drained() {
 					t.Errorf("%s/%v: partition %d is not drained: %s", name, engine, i, p.DebugState())
 				}
+			}
+			if reqs, logs := res.Device.RequestPool().Outstanding(); reqs != 0 || logs != 0 {
+				t.Errorf("%s/%v: %d requests and %d stage logs never went back to the request pool", name, engine, reqs, logs)
 			}
 			if bad := res.Tracker.BadLogs(); bad != 0 {
 				t.Errorf("%s/%v: %d bad stage logs", name, engine, bad)

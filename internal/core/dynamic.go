@@ -8,11 +8,9 @@ import (
 )
 
 // DynamicResult is the outcome of an instrumented workload run. The
-// Figure 1 and Figure 2 reports and the load summary read its
-// LoadAggregate, folded from the tracker when the run finished. Until
-// Release, the tracker still holds every completed load's record and
-// the issue-slot bitmaps; after it, the tracker is empty and the
-// aggregate is all the result keeps of the loads.
+// Figure 1 and Figure 2 reports and the load summary read the
+// LoadAggregate its tracker folded as the run's loads retired; the
+// tracker keeps per-load records only if it was made with KeepRecords.
 type DynamicResult struct {
 	Arch     string
 	Workload string
@@ -26,28 +24,10 @@ type DynamicResult struct {
 	// export its engine/dispatch counters (gpu.ExportMetrics) after the
 	// run. Never serialized; excluded from comparable encodings.
 	Device *gpu.GPU `json:"-"`
-
-	agg *LoadAggregate
 }
 
-// Aggregate returns the run's per-latency aggregate: the one taken when
-// the run finished or, for a result built by hand, a fold of its
-// tracker as it stands.
-func (r *DynamicResult) Aggregate() *LoadAggregate {
-	if r.agg != nil {
-		return r.agg
-	}
-	return r.Tracker.Aggregate()
-}
-
-// Release frees the tracker's per-load records and issue bitmaps and
-// keeps only the aggregate, which every report reads: what a result
-// held after its run (the runner's payload) needs. Tracker.All yields
-// nothing afterwards.
-func (r *DynamicResult) Release() {
-	r.agg = r.Aggregate()
-	r.Tracker.Reset()
-}
+// Aggregate returns the run's per-latency aggregate.
+func (r *DynamicResult) Aggregate() *LoadAggregate { return r.Tracker.Aggregate() }
 
 // Breakdown builds the Figure 1 report over the run's tracked loads.
 func (r *DynamicResult) Breakdown(buckets int) *BreakdownReport {
@@ -72,10 +52,11 @@ func (r *DynamicResult) IPC() float64 {
 }
 
 // RunDynamic executes a single-kernel workload with full latency
-// instrumentation on a fresh GPU built from cfg.
-func RunDynamic(cfg gpu.Config, wl *kernels.Workload) (*DynamicResult, error) {
-	tr := NewTracker()
-	g := gpu.NewWithObservers(cfg, tr, tr)
+// instrumentation on a fresh GPU built from cfg; opts configure its
+// tracker.
+func RunDynamic(cfg gpu.Config, wl *kernels.Workload, opts ...TrackerOption) (*DynamicResult, error) {
+	tr := NewTracker(opts...)
+	g := gpu.NewWithObservers(cfg, tr, nil)
 	cycles, err := kernels.Run(g, wl)
 	if err != nil {
 		return nil, err
@@ -85,9 +66,9 @@ func RunDynamic(cfg gpu.Config, wl *kernels.Workload) (*DynamicResult, error) {
 
 // RunDynamicMulti executes a host-loop workload (e.g. BFS) with full
 // instrumentation.
-func RunDynamicMulti(cfg gpu.Config, mk *kernels.MultiKernel) (*DynamicResult, error) {
-	tr := NewTracker()
-	g := gpu.NewWithObservers(cfg, tr, tr)
+func RunDynamicMulti(cfg gpu.Config, mk *kernels.MultiKernel, opts ...TrackerOption) (*DynamicResult, error) {
+	tr := NewTracker(opts...)
+	g := gpu.NewWithObservers(cfg, tr, nil)
 	cycles, iters, err := kernels.RunMulti(g, mk)
 	if err != nil {
 		return nil, err
@@ -108,6 +89,5 @@ func finish(cfg gpu.Config, name string, g *gpu.GPU, tr *Tracker, cycles sim.Cyc
 		Launches:     launches,
 		Instructions: inst,
 		Device:       g,
-		agg:          tr.Aggregate(),
 	}
 }

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"gpulat/internal/config"
+	"gpulat/internal/gpu"
 	"gpulat/internal/kernels"
 )
 
@@ -164,4 +166,78 @@ func TestStaticMatchesTableI(t *testing.T) {
 	if !(fermi.DRAM > tesla.DRAM && fermi.DRAM > kepler.DRAM && fermi.DRAM > maxwell.DRAM) {
 		t.Error("Fermi DRAM must be the slowest")
 	}
+}
+
+// fullRingChase is chase as it was before the ring was cut to what the
+// chase reads: the whole ring is written before either lap.
+func fullRingChase(t *testing.T, cfg gpu.Config, pc kernels.PChaseConfig, warm bool) float64 {
+	t.Helper()
+	tr := NewTracker()
+	g := gpu.NewWithObservers(cfg, tr, nil)
+	ring := pc
+	ring.Accesses = int(pc.FootprintBytes / pc.StrideBytes)
+	full, err := kernels.PChase(ring)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full.Setup(g.Memory)
+	wl, err := kernels.PChase(pc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if warm {
+		if _, err := g.RunKernel(full.Kernel); err != nil {
+			t.Fatal(err)
+		}
+		tr.Reset()
+	}
+	if _, err := g.RunKernel(wl.Kernel); err != nil {
+		t.Fatal(err)
+	}
+	if err := wl.Verify(g.Memory); err != nil {
+		t.Fatal(err)
+	}
+	return tr.MeanLoadLatency()
+}
+
+// TestStaticChaseMatchesFullRing: Table I on four architectures, and a
+// sweep point too large for a warm lap, read bit for bit what they read
+// when the whole ring is written, though the chase writes only the part
+// its timed loads read.
+func TestStaticChaseMatchesFullRing(t *testing.T) {
+	opt := DefaultStaticOptions()
+	same := func(what string, got, want float64) {
+		t.Helper()
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("%s: %v, with the whole ring written %v", what, got, want)
+		}
+	}
+	for _, cfg := range []gpu.Config{config.GT200(), config.GF106(), config.GK104(), config.GM107()} {
+		got, err := MeasureStatic(cfg, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		l1FP, l2FP, dramFP := levelFootprints(cfg)
+		pc := func(fp, stride uint32, local bool) kernels.PChaseConfig {
+			return kernels.PChaseConfig{Base: opt.Base, StrideBytes: stride, FootprintBytes: fp, Accesses: opt.Accesses, Local: local}
+		}
+		want := math.NaN()
+		if cfg.SM.L1Enabled || cfg.SM.L1LocalEnabled {
+			want = fullRingChase(t, cfg, pc(l1FP, opt.Stride, !cfg.SM.L1Enabled), true)
+		}
+		same(cfg.Name+" L1", got.L1, want)
+		want = math.NaN()
+		if cfg.Partition.L2Enabled {
+			want = fullRingChase(t, cfg, pc(l2FP, opt.Stride, false), true)
+		}
+		same(cfg.Name+" L2", got.L2, want)
+		same(cfg.Name+" DRAM", got.DRAM, fullRingChase(t, cfg, pc(dramFP, opt.DRAMStride, false), false))
+	}
+	cfg := config.GF106()
+	pts, err := Sweep(cfg, []uint32{512}, []uint32{2 << 20}, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pc := kernels.PChaseConfig{Base: opt.Base, StrideBytes: 512, FootprintBytes: 2 << 20, Accesses: opt.Accesses}
+	same("GF106 sweep stride 512 footprint 2 MiB", pts[0].MeanLat, fullRingChase(t, cfg, pc, false))
 }

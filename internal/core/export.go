@@ -5,8 +5,8 @@ import (
 	"io"
 )
 
-// WriteRecordsCSV dumps every tracked load as one CSV row, in delivery
-// order (per-request raw data for external analysis/plotting):
+// WriteRecordsCSV dumps every load record t kept (KeepRecords) as one CSV
+// row, in delivery order (raw data for external analysis/plotting):
 // identifiers, the three lifetime timestamps, both totals, and the eight
 // stage durations.
 func WriteRecordsCSV(w io.Writer, t *Tracker) error {

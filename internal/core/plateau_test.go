@@ -135,7 +135,7 @@ func TestWriteRecordsCSV(t *testing.T) {
 	l.Mark(mem.PtIssue, 10)
 	l.Mark(mem.PtCreated, 12)
 	l.Mark(mem.PtReturnSM, 57)
-	tr := NewTracker()
+	tr := NewTracker(KeepRecords)
 	tr.RequestDone(57, &mem.Request{SM: 1, Warp: 2, Log: l})
 	var sb strings.Builder
 	if err := WriteRecordsCSV(&sb, tr); err != nil {

@@ -51,7 +51,8 @@ func (r StaticResult) HasL2() bool { return !math.IsNaN(r.L2) }
 
 // chase runs one (stride, footprint) pointer-chase measurement on a
 // fresh GPU built from cfg and returns the mean per-access latency.
-// When warm is true, a full untimed lap populates the caches first.
+// When warm is true, a full untimed lap populates the caches first; it
+// writes the whole ring, which holds the timed run's part of it.
 func chase(cfg gpu.Config, pc kernels.PChaseConfig, warm bool) (float64, error) {
 	tr := NewTracker()
 	g := gpu.NewWithObservers(cfg, tr, nil)
@@ -59,14 +60,16 @@ func chase(cfg gpu.Config, pc kernels.PChaseConfig, warm bool) (float64, error) 
 	if err != nil {
 		return 0, err
 	}
-	wl.Setup(g.Memory)
-	if warm {
+	if !warm {
+		wl.Setup(g.Memory)
+	} else {
 		wcfg := pc
 		wcfg.Accesses = int(pc.FootprintBytes / pc.StrideBytes)
 		wwl, err := kernels.PChase(wcfg)
 		if err != nil {
 			return 0, err
 		}
+		wwl.Setup(g.Memory)
 		if _, err := g.RunKernel(wwl.Kernel); err != nil {
 			return 0, err
 		}

@@ -3,7 +3,6 @@ package core
 import (
 	"iter"
 	"math"
-	"math/bits"
 	"unsafe"
 
 	"gpulat/internal/mem"
@@ -63,28 +62,37 @@ func (r *LoadRecord) Stages() (dur [NumStages]sim.Cycle) {
 }
 
 // Tracker implements the paper's instrumentation: it observes completed
-// memory requests (mem.Observer) and per-SM issue slots
-// (gpu.IssueObserver) and feeds the breakdown and exposure analyses.
-// A single Tracker instance is attached to a GPU for the lifetime of an
-// experiment; Reset discards data between warmup and timed phases.
+// memory requests (mem.Observer) and folds each load, as it retires,
+// into one cell per distinct latency (see LoadAggregate), which every
+// report reads. A load's exposure comes from the two issue-cycle stamps
+// its SM put on its StageLog, so the tracker keeps nothing per cycle and
+// nothing per load: its memory grows with the distinct latencies a run
+// sees, not with the run's length. A single Tracker instance is attached
+// to a GPU for the lifetime of an experiment; Reset discards data
+// between warmup and timed phases.
 //
-// Records are kept in delivery order — the order RequestDone was called,
-// which `gpulat export` writes out row for row, so it is part of that
-// command's bytes — and are read through Len and All. Storage is a list
-// of chunks that are filled once and never re-copied: the first holds
-// firstChunk records and each next one twice the last, up to maxChunk, so
-// a 48-load chase allocates two small chunks and a run of any length
-// pays for each record once. The issue bitmaps are fixed-size chunks,
-// each written in place (see IssueSlot), so nothing the tracker keeps
-// is ever re-copied.
+// A tracker made with KeepRecords also keeps every load's LoadRecord in
+// delivery order — the order RequestDone was called, which `gpulat
+// export` writes out row for row, so it is part of that command's bytes
+// — read through All. Record storage is a list of chunks that are filled
+// once and never re-copied: the first holds firstChunk records and each
+// next one twice the last, up to maxChunk.
 type Tracker struct {
-	// chunks holds the records; every chunk but the last is full.
+	keep bool
+	// chunks holds the records (KeepRecords); every chunk but the last
+	// is full.
 	chunks [][]LoadRecord
-	n      int
-	// issued[sm] is a directory of bitmap chunks over cycles: bit set =
-	// the SM issued at least one instruction that cycle; a nil chunk is
-	// a span in which it issued nothing.
-	issued [][]*issueChunk
+	// n counts the loads taken.
+	n int
+
+	// life and inst are the aggregate's cells in first-seen order,
+	// found through lifeAt and instAt. instAt holds a latency's newest
+	// inst cell; its cells of other kernels chain back through
+	// instNext.
+	life           []lifeCell
+	inst           []instCell
+	instNext       []int32
+	lifeAt, instAt latencyIndex
 
 	badLogs uint64
 }
@@ -97,25 +105,74 @@ const (
 	maxChunk   = 4096
 )
 
-// chunkWords sizes an issueChunk, one fixed span of an SM's issue
-// bitmap: 2^16 cycles in 8 KiB.
-const chunkWords = 1024
+// latencyIndex finds a latency's cell: at[v-lo] holds the cell's index
+// + 1 (0: none yet). It spans the latencies seen so far and doubles when
+// a load falls outside, 4 bytes a cycle of a run's latency spread (16,443
+// for transpose, the widest catalog kernel at experiment scale on GF100),
+// so a lookup is one load from a small table where a map pays a hash.
+type latencyIndex struct {
+	lo uint32
+	at []int32
+}
 
-type issueChunk [chunkWords]uint64
+// slot returns the table entry for latency v, growing the table to
+// cover it.
+func (x *latencyIndex) slot(v uint32) *int32 {
+	i := int(v) - int(x.lo)
+	if i < 0 || i >= len(x.at) {
+		x.grow(int(v))
+		i = int(v) - int(x.lo)
+	}
+	return &x.at[i]
+}
+
+// grow widens the table to cover v: to 64 entries from v at first, then
+// to at least twice its length, the spare room on the side v fell.
+func (x *latencyIndex) grow(v int) {
+	lo, n := v, 64
+	if old := int(x.lo); len(x.at) != 0 {
+		lo = min(v, old)
+		hi := max(v+1, old+len(x.at))
+		n = max(2*len(x.at), hi-lo)
+		if v < old {
+			lo = max(hi-n, 0)
+		}
+	}
+	at := make([]int32, n)
+	if len(x.at) != 0 {
+		copy(at[int(x.lo)-lo:], x.at)
+	}
+	x.lo, x.at = uint32(lo), at
+}
+
+// TrackerOption configures NewTracker.
+type TrackerOption func(*Tracker)
+
+// KeepRecords makes a tracker keep every load's LoadRecord beside the
+// aggregate, for All (`gpulat export`).
+func KeepRecords(t *Tracker) { t.keep = true }
 
 // NewTracker returns an empty tracker.
-func NewTracker() *Tracker { return &Tracker{} }
+func NewTracker(opts ...TrackerOption) *Tracker {
+	t := &Tracker{}
+	for _, o := range opts {
+		o(t)
+	}
+	return t
+}
 
-// RequestDone implements mem.Observer. A load whose fields do not fit
-// the record — a latency of 2^32 cycles or more, a kernel ID beyond
-// int32, an SM or warp beyond uint8 — is counted in BadLogs, never
-// stored truncated.
+// RequestDone implements mem.Observer: it folds the load into its cells
+// and, with KeepRecords, stores its record. A load whose fields do not
+// fit the record — a latency of 2^32 cycles or more, a kernel ID beyond
+// int32, an SM or warp beyond uint8 — or whose issue stamps claim more
+// hidden cycles than its latency is counted in BadLogs, never folded.
 func (t *Tracker) RequestDone(c sim.Cycle, r *mem.Request) {
 	dur, ok := StageDurations(r.Log)
 	inst, _ := r.Log.Total()
 	// A valid log is monotonic, so the creation offset and every stage
 	// duration are at most inst: bounding inst bounds them all.
-	if !ok || inst > math.MaxUint32 || r.Kernel != int(int32(r.Kernel)) || uint(r.SM)|uint(r.Warp) > math.MaxUint8 {
+	if !ok || inst > math.MaxUint32 || r.Log.ReturnStamp-r.Log.IssueStamp > uint64(inst) ||
+		r.Kernel != int(int32(r.Kernel)) || uint(r.SM)|uint(r.Warp) > math.MaxUint8 {
 		t.badLogs++
 		return
 	}
@@ -123,16 +180,6 @@ func (t *Tracker) RequestDone(c sim.Cycle, r *mem.Request) {
 	created, okc := r.Log.At(mem.PtCreated)
 	if !okc {
 		created = issue
-	}
-
-	last := len(t.chunks) - 1
-	if last < 0 || len(t.chunks[last]) == cap(t.chunks[last]) {
-		size := firstChunk
-		if last >= 0 {
-			size = min(2*cap(t.chunks[last]), maxChunk)
-		}
-		t.chunks = append(t.chunks, make([]LoadRecord, 0, size))
-		last++
 	}
 	rec := LoadRecord{
 		issueAt: issue,
@@ -152,41 +199,71 @@ func (t *Tracker) RequestDone(c sim.Cycle, r *mem.Request) {
 	if r.Log.MergedAtL2 {
 		rec.flags |= mergedL2
 	}
-	t.chunks[last] = append(t.chunks[last], rec)
 	t.n++
-}
-
-// IssueSlot implements gpu.IssueObserver. The first call for an SM
-// registers it (from then on it reads as exposed wherever it did not
-// issue); a chunk of its bitmap is allocated on the first issue inside
-// the chunk's span and written in place from then on, so the bitmap
-// costs one bit per cycle of the spans the SM issued in, each allocated
-// once, plus one directory pointer per span.
-func (t *Tracker) IssueSlot(smID int, c sim.Cycle, issued int) {
-	for smID >= len(t.issued) {
-		t.issued = append(t.issued, nil)
-	}
-	if issued <= 0 {
+	t.fold(&rec, sim.Cycle(r.Log.ReturnStamp-r.Log.IssueStamp))
+	if !t.keep {
 		return
 	}
-	dir := t.issued[smID]
-	k := int(c / (64 * chunkWords))
-	if k >= len(dir) {
-		dir = append(dir, make([]*issueChunk, k+1-len(dir))...)
-		t.issued[smID] = dir
+	last := len(t.chunks) - 1
+	if last < 0 || len(t.chunks[last]) == cap(t.chunks[last]) {
+		size := firstChunk
+		if last >= 0 {
+			size = min(2*cap(t.chunks[last]), maxChunk)
+		}
+		t.chunks = append(t.chunks, make([]LoadRecord, 0, size))
+		last++
 	}
-	if dir[k] == nil {
-		dir[k] = new(issueChunk)
-	}
-	dir[k][c/64%chunkWords] |= 1 << (c % 64)
+	t.chunks[last] = append(t.chunks[last], rec)
 }
 
-// Len returns the number of collected loads.
+// fold adds one load to its life and inst cells; its SM issued in
+// hidden of the load's InstTotal cycles.
+func (t *Tracker) fold(r *LoadRecord, hidden sim.Cycle) {
+	i := t.lifeAt.slot(r.inst - r.created)
+	if *i == 0 {
+		t.life = append(t.life, lifeCell{total: r.Total()})
+		*i = int32(len(t.life))
+	}
+	lc := &t.life[*i-1]
+	lc.count++
+	for s, d := range r.stages {
+		lc.stage[s] += sim.Cycle(d)
+	}
+
+	head := t.instAt.slot(r.inst)
+	j := *head
+	for j != 0 && t.inst[j-1].kernel != r.Kernel() {
+		j = t.instNext[j-1]
+	}
+	if j == 0 {
+		t.inst = append(t.inst, instCell{inst: r.InstTotal(), kernel: r.Kernel()})
+		t.instNext = append(t.instNext, *head)
+		j = int32(len(t.inst))
+		*head = j
+	}
+	ic := &t.inst[j-1]
+	exposed := ic.inst - hidden
+	ic.count++
+	ic.exposed += exposed
+	ic.hidden += hidden
+	if 2*exposed > ic.inst {
+		ic.mostlyExposed++
+	}
+}
+
+// IssueSlot implements gpu.IssueObserver and does nothing: a load's
+// exposure comes from the issue-cycle stamps on its StageLog. It stays
+// so that callers may still pass the tracker as a device's issue
+// observer.
+func (t *Tracker) IssueSlot(int, sim.Cycle, int) {}
+
+// Len returns the number of loads the tracker took.
 func (t *Tracker) Len() int { return t.n }
 
-// All iterates over the collected loads in delivery order. The pointers
-// are into the tracker's own storage: read through them, do not write,
-// and do not keep them past Reset.
+// All iterates over the kept load records in delivery order; it yields
+// nothing unless the tracker was made with KeepRecords. The pointers are
+// into the tracker's own storage: read through them, do not write, and
+// do not keep them past Reset.
 func (t *Tracker) All() iter.Seq[*LoadRecord] {
 	return func(yield func(*LoadRecord) bool) {
 		for _, ch := range t.chunks {
@@ -207,65 +284,16 @@ func (t *Tracker) MeanLoadLatency() float64 { return t.Aggregate().MeanLoadLaten
 // inconsistent instrumentation (must be zero in a healthy simulation).
 func (t *Tracker) BadLogs() uint64 { return t.badLogs }
 
-// Footprint returns the bytes the tracker's record chunks and issue
-// bitmaps (chunks and directories) take: what Reset frees.
+// Footprint returns the bytes the tracker's cells, latency tables and
+// kept records take: what Reset frees.
 func (t *Tracker) Footprint() int {
-	n := 0
+	n := 4*(cap(t.lifeAt.at)+cap(t.instAt.at)+cap(t.instNext)) +
+		cap(t.life)*int(unsafe.Sizeof(lifeCell{})) + cap(t.inst)*int(unsafe.Sizeof(instCell{}))
 	for _, ch := range t.chunks {
 		n += cap(ch) * int(unsafe.Sizeof(LoadRecord{}))
-	}
-	for _, dir := range t.issued {
-		n += cap(dir) * int(unsafe.Sizeof((*issueChunk)(nil)))
-		for _, ch := range dir {
-			if ch != nil {
-				n += int(unsafe.Sizeof(*ch))
-			}
-		}
 	}
 	return n
 }
 
 // Reset discards all collected data (e.g. after a warmup phase).
-func (t *Tracker) Reset() {
-	t.chunks, t.n = nil, 0
-	for i := range t.issued {
-		t.issued[i] = nil
-	}
-	t.badLogs = 0
-}
-
-// exposedCycles counts cycles in [from, to) during which SM smID issued
-// no instruction: a span whose chunk was never allocated is all exposed,
-// so an SM registered by IssueSlot that never issued reads as fully
-// exposed. An SM IssueSlot never saw reads 0.
-func (t *Tracker) exposedCycles(smID int, from, to sim.Cycle) sim.Cycle {
-	if smID < 0 || smID >= len(t.issued) || to <= from {
-		return 0
-	}
-	dir := t.issued[smID]
-	first, last := from/64, (to-1)/64
-	// Count the issued cycles of whole words first..last, a chunk's
-	// slice at a time, then drop those before from and from to on.
-	hidden := 0
-	for k := first / chunkWords; k <= last/chunkWords && k < sim.Cycle(len(dir)); k++ {
-		if ch := dir[k]; ch != nil {
-			base := k * chunkWords
-			for _, w := range ch[max(first, base)-base : min(last, base+chunkWords-1)-base+1] {
-				hidden += bits.OnesCount64(w)
-			}
-		}
-	}
-	hidden -= bits.OnesCount64(issueWord(dir, first) & (1<<(from%64) - 1))
-	if to%64 != 0 {
-		hidden -= bits.OnesCount64(issueWord(dir, last) &^ (1<<(to%64) - 1))
-	}
-	return (to - from) - sim.Cycle(hidden)
-}
-
-// issueWord returns word w of an issue bitmap, 0 in an unallocated chunk.
-func issueWord(dir []*issueChunk, w sim.Cycle) uint64 {
-	if k := w / chunkWords; k < sim.Cycle(len(dir)) && dir[k] != nil {
-		return dir[k][w%chunkWords]
-	}
-	return 0
-}
+func (t *Tracker) Reset() { *t = Tracker{keep: t.keep} }

@@ -4,10 +4,8 @@ import (
 	"math"
 	"math/rand/v2"
 	"reflect"
-	"runtime"
 	"slices"
 	"testing"
-	"unsafe"
 
 	"gpulat/internal/config"
 	"gpulat/internal/gpu"
@@ -79,7 +77,7 @@ func fillDistinct(tr *Tracker, n int) []wide {
 func TestTrackerStorageOrder(t *testing.T) {
 	threeChunks := firstChunk + 2*firstChunk + 4*firstChunk
 	for _, n := range []int{0, 1, firstChunk, firstChunk + 1, threeChunks + 7, 3*maxChunk + 5} {
-		tr := NewTracker()
+		tr := NewTracker(KeepRecords)
 		for round := 0; round < 2; round++ {
 			want := fillDistinct(tr, n)
 			if tr.Len() != n {
@@ -99,7 +97,7 @@ func TestTrackerStorageOrder(t *testing.T) {
 // TestTrackerAllStopsEarly: breaking out of the iteration is honoured
 // mid-chunk and across a chunk boundary.
 func TestTrackerAllStopsEarly(t *testing.T) {
-	tr := NewTracker()
+	tr := NewTracker(KeepRecords)
 	fillDistinct(tr, 3*firstChunk)
 	for _, stopAt := range []int{1, firstChunk, firstChunk + 3} {
 		seen := 0
@@ -132,20 +130,23 @@ func TestMeanLoadLatency(t *testing.T) {
 // same issue activity, which the per-kernel view deliberately keeps.
 func TestKernelExposureEqualsExposureOfKept(t *testing.T) {
 	all, only := NewTracker(), NewTracker()
-	for c := sim.Cycle(0); c < 4000; c++ {
-		for smID := 0; smID < 2; smID++ {
-			issued := int((c/7 + sim.Cycle(smID)) % 3)
-			all.IssueSlot(smID, c, issued)
-			only.IssueSlot(smID, c, issued)
+	// SM smID issues in cycle c unless (c/7 + smID) % 3 == 0.
+	hidden := func(smID int, from, to sim.Cycle) (n sim.Cycle) {
+		for c := from; c < to; c++ {
+			if (c/7+sim.Cycle(smID))%3 != 0 {
+				n++
+			}
 		}
+		return n
 	}
 	var hit [NumStages]sim.Cycle
 	for i := 0; i < 5*firstChunk; i++ {
 		smID, kernel, issue := i%2, i/2%2, sim.Cycle(13*i)
 		ret := issue + 20 + sim.Cycle(i*i%400)
-		feedKernel(all, smID, kernel, issue, ret, hit)
+		h := hidden(smID, issue, ret)
+		feedKernel(all, smID, kernel, issue, ret, h, hit)
 		if kernel == 1 {
-			feedKernel(only, smID, kernel, issue, ret, hit)
+			feedKernel(only, smID, kernel, issue, ret, h, hit)
 		}
 	}
 	agg := all.Aggregate()
@@ -228,8 +229,8 @@ func TestCompactRecordsMatchStageLogs(t *testing.T) {
 		for _, engine := range []sim.Engine{sim.EngineTick, sim.EngineEvent} {
 			cfg := config.GF106()
 			cfg.Engine = engine
-			obs := &keepingObserver{tr: NewTracker()}
-			if err := do(gpu.NewWithObservers(cfg, obs, obs.tr)); err != nil {
+			obs := &keepingObserver{tr: NewTracker(KeepRecords)}
+			if err := do(gpu.NewWithObservers(cfg, obs, nil)); err != nil {
 				t.Fatalf("%s (%s): %v", name, engine, err)
 			}
 			got := widen(flat(obs.tr))
@@ -258,7 +259,8 @@ func TestCompactRecordsMatchStageLogs(t *testing.T) {
 
 // TestRequestDoneRejectsOverflow: a load that does not fit the compact
 // record is a bad log, never a stored, wrapped value; the widest load
-// that fits is stored exactly.
+// that fits is stored exactly. So is a load whose issue stamps claim
+// more hidden cycles than its latency: it cannot be folded.
 func TestRequestDoneRejectsOverflow(t *testing.T) {
 	load := func(issue, ret sim.Cycle, kernel int) *mem.Request {
 		l := &mem.StageLog{}
@@ -274,15 +276,20 @@ func TestRequestDoneRejectsOverflow(t *testing.T) {
 		{"latency 2^32", load(issue, issue+1<<32, 0)},
 		{"kernel 2^31", load(issue, issue+10, 1<<31)},
 		{"warp 256", &mem.Request{Warp: 256, Log: load(issue, issue+10, 0).Log}},
+		{"11 hidden cycles of 10", func() *mem.Request {
+			r := load(issue, issue+10, 0)
+			r.Log.IssueStamp, r.Log.ReturnStamp = 7, 18
+			return r
+		}()},
 	} {
-		tr := NewTracker()
+		tr := NewTracker(KeepRecords)
 		tr.RequestDone(0, tc.req)
 		if tr.Len() != 0 || tr.BadLogs() != 1 {
 			t.Fatalf("%s: %d records stored (first %+v), %d bad logs; want none stored, one bad log",
 				tc.name, tr.Len(), widen(flat(tr)), tr.BadLogs())
 		}
 	}
-	tr := NewTracker()
+	tr := NewTracker(KeepRecords)
 	tr.RequestDone(0, load(issue, issue+math.MaxUint32, math.MinInt32))
 	if got := widen(flat(tr)); tr.BadLogs() != 0 || len(got) != 1 ||
 		got[0].InstTotal != math.MaxUint32 || got[0].Total != math.MaxUint32 ||
@@ -291,7 +298,8 @@ func TestRequestDoneRejectsOverflow(t *testing.T) {
 	}
 }
 
-// TestExposedCyclesMatchesNaive: seeded random issue patterns on three
+// TestExposedCyclesMatchesNaive: the exposure oracle's issue bitmap
+// (aggregate_test.go) is right. Seeded random issue patterns on three
 // SMs over several bitmap chunks, with silent gaps longer than a chunk
 // (chunks that are never allocated), and query spans that cross chunk
 // boundaries, start before the first issue, run past the last chunk or
@@ -299,7 +307,7 @@ func TestRequestDoneRejectsOverflow(t *testing.T) {
 func TestExposedCyclesMatchesNaive(t *testing.T) {
 	const span = 64 * chunkWords
 	rng := rand.New(rand.NewPCG(35, 1))
-	tr := NewTracker()
+	tr := &issueBitmap{}
 	end := sim.Cycle(7 * span)
 	var issued [4][]bool // per SM, per cycle
 	for sm := range issued {
@@ -348,25 +356,35 @@ func TestExposedCyclesMatchesNaive(t *testing.T) {
 	}
 }
 
-// TestIssueBitmapAllocatesOnce: 2^22 cycles of IssueSlot on one SM
-// allocate the bitmap's own bits (N/8 bytes) plus at most one chunk and
-// the directory — each chunk once, none re-copied. A bitmap grown by
-// append one word at a time allocates 2,512,152 bytes here (4.8 × N/8).
-func TestIssueBitmapAllocatesOnce(t *testing.T) {
-	const n = 1 << 22
-	tr := NewTracker()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for c := sim.Cycle(0); c < n; c++ {
-		tr.IssueSlot(0, c, int(c%2))
+// chaseTracker runs a single-thread DRAM pointer chase of accesses
+// loads on GF100 (2 MiB ring, 512-byte stride) under engine and returns
+// its fold-only tracker.
+func chaseTracker(t *testing.T, engine sim.Engine, accesses int) *Tracker {
+	t.Helper()
+	wl, err := kernels.PChase(kernels.PChaseConfig{Base: 0x10000, StrideBytes: 512, FootprintBytes: 2 << 20, Accesses: accesses})
+	if err != nil {
+		t.Fatal(err)
 	}
-	runtime.ReadMemStats(&after)
-	chunks := n / (64 * chunkWords)
-	dir := 2 * chunks * int(unsafe.Sizeof((*issueChunk)(nil))) // a doubling append's total
-	budget := n/8 + int(unsafe.Sizeof(issueChunk{})) + dir + 64
-	if got := int(after.TotalAlloc - before.TotalAlloc); got > budget {
-		t.Fatalf("%d cycles of IssueSlot allocated %d bytes; budget %d (N/8 + one chunk + directory)", n, got, budget)
+	cfg := config.GF100()
+	cfg.Engine = engine
+	res, err := RunDynamic(cfg, wl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Tracker.Len() != accesses || res.Tracker.BadLogs() != 0 {
+		t.Fatalf("%d-access chase: %d loads tracked, %d bad logs", accesses, res.Tracker.Len(), res.Tracker.BadLogs())
+	}
+	return res.Tracker
+}
+
+// TestTrackerMemoryIndependentOfRunLength: a fold-only tracker keeps one
+// cell per distinct latency, so a DRAM chase ten times as long leaves it
+// exactly as large; nothing it holds grows with loads or cycles.
+func TestTrackerMemoryIndependentOfRunLength(t *testing.T) {
+	short, long := chaseTracker(t, sim.EngineEvent, 2000), chaseTracker(t, sim.EngineEvent, 20000)
+	if s, l := short.Footprint(), long.Footprint(); s != l || s == 0 {
+		t.Fatalf("tracker footprint after a 2,000-access chase %d B, after 20,000 %d B; want equal", s, l)
 	} else {
-		t.Logf("%d cycles of IssueSlot allocated %d bytes (N/8 = %d, budget %d)", n, got, n/8, budget)
+		t.Logf("tracker footprint %d B after 2,000 and after 20,000 accesses", s)
 	}
 }

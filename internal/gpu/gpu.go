@@ -1,9 +1,10 @@
 // Package gpu assembles the full simulated GPU: the SMs, the request and
 // reply interconnection networks, and the memory partitions, plus the
 // block dispatcher and the top-level run loops. It is the integration
-// point where the paper's two instrumentation hooks attach: the per-
-// request stage logs flowing through the memory system, and the per-SM
-// per-cycle issue accounting used for the exposed-latency analysis.
+// point where the paper's instrumentation attaches: the per-request stage
+// logs flowing through the memory system, which also carry the two
+// issue-cycle stamps each SM takes for the exposed-latency analysis, and
+// an optional per-SM per-cycle issue observer.
 //
 // Two engines drive the device through one cycle body (step), the only
 // place the phase order is written. The cycle-driven loop (Step) runs it
@@ -93,9 +94,10 @@ func (c Config) validate() error {
 	return nil
 }
 
-// IssueObserver receives per-cycle issue accounting (the exposed-latency
-// instrumentation). Implementations must be cheap: called once per SM per
-// cycle.
+// IssueObserver receives per-cycle issue accounting: called once per
+// ticked SM per stepped cycle, so implementations must be cheap. The
+// exposed-latency analysis does not need it (a load's StageLog carries
+// its SM's issue-cycle stamps); tests use it as a per-cycle oracle.
 type IssueObserver interface {
 	IssueSlot(smID int, c sim.Cycle, issued int)
 }
@@ -123,6 +125,7 @@ type GPU struct {
 	ticked []*sm.SM
 
 	issueObs IssueObserver
+	reqPool  *mem.RequestPool
 
 	cycle sim.Cycle
 
@@ -158,7 +161,7 @@ func New(cfg Config) *GPU {
 }
 
 // NewWithObservers constructs a GPU wiring the latency observer (request
-// completions) and the issue observer (exposure accounting).
+// completions) and the issue observer (per-cycle issue accounting).
 func NewWithObservers(cfg Config, obs mem.Observer, issueObs IssueObserver) *GPU {
 	if err := cfg.validate(); err != nil {
 		panic(err)
@@ -189,13 +192,13 @@ func NewWithObservers(cfg Config, obs mem.Observer, issueObs IssueObserver) *GPU
 	// and partition boundaries, so the pool must too. Reuse order can
 	// only change pointer identity — every component keys requests by
 	// Request.ID, so simulated results are unaffected.
-	reqPool := &mem.RequestPool{}
+	g.reqPool = &mem.RequestPool{}
 	for _, s := range g.sms {
 		s.SetBlockRetireObserver(g.noteBlockRetired)
-		s.SetRequestPool(reqPool)
+		s.SetRequestPool(g.reqPool)
 	}
 	for _, p := range g.parts {
-		p.SetRequestPool(reqPool)
+		p.SetRequestPool(g.reqPool)
 	}
 	return g
 }
@@ -334,6 +337,10 @@ func (g *GPU) SMs() []*sm.SM { return g.sms }
 
 // Partitions exposes the memory partitions (stats and tests).
 func (g *GPU) Partitions() []*mempart.Partition { return g.parts }
+
+// RequestPool exposes the device's request free list (conservation
+// tests: nothing is outstanding once the device is done).
+func (g *GPU) RequestPool() *mem.RequestPool { return g.reqPool }
 
 // Launch enqueues kernel k on the default stream and dispatches as many
 // of its blocks as fit right now. Invalid grid or block dimensions are

@@ -148,6 +148,28 @@ func TestPChaseRingSetup(t *testing.T) {
 	}
 }
 
+// TestPChaseSetupWritesWhatTheChaseReads: Setup writes the ring's first
+// min(n, Accesses) elements, the ones a run of Accesses loads reads, and
+// no more, and the run still ends on the right pointer. With one element
+// a page, the pages the memory allocates count the elements written.
+func TestPChaseSetupWritesWhatTheChaseReads(t *testing.T) {
+	const n, page = 24, 4096
+	for _, accesses := range []int{1, 7, n, n + 5, 3*n + 2} {
+		wl, err := PChase(PChaseConfig{Base: 0x10000, StrideBytes: page, FootprintBytes: n * page, Accesses: accesses})
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := testGPU()
+		wl.Setup(g.Memory)
+		if got, want := g.Memory.Footprint(), uint64(min(n, accesses)*page); got != want {
+			t.Fatalf("%d accesses of a %d-element ring: setup wrote %d bytes of pages, want %d", accesses, n, got, want)
+		}
+		if _, err := Run(g, wl); err != nil {
+			t.Fatalf("%d accesses of a %d-element ring: %v", accesses, n, err)
+		}
+	}
+}
+
 func TestBFSMatchesCPUReference(t *testing.T) {
 	for _, tc := range []struct {
 		name string

@@ -93,8 +93,10 @@ func PChase(cfg PChaseConfig) (*Workload, error) {
 		k.LocalBytesPerThread = cfg.FootprintBytes + uint32(cfg.Base)
 	}
 
+	// A run of Accesses loads reads the ring's first min(n, Accesses)
+	// elements; the rest are never touched and stay unwritten.
 	setup := func(m *mem.Memory) {
-		for i := 0; i < n; i++ {
+		for i := 0; i < min(n, cfg.Accesses); i++ {
 			cur := cfg.Base + uint64(i)*uint64(cfg.StrideBytes)
 			next := cfg.Base + uint64((i+1)%n)*uint64(cfg.StrideBytes)
 			m.Store32(cur, uint32(next))

@@ -19,7 +19,14 @@ package mem
 type RequestPool struct {
 	reqs []*Request
 	logs []*StageLog
+	// out and logsOut count the requests and logs Get handed out that
+	// Put has not taken back.
+	out, logsOut int
 }
+
+// Outstanding returns the requests and stage logs handed out and not yet
+// released: both are 0 once a device has drained.
+func (p *RequestPool) Outstanding() (reqs, logs int) { return p.out, p.logsOut }
 
 // Get returns a zeroed request, with a zeroed StageLog attached when
 // tracked is true (load-latency instrumentation), reusing released
@@ -44,6 +51,7 @@ func (p *RequestPool) Get(tracked bool) *Request {
 			lg, p.logs = p.logs[n-1], p.logs[:n-1]
 		}
 	}
+	p.out++
 	if r == nil {
 		r = &Request{}
 	} else {
@@ -53,6 +61,7 @@ func (p *RequestPool) Get(tracked bool) *Request {
 		if lg == nil {
 			lg = &StageLog{}
 		}
+		p.logsOut++
 		r.Log = lg
 	}
 	return r
@@ -76,7 +85,9 @@ func (p *RequestPool) Put(r *Request) {
 		*lg = StageLog{}
 	}
 	p.reqs = append(p.reqs, r)
+	p.out--
 	if lg != nil {
 		p.logs = append(p.logs, lg)
+		p.logsOut--
 	}
 }

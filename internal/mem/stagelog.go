@@ -82,6 +82,13 @@ type StageLog struct {
 	MergedAtL1 bool
 	// MergedAtL2 is true when the request merged at the L2 MSHRs.
 	MergedAtL2 bool
+
+	// IssueStamp and ReturnStamp are the issuing SM's count of issue
+	// cycles (cycles in which it issued at least one instruction) before
+	// PtIssue and before PtReturnSM: their difference is the part of the
+	// load's instruction-visible latency the SM hid by issuing other
+	// work, the rest is exposed (Figure 2).
+	IssueStamp, ReturnStamp uint64
 }
 
 // Mark records that the request crossed point p at cycle c. Marking the

@@ -350,6 +350,7 @@ func (p *Partition) accessL2(c sim.Cycle) {
 			p.hit.Push(c, r)
 		} else {
 			p.stats.StoresDrained++
+			p.pool.Put(r) // a store that hits retires here
 		}
 	case cache.HitReserved:
 		// Parked on the MSHR; completes at fill time.

@@ -137,21 +137,21 @@ func resolveConfig(job Job) (gpu.Config, error) {
 
 // RunWorkload executes job's workload with instrumentation (the
 // KindDynamic payload builder, exported for callers that need the full
-// DynamicResult, every load record included, rather than scalar
-// metrics).
-func RunWorkload(cfg gpu.Config, job Job) (*core.DynamicResult, error) {
+// DynamicResult rather than scalar metrics); opts configure its tracker,
+// core.KeepRecords to keep every load record.
+func RunWorkload(cfg gpu.Config, job Job, opts ...core.TrackerOption) (*core.DynamicResult, error) {
 	if job.Kernel == "bfs" {
 		mk, err := buildBFS(job)
 		if err != nil {
 			return nil, err
 		}
-		return core.RunDynamicMulti(cfg, mk)
+		return core.RunDynamicMulti(cfg, mk, opts...)
 	}
 	wl, err := kernels.NewByName(job.Kernel, job.Options.scale(), job.Seed)
 	if err != nil {
 		return nil, err
 	}
-	return core.RunDynamic(cfg, wl)
+	return core.RunDynamic(cfg, wl, opts...)
 }
 
 // bfsAttachEdges is the edges each new vertex of a job's scale-free
@@ -174,9 +174,6 @@ func execDynamic(res *Result, cfg gpu.Config, job Job) error {
 	if err != nil {
 		return err
 	}
-	// The payload outlives the job (a grid keeps every result until the
-	// sweep ends); its reports need only the aggregate, not the records.
-	dr.Release()
 	res.Payload = dr
 	sum := dr.LoadSummary()
 	bd := dr.Breakdown(job.Options.buckets())

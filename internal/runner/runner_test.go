@@ -279,11 +279,11 @@ func TestBFSTooFewVerticesIsAnError(t *testing.T) {
 	}
 }
 
-// TestDynamicPayloadKeepsNoRecords: a finished dynamic job's payload
-// keeps the aggregate its reports read, not the tracker's load records
-// or issue bitmaps, so a grid held until the sweep ends does not hold
-// every job's loads. It logs the live heap each result retains beside
-// the tracker storage the same job holds when run through RunWorkload.
+// TestDynamicPayloadKeepsNoRecords: a finished dynamic or co-run job's
+// payload keeps the per-latency cells its reports read, not a record per
+// load, so a grid held until the sweep ends does not hold every job's
+// loads. It logs the live heap each result retains beside the tracker
+// storage the same job holds when run with its records kept.
 func TestDynamicPayloadKeepsNoRecords(t *testing.T) {
 	liveHeap := func() int64 {
 		runtime.GC()
@@ -293,6 +293,8 @@ func TestDynamicPayloadKeepsNoRecords(t *testing.T) {
 	}
 	jobs := Grid{Kind: KindDynamic, Archs: []string{"GF106"}, Kernels: []string{"bfs", "spmv", "vecadd"},
 		Variants: []Options{{TestScale: true}, {TestScale: true, Label: "again"}}}.Jobs()
+	jobs = append(jobs, Grid{Kind: KindCoRun, Archs: []string{"GF106"}, Kernels: []string{"gather"},
+		Variants: []Options{{TestScale: true, KernelB: "copy"}}}.Jobs()...)
 	before := liveHeap()
 	results := make([]Result, len(jobs))
 	for i, job := range jobs {
@@ -304,27 +306,38 @@ func TestDynamicPayloadKeepsNoRecords(t *testing.T) {
 		if r.Failed() {
 			t.Fatalf("%s: %s", r.Job.Name(), r.Err)
 		}
-		dr := r.Payload.(*core.DynamicResult)
-		if n, b := dr.Tracker.Len(), dr.Tracker.Footprint(); n != 0 || b != 0 {
-			t.Errorf("%s: the payload's tracker keeps %d load records and %d bytes of records and issue bitmaps", r.Job.Name(), n, b)
+		var tr *core.Tracker
+		switch p := r.Payload.(type) {
+		case *core.DynamicResult:
+			tr = p.Tracker
+			if p.Breakdown(8).Requests == 0 || p.Exposure(8).Requests == 0 {
+				t.Errorf("%s: the payload's reports are empty", r.Job.Name())
+			}
+		case *core.CoRunResult:
+			tr = p.Tracker
 		}
-		if dr.Breakdown(8).Requests == 0 || dr.Exposure(8).Requests == 0 {
-			t.Errorf("%s: the released payload's reports are empty", r.Job.Name())
+		records := 0
+		for range tr.All() {
+			records++
+		}
+		if records != 0 || tr.Len() == 0 {
+			t.Errorf("%s: the payload's tracker took %d loads and keeps %d load records (%d bytes)", r.Job.Name(), tr.Len(), records, tr.Footprint())
 		}
 	}
-	var full int
-	for _, job := range jobs[:3] {
+	var full, folded int
+	for i, job := range jobs[:3] {
 		cfg, err := resolveConfig(job)
 		if err != nil {
 			t.Fatal(err)
 		}
-		dr, err := RunWorkload(cfg, job)
+		dr, err := RunWorkload(cfg, job, core.KeepRecords)
 		if err != nil {
 			t.Fatal(err)
 		}
 		full += dr.Tracker.Footprint()
+		folded += results[i].Payload.(*core.DynamicResult).Tracker.Footprint()
 	}
-	t.Logf("live heap grew %d bytes per finished dynamic job over %d jobs; the same jobs' trackers hold %d bytes each when kept whole",
-		per, len(jobs), full/3)
+	t.Logf("live heap grew %d bytes per finished job over %d jobs; the trackers hold %d bytes each, %d when they keep their records",
+		per, len(jobs), folded/3, full/3)
 	runtime.KeepAlive(results)
 }

@@ -22,6 +22,8 @@ type memInst struct {
 	kind      mem.Kind
 	seq       uint64
 	issuedAt  sim.Cycle
+	// issueStamp is the SM's issue-cycle count at issue (SM.issueCycles).
+	issueStamp uint64
 
 	// accesses holds per-lane effective addresses (global address space
 	// for global/local ops; scratchpad offsets for shared ops).
@@ -91,6 +93,7 @@ func (s *SM) issueMemInst(c sim.Cycle, ws int, in *isa.Instruction, passMask uin
 	mi.kind = kind
 	mi.seq = s.instSeq
 	mi.issuedAt = c
+	mi.issueStamp = s.issueCycles
 
 	// The operand rows, and the destination row when a result is kept.
 	// Lanes are visited in ascending order: the order of mi.accesses
@@ -241,6 +244,7 @@ func (s *SM) issueTransaction(c sim.Cycle, mi *memInst) bool {
 		req.Kernel = mi.kernelID
 		if mi.kind == mem.KindLoad {
 			req.Log.Mark(mem.PtIssue, mi.issuedAt)
+			req.Log.IssueStamp = mi.issueStamp
 			req.Log.Mark(mem.PtCreated, c)
 		}
 		mi.pendingReq = req

@@ -235,8 +235,15 @@ type SM struct {
 
 	stats Stats
 
-	// issuedThisCycle is exported to the GPU for exposure accounting.
+	// issuedThisCycle counts the instructions issued in the last ticked
+	// cycle. issueCycles counts the cycles before the current one in
+	// which the SM issued at least one: Tick folds the last ticked
+	// cycle in before anything else runs, and the cycles the event
+	// engine skips issue nothing. A tracked load carries the count taken
+	// at its issue and at its retire (mem.StageLog.IssueStamp,
+	// ReturnStamp); their difference is the latency it hid.
 	issuedThisCycle int
+	issueCycles     uint64
 
 	// Deferred global stores and atomics. A tick never writes the
 	// functional global store: stores and atomics append to memLog and
@@ -593,6 +600,9 @@ func (s *SM) AcceptResponse(c sim.Cycle, r *mem.Request) { s.respQ.Push(c, r) }
 // LDST unit, then instruction issue (downstream-first ordering).
 func (s *SM) Tick(c sim.Cycle) {
 	s.stats.Cycles++
+	if s.issuedThisCycle > 0 {
+		s.issueCycles++
+	}
 	s.issuedThisCycle = 0
 	s.ticked = c
 	s.drainRetire(c)
@@ -673,6 +683,7 @@ func (s *SM) drainRetire(c sim.Cycle) {
 func (s *SM) completeTransaction(c sim.Cycle, comp completion) {
 	if comp.req != nil && comp.req.Log != nil {
 		comp.req.Log.Mark(mem.PtReturnSM, c)
+		comp.req.Log.ReturnStamp = s.issueCycles
 		// The observer delivery is the tracked load's retire point; per
 		// the Observer contract the request is dead afterwards and its
 		// objects go back to the pool.
