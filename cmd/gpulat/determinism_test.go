@@ -61,15 +61,30 @@ func TestEngineDeterminismQuickGrid(t *testing.T) {
 // default flags) exports the same bytes at 1 and 8 workers under either
 // engine, so the event engine's multi-stream horizons merge exactly.
 func TestCoRunDeterminism(t *testing.T) {
-	jobs := corunJobs([]string{"GF100"}, [][2]string{{"pchase", "copy"}, {"gather", "copy"}},
-		[]string{"shared", "spatial"}, runner.DefaultBaseSeed, 24, true)
-	want := runGrid(t, jobs, "tick", 1)
+	want := quickCoRun(t, "tick", 1)
 	for _, tc := range []struct {
 		engine  string
 		workers int
 	}{{"tick", 8}, {"event", 1}, {"event", 8}} {
-		sameExports(t, fmt.Sprintf("corun -engine=%s -j %d", tc.engine, tc.workers), want, runGrid(t, jobs, tc.engine, tc.workers))
+		sameExports(t, fmt.Sprintf("corun -engine=%s -j %d", tc.engine, tc.workers), want, quickCoRun(t, tc.engine, tc.workers))
 	}
+}
+
+// quickCoRuns memoizes quickCoRun per engine and worker count.
+var quickCoRuns = map[string]*runner.ResultSet{}
+
+// quickCoRun is `corun -quick` at its default flags under engine on
+// runner.New(workers).
+func quickCoRun(t *testing.T, engine string, workers int) *runner.ResultSet {
+	t.Helper()
+	memo := fmt.Sprintf("%s/%d", engine, workers)
+	if set, ok := quickCoRuns[memo]; ok {
+		return set
+	}
+	jobs := corunJobs([]string{"GF100"}, [][2]string{{"pchase", "copy"}, {"gather", "copy"}},
+		[]string{"shared", "spatial"}, runner.DefaultBaseSeed, 24, true)
+	quickCoRuns[memo] = runGrid(t, jobs, engine, workers)
+	return quickCoRuns[memo]
 }
 
 // gate holds a backend's jobs until released, and closes started when

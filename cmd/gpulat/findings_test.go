@@ -177,18 +177,52 @@ func TestFigGoldens(t *testing.T) {
 				}
 			}
 		}
-		golden := filepath.Join("testdata", fig+".golden")
-		if os.Getenv("GPULAT_GOLDEN") == "write" {
-			if err := os.WriteFile(golden, got.Bytes(), 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}
-		want, err := os.ReadFile(golden)
-		if err != nil {
-			t.Fatalf("read golden (run with GPULAT_GOLDEN=write to create): %v", err)
-		}
-		if !bytes.Equal(got.Bytes(), want) {
-			t.Errorf("%s differs from %s:\n--- got ---\n%s--- want ---\n%s", fig, golden, got.Bytes(), want)
+		matchGolden(t, fig+".golden", got.Bytes())
+	}
+}
+
+// matchGolden compares got with testdata/<name>, quoting the first line
+// that differs; GPULAT_GOLDEN=write refreshes the file first.
+func matchGolden(t *testing.T, name string, got []byte) {
+	t.Helper()
+	golden := filepath.Join("testdata", name)
+	if os.Getenv("GPULAT_GOLDEN") == "write" {
+		if err := os.WriteFile(golden, got, 0o644); err != nil {
+			t.Fatal(err)
 		}
 	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("read golden (run with GPULAT_GOLDEN=write to create): %v", err)
+	}
+	if bytes.Equal(got, want) {
+		return
+	}
+	gl, wl := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
+	i := 0
+	for i < min(len(gl), len(wl))-1 && gl[i] == wl[i] {
+		i++
+	}
+	t.Errorf("%s differs at line %d:\ngot:  %s\nwant: %s", golden, i+1, gl[i], wl[i])
+}
+
+// TestQuickSuiteGolden compares the long-form CSV of the quick suite,
+// what `bench-suite -quick -csv` writes, with testdata/suite.golden: every
+// metric of every job, where TestPaperFindings keeps only the orderings.
+func TestQuickSuiteGolden(t *testing.T) {
+	var got bytes.Buffer
+	if err := quickSuite(t, "event", 0).WriteCSV(&got); err != nil {
+		t.Fatal(err)
+	}
+	matchGolden(t, "suite.golden", got.Bytes())
+}
+
+// TestCoRunGolden compares the long-form CSV of the quick co-run grid,
+// what `corun -quick -csv` writes, with testdata/corun.golden.
+func TestCoRunGolden(t *testing.T) {
+	var got bytes.Buffer
+	if err := quickCoRun(t, "event", 1).WriteCSV(&got); err != nil {
+		t.Fatal(err)
+	}
+	matchGolden(t, "corun.golden", got.Bytes())
 }
