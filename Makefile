@@ -11,7 +11,7 @@ TMP      = /tmp/gpulat-make
 CLI     := $(TMP)/gpulat-ci
 BUILD_CLI = mkdir -p $(TMP) && $(GO) build -o $(CLI) ./cmd/gpulat
 
-.PHONY: all build test vet fmt alloc-regress alloc-baseline repro repro-quick export-identity serve-smoke bench-harness clean
+.PHONY: all build test vet fmt cover alloc-regress alloc-baseline repro repro-quick export-identity serve-smoke bench-harness clean
 
 all: build vet fmt test
 
@@ -31,6 +31,20 @@ vet:
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
+
+# Coverage report, not a gate: every package's tests measured against
+# every package's statements. Prints each package's share of covered
+# statements, every non-test function at 0% and the total.
+cover:
+	mkdir -p $(TMP)
+	$(GO) test -count=1 -coverpkg=./... -coverprofile=$(TMP)/cover.out ./... > $(TMP)/cover.log || { cat $(TMP)/cover.log; exit 1; }
+	@awk 'NR > 1 { file = $$1; sub(/:.*/, "", file); sub(/\/[^\/]*$$/, "", file); \
+		stmts[$$1] = $$2; pkg[$$1] = file; if ($$3 > 0) hit[$$1] = 1 } \
+		END { for (b in stmts) { total[pkg[b]] += stmts[b]; if (b in hit) covered[pkg[b]] += stmts[b] } \
+		for (p in total) printf "%-36s %5.1f%% of %5d statements\n", p, 100 * covered[p] / total[p], total[p] }' \
+		$(TMP)/cover.out | sort
+	@$(GO) tool cover -func=$(TMP)/cover.out | awk '$$NF == "0.0%" { n++; print } END { print n " functions at 0%" }'
+	@$(GO) tool cover -func=$(TMP)/cover.out | tail -1
 
 # Allocation-regression gate (CI): the per-cycle hot path — coalescer,
 # cache miss+fill, full-device Step — must stay within the committed

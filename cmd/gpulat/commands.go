@@ -328,7 +328,7 @@ func figFlags(fs *flag.FlagSet, p *params) {
 
 func figJobs(p params) ([]runner.Job, error) {
 	jobs := runner.Grid{Kind: runner.KindDynamic, Archs: []string{p.arch}, Kernels: []string{p.kernel},
-		Variants: []runner.Options{{Vertices: p.vertices, Buckets: p.buckets}}}.Jobs()
+		Variants: []runner.Options{{Vertices: p.vertices}}}.Jobs()
 	// Honor the seed verbatim, even 0 (a zero Options.Seed means unpinned).
 	jobs[0].Seed = p.seed
 	return jobs, nil

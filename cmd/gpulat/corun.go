@@ -27,7 +27,7 @@ func parsePairs(s string) ([][2]string, error) {
 
 // corunJobs is the co-run grid: every pair under every placement on
 // every architecture, all variants of a pair at one seed.
-func corunJobs(archs []string, pairs [][2]string, placements []string, seed uint64, buckets int, quick bool) []runner.Job {
+func corunJobs(archs []string, pairs [][2]string, placements []string, seed uint64, quick bool) []runner.Job {
 	var list []runner.Job
 	for _, arch := range archs {
 		for _, pair := range pairs {
@@ -41,7 +41,6 @@ func corunJobs(archs []string, pairs [][2]string, placements []string, seed uint
 						Label:     pair[0] + "+" + pair[1] + "/" + place,
 						KernelB:   pair[1],
 						Overrides: config.Overrides{Placement: place},
-						Buckets:   buckets,
 						TestScale: quick,
 					},
 				})
@@ -63,7 +62,6 @@ func cmdCoRun(args []string) error {
 	pairs := fs.String("pairs", "pchase:copy,gather:copy",
 		"comma-separated workloadA:workloadB pairs (A and B co-run on their own streams)")
 	placements := fs.String("placements", "shared,spatial", "comma-separated placement policies")
-	buckets := fs.Int("buckets", 24, "latency buckets for the per-kernel exposure analyses")
 	quick := fs.Bool("quick", false, "CI smoke scale: tiny inputs")
 	seed := fs.Uint64("seed", runner.DefaultBaseSeed, "input seed (shared by every variant of a pair)")
 	jsonOut := fs.Bool("json", false, "write the ResultSet as JSON to stdout")
@@ -121,7 +119,7 @@ func cmdCoRun(args []string) error {
 		placeList = append(placeList, p)
 	}
 
-	list := corunJobs(archList, pairList, placeList, *seed, *buckets, *quick)
+	list := corunJobs(archList, pairList, placeList, *seed, *quick)
 	set, err := runJobs(list, *jobs, !*quiet, *engine, exec)
 	if err != nil {
 		return err

@@ -82,7 +82,7 @@ func quickCoRun(t *testing.T, engine string, workers int) *runner.ResultSet {
 		return set
 	}
 	jobs := corunJobs([]string{"GF100"}, [][2]string{{"pchase", "copy"}, {"gather", "copy"}},
-		[]string{"shared", "spatial"}, runner.DefaultBaseSeed, 24, true)
+		[]string{"shared", "spatial"}, runner.DefaultBaseSeed, true)
 	quickCoRuns[memo] = runGrid(t, jobs, engine, workers)
 	return quickCoRuns[memo]
 }

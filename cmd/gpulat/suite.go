@@ -48,7 +48,7 @@ func suiteParams(e experiment, quick bool) params {
 	if e.flags != nil {
 		e.flags(flag.NewFlagSet(e.name, flag.ContinueOnError), &p)
 	}
-	p.vertices, p.buckets, p.cycles = 0, 0, 0
+	p.vertices, p.cycles = 0, 0
 	if quick {
 		p.accesses, p.vertices, p.cycles = 48, 1<<9, 8_000
 	}

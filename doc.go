@@ -88,7 +88,10 @@
 // epoch-versioned ring (`gpulat backends`, `serve -join`), joiners are
 // warmed by cache transfer instead of recompute, and `serve -journal`
 // write-ahead journals in-flight grids across coordinator crashes.
-// Figure 2's
-// exposure report renders half-open latency buckets — [lo,hi), last
-// bucket inclusive — so a boundary load belongs to exactly one bucket.
+//
+// Figures 1 and 2 bin a run's loads by one rule: half-open latency
+// buckets — [lo,hi), last bucket inclusive — so a boundary load belongs
+// to exactly one bucket. Both read the per-latency cells the Tracker
+// folds each load into as it retires. The bucket count is a rendering
+// choice: no job metric depends on it, so it is not part of a Job.
 package gpulat

@@ -85,7 +85,7 @@ func ExampleRunCoRun() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, err := gpulat.RunCoRun(cfg, pair, 24)
+		res, err := gpulat.RunCoRun(cfg, pair)
 		if err != nil {
 			log.Fatal(err)
 		}

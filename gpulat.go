@@ -39,11 +39,10 @@ type (
 	Exposure = core.ExposureReport
 	// DynamicResult is an instrumented workload run.
 	DynamicResult = core.DynamicResult
-	// Tracker is the latency instrumentation observer.
+	// Tracker is the latency instrumentation observer. It folds each
+	// load into per-latency sums as it retires, and every report
+	// (Breakdown, Exposure, LoadSummary, ...) reads them in place.
 	Tracker = core.Tracker
-	// LoadAggregate is a run's loads folded into per-latency sums, the
-	// input of every report (DynamicResult.Aggregate).
-	LoadAggregate = core.LoadAggregate
 	// SweepPoint is one cell of the stride×footprint latency surface.
 	SweepPoint = core.SweepPoint
 	// Graph is a CSR graph for the BFS workload.
@@ -117,8 +116,10 @@ func NewCoRun(nameA, nameB string, scale Scale, seedA, seedB uint64) (*CoRunPair
 
 // RunCoRun co-schedules a pair on independent streams under
 // cfg.Placement and reports per-kernel residency, latency, and exposure.
-func RunCoRun(cfg Config, pair *CoRunPair, buckets int) (*CoRunResult, error) {
-	return core.RunCoRun(cfg, pair, buckets)
+// Per-bucket views of a kernel's exposure come from the result's Tracker
+// (KernelExposure).
+func RunCoRun(cfg Config, pair *CoRunPair) (*CoRunResult, error) {
+	return core.RunCoRun(cfg, pair)
 }
 
 // The simulation-as-a-service layer: a persistent content-addressed

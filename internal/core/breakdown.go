@@ -17,15 +17,15 @@ type BreakdownBucket struct {
 }
 
 // Pct returns stage s's share of the bucket's total latency in percent.
-func (b *BreakdownBucket) Pct(s Stage) float64 {
-	total := sim.Cycle(0)
-	for _, v := range b.StageSum {
-		total += v
-	}
+func (b *BreakdownBucket) Pct(s Stage) float64 { return stagePct(&b.StageSum, s) }
+
+// stagePct returns stage s's share of the cycles in sum in percent.
+func stagePct(sum *[NumStages]sim.Cycle, s Stage) float64 {
+	total := TotalOf(*sum)
 	if total == 0 {
 		return 0
 	}
-	return 100 * float64(b.StageSum[s]) / float64(total)
+	return 100 * float64(sum[s]) / float64(total)
 }
 
 // BreakdownReport is the per-bucket latency breakdown of Figure 1: for
@@ -41,39 +41,79 @@ type BreakdownReport struct {
 	Requests   int
 }
 
-// Breakdown builds the Figure 1 report with the requested number of
-// buckets spanning [min, max] observed latency. numBuckets ≈ 48
-// reproduces the paper's bucket count.
-func (a *LoadAggregate) Breakdown(workload, arch string, numBuckets int) *BreakdownReport {
-	if len(a.life) == 0 || numBuckets <= 0 {
+// bins is the latency axis both figures bucket on: n buckets of width
+// cycles from lo. Bucket i is [lo+i·width, lo+(i+1)·width), half-open,
+// except the last, which is inclusive, so a load on a boundary counts in
+// exactly one bucket (the higher one); rangeLabel prints that rule.
+type bins struct {
+	lo, width sim.Cycle
+	n         int
+}
+
+// binsOver splits [lo, hi] into n equal buckets.
+func binsOver(lo, hi sim.Cycle, n int) bins {
+	return bins{lo, (hi - lo + sim.Cycle(n)) / sim.Cycle(n), n}
+}
+
+// edges returns bucket i's Lo and Hi.
+func (b bins) edges(i int) (lo, hi sim.Cycle) {
+	return b.lo + sim.Cycle(i)*b.width, b.lo + sim.Cycle(i+1)*b.width
+}
+
+// of returns the index of the bucket latency v falls in.
+func (b bins) of(v sim.Cycle) int { return min(int((v-b.lo)/b.width), b.n-1) }
+
+// rangeLabel renders a bucket's range as [lo,hi), or [lo,hi] for the
+// last bucket. The old "lo-hi" spelling made adjacent buckets appear to
+// overlap (bucket i's Hi is bucket i+1's Lo), so a boundary load read as
+// belonging to two buckets when the binning puts it in exactly one.
+func rangeLabel(lo, hi sim.Cycle, last bool) string {
+	if last {
+		return fmt.Sprintf("[%d,%d]", lo, hi)
+	}
+	return fmt.Sprintf("[%d,%d)", lo, hi)
+}
+
+// Breakdown builds the Figure 1 report over the tracker's loads with the
+// requested number of buckets spanning [min, max] observed latency.
+// numBuckets ≈ 48 reproduces the paper's bucket count.
+func (t *Tracker) Breakdown(workload, arch string, numBuckets int) *BreakdownReport {
+	if t.n == 0 || numBuckets <= 0 {
 		return &BreakdownReport{Workload: workload, Arch: arch}
 	}
-	lo, hi := a.life[0].total, a.life[len(a.life)-1].total
-	width := (hi - lo + sim.Cycle(numBuckets)) / sim.Cycle(numBuckets)
-	return a.breakdownBuckets(workload, arch, lo, width, numBuckets)
+	lo, hi := t.lifeRange()
+	return t.breakdown(workload, arch, binsOver(lo, hi, numBuckets))
 }
 
 // BreakdownWidth builds the Figure 1 report with fixed-width latency
 // buckets (the paper uses ≈38-cycle buckets), however many are needed to
 // cover the observed range.
-func (a *LoadAggregate) BreakdownWidth(workload, arch string, width sim.Cycle) *BreakdownReport {
-	if len(a.life) == 0 || width == 0 {
+func (t *Tracker) BreakdownWidth(workload, arch string, width sim.Cycle) *BreakdownReport {
+	if t.n == 0 || width == 0 {
 		return &BreakdownReport{Workload: workload, Arch: arch}
 	}
-	lo, hi := a.life[0].total, a.life[len(a.life)-1].total
-	return a.breakdownBuckets(workload, arch, lo, width, int((hi-lo)/width)+1)
+	lo, hi := t.lifeRange()
+	return t.breakdown(workload, arch, bins{lo, width, int((hi-lo)/width) + 1})
 }
 
-func (a *LoadAggregate) breakdownBuckets(workload, arch string, lo, width sim.Cycle, numBuckets int) *BreakdownReport {
-	rep := &BreakdownReport{Workload: workload, Arch: arch}
-	rep.Buckets = make([]BreakdownBucket, numBuckets)
-	for i := range rep.Buckets {
-		rep.Buckets[i].Lo = lo + sim.Cycle(i)*width
-		rep.Buckets[i].Hi = lo + sim.Cycle(i+1)*width
+// lifeRange returns the shortest and longest request lifetime taken.
+func (t *Tracker) lifeRange() (lo, hi sim.Cycle) {
+	lo = sim.Never
+	for i := range t.life {
+		lo, hi = min(lo, t.life[i].total), max(hi, t.life[i].total)
 	}
-	for i := range a.life {
-		c := &a.life[i]
-		b := &rep.Buckets[min(int((c.total-lo)/width), numBuckets-1)]
+	return lo, hi
+}
+
+func (t *Tracker) breakdown(workload, arch string, bins bins) *BreakdownReport {
+	rep := &BreakdownReport{Workload: workload, Arch: arch}
+	rep.Buckets = make([]BreakdownBucket, bins.n)
+	for i := range rep.Buckets {
+		rep.Buckets[i].Lo, rep.Buckets[i].Hi = bins.edges(i)
+	}
+	for i := range t.life {
+		c := &t.life[i]
+		b := &rep.Buckets[bins.of(c.total)]
 		b.Count += c.count
 		for s, d := range c.stage {
 			b.StageSum[s] += d
@@ -82,18 +122,6 @@ func (a *LoadAggregate) breakdownBuckets(workload, arch string, lo, width sim.Cy
 		rep.Requests += c.count
 	}
 	return rep
-}
-
-// Breakdown is the Figure 1 report over the tracker's loads; see
-// LoadAggregate.Breakdown.
-func (t *Tracker) Breakdown(workload, arch string, numBuckets int) *BreakdownReport {
-	return t.Aggregate().Breakdown(workload, arch, numBuckets)
-}
-
-// BreakdownWidth is the fixed-width Figure 1 report over the tracker's
-// loads; see LoadAggregate.BreakdownWidth.
-func (t *Tracker) BreakdownWidth(workload, arch string, width sim.Cycle) *BreakdownReport {
-	return t.Aggregate().BreakdownWidth(workload, arch, width)
 }
 
 // TopContributors returns the stages ranked by total contribution
@@ -111,28 +139,11 @@ func (r *BreakdownReport) TopContributors() []Stage {
 }
 
 // TotalPct returns stage s's share of all request lifetime in percent.
-func (r *BreakdownReport) TotalPct(s Stage) float64 {
-	var total sim.Cycle
-	for _, v := range r.TotalStage {
-		total += v
-	}
-	if total == 0 {
-		return 0
-	}
-	return 100 * float64(r.TotalStage[s]) / float64(total)
-}
+func (r *BreakdownReport) TotalPct(s Stage) float64 { return stagePct(&r.TotalStage, s) }
 
-// RangeLabel renders bucket i's latency range under the same half-open
-// convention ExposureReport uses: [lo,hi) everywhere except the last
-// bucket, which is inclusive — bucket i's Hi equals bucket i+1's Lo, so
-// the old "lo-hi" spelling made a boundary load read as a member of two
-// buckets when the binning puts it in exactly one.
+// RangeLabel renders bucket i's latency range (see rangeLabel).
 func (r *BreakdownReport) RangeLabel(i int) string {
-	b := &r.Buckets[i]
-	if i == len(r.Buckets)-1 {
-		return fmt.Sprintf("[%d,%d]", b.Lo, b.Hi)
-	}
-	return fmt.Sprintf("[%d,%d)", b.Lo, b.Hi)
+	return rangeLabel(r.Buckets[i].Lo, r.Buckets[i].Hi, i == len(r.Buckets)-1)
 }
 
 // Render writes the report as an aligned text table (one row per

@@ -60,8 +60,8 @@ type CoRunResult struct {
 // RunCoRun executes a co-run pair on a fresh device built from cfg: A
 // and B are enqueued on their own streams, dispatched under
 // cfg.Placement, run to completion concurrently, and verified
-// independently. buckets sizes the per-kernel exposure analyses.
-func RunCoRun(cfg gpu.Config, pair *kernels.CoRunPair, buckets int) (*CoRunResult, error) {
+// independently.
+func RunCoRun(cfg gpu.Config, pair *kernels.CoRunPair) (*CoRunResult, error) {
 	tr := NewTracker()
 	g := gpu.NewWithObservers(cfg, tr, nil)
 	pair.A.Setup(g.Memory)
@@ -95,20 +95,21 @@ func RunCoRun(cfg gpu.Config, pair *kernels.CoRunPair, buckets int) (*CoRunResul
 		Tracker:   tr,
 		Device:    g.Stats(),
 	}
-	agg := tr.Aggregate()
 	for _, side := range []struct {
 		ks *sched.KernelState
 		wl *kernels.Workload
 	}{{ksA, pair.A}, {ksB, pair.B}} {
-		res.Kernels = append(res.Kernels, coKernelResult(cfg.Name, side.ks, side.wl, agg, buckets))
+		res.Kernels = append(res.Kernels, coKernelResult(cfg.Name, side.ks, side.wl, tr))
 	}
 	return res, nil
 }
 
-func coKernelResult(arch string, ks *sched.KernelState, wl *kernels.Workload, agg *LoadAggregate, buckets int) CoKernelResult {
+// coKernelResult reads one kernel's totals from tr. No bucket count
+// changes a total, so the exposure report takes one bucket.
+func coKernelResult(arch string, ks *sched.KernelState, wl *kernels.Workload, tr *Tracker) CoKernelResult {
 	kst := ks.Stats()
-	lat := agg.KernelLoadSummary(ks.ID)
-	er := agg.KernelExposure(wl.Name, arch, buckets, ks.ID)
+	lat := tr.KernelLoadSummary(ks.ID)
+	er := tr.KernelExposure(wl.Name, arch, 1, ks.ID)
 	return CoKernelResult{
 		KernelID:         ks.ID,
 		Stream:           ks.Stream,

@@ -32,7 +32,7 @@ func TestRunCoRunReconciles(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				res, err := RunCoRun(cfg, pair, 16)
+				res, err := RunCoRun(cfg, pair)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -94,14 +94,13 @@ func TestKernelExposureFilters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunCoRun(cfg, pair, 16)
+	res, err := RunCoRun(cfg, pair)
 	if err != nil {
 		t.Fatal(err)
 	}
-	agg := res.Tracker.Aggregate()
-	all := agg.Exposure("all", "GF106", 16)
-	a := agg.KernelExposure("a", "GF106", 16, 0)
-	b := agg.KernelExposure("b", "GF106", 16, 1)
+	all := res.Tracker.Exposure("all", "GF106", 16)
+	a := res.Tracker.KernelExposure("a", "GF106", 16, 0)
+	b := res.Tracker.KernelExposure("b", "GF106", 16, 1)
 	if a.Requests+b.Requests != all.Requests {
 		t.Fatalf("filtered requests %d+%d != total %d", a.Requests, b.Requests, all.Requests)
 	}

@@ -13,7 +13,7 @@ import (
 // holds a warp or a transaction, every request and stage log the
 // device's pool handed out came back, the tracker read every load's log,
 // every load's stage durations sum to its lifetime, and so do the
-// aggregate's stage sums to the loads' lifetimes.
+// tracker cells' stage sums to the loads' lifetimes.
 func TestDeviceDrainedAtDone(t *testing.T) {
 	for _, name := range kernels.CatalogNames() {
 		for _, engine := range bothEngines {
@@ -52,11 +52,11 @@ func TestDeviceDrainedAtDone(t *testing.T) {
 				lifetimes += r.Total()
 			}
 			var staged sim.Cycle
-			for _, c := range res.Aggregate().life {
+			for _, c := range res.Tracker.life {
 				staged += TotalOf(c.stage)
 			}
 			if staged != lifetimes {
-				t.Errorf("%s/%v: the aggregate's stage sums add to %d cycles, the loads' lifetimes to %d", name, engine, staged, lifetimes)
+				t.Errorf("%s/%v: the tracker's stage sums add to %d cycles, the loads' lifetimes to %d", name, engine, staged, lifetimes)
 			}
 		}
 	}

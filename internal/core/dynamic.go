@@ -8,9 +8,9 @@ import (
 )
 
 // DynamicResult is the outcome of an instrumented workload run. The
-// Figure 1 and Figure 2 reports and the load summary read the
-// LoadAggregate its tracker folded as the run's loads retired; the
-// tracker keeps per-load records only if it was made with KeepRecords.
+// Figure 1 and Figure 2 reports and the load summary read the cells its
+// tracker folded as the run's loads retired; the tracker keeps per-load
+// records only if it was made with KeepRecords.
 type DynamicResult struct {
 	Arch     string
 	Workload string
@@ -26,22 +26,19 @@ type DynamicResult struct {
 	Device *gpu.GPU `json:"-"`
 }
 
-// Aggregate returns the run's per-latency aggregate.
-func (r *DynamicResult) Aggregate() *LoadAggregate { return r.Tracker.Aggregate() }
-
 // Breakdown builds the Figure 1 report over the run's tracked loads.
 func (r *DynamicResult) Breakdown(buckets int) *BreakdownReport {
-	return r.Aggregate().Breakdown(r.Workload, r.Arch, buckets)
+	return r.Tracker.Breakdown(r.Workload, r.Arch, buckets)
 }
 
 // Exposure builds the Figure 2 report over the run's tracked loads.
 func (r *DynamicResult) Exposure(buckets int) *ExposureReport {
-	return r.Aggregate().Exposure(r.Workload, r.Arch, buckets)
+	return r.Tracker.Exposure(r.Workload, r.Arch, buckets)
 }
 
 // LoadSummary summarizes the instruction-visible latency of the run's
 // tracked loads.
-func (r *DynamicResult) LoadSummary() stats.Summary { return r.Aggregate().LoadSummary() }
+func (r *DynamicResult) LoadSummary() stats.Summary { return r.Tracker.LoadSummary() }
 
 // IPC returns device-wide instructions per cycle.
 func (r *DynamicResult) IPC() float64 {

@@ -8,12 +8,9 @@ import (
 	"gpulat/internal/stats"
 )
 
-// ExposureBucket is one latency bucket of the Figure 2 diagram. Buckets
-// are half-open: a load with total latency v belongs to the bucket with
-// Lo <= v < Hi, except the last bucket, which also includes v == Hi —
-// bucket i's Hi equals bucket i+1's Lo, so a load on the boundary counts
-// in exactly one bucket (the higher one). Renderers print the ranges in
-// this [lo,hi) convention.
+// ExposureBucket is one latency bucket of the Figure 2 diagram, binned
+// by the rule Figure 1 shares (see bins): half-open [Lo,Hi), the last
+// bucket inclusive.
 type ExposureBucket struct {
 	Lo, Hi  sim.Cycle
 	Count   int
@@ -22,12 +19,14 @@ type ExposureBucket struct {
 }
 
 // ExposedPct returns the exposed share of bucket latency in percent.
-func (b *ExposureBucket) ExposedPct() float64 {
-	t := b.Exposed + b.Hidden
-	if t == 0 {
+func (b *ExposureBucket) ExposedPct() float64 { return exposedPct(b.Exposed, b.Hidden) }
+
+// exposedPct returns exposed's share of exposed + hidden in percent.
+func exposedPct(exposed, hidden sim.Cycle) float64 {
+	if exposed+hidden == 0 {
 		return 0
 	}
-	return 100 * float64(b.Exposed) / float64(t)
+	return 100 * float64(exposed) / float64(exposed+hidden)
 }
 
 // ExposureReport is the Figure 2 analysis: for each latency bucket, the
@@ -47,12 +46,13 @@ type ExposureReport struct {
 	LoadsMostlyExposed int
 }
 
-// Exposure builds the Figure 2 report. A cycle of a load's lifetime is
-// hidden when the SM issued at least one instruction (from any warp)
-// that cycle, exposed otherwise — the operational form of the paper's
-// "cannot be hidden through the execution of other independent work".
-func (a *LoadAggregate) Exposure(workload, arch string, numBuckets int) *ExposureReport {
-	return exposure(workload, arch, numBuckets, a.inst)
+// Exposure builds the Figure 2 report over the tracker's loads. A cycle
+// of a load's lifetime is hidden when the SM issued at least one
+// instruction (from any warp) that cycle, exposed otherwise — the
+// operational form of the paper's "cannot be hidden through the
+// execution of other independent work".
+func (t *Tracker) Exposure(workload, arch string, numBuckets int) *ExposureReport {
+	return t.KernelExposure(workload, arch, numBuckets, anyKernel)
 }
 
 // KernelExposure is Exposure over one kernel's loads
@@ -61,28 +61,30 @@ func (a *LoadAggregate) Exposure(workload, arch string, numBuckets int) *Exposur
 // hidden/exposed classification still saw every co-resident kernel's
 // issue activity — a load counts as hidden when ANY resident work
 // covered the wait, which is exactly the interference question the
-// co-run experiments ask.
-func (a *LoadAggregate) KernelExposure(workload, arch string, numBuckets, kernel int) *ExposureReport {
-	return exposure(workload, arch, numBuckets, a.kernelCells(kernel))
-}
-
-// exposure buckets cells, which ascend by latency, into the Figure 2
-// report.
-func exposure(workload, arch string, numBuckets int, cells []instCell) *ExposureReport {
+// co-run experiments ask. Exposure passes anyKernel for every kernel's
+// loads.
+func (t *Tracker) KernelExposure(workload, arch string, numBuckets, kernel int) *ExposureReport {
 	rep := &ExposureReport{Workload: workload, Arch: arch}
-	if len(cells) == 0 || numBuckets <= 0 {
+	lo, hi := sim.Never, sim.Cycle(0)
+	for i := range t.inst {
+		if c := &t.inst[i]; kernel == anyKernel || c.kernel == kernel {
+			lo, hi = min(lo, c.inst), max(hi, c.inst)
+		}
+	}
+	if lo > hi || numBuckets <= 0 {
 		return rep
 	}
-	lo, hi := cells[0].inst, cells[len(cells)-1].inst
-	width := (hi - lo + sim.Cycle(numBuckets)) / sim.Cycle(numBuckets)
+	bins := binsOver(lo, hi, numBuckets)
 	rep.Buckets = make([]ExposureBucket, numBuckets)
 	for i := range rep.Buckets {
-		rep.Buckets[i].Lo = lo + sim.Cycle(i)*width
-		rep.Buckets[i].Hi = lo + sim.Cycle(i+1)*width
+		rep.Buckets[i].Lo, rep.Buckets[i].Hi = bins.edges(i)
 	}
-	for i := range cells {
-		c := &cells[i]
-		b := &rep.Buckets[min(int((c.inst-lo)/width), numBuckets-1)]
+	for i := range t.inst {
+		c := &t.inst[i]
+		if kernel != anyKernel && c.kernel != kernel {
+			continue
+		}
+		b := &rep.Buckets[bins.of(c.inst)]
 		b.Count += c.count
 		b.Exposed += c.exposed
 		b.Hidden += c.hidden
@@ -94,19 +96,9 @@ func exposure(workload, arch string, numBuckets int, cells []instCell) *Exposure
 	return rep
 }
 
-// Exposure is the Figure 2 report over the tracker's loads; see
-// LoadAggregate.Exposure.
-func (t *Tracker) Exposure(workload, arch string, numBuckets int) *ExposureReport {
-	return t.Aggregate().Exposure(workload, arch, numBuckets)
-}
-
 // OverallExposedPct returns the exposed share across all loads.
 func (r *ExposureReport) OverallExposedPct() float64 {
-	t := r.TotalExposed + r.TotalHidden
-	if t == 0 {
-		return 0
-	}
-	return 100 * float64(r.TotalExposed) / float64(t)
+	return exposedPct(r.TotalExposed, r.TotalHidden)
 }
 
 // MostlyExposedPct returns the share of loads with >50% exposure.
@@ -117,17 +109,9 @@ func (r *ExposureReport) MostlyExposedPct() float64 {
 	return 100 * float64(r.LoadsMostlyExposed) / float64(r.Requests)
 }
 
-// RangeLabel renders bucket i's latency range under the half-open
-// convention: [lo,hi) everywhere except the last bucket, which is
-// inclusive. The old "lo-hi" spelling made adjacent buckets appear to
-// overlap (bucket i's Hi is bucket i+1's Lo), so a boundary load read as
-// belonging to two buckets when the binning puts it in exactly one.
+// RangeLabel renders bucket i's latency range (see rangeLabel).
 func (r *ExposureReport) RangeLabel(i int) string {
-	b := &r.Buckets[i]
-	if i == len(r.Buckets)-1 {
-		return fmt.Sprintf("[%d,%d]", b.Lo, b.Hi)
-	}
-	return fmt.Sprintf("[%d,%d)", b.Lo, b.Hi)
+	return rangeLabel(r.Buckets[i].Lo, r.Buckets[i].Hi, i == len(r.Buckets)-1)
 }
 
 // Render writes the report as a text table with proportional bars,

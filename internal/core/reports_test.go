@@ -19,9 +19,10 @@ import (
 )
 
 // The record walk below is how the reports were built before the
-// aggregate: straight from the tracker's records and, for exposure, a
-// per-cycle issue bitmap of each SM. It is kept as the slow oracle the
-// aggregate, folded online from issue-cycle stamps, is checked against.
+// tracker folded loads into cells: straight from the tracker's records
+// and, for exposure, a per-cycle issue bitmap of each SM. It is kept as
+// the slow oracle the cells, folded online from issue-cycle stamps, are
+// checked against.
 
 // issueBitmap is a test-only gpu.IssueObserver that keeps, per SM, one
 // bit per cycle: set when the SM issued at least one instruction. Each
@@ -276,19 +277,21 @@ func rendered(r interface {
 	return b.String()
 }
 
-// TestAggregateMatchesRecordWalkProperty: over every catalog kernel and
-// a BFS at test scale, under both engines, with random bucket counts,
-// widths and chart heights, every report built from the aggregate the
-// tracker folded as loads retired equals the record walk's over the
+// TestReportsMatchRecordWalkProperty: over every catalog kernel and a
+// BFS at test scale, under both engines, with random bucket counts,
+// widths and chart heights, every report the tracker builds from the
+// cells it folded as loads retired equals the record walk's over the
 // per-cycle issue bitmap field for field and renders the same bytes in
 // all three views, whole-run and per kernel, and the load summaries and
-// mean are bitwise equal.
-func TestAggregateMatchesRecordWalkProperty(t *testing.T) {
+// mean are bitwise equal. Every total a job metric reads (TotalPct,
+// OverallExposedPct, MostlyExposedPct) is bit-equal to a 1-bucket
+// report's, so no bucket count changes a job's metrics.
+func TestReportsMatchRecordWalkProperty(t *testing.T) {
 	rng := rand.New(rand.NewPCG(41, 41))
 	for _, name := range append(kernels.CatalogNames(), "bfs") {
 		for _, engine := range bothEngines {
 			res := testRun(t, name, engine)
-			tr, agg := res.Tracker, res.Aggregate()
+			tr := res.Tracker
 			n, width, height := 1+rng.IntN(64), sim.Cycle(1+rng.IntN(96)), 1+rng.IntN(30)
 			at := fmt.Sprintf("%s/%v buckets=%d width=%d height=%d", name, engine, n, width, height)
 			same := func(what string, got, want interface {
@@ -298,20 +301,39 @@ func TestAggregateMatchesRecordWalkProperty(t *testing.T) {
 			}) {
 				t.Helper()
 				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("%s: %s from the aggregate differs from the record walk:\ngot  %+v\nwant %+v", at, what, got, want)
+					t.Fatalf("%s: %s from the cells differs from the record walk:\ngot  %+v\nwant %+v", at, what, got, want)
 				}
 				if g, w := rendered(got, height), rendered(want, height); g != w {
-					t.Fatalf("%s: %s renders differ:\n--- aggregate ---\n%s--- record walk ---\n%s", at, what, g, w)
+					t.Fatalf("%s: %s renders differ:\n--- cells ---\n%s--- record walk ---\n%s", at, what, g, w)
 				}
 			}
-			same("Breakdown", agg.Breakdown(name, "GF106", n), walkBreakdown(tr, name, "GF106", n))
-			same("BreakdownWidth", agg.BreakdownWidth(name, "GF106", width), walkBreakdownWidth(tr, name, "GF106", width))
-			same("Exposure", agg.Exposure(name, "GF106", n), walkExposure(tr, res.issued, name, "GF106", n, nil))
+			sameTotals := func(what string, got, one *ExposureReport) {
+				t.Helper()
+				for _, v := range [][2]float64{
+					{got.OverallExposedPct(), one.OverallExposedPct()},
+					{got.MostlyExposedPct(), one.MostlyExposedPct()},
+				} {
+					if math.Float64bits(v[0]) != math.Float64bits(v[1]) {
+						t.Fatalf("%s: %s totals %v differ from a 1-bucket report's %v", at, what, v[0], v[1])
+					}
+				}
+			}
+			bd := tr.Breakdown(name, "GF106", n)
+			same("Breakdown", bd, walkBreakdown(tr, name, "GF106", n))
+			for s, one := Stage(0), tr.Breakdown(name, "GF106", 1); s < NumStages; s++ {
+				if g, w := bd.TotalPct(s), one.TotalPct(s); math.Float64bits(g) != math.Float64bits(w) {
+					t.Fatalf("%s: Breakdown TotalPct(%v) %v differs from a 1-bucket report's %v", at, s, g, w)
+				}
+			}
+			same("BreakdownWidth", tr.BreakdownWidth(name, "GF106", width), walkBreakdownWidth(tr, name, "GF106", width))
+			ex := tr.Exposure(name, "GF106", n)
+			same("Exposure", ex, walkExposure(tr, res.issued, name, "GF106", n, nil))
+			sameTotals("Exposure", ex, tr.Exposure(name, "GF106", 1))
 			all := func(*LoadRecord) bool { return true }
-			if g, w := agg.LoadSummary(), walkSummary(tr, all); summaryBits(g) != summaryBits(w) {
+			if g, w := tr.LoadSummary(), walkSummary(tr, all); summaryBits(g) != summaryBits(w) {
 				t.Fatalf("%s: LoadSummary %+v, record walk %+v", at, g, w)
 			}
-			if g, w := agg.MeanLoadLatency(), walkMeanLoadLatency(tr); math.Float64bits(g) != math.Float64bits(w) {
+			if g, w := tr.MeanLoadLatency(), walkMeanLoadLatency(tr); math.Float64bits(g) != math.Float64bits(w) {
 				t.Fatalf("%s: MeanLoadLatency %v, record walk %v", at, g, w)
 			}
 			var ids []int
@@ -322,8 +344,11 @@ func TestAggregateMatchesRecordWalkProperty(t *testing.T) {
 			}
 			for _, k := range ids {
 				of := func(r *LoadRecord) bool { return r.Kernel() == k }
-				same(fmt.Sprintf("KernelExposure(%d)", k), agg.KernelExposure(name, "GF106", n, k), walkExposure(tr, res.issued, name, "GF106", n, of))
-				if g, w := agg.KernelLoadSummary(k), walkSummary(tr, of); summaryBits(g) != summaryBits(w) {
+				what := fmt.Sprintf("KernelExposure(%d)", k)
+				kx := tr.KernelExposure(name, "GF106", n, k)
+				same(what, kx, walkExposure(tr, res.issued, name, "GF106", n, of))
+				sameTotals(what, kx, tr.KernelExposure(name, "GF106", 1, k))
+				if g, w := tr.KernelLoadSummary(k), walkSummary(tr, of); summaryBits(g) != summaryBits(w) {
 					t.Fatalf("%s: KernelLoadSummary(%d) %+v, record walk %+v", at, k, g, w)
 				}
 			}

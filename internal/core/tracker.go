@@ -7,6 +7,7 @@ import (
 
 	"gpulat/internal/mem"
 	"gpulat/internal/sim"
+	"gpulat/internal/stats"
 )
 
 // LoadRecord is one completed tracked load, reduced to what the analysis
@@ -63,13 +64,15 @@ func (r *LoadRecord) Stages() (dur [NumStages]sim.Cycle) {
 
 // Tracker implements the paper's instrumentation: it observes completed
 // memory requests (mem.Observer) and folds each load, as it retires,
-// into one cell per distinct latency (see LoadAggregate), which every
-// report reads. A load's exposure comes from the two issue-cycle stamps
-// its SM put on its StageLog, so the tracker keeps nothing per cycle and
-// nothing per load: its memory grows with the distinct latencies a run
-// sees, not with the run's length. A single Tracker instance is attached
-// to a GPU for the lifetime of an experiment; Reset discards data
-// between warmup and timed phases.
+// into one cell per distinct latency. Every report — Breakdown,
+// BreakdownWidth, Exposure, KernelExposure, LoadSummary,
+// KernelLoadSummary, MeanLoadLatency — reads those cells in place. A
+// load's exposure comes from the two issue-cycle stamps its SM put on
+// its StageLog, so the tracker keeps nothing per cycle and nothing per
+// load: its memory grows with the distinct latencies a run sees, not
+// with the run's length. A single Tracker instance is attached to a GPU
+// for the lifetime of an experiment; Reset discards data between warmup
+// and timed phases.
 //
 // A tracker made with KeepRecords also keeps every load's LoadRecord in
 // delivery order — the order RequestDone was called, which `gpulat
@@ -85,10 +88,11 @@ type Tracker struct {
 	// n counts the loads taken.
 	n int
 
-	// life and inst are the aggregate's cells in first-seen order,
-	// found through lifeAt and instAt. instAt holds a latency's newest
-	// inst cell; its cells of other kernels chain back through
-	// instNext.
+	// life and inst are the cells in first-seen order, found through
+	// lifeAt and instAt. instAt holds a latency's newest inst cell; its
+	// cells of other kernels chain back through instNext. Sums and
+	// extremes read the cells in any order; only the summaries walk the
+	// tables, for ascending latency.
 	life           []lifeCell
 	inst           []instCell
 	instNext       []int32
@@ -96,6 +100,28 @@ type Tracker struct {
 
 	badLogs uint64
 }
+
+// lifeCell sums the loads of one request lifetime (Total): Figure 1's
+// input.
+type lifeCell struct {
+	total sim.Cycle
+	count int
+	stage [NumStages]sim.Cycle
+}
+
+// instCell sums one kernel's loads of one instruction-visible latency
+// (InstTotal): the input of Figure 2 and of the latency summaries.
+type instCell struct {
+	inst            sim.Cycle
+	kernel          int
+	count           int
+	exposed, hidden sim.Cycle
+	// mostlyExposed counts the loads more than half exposed.
+	mostlyExposed int
+}
+
+// anyKernel selects every kernel's inst cells.
+const anyKernel = -1
 
 // Record-chunk capacities, in records (56 bytes each): small enough
 // that a tracked job with a handful of loads costs ~1 KB, large enough
@@ -148,8 +174,8 @@ func (x *latencyIndex) grow(v int) {
 // TrackerOption configures NewTracker.
 type TrackerOption func(*Tracker)
 
-// KeepRecords makes a tracker keep every load's LoadRecord beside the
-// aggregate, for All (`gpulat export`).
+// KeepRecords makes a tracker keep every load's LoadRecord beside its
+// cells, for All (`gpulat export`).
 func KeepRecords(t *Tracker) { t.keep = true }
 
 // NewTracker returns an empty tracker.
@@ -278,7 +304,36 @@ func (t *Tracker) All() iter.Seq[*LoadRecord] {
 
 // MeanLoadLatency returns the mean instruction-visible latency
 // (InstTotal) of the collected loads, 0 when there are none.
-func (t *Tracker) MeanLoadLatency() float64 { return t.Aggregate().MeanLoadLatency() }
+func (t *Tracker) MeanLoadLatency() float64 {
+	if t.n == 0 {
+		return 0
+	}
+	var sum sim.Cycle
+	for i := range t.inst {
+		sum += t.inst[i].inst * sim.Cycle(t.inst[i].count)
+	}
+	return float64(sum) / float64(t.n)
+}
+
+// LoadSummary summarizes the instruction-visible latency (InstTotal) of
+// every load: bit for bit what stats.Summarize returns over the loads'
+// latencies.
+func (t *Tracker) LoadSummary() stats.Summary { return t.KernelLoadSummary(anyKernel) }
+
+// KernelLoadSummary is LoadSummary over one kernel's loads
+// (LoadRecord.Kernel). It walks the kernel's inst cells through instAt,
+// so in ascending latency, as stats.SummarizeRuns needs.
+func (t *Tracker) KernelLoadSummary(kernel int) stats.Summary {
+	runs := make([]stats.Run, 0, len(t.inst))
+	for _, j := range t.instAt.at {
+		for ; j != 0; j = t.instNext[j-1] {
+			if c := &t.inst[j-1]; kernel == anyKernel || c.kernel == kernel {
+				runs = append(runs, stats.Run{V: float64(c.inst), N: c.count})
+			}
+		}
+	}
+	return stats.SummarizeRuns(runs)
+}
 
 // BadLogs returns the number of requests dropped due to incomplete or
 // inconsistent instrumentation (must be zero in a healthy simulation).

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand/v2"
 	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -149,15 +150,14 @@ func TestKernelExposureEqualsExposureOfKept(t *testing.T) {
 			feedKernel(only, smID, kernel, issue, ret, h, hit)
 		}
 	}
-	agg := all.Aggregate()
-	got, want := agg.KernelExposure("w", "a", 8, 1), only.Exposure("w", "a", 8)
+	got, want := all.KernelExposure("w", "a", 8, 1), only.Exposure("w", "a", 8)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("KernelExposure != Exposure over the kernel's loads alone:\ngot  %+v\nwant %+v", got, want)
 	}
 	if got.Requests == 0 || got.TotalExposed == 0 || got.TotalHidden == 0 {
 		t.Fatalf("degenerate report: %+v", got)
 	}
-	if g, w := agg.KernelLoadSummary(1), only.Aggregate().LoadSummary(); summaryBits(g) != summaryBits(w) {
+	if g, w := all.KernelLoadSummary(1), only.LoadSummary(); summaryBits(g) != summaryBits(w) {
 		t.Fatalf("KernelLoadSummary %+v != LoadSummary over the kernel's loads alone %+v", g, w)
 	}
 }
@@ -299,7 +299,7 @@ func TestRequestDoneRejectsOverflow(t *testing.T) {
 }
 
 // TestExposedCyclesMatchesNaive: the exposure oracle's issue bitmap
-// (aggregate_test.go) is right. Seeded random issue patterns on three
+// (reports_test.go) is right. Seeded random issue patterns on three
 // SMs over several bitmap chunks, with silent gaps longer than a chunk
 // (chunks that are never allocated), and query spans that cross chunk
 // boundaries, start before the first issue, run past the last chunk or
@@ -387,4 +387,51 @@ func TestTrackerMemoryIndependentOfRunLength(t *testing.T) {
 	} else {
 		t.Logf("tracker footprint %d B after 2,000 and after 20,000 accesses", s)
 	}
+}
+
+// reportSink keeps each report a call builds on the heap.
+var reportSink any
+
+// TestReportsCopyNoCells: a report reads the tracker's cells in place,
+// so what Breakdown, Exposure and MeanLoadLatency allocate per call is
+// the report itself: the same bytes for a tracker of 64 distinct
+// latencies as for one of 8,192.
+func TestReportsCopyNoCells(t *testing.T) {
+	trackers := map[int]*Tracker{}
+	for _, n := range []int{64, 8192} {
+		tr := NewTracker()
+		for i := range n {
+			feedKernel(tr, i%4, i%2, 0, sim.Cycle(100+i), sim.Cycle(i/2), [NumStages]sim.Cycle{})
+		}
+		trackers[n] = tr
+	}
+	for _, c := range []struct {
+		name string
+		call func(*Tracker)
+	}{
+		{"Breakdown(48)", func(tr *Tracker) { reportSink = tr.Breakdown("w", "a", 48) }},
+		{"Exposure(24)", func(tr *Tracker) { reportSink = tr.Exposure("w", "a", 24) }},
+		{"MeanLoadLatency()", func(tr *Tracker) { reportSink = tr.MeanLoadLatency() }},
+	} {
+		if s, l := bytesPerCall(trackers[64], c.call), bytesPerCall(trackers[8192], c.call); s != l {
+			t.Errorf("%s allocates %d B per call over 64 distinct latencies, %d B over 8,192: it copies the cells", c.name, s, l)
+		}
+	}
+}
+
+// bytesPerCall is the heap bytes one call allocates: the least of three
+// measurements, so a stray allocation elsewhere cannot raise it.
+func bytesPerCall(tr *Tracker, call func(*Tracker)) uint64 {
+	const calls = 16
+	least := uint64(math.MaxUint64)
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range calls {
+			call(tr)
+		}
+		runtime.ReadMemStats(&after)
+		least = min(least, (after.TotalAlloc-before.TotalAlloc)/calls)
+	}
+	return least
 }

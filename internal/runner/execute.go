@@ -31,8 +31,6 @@ type Options struct {
 	Vertices int `json:"vertices,omitempty"`
 	// BlockDim is threads per block for BFS (default 128).
 	BlockDim int `json:"block_dim,omitempty"`
-	// Buckets sizes the breakdown/exposure reports (default 48).
-	Buckets int `json:"buckets,omitempty"`
 
 	// Accesses is the timed loads per pointer-chase point.
 	Accesses int `json:"accesses,omitempty"`
@@ -76,13 +74,6 @@ func (o Options) blockDim() int {
 		return o.BlockDim
 	}
 	return 128
-}
-
-func (o Options) buckets() int {
-	if o.Buckets > 0 {
-		return o.Buckets
-	}
-	return 48
 }
 
 // Execute runs one job to completion and captures any failure in the
@@ -175,9 +166,11 @@ func execDynamic(res *Result, cfg gpu.Config, job Job) error {
 		return err
 	}
 	res.Payload = dr
+	// The metrics are totals, which no bucket count changes: one
+	// bucket each.
 	sum := dr.LoadSummary()
-	bd := dr.Breakdown(job.Options.buckets())
-	ex := dr.Exposure(job.Options.buckets())
+	bd := dr.Breakdown(1)
+	ex := dr.Exposure(1)
 	res.add("cycles", float64(dr.Cycles))
 	res.add("instructions", float64(dr.Instructions))
 	res.add("ipc", dr.IPC())
@@ -295,7 +288,7 @@ func execCoRun(res *Result, cfg gpu.Config, job Job) error {
 	if err != nil {
 		return err
 	}
-	cr, err := core.RunCoRun(cfg, pair, o.buckets())
+	cr, err := core.RunCoRun(cfg, pair)
 	if err != nil {
 		return err
 	}
