@@ -41,32 +41,32 @@ type BreakdownReport struct {
 	Requests   int
 }
 
-// bins is the latency axis both figures bucket on: n buckets of width
-// cycles from lo. Bucket i is [lo+i·width, lo+(i+1)·width), half-open,
-// except the last, which is inclusive, so a load on a boundary counts in
-// exactly one bucket (the higher one); rangeLabel prints that rule.
-type bins struct {
+// binning is the latency axis both figures bucket on: n buckets of
+// width cycles from lo. Bucket i is [lo+i·width, lo+(i+1)·width),
+// half-open, except the last, which is inclusive, so a load on a
+// boundary counts in exactly one bucket (the higher one); rangeLabel
+// prints that rule.
+type binning struct {
 	lo, width sim.Cycle
 	n         int
 }
 
 // binsOver splits [lo, hi] into n equal buckets.
-func binsOver(lo, hi sim.Cycle, n int) bins {
-	return bins{lo, (hi - lo + sim.Cycle(n)) / sim.Cycle(n), n}
+func binsOver(lo, hi sim.Cycle, n int) binning {
+	return binning{lo, (hi - lo + sim.Cycle(n)) / sim.Cycle(n), n}
 }
 
 // edges returns bucket i's Lo and Hi.
-func (b bins) edges(i int) (lo, hi sim.Cycle) {
+func (b binning) edges(i int) (lo, hi sim.Cycle) {
 	return b.lo + sim.Cycle(i)*b.width, b.lo + sim.Cycle(i+1)*b.width
 }
 
 // of returns the index of the bucket latency v falls in.
-func (b bins) of(v sim.Cycle) int { return min(int((v-b.lo)/b.width), b.n-1) }
+func (b binning) of(v sim.Cycle) int { return min(int((v-b.lo)/b.width), b.n-1) }
 
 // rangeLabel renders a bucket's range as [lo,hi), or [lo,hi] for the
-// last bucket. The old "lo-hi" spelling made adjacent buckets appear to
-// overlap (bucket i's Hi is bucket i+1's Lo), so a boundary load read as
-// belonging to two buckets when the binning puts it in exactly one.
+// last bucket: adjacent buckets share an edge, and a load on it belongs
+// to the higher one only.
 func rangeLabel(lo, hi sim.Cycle, last bool) string {
 	if last {
 		return fmt.Sprintf("[%d,%d]", lo, hi)
@@ -93,7 +93,7 @@ func (t *Tracker) BreakdownWidth(workload, arch string, width sim.Cycle) *Breakd
 		return &BreakdownReport{Workload: workload, Arch: arch}
 	}
 	lo, hi := t.lifeRange()
-	return t.breakdown(workload, arch, bins{lo, width, int((hi-lo)/width) + 1})
+	return t.breakdown(workload, arch, binning{lo, width, int((hi-lo)/width) + 1})
 }
 
 // lifeRange returns the shortest and longest request lifetime taken.
@@ -105,7 +105,7 @@ func (t *Tracker) lifeRange() (lo, hi sim.Cycle) {
 	return lo, hi
 }
 
-func (t *Tracker) breakdown(workload, arch string, bins bins) *BreakdownReport {
+func (t *Tracker) breakdown(workload, arch string, bins binning) *BreakdownReport {
 	rep := &BreakdownReport{Workload: workload, Arch: arch}
 	rep.Buckets = make([]BreakdownBucket, bins.n)
 	for i := range rep.Buckets {

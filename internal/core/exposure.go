@@ -9,7 +9,7 @@ import (
 )
 
 // ExposureBucket is one latency bucket of the Figure 2 diagram, binned
-// by the rule Figure 1 shares (see bins): half-open [Lo,Hi), the last
+// by the rule Figure 1 shares (see binning): half-open [Lo,Hi), the last
 // bucket inclusive.
 type ExposureBucket struct {
 	Lo, Hi  sim.Cycle
