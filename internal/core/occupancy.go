@@ -54,7 +54,7 @@ func OccupancySweep(cfg gpu.Config, warpLimits []int, build func() (*kernels.Mul
 			MaxWarps:        w,
 			Cycles:          uint64(res.Cycles),
 			IPC:             res.IPC(),
-			ExposedPct:      res.Exposure(16).OverallExposedPct(),
+			ExposedPct:      res.Exposure(1).OverallExposedPct(),
 			MeanLoadLatency: res.Tracker.MeanLoadLatency(),
 		})
 	}

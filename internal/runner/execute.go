@@ -14,7 +14,9 @@ import (
 
 // Options carries the per-kind experiment parameters and config
 // overrides of one Job. Zero values select the experiment defaults, so
-// an empty Options is a valid paper-default job.
+// an empty Options is a valid paper-default job. No field sizes a
+// report's buckets: a job's metrics are totals, which no bucket count
+// changes, so a bucket count renders a payload and stays out of the key.
 type Options struct {
 	// Label tags the variant for reports ("GTO", "mshr=8", ...).
 	Label string `json:"label,omitempty"`

@@ -104,6 +104,10 @@ func TestServerRejectsMalformedRequests(t *testing.T) {
 	if code := post(`{"surprise": 1}`); code != http.StatusBadRequest {
 		t.Errorf("unknown field → %d", code)
 	}
+	// A bucket count is how a report renders, not part of a job.
+	if code := post(`{"jobs": [{"kind": "dynamic", "arch": "GF106", "options": {"buckets": 48}}]}`); code != http.StatusBadRequest {
+		t.Errorf("job with a buckets option → %d", code)
+	}
 	// A grid bomb must be rejected from its declared size, before
 	// expansion can allocate anything.
 	if code := post(`{"grid": {"Kind": "chase", "Repeats": 2000000000}}`); code != http.StatusRequestEntityTooLarge {
