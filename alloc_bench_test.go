@@ -258,6 +258,44 @@ func BenchmarkAllocIcntTick(b *testing.B) {
 	}
 }
 
+// allocMemSubsystem builds a GF100 memory-system testbench and returns
+// a step that offers a 128-byte load at each port with probability 0.02
+// and steps it one cycle, warmed past every lazy growth (waiting queues,
+// the request pool, partition queues).
+func allocMemSubsystem(tb testing.TB) (step func()) {
+	cfg, err := Preset("GF100")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	ms := gpu.NewMemSubsystem(cfg, nil)
+	rng, load := sim.NewRNG(1), 0.02
+	threshold := uint64(load * (1 << 53))
+	step = func() {
+		for port := range cfg.NumSMs {
+			if rng.Uint64()>>11 < threshold {
+				ms.Inject(port, (rng.Uint64()%(64<<20))&^127, 128)
+			}
+		}
+		ms.Step()
+	}
+	for i := 0; i < 20000; i++ {
+		step()
+	}
+	return step
+}
+
+// BenchmarkAllocMemSubsystemStep measures one warm testbench cycle at
+// offered load 0.02: a waiting injection is a queue entry and an
+// accepted one a pooled request (budget: 0 allocs/op).
+func BenchmarkAllocMemSubsystemStep(b *testing.B) {
+	step := allocMemSubsystem(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		step()
+	}
+}
+
 // allocTrackedLoad is a completed L1-hit load, reusable: the tracker
 // folds it (and, keeping records, reduces it to a LoadRecord) and keeps
 // no reference.
@@ -499,6 +537,8 @@ func measureAllocs(tb testing.TB) map[string]float64 {
 	g := allocSteadyDevice(tb)
 	issueStep := allocIssueSM(tb, 48)
 	launchStep, _ := allocWarpLaunch(tb)
+	memsubStep := allocMemSubsystem(tb)
+	const memsubCycles = 1000
 
 	return map[string]float64{
 		"BenchmarkAllocCoalesce": testing.AllocsPerRun(200, func() {
@@ -514,8 +554,16 @@ func measureAllocs(tb testing.TB) map[string]float64 {
 		"BenchmarkAllocSMTick": testing.AllocsPerRun(200, func() {
 			g.Step()
 		}),
-		"BenchmarkAllocSMIssue":            testing.AllocsPerRun(200, issueStep),
-		"BenchmarkAllocIcntTick":           testing.AllocsPerRun(200, allocSaturatedCrossbar()),
+		"BenchmarkAllocSMIssue":  testing.AllocsPerRun(200, issueStep),
+		"BenchmarkAllocIcntTick": testing.AllocsPerRun(200, allocSaturatedCrossbar()),
+		// A cycle makes 0.3 injections on average, so a per-cycle count
+		// would round an allocating injection down to 0: count windows
+		// of memsubCycles cycles and divide.
+		"BenchmarkAllocMemSubsystemStep": testing.AllocsPerRun(5, func() {
+			for range memsubCycles {
+				memsubStep()
+			}
+		}) / memsubCycles,
 		"BenchmarkAllocTrackerRequestDone": testing.AllocsPerRun(200, allocTrackerFold()),
 		// Three per warp: the Warp, its register file, its divergence stack.
 		"BenchmarkAllocWarpLaunch": testing.AllocsPerRun(50, launchStep),
@@ -600,6 +648,7 @@ func writeAllocBaseline(t *testing.T, measured map[string]float64) {
 		"BenchmarkAllocSMIssue":  func(b *testing.B) { benchSMIssue(b, 48) },
 
 		"BenchmarkAllocIcntTick":           BenchmarkAllocIcntTick,
+		"BenchmarkAllocMemSubsystemStep":   BenchmarkAllocMemSubsystemStep,
 		"BenchmarkAllocTrackerRequestDone": BenchmarkAllocTrackerRequestDone,
 		"BenchmarkAllocWarpLaunch":         BenchmarkAllocWarpLaunch,
 		"BenchmarkAllocDeviceNew":          BenchmarkAllocDeviceNew,

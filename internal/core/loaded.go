@@ -60,6 +60,9 @@ func (o *LoadedOptions) fill() {
 // The resulting latency-vs-throughput curve shows the classic knee: idle
 // latency at low load, queueing blow-up near saturation — queueing and
 // arbitration, the paper's two contributors, are exactly what grows.
+// Past the knee most injections are still waiting at their ports when a
+// point ends; each waits in 32 bytes, so a point's memory follows what
+// is in flight, and only the latencies it returns grow with the load.
 func LoadedLatency(cfg gpu.Config, offeredLoads []float64, opt LoadedOptions) ([]LoadedPoint, error) {
 	opt.fill()
 	var out []LoadedPoint

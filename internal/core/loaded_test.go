@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -12,8 +13,10 @@ import (
 
 func TestMemSubsystemSingleRequestIdleLatency(t *testing.T) {
 	cfg := config.GF100()
-	var got *mem.Request
-	bench := gpu.NewMemSubsystem(cfg, func(c sim.Cycle, r *mem.Request) { got = r })
+	// The request is the testbench's only during the callback: keep a
+	// copy of its log.
+	var got *mem.StageLog
+	bench := gpu.NewMemSubsystem(cfg, func(c sim.Cycle, r *mem.Request) { lg := *r.Log; got = &lg })
 	bench.Inject(0, 0x100000, 128)
 	for i := 0; i < 5000 && got == nil; i++ {
 		bench.Step()
@@ -21,14 +24,14 @@ func TestMemSubsystemSingleRequestIdleLatency(t *testing.T) {
 	if got == nil {
 		t.Fatal("request never returned")
 	}
-	total, _ := got.Log.Total()
+	total, _ := got.Total()
 	// Idle DRAM trip without the SM front/back ends: the Table I DRAM
 	// value (685) minus the SM issue pipe and writeback (~40 cycles).
 	if total < 550 || total > 700 {
 		t.Fatalf("idle testbench latency = %d", total)
 	}
-	if !got.Log.Monotonic() {
-		t.Fatalf("log: %v", got.Log)
+	if !got.Monotonic() {
+		t.Fatalf("log: %v", got)
 	}
 	if !bench.Drained() {
 		t.Fatal("bench not drained after completion")
@@ -53,6 +56,48 @@ func TestMemSubsystemManyRequestsDrain(t *testing.T) {
 	if bench.Stats().Injected != injected || bench.Stats().Completed != injected {
 		t.Fatalf("stats: %+v", bench.Stats())
 	}
+	if reqs, logs := bench.RequestPool().Outstanding(); reqs != 0 || logs != 0 {
+		t.Fatalf("drained testbench holds %d requests and %d logs from its pool", reqs, logs)
+	}
+}
+
+// TestMemSubsystemWaitingInjectionsStaySmall drives a GF100 testbench
+// past saturation (offered 0.4, where most injections are still waiting
+// at the end) and bounds the heap it retains per waiting injection: a
+// waiting load must cost its queue entry, not a Request and a StageLog.
+func TestMemSubsystemWaitingInjectionsStaySmall(t *testing.T) {
+	const perWaiting = 48
+	cfg := config.GF100()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	bench := gpu.NewMemSubsystem(cfg, nil)
+	rng, load := sim.NewRNG(1), 0.4
+	threshold := uint64(load * (1 << 53))
+	for range 20000 {
+		for port := range cfg.NumSMs {
+			if rng.Uint64()>>11 < threshold {
+				bench.Inject(port, (rng.Uint64()%(64<<20))&^127, 128)
+			}
+		}
+		bench.Step()
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	inFlight, _ := bench.RequestPool().Outstanding()
+	st := bench.Stats()
+	waiting := st.Injected - st.Completed - uint64(inFlight)
+	if waiting < st.Injected/2 {
+		t.Fatalf("only %d of %d injections waiting: the point is not saturated", waiting, st.Injected)
+	}
+	retained := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	if got := retained / int64(waiting); got > perWaiting {
+		t.Fatalf("testbench retains %d B (%d B per waiting injection, budget %d) with %d of %d injections waiting",
+			retained, got, perWaiting, waiting, st.Injected)
+	} else {
+		t.Logf("testbench retains %d B, %d B per waiting injection (%d of %d)", retained, got, waiting, st.Injected)
+	}
+	runtime.KeepAlive(bench)
 }
 
 func TestMemSubsystemBadPortPanics(t *testing.T) {

@@ -125,7 +125,6 @@ type GPU struct {
 	ticked []*sm.SM
 
 	issueObs IssueObserver
-	reqPool  *mem.RequestPool
 
 	cycle sim.Cycle
 
@@ -188,17 +187,9 @@ func NewWithObservers(cfg Config, obs mem.Observer, issueObs IssueObserver) *GPU
 		g.sms = append(g.sms, sm.New(smCfg, g.Memory, newID, obs))
 	}
 	g.disp = sched.NewDispatcher(g.sms, cfg.Placement)
-	// One request free list serves the whole device: requests cross SM
-	// and partition boundaries, so the pool must too. Reuse order can
-	// only change pointer identity — every component keys requests by
-	// Request.ID, so simulated results are unaffected.
-	g.reqPool = &mem.RequestPool{}
 	for _, s := range g.sms {
 		s.SetBlockRetireObserver(g.noteBlockRetired)
-		s.SetRequestPool(g.reqPool)
-	}
-	for _, p := range g.parts {
-		p.SetRequestPool(g.reqPool)
+		s.SetRequestPool(g.pool)
 	}
 	return g
 }
@@ -211,12 +202,18 @@ type memFabric struct {
 	parts            []*mempart.Partition
 	allParts         uint64 // one bit per partition
 	replySize        uint32 // a load reply's packet bytes
+	// pool is the one request free list of the device or testbench:
+	// requests cross SM and partition boundaries, so the pool must too.
+	// Reuse order can only change pointer identity — every component
+	// keys requests by Request.ID, so simulated results are unaffected.
+	pool *mem.RequestPool
 }
 
 // newMemFabric builds a memFabric, naming each component cfg.Name+tag+…
 // (the GPU passes no tag, the SM-less testbench ".tb").
 func newMemFabric(cfg Config, tag string) memFabric {
 	var parts []*mempart.Partition
+	pool := &mem.RequestPool{}
 	name := cfg.Name + tag
 	reqCfg := cfg.RequestNet
 	reqCfg.Name = name + ".reqnet"
@@ -233,11 +230,17 @@ func newMemFabric(cfg Config, tag string) memFabric {
 		pc.ID = i
 		pc.L2.Name = fmt.Sprintf("%s.part%d.l2", name, i)
 		pc.DRAM.Name = fmt.Sprintf("%s.part%d.dram", name, i)
-		parts = append(parts, mempart.New(pc))
+		p := mempart.New(pc)
+		p.SetRequestPool(pool)
+		parts = append(parts, p)
 	}
 	return memFabric{icnt.New(reqCfg), icnt.New(repCfg), parts,
-		1<<uint(len(parts)) - 1, cfg.ControlPacketBytes + cfg.DataPacketBytes}
+		1<<uint(len(parts)) - 1, cfg.ControlPacketBytes + cfg.DataPacketBytes, pool}
 }
+
+// RequestPool exposes the request free list (conservation tests:
+// nothing is outstanding once the device or testbench has drained).
+func (f *memFabric) RequestPool() *mem.RequestPool { return f.pool }
 
 // sendReturns moves the visible return heads of the partitions in parts
 // into the reply network, reporting whether any packet was injected.
@@ -337,10 +340,6 @@ func (g *GPU) SMs() []*sm.SM { return g.sms }
 
 // Partitions exposes the memory partitions (stats and tests).
 func (g *GPU) Partitions() []*mempart.Partition { return g.parts }
-
-// RequestPool exposes the device's request free list (conservation
-// tests: nothing is outstanding once the device is done).
-func (g *GPU) RequestPool() *mem.RequestPool { return g.reqPool }
 
 // Launch enqueues kernel k on the default stream and dispatches as many
 // of its blocks as fit right now. Invalid grid or block dimensions are

@@ -17,10 +17,11 @@ type MemSubsystem struct {
 	cfg Config
 	memFabric
 
-	// pending[port] holds requests waiting for network injection;
-	// pendOcc has bit port set while pending[port] is non-empty.
-	pending [][]*mem.Request
-	pendOcc uint64
+	// waiting[port][head[port]:] are the injections waiting for the
+	// request network, oldest first; occ has bit port set while any wait.
+	waiting [][]waitingLoad
+	head    []int
+	occ     uint64
 
 	cycle   sim.Cycle
 	nextID  uint64
@@ -29,15 +30,24 @@ type MemSubsystem struct {
 	stats MemSubsystemStats
 }
 
+// waitingLoad is an injection the request network has not taken yet:
+// 32 bytes, where its Request and StageLog would take ~300.
+type waitingLoad struct {
+	id, addr uint64
+	at       sim.Cycle
+	size     uint32
+}
+
 // MemSubsystemStats counts testbench activity.
 type MemSubsystemStats struct {
 	Injected  uint64
 	Completed uint64
-	Deferred  uint64 // injections delayed by backpressure
 }
 
 // NewMemSubsystem builds the testbench from a device configuration.
-// onReply is invoked for every returned load (may be nil).
+// onReply is invoked for every returned load (may be nil). The request
+// it receives is valid only during the call: it goes back to the
+// testbench's request pool when onReply returns, so copy what you keep.
 func NewMemSubsystem(cfg Config, onReply func(c sim.Cycle, r *mem.Request)) *MemSubsystem {
 	if err := cfg.validate(); err != nil {
 		panic(err)
@@ -45,7 +55,8 @@ func NewMemSubsystem(cfg Config, onReply func(c sim.Cycle, r *mem.Request)) *Mem
 	if onReply == nil {
 		onReply = func(sim.Cycle, *mem.Request) {}
 	}
-	ms := &MemSubsystem{cfg: cfg, onReply: onReply, pending: make([][]*mem.Request, cfg.NumSMs)}
+	ms := &MemSubsystem{cfg: cfg, onReply: onReply,
+		waiting: make([][]waitingLoad, cfg.NumSMs), head: make([]int, cfg.NumSMs)}
 	ms.memFabric = newMemFabric(cfg, ".tb")
 	return ms
 }
@@ -57,26 +68,17 @@ func (ms *MemSubsystem) Cycle() sim.Cycle { return ms.cycle }
 func (ms *MemSubsystem) Stats() MemSubsystemStats { return ms.stats }
 
 // Inject queues a tracked load of size bytes at address addr on
-// injection port (pseudo-SM) port. The request is stamped as if it had
-// just left an SM's L1.
-func (ms *MemSubsystem) Inject(port int, addr uint64, size uint32) *mem.Request {
+// injection port (pseudo-SM) port. The load is stamped as if it had
+// just left an SM's L1; its Request is made only when the request
+// network takes it, with the ID and marks it was given here.
+func (ms *MemSubsystem) Inject(port int, addr uint64, size uint32) {
 	if port < 0 || port >= ms.cfg.NumSMs {
 		panic("gpu: testbench port out of range")
 	}
 	ms.nextID++
-	r := &mem.Request{
-		ID: ms.nextID, Addr: addr, Size: size,
-		Kind: mem.KindLoad, Space: mem.SpaceGlobal,
-		SM: port, Warp: 0,
-		Log: &mem.StageLog{},
-	}
-	r.Log.Mark(mem.PtIssue, ms.cycle)
-	r.Log.Mark(mem.PtCreated, ms.cycle)
-	r.Log.Mark(mem.PtL1Access, ms.cycle)
-	ms.pending[port] = append(ms.pending[port], r)
-	ms.pendOcc |= 1 << uint(port)
+	ms.waiting[port] = append(ms.waiting[port], waitingLoad{ms.nextID, addr, ms.cycle, size})
+	ms.occ |= 1 << uint(port)
 	ms.stats.Injected++
-	return r
 }
 
 // Step advances the testbench one cycle.
@@ -85,7 +87,7 @@ func (ms *MemSubsystem) Step() {
 	for _, p := range ms.parts {
 		p.Tick(c)
 	}
-	// Replies: partitions → reply net → callback.
+	// Replies: partitions → reply net → callback → pool.
 	ms.sendReturns(c, ms.allParts)
 	ms.replyNet.Tick(c)
 	for m := ms.replyNet.EjectOccupied(); m != 0; m &= m - 1 {
@@ -98,22 +100,14 @@ func (ms *MemSubsystem) Step() {
 			pkt.Req.Log.Mark(mem.PtReturnSM, c)
 			ms.stats.Completed++
 			ms.onReply(c, pkt.Req)
+			ms.pool.Put(pkt.Req)
 		}
 	}
-	// Requests: pending → request net → partitions.
-	for m := ms.pendOcc; m != 0; m &= m - 1 {
+	// Requests: waiting → request net → partitions.
+	for m := ms.occ; m != 0; m &= m - 1 {
 		port := bits.TrailingZeros64(m)
-		for len(ms.pending[port]) > 0 {
-			if !ms.reqNet.CanInject(port) {
-				ms.stats.Deferred++
-				break
-			}
-			r := ms.pending[port][0]
-			ms.pending[port] = ms.pending[port][1:]
-			if len(ms.pending[port]) == 0 {
-				ms.pendOcc &^= 1 << uint(port)
-			}
-			r.Partition = ms.cfg.partitionOf(r.Addr)
+		for ms.occ&(1<<uint(port)) != 0 && ms.reqNet.CanInject(port) {
+			r := ms.materialize(port, ms.pop(port))
 			r.Log.Mark(mem.PtICNTInject, c)
 			ms.reqNet.Inject(c, port, icnt.Packet{
 				Req: r, Dst: r.Partition, Size: ms.cfg.ControlPacketBytes,
@@ -125,10 +119,39 @@ func (ms *MemSubsystem) Step() {
 	ms.cycle++
 }
 
+// pop removes port's oldest waiting injection. The queue keeps its
+// storage: it restarts at the front when the port empties and moves its
+// live tail down once the head has passed half of it.
+func (ms *MemSubsystem) pop(port int) waitingLoad {
+	q, h := ms.waiting[port], ms.head[port]
+	w := q[h]
+	if h++; h == len(q) {
+		q, h = q[:0], 0
+		ms.occ &^= 1 << uint(port)
+	} else if 2*h > len(q) {
+		q, h = q[:copy(q, q[h:])], 0
+	}
+	ms.waiting[port], ms.head[port] = q, h
+	return w
+}
+
+// materialize makes the pooled Request for waiting injection w on port,
+// as Inject would have made it at cycle w.at.
+func (ms *MemSubsystem) materialize(port int, w waitingLoad) *mem.Request {
+	r := ms.pool.Get(true)
+	r.ID, r.Addr, r.Size = w.id, w.addr, w.size
+	r.Kind, r.Space, r.SM = mem.KindLoad, mem.SpaceGlobal, port
+	r.Partition = ms.cfg.partitionOf(w.addr)
+	r.Log.Mark(mem.PtIssue, w.at)
+	r.Log.Mark(mem.PtCreated, w.at)
+	r.Log.Mark(mem.PtL1Access, w.at)
+	return r
+}
+
 // NextEvent returns the earliest cycle at which any testbench component
 // can act. Synthetic injections waiting at the ports pin it at now.
 func (ms *MemSubsystem) NextEvent(now sim.Cycle) sim.Cycle {
-	if ms.pendOcc != 0 {
+	if ms.occ != 0 {
 		return now
 	}
 	return ms.nextEvent(now)
