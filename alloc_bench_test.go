@@ -554,8 +554,14 @@ func measureAllocs(tb testing.TB) map[string]float64 {
 		"BenchmarkAllocSMTick": testing.AllocsPerRun(200, func() {
 			g.Step()
 		}),
-		"BenchmarkAllocSMIssue":  testing.AllocsPerRun(200, issueStep),
-		"BenchmarkAllocIcntTick": testing.AllocsPerRun(200, allocSaturatedCrossbar()),
+		"BenchmarkAllocSMIssue":            testing.AllocsPerRun(200, issueStep),
+		"BenchmarkAllocIcntTick":           testing.AllocsPerRun(200, allocSaturatedCrossbar()),
+		"BenchmarkAllocTrackerRequestDone": testing.AllocsPerRun(200, allocTrackerFold()),
+		// Three per warp: the Warp, its register file, its divergence stack.
+		"BenchmarkAllocWarpLaunch": testing.AllocsPerRun(50, launchStep),
+		"BenchmarkAllocDeviceNew":  testing.AllocsPerRun(20, allocDeviceNew(tb)),
+		// The request, its decode, the answer's encode, the instruments.
+		"BenchmarkAllocSubmitFinished": testing.AllocsPerRun(200, allocSubmitFinished(tb)),
 		// A cycle makes 0.3 injections on average, so a per-cycle count
 		// would round an allocating injection down to 0: count windows
 		// of memsubCycles cycles and divide.
@@ -564,12 +570,6 @@ func measureAllocs(tb testing.TB) map[string]float64 {
 				memsubStep()
 			}
 		}) / memsubCycles,
-		"BenchmarkAllocTrackerRequestDone": testing.AllocsPerRun(200, allocTrackerFold()),
-		// Three per warp: the Warp, its register file, its divergence stack.
-		"BenchmarkAllocWarpLaunch": testing.AllocsPerRun(50, launchStep),
-		"BenchmarkAllocDeviceNew":  testing.AllocsPerRun(20, allocDeviceNew(tb)),
-		// The request, its decode, the answer's encode, the instruments.
-		"BenchmarkAllocSubmitFinished": testing.AllocsPerRun(200, allocSubmitFinished(tb)),
 	}
 }
 
