@@ -157,6 +157,57 @@ func BenchmarkAllocSMTick(b *testing.B) {
 	}
 }
 
+// allocIdleDevice builds a GF100 device whose pointer chase waits on
+// its first DRAM access for good — the column access is stretched past
+// any measurement — and steps it until that access is the only work in
+// flight. Each further Step is the idle cycle that a latency-bound
+// kernel spends most of its time in: one busy SM and one busy partition.
+func allocIdleDevice(tb testing.TB) *gpu.GPU {
+	cfg, err := Preset("GF100")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	cfg.Engine = sim.EngineTick
+	cfg.Partition.DRAM.TCL = 1 << 40
+	g := gpu.New(cfg)
+	wl, err := kernels.PChase(kernels.PChaseConfig{
+		Base: 0x10000, StrideBytes: 512, FootprintBytes: 2 << 20, Accesses: 1 << 30,
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	wl.Setup(g.Memory)
+	if err := g.Launch(wl.Kernel); err != nil {
+		tb.Fatal(err)
+	}
+	for i := 0; i < 2000; i++ {
+		g.Step()
+	}
+	inflight := 0
+	for _, p := range g.Partitions() {
+		inflight += p.DRAM().InflightLen()
+		if p.Pending() != p.DRAM().InflightLen()+p.L2().MSHRsInUse() {
+			tb.Fatalf("partition %d holds work besides its DRAM access: %s", p.Config().ID, p.DebugState())
+		}
+	}
+	if inflight != 1 {
+		tb.Fatalf("%d DRAM accesses in flight after warm-up, want 1", inflight)
+	}
+	return g
+}
+
+// BenchmarkAllocStepIdle measures one tick-engine Step of a GF100
+// device idling on one outstanding DRAM access, the case the bench
+// ledger reports as gpu.step_ns_cycle.idle (budget: 0 allocs/op).
+func BenchmarkAllocStepIdle(b *testing.B) {
+	g := allocIdleDevice(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		g.Step()
+	}
+}
+
 // allocIssueSM builds one stand-alone GF100 SM holding `resident` warps
 // of one block — warp 0 spinning on independent ALU work, every other
 // warp parked behind an atomic that is never answered (a load that
@@ -535,6 +586,7 @@ func measureAllocs(tb testing.TB) map[string]float64 {
 	}
 
 	g := allocSteadyDevice(tb)
+	idle := allocIdleDevice(tb)
 	issueStep := allocIssueSM(tb, 48)
 	launchStep, _ := allocWarpLaunch(tb)
 	memsubStep := allocMemSubsystem(tb)
@@ -554,6 +606,7 @@ func measureAllocs(tb testing.TB) map[string]float64 {
 		"BenchmarkAllocSMTick": testing.AllocsPerRun(200, func() {
 			g.Step()
 		}),
+		"BenchmarkAllocStepIdle":           testing.AllocsPerRun(200, idle.Step),
 		"BenchmarkAllocSMIssue":            testing.AllocsPerRun(200, issueStep),
 		"BenchmarkAllocIcntTick":           testing.AllocsPerRun(200, allocSaturatedCrossbar()),
 		"BenchmarkAllocTrackerRequestDone": testing.AllocsPerRun(200, allocTrackerFold()),
@@ -645,6 +698,7 @@ func writeAllocBaseline(t *testing.T, measured map[string]float64) {
 		"BenchmarkAllocCoalesce": BenchmarkAllocCoalesce,
 		"BenchmarkAllocCache":    BenchmarkAllocCache,
 		"BenchmarkAllocSMTick":   BenchmarkAllocSMTick,
+		"BenchmarkAllocStepIdle": BenchmarkAllocStepIdle,
 		"BenchmarkAllocSMIssue":  func(b *testing.B) { benchSMIssue(b, 48) },
 
 		"BenchmarkAllocIcntTick":           BenchmarkAllocIcntTick,

@@ -8,7 +8,8 @@
 //
 // Two engines drive the device through one cycle body (step), the only
 // place the phase order is written. The cycle-driven loop (Step) runs it
-// ungated: every component ticks every cycle — the reference semantics.
+// ungated: every cycle is stepped and ticks each SM and partition that
+// holds work, as occupancy masks name them — the reference semantics.
 // The event-driven loop (runEvent) runs it gated, keeping one wake
 // registration per component on a sim.Scheduler: each cycle it ticks
 // only the components whose wakes are due, re-arms the ones that changed
@@ -120,9 +121,9 @@ type GPU struct {
 	// reqSeq is the device's request-ID sequence.
 	reqSeq uint64
 
-	// ticked lists the SMs ticked in the cycle being stepped, for the
-	// flush pass that follows the core phase; reused every cycle.
-	ticked []*sm.SM
+	// busy has bit i set while SM i is Busy, missOcc while it holds a
+	// miss for the request network: the core and inject phases walk them.
+	busy, missOcc uint64
 
 	issueObs IssueObserver
 
@@ -179,7 +180,6 @@ func NewWithObservers(cfg Config, obs mem.Observer, issueObs IssueObserver) *GPU
 	g.memFabric = newMemFabric(cfg, "")
 	g.allSMs = 1<<uint(cfg.NumSMs) - 1
 	newID := func() uint64 { g.reqSeq++; return g.reqSeq }
-	g.ticked = make([]*sm.SM, 0, cfg.NumSMs)
 	for i := 0; i < cfg.NumSMs; i++ {
 		smCfg := cfg.SM
 		smCfg.ID = i
@@ -200,13 +200,16 @@ func NewWithObservers(cfg Config, obs mem.Observer, issueObs IssueObserver) *GPU
 type memFabric struct {
 	reqNet, replyNet *icnt.Crossbar
 	parts            []*mempart.Partition
-	allParts         uint64 // one bit per partition
 	replySize        uint32 // a load reply's packet bytes
 	// pool is the one request free list of the device or testbench:
 	// requests cross SM and partition boundaries, so the pool must too.
 	// Reuse order can only change pointer identity — every component
 	// keys requests by Request.ID, so simulated results are unaffected.
 	pool *mem.RequestPool
+	// partOcc has bit i set while partition i holds any request, retOcc
+	// while it holds a reply for the reply network: the partition and
+	// return phases walk them, as the eject phases walk the crossbars'.
+	partOcc, retOcc uint64
 }
 
 // newMemFabric builds a memFabric, naming each component cfg.Name+tag+…
@@ -234,18 +237,33 @@ func newMemFabric(cfg Config, tag string) memFabric {
 		p.SetRequestPool(pool)
 		parts = append(parts, p)
 	}
-	return memFabric{icnt.New(reqCfg), icnt.New(repCfg), parts,
-		1<<uint(len(parts)) - 1, cfg.ControlPacketBytes + cfg.DataPacketBytes, pool}
+	return memFabric{reqNet: icnt.New(reqCfg), replyNet: icnt.New(repCfg), parts: parts,
+		replySize: cfg.ControlPacketBytes + cfg.DataPacketBytes, pool: pool}
 }
 
 // RequestPool exposes the request free list (conservation tests:
 // nothing is outstanding once the device or testbench has drained).
 func (f *memFabric) RequestPool() *mem.RequestPool { return f.pool }
 
+// withBit returns m with bit i set to on.
+func withBit(m uint64, i int, on bool) uint64 {
+	if on {
+		return m | 1<<uint(i)
+	}
+	return m &^ (1 << uint(i))
+}
+
+// notePart refreshes partition pi's occupancy bits after its Tick or
+// PopReturn; Accept, the one other mutation, only sets partOcc.
+func (f *memFabric) notePart(pi int) {
+	f.partOcc = withBit(f.partOcc, pi, !f.parts[pi].Drained())
+	f.retOcc = withBit(f.retOcc, pi, f.parts[pi].ReturnQueued())
+}
+
 // sendReturns moves the visible return heads of the partitions in parts
 // into the reply network, reporting whether any packet was injected.
 func (f *memFabric) sendReturns(c sim.Cycle, parts uint64) (injected bool) {
-	for m := parts; m != 0; m &= m - 1 {
+	for m := parts & f.retOcc; m != 0; m &= m - 1 {
 		pi := bits.TrailingZeros64(m)
 		p := f.parts[pi]
 		for {
@@ -261,6 +279,7 @@ func (f *memFabric) sendReturns(c sim.Cycle, parts uint64) (injected bool) {
 			f.replyNet.Inject(c, pi, icnt.Packet{Req: r, Dst: r.SM, Size: f.replySize})
 			injected = true
 		}
+		f.notePart(pi)
 	}
 	return injected
 }
@@ -279,6 +298,7 @@ func (f *memFabric) acceptRequests(c sim.Cycle) (accepted uint64) {
 			accepted |= 1 << uint(pi)
 		}
 	}
+	f.partOcc |= accepted
 	return accepted
 }
 
@@ -293,12 +313,7 @@ func (f *memFabric) nextEvent(now sim.Cycle) sim.Cycle {
 
 // drained reports whether the partitions and both networks are empty.
 func (f *memFabric) drained() bool {
-	for _, p := range f.parts {
-		if !p.Drained() {
-			return false
-		}
-	}
-	return f.reqNet.Pending() == 0 && f.replyNet.Pending() == 0
+	return f.partOcc == 0 && f.reqNet.Pending() == 0 && f.replyNet.Pending() == 0
 }
 
 // partitionOf maps a global address to its memory partition.
@@ -351,7 +366,7 @@ func (g *GPU) Launch(k *sm.Kernel) error {
 	if err != nil {
 		return err
 	}
-	g.disp.Dispatch(g.cycle)
+	g.busy |= g.disp.Dispatch(g.cycle)
 	return nil
 }
 
@@ -371,28 +386,29 @@ func (g *GPU) Enqueue(stream string, k *sm.Kernel) (*sched.KernelState, error) {
 	return ks, nil
 }
 
-// Step advances the device one cycle with every component ticked: the
-// tick engine's cycle and the reference semantics. It touches no wake
-// state, so it is valid on any device — before, between or without
-// event-engine runs.
+// Step advances the device one cycle with every component that holds
+// work ticked (both networks and dispatch every cycle): the tick engine's
+// cycle and the reference semantics. It touches no wake state, so it is
+// valid on any device — before, between or without event-engine runs.
 func (g *GPU) Step() {
 	g.step(g.cycle, false)
 	g.cycle++
 	g.stats.Cycles++
+	if g.ev.audit {
+		g.auditState(g.cycle)
+	}
 }
 
 // Done reports whether every enqueued kernel has retired and the device
 // has fully drained.
 func (g *GPU) Done() bool {
-	if !g.disp.Done() {
-		return false
-	}
-	for _, s := range g.sms {
-		if s.Busy() {
-			return false
-		}
-	}
-	return g.drained()
+	return g.disp.Done() && g.busy == 0 && g.drained()
+}
+
+// noteSM refreshes SM si's occupancy bits after its Tick or PopMiss.
+func (g *GPU) noteSM(si int) {
+	g.busy = withBit(g.busy, si, g.sms[si].Busy())
+	g.missOcc = withBit(g.missOcc, si, g.sms[si].MissQueued())
 }
 
 // NextEvent returns the earliest cycle at or after now at which any
@@ -520,16 +536,18 @@ func (g *GPU) catchUpPart(pi int, through sim.Cycle) {
 // which is the timing model — is written: partitions, reply network
 // (transfer, tick, eject), request network (inject, tick, accept), cores
 // with their flush, dispatch. Each phase walks a bitmask: the parts and
-// sms to visit, or a crossbar's occupied ejection ports. Ungated (Step,
-// the tick engine) parts and sms are every component, dispatch runs
-// every cycle, and no wake state is read or written. Gated (runEvent)
-// they are the components whose wakes are due, and every mutation marks
-// its component for rearmDirty. A handoff phase skipping the rest loses
-// nothing: a visible return head or a queued miss pins its owner's
-// NextEvent at now, so the stall observations stay the tick engine's.
+// sms to visit, narrowed by an occupancy mask, or a crossbar's occupied
+// ejection ports. Ungated (Step, the tick engine) parts are the busy
+// partitions and sms every SM, dispatch runs every cycle, and no wake
+// state is read or written. Gated (runEvent) they are the components
+// whose wakes are due, and every mutation marks its component for
+// rearmDirty. A handoff phase skipping the rest loses nothing: a visible
+// return head or a queued miss pins its owner's NextEvent at now, so the
+// stall observations stay the tick engine's, and a component outside
+// the occupancy masks holds nothing, so its Tick would be a no-op.
 func (g *GPU) step(c sim.Cycle, gated bool) {
 	ev := &g.ev
-	parts, sms := g.allParts, g.allSMs
+	parts, sms := g.partOcc, g.allSMs
 	if gated {
 		parts = ev.sched.Fire(ev.part0, len(g.parts), c)
 		sms = ev.sched.Fire(ev.sm0, len(g.sms), c)
@@ -544,6 +562,7 @@ func (g *GPU) step(c sim.Cycle, gated bool) {
 			ev.partLastProc[pi] = c
 		}
 		g.parts[pi].Tick(c)
+		g.notePart(pi)
 	}
 
 	// Reply network: partition return queues → network → SMs. A visible
@@ -582,6 +601,7 @@ func (g *GPU) step(c sim.Cycle, gated bool) {
 					sms |= ev.sched.Fire(ev.sm0+si, 1, c) << uint(si)
 				}
 			}
+			// No busy bit to set: a reply answers an outstanding load.
 			s.AcceptResponse(c, pkt.Req)
 		}
 	}
@@ -590,7 +610,7 @@ func (g *GPU) step(c sim.Cycle, gated bool) {
 	// miss pins its SM's horizon at now, so these cycles are stepped too,
 	// and the SM is due: the core phase below ticks and re-arms it.
 	injected = false
-	for m := sms; m != 0; m &= m - 1 {
+	for m := sms & g.missOcc; m != 0; m &= m - 1 {
 		si := bits.TrailingZeros64(m)
 		s := g.sms[si]
 		for {
@@ -620,6 +640,7 @@ func (g *GPU) step(c sim.Cycle, gated bool) {
 			g.reqNet.Inject(c, si, icnt.Packet{Req: r, Dst: r.Partition, Size: size})
 			injected = true
 		}
+		g.noteSM(si)
 	}
 	if !gated || ev.sched.Fire(ev.reqID, 1, c) != 0 || injected {
 		g.reqNet.Tick(c)
@@ -639,32 +660,29 @@ func (g *GPU) step(c sim.Cycle, gated bool) {
 	// is due are ticked; the rest sleep, with their per-cycle idle counters
 	// replayed on the next catch-up. This is the engine's main lever: a
 	// core whose warps are all blocked on in-flight loads — or whose LDST
-	// head the L1 refused — costs nothing until something arrives.
+	// head the L1 refused — costs nothing until something arrives. Only
+	// busy SMs tick: an idle one can neither issue nor hold a load, and
+	// gated, one that drained while armed is disarmed by the re-arm.
 	if gated {
 		ev.dirtySM |= sms
 	}
-	g.ticked = g.ticked[:0]
-	for m := sms; m != 0; m &= m - 1 {
+	ticked := sms & g.busy
+	for m := ticked; m != 0; m &= m - 1 {
 		si := bits.TrailingZeros64(m)
-		s := g.sms[si]
-		if !s.Busy() {
-			// Idle SMs (no resident blocks, nothing in flight) are skipped;
-			// they cannot issue and hold no outstanding loads, so neither
-			// the timing nor the exposure accounting is affected. Gated,
-			// this is a core that drained while armed (e.g. the initial
-			// arm-everything wake on an idle core): the re-arm disarms it.
-			continue
+		if g.ev.audit && !g.sms[si].Busy() {
+			g.auditf(c, "sm%d ticked while idle (stale busy bit)", si)
 		}
 		if gated {
 			g.catchUpSM(si, c-1)
 			ev.lastProc[si] = c
 		}
-		s.Tick(c)
-		g.ticked = append(g.ticked, s)
+		g.sms[si].Tick(c)
+		g.noteSM(si)
 	}
-	for _, s := range g.ticked {
-		s.FlushCycle()
-		g.issueObs.IssueSlot(s.Config().ID, c, s.IssuedThisCycle())
+	for m := ticked; m != 0; m &= m - 1 {
+		si := bits.TrailingZeros64(m)
+		g.sms[si].FlushCycle()
+		g.issueObs.IssueSlot(si, c, g.sms[si].IssuedThisCycle())
 	}
 
 	// Dispatch: every cycle ungated; gated, only when a retirement or
@@ -674,14 +692,14 @@ func (g *GPU) step(c sim.Cycle, gated bool) {
 	// Launched SMs are woken for c+1 by the re-arm pass (a fresh warp is
 	// issuable immediately, so NextEvent pins c+1).
 	if !gated {
-		g.disp.Dispatch(c)
+		g.busy |= g.disp.Dispatch(c)
 	} else if ev.needDispatch {
 		ev.needDispatch = false
 		for si := range g.sms {
 			g.catchUpSM(si, c)
 		}
 		ev.dirtySM = g.allSMs
-		g.disp.Dispatch(c)
+		g.busy |= g.disp.Dispatch(c)
 	}
 }
 
@@ -719,8 +737,9 @@ func (g *GPU) rearmDirty(c sim.Cycle) {
 // cycle, every component's NextEvent is re-polled and compared against
 // its armed wake. A component able to act before its registration means
 // some mutation path failed to wake or re-arm it — the classic
-// event-driven simulation bug. Each SM's maintained issue-readiness
-// state is audited at the same points (sm.AuditReadiness). The audit is
+// event-driven simulation bug. The occupancy masks and each SM's issue
+// readiness are audited at the same points (auditState), and after
+// every Step under the tick engine. The audit is
 // O(components) per cycle with full horizon scans, so it is meant for
 // tests, not production runs.
 func (g *GPU) SetWakeAudit(on bool) { g.ev.audit = on }
@@ -731,14 +750,9 @@ func (g *GPU) WakeAuditViolations() []string { return g.ev.auditBad }
 
 func (g *GPU) auditWakes(next sim.Cycle) {
 	ev := &g.ev
-	bad := func(format string, args ...any) {
-		if len(ev.auditBad) < 16 {
-			ev.auditBad = append(ev.auditBad, fmt.Sprintf("cycle %d: ", next)+fmt.Sprintf(format, args...))
-		}
-	}
 	check := func(id int, h sim.Cycle) {
 		if h < ev.sched.Armed(id) {
-			bad("%s can act at %d but is armed at %d (lost wake-up)", ev.sched.Name(id), h, ev.sched.Armed(id))
+			g.auditf(next, "%s can act at %d but is armed at %d (lost wake-up)", ev.sched.Name(id), h, ev.sched.Armed(id))
 		}
 	}
 	for pi, p := range g.parts {
@@ -746,20 +760,41 @@ func (g *GPU) auditWakes(next sim.Cycle) {
 	}
 	check(ev.reqID, g.reqNet.NextEvent(next))
 	check(ev.repID, g.replyNet.NextEvent(next))
-	// The step's eject phases and the horizons above walk the
-	// crossbars' occupancy masks; audit those against the queues.
-	for _, x := range []*icnt.Crossbar{g.reqNet, g.replyNet} {
-		if err := x.AuditOccupancy(); err != nil {
-			bad("%v", err)
-		}
-	}
 	for si, s := range g.sms {
 		check(ev.sm0+si, s.NextEvent(next))
-		// The horizon above reads the SM's maintained readiness state;
-		// audit that state too.
-		if err := s.AuditReadiness(); err != nil {
-			bad("%v", err)
+	}
+	g.auditState(next)
+}
+
+// auditState checks the state the step phases and the horizons walk
+// instead of rescanning: the device's occupancy masks, the crossbars'
+// and each SM's readiness, all against live queues.
+func (g *GPU) auditState(next sim.Cycle) {
+	for _, x := range []*icnt.Crossbar{g.reqNet, g.replyNet} {
+		if err := x.AuditOccupancy(); err != nil {
+			g.auditf(next, "%v", err)
 		}
+	}
+	var live [4]uint64 // busy, missOcc, partOcc, retOcc
+	for si, s := range g.sms {
+		if err := s.AuditReadiness(); err != nil {
+			g.auditf(next, "%v", err)
+		}
+		live[0] = withBit(live[0], si, s.Busy())
+		live[1] = withBit(live[1], si, s.MissQueued())
+	}
+	for pi, p := range g.parts {
+		live[2] = withBit(live[2], pi, !p.Drained())
+		live[3] = withBit(live[3], pi, p.ReturnQueued())
+	}
+	if kept := [4]uint64{g.busy, g.missOcc, g.partOcc, g.retOcc}; kept != live {
+		g.auditf(next, "stale busy/missOcc/partOcc/retOcc masks %#x, live %#x", kept, live)
+	}
+}
+
+func (g *GPU) auditf(next sim.Cycle, format string, args ...any) {
+	if len(g.ev.auditBad) < 16 {
+		g.ev.auditBad = append(g.ev.auditBad, fmt.Sprintf("cycle %d: ", next)+fmt.Sprintf(format, args...))
 	}
 }
 
@@ -866,7 +901,7 @@ func (g *GPU) Run() (sim.Cycle, error) {
 	// them now (with every stream registered, so spatial slices cover
 	// all streams) makes their blocks resident from the first stepped
 	// cycle, exactly like Launch.
-	g.disp.Dispatch(g.cycle)
+	g.busy |= g.disp.Dispatch(g.cycle)
 	if g.cfg.Engine == sim.EngineEvent {
 		return g.runEvent(start)
 	}

@@ -84,11 +84,13 @@ func (ms *MemSubsystem) Inject(port int, addr uint64, size uint32) {
 // Step advances the testbench one cycle.
 func (ms *MemSubsystem) Step() {
 	c := ms.cycle
-	for _, p := range ms.parts {
-		p.Tick(c)
+	for m := ms.partOcc; m != 0; m &= m - 1 {
+		pi := bits.TrailingZeros64(m)
+		ms.parts[pi].Tick(c)
+		ms.notePart(pi)
 	}
 	// Replies: partitions → reply net → callback → pool.
-	ms.sendReturns(c, ms.allParts)
+	ms.sendReturns(c, ms.retOcc)
 	ms.replyNet.Tick(c)
 	for m := ms.replyNet.EjectOccupied(); m != 0; m &= m - 1 {
 		port := bits.TrailingZeros64(m)

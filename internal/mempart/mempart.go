@@ -211,6 +211,9 @@ func (p *Partition) PeekReturn(c sim.Cycle) (*mem.Request, bool) {
 	return p.ret.Peek(c)
 }
 
+// ReturnQueued reports whether a reply waits for the reply network.
+func (p *Partition) ReturnQueued() bool { return p.ret.Len() > 0 }
+
 // Tick advances the partition one cycle. Stage order is downstream-first
 // so a request cannot traverse more than one stage per cycle.
 func (p *Partition) Tick(c sim.Cycle) {

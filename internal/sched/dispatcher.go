@@ -183,8 +183,9 @@ func (d *Dispatcher) anyActive() bool {
 // Dispatch fills free block slots from every stream's head kernel,
 // breadth-first: one block per eligible stream per pass, until no stream
 // can place another block. Called by the GPU at launch and at the end of
-// every stepped cycle; it is idempotent when nothing can be placed.
-func (d *Dispatcher) Dispatch(now sim.Cycle) {
+// every stepped cycle; it is idempotent when nothing can be placed. It
+// returns the SMs it placed a block on, bit i for SM i.
+func (d *Dispatcher) Dispatch(now sim.Cycle) (placed uint64) {
 	if len(d.streams) <= 1 || !d.anyActive() {
 		// Restart the scan cursors: always on an empty device (a fresh
 		// fill starts at SM 0), and at every call in single-stream legacy
@@ -212,20 +213,22 @@ func (d *Dispatcher) Dispatch(now sim.Cycle) {
 			if ks.nextBlock >= ks.Kernel.GridDim {
 				continue
 			}
-			if d.placeOne(si, st, ks) {
+			if i := d.placeOne(si, st, ks); i >= 0 {
+				placed |= 1 << uint(i)
 				progress = true
 			}
 		}
 		if !progress {
-			return
+			return placed
 		}
 	}
 }
 
 // placeOne places the next block of ks on the first SM with capacity,
 // scanning the stream's candidate SMs from the rotating cursor (or from
-// 0 in legacy single-stream mode; see the type comment).
-func (d *Dispatcher) placeOne(si int, st *stream, ks *KernelState) bool {
+// 0 in legacy single-stream mode; see the type comment), and returns
+// the SM's index, or -1 when no candidate has room.
+func (d *Dispatcher) placeOne(si int, st *stream, ks *KernelState) int {
 	lo, width := 0, len(d.sms)
 	cursor := &d.cursor
 	if d.placement == PlacementSpatial {
@@ -233,7 +236,7 @@ func (d *Dispatcher) placeOne(si int, st *stream, ks *KernelState) bool {
 		cursor = &st.cursor
 	}
 	if width <= 0 {
-		return false
+		return -1
 	}
 	for j := 0; j < width; j++ {
 		rel := (*cursor + j) % width
@@ -247,9 +250,9 @@ func (d *Dispatcher) placeOne(si int, st *stream, ks *KernelState) bool {
 		ks.stats.BlocksDispatched++
 		d.blocks++
 		*cursor = (rel + 1) % width
-		return true
+		return lo + rel
 	}
-	return false
+	return -1
 }
 
 // slice returns stream si's SM range [lo, lo+width) under spatial

@@ -46,9 +46,9 @@ const (
 	// reported NextEvent horizon. It is the default (zero value) and
 	// produces results identical to EngineTick.
 	EngineEvent Engine = iota
-	// EngineTick is the classic cycle-driven loop: every component is
-	// ticked on every cycle. It is the reference implementation the
-	// event engine is validated against.
+	// EngineTick is the classic cycle-driven loop: every cycle is
+	// stepped and ticks every component that holds work. It is the
+	// reference implementation the event engine is validated against.
 	EngineTick
 )
 

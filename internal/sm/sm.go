@@ -590,6 +590,9 @@ func (s *SM) PopMiss(c sim.Cycle) (*mem.Request, bool) { return s.missQ.Pop(c) }
 // PeekMiss inspects the next outbound request.
 func (s *SM) PeekMiss(c sim.Cycle) (*mem.Request, bool) { return s.missQ.Peek(c) }
 
+// MissQueued reports whether a request waits for network injection.
+func (s *SM) MissQueued() bool { return s.missQ.Len() > 0 }
+
 // CanAcceptResponse reports whether the response queue has room.
 func (s *SM) CanAcceptResponse() bool { return s.respQ.CanPush() }
 
