@@ -26,6 +26,7 @@ test:
 
 vet:
 	$(GO) vet ./...
+	cd bench && $(GO) vet ./...
 
 # Fails when any file is not gofmt-clean.
 fmt:

@@ -22,7 +22,9 @@ type DynamicResult struct {
 	Instructions uint64
 	// Device is the GPU the run executed on, retained so callers can
 	// export its engine/dispatch counters (gpu.ExportMetrics) after the
-	// run. Never serialized; excluded from comparable encodings.
+	// run; a runner payload's device is released (gpu.GPU.Release) and
+	// holds only counters. Never serialized; excluded from comparable
+	// encodings.
 	Device *gpu.GPU `json:"-"`
 }
 

@@ -159,6 +159,9 @@ func (ch *Channel) Config() Config { return ch.cfg }
 // Stats returns a snapshot of the activity counters.
 func (ch *Channel) Stats() Stats { return ch.stats }
 
+// Release drops everything but the config and the counters.
+func (ch *Channel) Release() { *ch = Channel{cfg: ch.cfg, stats: ch.stats} }
+
 // QueueLen returns the number of requests awaiting scheduling.
 func (ch *Channel) QueueLen() int { return len(ch.queue) }
 

@@ -16,8 +16,8 @@
 // from their NextEvent horizons, and jumps the clock to the next
 // registered wake, replaying the skipped spans' idle accounting
 // (SkipIdle/SkipStalled) so both engines' results and statistics are
-// byte-identical. The dispatcher is not a subscriber: gated, dispatch
-// runs only in cycles where a retirement or an enqueue armed it. See
+// byte-identical. The dispatcher is not a subscriber: both engines
+// dispatch only in cycles where a retirement or an enqueue armed it. See
 // internal/sim/doc.go for the full contract and the wake-source notes in
 // each component package.
 package gpu
@@ -346,6 +346,30 @@ func (g *GPU) Stats() Stats {
 	return st
 }
 
+// Release keeps the device's counters and drops its simulator: Config,
+// Stats, WakeStats, per-kernel stats and each component's config and
+// Stats stay; functional memory, queues, caches, tables and the request
+// pool go. Run and Enqueue then return an error and Step panics.
+func (g *GPU) Release() {
+	for _, s := range g.sms {
+		s.Release()
+	}
+	for _, p := range g.parts {
+		p.Release()
+	}
+	g.reqNet.Release()
+	g.replyNet.Release()
+	g.Memory, g.pool = nil, nil
+}
+
+// errReleased is the error of Run, Enqueue and Step on a released device.
+func (g *GPU) errReleased() error {
+	if g.Memory == nil {
+		return fmt.Errorf("gpu %s: device released", g.cfg.Name)
+	}
+	return nil
+}
+
 // Dispatcher exposes the stream/dispatch subsystem (per-kernel stats,
 // stream state).
 func (g *GPU) Dispatcher() *sched.Dispatcher { return g.disp }
@@ -375,6 +399,9 @@ func (g *GPU) Launch(k *sm.Kernel) error {
 // returned state carries the kernel's per-launch stats (blocks
 // dispatched/retired, residency span) as they accrue.
 func (g *GPU) Enqueue(stream string, k *sm.Kernel) (*sched.KernelState, error) {
+	if err := g.errReleased(); err != nil {
+		return nil, err
+	}
 	ks, err := g.disp.Enqueue(stream, k)
 	if err != nil {
 		return nil, fmt.Errorf("gpu %s: %w", g.cfg.Name, err)
@@ -387,10 +414,14 @@ func (g *GPU) Enqueue(stream string, k *sm.Kernel) (*sched.KernelState, error) {
 }
 
 // Step advances the device one cycle with every component that holds
-// work ticked (both networks and dispatch every cycle): the tick engine's
-// cycle and the reference semantics. It touches no wake state, so it is
-// valid on any device — before, between or without event-engine runs.
+// work ticked (both networks every cycle, dispatch after a retirement or
+// an enqueue): the tick engine's cycle and the reference semantics. It
+// touches no wake state, so it is valid on any device — before, between
+// or without event-engine runs — but a released one, where it panics.
 func (g *GPU) Step() {
+	if err := g.errReleased(); err != nil {
+		panic(err)
+	}
 	g.step(g.cycle, false)
 	g.cycle++
 	g.stats.Cycles++
@@ -538,13 +569,13 @@ func (g *GPU) catchUpPart(pi int, through sim.Cycle) {
 // with their flush, dispatch. Each phase walks a bitmask: the parts and
 // sms to visit, narrowed by an occupancy mask, or a crossbar's occupied
 // ejection ports. Ungated (Step, the tick engine) parts are the busy
-// partitions and sms every SM, dispatch runs every cycle, and no wake
-// state is read or written. Gated (runEvent) they are the components
-// whose wakes are due, and every mutation marks its component for
-// rearmDirty. A handoff phase skipping the rest loses nothing: a visible
-// return head or a queued miss pins its owner's NextEvent at now, so the
-// stall observations stay the tick engine's, and a component outside
-// the occupancy masks holds nothing, so its Tick would be a no-op.
+// partitions and sms every SM, and no wake state is read or written.
+// Gated (runEvent) they are the components whose wakes are due, and
+// every mutation marks its component for rearmDirty. A handoff phase
+// skipping the rest loses nothing: a visible return head or a queued
+// miss pins its owner's NextEvent at now, so the stall observations stay
+// the tick engine's, and a component outside the occupancy masks holds
+// nothing, so its Tick would be a no-op.
 func (g *GPU) step(c sim.Cycle, gated bool) {
 	ev := &g.ev
 	parts, sms := g.partOcc, g.allSMs
@@ -685,21 +716,27 @@ func (g *GPU) step(c sim.Cycle, gated bool) {
 		g.issueObs.IssueSlot(si, c, g.sms[si].IssuedThisCycle())
 	}
 
-	// Dispatch: every cycle ungated; gated, only when a retirement or
-	// enqueue armed it this cycle. Every SM is caught up through c first:
+	// Dispatch: only when a retirement or enqueue armed it this cycle
+	// (the audited tick engine tries every cycle and reports a placement
+	// nothing armed). Gated, every SM is caught up through c first:
 	// LaunchBlock changes the residency state SkipIdle's replay depends
 	// on, so the pre-launch span must be accounted with pre-launch state.
 	// Launched SMs are woken for c+1 by the re-arm pass (a fresh warp is
 	// issuable immediately, so NextEvent pins c+1).
-	if !gated {
-		g.busy |= g.disp.Dispatch(c)
-	} else if ev.needDispatch {
+	if ev.needDispatch {
 		ev.needDispatch = false
-		for si := range g.sms {
-			g.catchUpSM(si, c)
+		if gated {
+			for si := range g.sms {
+				g.catchUpSM(si, c)
+			}
+			ev.dirtySM = g.allSMs
 		}
-		ev.dirtySM = g.allSMs
 		g.busy |= g.disp.Dispatch(c)
+	} else if !gated && ev.audit {
+		if placed := g.disp.Dispatch(c); placed != 0 {
+			g.busy |= placed
+			g.auditf(c, "dispatch placed blocks on SMs %#x with no retirement or enqueue to arm it", placed)
+		}
 	}
 }
 
@@ -739,9 +776,9 @@ func (g *GPU) rearmDirty(c sim.Cycle) {
 // some mutation path failed to wake or re-arm it — the classic
 // event-driven simulation bug. The occupancy masks and each SM's issue
 // readiness are audited at the same points (auditState), and after
-// every Step under the tick engine. The audit is
-// O(components) per cycle with full horizon scans, so it is meant for
-// tests, not production runs.
+// every Step under the tick engine, which also tries a dispatch on every
+// cycle that armed none. The audit is O(components) per cycle with full
+// horizon scans, so it is meant for tests, not production runs.
 func (g *GPU) SetWakeAudit(on bool) { g.ev.audit = on }
 
 // WakeAuditViolations returns the violations the audit recorded (nil
@@ -896,6 +933,9 @@ func (g *GPU) runEvent(start sim.Cycle) (sim.Cycle, error) {
 // future cycles and everything else is skipped; results are identical
 // to the tick engine either way.
 func (g *GPU) Run() (sim.Cycle, error) {
+	if err := g.errReleased(); err != nil {
+		return 0, err
+	}
 	start := g.cycle
 	// Kernels enqueued without Launch have not dispatched yet; placing
 	// them now (with every stream registered, so spatial slices cover

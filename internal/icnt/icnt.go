@@ -134,6 +134,9 @@ func (x *Crossbar) Config() Config { return x.cfg }
 // Stats returns a snapshot of the counters.
 func (x *Crossbar) Stats() Stats { return x.stats }
 
+// Release drops everything but the config and the counters.
+func (x *Crossbar) Release() { *x = Crossbar{cfg: x.cfg, stats: x.stats} }
+
 // CanInject reports whether input port i can accept a packet.
 func (x *Crossbar) CanInject(i int) bool { return x.inject[i].CanPush() }
 

@@ -188,6 +188,13 @@ func (p *Partition) DRAM() *dram.Channel { return p.dram }
 // Stats returns a snapshot of the partition counters.
 func (p *Partition) Stats() Stats { return p.stats }
 
+// Release drops everything but the config and the counters of the
+// partition and its DRAM channel. A released partition must not tick.
+func (p *Partition) Release() {
+	p.dram.Release()
+	*p = Partition{cfg: p.cfg, dram: p.dram, stats: p.stats}
+}
+
 // CanAccept reports whether the ROP stage can take another request.
 func (p *Partition) CanAccept() bool { return p.rop.CanPush() }
 

@@ -167,7 +167,6 @@ func execDynamic(res *Result, cfg gpu.Config, job Job) error {
 	if err != nil {
 		return err
 	}
-	res.Payload = dr
 	// The metrics are totals, which no bucket count changes: one
 	// bucket each.
 	sum := dr.LoadSummary()
@@ -186,6 +185,9 @@ func execDynamic(res *Result, cfg gpu.Config, job Job) error {
 	res.add("dram_queue_pct", bd.TotalPct(core.StageDRAMQueue))
 	res.add("exposed_pct", ex.OverallExposedPct())
 	res.add("mostly_exposed_pct", ex.MostlyExposedPct())
+	// A finished job keeps the device's counters, not its simulator.
+	dr.Device.Release()
+	res.Payload = dr
 	return nil
 }
 

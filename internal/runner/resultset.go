@@ -27,10 +27,10 @@ type Result struct {
 	Metrics []Metric `json:"metrics,omitempty"`
 	Err     string   `json:"error,omitempty"`
 	// Payload holds the experiment's typed result for callers that
-	// render rich reports. A dynamic job's *core.DynamicResult keeps its
-	// device and the per-latency aggregate every report reads, not its
-	// load records or issue bitmaps (DynamicResult.Release); run the
-	// job through RunWorkload for those.
+	// render rich reports. A dynamic job's *core.DynamicResult keeps the
+	// per-latency aggregate every report reads and a released device
+	// that holds only counters (gpu.GPU.Release), not its load records
+	// or its simulator; run the job through RunWorkload for those.
 	Payload any `json:"-"`
 	// Elapsed is the job's wall time (not exported: nondeterministic).
 	Elapsed time.Duration `json:"-"`

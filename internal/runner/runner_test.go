@@ -281,8 +281,10 @@ func TestBFSTooFewVerticesIsAnError(t *testing.T) {
 
 // TestDynamicPayloadKeepsNoRecords: a finished dynamic or co-run job's
 // payload keeps the per-latency cells its reports read, not a record per
-// load, so a grid held until the sweep ends does not hold every job's
-// loads. It logs the live heap each result retains beside the tracker
+// load, and a dynamic payload's device keeps its counters, not its
+// simulator, so a grid held until the sweep ends holds neither every
+// job's loads nor its devices: the live heap a finished job retains is
+// at most its tracker plus 64 KiB. It logs that heap beside the tracker
 // storage the same job holds when run with its records kept.
 func TestDynamicPayloadKeepsNoRecords(t *testing.T) {
 	liveHeap := func() int64 {
@@ -301,6 +303,7 @@ func TestDynamicPayloadKeepsNoRecords(t *testing.T) {
 		results[i] = Execute(context.Background(), job)
 	}
 	per := (liveHeap() - before) / int64(len(jobs))
+	var trackers int64
 	for i := range results {
 		r := &results[i]
 		if r.Failed() {
@@ -316,6 +319,7 @@ func TestDynamicPayloadKeepsNoRecords(t *testing.T) {
 		case *core.CoRunResult:
 			tr = p.Tracker
 		}
+		trackers += int64(tr.Footprint())
 		records := 0
 		for range tr.All() {
 			records++
@@ -339,5 +343,9 @@ func TestDynamicPayloadKeepsNoRecords(t *testing.T) {
 	}
 	t.Logf("live heap grew %d bytes per finished job over %d jobs; the trackers hold %d bytes each, %d when they keep their records",
 		per, len(jobs), folded/3, full/3)
+	if bound := trackers/int64(len(jobs)) + 64<<10; per > bound {
+		t.Errorf("a finished job retains %d bytes of live heap, more than its tracker's %d plus 64 KiB: its payload keeps more than counters",
+			per, trackers/int64(len(jobs)))
+	}
 	runtime.KeepAlive(results)
 }

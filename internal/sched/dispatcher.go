@@ -124,9 +124,6 @@ func NewDispatcher(sms []*sm.SM, placement Placement) *Dispatcher {
 	}
 }
 
-// Placement returns the configured placement policy.
-func (d *Dispatcher) Placement() Placement { return d.placement }
-
 // Enqueue validates kernel k and appends it to the named stream,
 // creating the stream on first use. Kernels on one stream run in order;
 // kernels on different streams co-run. The returned state is live: its
@@ -183,8 +180,9 @@ func (d *Dispatcher) anyActive() bool {
 // Dispatch fills free block slots from every stream's head kernel,
 // breadth-first: one block per eligible stream per pass, until no stream
 // can place another block. Called by the GPU at launch and at the end of
-// every stepped cycle; it is idempotent when nothing can be placed. It
-// returns the SMs it placed a block on, bit i for SM i.
+// each cycle in which a block retired or a kernel was enqueued; it is
+// idempotent when nothing can be placed. It returns the SMs it placed a
+// block on, bit i for SM i.
 func (d *Dispatcher) Dispatch(now sim.Cycle) (placed uint64) {
 	if len(d.streams) <= 1 || !d.anyActive() {
 		// Restart the scan cursors: always on an empty device (a fresh
@@ -268,7 +266,7 @@ func (d *Dispatcher) slice(si int) (lo, width int) {
 // now (wired to the SMs' retire hook). When the last block retires the
 // kernel completes and its stream advances; the successor kernel begins
 // dispatching at the next Dispatch call — the same cycle, since the GPU
-// dispatches at the end of every stepped cycle.
+// dispatches at the end of a cycle in which a block retired.
 func (d *Dispatcher) NoteBlockRetired(now sim.Cycle, kid int) {
 	if kid < 0 || kid >= len(d.kernels) {
 		panic(fmt.Sprintf("sched: retire for unknown kernel %d", kid))

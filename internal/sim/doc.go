@@ -80,21 +80,22 @@
 // both engines run it: partitions, reply network (partition return
 // queues → network → cores), request network (core miss queues →
 // network → partitions), cores with their deferred-effect flush, then
-// the dispatcher. The tick engine runs the body ungated — every cycle
-// is stepped, every component holding work ticks, no wake state is
-// consulted — and the event engine runs the same body with each
-// component's Tick gated on its wake, so what the tick oracle certifies
-// is exactly the gating: horizons, wake registration, idle replay and
-// re-arming. Neither engine ticks an idle core or a drained partition;
-// that such a tick is a no-op is tested directly, not by the engine
-// gates. The Scheduler imposes no order of its own. It is a flat slice
-// of armed cycles, one per subscriber, and answers only "what is the
-// earliest armed cycle" (NextWake) and "which of these subscribers are
-// due" (Fire); there is no heap to pop and so no tie-breaking rule to
-// get wrong. (Calendar, the stable
-// min-heap in this package, orders timed events inside one component —
-// an SM's writeback deliveries — not wakes across components;
-// TestCalendarSameCycleStableOrder pins its tie order.)
+// the dispatcher, which both engines run only in a cycle where a block
+// retired or a kernel was enqueued. The tick engine runs the body
+// ungated — every cycle is stepped, every component holding work ticks,
+// no wake state is consulted — and the event engine runs the same body
+// with each component's Tick gated on its wake, so what the tick oracle
+// certifies is exactly the gating: horizons, wake registration, idle
+// replay and re-arming. Neither engine ticks an idle core or a drained
+// partition; that such a tick is a no-op is tested directly, not by the
+// engine gates. The Scheduler imposes no order of its own. It is a flat
+// slice of armed cycles, one per subscriber, and answers only "what is
+// the earliest armed cycle" (NextWake) and "which of these subscribers
+// are due" (Fire); there is no heap to pop and so no tie-breaking rule
+// to get wrong. (Calendar, the stable min-heap in this package, orders
+// timed events inside one component — an SM's writeback deliveries —
+// not wakes across components; TestCalendarSameCycleStableOrder pins its
+// tie order.)
 //
 // # SkipIdle replay
 //

@@ -38,9 +38,6 @@ func NewQueue[T any](name string, capacity int, latency Cycle) *Queue[T] {
 	return &Queue[T]{name: name, ring: make([]queueEntry[T], capacity), ready: Never, latency: latency}
 }
 
-// Name returns the queue's diagnostic name.
-func (q *Queue[T]) Name() string { return q.name }
-
 // CanPush reports whether the queue has room for another entry.
 func (q *Queue[T]) CanPush() bool { return q.n < len(q.ring) }
 

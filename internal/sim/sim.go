@@ -14,9 +14,3 @@ type Ticker interface {
 	// skipped entirely (see the package contract in doc.go).
 	Tick(c Cycle)
 }
-
-// TickFunc adapts a function to the Ticker interface.
-type TickFunc func(c Cycle)
-
-// Tick implements Ticker.
-func (f TickFunc) Tick(c Cycle) { f(c) }

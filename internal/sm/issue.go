@@ -83,6 +83,9 @@ func (s *SM) pickWarp(c sim.Cycle, exclude uint64) int {
 	if !s.ldstQ.CanPush() {
 		cand &^= s.memNext
 	}
+	if cand == 0 {
+		return -1
+	}
 	switch s.cfg.Scheduler {
 	case LRR:
 		// Slots lastSched+1 .. MaxWarps-1, then 0 .. lastSched.

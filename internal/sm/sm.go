@@ -371,6 +371,10 @@ func (s *SM) Config() Config { return s.cfg }
 // Stats returns a snapshot of the counters.
 func (s *SM) Stats() Stats { return s.stats }
 
+// Release drops everything but the SM's config and counters: its warps,
+// scoreboard, queues, L1 and free lists. A released SM must not tick.
+func (s *SM) Release() { *s = SM{cfg: s.cfg, stats: s.stats} }
+
 // L1 exposes the data cache (nil when absent).
 func (s *SM) L1() *cache.Cache { return s.l1 }
 
