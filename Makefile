@@ -119,16 +119,28 @@ export-identity:
 
 # The one process-level check of `serve` and `submit` (the real
 # listener, flag parsing, SIGTERM): a cold `submit -suite -quick -csv`
-# must be the bytes of `bench-suite -quick -csv`.
+# must be the bytes of `bench-suite -quick -csv`, served by one station
+# and then by a `serve -backends` coordinator over two more stations
+# (SMOKE_SHARDS: the two stations' addresses, then the coordinator's).
 SMOKE_ADDR ?= 127.0.0.1:18763
+SMOKE_SHARDS ?= 127.0.0.1:18764 127.0.0.1:18765 127.0.0.1:18766
 serve-smoke:
 	$(BUILD_CLI)
-	rm -rf $(TMP)/smoke-cache
+	rm -rf $(TMP)/smoke-cache $(TMP)/smoke-shard-1 $(TMP)/smoke-shard-2
 	$(CLI) bench-suite -quick -quiet -csv > $(TMP)/direct.csv
 	$(CLI) serve -addr $(SMOKE_ADDR) -cache-dir $(TMP)/smoke-cache -quiet & pid=$$!; \
 	$(CLI) submit -addr http://$(SMOKE_ADDR) -quiet -suite -quick -csv > $(TMP)/served.csv; ok=$$?; \
 	kill $$pid && wait $$pid && test $$ok = 0
 	cmp $(TMP)/direct.csv $(TMP)/served.csv
+	set -- $(SMOKE_SHARDS); \
+	$(CLI) serve -addr $$1 -cache-dir $(TMP)/smoke-shard-1 -quiet & b1=$$!; \
+	$(CLI) serve -addr $$2 -cache-dir $(TMP)/smoke-shard-2 -quiet & b2=$$!; \
+	$(CLI) submit -addr http://$$1 -healthz > /dev/null && $(CLI) submit -addr http://$$2 -healthz > /dev/null && { \
+		$(CLI) serve -addr $$3 -backends $$1,$$2 -quiet & c=$$!; \
+		$(CLI) submit -addr http://$$3 -quiet -suite -quick -csv > $(TMP)/sharded.csv; ok=$$?; \
+		kill $$c && wait $$c && test $$ok = 0; }; ok=$$?; \
+	kill $$b1 $$b2 && wait $$b1 && wait $$b2 && test $$ok = 0
+	cmp $(TMP)/direct.csv $(TMP)/sharded.csv
 
 # The repository benchmark (bench/) is a Go module of its own, outside
 # `go test ./...`: build it and run every workload at -smoke scale, so an

@@ -184,10 +184,10 @@ func allocIdleDevice(tb testing.TB) *gpu.GPU {
 		g.Step()
 	}
 	inflight := 0
-	for _, p := range g.Partitions() {
+	for i, p := range g.Partitions() {
 		inflight += p.DRAM().InflightLen()
 		if p.Pending() != p.DRAM().InflightLen()+p.L2().MSHRsInUse() {
-			tb.Fatalf("partition %d holds work besides its DRAM access: %s", p.Config().ID, p.DebugState())
+			tb.Fatalf("partition %d holds work besides its DRAM access: %s", i, p.DebugState())
 		}
 	}
 	if inflight != 1 {

@@ -31,8 +31,6 @@ type (
 	MultiKernel = kernels.MultiKernel
 	// StaticResult is one architecture's Table I row.
 	StaticResult = core.StaticResult
-	// StaticOptions tunes the pointer-chase harness.
-	StaticOptions = core.StaticOptions
 	// Breakdown is the Figure 1 per-bucket stage breakdown.
 	Breakdown = core.BreakdownReport
 	// Exposure is the Figure 2 exposed/hidden analysis.
@@ -274,11 +272,6 @@ func MeasureStatic(cfg Config) (StaticResult, error) {
 	return core.MeasureStatic(cfg, core.DefaultStaticOptions())
 }
 
-// MeasureStaticWithOptions is MeasureStatic with a custom harness setup.
-func MeasureStaticWithOptions(cfg Config, opt StaticOptions) (StaticResult, error) {
-	return core.MeasureStatic(cfg, opt)
-}
-
 // RenderTableI writes the Table I reproduction for a set of results.
 func RenderTableI(w io.Writer, rows []StaticResult) { core.TableI(w, rows) }
 
@@ -344,7 +337,7 @@ func RunBFS(cfg Config, opt BFSOptions) (*DynamicResult, error) {
 }
 
 // Workloads lists the catalog of single-kernel workloads usable with
-// RunWorkload (the paper's "other workloads").
+// NewWorkload (the paper's "other workloads").
 func Workloads() []string { return kernels.CatalogNames() }
 
 // Scale selects workload input sizes.
@@ -363,19 +356,6 @@ func NewWorkload(name string, scale Scale, seed uint64) (*Workload, error) {
 		seed = 7
 	}
 	return kernels.NewByName(name, scale, seed)
-}
-
-// RunWorkload executes an instrumented catalog workload at experiment
-// scale. Seed 0 selects the default input.
-func RunWorkload(cfg Config, name string, seed uint64) (*DynamicResult, error) {
-	if seed == 0 {
-		seed = 7
-	}
-	wl, err := kernels.NewByName(name, kernels.ScaleExperiment, seed)
-	if err != nil {
-		return nil, err
-	}
-	return core.RunDynamic(cfg, wl)
 }
 
 // RunWorkloadOn executes a caller-built workload with instrumentation.

@@ -229,9 +229,6 @@ func New(cfg Config) *Cache {
 	}
 }
 
-// Config returns the cache's configuration.
-func (c *Cache) Config() Config { return c.cfg }
-
 // Stats returns a copy of the activity counters.
 func (c *Cache) Stats() Stats { return c.stats }
 

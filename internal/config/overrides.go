@@ -29,9 +29,6 @@ type Overrides struct {
 	Placement string `json:"placement,omitempty"`
 }
 
-// IsZero reports whether the overrides leave the preset untouched.
-func (o Overrides) IsZero() bool { return o == Overrides{} }
-
 // Apply returns cfg with the non-zero overrides applied.
 func (o Overrides) Apply(cfg gpu.Config) (gpu.Config, error) {
 	if o.WarpSched != "" {

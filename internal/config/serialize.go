@@ -26,15 +26,6 @@ func FromJSON(data []byte) (gpu.Config, error) {
 	return cfg, nil
 }
 
-// Save writes cfg to path as JSON.
-func Save(path string, cfg gpu.Config) error {
-	data, err := ToJSON(cfg)
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
 // Load reads a configuration from a JSON file. The name "file:<path>"
 // form of ByNameOrFile uses it.
 func Load(path string) (gpu.Config, error) {

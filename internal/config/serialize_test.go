@@ -5,6 +5,8 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+
+	"gpulat/internal/gpu"
 )
 
 func TestJSONRoundTrip(t *testing.T) {
@@ -24,12 +26,22 @@ func TestJSONRoundTrip(t *testing.T) {
 	}
 }
 
+// save writes cfg to path as ToJSON renders it.
+func save(t *testing.T, path string, cfg gpu.Config) {
+	t.Helper()
+	data, err := ToJSON(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestSaveLoad(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "gf100.json")
 	cfg := GF100()
-	if err := Save(path, cfg); err != nil {
-		t.Fatal(err)
-	}
+	save(t, path, cfg)
 	back, err := Load(path)
 	if err != nil {
 		t.Fatal(err)
@@ -46,9 +58,7 @@ func TestByNameOrFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "custom.json")
 	cfg := GK104()
 	cfg.NumSMs = 3
-	if err := Save(path, cfg); err != nil {
-		t.Fatal(err)
-	}
+	save(t, path, cfg)
 	got, err := ByNameOrFile("file:" + path)
 	if err != nil {
 		t.Fatal(err)
@@ -76,9 +86,7 @@ func TestLoadedConfigRuns(t *testing.T) {
 	cfg := GF106()
 	cfg.NumSMs = 1
 	cfg.NumPartitions = 1
-	if err := Save(path, cfg); err != nil {
-		t.Fatal(err)
-	}
+	save(t, path, cfg)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)

@@ -153,9 +153,6 @@ func NewChannel(cfg Config) *Channel {
 	}
 }
 
-// Config returns the channel configuration.
-func (ch *Channel) Config() Config { return ch.cfg }
-
 // Stats returns a snapshot of the activity counters.
 func (ch *Channel) Stats() Stats { return ch.stats }
 

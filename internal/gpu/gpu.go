@@ -330,9 +330,6 @@ func (g *GPU) noteBlockRetired(c sim.Cycle, kernelID int) {
 	g.ev.needDispatch = true
 }
 
-// Config returns the device configuration.
-func (g *GPU) Config() Config { return g.cfg }
-
 // Cycle returns the current simulation cycle.
 func (g *GPU) Cycle() sim.Cycle { return g.cycle }
 

@@ -85,29 +85,9 @@ func (b *Builder) IMad(d, a, srcB, c Reg) *Builder {
 	return b.push(Instruction{Op: OpIMAD, Dst: d, SrcA: a, SrcB: srcB, SrcC: c})
 }
 
-// IMadI appends Dst = a*imm + c.
-func (b *Builder) IMadI(d, a Reg, imm int32, c Reg) *Builder {
-	return b.push(Instruction{Op: OpIMAD, Dst: d, SrcA: a, Imm: imm, UseImm: true, SrcC: c})
-}
-
-// And appends Dst = a & src.
-func (b *Builder) And(d, a, src Reg) *Builder {
-	return b.push(Instruction{Op: OpAND, Dst: d, SrcA: a, SrcB: src})
-}
-
 // AndI appends Dst = a & imm.
 func (b *Builder) AndI(d, a Reg, imm int32) *Builder {
 	return b.push(Instruction{Op: OpAND, Dst: d, SrcA: a, Imm: imm, UseImm: true})
-}
-
-// Or appends Dst = a | src.
-func (b *Builder) Or(d, a, src Reg) *Builder {
-	return b.push(Instruction{Op: OpOR, Dst: d, SrcA: a, SrcB: src})
-}
-
-// Xor appends Dst = a ^ src.
-func (b *Builder) Xor(d, a, src Reg) *Builder {
-	return b.push(Instruction{Op: OpXOR, Dst: d, SrcA: a, SrcB: src})
 }
 
 // ShlI appends Dst = a << imm.
@@ -118,26 +98,6 @@ func (b *Builder) ShlI(d, a Reg, imm int32) *Builder {
 // ShrI appends Dst = a >> imm (logical).
 func (b *Builder) ShrI(d, a Reg, imm int32) *Builder {
 	return b.push(Instruction{Op: OpSHR, Dst: d, SrcA: a, Imm: imm, UseImm: true})
-}
-
-// IMin appends Dst = min(a, src) (unsigned).
-func (b *Builder) IMin(d, a, src Reg) *Builder {
-	return b.push(Instruction{Op: OpIMIN, Dst: d, SrcA: a, SrcB: src})
-}
-
-// IMax appends Dst = max(a, src) (unsigned).
-func (b *Builder) IMax(d, a, src Reg) *Builder {
-	return b.push(Instruction{Op: OpIMAX, Dst: d, SrcA: a, SrcB: src})
-}
-
-// FAdd appends Dst = a +. src (float32).
-func (b *Builder) FAdd(d, a, src Reg) *Builder {
-	return b.push(Instruction{Op: OpFADD, Dst: d, SrcA: a, SrcB: src})
-}
-
-// FMul appends Dst = a *. src (float32).
-func (b *Builder) FMul(d, a, src Reg) *Builder {
-	return b.push(Instruction{Op: OpFMUL, Dst: d, SrcA: a, SrcB: src})
 }
 
 // FFma appends Dst = a*srcB + c (float32 fused).

@@ -16,9 +16,6 @@ type Graph struct {
 // Edges returns the edge count.
 func (g *Graph) Edges() int { return int(g.RowOff[g.N]) }
 
-// Degree returns vertex v's out-degree.
-func (g *Graph) Degree(v int) int { return int(g.RowOff[v+1] - g.RowOff[v]) }
-
 // GenUniformRandom builds a random directed graph with n vertices whose
 // out-degrees are uniform in [1, 2*avgDeg-1] and neighbors are uniform —
 // the unstructured access pattern that defeats coalescing.

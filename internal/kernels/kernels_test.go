@@ -223,7 +223,7 @@ func TestGraphGenerators(t *testing.T) {
 	// Scale-free: max degree should far exceed the mean.
 	maxDeg, sum := 0, 0
 	for v := 0; v < s.N; v++ {
-		d := s.Degree(v)
+		d := int(s.RowOff[v+1] - s.RowOff[v])
 		sum += d
 		if d > maxDeg {
 			maxDeg = d

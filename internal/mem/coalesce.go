@@ -20,9 +20,6 @@ type CoalesceResult struct {
 	Lanes [][]int
 }
 
-// NumTransactions returns the number of memory transactions generated.
-func (r CoalesceResult) NumTransactions() int { return len(r.Segments) }
-
 // CoalesceScratch is a reusable coalescer work buffer. Its Coalesce
 // method computes the same result as the package-level Coalesce but on
 // flat sorted slices instead of a map — after a few warm-up calls sized

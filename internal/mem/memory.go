@@ -98,15 +98,6 @@ func (m *Memory) Store32(addr uint64, v uint32) {
 	}
 }
 
-// Load32Slice reads n consecutive 32-bit words starting at addr.
-func (m *Memory) Load32Slice(addr uint64, n int) []uint32 {
-	out := make([]uint32, n)
-	for i := range out {
-		out[i] = m.Load32(addr + uint64(i)*4)
-	}
-	return out
-}
-
 // Store32Slice writes consecutive 32-bit words starting at addr.
 func (m *Memory) Store32Slice(addr uint64, vals []uint32) {
 	for i, v := range vals {

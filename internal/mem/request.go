@@ -102,9 +102,6 @@ type Request struct {
 	pooled bool
 }
 
-// Tracked reports whether the request carries latency instrumentation.
-func (r *Request) Tracked() bool { return r.Log != nil }
-
 // String renders a compact description for diagnostics.
 func (r *Request) String() string {
 	return fmt.Sprintf("req#%d %s %s addr=%#x size=%d sm=%d warp=%d",

@@ -176,9 +176,6 @@ func New(cfg Config) *Partition {
 // unset and run unpooled.
 func (p *Partition) SetRequestPool(pool *mem.RequestPool) { p.pool = pool }
 
-// Config returns the partition configuration.
-func (p *Partition) Config() Config { return p.cfg }
-
 // L2 exposes the cache slice for statistics and tests.
 func (p *Partition) L2() *cache.Cache { return p.l2 }
 

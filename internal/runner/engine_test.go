@@ -2,6 +2,7 @@ package runner
 
 import (
 	"context"
+	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -50,7 +51,11 @@ func TestResolveConfigEngineInheritance(t *testing.T) {
 	cfg, _ := config.ByName("GF106")
 	cfg.Engine = sim.EngineTick
 	path := filepath.Join(t.TempDir(), "tick.json")
-	if err := config.Save(path, cfg); err != nil {
+	data, err := config.ToJSON(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	got, err := resolveConfig(Job{Arch: "file:" + path})

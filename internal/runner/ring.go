@@ -19,9 +19,10 @@ import (
 // changes.
 //
 // A Ring is immutable once built: membership changes construct a new
-// Ring (WithMember/WithoutMember), and OwnershipDelta compares two
-// rings key-by-key — the exact set difference the coordinator re-places
-// or warm-hands-off when the pool grows or shrinks.
+// Ring (WithMember/WithoutMember), so the coordinator compares the ring
+// before a change with the one after key by key — the exact set
+// difference it re-places or warm-hands-off when the pool grows or
+// shrinks.
 
 // RingVnodes is the default virtual-node count per member. 64 keeps the
 // largest/smallest arc ratio in the low single-digit percent for small
@@ -177,28 +178,4 @@ func (r *Ring) Shares() map[string]float64 {
 		out[p.member] += float64(arc) / (1 << 64)
 	}
 	return out
-}
-
-// KeyMove is one key whose owner changed between two rings.
-type KeyMove struct {
-	Key  JobKey
-	From string // "" when the key had no owner (empty before-ring)
-	To   string // "" when the key has no owner (empty after-ring)
-}
-
-// OwnershipDelta returns exactly the keys whose owner differs between
-// before and after, in input order. This is an exact set difference:
-// keys absent from the result are guaranteed to have the same owner on
-// both rings, so a membership change needs to touch only the returned
-// keys.
-func OwnershipDelta(before, after *Ring, keys []JobKey) []KeyMove {
-	var moves []KeyMove
-	for _, k := range keys {
-		from, _ := before.Owner(k)
-		to, _ := after.Owner(k)
-		if from != to {
-			moves = append(moves, KeyMove{Key: k, From: from, To: to})
-		}
-	}
-	return moves
 }

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"path"
 	"reflect"
 	"sync/atomic"
 	"testing"
@@ -20,8 +21,9 @@ import (
 // carries the key's result, and it is the result GET /v1/results/{key}
 // answers (equal decoded, and equal bytes once compacted), whichever
 // path finished the key. No terminal status goes on the wire without its
-// result, even when the coordinator cannot fetch one, and RunJobs spends
-// one call on a finished key and two on a cold one, forwards included.
+// result, even when the coordinator loses the backend before it has read
+// one, and RunJobs spends one call on a finished key and two on a cold
+// one, forwards included.
 func TestTerminalAnswersCarryTheirResult(t *testing.T) {
 	ctx := context.Background()
 	// carried checks an answer's inline result against base's result
@@ -182,18 +184,22 @@ func TestTerminalAnswersCarryTheirResult(t *testing.T) {
 	})
 
 	t.Run("backend gone before the result fetch", func(t *testing.T) {
-		// The backend answers "done" with no result, then its listener
-		// closes and it answers nothing more, so the coordinator's fetch
-		// fails and the key is re-placed on a backend that is gone.
-		stub := (&flakyQueueServer{accepted: map[runner.JobKey]runner.Job{}}).handler()
+		// The backend answers "running" to the first status call, then
+		// its listener closes and it answers nothing more, so the
+		// coordinator's next status call fails and the key is re-placed
+		// on a backend that is gone.
 		var gone atomic.Bool
 		var ts *httptest.Server
 		ts = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			if gone.Load() {
 				panic(http.ErrAbortHandler)
 			}
-			stub.ServeHTTP(w, r)
-			if r.Method == http.MethodGet && r.URL.Path != "/v1/healthz" {
+			if r.Method == http.MethodPost {
+				acceptQueued(w, r)
+				return
+			}
+			writeJSON(w, http.StatusOK, JobStatus{Key: runner.JobKey(path.Base(r.URL.Path)), Status: StatusRunning})
+			if r.URL.Path != "/v1/healthz" {
 				gone.Store(true)
 				ts.Listener.Close()
 			}

@@ -22,9 +22,9 @@ type Client struct {
 	HTTP *http.Client
 	// Poll is the floor between two non-terminal status answers (default
 	// 25ms, backing off to 8x). RunJobs waits by long-poll, but an answer
-	// can still come back at once: from a server that ignores wait, or
-	// from a coordinator for a key it has not forwarded yet (a chunk
-	// parked by backend backpressure), so Poll keeps RunJobs from spinning.
+	// can still come back at once: from a coordinator for a key it has
+	// not forwarded yet (a chunk parked by backend backpressure), so Poll
+	// keeps RunJobs from spinning.
 	Poll time.Duration
 	// Backoff is the starting delay before resubmitting jobs a 503
 	// (queue full, no healthy backends) refused (default 50ms, doubling
@@ -263,8 +263,9 @@ func (c *Client) submitOnce(ctx context.Context, jobs []runner.Job) ([]JobTicket
 
 // Wait fetches one job's lifecycle position, asking the server to hold
 // the answer up to d (it caps d itself; <= 0: not at all) until the job
-// is terminal. A server that predates ?wait= answers at once, so
-// callers must tolerate a non-terminal answer.
+// is terminal. A terminal answer carries the job's result. A held wait
+// can still come back non-terminal (the cap ran out, or a coordinator
+// has not forwarded the key yet), so callers must tolerate one.
 func (c *Client) Wait(ctx context.Context, key runner.JobKey, d time.Duration) (JobStatus, error) {
 	path := "/v1/jobs/" + string(key)
 	if d > 0 {
@@ -327,14 +328,13 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 // RunJobs submits jobs, waits for all of them, and reassembles a
 // ResultSet in submission order with client-local indices — the exact
 // shape a direct runner.Run would have produced, so CSV/JSON exports
-// byte-match a local sweep. A terminal answer carries its result, so a
-// finished job costs one round trip: tickets already done (cache hits,
+// byte-match a local sweep. Every terminal answer carries its result, so
+// a finished job costs one round trip: tickets already done (cache hits,
 // dedup onto finished work) need no further call, which makes a warm grid
 // re-run one POST; any other ticket costs one held status call that
 // returns, result included, the moment the job finishes, the first of
-// them no sooner than headStart after the call began. Only a terminal
-// answer without its result (a server that predates inline results)
-// costs a result fetch.
+// them no sooner than headStart after the call began. A terminal answer
+// without its result is an error naming the key.
 func (c *Client) RunJobs(ctx context.Context, jobs []runner.Job) (*runner.ResultSet, error) {
 	began := time.Now()
 	tickets, err := c.Submit(ctx, jobs)
@@ -353,66 +353,40 @@ func (c *Client) RunJobs(ctx context.Context, jobs []runner.Job) (*runner.Result
 	set := &runner.ResultSet{Results: make([]runner.Result, len(jobs))}
 	for i, t := range tickets {
 		status, result := t.Status, t.Result
-		floor := poll
-		// pause sleeps out what is left of the floor since `since` (nothing
-		// after a held wait, all of it after an immediate answer), then
-		// backs the floor off.
-		pause := func(since time.Time) error {
-			if err := sleepCtx(ctx, floor-time.Since(since)); err != nil {
-				return err
+		// floor is the least time between two non-terminal answers: after
+		// an immediate answer the rest of it is slept out (nothing after a
+		// held wait), and it backs off to 8x.
+		for floor := poll; !status.terminal(); {
+			asked := time.Now()
+			js, err := c.Wait(ctx, t.Key, maxStatusWait)
+			if err != nil {
+				return nil, err
+			}
+			if status, result = js.Status, js.Result; status.terminal() {
+				break
+			}
+			if err := sleepCtx(ctx, floor-time.Since(asked)); err != nil {
+				return nil, err
 			}
 			if floor < 8*poll {
 				floor *= 2
 			}
-			return nil
 		}
-		for {
-			for !status.terminal() {
-				asked := time.Now()
-				js, err := c.Wait(ctx, t.Key, maxStatusWait)
-				if err != nil {
-					return nil, err
-				}
-				if status, result = js.Status, js.Result; status.terminal() {
-					break
-				}
-				if err := pause(asked); err != nil {
-					return nil, err
-				}
-			}
-			var wr WireResult
-			var err error
-			if result != nil {
-				err = json.Unmarshal(result, &wr)
-			} else if wr, err = c.Result(ctx, t.Key); err != nil {
-				// A terminal answer without its result (a server that
-				// predates inline results) costs a fetch. 409: the "done"
-				// we saw evaporated between the status answer and the
-				// fetch — a sharded server's backend died in that window
-				// and the job is re-running. Resume waiting; every other
-				// failure is terminal.
-				var ae *APIError
-				if errors.As(err, &ae) && ae.Code == http.StatusConflict {
-					if err := pause(time.Now()); err != nil {
-						return nil, err
-					}
-					status = StatusQueued
-					continue
-				}
-			}
-			if err != nil {
-				return nil, err
-			}
-			// Reassemble under the job we submitted: keys are content
-			// hashes, so the server's job spec is equivalent, but ours
-			// carries the label/seed spelling this invocation asked for.
-			set.Results[i] = runner.Result{
-				Index:   i,
-				Job:     jobs[i],
-				Metrics: wr.Metrics,
-				Err:     wr.Error,
-			}
-			break
+		if result == nil {
+			return nil, fmt.Errorf("service: job %s answered %s without its result", t.Key, status)
+		}
+		var wr WireResult
+		if err := json.Unmarshal(result, &wr); err != nil {
+			return nil, fmt.Errorf("service: job %s: %w", t.Key, err)
+		}
+		// Reassemble under the job we submitted: keys are content
+		// hashes, so the server's job spec is equivalent, but ours
+		// carries the label/seed spelling this invocation asked for.
+		set.Results[i] = runner.Result{
+			Index:   i,
+			Job:     jobs[i],
+			Metrics: wr.Metrics,
+			Err:     wr.Error,
 		}
 	}
 	return set, nil

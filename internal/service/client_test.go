@@ -4,8 +4,11 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"maps"
 	"net/http"
 	"net/http/httptest"
+	"path"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -15,7 +18,8 @@ import (
 
 // flakyQueueServer refuses the first `refusals` submit batches with the
 // 503 + partial-accept shape a full station queue produces, then accepts
-// everything; statuses/results answer from what it accepted.
+// everything; a status call answers done, with the result, for what it
+// accepted.
 type flakyQueueServer struct {
 	mu       sync.Mutex
 	refusals int
@@ -59,27 +63,73 @@ func (f *flakyQueueServer) handler() http.Handler {
 	mux.HandleFunc("GET /v1/jobs/{key}", func(w http.ResponseWriter, r *http.Request) {
 		key := runner.JobKey(r.PathValue("key"))
 		f.mu.Lock()
-		_, ok := f.accepted[key]
-		f.mu.Unlock()
-		if !ok {
-			writeError(w, http.StatusNotFound, "unknown job %s", key)
-			return
-		}
-		writeJSON(w, http.StatusOK, JobStatus{Key: key, Status: StatusDone})
-	})
-	mux.HandleFunc("GET /v1/results/{key}", func(w http.ResponseWriter, r *http.Request) {
-		key := runner.JobKey(r.PathValue("key"))
-		f.mu.Lock()
 		job, ok := f.accepted[key]
 		f.mu.Unlock()
 		if !ok {
 			writeError(w, http.StatusNotFound, "unknown job %s", key)
 			return
 		}
-		res := testResult(job)
-		writeJSON(w, http.StatusOK, WireResult{Key: key, Job: job, Metrics: res.Metrics})
+		writeJSON(w, http.StatusOK, JobStatus{Key: key, Status: StatusDone, Result: wireResult(job)})
 	})
 	return mux
+}
+
+// acceptQueued answers a POST /v1/jobs as a stub backend that queues
+// every job it is sent.
+func acceptQueued(w http.ResponseWriter, r *http.Request) {
+	var req SubmitRequest
+	_ = jsonDecode(r, &req)
+	tks := make([]JobTicket, len(req.Jobs))
+	for i, j := range req.Jobs {
+		tks[i] = JobTicket{Key: j.Key(), Status: StatusQueued}
+	}
+	writeJSON(w, http.StatusOK, SubmitResponse{Tickets: tks})
+}
+
+// resultlessServer is a stub backend that queues every job it is sent
+// and answers every status call done without the result, a protocol no
+// server in this tree speaks. calls counts its requests by method and
+// path directory.
+func resultlessServer(t *testing.T) (ts *httptest.Server, calls func() map[string]int) {
+	var mu sync.Mutex
+	seen := map[string]int{}
+	ts = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		seen[r.Method+" "+path.Dir(r.URL.Path)]++
+		mu.Unlock()
+		switch {
+		case r.Method == http.MethodPost && r.URL.Path == "/v1/jobs":
+			acceptQueued(w, r)
+		case strings.HasPrefix(r.URL.Path, "/v1/jobs/"):
+			writeJSON(w, http.StatusOK, JobStatus{Key: runner.JobKey(path.Base(r.URL.Path)), Status: StatusDone})
+		default:
+			writeError(w, http.StatusNotFound, "no such route")
+		}
+	}))
+	t.Cleanup(ts.Close)
+	return ts, func() map[string]int {
+		mu.Lock()
+		defer mu.Unlock()
+		return maps.Clone(seen)
+	}
+}
+
+// TestRunJobsRefusesTerminalAnswerWithoutResult: against a server that
+// answers done without the result, RunJobs returns an error naming the
+// key at once: it neither fetches the result nor waits again.
+func TestRunJobsRefusesTerminalAnswerWithoutResult(t *testing.T) {
+	ts, calls := resultlessServer(t)
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	job := testJob(0)
+	_, err := NewClient(ts.URL).RunJobs(ctx, []runner.Job{job})
+	if err == nil || ctx.Err() != nil || !strings.Contains(err.Error(), string(job.Key())) {
+		t.Fatalf("RunJobs = %v (ctx %v), want an error naming %s", err, ctx.Err(), job.Key())
+	}
+	if got, want := calls(), map[string]int{"POST /v1": 1, "GET /v1/jobs": 1}; !maps.Equal(got, want) {
+		t.Fatalf("calls %v, want %v", got, want)
+	}
 }
 
 // TestClientRetriesQueueFull: a 503 refusal makes RunJobs back off and

@@ -92,9 +92,9 @@ type MembershipChange struct {
 // the plan the core returned (journal appends, forwards, cache pulls),
 // feeding each outcome back in. Membership is elastic (Join, Leave);
 // with JournalPath set, an in-flight grid survives a coordinator crash.
-// Results are memoized from the backend answers that carry them
-// (fetched once from a backend whose answers do not), which keeps the
-// client-observable contract byte-identical to a single-process run.
+// Results are memoized from the backend answers that carry them, which
+// keeps the client-observable contract byte-identical to a
+// single-process run.
 type Coordinator struct {
 	// placement is the decision core; its jobs table's mu is the one
 	// lock, and its pending count is what QueueBound caps.
@@ -230,16 +230,6 @@ func (c *Coordinator) Close() {
 	}
 }
 
-// Submit admits one job; see SubmitMany.
-func (c *Coordinator) Submit(ctx context.Context, job runner.Job) (runner.JobKey, Status, error) {
-	key := job.Key()
-	tickets, err := c.SubmitMany(ctx, []runner.Job{job})
-	if err != nil {
-		return key, "", err
-	}
-	return tickets[0].Key, tickets[0].Status, nil
-}
-
 // SubmitMany admits jobs (see placement.admit) and forwards the
 // admissions as one batched POST per backend — a grid expanded
 // server-side becomes a handful of bulk submissions, not one HTTP call
@@ -253,7 +243,7 @@ func (c *Coordinator) SubmitMany(ctx context.Context, jobs []runner.Job) ([]JobT
 	c.act(ctx, p)
 	// Refresh ticket statuses after forwarding: a backend answering from
 	// its cache reports "done" immediately, with the result, which lets
-	// clients skip the status poll and the result fetch on warm grids.
+	// clients skip the status call on warm grids.
 	c.mu.Lock()
 	for i := range tickets {
 		tickets[i].Status = c.byKey[tickets[i].Key].status
@@ -387,27 +377,17 @@ func (c *Coordinator) Result(ctx context.Context, key runner.JobKey) (runner.Res
 }
 
 // finished returns key's state once its result is final, else nil. The
-// result is memoized from the backend answer that carried it (see learn)
-// or else from one proxied fetch, so later calls (and the coordinator's
+// result is memoized from the backend answer that carried it (see
+// learn); one the coordinator has not heard yet it asks for with a
+// status call proxied with no wait. Later calls (and the coordinator's
 // own failure handling) never depend on the backend staying alive after
-// completion. ctx contributes only its trace ID: an abandoned fetch must
-// not read as a backend failure.
+// completion.
 func (c *Coordinator) finished(ctx context.Context, key runner.JobKey) *jobState {
-	st, _, b := c.remote(key)
-	if b != nil {
-		ctx = context.WithoutCancel(ctx)
-		rctx, cancel := context.WithTimeout(ctx, c.cfg.CallTimeout)
-		wr, err := b.client.Result(rctx, key)
-		cancel()
-		c.mu.Lock()
-		if c.act(ctx, c.fetched(st, b, wr, err)); err != nil {
-			return nil
-		}
+	c.Wait(ctx, key, 0)
+	if st := c.lookup(key); st != nil && st.final() {
+		return st
 	}
-	if st == nil || !st.final() {
-		return nil
-	}
-	return st
+	return nil
 }
 
 // RingEpoch returns the pool's monotonic membership epoch.

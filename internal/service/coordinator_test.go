@@ -1,10 +1,14 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -222,24 +226,13 @@ func TestCoordinatorResubmitsWhenBackendLosesState(t *testing.T) {
 		mux.HandleFunc("GET /v1/jobs/{key}", func(w http.ResponseWriter, r *http.Request) {
 			key := runner.JobKey(r.PathValue("key"))
 			mu.Lock()
-			_, ok := known[key]
-			mu.Unlock()
-			if !ok {
-				writeError(w, http.StatusNotFound, "unknown job %s", key)
-				return
-			}
-			writeJSON(w, http.StatusOK, JobStatus{Key: key, Status: StatusDone})
-		})
-		mux.HandleFunc("GET /v1/results/{key}", func(w http.ResponseWriter, r *http.Request) {
-			key := runner.JobKey(r.PathValue("key"))
-			mu.Lock()
 			job, ok := known[key]
 			mu.Unlock()
 			if !ok {
 				writeError(w, http.StatusNotFound, "unknown job %s", key)
 				return
 			}
-			writeJSON(w, http.StatusOK, WireResult{Key: key, Job: job, Metrics: testResult(job).Metrics})
+			writeJSON(w, http.StatusOK, JobStatus{Key: key, Status: StatusDone, Result: wireResult(job)})
 		})
 		mux.HandleFunc("GET /v1/healthz", func(w http.ResponseWriter, r *http.Request) {
 			writeJSON(w, http.StatusOK, Health{OK: true, Version: "test", Scheme: "test"})
@@ -251,7 +244,7 @@ func TestCoordinatorResubmitsWhenBackendLosesState(t *testing.T) {
 	coord := quickCoordinator(t, []string{ts.URL})
 
 	job := testJob(3)
-	if _, _, err := coord.Submit(context.Background(), job); err != nil {
+	if _, err := coord.SubmitMany(context.Background(), []runner.Job{job}); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(10 * time.Second)
@@ -271,6 +264,109 @@ func TestCoordinatorResubmitsWhenBackendLosesState(t *testing.T) {
 	defer mu.Unlock()
 	if posts < 2 {
 		t.Fatalf("posts = %d, want a resubmission", posts)
+	}
+}
+
+// TestCoordinatorFailsResultlessTerminalAnswer: when a backend answers
+// done without the result, the key fails at once, naming the backend,
+// and never reads done with no final result; a client through the
+// coordinator gets that failure, and nothing asks the backend for
+// /v1/results.
+func TestCoordinatorFailsResultlessTerminalAnswer(t *testing.T) {
+	ts, calls := resultlessServer(t)
+	coord := quietCoordinator(t, ts.URL)
+	front := httptest.NewServer(NewServer(coord, nil))
+	defer front.Close()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	job := testJob(0)
+	set, err := NewClient(front.URL).RunJobs(ctx, []runner.Job{job})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := "backend " + ts.URL + " answered job " + string(job.Key()) + " done without a readable result"
+	if got := set.Results[0].Err; !strings.Contains(got, want) {
+		t.Fatalf("result error %q, want it to say %q", got, want)
+	}
+	st := coord.lookup(job.Key())
+	coord.mu.Lock()
+	status := st.status
+	coord.mu.Unlock()
+	if status != StatusFailed || !st.final() {
+		t.Fatalf("key reads %s, final %v; want failed and final", status, st.final())
+	}
+	if got := calls(); got["GET /v1/results"] != 0 || got["GET /v1/jobs"] != 1 {
+		t.Fatalf("backend calls %v, want one status call and no result fetch", got)
+	}
+}
+
+// TestCoordinatorResultReadsThroughStatusProxy: GET /v1/results/{key} on
+// a coordinator, for a key its backend finished but the coordinator has
+// not heard of yet, answers 200 with the backend's bytes. It learns them
+// from one status call proxied with no wait, under the reader's trace
+// ID, and never from the backend's /v1/results.
+func TestCoordinatorResultReadsThroughStatusProxy(t *testing.T) {
+	wedge := make(chan struct{})
+	release := releaser(t, wedge)
+	ce := &countingExec{block: wedge}
+	station := newStation(t, nil, StationConfig{Workers: 1, Exec: ce.exec})
+	inner := NewServer(station, nil)
+	var mu sync.Mutex
+	var seen []string
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/v1/healthz" {
+			mu.Lock()
+			seen = append(seen, r.Method+" "+r.URL.RequestURI()+" "+r.Header.Get(TraceHeader))
+			mu.Unlock()
+		}
+		inner.ServeHTTP(w, r)
+	}))
+	defer ts.Close()
+	coord := quietCoordinator(t, ts.URL)
+	front := httptest.NewServer(NewServer(coord, nil))
+	defer front.Close()
+
+	job := testJob(0)
+	key := job.Key()
+	if tks, err := coord.SubmitMany(context.Background(), []runner.Job{job}); err != nil || tks[0].Status.terminal() {
+		t.Fatalf("submit = %+v, %v; want a live ticket", tks, err)
+	}
+	release()
+	if s, _ := station.Wait(context.Background(), key, 10*time.Second); s != StatusDone {
+		t.Fatalf("backend reads %s, want done", s)
+	}
+	if st := coord.lookup(key); st.final() {
+		t.Fatal("the coordinator heard of the result before anyone asked")
+	}
+	mu.Lock()
+	seen = nil
+	mu.Unlock()
+
+	read := func(base, trace string) []byte {
+		t.Helper()
+		req, _ := http.NewRequest(http.MethodGet, base+"/v1/results/"+string(key), nil)
+		req.Header.Set(TraceHeader, trace)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s/v1/results = %d: %s", base, resp.StatusCode, body)
+		}
+		return body
+	}
+	got := read(front.URL, "result-read")
+	mu.Lock()
+	proxied := slices.Clone(seen)
+	mu.Unlock()
+	if want := []string{"GET /v1/jobs/" + string(key) + " result-read"}; !slices.Equal(proxied, want) {
+		t.Fatalf("the coordinator's result read sent %q to the backend, want %q", proxied, want)
+	}
+	if want := read(ts.URL, "direct"); !bytes.Equal(got, want) {
+		t.Fatalf("coordinator answered %s, backend %s", got, want)
 	}
 }
 
@@ -355,7 +451,7 @@ func TestCoordinatorSubmitAfterClose(t *testing.T) {
 	coord := quickCoordinator(t, []string{b1.ts.URL})
 	coord.Close()
 	coord.Close() // idempotent
-	if _, _, err := coord.Submit(context.Background(), testJob(0)); err != ErrStationClosed {
+	if _, err := coord.SubmitMany(context.Background(), []runner.Job{testJob(0)}); err != ErrStationClosed {
 		t.Fatalf("Submit after Close = %v, want ErrStationClosed", err)
 	}
 }
@@ -374,7 +470,7 @@ func TestCoordinatorNoBackendsIs503Shaped(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if _, _, err := coord.Submit(context.Background(), testJob(0)); err != ErrNoBackends {
+	if _, err := coord.SubmitMany(context.Background(), []runner.Job{testJob(0)}); err != ErrNoBackends {
 		t.Fatalf("Submit = %v, want ErrNoBackends", err)
 	}
 	if errHTTPStatus(ErrNoBackends) != http.StatusServiceUnavailable {

@@ -32,14 +32,17 @@
 //     it began: short jobs are then answered without a held wait, and a
 //     closed-loop caller's pace is a timer's, not the host scheduler's).
 //     Without wait the answer is immediate. Client.Poll is the floor
-//     between two non-terminal answers: an older server answers at once,
-//     and so does a coordinator for a key it has not forwarded yet.
-//     A terminal answer — a ticket already done or failed, a status
-//     that is — carries its result (the bytes GET /v1/results/{key}
-//     writes), so a finished job costs one round trip and a warm grid
-//     re-run is one POST; the result fetch is left for an answer
-//     without one (an older server), and a coordinator keeps the results
-//     its backends' answers carry.
+//     between two non-terminal answers: a coordinator answers at once
+//     for a key it has not forwarded yet. The service speaks one
+//     protocol: every terminal answer — a ticket already done or
+//     failed, a status that is — carries its result (the bytes GET
+//     /v1/results/{key} writes), so a finished job costs one round trip
+//     and a warm grid re-run is one POST. RunJobs never fetches a
+//     result: a terminal answer without one is an error naming the key.
+//     A coordinator keeps the results its backends' answers carry; one
+//     it has not heard yet (a GET /v1/results/{key} before any wait) it
+//     reads with a status call proxied with no wait, and a backend's
+//     terminal answer without its result fails the key.
 //
 //   - Coordinator: the sharded tier behind `gpulat serve
 //     -backends`. The coordinator serves the same API but runs nothing

@@ -140,9 +140,8 @@ func (t *jobs) attach(key runner.JobKey) (status Status, ok bool, err error) {
 }
 
 // add registers a fresh queued state for job under key, replacing the
-// state key had. A replaced state whose result is not final yet (a
-// coordinator's failed status not fetched) is failed first, so earlier
-// holders of it still see one final result.
+// state key had. A replaced state whose result is not final yet is
+// failed first, so earlier holders of it still see one final result.
 func (t *jobs) add(key runner.JobKey, job runner.Job) *jobState {
 	if old := t.byKey[key]; old != nil {
 		t.fail(old, "service: job resubmitted after it failed")

@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
-	"path"
 	"path/filepath"
 	"reflect"
 	"slices"
@@ -234,34 +233,6 @@ func TestTraceHeaderPropagation(t *testing.T) {
 	mu.Unlock()
 	if reads != 1 {
 		t.Errorf("backend saw %d GETs under the reader's trace ID, want the status forward; saw %v", reads, seen)
-	}
-
-	// A backend whose answers carry no result makes the coordinator proxy
-	// the result fetch, and that forward carries the inbound ID too.
-	stub := &flakyQueueServer{accepted: map[runner.JobKey]runner.Job{}}
-	stubHandler := stub.handler()
-	bare := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		mu.Lock()
-		seen[r.Method+" "+path.Dir(r.URL.Path)+" "+r.Header.Get(TraceHeader)]++
-		mu.Unlock()
-		stubHandler.ServeHTTP(w, r)
-	}))
-	t.Cleanup(bare.Close)
-	bareFront := httptest.NewServer(NewServer(quietCoordinator(t, bare.URL), nil))
-	t.Cleanup(bareFront.Close)
-	bareClient := NewClient(bareFront.URL)
-	if _, err := bareClient.Submit(ctx, []runner.Job{testJob(9)}); err != nil {
-		t.Fatal(err)
-	}
-	ctx = WithTrace(context.Background(), "trace-prop-fallback")
-	if js, err := bareClient.Wait(ctx, testJob(9).Key(), time.Second); err != nil || js.Status != StatusDone || js.Result == nil {
-		t.Fatalf("waited status through a result-less backend = %+v, %v", js, err)
-	}
-	mu.Lock()
-	status, result := seen["GET /v1/jobs trace-prop-fallback"], seen["GET /v1/results trace-prop-fallback"]
-	mu.Unlock()
-	if status != 1 || result != 1 {
-		t.Errorf("result-less backend saw %d status and %d result GETs under the reader's trace ID, want one each; saw %v", status, result, seen)
 	}
 
 	// No inbound ID: the server mints one and echoes it.

@@ -124,7 +124,7 @@ const backendIdleConns = 64
 // reads a clock or starts a goroutine. A decision (admit, join, leave,
 // sweep, close) returns a plan, which the Coordinator carries out once
 // it has dropped the lock, and each outcome comes back as the next
-// event (forwarded, waited, fetched, handedOff, probed), which may plan
+// event (forwarded, waited, handedOff, probed), which may plan
 // again.
 //
 // Each backend contributes runner.RingVnodes virtual points, so load
@@ -416,16 +416,22 @@ func (c *placement) forwarded(b *Backend, group []*jobState, tks []JobTicket, er
 	return p
 }
 
-// learn records a backend's answer for st: a terminal one that carried
-// its result finishes st, memoizing the result with no fetch; otherwise
-// st takes the answer's status.
+// learn records a backend's answer for st: a terminal one finishes st,
+// memoizing the result it carries; otherwise st takes the answer's
+// status. A terminal answer without a readable result fails st, naming
+// the backend, so no key is left terminal with no final result.
 func (c *placement) learn(st *jobState, status Status, result json.RawMessage) {
-	var wr WireResult
-	if status.terminal() && json.Unmarshal(result, &wr) == nil {
-		c.finish(st, runner.Result{Job: st.job, Metrics: wr.Metrics, Err: wr.Error})
-	} else {
+	if !status.terminal() {
 		c.set(st, status)
+		return
 	}
+	var wr WireResult
+	if err := json.Unmarshal(result, &wr); err != nil {
+		c.fail(st, fmt.Sprintf("service: backend %s answered job %s %s without a readable result: %v",
+			st.backend.addr, st.key, status, err))
+		return
+	}
+	c.finish(st, runner.Result{Job: st.job, Metrics: wr.Metrics, Err: wr.Error})
 }
 
 // waited takes the outcome of a status call proxied to b for st.
@@ -440,18 +446,8 @@ func (c *placement) waited(st *jobState, b *Backend, js JobStatus, err error) pl
 	return plan{}
 }
 
-// fetched takes the outcome of a result fetch proxied to b for st.
-func (c *placement) fetched(st *jobState, b *Backend, wr WireResult, err error) plan {
-	if err != nil {
-		return c.proxyFailed(st, b, err)
-	}
-	b.reportSuccess(false)
-	c.finish(st, runner.Result{Job: st.job, Metrics: wr.Metrics, Err: wr.Error})
-	return plan{}
-}
-
-// proxyFailed classifies the error of a status or result call proxied
-// to b for st. A transport failure counts against b's circuit and
+// proxyFailed classifies the error of a status call proxied to b for
+// st. A transport failure counts against b's circuit and
 // re-places the key now; a 404 means b answered but has never heard of
 // the key — it restarted and lost its in-memory states — so the key is
 // re-placed with no circuit penalty; any other API answer means b is

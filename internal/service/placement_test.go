@@ -236,7 +236,7 @@ func TestPlaceRule(t *testing.T) {
 		b2 := newTestBackend(t, nil)
 		coord := quietCoordinator(t, b1.ts.URL, b2.ts.URL)
 		job := testJob(0)
-		if _, _, err := coord.Submit(ctx, job); err != nil {
+		if _, err := coord.SubmitMany(ctx, []runner.Job{job}); err != nil {
 			t.Fatal(err)
 		}
 		backend := func() *Backend {
@@ -347,6 +347,9 @@ func walkCore(t *testing.T, seed uint64, steps int) {
 		}
 		placed := 0
 		for _, st := range c.byKey {
+			if st.status.terminal() != st.final() {
+				fail("key %s reads %s with a final result %v", st.key, st.status, st.final())
+			}
 			if st.final() {
 				finals[st] = st.status
 			} else if st.reroutes > rerouteBudget {
@@ -390,9 +393,15 @@ func walkCore(t *testing.T, seed uint64, steps int) {
 			i := rng.IntN(len(out))
 			f := out[i]
 			out = slices.Delete(out, i, i+1)
-			switch k := rng.IntN(5); {
+			switch k := rng.IntN(6); {
 			case k < len(faults):
 				take(c.forwarded(f.b, f.group, nil, faults[k]))
+			case k == 5: // done without the result
+				tks := acks(f.group, StatusDone)
+				for i := range tks {
+					tks[i].Result = nil
+				}
+				take(c.forwarded(f.b, f.group, tks, nil))
 			default:
 				take(c.forwarded(f.b, f.group, acks(f.group, []Status{StatusQueued, StatusDone}[k-len(faults)]), nil))
 			}
@@ -409,8 +418,8 @@ func walkCore(t *testing.T, seed uint64, steps int) {
 				take(c.waited(st, st.backend, JobStatus{Key: st.key, Status: StatusRunning}, nil))
 			case k == 4:
 				take(c.waited(st, st.backend, done(st), nil))
-			default:
-				take(c.fetched(st, st.backend, WireResult{Key: st.key, Job: st.job, Metrics: testResult(st.job).Metrics}, nil))
+			default: // done without the result
+				take(c.waited(st, st.backend, JobStatus{Key: st.key, Status: StatusDone}, nil))
 			}
 		case "probe":
 			var err error

@@ -386,9 +386,9 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 
 // answer is key's status as an answer reports it. No terminal status
 // goes on the wire without its result, read through svc.finished; when
-// there is none to read (a coordinator re-placed the key as it fetched
-// it, or a failed key was just resubmitted), the answer is the key's
-// refreshed status, a still terminal one reading as queued, so the
+// there is none to read (a coordinator re-placed the key as it asked the
+// backend, or a failed key was just resubmitted), the answer is the
+// key's refreshed status, a still terminal one reading as queued, so the
 // client keeps waiting.
 func (s *Server) answer(ctx context.Context, key runner.JobKey, status Status) (js JobStatus, err error) {
 	js = JobStatus{Key: key, Status: status}

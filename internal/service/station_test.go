@@ -421,30 +421,30 @@ func TestStationRealExecute(t *testing.T) {
 }
 
 // TestStationKeepsNoSimulator: a finished state keeps what goes on the
-// wire, not the device and tracker a dynamic job ran on, so a station's
-// live heap grows with the keys it has served by a few KiB each, not by
-// a simulator each.
+// wire, not the Payload (for a dynamic job, the device and tracker it ran
+// on), so a station's live heap grows with the keys it has served by a
+// few KiB each, not by a simulator each. Each job's Payload here is a
+// fresh 256 KiB, the weight of a small simulator.
 func TestStationKeepsNoSimulator(t *testing.T) {
-	st := newStation(t, nil, StationConfig{Workers: 2})
+	st := newStation(t, nil, StationConfig{Workers: 2, Exec: func(_ context.Context, job runner.Job) runner.Result {
+		res := testResult(job)
+		res.Payload = make([]byte, 256<<10)
+		return res
+	}})
 	liveHeap := func() int64 {
 		runtime.GC()
 		var m runtime.MemStats
 		runtime.ReadMemStats(&m)
 		return int64(m.HeapAlloc)
 	}
-	before, n := liveHeap(), 0
-	for _, kernel := range []string{"vecadd", "bfs", "spmv"} {
-		for seed := uint64(1); seed <= 50; seed++ {
-			job := runner.Job{Kind: runner.KindDynamic, Arch: "GF106", Kernel: kernel, Seed: seed,
-				Options: runner.Options{TestScale: true}}
-			res, err := st.Do(context.Background(), job)
-			if err != nil || res.Failed() {
-				t.Fatalf("%s seed %d: %v %s", kernel, seed, err, res.Err)
-			}
-			n++
+	const n = 64
+	before := liveHeap()
+	for i := range n {
+		if res, err := st.Do(context.Background(), testJob(i)); err != nil || res.Failed() {
+			t.Fatalf("job %d: %v %s", i, err, res.Err)
 		}
 	}
-	per := (liveHeap() - before) / int64(n)
+	per := (liveHeap() - before) / n
 	if per > 8<<10 {
 		t.Fatalf("live heap grew %d bytes per served job over %d jobs; the budget is 8 KiB", per, n)
 	}

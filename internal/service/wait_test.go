@@ -335,9 +335,8 @@ func TestAbandonedWaitsFreeTheirGoroutines(t *testing.T) {
 	eventually(t, "the goroutine count to return to baseline", func() bool { return runtime.NumGoroutine() <= baseline })
 }
 
-// TestRunJobsAgainstServerIgnoringWait is the new-client/old-server
-// direction of wire compatibility: the stub answers every status call
-// at once, wait or no wait, and RunJobs must fall back to its Poll
+// TestRunJobsAgainstServerIgnoringWait: the stub answers every status
+// call at once, wait or no wait, and RunJobs must fall back to its Poll
 // floor instead of spinning.
 func TestRunJobsAgainstServerIgnoringWait(t *testing.T) {
 	const poll = 20 * time.Millisecond
@@ -426,8 +425,8 @@ func TestCoordinatorWaitEndsWithClose(t *testing.T) {
 	b := newTestBackend(t, wedge)
 	releaser(t, wedge)
 	coord := quickCoordinator(t, []string{b.ts.URL})
-	key, _, err := coord.Submit(context.Background(), testJob(0))
-	if err != nil {
+	key := testJob(0).Key()
+	if _, err := coord.SubmitMany(context.Background(), []runner.Job{testJob(0)}); err != nil {
 		t.Fatal(err)
 	}
 	type answer struct {

@@ -8,7 +8,6 @@ package sim
 // (every SM retire event flows through one), so Ready reuses an internal
 // buffer instead of allocating per call.
 type Calendar[T any] struct {
-	name string
 	heap []calEntry[T]
 	seq  uint64
 	// ready is the reusable delivery buffer; its contents are valid
@@ -23,12 +22,9 @@ type calEntry[T any] struct {
 }
 
 // NewCalendar returns an empty calendar.
-func NewCalendar[T any](name string) *Calendar[T] {
-	return &Calendar[T]{name: name}
+func NewCalendar[T any]() *Calendar[T] {
+	return &Calendar[T]{}
 }
-
-// Name returns the calendar's diagnostic name.
-func (cl *Calendar[T]) Name() string { return cl.name }
 
 // Schedule inserts an item that becomes ready at cycle at.
 func (cl *Calendar[T]) Schedule(at Cycle, item T) {

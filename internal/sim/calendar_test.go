@@ -6,7 +6,7 @@ import (
 )
 
 func TestCalendarOrdering(t *testing.T) {
-	cl := NewCalendar[int]("t")
+	cl := NewCalendar[int]()
 	cl.Schedule(30, 3)
 	cl.Schedule(10, 1)
 	cl.Schedule(20, 2)
@@ -25,7 +25,7 @@ func TestCalendarOrdering(t *testing.T) {
 }
 
 func TestCalendarTiesPreserveInsertionOrder(t *testing.T) {
-	cl := NewCalendar[string]("t")
+	cl := NewCalendar[string]()
 	cl.Schedule(5, "a")
 	cl.Schedule(5, "b")
 	cl.Schedule(5, "c")
@@ -39,7 +39,7 @@ func TestCalendarTiesPreserveInsertionOrder(t *testing.T) {
 // insertion order, and nothing is lost.
 func TestCalendarSortedDeliveryProperty(t *testing.T) {
 	f := func(delays []uint8) bool {
-		cl := NewCalendar[int]("p")
+		cl := NewCalendar[int]()
 		for i, d := range delays {
 			cl.Schedule(Cycle(d), i)
 		}
@@ -62,7 +62,7 @@ func TestCalendarSortedDeliveryProperty(t *testing.T) {
 }
 
 func TestCalendarInterleavedScheduleAndDrain(t *testing.T) {
-	cl := NewCalendar[int]("t")
+	cl := NewCalendar[int]()
 	cl.Schedule(10, 1)
 	if got := cl.Ready(10); len(got) != 1 {
 		t.Fatalf("first drain: %v", got)
@@ -75,7 +75,7 @@ func TestCalendarInterleavedScheduleAndDrain(t *testing.T) {
 }
 
 func TestCalendarNextReady(t *testing.T) {
-	cl := NewCalendar[int]("t")
+	cl := NewCalendar[int]()
 	if cl.NextReady() != Never {
 		t.Fatal("empty calendar must report Never")
 	}
@@ -99,7 +99,7 @@ func TestCalendarNextReady(t *testing.T) {
 // interleavings of Schedule and Ready.
 func TestCalendarMatchesReferenceModel(t *testing.T) {
 	f := func(ops []uint16) bool {
-		cl := NewCalendar[int]("p")
+		cl := NewCalendar[int]()
 		type refEntry struct {
 			at   Cycle
 			item int
@@ -161,7 +161,7 @@ func TestQueueNextReady(t *testing.T) {
 }
 
 func BenchmarkCalendarScheduleReady(b *testing.B) {
-	cl := NewCalendar[int]("bench")
+	cl := NewCalendar[int]()
 	for i := 0; b.Loop(); i++ {
 		base := Cycle(i * 8)
 		for j := 0; j < 64; j++ {

@@ -264,18 +264,6 @@ func TestRNGIntnRange(t *testing.T) {
 	}
 }
 
-func TestRNGPermIsPermutation(t *testing.T) {
-	r := NewRNG(5)
-	p := r.Perm(50)
-	seen := make([]bool, 50)
-	for _, v := range p {
-		if v < 0 || v >= 50 || seen[v] {
-			t.Fatalf("not a permutation: %v", p)
-		}
-		seen[v] = true
-	}
-}
-
 func TestRNGZeroSeed(t *testing.T) {
 	r := NewRNG(0)
 	if r.Uint64() == 0 && r.Uint64() == 0 {

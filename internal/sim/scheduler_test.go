@@ -79,7 +79,7 @@ func TestSchedulerRearmReplaces(t *testing.T) {
 // and -j worker counts depends on every same-cycle tie in the simulator
 // resolving this way.
 func TestCalendarSameCycleStableOrder(t *testing.T) {
-	cal := NewCalendar[int]("test")
+	cal := NewCalendar[int]()
 	// Interleave: items 0..9 at cycle 50, with decoys at earlier and
 	// later cycles between every insertion to force heap reshuffles.
 	for i := 0; i < 10; i++ {
@@ -113,7 +113,7 @@ func FuzzCalendar(f *testing.F) {
 	f.Add([]byte{1, 9, 2, 0, 4, 7, 3})
 	f.Add([]byte{0, 0, 0, 200, 1, 1, 255, 3, 2})
 	f.Fuzz(func(t *testing.T, ops []byte) {
-		cal := NewCalendar[int]("fuzz")
+		cal := NewCalendar[int]()
 		type ent struct {
 			at   Cycle
 			item int

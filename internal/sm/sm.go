@@ -347,7 +347,7 @@ func New(cfg Config, memory *mem.Memory, newReqID func() uint64, observer mem.Ob
 		ldstQ:       sim.NewQueue[*memInst](name+".ldst", cfg.LDSTQueueDepth, cfg.LDSTIssueLatency),
 		missQ:       sim.NewQueue[*mem.Request](name+".miss", cfg.MissQueueDepth, 0),
 		respQ:       sim.NewQueue[*mem.Request](name+".resp", cfg.ResponseQueueDepth, 0),
-		retire:      sim.NewCalendar[completion](name + ".retire"),
+		retire:      sim.NewCalendar[completion](),
 		outstanding: make(map[uint64]txnCtx),
 		newReqID:    newReqID,
 		observer:    observer,

@@ -91,53 +91,6 @@ func summary(count int, sum, sq float64, at func(rank int) float64) Summary {
 	}
 }
 
-// Histogram is a fixed-width bucket histogram over [Lo, Hi).
-type Histogram struct {
-	Lo, Width float64
-	Counts    []uint64
-	under     uint64
-	over      uint64
-}
-
-// NewHistogram builds a histogram with n buckets of the given width
-// starting at lo.
-func NewHistogram(lo, width float64, n int) *Histogram {
-	if width <= 0 || n <= 0 {
-		panic("stats: histogram width and bucket count must be positive")
-	}
-	return &Histogram{Lo: lo, Width: width, Counts: make([]uint64, n)}
-}
-
-// Add records a value.
-func (h *Histogram) Add(v float64) {
-	idx := int(math.Floor((v - h.Lo) / h.Width))
-	switch {
-	case idx < 0:
-		h.under++
-	case idx >= len(h.Counts):
-		h.over++
-	default:
-		h.Counts[idx]++
-	}
-}
-
-// Total returns all recorded values including out-of-range.
-func (h *Histogram) Total() uint64 {
-	t := h.under + h.over
-	for _, c := range h.Counts {
-		t += c
-	}
-	return t
-}
-
-// Bounds returns bucket i's [lo, hi) range.
-func (h *Histogram) Bounds(i int) (lo, hi float64) {
-	return h.Lo + float64(i)*h.Width, h.Lo + float64(i+1)*h.Width
-}
-
-// OutOfRange returns the counts below Lo and at/above the last bucket.
-func (h *Histogram) OutOfRange() (under, over uint64) { return h.under, h.over }
-
 // Table renders aligned text tables.
 type Table struct {
 	header []string

@@ -134,53 +134,6 @@ func summaryBits(s Summary) [9]uint64 {
 		math.Float64bits(s.P99), math.Float64bits(s.StdDev), math.Float64bits(s.Sum)}
 }
 
-func TestHistogramBuckets(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for _, v := range []float64{-1, 0, 5, 9.99, 10, 49, 50, 1000} {
-		h.Add(v)
-	}
-	if h.Counts[0] != 3 { // 0, 5, 9.99
-		t.Fatalf("bucket 0 = %d", h.Counts[0])
-	}
-	if h.Counts[1] != 1 || h.Counts[4] != 1 {
-		t.Fatalf("buckets: %v", h.Counts)
-	}
-	under, over := h.OutOfRange()
-	if under != 1 || over != 2 {
-		t.Fatalf("out of range: %d %d", under, over)
-	}
-	if h.Total() != 8 {
-		t.Fatalf("total = %d", h.Total())
-	}
-	lo, hi := h.Bounds(2)
-	if lo != 20 || hi != 30 {
-		t.Fatalf("bounds(2) = %v %v", lo, hi)
-	}
-}
-
-func TestHistogramBadConfigPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewHistogram(0, 0, 5)
-}
-
-// Property: histogram conserves all added samples.
-func TestHistogramConservationProperty(t *testing.T) {
-	f := func(vals []int16) bool {
-		h := NewHistogram(-100, 25, 8)
-		for _, v := range vals {
-			h.Add(float64(v))
-		}
-		return h.Total() == uint64(len(vals))
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestTableRenderAlignment(t *testing.T) {
 	tb := NewTable("name", "value")
 	tb.AddRow("a", 1)

@@ -9,7 +9,6 @@ package warp
 
 import (
 	"fmt"
-	"math/bits"
 
 	"gpulat/internal/isa"
 )
@@ -78,9 +77,6 @@ func (w *Warp) ActiveMask() uint32 {
 	}
 	return w.top().Mask &^ w.exited
 }
-
-// ActiveCount returns the number of live lanes at the top of stack.
-func (w *Warp) ActiveCount() int { return bits.OnesCount32(w.ActiveMask()) }
 
 // StackDepth returns the divergence stack depth (diagnostics).
 func (w *Warp) StackDepth() int { return len(w.stack) }

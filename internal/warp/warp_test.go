@@ -1,6 +1,7 @@
 package warp
 
 import (
+	"math/bits"
 	"testing"
 	"testing/quick"
 
@@ -16,8 +17,8 @@ func TestInitialState(t *testing.T) {
 	if w.PC() != 0 {
 		t.Fatal("initial PC not 0")
 	}
-	if w.ActiveCount() != 20 {
-		t.Fatalf("active = %d, want 20", w.ActiveCount())
+	if bits.OnesCount32(w.ActiveMask()) != 20 {
+		t.Fatalf("active = %d, want 20", bits.OnesCount32(w.ActiveMask()))
 	}
 	if w.Done() {
 		t.Fatal("fresh warp done")
