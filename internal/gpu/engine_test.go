@@ -152,9 +152,9 @@ func runEngineWorkload(t *testing.T, cfg Config, workload string) (*GPU, sim.Cyc
 // deviceSignature renders every piece of semantic device state the
 // engines must agree on. Per-cycle observations are excluded: the device
 // and SM cycle counters and empty-issue-slot counts advance on skipped
-// cycles by design (and are replayed by SkipIdle), a parked retry counts
+// cycles by design (and are settled by the SM), a parked retry counts
 // an L1 or L2 reservation failure, an L2 stall or a DRAM stall each cycle
-// (replayed by SkipIdle and SkipStalled), and the crossbar's EjectBlocked
+// (settled by the SM or the partition), and the crossbar's EjectBlocked
 // counts full-queue observations, not events.
 func deviceSignature(g *GPU) string {
 	var b strings.Builder
@@ -191,7 +191,7 @@ func deviceSignature(g *GPU) string {
 }
 
 // statsSignature is the engine-comparable subset of deviceSignature: the
-// full counters including the idle observations SkipIdle replays, so the
+// full counters including the idle observations Settle replays, so the
 // test also proves the replay is exact.
 func statsSignature(g *GPU) string {
 	var b strings.Builder
@@ -237,7 +237,7 @@ func requireEnginesAgree(t *testing.T, gt *GPU, ct sim.Cycle, ge *GPU, ce sim.Cy
 // TestEventEngineMatchesTick runs each micro-workload on each
 // configuration variant under both engines and requires identical
 // cycle counts, final semantic state, and statistics — including the
-// idle counters SkipIdle reconstructs.
+// idle counters the SMs and partitions settle.
 func TestEventEngineMatchesTick(t *testing.T) {
 	for vname, cfg := range engineVariants() {
 		for _, wl := range []string{"vecinc", "chase"} {
@@ -417,15 +417,29 @@ func TestRetireWithWritebackInFlight(t *testing.T) {
 
 // TestAbortEquivalence pins runEvent's abort promise: a run cut short by
 // MaxCycles reports the same cycle, error and statistics as the tick
-// loop's abort at the same cycle — the idle replay is brought up to the
-// abort point, and a jump never overshoots it.
+// loop's abort at the same cycle — every SM and partition settles through
+// the abort point, and a jump never overshoots it. The starved runs abort
+// while a partition sleeps behind a parked L2 head, whose stalls only the
+// abort's settle counts.
 func TestAbortEquivalence(t *testing.T) {
+	type abort struct {
+		name      string
+		cfg       Config
+		maxCycles sim.Cycle
+	}
+	var aborts []abort
 	for _, maxCycles := range []sim.Cycle{1, 7, 40, 137, 400, 700} {
-		t.Run(fmt.Sprint(maxCycles), func(t *testing.T) {
+		aborts = append(aborts, abort{fmt.Sprint(maxCycles), tinyConfig(), maxCycles})
+	}
+	for _, maxCycles := range []sim.Cycle{300, 600} {
+		aborts = append(aborts, abort{fmt.Sprint("starved/", maxCycles), starvedConfig(), maxCycles})
+	}
+	for _, a := range aborts {
+		t.Run(a.name, func(t *testing.T) {
 			run := func(engine sim.Engine) (string, string) {
-				cfg := tinyConfig()
+				cfg := a.cfg
 				cfg.Engine = engine
-				cfg.MaxCycles = maxCycles
+				cfg.MaxCycles = a.maxCycles
 				g := New(cfg)
 				for i := uint64(0); i < 2048; i++ {
 					g.Memory.Store32(0x10000+i*4, uint32(i))
@@ -491,6 +505,52 @@ func TestManualStepThenRun(t *testing.T) {
 
 	gt, ct := manualStepThenRun(t, tickCfg)
 	ge, ce := manualStepThenRun(t, eventCfg)
+	requireEnginesAgree(t, gt, ct, ge, ce)
+}
+
+// TestLaunchOntoBusySMsCountsEachCycleOnce enqueues a second stream's
+// kernel while the first keeps both SMs busy and lets Run place it. Run
+// and Launch dispatch before the cycle they are called at is stepped, so
+// an SM a block lands on settles only the cycles before that one. The
+// tick engine ticks every busy SM every cycle, so there the SMs' cycle
+// counts must sum to the ticks the issue observer saw; the event engine
+// must count the same.
+func TestLaunchOntoBusySMsCountsEachCycleOnce(t *testing.T) {
+	run := func(engine sim.Engine) (*GPU, sim.Cycle, uint64) {
+		cfg := tinyConfig()
+		cfg.Engine = engine
+		ticks := &issueCounter{}
+		g := NewWithObservers(cfg, nil, ticks)
+		for i := uint64(0); i < 128; i++ {
+			g.Memory.Store32(0x10000+i*4, uint32(i))
+		}
+		if err := g.Launch(vecIncKernel(0x10000, 0x20000, 128, 64)); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 37; i++ {
+			g.Step()
+		}
+		if g.busy != g.allSMs {
+			t.Fatalf("busy SMs %#b before the second launch, want all", g.busy)
+		}
+		if _, err := g.Enqueue("b", vecIncKernel(0x10000, 0x30000, 128, 64)); err != nil {
+			t.Fatal(err)
+		}
+		cycles, err := g.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g, cycles, ticks.slots
+	}
+	gt, ct, ticks := run(sim.EngineTick)
+	var counted uint64
+	for _, s := range gt.SMs() {
+		counted += s.Stats().Cycles
+	}
+	if counted != ticks {
+		t.Fatalf("the SMs count %d cycles but were ticked in %d", counted, ticks)
+	}
+	ge, ce, _ := run(sim.EngineEvent)
 	requireEnginesAgree(t, gt, ct, ge, ce)
 }
 

@@ -14,12 +14,12 @@
 // registration per component on a sim.Scheduler: each cycle it ticks
 // only the components whose wakes are due, re-arms the ones that changed
 // from their NextEvent horizons, and jumps the clock to the next
-// registered wake, replaying the skipped spans' idle accounting
-// (SkipIdle/SkipStalled) so both engines' results and statistics are
-// byte-identical. The dispatcher is not a subscriber: both engines
-// dispatch only in cycles where a retirement or an enqueue armed it. See
-// internal/sim/doc.go for the full contract and the wake-source notes in
-// each component package.
+// registered wake. Each SM and partition settles the per-cycle counters
+// of the cycles it was not ticked in itself (Settle), so both engines'
+// results and statistics are byte-identical. The dispatcher is not a
+// subscriber: both engines dispatch only in cycles where a retirement or
+// an enqueue armed it. See internal/sim/doc.go for the full contract and
+// the wake-source notes in each component package.
 package gpu
 
 import (
@@ -130,8 +130,8 @@ type GPU struct {
 	cycle sim.Cycle
 
 	// ev is the event engine's subscriber-calendar state (untouched by
-	// the tick engine): per-component wake registrations, dirty marks
-	// for end-of-cycle re-arming, and the per-SM idle-replay cursors.
+	// the tick engine): per-component wake registrations and dirty marks
+	// for end-of-cycle re-arming.
 	ev evState
 
 	// disp is the stream/dispatch subsystem: named streams of queued
@@ -244,6 +244,9 @@ func newMemFabric(cfg Config, tag string) memFabric {
 // RequestPool exposes the request free list (conservation tests:
 // nothing is outstanding once the device or testbench has drained).
 func (f *memFabric) RequestPool() *mem.RequestPool { return f.pool }
+
+// Partitions exposes the memory partitions (stats and tests).
+func (f *memFabric) Partitions() []*mempart.Partition { return f.parts }
 
 // withBit returns m with bit i set to on.
 func withBit(m uint64, i int, on bool) uint64 {
@@ -374,9 +377,6 @@ func (g *GPU) Dispatcher() *sched.Dispatcher { return g.disp }
 // SMs exposes the cores (stats and tests).
 func (g *GPU) SMs() []*sm.SM { return g.sms }
 
-// Partitions exposes the memory partitions (stats and tests).
-func (g *GPU) Partitions() []*mempart.Partition { return g.parts }
-
 // Launch enqueues kernel k on the default stream and dispatches as many
 // of its blocks as fit right now. Invalid grid or block dimensions are
 // reported as an error (the kernel is not enqueued). Kernels launched
@@ -387,7 +387,7 @@ func (g *GPU) Launch(k *sm.Kernel) error {
 	if err != nil {
 		return err
 	}
-	g.busy |= g.disp.Dispatch(g.cycle)
+	g.busy |= g.disp.Dispatch(g.cycle, g.cycle-1)
 	return nil
 }
 
@@ -458,9 +458,8 @@ func (g *GPU) NextEvent(now sim.Cycle) sim.Cycle {
 // evState is the event engine's subscriber-calendar bookkeeping. The
 // scheduler holds one wake registration per component; dirty marks
 // record which components were mutated during the current cycle and
-// must re-arm before the clock advances; lastProc tracks, per SM, the
-// cycle through which idle accounting has been replayed (see SkipIdle
-// in internal/sm and the contract in internal/sim/doc.go).
+// must re-arm before the clock advances (see the contract in
+// internal/sim/doc.go).
 type evState struct {
 	sched *sim.Scheduler
 	// IDs are contiguous per kind: partition pi is part0+pi, SM si sm0+si.
@@ -475,15 +474,6 @@ type evState struct {
 	// block retires or a kernel is enqueued, both of which happen inside
 	// a stepped cycle and set this flag for the same cycle's tail.
 	needDispatch bool
-
-	// lastProc[i] is the cycle through which SM i's per-cycle idle
-	// counters are accounted.
-	lastProc []sim.Cycle
-
-	// partLastProc[i] is the partition analog of lastProc: the cycle
-	// through which partition i's per-cycle stall observations (a parked
-	// L2 queue head's retry counters) have been replayed via SkipStalled.
-	partLastProc []sim.Cycle
 
 	audit    bool
 	auditBad []string
@@ -509,16 +499,8 @@ func (g *GPU) evReset(start sim.Cycle) {
 		for i := range g.sms {
 			ev.sched.Register(fmt.Sprintf("sm%d", i))
 		}
-		ev.lastProc = make([]sim.Cycle, len(g.sms))
-		ev.partLastProc = make([]sim.Cycle, len(g.parts))
 	}
 	g.armAll(start)
-	for i := range ev.lastProc {
-		ev.lastProc[i] = start
-	}
-	for i := range ev.partLastProc {
-		ev.partLastProc[i] = start
-	}
 	ev.dirtyPart, ev.dirtySM = 0, 0
 	ev.dirtyReq, ev.dirtyRep = false, false
 }
@@ -530,34 +512,6 @@ func (g *GPU) armAll(c sim.Cycle) {
 	for id := 0; id < g.ev.sched.Size(); id++ {
 		g.ev.sched.Rearm(id, c)
 	}
-}
-
-// catchUpSM replays the idle accounting for cycles SM si slept through,
-// up to and including cycle through. Callers must invoke it BEFORE
-// delivering state-changing input or ticking: the SM's state is still
-// exactly what it was when it went to sleep, which is what makes
-// SkipIdle's busy/resident checks valid for the whole span. (A `through`
-// of Never is the wrapped c-1 at cycle zero: nothing to replay.)
-func (g *GPU) catchUpSM(si int, through sim.Cycle) {
-	if through == sim.Never || through <= g.ev.lastProc[si] {
-		return
-	}
-	g.sms[si].SkipIdle(through - g.ev.lastProc[si])
-	g.ev.lastProc[si] = through
-}
-
-// catchUpPart replays partition pi's per-cycle stall observations for
-// the cycles its Tick slept through. Like catchUpSM it must run before
-// the next Tick; the park conditions SkipStalled keys on are frozen
-// while the partition sleeps (every mutation path runs inside its own
-// Tick), and the engine's transfer phases (Accept, PopReturn) touch
-// none of them.
-func (g *GPU) catchUpPart(pi int, through sim.Cycle) {
-	if through == sim.Never || through <= g.ev.partLastProc[pi] {
-		return
-	}
-	g.parts[pi].SkipStalled(through - g.ev.partLastProc[pi])
-	g.ev.partLastProc[pi] = through
 }
 
 // step advances cycle c. It is the one place the device's phase order —
@@ -585,10 +539,6 @@ func (g *GPU) step(c sim.Cycle, gated bool) {
 	// Memory partitions (includes DRAM).
 	for m := parts; m != 0; m &= m - 1 {
 		pi := bits.TrailingZeros64(m)
-		if gated {
-			g.catchUpPart(pi, c-1)
-			ev.partLastProc[pi] = c
-		}
 		g.parts[pi].Tick(c)
 		g.notePart(pi)
 	}
@@ -616,13 +566,11 @@ func (g *GPU) step(c sim.Cycle, gated bool) {
 				break
 			}
 			if gated {
-				// Replay the sleep span before the delivery mutates the SM,
-				// then wake it: a buffered response pins its horizon at now,
+				// Wake the SM: a buffered response pins its horizon at now,
 				// so it is ticked later this same cycle — reply eject before
 				// the core phase is what lets a reply and its processing
 				// share a cycle under both engines. The SM joins sms, its
 				// fire counted once.
-				g.catchUpSM(si, c-1)
 				ev.dirtyRep = true
 				ev.sched.WakeAt(ev.sm0+si, c)
 				if sms&(1<<uint(si)) == 0 {
@@ -649,12 +597,6 @@ func (g *GPU) step(c sim.Cycle, gated bool) {
 			if !g.reqNet.CanInject(si) {
 				g.reqNet.NoteInjectStall(si)
 				break
-			}
-			if gated {
-				// Replay the sleep span before the pop mutates the SM's
-				// pending count (SkipIdle's busy check must see the span's
-				// frozen state).
-				g.catchUpSM(si, c-1)
 			}
 			s.PopMiss(c)
 			r.Partition = g.cfg.partitionOf(r.Addr)
@@ -685,12 +627,13 @@ func (g *GPU) step(c sim.Cycle, gated bool) {
 	// core ticks before any core's stores and atomics commit: the flush
 	// pass below applies them in SM index order, so no SM observes another
 	// SM's same-cycle write (see sm.FlushCycle). Gated, only SMs whose wake
-	// is due are ticked; the rest sleep, with their per-cycle idle counters
-	// replayed on the next catch-up. This is the engine's main lever: a
-	// core whose warps are all blocked on in-flight loads — or whose LDST
-	// head the L1 refused — costs nothing until something arrives. Only
-	// busy SMs tick: an idle one can neither issue nor hold a load, and
-	// gated, one that drained while armed is disarmed by the re-arm.
+	// is due are ticked; the rest sleep and settle their per-cycle idle
+	// counters at their next Tick or launch. This is the engine's main
+	// lever: a core whose warps are all blocked on in-flight loads — or
+	// whose LDST head the L1 refused — costs nothing until something
+	// arrives. Only busy SMs tick: an idle one can neither issue nor hold
+	// a load, and gated, one that drained while armed is disarmed by the
+	// re-arm.
 	if gated {
 		ev.dirtySM |= sms
 	}
@@ -699,10 +642,6 @@ func (g *GPU) step(c sim.Cycle, gated bool) {
 		si := bits.TrailingZeros64(m)
 		if g.ev.audit && !g.sms[si].Busy() {
 			g.auditf(c, "sm%d ticked while idle (stale busy bit)", si)
-		}
-		if gated {
-			g.catchUpSM(si, c-1)
-			ev.lastProc[si] = c
 		}
 		g.sms[si].Tick(c)
 		g.noteSM(si)
@@ -715,22 +654,17 @@ func (g *GPU) step(c sim.Cycle, gated bool) {
 
 	// Dispatch: only when a retirement or enqueue armed it this cycle
 	// (the audited tick engine tries every cycle and reports a placement
-	// nothing armed). Gated, every SM is caught up through c first:
-	// LaunchBlock changes the residency state SkipIdle's replay depends
-	// on, so the pre-launch span must be accounted with pre-launch state.
-	// Launched SMs are woken for c+1 by the re-arm pass (a fresh warp is
-	// issuable immediately, so NextEvent pins c+1).
+	// nothing armed). The dispatcher settles each SM through c before it
+	// launches a block there. Launched SMs are woken for c+1 by the re-arm
+	// pass (a fresh warp is issuable immediately, so NextEvent pins c+1).
 	if ev.needDispatch {
 		ev.needDispatch = false
 		if gated {
-			for si := range g.sms {
-				g.catchUpSM(si, c)
-			}
 			ev.dirtySM = g.allSMs
 		}
-		g.busy |= g.disp.Dispatch(c)
+		g.busy |= g.disp.Dispatch(c, c)
 	} else if !gated && ev.audit {
-		if placed := g.disp.Dispatch(c); placed != 0 {
+		if placed := g.disp.Dispatch(c, c); placed != 0 {
 			g.busy |= placed
 			g.auditf(c, "dispatch placed blocks on SMs %#x with no retirement or enqueue to arm it", placed)
 		}
@@ -834,8 +768,8 @@ func (g *GPU) auditf(next sim.Cycle, format string, args ...any) {
 
 // WakeStat reports one component's event-engine wake activity: how many
 // registrations the scheduler accepted for it and how many due wake-ups
-// led to processing. The examples/engine_internals walkthrough prints
-// these to show where the engine spends its stepped cycles.
+// led to processing. ExampleNewGPU prints them to show where the engine
+// spends its stepped cycles.
 type WakeStat struct {
 	Name  string `metric:"component"`
 	Arms  uint64 `metric:"gpulat_sim_component_arms_total,counter,Wake registrations the event scheduler accepted, per component."`
@@ -866,7 +800,7 @@ func (g *GPU) WakeStats() []WakeStat {
 // which Step would have moved nothing — every queue head still in
 // traversal, every bank and bus busy, every warp blocked on a timed
 // wait — so the jump is observationally identical to stepping them
-// (SkipIdle replay reconstructs the per-cycle idle accounting).
+// (each component settles the per-cycle counters of the span itself).
 func (g *GPU) runEvent(start sim.Cycle) (sim.Cycle, error) {
 	g.evReset(g.cycle)
 	if g.Done() {
@@ -874,14 +808,14 @@ func (g *GPU) runEvent(start sim.Cycle) (sim.Cycle, error) {
 	}
 	for {
 		if g.cfg.MaxCycles > 0 && g.cycle-start > g.cfg.MaxCycles {
-			// Replay idle accounting through the last simulated cycle so
-			// an aborted run reports the same statistics as the tick
-			// loop's abort at the same cycle.
-			for si := range g.sms {
-				g.catchUpSM(si, g.cycle-1)
+			// Settle through the last simulated cycle so an aborted run
+			// reports the same statistics as the tick loop's abort at the
+			// same cycle.
+			for _, s := range g.sms {
+				s.Settle(g.cycle - 1)
 			}
-			for pi := range g.parts {
-				g.catchUpPart(pi, g.cycle-1)
+			for _, p := range g.parts {
+				p.Settle(g.cycle - 1)
 			}
 			return g.cycle - start, fmt.Errorf("gpu %s: exceeded %d cycles without completing", g.cfg.Name, g.cfg.MaxCycles)
 		}
@@ -938,7 +872,7 @@ func (g *GPU) Run() (sim.Cycle, error) {
 	// them now (with every stream registered, so spatial slices cover
 	// all streams) makes their blocks resident from the first stepped
 	// cycle, exactly like Launch.
-	g.busy |= g.disp.Dispatch(g.cycle)
+	g.busy |= g.disp.Dispatch(g.cycle, g.cycle-1)
 	if g.cfg.Engine == sim.EngineEvent {
 		return g.runEvent(start)
 	}

@@ -12,7 +12,7 @@ import (
 
 // engineStatsSig renders the full per-component statistics the engines
 // must agree on, cycle counters excluded (they advance on skipped
-// cycles by design and are replayed by SkipIdle).
+// cycles by design and are settled by each SM).
 func engineStatsSig(g *gpu.GPU) string {
 	var b strings.Builder
 	for _, s := range g.SMs() {
@@ -37,8 +37,8 @@ func engineStatsSig(g *gpu.GPU) string {
 // under both engines and requires identical cycle counts and component
 // statistics, and an event engine that fast-forwards. These workloads
 // exercise the blocked-head park states (full miss queue, L1/L2
-// reservation failures, DRAM backpressure) whose retry counters
-// SkipIdle and SkipStalled must replay exactly — the engine-equivalence
+// reservation failures, DRAM backpressure) whose retry counters the
+// SMs' and partitions' Settle must replay exactly — the engine-equivalence
 // micro-workloads in internal/gpu are too small to reach them.
 func TestEngineIdentityOnCatalogKernels(t *testing.T) {
 	// pchase and bfs bracket the horizon extremes: the latency-bound

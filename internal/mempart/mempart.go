@@ -11,8 +11,8 @@
 // pins the horizon at now). An L2 head parked on backpressure (a full
 // hit pipe or DRAM queue, no DRAM slot, a reservation failure, a blocked
 // writeback) drops its term — the retry is a provable no-op until the
-// blocking resource frees inside a Tick — and SkipStalled replays the
-// retry counters the cycle-driven loop would have recorded.
+// blocking resource frees inside a Tick — and Settle replays the retry
+// counters the cycle-driven loop would have recorded.
 package mempart
 
 import (
@@ -81,11 +81,13 @@ type Partition struct {
 	// l2Blocked/l2ParkReason record that the last accessL2 pass found the
 	// L2 queue head structurally blocked. While the park holds, a retry
 	// is a provable no-op apart from its per-cycle stall observations,
-	// which SkipStalled replays for the cycles the partition sleeps. Every
+	// which Settle replays for the cycles the partition sleeps. Every
 	// accessL2 pass re-evaluates the park; l2HeadParked checks the
 	// releasing conditions live.
 	l2Blocked    *mem.Request
 	l2ParkReason l2Park
+
+	settled sim.Cycle // stall counters are accounted through it (Settle)
 
 	// pool recycles Request objects device-wide (nil: plain allocation).
 	// The partition releases requests at their retire points — drained
@@ -221,6 +223,8 @@ func (p *Partition) ReturnQueued() bool { return p.ret.Len() > 0 }
 // Tick advances the partition one cycle. Stage order is downstream-first
 // so a request cannot traverse more than one stage per cycle.
 func (p *Partition) Tick(c sim.Cycle) {
+	p.Settle(c - 1)
+	p.settled = c
 	p.drainDRAM(c)
 	p.drainHitPipe(c)
 	p.accessL2(c)
@@ -433,7 +437,7 @@ func (p *Partition) NextEvent(now sim.Cycle) sim.Cycle {
 	// Cheap queue-head terms first with early exits, so the saturated fast
 	// path skips the DRAM channel scan (re-arm is the engine's hot path).
 	// A parked head (see l2HeadParked) drops the l2q term: its retries are
-	// provable no-ops whose stall observations SkipStalled replays, and
+	// provable no-ops whose stall observations Settle replays, and
 	// every releasing event is covered by the remaining terms.
 	if p.ret.Len() > 0 {
 		return now
@@ -483,17 +487,21 @@ func (p *Partition) l2HeadParked() bool {
 	return false
 }
 
-// SkipStalled replays the observable per-cycle stall counters for delta
-// skipped cycles during which the L2 queue head was parked: the
-// cycle-driven loop would have retried the blocked pass every cycle,
-// recording an L2 stall (and, for DRAM-space parks, a DRAM stall mark)
-// each time without moving any other state. The partition-side analog
-// of the SM's SkipIdle.
-func (p *Partition) SkipStalled(delta sim.Cycle) {
-	if delta == 0 || !p.l2HeadParked() {
+// Settle counts, for the cycles after settled through `through` in which
+// the partition was not ticked, the stalls a parked L2 head's retry would
+// have recorded each cycle: an L2 stall, and a DRAM stall mark for
+// DRAM-space parks. Tick settles through c-1 first; Accept and PopReturn
+// touch no park condition, so they need none. A `through` of Never (c-1
+// at cycle 0) settles nothing.
+func (p *Partition) Settle(through sim.Cycle) {
+	if through == sim.Never || through <= p.settled {
 		return
 	}
-	n := uint64(delta)
+	n := uint64(through - p.settled)
+	p.settled = through
+	if !p.l2HeadParked() {
+		return
+	}
 	if p.l2ParkReason != parkWB {
 		p.stats.L2Stalls += n
 	}

@@ -182,8 +182,9 @@ func (d *Dispatcher) anyActive() bool {
 // can place another block. Called by the GPU at launch and at the end of
 // each cycle in which a block retired or a kernel was enqueued; it is
 // idempotent when nothing can be placed. It returns the SMs it placed a
-// block on, bit i for SM i.
-func (d *Dispatcher) Dispatch(now sim.Cycle) (placed uint64) {
+// block on, bit i for SM i. An SM settles through `through` before a
+// block lands on it: now at the end of cycle now, now-1 before it.
+func (d *Dispatcher) Dispatch(now, through sim.Cycle) (placed uint64) {
 	if len(d.streams) <= 1 || !d.anyActive() {
 		// Restart the scan cursors: always on an empty device (a fresh
 		// fill starts at SM 0), and at every call in single-stream legacy
@@ -211,7 +212,7 @@ func (d *Dispatcher) Dispatch(now sim.Cycle) (placed uint64) {
 			if ks.nextBlock >= ks.Kernel.GridDim {
 				continue
 			}
-			if i := d.placeOne(si, st, ks); i >= 0 {
+			if i := d.placeOne(through, si, st, ks); i >= 0 {
 				placed |= 1 << uint(i)
 				progress = true
 			}
@@ -226,7 +227,7 @@ func (d *Dispatcher) Dispatch(now sim.Cycle) (placed uint64) {
 // scanning the stream's candidate SMs from the rotating cursor (or from
 // 0 in legacy single-stream mode; see the type comment), and returns
 // the SM's index, or -1 when no candidate has room.
-func (d *Dispatcher) placeOne(si int, st *stream, ks *KernelState) int {
+func (d *Dispatcher) placeOne(through sim.Cycle, si int, st *stream, ks *KernelState) int {
 	lo, width := 0, len(d.sms)
 	cursor := &d.cursor
 	if d.placement == PlacementSpatial {
@@ -242,6 +243,7 @@ func (d *Dispatcher) placeOne(si int, st *stream, ks *KernelState) int {
 		if !s.CanLaunch(ks.Kernel) {
 			continue
 		}
+		s.Settle(through)
 		s.LaunchBlock(ks.Kernel, ks.nextBlock, ks.ID)
 		ks.placements = append(ks.placements, lo+rel)
 		ks.nextBlock++

@@ -50,7 +50,7 @@ func TestBreadthFirstFillOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.Dispatch(0)
+	d.Dispatch(0, 0)
 	want := []int{0, 1, 2, 3, 0, 1, 2, 3}
 	got := ks.Placements()
 	if len(got) != len(want) {
@@ -80,7 +80,7 @@ func TestSharedPlacementInterleavesStreams(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.Dispatch(0)
+	d.Dispatch(0, 0)
 	wantA, wantB := []int{0, 2}, []int{1, 3}
 	for i, w := range wantA {
 		if ka.Placements()[i] != w {
@@ -107,7 +107,7 @@ func TestSpatialPlacementStaysInSlice(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.Dispatch(0)
+	d.Dispatch(0, 0)
 	for _, smID := range ka.Placements() {
 		if smID < 0 || smID >= 2 {
 			t.Fatalf("stream A block on SM %d, outside slice [0,2)", smID)
@@ -152,7 +152,7 @@ func TestSpatialRejectsNewStreamWhileResident(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.Dispatch(0)
+	d.Dispatch(0, 0)
 	if _, err := d.Enqueue("late", testKernel(1)); err == nil {
 		t.Fatal("expected error: new spatial stream while kernels are resident")
 	}
@@ -197,7 +197,7 @@ func TestStreamKernelsRunInOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.Dispatch(0)
+	d.Dispatch(0, 0)
 	if k1.Stats().BlocksDispatched != 1 {
 		t.Fatal("head kernel did not dispatch")
 	}
@@ -215,7 +215,7 @@ func TestStreamKernelsRunInOrder(t *testing.T) {
 	if !k1.Done() || k1.CyclesResident() != 10 {
 		t.Fatalf("k1 done=%v resident=%d, want done at cycle 10", k1.Done(), k1.CyclesResident())
 	}
-	d.Dispatch(10)
+	d.Dispatch(10, 10)
 	if k2.Stats().BlocksDispatched != 1 || k2.Stats().LaunchedAt != 10 {
 		t.Fatalf("successor kernel: %+v, want dispatched at 10", k2.Stats())
 	}

@@ -140,11 +140,11 @@ func (t *jobs) attach(key runner.JobKey) (status Status, ok bool, err error) {
 }
 
 // add registers a fresh queued state for job under key, replacing the
-// state key had. A replaced state whose result is not final yet is
-// failed first, so earlier holders of it still see one final result.
+// state key had. attach hands add only unknown or failed keys, and only
+// finish writes a failed status, so a replaced state is final: earlier
+// holders of it keep its failed result.
 func (t *jobs) add(key runner.JobKey, job runner.Job) *jobState {
 	if old := t.byKey[key]; old != nil {
-		t.fail(old, "service: job resubmitted after it failed")
 		*t.gauge(old.status)--
 	}
 	st := &jobState{key: key, job: job, status: StatusQueued, ready: make(chan struct{})}

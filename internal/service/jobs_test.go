@@ -73,9 +73,9 @@ func newCoordinator(tb testing.TB, cfg CoordinatorConfig) *Coordinator {
 }
 
 // TestJobTableGauges drives every table write — add, replacing a failed
-// state (final, and a coordinator's failed status whose result was never
-// fetched), set, finish and failLive — on each tier's table, and checks
-// the gauges after each against a recount and the expected counts.
+// state (failed by fail, and finished with a failed result), set, finish
+// and failLive — on each tier's table, and checks the gauges after each
+// against a recount and the expected counts.
 func TestJobTableGauges(t *testing.T) {
 	tiers := map[string]*jobs{
 		"station":     &newStation(t, nil, StationConfig{Workers: 1}).jobs,
@@ -106,12 +106,16 @@ func TestJobTableGauges(t *testing.T) {
 			step("replace a final failed state", 1, 0, 0, 0, 1)
 
 			b := tbl.add(k2, testJob(2))
-			tbl.set(b, StatusFailed) // a backend's answer, result not fetched
-			step("failed but not final", 1, 0, 0, 1, 2)
+			tbl.set(b, StatusRunning)
+			tbl.finish(b, runner.Result{Job: testJob(2), Err: "simulation failed"})
+			step("finish with a failed result", 1, 0, 0, 1, 1)
+			if _, ok, err := tbl.attach(k2); ok || err != nil {
+				t.Fatalf("a failed key attached: %v, %v", ok, err)
+			}
 			tbl.add(k2, testJob(2))
-			step("replace a failed state that is not final", 2, 0, 0, 0, 2)
-			if !b.final() || b.status != StatusFailed {
-				t.Fatalf("replaced state left final=%v status=%s", b.final(), b.status)
+			step("replace a finished failure", 2, 0, 0, 0, 2)
+			if !b.final() || b.status != StatusFailed || b.result.Err != "simulation failed" {
+				t.Fatalf("replaced state left final=%v status=%s err=%q", b.final(), b.status, b.result.Err)
 			}
 
 			tbl.finish(a, testResult(testJob(1)))

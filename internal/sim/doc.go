@@ -10,10 +10,9 @@
 // Every timed component implements Ticker. Tick(c) advances the
 // component to cycle c and is called with strictly increasing values of
 // c — but, under the event engine, NOT for every c: a component that
-// provably cannot act at a cycle is simply not ticked. Components must
-// therefore never count cycles by counting Tick calls; anything that
-// accrues per-cycle (and only such state) is reconstructed by SkipIdle
-// replay (below).
+// provably cannot act at a cycle is simply not ticked. Anything that
+// accrues per-cycle (and only such state) is therefore settled by the
+// component itself for the cycles it was not ticked in (below).
 //
 // # The NextEvent horizon
 //
@@ -85,8 +84,8 @@
 // ungated — every cycle is stepped, every component holding work ticks,
 // no wake state is consulted — and the event engine runs the same body
 // with each component's Tick gated on its wake, so what the tick oracle
-// certifies is exactly the gating: horizons, wake registration, idle
-// replay and re-arming. Neither engine ticks an idle core or a drained
+// certifies is exactly the gating: horizons, wake registration, the
+// settle points and re-arming. Neither engine ticks an idle core or a drained
 // partition; that such a tick is a no-op is tested directly, not by the
 // engine gates. The Scheduler imposes no order of its own. It is a flat
 // slice of armed cycles, one per subscriber, and answers only "what is
@@ -97,19 +96,23 @@
 // not wakes across components; TestCalendarSameCycleStableOrder pins its
 // tie order.)
 //
-// # SkipIdle replay
+// # Settling skipped cycles
 //
 // Skipped cycles must leave no statistical trace distinguishable from
-// stepped cycles. Counters that advance merely because time passes — a
-// busy core's cycle count, its empty-issue-slot count — are replayed in
-// bulk when a sleeping component is next processed: the engine tracks
-// the last cycle each core was processed and calls SkipIdle(delta)
-// before delivering new input or ticking, while the component's state
-// is still exactly what it was when it went to sleep (which is what
-// makes SkipIdle's busy/resident checks valid for the whole span). The
-// one deliberate exception is the crossbar's EjectBlocked counter,
-// which counts full-queue observations rather than events and is
-// excluded from engine-equivalence comparisons.
+// stepped cycles. Counters that advance because time passes — a busy
+// core's cycles and empty issue slots, a parked head's retry counts —
+// are settled by the SM or partition that owns them: each keeps the
+// cycle through which they are accounted, and Settle(through) replays
+// the cycles since from its state at the call, which is its state when
+// it went to sleep as long as Settle runs before anything changes it.
+// Tick(c) settles through c-1; the dispatcher settles an SM before it
+// launches a block there (through c at the end of cycle c, through c-1
+// before it is stepped); an aborted event run settles everything
+// through its last cycle. The transfers between ticks change nothing a
+// replay reads, so they need no settle (see sm.SM.Settle). The one
+// deliberate exception is the crossbar's EjectBlocked counter, which
+// counts full-queue observations rather than events and is excluded
+// from engine-equivalence comparisons.
 //
 // # One goroutine per device
 //

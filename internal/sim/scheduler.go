@@ -106,9 +106,6 @@ func (sc *Scheduler) Rearm(id int, at Cycle) {
 	}
 }
 
-// Cancel disarms the subscriber.
-func (sc *Scheduler) Cancel(id int) { sc.Rearm(id, Never) }
-
 // NextWake returns the earliest registered wake cycle, or Never when
 // every subscriber is disarmed.
 func (sc *Scheduler) NextWake() Cycle {

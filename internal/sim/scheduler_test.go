@@ -62,9 +62,9 @@ func TestSchedulerRearmReplaces(t *testing.T) {
 	if got := sc.NextWake(); got != 8 {
 		t.Fatalf("NextWake = %d, want 8 (a's stale entry at 5 must be skipped)", got)
 	}
-	sc.Cancel(b)
+	sc.Rearm(b, Never)
 	if got := sc.NextWake(); got != 30 {
-		t.Fatalf("NextWake = %d, want 30 after cancelling b", got)
+		t.Fatalf("NextWake = %d, want 30 after disarming b", got)
 	}
 	sc.Rearm(a, Never)
 	if got := sc.NextWake(); got != Never {
@@ -206,7 +206,7 @@ func FuzzScheduler(f *testing.F) {
 				sc.Rearm(id, Cycle(op))
 				armed[id] = Cycle(op)
 			case 3:
-				sc.Cancel(id)
+				sc.Rearm(id, Never)
 				armed[id] = Never
 			case 4:
 				// Pure observation round; nothing mutates.
@@ -254,7 +254,7 @@ func TestSchedulerRandomizedAgainstModel(t *testing.T) {
 			sc.Rearm(id, at)
 			armed[id] = at
 		case 2:
-			sc.Cancel(id)
+			sc.Rearm(id, Never)
 			armed[id] = Never
 		}
 		want := Never

@@ -142,15 +142,11 @@ func (s *SM) checkReadiness() error {
 // tickChecked is Tick with the issue loop spelled out so that the state
 // is verified before every pick and every pick is compared with the
 // reference scan (the caller verifies the state the tick leaves behind
-// at the top of the next cycle). memNextHits counts picks at which the full-LDST-queue
-// exclusion removed a warp that could otherwise have issued.
+// at the top of the next cycle). It shares Tick's front half, tickFront.
+// memNextHits counts picks at which the full-LDST-queue exclusion
+// removed a warp that could otherwise have issued.
 func (s *SM) tickChecked(c sim.Cycle, memNextHits *int) error {
-	s.stats.Cycles++
-	s.issuedThisCycle = 0
-	s.ticked = c
-	s.drainRetire(c)
-	s.processResponses(c)
-	s.tickLDST(c)
+	s.tickFront(c)
 	if s.activeBlocks == 0 {
 		return nil
 	}
@@ -226,8 +222,10 @@ func RunReadinessCheck(t *testing.T, cfg Config, k *Kernel, setup func(*mem.Memo
 		chk.s.FlushCycle()
 		a, b := ref.s, chk.s
 		if a.stats != b.stats || a.lastSched != b.lastSched || a.greedyWarp != b.greedyWarp ||
-			a.live != b.live || a.sbClear != b.sbClear || a.issuedThisCycle != b.issuedThisCycle {
-			t.Fatalf("cycle %d: tickChecked diverged from Tick:\n%s\n%s", c, a.DebugState(), b.DebugState())
+			a.live != b.live || a.sbClear != b.sbClear || a.issuedThisCycle != b.issuedThisCycle ||
+			a.issueCycles != b.issueCycles {
+			t.Fatalf("cycle %d: tickChecked diverged from Tick:\nTick:        %+v issueCycles=%d\n%s\ntickChecked: %+v issueCycles=%d\n%s",
+				c, a.stats, a.issueCycles, a.DebugState(), b.stats, b.issueCycles, b.DebugState())
 		}
 		if ref.next == k.GridDim && !a.Busy() && len(ref.lb.pending) == 0 {
 			if sa, sb := a.DebugState(), b.DebugState(); sa != sb {

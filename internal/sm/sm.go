@@ -180,9 +180,10 @@ type SM struct {
 	// slot, so nothing an earlier occupant left in flight reaches the new
 	// warp. landsBy is the latest cycle an issued arithmetic result lands:
 	// the SM stays busy until it has ticked at that cycle (ticked is the
-	// cycle of its last Tick).
-	regReady, predReady []sim.Cycle
-	landsBy, ticked     sim.Cycle
+	// cycle of its last Tick, settled the cycle through which its
+	// per-cycle counters are accounted; see Settle).
+	regReady, predReady      []sim.Cycle
+	landsBy, ticked, settled sim.Cycle
 
 	// Issue-stage readiness as maintained state, one bit per warp slot:
 	// resident (slot occupied), live (resident, not done, not at a
@@ -215,7 +216,7 @@ type SM struct {
 	// happens exclusively in this SM's own response processing. While the
 	// same instruction is still at the head, re-ticking the LDST unit is a
 	// provable no-op (the retry's only effects — a cache reservation-fail
-	// count, replayed by SkipIdle, and an LRU stamp advance that preserves
+	// count, replayed by Settle, and an LRU stamp advance that preserves
 	// relative LRU order), so NextEvent drops the LDST term and the SM
 	// sleeps until a response arrives. Cleared by every other attempt.
 	ldstBlockedOn *memInst
@@ -561,26 +562,30 @@ func (s *SM) AuditReadiness() error {
 	return nil
 }
 
-// SkipIdle accounts for delta cycles the event-driven kernel
-// fast-forwarded while this SM was busy (work in flight) but provably
-// unable to issue or retire anything. The cycle-driven loop would have
-// ticked those cycles and recorded only idle observations — a cycle
-// count and, when warps are resident, empty issue slots; replaying those
-// counters keeps both engines' statistics identical.
-func (s *SM) SkipIdle(delta sim.Cycle) {
-	if delta == 0 || !s.Busy() {
+// Settle counts the cycles after settled through `through`, in which the
+// SM was not ticked, as the cycle-driven loop would have: a busy SM's
+// cycle and, with warps resident, its empty issue slots, and one L1
+// ReservationFail a cycle for an LDST head parked on one. It reads the
+// SM's state at the call, so Tick settles through c-1 first and the
+// dispatcher before LaunchBlock. Transfers need none: a response comes
+// only for an outstanding load, so the SM is busy before and after it,
+// and a miss is popped only from an SM ticked the cycle before, so its
+// span is empty. A `through` of Never (c-1 at cycle 0) settles nothing.
+func (s *SM) Settle(through sim.Cycle) {
+	if through == sim.Never || through <= s.settled {
 		return
 	}
-	s.stats.Cycles += uint64(delta)
-	if s.activeBlocks > 0 {
-		s.stats.IssueStallEmpty += uint64(delta) * uint64(s.cfg.IssueWidth)
+	delta := uint64(through - s.settled)
+	s.settled = through
+	if !s.Busy() {
+		return
 	}
-	// An LDST head parked on an L1 reservation failure would have retried
-	// the access — and provably failed, the cache's reservation state
-	// being frozen while the SM sleeps — on every skipped cycle, counting
-	// one ReservationFail each time.
+	s.stats.Cycles += delta
+	if s.activeBlocks > 0 {
+		s.stats.IssueStallEmpty += delta * uint64(s.cfg.IssueWidth)
+	}
 	if s.ldstHeadParked() {
-		s.l1.AddReservationFails(uint64(delta))
+		s.l1.AddReservationFails(delta)
 	}
 }
 
@@ -606,6 +611,16 @@ func (s *SM) AcceptResponse(c sim.Cycle, r *mem.Request) { s.respQ.Push(c, r) }
 // Tick advances the SM one cycle: load writeback, memory responses, the
 // LDST unit, then instruction issue (downstream-first ordering).
 func (s *SM) Tick(c sim.Cycle) {
+	s.tickFront(c)
+	s.issue(c)
+}
+
+// tickFront is Tick up to the issue stage: it settles the cycles before
+// c, counts c, folds the last ticked cycle's issue into issueCycles, then
+// runs writeback, responses and the LDST unit.
+func (s *SM) tickFront(c sim.Cycle) {
+	s.Settle(c - 1)
+	s.settled = c
 	s.stats.Cycles++
 	if s.issuedThisCycle > 0 {
 		s.issueCycles++
@@ -615,7 +630,6 @@ func (s *SM) Tick(c sim.Cycle) {
 	s.drainRetire(c)
 	s.processResponses(c)
 	s.tickLDST(c)
-	s.issue(c)
 }
 
 // readGlobal reads the functional global store as this SM's deferred
