@@ -11,7 +11,7 @@ TMP      = /tmp/gpulat-make
 CLI     := $(TMP)/gpulat-ci
 BUILD_CLI = mkdir -p $(TMP) && $(GO) build -o $(CLI) ./cmd/gpulat
 
-.PHONY: all build test vet fmt cover alloc-regress alloc-baseline repro repro-quick export-identity serve-smoke bench-harness clean
+.PHONY: all build test vet fmt cover alloc-regress alloc-baseline repro repro-quick export-identity lines serve-smoke bench-harness clean
 
 all: build vet fmt test
 
@@ -148,6 +148,25 @@ serve-smoke:
 # drives) cannot break the benchmark silently.
 bench-harness:
 	cd bench && $(GO) test ./...
+
+# A change's line budget in one command: `make lines BASE=<rev>` prints
+# the non-test Go outside bench/ and the test Go outside bench/ at BASE
+# (unpacked with `git archive`, as export-identity does) and in the
+# working tree (tracked and untracked, not ignored), then `wc -l` before
+# -> after of each .go file that differs.
+lines:
+	@set -e; mkdir -p $(TMP); tmp=$$(mktemp -d $(TMP)/lines.XXXXXX); trap 'rm -rf "$$tmp"' EXIT; \
+	mkdir "$$tmp/base"; git archive $(BASE) | tar -x -C "$$tmp/base"; \
+	(cd "$$tmp/base" && find . -name '*.go' | sed 's|^\./||' | sort) > "$$tmp/base.list"; \
+	git ls-files -co --exclude-standard -- '*.go' | while read -r f; do test -f "$$f" && echo "$$f"; done | sort > "$$tmp/new.list"; \
+	total() { grep -v '^bench/' "$$2" | grep $$3 '_test\.go$$' | (cd "$$1" && xargs -r cat) | wc -l; }; \
+	printf '%-28s %8s %8s\n' "" "$(BASE)" "tree"; \
+	printf '%-28s %8d %8d\n' "non-test Go outside bench/" $$(total "$$tmp/base" "$$tmp/base.list" -v) $$(total . "$$tmp/new.list" -v); \
+	printf '%-28s %8d %8d\n' "test Go outside bench/" $$(total "$$tmp/base" "$$tmp/base.list" "") $$(total . "$$tmp/new.list" ""); \
+	sort -u "$$tmp/base.list" "$$tmp/new.list" | while read -r f; do \
+		a=0; b=0; test -f "$$tmp/base/$$f" && a=$$(wc -l < "$$tmp/base/$$f"); test -f "$$f" && b=$$(wc -l < "$$f"); \
+		cmp -s "$$tmp/base/$$f" "$$f" || printf '%6d -> %6d  %s\n' $$a $$b "$$f"; \
+	done
 
 clean:
 	$(GO) clean

@@ -444,7 +444,7 @@ func cmdSimRun(args []string) error {
 		er.OverallExposedPct(), er.MostlyExposedPct())
 	if *verbose {
 		fmt.Println()
-		dumpDeviceStats(res.Device)
+		dumpDeviceStats(res.Counters)
 	}
 	if *traceSim != "" {
 		if err := writeSimTrace(*traceSim, res); err != nil {
@@ -454,16 +454,13 @@ func cmdSimRun(args []string) error {
 	return nil
 }
 
-// writeSimTrace exports the finished run's device counters as a
-// Prometheus text exposition — the -trace-sim sink. The device is read
-// after the simulation completes, so the export can never perturb the
-// run it describes.
+// writeSimTrace exports the finished run's counters as a Prometheus text
+// exposition — the -trace-sim sink. The counters were read after the
+// simulation completed, so the export can never perturb the run it
+// describes.
 func writeSimTrace(path string, res *core.DynamicResult) error {
-	if res.Device == nil {
-		return fmt.Errorf("simrun: no device retained for -trace-sim")
-	}
 	reg := metrics.NewRegistry()
-	res.Device.ExportMetrics(reg)
+	res.Counters.Export(reg)
 	if path == "-" {
 		fmt.Println()
 		_, err := reg.WriteTo(os.Stdout)

@@ -12,14 +12,15 @@ import (
 	"gpulat/internal/sim"
 )
 
-// TestCountersGolden pins every SM, L1, partition, L2 and DRAM counter
-// of a multi-launch BFS at 512 vertices and of a co-run pair under both
-// placements on GF106, against testdata/counters.golden. The per-cycle
-// observations among them — SM cycles and empty issue slots, L1 and L2
-// reservation fails, L2 and DRAM stalls — are printed by no export, and
-// the engine-equivalence tests cannot see an accounting error both
-// engines share, so only a golden holds them. Both engines must print
-// the same bytes.
+// TestCountersGolden pins the device's and every SM, L1, partition, L2,
+// DRAM and crossbar counter (Counters.String, the engine-dependent
+// skipped cycles and EjectBlocked zeroed) of a multi-launch BFS at 512
+// vertices and of a co-run pair under both placements on GF106, against
+// testdata/counters.golden. The per-cycle observations among them — SM
+// cycles and empty issue slots, L1 and L2 reservation fails, L2 and DRAM
+// stalls — are printed by no export, and the engine-equivalence tests
+// cannot see an accounting error both engines share, so only a golden
+// holds them. Both engines must print the same bytes.
 func TestCountersGolden(t *testing.T) {
 	runs := []struct {
 		name       string
@@ -63,13 +64,10 @@ func TestCountersGolden(t *testing.T) {
 					t.Fatalf("%s %s %s: %v", r.name, placement, engine, err)
 				}
 				var b bytes.Buffer
-				fmt.Fprintf(&b, "== %s %s: %d cycles ==\n", r.name, placement, g.Cycle())
-				for _, s := range g.SMs() {
-					fmt.Fprintf(&b, "sm%d %+v\n  l1 %+v\n", s.Config().ID, s.Stats(), s.L1().Stats())
-				}
-				for i, p := range g.Partitions() {
-					fmt.Fprintf(&b, "part%d %+v\n  l2 %+v\n  dram %+v\n", i, p.Stats(), p.L2().Stats(), p.DRAM().Stats())
-				}
+				c := g.Counters()
+				c.SkippedCycles = 0
+				c.ReqNet.EjectBlocked, c.ReplyNet.EjectBlocked = 0, 0
+				fmt.Fprintf(&b, "== %s %s: %d cycles ==\n%v", r.name, placement, g.Cycle(), c)
 				if first == nil {
 					first = b.Bytes()
 					got.Write(first)

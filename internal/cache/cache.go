@@ -229,8 +229,14 @@ func New(cfg Config) *Cache {
 	}
 }
 
-// Stats returns a copy of the activity counters.
-func (c *Cache) Stats() Stats { return c.stats }
+// Stats returns a copy of the activity counters; an absent (nil) cache
+// reads zero.
+func (c *Cache) Stats() Stats {
+	if c == nil {
+		return Stats{}
+	}
+	return c.stats
+}
 
 // AddReservationFails credits n reservation-failed accesses without
 // performing them. This is the event engine's idle-replay hook: when a

@@ -85,17 +85,6 @@ func (t *Tracker) Breakdown(workload, arch string, numBuckets int) *BreakdownRep
 	return t.breakdown(workload, arch, binsOver(lo, hi, numBuckets))
 }
 
-// BreakdownWidth builds the Figure 1 report with fixed-width latency
-// buckets (the paper uses ≈38-cycle buckets), however many are needed to
-// cover the observed range.
-func (t *Tracker) BreakdownWidth(workload, arch string, width sim.Cycle) *BreakdownReport {
-	if t.n == 0 || width == 0 {
-		return &BreakdownReport{Workload: workload, Arch: arch}
-	}
-	lo, hi := t.lifeRange()
-	return t.breakdown(workload, arch, binning{lo, width, int((hi-lo)/width) + 1})
-}
-
 // lifeRange returns the shortest and longest request lifetime taken.
 func (t *Tracker) lifeRange() (lo, hi sim.Cycle) {
 	lo = sim.Never

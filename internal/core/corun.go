@@ -52,9 +52,9 @@ type CoRunResult struct {
 	Tracker *Tracker
 	// Kernels holds the two sides in launch order (A then B).
 	Kernels []CoKernelResult
-	// Device carries the device-level totals the per-kernel stats
-	// reconcile against.
-	Device gpu.Stats
+	// Counters are the device's counters, read once the co-run finished;
+	// the per-kernel stats reconcile against its totals.
+	Counters gpu.Counters
 }
 
 // RunCoRun executes a co-run pair on a fresh device built from cfg: A
@@ -93,7 +93,7 @@ func RunCoRun(cfg gpu.Config, pair *kernels.CoRunPair) (*CoRunResult, error) {
 		Placement: cfg.Placement,
 		Cycles:    cycles,
 		Tracker:   tr,
-		Device:    g.Stats(),
+		Counters:  g.Counters(),
 	}
 	for _, side := range []struct {
 		ks *sched.KernelState

@@ -61,11 +61,11 @@ func TestRunCoRunReconciles(t *testing.T) {
 					blocks += k.BlocksDispatched
 					loads += k.Loads
 				}
-				if uint64(blocks) != res.Device.BlocksDispatch {
-					t.Fatalf("per-kernel blocks %d != device %d", blocks, res.Device.BlocksDispatch)
+				if uint64(blocks) != res.Counters.BlocksDispatch {
+					t.Fatalf("per-kernel blocks %d != device %d", blocks, res.Counters.BlocksDispatch)
 				}
-				if res.Device.KernelsLaunched != 2 {
-					t.Fatalf("device KernelsLaunched = %d, want 2", res.Device.KernelsLaunched)
+				if res.Counters.KernelsLaunched != 2 {
+					t.Fatalf("device KernelsLaunched = %d, want 2", res.Counters.KernelsLaunched)
 				}
 				if loads != res.Tracker.Len() {
 					t.Fatalf("per-kernel loads %d != tracked records %d", loads, res.Tracker.Len())

@@ -20,10 +20,10 @@ type DynamicResult struct {
 	Launches int
 	// Instructions is the total dynamic instruction count.
 	Instructions uint64
-	// Device is the GPU the run executed on, retained so callers can
-	// export its engine/dispatch counters (gpu.ExportMetrics) after the
-	// run; a runner payload's device is released (gpu.GPU.Release) and
-	// holds only counters. Never serialized; excluded from comparable
+	// Counters are the device's counters, read once the run finished.
+	Counters gpu.Counters
+	// Device is the GPU the run executed on, released (gpu.GPU.Release)
+	// in a runner payload. Never serialized; excluded from comparable
 	// encodings.
 	Device *gpu.GPU `json:"-"`
 }
@@ -76,9 +76,10 @@ func RunDynamicMulti(cfg gpu.Config, mk *kernels.MultiKernel, opts ...TrackerOpt
 }
 
 func finish(cfg gpu.Config, name string, g *gpu.GPU, tr *Tracker, cycles sim.Cycle, launches int) *DynamicResult {
+	c := g.Counters()
 	var inst uint64
-	for _, s := range g.SMs() {
-		inst += s.Stats().InstIssued
+	for _, s := range c.SMs {
+		inst += s.InstIssued
 	}
 	return &DynamicResult{
 		Arch:         cfg.Name,
@@ -87,6 +88,7 @@ func finish(cfg gpu.Config, name string, g *gpu.GPU, tr *Tracker, cycles sim.Cyc
 		Cycles:       cycles,
 		Launches:     launches,
 		Instructions: inst,
+		Counters:     c,
 		Device:       g,
 	}
 }

@@ -41,18 +41,14 @@ func TestBFSDynamicExperiment(t *testing.T) {
 	// --- Figure 1 shape ---
 	rep := res.Tracker.Breakdown(res.Workload, res.Arch, 48)
 
-	// With the paper's ~38-cycle buckets, the lowest bucket contains
-	// only L1 hits and must be pure SM-base time.
-	fine := res.Tracker.BreakdownWidth(res.Workload, res.Arch, 38)
-	var first *BreakdownBucket
-	for i := range fine.Buckets {
-		if fine.Buckets[i].Count > 0 {
-			first = &fine.Buckets[i]
-			break
-		}
-	}
-	if first == nil {
-		t.Fatal("no buckets")
+	// With the paper's ~38-cycle buckets (enough of them that each is at
+	// most 38 cycles wide), the lowest bucket, which holds the fastest
+	// load, contains only L1 hits and must be pure SM-base time.
+	lo, hi := res.Tracker.lifeRange()
+	fine := res.Tracker.Breakdown(res.Workload, res.Arch, int(hi-lo)/38+1)
+	first := &fine.Buckets[0]
+	if first.Hi-first.Lo > 38 || first.Count == 0 {
+		t.Fatalf("lowest bucket [%d,%d) holds %d loads, want at most 38 cycles wide and not empty", first.Lo, first.Hi, first.Count)
 	}
 	if first.Pct(StageSMBase) < 90 {
 		t.Errorf("lowest bucket SMBase%% = %.1f, want >= 90 (L1 hits)", first.Pct(StageSMBase))

@@ -96,33 +96,15 @@ func issueWord(dir []*issueChunk, w sim.Cycle) uint64 {
 }
 
 func walkBreakdown(t *Tracker, workload, arch string, numBuckets int) *BreakdownReport {
+	rep := &BreakdownReport{Workload: workload, Arch: arch}
 	if t.n == 0 || numBuckets <= 0 {
-		return &BreakdownReport{Workload: workload, Arch: arch}
+		return rep
 	}
-	lo, hi := walkTotalRange(t)
-	width := (hi - lo + sim.Cycle(numBuckets)) / sim.Cycle(numBuckets)
-	return walkBreakdownBuckets(t, workload, arch, lo, width, numBuckets)
-}
-
-func walkBreakdownWidth(t *Tracker, workload, arch string, width sim.Cycle) *BreakdownReport {
-	if t.n == 0 || width == 0 {
-		return &BreakdownReport{Workload: workload, Arch: arch}
-	}
-	lo, hi := walkTotalRange(t)
-	n := int((hi-lo)/width) + 1
-	return walkBreakdownBuckets(t, workload, arch, lo, width, n)
-}
-
-func walkTotalRange(t *Tracker) (lo, hi sim.Cycle) {
-	lo = sim.Never
+	lo, hi := sim.Never, sim.Cycle(0)
 	for r := range t.All() {
 		lo, hi = min(lo, r.Total()), max(hi, r.Total())
 	}
-	return lo, hi
-}
-
-func walkBreakdownBuckets(t *Tracker, workload, arch string, lo, width sim.Cycle, numBuckets int) *BreakdownReport {
-	rep := &BreakdownReport{Workload: workload, Arch: arch}
+	width := (hi - lo + sim.Cycle(numBuckets)) / sim.Cycle(numBuckets)
 	rep.Buckets = make([]BreakdownBucket, numBuckets)
 	for i := range rep.Buckets {
 		rep.Buckets[i].Lo = lo + sim.Cycle(i)*width
@@ -278,8 +260,8 @@ func rendered(r interface {
 }
 
 // TestReportsMatchRecordWalkProperty: over every catalog kernel and a
-// BFS at test scale, under both engines, with random bucket counts,
-// widths and chart heights, every report the tracker builds from the
+// BFS at test scale, under both engines, with random bucket counts and
+// chart heights, every report the tracker builds from the
 // cells it folded as loads retired equals the record walk's over the
 // per-cycle issue bitmap field for field and renders the same bytes in
 // all three views, whole-run and per kernel, and the load summaries and
@@ -292,8 +274,8 @@ func TestReportsMatchRecordWalkProperty(t *testing.T) {
 		for _, engine := range bothEngines {
 			res := testRun(t, name, engine)
 			tr := res.Tracker
-			n, width, height := 1+rng.IntN(64), sim.Cycle(1+rng.IntN(96)), 1+rng.IntN(30)
-			at := fmt.Sprintf("%s/%v buckets=%d width=%d height=%d", name, engine, n, width, height)
+			n, height := 1+rng.IntN(64), 1+rng.IntN(30)
+			at := fmt.Sprintf("%s/%v buckets=%d height=%d", name, engine, n, height)
 			same := func(what string, got, want interface {
 				Render(io.Writer)
 				RenderCSV(io.Writer)
@@ -325,7 +307,6 @@ func TestReportsMatchRecordWalkProperty(t *testing.T) {
 					t.Fatalf("%s: Breakdown TotalPct(%v) %v differs from a 1-bucket report's %v", at, s, g, w)
 				}
 			}
-			same("BreakdownWidth", tr.BreakdownWidth(name, "GF106", width), walkBreakdownWidth(tr, name, "GF106", width))
 			ex := tr.Exposure(name, "GF106", n)
 			same("Exposure", ex, walkExposure(tr, res.issued, name, "GF106", n, nil))
 			sameTotals("Exposure", ex, tr.Exposure(name, "GF106", 1))

@@ -65,14 +65,13 @@ func (r *LoadRecord) Stages() (dur [NumStages]sim.Cycle) {
 // Tracker implements the paper's instrumentation: it observes completed
 // memory requests (mem.Observer) and folds each load, as it retires,
 // into one cell per distinct latency. Every report — Breakdown,
-// BreakdownWidth, Exposure, KernelExposure, LoadSummary,
-// KernelLoadSummary, MeanLoadLatency — reads those cells in place. A
-// load's exposure comes from the two issue-cycle stamps its SM put on
-// its StageLog, so the tracker keeps nothing per cycle and nothing per
-// load: its memory grows with the distinct latencies a run sees, not
-// with the run's length. A single Tracker instance is attached to a GPU
-// for the lifetime of an experiment; Reset discards data between warmup
-// and timed phases.
+// Exposure, KernelExposure, LoadSummary, KernelLoadSummary,
+// MeanLoadLatency — reads those cells in place. A load's exposure comes
+// from the two issue-cycle stamps its SM put on its StageLog, so the
+// tracker keeps nothing per cycle and nothing per load: its memory grows
+// with the distinct latencies a run sees, not with the run's length. A
+// single Tracker instance is attached to a GPU for the lifetime of an
+// experiment; Reset discards data between warmup and timed phases.
 //
 // A tracker made with KeepRecords also keeps every load's LoadRecord in
 // delivery order — the order RequestDone was called, which `gpulat

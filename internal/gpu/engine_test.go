@@ -190,32 +190,15 @@ func deviceSignature(g *GPU) string {
 	return b.String()
 }
 
-// statsSignature is the engine-comparable subset of deviceSignature: the
-// full counters including the idle observations Settle replays, so the
-// test also proves the replay is exact.
+// statsSignature renders every counter the engines must agree on: all
+// but the skipped cycles, the wakes and the crossbars' EjectBlocked,
+// including the idle observations Settle replays, so the test also
+// proves the replay is exact.
 func statsSignature(g *GPU) string {
-	var b strings.Builder
-	gs := g.Stats()
-	gs.SkippedCycles = 0
-	fmt.Fprintf(&b, "gpu:%+v\n", gs)
-	for _, s := range g.sms {
-		fmt.Fprintf(&b, "sm%d:%+v\n", s.Config().ID, s.Stats())
-		if l1 := s.L1(); l1 != nil {
-			fmt.Fprintf(&b, "  l1:%+v\n", l1.Stats())
-		}
-	}
-	for i, p := range g.parts {
-		fmt.Fprintf(&b, "part%d:%+v dram:%+v\n", i, p.Stats(), p.DRAM().Stats())
-		if l2 := p.L2(); l2 != nil {
-			fmt.Fprintf(&b, "  l2:%+v\n", l2.Stats())
-		}
-	}
-	for _, x := range []*icnt.Crossbar{g.reqNet, g.replyNet} {
-		xs := x.Stats()
-		xs.EjectBlocked = 0
-		fmt.Fprintf(&b, "net:%+v\n", xs)
-	}
-	return b.String()
+	c := g.Counters()
+	c.SkippedCycles, c.Wakes = 0, nil
+	c.ReqNet.EjectBlocked, c.ReplyNet.EjectBlocked = 0, 0
+	return fmt.Sprintf("%vkernels %+v\n", c, c.Kernels)
 }
 
 // requireEnginesAgree fails the test unless a tick run and an event run

@@ -69,3 +69,21 @@ func TestMemSubsystemFastForwardMatchesStep(t *testing.T) {
 		})
 	}
 }
+
+// TestMemSubsystemFastForwardStopsAtDrain: a drained testbench has no
+// next event, so FastForward skips nothing and leaves the clock at the
+// cycle the last reply came back, not at the limit.
+func TestMemSubsystemFastForwardStopsAtDrain(t *testing.T) {
+	cfg, _ := config.ByName("GF100")
+	ms := gpu.NewMemSubsystem(cfg, nil)
+	ms.Inject(0, 0x1000, 128)
+	for !ms.Drained() {
+		if ms.Step(); ms.Cycle() > 10_000 {
+			t.Fatalf("one load not drained at cycle %d", ms.Cycle())
+		}
+	}
+	drained := ms.Cycle()
+	if ms.FastForward(drained+1_000) || ms.Cycle() != drained {
+		t.Fatalf("FastForward on a testbench drained at cycle %d moved its clock to %d", drained, ms.Cycle())
+	}
+}

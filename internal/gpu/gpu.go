@@ -139,7 +139,8 @@ type GPU struct {
 	// kernel launch state).
 	disp *sched.Dispatcher
 
-	stats Stats
+	stats    Stats
+	released *Counters // what Release read; nil until then
 }
 
 // Stats aggregates device-level counters. The tags are their -trace-sim
@@ -346,11 +347,12 @@ func (g *GPU) Stats() Stats {
 	return st
 }
 
-// Release keeps the device's counters and drops its simulator: Config,
-// Stats, WakeStats, per-kernel stats and each component's config and
-// Stats stay; functional memory, queues, caches, tables and the request
-// pool go. Run and Enqueue then return an error and Step panics.
+// Release keeps the device's Counters and drops its simulator: Config,
+// Stats, WakeStats and the SMs', partitions' and DRAM channels' Stats
+// stay; functional memory, queues, caches, tables and the request pool
+// go. Run and Enqueue then return an error and Step panics.
 func (g *GPU) Release() {
+	c := g.Counters()
 	for _, s := range g.sms {
 		s.Release()
 	}
@@ -359,12 +361,12 @@ func (g *GPU) Release() {
 	}
 	g.reqNet.Release()
 	g.replyNet.Release()
-	g.Memory, g.pool = nil, nil
+	g.Memory, g.pool, g.released = nil, nil, &c
 }
 
 // errReleased is the error of Run, Enqueue and Step on a released device.
 func (g *GPU) errReleased() error {
-	if g.Memory == nil {
+	if g.released != nil {
 		return fmt.Errorf("gpu %s: device released", g.cfg.Name)
 	}
 	return nil

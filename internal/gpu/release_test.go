@@ -2,45 +2,22 @@ package gpu_test
 
 import (
 	"fmt"
-	"strings"
+	"reflect"
 	"testing"
 
 	"gpulat/internal/config"
 	"gpulat/internal/gpu"
 	"gpulat/internal/kernels"
-	"gpulat/internal/metrics"
 	"gpulat/internal/sched"
 	"gpulat/internal/sim"
 )
 
-// deviceCounters renders every counter a released device keeps: the
-// device's and the wake calendar's, each SM's, partition's and DRAM
-// channel's, each kernel's, and the -trace-sim exposition built from them.
-func deviceCounters(t *testing.T, g *gpu.GPU) string {
-	t.Helper()
-	var b strings.Builder
-	fmt.Fprintf(&b, "gpu %+v\nwakes %+v\n", g.Stats(), g.WakeStats())
-	for _, s := range g.SMs() {
-		fmt.Fprintf(&b, "sm%d %+v\n", s.Config().ID, s.Stats())
-	}
-	for i, p := range g.Partitions() {
-		fmt.Fprintf(&b, "part%d %+v dram %+v\n", i, p.Stats(), p.DRAM().Stats())
-	}
-	for _, k := range g.Dispatcher().Kernels() {
-		fmt.Fprintf(&b, "kernel%d %+v\n", k.ID, k.Stats())
-	}
-	reg := metrics.NewRegistry()
-	g.ExportMetrics(reg)
-	if _, err := reg.WriteTo(&b); err != nil {
-		t.Fatal(err)
-	}
-	return b.String()
-}
-
-// TestReleaseKeepsCounters: a released device reads every counter it
-// read before the release, under both engines, for single kernels and a
-// multi-launch BFS, and refuses further work: Run and Enqueue return an
-// error and Step panics.
+// TestReleaseKeepsCounters: a released device's Counters deep-equal
+// those it read before the release, and so do the accessors the
+// repository benchmark reads of a released device (Stats, WakeStats and
+// each SM's, partition's and DRAM channel's Stats), under both engines,
+// for single kernels and a multi-launch BFS. The device refuses further
+// work: Run and Enqueue return an error and Step panics.
 func TestReleaseKeepsCounters(t *testing.T) {
 	cfg, _ := config.ByName("GF106")
 	for _, engine := range []sim.Engine{sim.EngineTick, sim.EngineEvent} {
@@ -65,10 +42,25 @@ func TestReleaseKeepsCounters(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				want := deviceCounters(t, g)
+				want := g.Counters()
 				g.Release()
-				if got := deviceCounters(t, g); got != want {
-					t.Fatalf("counters changed by Release:\n--- before ---\n%s--- after ---\n%s", want, got)
+				got := g.Counters()
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("counters changed by Release:\n--- before ---\n%v--- after ---\n%v", want, got)
+				}
+				if st, w := g.Stats(), g.WakeStats(); st != got.Stats || !reflect.DeepEqual(w, got.Wakes) {
+					t.Errorf("released device reads Stats %+v and wakes %+v, its counters %+v and %+v", st, w, got.Stats, got.Wakes)
+				}
+				for i, s := range g.SMs() {
+					if s.Stats() != got.SMs[i] {
+						t.Errorf("released sm%d reads %+v, its counters %+v", i, s.Stats(), got.SMs[i])
+					}
+				}
+				for i, p := range g.Partitions() {
+					if p.Stats() != got.Partitions[i] || p.DRAM().Stats() != got.DRAMs[i] {
+						t.Errorf("released part%d reads %+v dram %+v, its counters %+v dram %+v",
+							i, p.Stats(), p.DRAM().Stats(), got.Partitions[i], got.DRAMs[i])
+					}
 				}
 				k := g.Dispatcher().Kernels()[0].Kernel
 				if _, err := g.Run(); err == nil {

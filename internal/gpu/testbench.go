@@ -161,17 +161,16 @@ func (ms *MemSubsystem) NextEvent(now sim.Cycle) sim.Cycle {
 
 // FastForward jumps the testbench clock to its next event, clamped to
 // limit (the caller's measurement bound), and reports whether any cycles
-// were skipped. Injection-driven measurement windows cannot skip — the
-// caller injects per cycle — so this pays off in drain phases, where the
-// testbench idles on in-flight DRAM traffic exactly like the full GPU.
+// were skipped. A drained testbench has no next event and stays put.
+// Injection-driven measurement windows cannot skip — the caller injects
+// per cycle — so this pays off in drain phases, where the testbench
+// idles on in-flight DRAM traffic exactly like the full GPU.
 func (ms *MemSubsystem) FastForward(limit sim.Cycle) bool {
-	now := ms.cycle
-	h := min(ms.NextEvent(now), limit)
-	if h == sim.Never || h <= now {
-		return false
+	if h := ms.NextEvent(ms.cycle); h != sim.Never && min(h, limit) > ms.cycle {
+		ms.cycle = min(h, limit)
+		return true
 	}
-	ms.cycle = h
-	return true
+	return false
 }
 
 // Drained reports whether every injected request has completed.

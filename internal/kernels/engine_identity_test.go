@@ -2,7 +2,6 @@ package kernels
 
 import (
 	"fmt"
-	"strings"
 	"testing"
 
 	"gpulat/internal/config"
@@ -10,36 +9,24 @@ import (
 	"gpulat/internal/sim"
 )
 
-// engineStatsSig renders the full per-component statistics the engines
-// must agree on, cycle counters excluded (they advance on skipped
-// cycles by design and are settled by each SM).
+// engineStatsSig renders every counter the engines must agree on: all
+// but the skipped cycles, the wakes and the crossbars' EjectBlocked.
 func engineStatsSig(g *gpu.GPU) string {
-	var b strings.Builder
-	for _, s := range g.SMs() {
-		ss := s.Stats()
-		ss.Cycles, ss.IssueStallEmpty = 0, 0
-		fmt.Fprintf(&b, "sm%d:%+v\n", s.Config().ID, ss)
-		if l1 := s.L1(); l1 != nil {
-			fmt.Fprintf(&b, "  l1:%+v\n", l1.Stats())
-		}
-	}
-	for i, p := range g.Partitions() {
-		fmt.Fprintf(&b, "part%d:%+v dram:%+v\n", i, p.Stats(), p.DRAM().Stats())
-		if l2 := p.L2(); l2 != nil {
-			fmt.Fprintf(&b, "  l2:%+v\n", l2.Stats())
-		}
-	}
-	return b.String()
+	c := g.Counters()
+	c.SkippedCycles, c.Wakes = 0, nil
+	c.ReqNet.EjectBlocked, c.ReplyNet.EjectBlocked = 0, 0
+	return fmt.Sprintf("%vkernels %+v\n", c, c.Kernels)
 }
 
 // TestEngineIdentityOnCatalogKernels runs catalog workloads that
 // saturate L1 MSHRs and DRAM queue slots on the full GF100 machine
-// under both engines and requires identical cycle counts and component
-// statistics, and an event engine that fast-forwards. These workloads
-// exercise the blocked-head park states (full miss queue, L1/L2
-// reservation failures, DRAM backpressure) whose retry counters the
-// SMs' and partitions' Settle must replay exactly — the engine-equivalence
-// micro-workloads in internal/gpu are too small to reach them.
+// under both engines and requires identical cycle counts and counters,
+// and an event engine that fast-forwards. These workloads exercise the
+// blocked-head park states (full miss queue, L1/L2 reservation
+// failures, DRAM backpressure) whose retry counters, like the SM cycles
+// and empty issue slots, the SMs' and partitions' Settle must replay
+// exactly — the engine-equivalence micro-workloads in internal/gpu are
+// too small to reach them.
 func TestEngineIdentityOnCatalogKernels(t *testing.T) {
 	// pchase and bfs bracket the horizon extremes: the latency-bound
 	// chase (one outstanding load, everything skippable) and the

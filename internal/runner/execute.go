@@ -298,8 +298,8 @@ func execCoRun(res *Result, cfg gpu.Config, job Job) error {
 	}
 	res.Payload = cr
 	res.add("cycles", float64(cr.Cycles))
-	res.add("kernels_launched", float64(cr.Device.KernelsLaunched))
-	res.add("blocks_dispatched", float64(cr.Device.BlocksDispatch))
+	res.add("kernels_launched", float64(cr.Counters.KernelsLaunched))
+	res.add("blocks_dispatched", float64(cr.Counters.BlocksDispatch))
 	for i, k := range cr.Kernels {
 		p := string('a' + rune(i))
 		res.add(p+"_cycles_resident", float64(k.CyclesResident))

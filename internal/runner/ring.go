@@ -119,13 +119,8 @@ func (r *Ring) WithoutMember(m string) *Ring {
 	return NewRing(keep, r.vnodes)
 }
 
-// Owner returns the member owning key — the first point at or clockwise
-// after the key's hash. ok is false for an empty ring.
-func (r *Ring) Owner(key JobKey) (string, bool) {
-	return r.OwnerHash(key.Hash64())
-}
-
-// OwnerHash is Owner on a precomputed routing hash.
+// OwnerHash returns the member owning routing hash h (a key's Hash64) —
+// the first point at or clockwise after h. ok is false for an empty ring.
 func (r *Ring) OwnerHash(h uint64) (string, bool) {
 	if len(r.points) == 0 {
 		return "", false

@@ -33,7 +33,7 @@ func ringMembers(n int) []string {
 func owners(r *Ring, keys []JobKey) []string {
 	out := make([]string, len(keys))
 	for i, k := range keys {
-		out[i], _ = r.Owner(k)
+		out[i], _ = r.OwnerHash(k.Hash64())
 	}
 	return out
 }
@@ -51,7 +51,7 @@ func TestRingJoinMovesAboutOneOverN(t *testing.T) {
 
 		moved := 0
 		for i, to := range owners(after, keys) {
-			from, _ := before.Owner(keys[i])
+			from, _ := before.OwnerHash(keys[i].Hash64())
 			if from == to {
 				continue
 			}
@@ -87,7 +87,7 @@ func TestRingLeaveMovesExactlyTheLeaversKeys(t *testing.T) {
 
 	owned, moved := 0, 0
 	for i, to := range owners(after, keys) {
-		from, _ := before.Owner(keys[i])
+		from, _ := before.OwnerHash(keys[i].Hash64())
 		if from == leaver {
 			owned++
 		}
@@ -164,7 +164,7 @@ func TestRingSharesSumToOne(t *testing.T) {
 // every member exactly once starting from the owner.
 func TestRingEmptyAndWalk(t *testing.T) {
 	empty := NewRing(nil, 0)
-	if _, ok := empty.Owner(ringKeys(1)[0]); ok {
+	if _, ok := empty.OwnerHash(ringKeys(1)[0].Hash64()); ok {
 		t.Fatal("empty ring claimed an owner")
 	}
 	r := NewRing(ringMembers(4), 0)
@@ -177,7 +177,7 @@ func TestRingEmptyAndWalk(t *testing.T) {
 	if len(order) != 4 {
 		t.Fatalf("walk visited %d members, want 4", len(order))
 	}
-	owner, _ := r.Owner(key)
+	owner, _ := r.OwnerHash(key.Hash64())
 	if order[0] != owner {
 		t.Fatalf("walk started at %s, owner is %s", order[0], owner)
 	}

@@ -438,7 +438,7 @@ func TestCoordinatorFailsOverMidWait(t *testing.T) {
 func ringOwner(coord *Coordinator, key runner.JobKey) string {
 	coord.mu.Lock()
 	defer coord.mu.Unlock()
-	owner, _ := coord.ring.Owner(key)
+	owner, _ := coord.ring.OwnerHash(key.Hash64())
 	return owner
 }
 

@@ -96,7 +96,7 @@ func TestCoordinatorCore(t *testing.T) {
 		c.probed(a, nil)
 		parked := 0
 		for _, st := range c.byKey {
-			if owner, _ := c.ring.Owner(st.key); st.backend == leaver && owner != leaver.addr {
+			if owner, _ := c.ring.OwnerHash(st.key.Hash64()); st.backend == leaver && owner != leaver.addr {
 				parked++
 			}
 		}
