@@ -11,7 +11,7 @@ TMP      = /tmp/gpulat-make
 CLI     := $(TMP)/gpulat-ci
 BUILD_CLI = mkdir -p $(TMP) && $(GO) build -o $(CLI) ./cmd/gpulat
 
-.PHONY: all build test vet fmt cover alloc-regress alloc-baseline repro repro-quick export-identity lines serve-smoke bench-harness clean
+.PHONY: all build test vet fmt cover fuzz alloc-regress alloc-baseline repro repro-quick export-identity lines serve-smoke bench-harness clean
 
 all: build vet fmt test
 
@@ -46,6 +46,18 @@ cover:
 		$(TMP)/cover.out | sort
 	@$(GO) tool cover -func=$(TMP)/cover.out | awk '$$NF == "0.0%" { n++; print } END { print n " functions at 0%" }'
 	@$(GO) tool cover -func=$(TMP)/cover.out | tail -1
+
+# Runs each fuzz target for FUZZTIME, one after another, at the default
+# worker count; `go test ./...` replays only their committed seed corpora
+# (testdata/fuzz/<target>). A crasher lands in that directory: commit it
+# with its fix, as a regression seed.
+FUZZTIME ?= 10s
+FUZZ_TARGETS = internal/sim:FuzzCalendar internal/sim:FuzzScheduler internal/mem:FuzzCoalesce internal/service:FuzzSubmitBody
+fuzz:
+	@set -e; for t in $(FUZZ_TARGETS); do \
+		echo "fuzz: $${t#*:} in ./$${t%%:*} for $(FUZZTIME)"; \
+		$(GO) test -run '^$$' -fuzz "^$${t#*:}$$" -fuzztime $(FUZZTIME) ./$${t%%:*}; \
+	done
 
 # Allocation-regression gate (CI): the per-cycle hot path — coalescer,
 # cache miss+fill, full-device Step — must stay within the committed

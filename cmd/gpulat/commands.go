@@ -16,7 +16,6 @@ import (
 	"gpulat/internal/runner"
 	"gpulat/internal/sched"
 	"gpulat/internal/service"
-	"gpulat/internal/sim"
 	"gpulat/internal/stats"
 )
 
@@ -63,18 +62,14 @@ var experiments = []experiment{
 			p.workers = jobsFlag(fs)
 		},
 		jobs: func(p params) ([]runner.Job, error) {
-			var archs []string
-			for _, a := range strings.Split(p.archs, ",") {
-				archs = append(archs, strings.TrimSpace(a))
-			}
-			return runner.Grid{Kind: runner.KindStatic, Archs: archs,
+			return runner.Grid{Kind: runner.KindStatic, Archs: splitList(p.archs),
 				Variants: []runner.Options{{Accesses: p.accesses}}}.Jobs(), nil
 		},
 		render: func(p params, set *runner.ResultSet, w io.Writer) error {
 			var rows []core.StaticResult
 			for i := range set.Results {
 				r := &set.Results[i]
-				cfg, err := config.ByNameOrFile(r.Job.Arch)
+				cfg, err := r.Job.Check()
 				if err != nil {
 					return err
 				}
@@ -297,7 +292,8 @@ func runExperiment(e experiment, args []string, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if cfg, err := config.ByNameOrFile(p.arch); err == nil {
+	if len(jobs) > 0 {
+		cfg, _ := jobs[0].Check() // runJobs checked every job
 		p.archName = cfg.Name
 	}
 	return e.render(p, set, w)
@@ -493,17 +489,13 @@ func cmdExport(args []string) error {
 // and, under opts' core.KeepRecords, every load record. The -engine
 // selection overrides the config's.
 func runWorkload(p params, engine string, opts ...core.TrackerOption) (*core.DynamicResult, error) {
-	cfg, err := config.ByNameOrFile(p.arch)
-	if err != nil {
+	jobs := []runner.Job{{Kind: runner.KindDynamic, Arch: p.arch, Kernel: p.kernel, Seed: 42,
+		Engine: engine, Options: runner.Options{Vertices: p.vertices}}}
+	if err := checkJobs(jobs); err != nil {
 		return nil, err
 	}
-	if engine != "" {
-		if cfg.Engine, err = sim.ParseEngine(engine); err != nil {
-			return nil, usagef("%v", err)
-		}
-	}
-	return runner.RunWorkload(cfg, runner.Job{Kind: runner.KindDynamic, Arch: p.arch, Kernel: p.kernel,
-		Seed: 42, Options: runner.Options{Vertices: p.vertices}}, opts...)
+	cfg, _ := jobs[0].Check()
+	return runner.RunWorkload(cfg, jobs[0], opts...)
 }
 
 func cmdConfig(args []string) error {
@@ -512,10 +504,11 @@ func cmdConfig(args []string) error {
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
-	cfg, err := config.ByNameOrFile(*arch)
-	if err != nil {
+	jobs := []runner.Job{{Kind: runner.KindStatic, Arch: *arch}}
+	if err := checkJobs(jobs); err != nil {
 		return err
 	}
+	cfg, _ := jobs[0].Check()
 	data, err := config.ToJSON(cfg)
 	if err != nil {
 		return err
@@ -539,10 +532,7 @@ func cmdList(args []string) error {
 	}
 	fmt.Println("architectures:")
 	for _, a := range config.Names() {
-		cfg, ok := config.ByName(a)
-		if !ok {
-			continue
-		}
+		cfg, _ := config.ByName(a)
 		fmt.Printf("  %-7s %2d SMs, %d partitions\n", a, cfg.NumSMs, cfg.NumPartitions)
 	}
 	fmt.Println("workloads: bfs (dynamic analysis),", strings.Join(kernels.CatalogNames(), ", "))

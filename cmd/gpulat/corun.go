@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"gpulat/internal/config"
-	"gpulat/internal/kernels"
 	"gpulat/internal/runner"
 	"gpulat/internal/stats"
 )
@@ -14,10 +13,9 @@ import (
 // parsePairs parses a comma-separated list of A:B workload pairs.
 func parsePairs(s string) ([][2]string, error) {
 	var out [][2]string
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
+	for _, part := range splitList(s) {
 		a, b, ok := strings.Cut(part, ":")
-		if !ok || a == "" || b == "" {
+		if !ok {
 			return nil, usagef("bad pair %q (want workloadA:workloadB)", part)
 		}
 		out = append(out, [2]string{a, b})
@@ -85,41 +83,9 @@ func cmdCoRun(args []string) error {
 	if err != nil {
 		return err
 	}
-	// Validate the whole cross product up front: a typo in any axis is a
-	// bad invocation (exit 2), not a mid-sweep simulation failure.
-	catalog := map[string]bool{}
-	for _, k := range kernels.CatalogNames() {
-		catalog[k] = true
-	}
-	for _, pair := range pairList {
-		for _, k := range pair {
-			if !catalog[k] {
-				return usagef("corun: unknown workload %q (have %s)",
-					k, strings.Join(kernels.CatalogNames(), ", "))
-			}
-		}
-	}
-	var archList []string
-	for _, arch := range strings.Split(*archs, ",") {
-		arch = strings.TrimSpace(arch)
-		if _, err := config.ByNameOrFile(arch); err != nil {
-			return usagef("%v", err)
-		}
-		archList = append(archList, arch)
-	}
-	var placeList []string
-	for _, p := range strings.Split(*placements, ",") {
-		p = strings.TrimSpace(p)
-		if p == "" {
-			return usagef("empty placement in -placements %q", *placements)
-		}
-		if _, err := config.ParsePlacement(p); err != nil {
-			return usagef("%v", err)
-		}
-		placeList = append(placeList, p)
-	}
-
-	list := corunJobs(archList, pairList, placeList, *seed, *quick)
+	// runJobs checks the whole cross product before any job runs: a typo
+	// in any axis is a bad invocation (exit 2).
+	list := corunJobs(splitList(*archs), pairList, splitList(*placements), *seed, *quick)
 	set, err := runJobs(list, *jobs, !*quiet, *engine, exec)
 	if err != nil {
 		return err
@@ -141,7 +107,7 @@ func cmdCoRun(args []string) error {
 		if place == "" {
 			place = "shared"
 		}
-		tb.AddRow(r.Job.Arch, r.Job.Kernel+"+"+r.Job.Options.KernelB, place,
+		tb.AddRow(r.Job.ArchName(), r.Job.Kernel+"+"+r.Job.Options.KernelB, place,
 			uint64(metric("cycles")),
 			uint64(metric("a_cycles_resident")),
 			fmt.Sprintf("%.1f", metric("a_exposed_pct")),

@@ -7,7 +7,9 @@
 // `gpulat <command> -h` prints a command's flags.
 //
 // Every -arch flag accepts a preset name or "file:<path>" for a JSON
-// configuration produced by `gpulat config`. Every sweep-shaped command
+// configuration produced by `gpulat config`. The command line reads the
+// file and puts its content inline in each job, so a job's key covers
+// the content, not the path; a server refuses a path. Every sweep-shaped command
 // takes -j N to bound the experiment worker pool (default GOMAXPROCS);
 // per-job seeding is deterministic, so -j 1 and -j 8 produce identical
 // results.
@@ -23,9 +25,10 @@ import (
 	"strconv"
 	"strings"
 
+	"gpulat/internal/config"
+	"gpulat/internal/gpu"
 	"gpulat/internal/runner"
 	"gpulat/internal/service"
-	"gpulat/internal/sim"
 )
 
 // usageError marks a bad-invocation failure so main can exit 2 (usage)
@@ -210,19 +213,47 @@ func (c cacheOpts) exec() (runner.ExecFunc, error) {
 	return service.CachedExec(cache, nil), nil
 }
 
-// runJobs executes a job list on a bounded pool with progress reporting
-// on stderr and Ctrl-C cancellation, after validating the -engine
-// selection and stamping it on every job (so no command can forget it).
-// exec injects an executor (nil = the default); the -cache flag routes
-// the service layer's caching executor through here. Job errors are
-// aggregated into the returned error; the partial ResultSet is always
-// returned.
-func runJobs(jobs []runner.Job, workers int, progress bool, engine string, exec runner.ExecFunc) (*runner.ResultSet, error) {
-	if _, err := sim.ParseEngine(engine); err != nil {
-		return nil, usagef("%v", err)
+// checkJobs puts the configuration each "file:<path>" arch names inline
+// in its job, reading each file once (the only place a config file is
+// read), then checks every job, so a typo anywhere in a job is a bad
+// invocation.
+func checkJobs(jobs []runner.Job) error {
+	files := map[string]*gpu.Config{}
+	for i := range jobs {
+		j := &jobs[i]
+		if path, ok := strings.CutPrefix(j.Arch, "file:"); ok {
+			if files[path] == nil {
+				data, err := os.ReadFile(path)
+				var cfg gpu.Config
+				if err == nil {
+					cfg, err = config.FromJSON(data)
+				}
+				if err != nil {
+					return usagef("%v", err)
+				}
+				files[path] = &cfg
+			}
+			j.Arch, j.Config = "", files[path]
+		}
+		if _, err := j.Check(); err != nil {
+			return usagef("job %d (%s): %v", i, j.Name(), err)
+		}
 	}
+	return nil
+}
+
+// runJobs executes a job list on a bounded pool with progress reporting
+// on stderr and Ctrl-C cancellation, after stamping the -engine selection
+// on every job (so no command can forget it) and checkJobs. exec injects
+// an executor (nil = the default); the -cache flag routes the service
+// layer's caching executor through here. Job errors are aggregated into
+// the returned error; the partial ResultSet is always returned.
+func runJobs(jobs []runner.Job, workers int, progress bool, engine string, exec runner.ExecFunc) (*runner.ResultSet, error) {
 	for i := range jobs {
 		jobs[i].Engine = engine
+	}
+	if err := checkJobs(jobs); err != nil {
+		return nil, err
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
@@ -264,6 +295,15 @@ func writeSet(set *runner.ResultSet, jsonOut, csvOut bool) error {
 	}
 	set.SummaryTable().Render(os.Stdout)
 	return nil
+}
+
+// splitList splits a comma-separated flag value, trimming each element.
+func splitList(s string) []string {
+	out := strings.Split(s, ",")
+	for i := range out {
+		out[i] = strings.TrimSpace(out[i])
+	}
+	return out
 }
 
 func parseU32List(s string) ([]uint32, error) {

@@ -5,12 +5,15 @@ import (
 	"encoding/json"
 	"net/http"
 	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
 	"time"
 
+	"gpulat/internal/config"
 	"gpulat/internal/runner"
+	"gpulat/internal/sim"
 )
 
 // TestExitCodeClassification pins the CLI contract main applies to
@@ -43,15 +46,15 @@ func TestUnknownCommandsExitTwo(t *testing.T) {
 }
 
 // TestCommandLineExitCodes runs whole command lines through dispatch, as
-// main does: plain `list` exits 0, and an unknown kernel is a runtime
-// failure, exit 1.
+// main does: plain `list` exits 0, and an unknown kernel is a job Check
+// refuses, a bad invocation, exit 2.
 func TestCommandLineExitCodes(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
 		want int
 	}{
 		{[]string{"list"}, 0},
-		{[]string{"simrun", "-kernel", "no-such-kernel"}, 1},
+		{[]string{"simrun", "-kernel", "no-such-kernel"}, 2},
 	} {
 		if got := dispatch(tc.args); got != tc.want {
 			t.Errorf("gpulat %q: exit %d, want %d", tc.args, got, tc.want)
@@ -190,30 +193,31 @@ func TestSubmitShardFlagIsGone(t *testing.T) {
 	}
 }
 
-// TestSimRunTinyBFSGraphExitsOne: a BFS graph too small for the
-// generator is a runtime error (exit 1) with a message, not a panic.
-func TestSimRunTinyBFSGraphExitsOne(t *testing.T) {
+// TestSimRunTinyBFSGraphExitsTwo: a BFS graph too small for the
+// generator is a job Check refuses (exit 2) with a message, not a panic.
+func TestSimRunTinyBFSGraphExitsTwo(t *testing.T) {
 	err := cmdSimRun([]string{"-kernel", "bfs", "-vertices", "3"})
 	if err == nil {
 		t.Fatal("accepted")
 	}
-	if got := exitCode(err); got != 1 {
-		t.Errorf("exit %d, want 1 (%v)", got, err)
+	if got := exitCode(err); got != 2 {
+		t.Errorf("exit %d, want 2 (%v)", got, err)
 	}
 	if strings.Contains(err.Error(), "panic") {
 		t.Errorf("error reports a panic: %v", err)
 	}
 }
 
-// TestSimulationErrorsExitOne drives the shared runJobs path with jobs
-// that fail at execution time (not at flag parsing): the aggregate
-// error must classify as a runtime failure, exit 1 — for corun and
-// bench-suite alike, since both funnel through runJobs.
+// TestSimulationErrorsExitOne drives the shared runJobs path with a job
+// that passes Check but fails at execution time: the aggregate error
+// must classify as a runtime failure, exit 1, and keep the partial
+// results. Its config is one whose cycle bound is too small to finish.
 func TestSimulationErrorsExitOne(t *testing.T) {
-	// A corun job missing its second kernel fails inside the executor.
+	cfg, _ := config.ByName("GF106")
+	cfg.MaxCycles = 10
 	set, err := runJobs([]runner.Job{
-		{Kind: runner.KindCoRun, Arch: "GF106", Kernel: "gather", Seed: 1,
-			Options: runner.Options{TestScale: true}},
+		{Kind: runner.KindCoRun, Config: &cfg, Kernel: "gather", Seed: 1,
+			Options: runner.Options{TestScale: true, KernelB: "copy"}},
 	}, 1, false, "", nil)
 	if err == nil {
 		t.Fatal("failing job produced no error")
@@ -224,18 +228,43 @@ func TestSimulationErrorsExitOne(t *testing.T) {
 	if set == nil || len(set.Results) != 1 || !set.Results[0].Failed() {
 		t.Errorf("partial results not preserved: %+v", set)
 	}
+}
 
-	// Same classification for a bench-suite-shaped dynamic job with an
-	// unknown workload: resolved at execution, not flag parsing.
-	_, err = runJobs([]runner.Job{
-		{Kind: runner.KindDynamic, Arch: "GF106", Kernel: "no-such-kernel", Seed: 1,
-			Options: runner.Options{TestScale: true}},
-	}, 1, false, "", nil)
-	if err == nil {
-		t.Fatal("unknown workload produced no error")
+// TestJobTyposExitTwo: every job runJobs is given is checked before any
+// runs, so a typo in a kind, an arch, a kernel, an option or a config
+// file is a bad invocation, exit 2, in every command that runs jobs,
+// with the cause named.
+func TestJobTyposExitTwo(t *testing.T) {
+	dir := t.TempDir()
+	empty, missing := filepath.Join(dir, "empty.json"), filepath.Join(dir, "missing.json")
+	if err := os.WriteFile(empty, []byte(`{"Name":"x"}`), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	if got := exitCode(err); got != 1 {
-		t.Errorf("unknown workload → exit %d, want 1 (%v)", got, err)
+	for name, job := range map[string]runner.Job{
+		"corun without kernel b": {Kind: runner.KindCoRun, Arch: "GF106", Kernel: "gather"},
+		"unknown kernel":         {Kind: runner.KindDynamic, Arch: "GF106", Kernel: "no-such-kernel"},
+		"unknown kind":           {Kind: "bogus", Arch: "GF106"},
+		"unknown arch":           {Kind: runner.KindStatic, Arch: "RTX9090"},
+		"invalid config file":    {Kind: runner.KindStatic, Arch: "file:" + empty},
+		"missing config file":    {Kind: runner.KindStatic, Arch: "file:" + missing},
+	} {
+		_, err := runJobs([]runner.Job{job}, 1, false, "", nil)
+		if got := exitCode(err); got != 2 {
+			t.Errorf("%s: exit %d, want 2 (%v)", name, got, err)
+		}
+	}
+	jobsFile := filepath.Join(dir, "jobs.json")
+	if err := os.WriteFile(jobsFile, []byte(`[{"kind":"static","arch":"nope"}]`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range [][]string{
+		{"fig2", "-kernel", "no-such-kernel"},
+		{"sweep", "-arch", "file:" + empty},
+		{"submit", "-jobs", jobsFile, "-addr", "http://127.0.0.1:1"},
+	} {
+		if got := dispatch(args); got != 2 {
+			t.Errorf("gpulat %q: exit %d, want 2", args, got)
+		}
 	}
 }
 
@@ -275,5 +304,41 @@ func TestListJSONCatalog(t *testing.T) {
 	}
 	if info.Workloads[0] != "bfs" {
 		t.Fatalf("bfs missing from workloads: %v", info.Workloads)
+	}
+}
+
+// TestCachedFileConfigSeesEdits: a cached sweep over a file: config
+// keys each job by the file's content, not its path, so editing the file
+// between two runs over one cache reruns the simulation and reads what
+// an uncached run of the edited file reads.
+func TestCachedFileConfigSeesEdits(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "cur.json")
+	write := func(tcl int) {
+		cfg, _ := config.ByName("GF106")
+		cfg.Partition.DRAM.TCL = sim.Cycle(tcl)
+		data, err := config.ToJSON(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sweep := func(extra ...string) string {
+		var out strings.Builder
+		args := append([]string{"-arch", "file:" + path, "-footprints", "4194304", "-strides", "128", "-accesses", "32"}, extra...)
+		if err := runExperiment(experimentNamed(t, "sweep"), args, &out); err != nil {
+			t.Fatal(err)
+		}
+		return out.String()
+	}
+	cache := filepath.Join(dir, "cache")
+	write(357)
+	before := sweep("-cache-dir", cache)
+	write(100)
+	after, direct := sweep("-cache-dir", cache), sweep()
+	if after == before || after != direct {
+		t.Errorf("TCL 357 read %q; after the edit to 100 the cached run read %q and an uncached run %q", before, after, direct)
 	}
 }

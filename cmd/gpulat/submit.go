@@ -59,6 +59,9 @@ func cmdSubmit(args []string) error {
 	default:
 		return usagef("submit: nothing to submit (want -suite, -jobs, -statsz, -healthz, or -backendsz)")
 	}
+	if err := checkJobs(jobs); err != nil {
+		return err
+	}
 
 	client := service.NewClient(*addr)
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)

@@ -78,7 +78,8 @@ func (c Config) SizeBytes() uint64 {
 	return uint64(c.Sets) * uint64(c.Ways) * uint64(c.LineSize)
 }
 
-func (c Config) validate() error {
+// Validate reports the first field of c that no cache can be built from.
+func (c Config) Validate() error {
 	switch {
 	case c.Sets <= 0 || c.Sets&(c.Sets-1) != 0:
 		return fmt.Errorf("cache %s: sets must be a positive power of two, got %d", c.Name, c.Sets)
@@ -217,7 +218,7 @@ type Stats struct {
 // New constructs a cache; it panics on invalid configuration (configs are
 // static program data, so misconfiguration is a programming error).
 func New(cfg Config) *Cache {
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
 	return &Cache{

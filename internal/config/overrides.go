@@ -21,8 +21,8 @@ type Overrides struct {
 	DRAMSched string `json:"dram_sched,omitempty"`
 	// L1MSHRs overrides the L1 miss-status holding register count.
 	L1MSHRs int `json:"l1_mshrs,omitempty"`
-	// MaxWarps caps resident warps per SM (the occupancy ablation). The
-	// block-slot count shrinks proportionally, matching OccupancySweep.
+	// MaxWarps caps resident warps per SM (the occupancy ablation), by
+	// sm.Config.LimitWarps.
 	MaxWarps int `json:"max_warps,omitempty"`
 	// Placement selects the concurrent-kernel block placement policy
 	// ("shared" or "spatial"; the co-run interference sweeps ablate it).
@@ -52,28 +52,18 @@ func (o Overrides) Apply(cfg gpu.Config) (gpu.Config, error) {
 		cfg.SM.L1.MSHREntries = o.L1MSHRs
 	}
 	if o.MaxWarps != 0 {
-		if o.MaxWarps < 1 || o.MaxWarps > cfg.SM.MaxWarps {
-			return cfg, fmt.Errorf("config: warp limit %d outside 1..%d", o.MaxWarps, cfg.SM.MaxWarps)
-		}
-		cfg.SM.MaxWarps = o.MaxWarps
-		if blocks := (o.MaxWarps + 3) / 4; cfg.SM.MaxBlocks > blocks {
-			cfg.SM.MaxBlocks = blocks
+		if err := cfg.SM.LimitWarps(o.MaxWarps); err != nil {
+			return cfg, err
 		}
 	}
 	if o.Placement != "" {
-		p, err := ParsePlacement(o.Placement)
+		p, err := sched.ParsePlacement(o.Placement)
 		if err != nil {
 			return cfg, err
 		}
 		cfg.Placement = p
 	}
 	return cfg, nil
-}
-
-// ParsePlacement resolves a block placement-policy name ("shared" or
-// "spatial"; empty selects the default shared policy).
-func ParsePlacement(name string) (sched.Placement, error) {
-	return sched.ParsePlacement(name)
 }
 
 // WarpSchedNames lists the selectable warp schedulers, default first.

@@ -3,7 +3,6 @@ package config
 import (
 	"encoding/json"
 	"fmt"
-	"os"
 
 	"gpulat/internal/gpu"
 )
@@ -15,36 +14,16 @@ func ToJSON(cfg gpu.Config) ([]byte, error) {
 	return json.MarshalIndent(cfg, "", "  ")
 }
 
-// FromJSON parses a device configuration. The input must be a complete
-// configuration (e.g. produced by ToJSON and edited); field validation
-// happens when the GPU is constructed.
+// FromJSON parses and validates a device configuration. The input must
+// be a complete configuration (e.g. produced by ToJSON and edited): one
+// that gpu.Config.Validate refuses fails here, naming the field.
 func FromJSON(data []byte) (gpu.Config, error) {
 	var cfg gpu.Config
 	if err := json.Unmarshal(data, &cfg); err != nil {
 		return gpu.Config{}, fmt.Errorf("config: %w", err)
 	}
-	return cfg, nil
-}
-
-// Load reads a configuration from a JSON file. The name "file:<path>"
-// form of ByNameOrFile uses it.
-func Load(path string) (gpu.Config, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return gpu.Config{}, err
-	}
-	return FromJSON(data)
-}
-
-// ByNameOrFile resolves a preset name, or, when name has the form
-// "file:<path>", loads the configuration from the JSON file.
-func ByNameOrFile(name string) (gpu.Config, error) {
-	if len(name) > 5 && name[:5] == "file:" {
-		return Load(name[5:])
-	}
-	cfg, ok := ByName(name)
-	if !ok {
-		return gpu.Config{}, fmt.Errorf("config: unknown architecture %q (have %v, or file:<path>)", name, Names())
+	if err := cfg.Validate(); err != nil {
+		return gpu.Config{}, fmt.Errorf("config: %w", err)
 	}
 	return cfg, nil
 }

@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"gpulat/internal/gpu"
@@ -42,7 +43,11 @@ func TestSaveLoad(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "gf100.json")
 	cfg := GF100()
 	save(t, path, cfg)
-	back, err := Load(path)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := FromJSON(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,32 +56,26 @@ func TestSaveLoad(t *testing.T) {
 	}
 }
 
-func TestByNameOrFile(t *testing.T) {
-	if _, err := ByNameOrFile("GF106"); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "custom.json")
-	cfg := GK104()
-	cfg.NumSMs = 3
-	save(t, path, cfg)
-	got, err := ByNameOrFile("file:" + path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.NumSMs != 3 {
-		t.Fatalf("loaded NumSMs = %d", got.NumSMs)
-	}
-	if _, err := ByNameOrFile("nope"); err == nil {
-		t.Fatal("unknown name accepted")
-	}
-	if _, err := ByNameOrFile("file:/does/not/exist.json"); err == nil {
-		t.Fatal("missing file accepted")
-	}
-}
-
 func TestFromJSONRejectsGarbage(t *testing.T) {
 	if _, err := FromJSON([]byte("{broken")); err == nil {
 		t.Fatal("garbage accepted")
+	}
+}
+
+// TestFromJSONValidates: a config that parses but that no device can be
+// built from fails to load, with an error naming the field, instead of
+// panicking later in gpu.New.
+func TestFromJSONValidates(t *testing.T) {
+	bad := GF106()
+	bad.SM.L1.Sets = 3
+	data, err := ToJSON(bad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for body, field := range map[string]string{`{"Name":"x"}`: "NumSMs", string(data): "sm 0: L1: cache : sets"} {
+		if _, err := FromJSON([]byte(body)); err == nil || !strings.Contains(err.Error(), field) {
+			t.Errorf("FromJSON(%.20s...) = %v, want an error naming %s", body, err, field)
+		}
 	}
 }
 

@@ -18,11 +18,9 @@ func TestRunCoRunReconciles(t *testing.T) {
 		t.Run(placement, func(t *testing.T) {
 			var results []*CoRunResult
 			for _, engine := range []sim.Engine{sim.EngineTick, sim.EngineEvent} {
-				cfg, err := config.ByNameOrFile("GF106")
-				if err != nil {
-					t.Fatal(err)
-				}
+				cfg := config.GF106()
 				cfg.Engine = engine
+				var err error
 				cfg.Placement, err = sched.ParsePlacement(placement)
 				if err != nil {
 					t.Fatal(err)
@@ -86,10 +84,7 @@ func TestRunCoRunReconciles(t *testing.T) {
 // the whole-run report: bucket totals of the two kernels must sum to the
 // whole.
 func TestKernelExposureFilters(t *testing.T) {
-	cfg, err := config.ByNameOrFile("GF106")
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := config.GF106()
 	pair, err := kernels.CoRun("gather", "copy", kernels.ScaleTest, 7, 8)
 	if err != nil {
 		t.Fatal(err)

@@ -32,15 +32,9 @@ type OccupancyPoint struct {
 func OccupancySweep(cfg gpu.Config, warpLimits []int, build func() (*kernels.MultiKernel, error)) ([]OccupancyPoint, error) {
 	var out []OccupancyPoint
 	for _, w := range warpLimits {
-		if w < 1 || w > cfg.SM.MaxWarps {
-			return nil, fmt.Errorf("core: warp limit %d outside 1..%d", w, cfg.SM.MaxWarps)
-		}
 		c := cfg
-		c.SM.MaxWarps = w
-		if blocks := (w + 3) / 4; c.SM.MaxBlocks > blocks {
-			// Keep block slots proportional so tiny warp budgets are not
-			// spread across many partially-filled blocks.
-			c.SM.MaxBlocks = blocks
+		if err := c.SM.LimitWarps(w); err != nil {
+			return nil, err
 		}
 		mk, err := build()
 		if err != nil {

@@ -80,7 +80,8 @@ type Config struct {
 	CapStreak int
 }
 
-func (c Config) validate() error {
+// Validate reports the first field of c that no channel can be built from.
+func (c Config) Validate() error {
 	switch {
 	case c.Banks <= 0:
 		return fmt.Errorf("dram %s: banks must be positive", c.Name)
@@ -144,7 +145,7 @@ type Stats struct {
 
 // NewChannel constructs a channel; it panics on invalid configuration.
 func NewChannel(cfg Config) *Channel {
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
 	return &Channel{

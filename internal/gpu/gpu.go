@@ -23,6 +23,7 @@
 package gpu
 
 import (
+	"errors"
 	"fmt"
 	"math/bits"
 
@@ -83,16 +84,23 @@ var (
 	_ sim.Component = (*sm.SM)(nil)
 )
 
-func (c Config) validate() error {
+// Validate reports what in c no device can be built from, its own fields
+// first, else every component template's faults: a config that passes builds.
+func (c Config) Validate() error {
+	req, rep := c.RequestNet, c.ReplyNet
+	req.Inputs, req.Outputs, rep.Inputs, rep.Outputs = c.NumSMs, c.NumPartitions, c.NumPartitions, c.NumSMs
+	err := errors.Join(c.SM.Validate(), c.Partition.Validate(), req.Validate(), rep.Validate())
 	switch {
 	case c.NumSMs <= 0 || c.NumPartitions <= 0:
-		return fmt.Errorf("gpu %s: SM and partition counts must be positive", c.Name)
+		err = errors.New("NumSMs and NumPartitions must be positive")
 	case c.PartitionInterleave == 0 || c.PartitionInterleave&(c.PartitionInterleave-1) != 0:
-		return fmt.Errorf("gpu %s: partition interleave must be a power of two", c.Name)
+		err = errors.New("PartitionInterleave must be a power of two")
 	case c.ControlPacketBytes == 0:
-		return fmt.Errorf("gpu %s: control packet bytes must be positive", c.Name)
+		err = errors.New("ControlPacketBytes must be positive")
+	case err == nil:
+		return nil
 	}
-	return nil
+	return fmt.Errorf("gpu %s: %w", c.Name, err)
 }
 
 // IssueObserver receives per-cycle issue accounting: called once per
@@ -164,7 +172,7 @@ func New(cfg Config) *GPU {
 // NewWithObservers constructs a GPU wiring the latency observer (request
 // completions) and the issue observer (per-cycle issue accounting).
 func NewWithObservers(cfg Config, obs mem.Observer, issueObs IssueObserver) *GPU {
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
 	if obs == nil {

@@ -49,7 +49,7 @@ type MemSubsystemStats struct {
 // it receives is valid only during the call: it goes back to the
 // testbench's request pool when onReply returns, so copy what you keep.
 func NewMemSubsystem(cfg Config, onReply func(c sim.Cycle, r *mem.Request)) *MemSubsystem {
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
 	if onReply == nil {

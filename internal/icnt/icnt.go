@@ -58,7 +58,8 @@ type Config struct {
 	EjectDepth  int
 }
 
-func (c Config) validate() error {
+// Validate reports the first field of c that no crossbar can be built from.
+func (c Config) Validate() error {
 	switch {
 	case c.Inputs <= 0 || c.Outputs <= 0:
 		return fmt.Errorf("icnt %s: ports must be positive", c.Name)
@@ -104,7 +105,7 @@ type Stats struct {
 
 // New constructs a crossbar; it panics on invalid configuration.
 func New(cfg Config) *Crossbar {
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
 	x := &Crossbar{

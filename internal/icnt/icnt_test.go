@@ -185,11 +185,11 @@ func TestInvalidConfigPanics(t *testing.T) {
 func TestTooManyInputsNamesTheLimit(t *testing.T) {
 	cfg := testConfig()
 	cfg.Inputs = 64
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		t.Fatalf("64 inputs refused: %v", err)
 	}
 	cfg.Inputs = 65
-	err := cfg.validate()
+	err := cfg.Validate()
 	if err == nil || !strings.Contains(err.Error(), "65 inputs") || !strings.Contains(err.Error(), "64-bit mask") {
 		t.Fatalf("65 inputs: got %v, want an error naming the 64-bit mask", err)
 	}

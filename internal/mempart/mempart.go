@@ -47,7 +47,8 @@ type Config struct {
 	ReturnQueueDepth int
 }
 
-func (c Config) validate() error {
+// Validate reports the first field of c that no partition can be built from.
+func (c Config) Validate() error {
 	switch {
 	case c.ROPQueueDepth <= 0:
 		return fmt.Errorf("mempart %d: ROP queue depth must be positive", c.ID)
@@ -55,6 +56,10 @@ func (c Config) validate() error {
 		return fmt.Errorf("mempart %d: L2 queue depth must be positive", c.ID)
 	case c.ReturnQueueDepth <= 0:
 		return fmt.Errorf("mempart %d: return queue depth must be positive", c.ID)
+	case c.L2Enabled && c.L2.Validate() != nil:
+		return fmt.Errorf("mempart %d: L2: %w", c.ID, c.L2.Validate())
+	case c.DRAM.Validate() != nil:
+		return fmt.Errorf("mempart %d: DRAM: %w", c.ID, c.DRAM.Validate())
 	}
 	return nil
 }
@@ -132,7 +137,7 @@ type Stats struct {
 
 // New constructs a partition; it panics on invalid configuration.
 func New(cfg Config) *Partition {
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
 	name := fmt.Sprintf("part%d", cfg.ID)

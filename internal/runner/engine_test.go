@@ -2,8 +2,6 @@ package runner
 
 import (
 	"context"
-	"os"
-	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -44,32 +42,25 @@ func TestJobEngineSelection(t *testing.T) {
 	}
 }
 
-// TestResolveConfigEngineInheritance verifies the precedence rule: an
-// unset job engine inherits the config's own setting (so a file:<path>
-// configuration can pin one), while a named engine overrides it.
+// TestResolveConfigEngineInheritance verifies the precedence rule Check
+// applies: an unset job engine inherits the config's own setting (so an
+// inline configuration, as a config file becomes, can pin one), while a
+// named engine overrides it.
 func TestResolveConfigEngineInheritance(t *testing.T) {
 	cfg, _ := config.ByName("GF106")
 	cfg.Engine = sim.EngineTick
-	path := filepath.Join(t.TempDir(), "tick.json")
-	data, err := config.ToJSON(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	got, err := resolveConfig(Job{Arch: "file:" + path})
+	got, err := Job{Kind: KindStatic, Config: &cfg}.Check()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.Engine != sim.EngineTick {
-		t.Fatalf("unset job engine clobbered the file config: got %s", got.Engine)
+		t.Fatalf("unset job engine clobbered the inline config: got %s", got.Engine)
 	}
-	got, err = resolveConfig(Job{Arch: "file:" + path, Engine: "event"})
+	got, err = Job{Kind: KindStatic, Config: &cfg, Engine: "event"}.Check()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.Engine != sim.EngineEvent {
-		t.Fatalf("named job engine did not override the file config: got %s", got.Engine)
+		t.Fatalf("named job engine did not override the inline config: got %s", got.Engine)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 
 	"gpulat/internal/config"
 	"gpulat/internal/core"
@@ -81,29 +82,12 @@ func (o Options) blockDim() int {
 // Execute runs one job to completion and captures any failure in the
 // result rather than aborting the sweep. It is the Runner's default
 // executor and is safe for concurrent use: every job builds a fresh
-// device from its resolved configuration.
+// device from the configuration Check resolves.
 func Execute(ctx context.Context, job Job) Result {
 	res := Result{Job: job}
-	cfg, err := resolveConfig(job)
-	if err != nil {
-		res.Err = err.Error()
-		return res
-	}
-	switch job.Kind {
-	case KindDynamic:
-		err = execDynamic(&res, cfg, job)
-	case KindStatic:
-		err = execStatic(&res, cfg, job)
-	case KindChase:
-		err = execChase(&res, cfg, job)
-	case KindLoaded:
-		err = execLoaded(&res, cfg, job)
-	case KindOccupancy:
-		err = execOccupancy(&res, cfg, job)
-	case KindCoRun:
-		err = execCoRun(&res, cfg, job)
-	default:
-		err = fmt.Errorf("runner: unknown job kind %q", job.Kind)
+	cfg, err := job.Check()
+	if err == nil {
+		err = execs[job.Kind](&res, cfg, job)
 	}
 	if err != nil {
 		res.Err = err.Error()
@@ -111,21 +95,82 @@ func Execute(ctx context.Context, job Job) Result {
 	return res
 }
 
-func resolveConfig(job Job) (gpu.Config, error) {
-	cfg, err := config.ByNameOrFile(job.Arch)
-	if err != nil {
-		return cfg, err
+// execs runs each kind of job, once Check has passed it.
+var execs = map[Kind]func(*Result, gpu.Config, Job) error{
+	KindDynamic: execDynamic, KindStatic: execStatic, KindChase: execChase,
+	KindLoaded: execLoaded, KindOccupancy: execOccupancy, KindCoRun: execCoRun,
+}
+
+// catalog is the kernel catalog's names, read once for Check.
+var catalog = kernels.CatalogNames()
+
+// bfsAttachEdges is the edges each new vertex of a job's scale-free
+// graph attaches; the graph needs more vertices than that.
+const bfsAttachEdges = 4
+
+// Check resolves the configuration job simulates and validates the whole
+// job, the one place either is done: the preset Arch names or the inline
+// Config, with Options.Overrides applied, a named Engine overriding the
+// config's and gpu.Config.Validate passed; a known kind, known kernels
+// and options the kind can run. It reads no file and builds no device,
+// so every admission can afford it.
+func (job Job) Check() (gpu.Config, error) {
+	cfg, ok := config.ByName(job.Arch)
+	if inline := job.Config != nil; inline == (job.Arch != "") {
+		return cfg, fmt.Errorf("runner: a job takes a preset arch or an inline config, exactly one")
+	} else if inline {
+		cfg, ok = *job.Config, true
 	}
-	cfg, err = job.Options.Overrides.Apply(cfg)
-	if err != nil {
-		return cfg, err
+	if !ok {
+		return cfg, fmt.Errorf("runner: unknown arch %q (have %v; a config file travels inline as the job's config)", job.Arch, config.Names())
 	}
-	// An empty Engine inherits the config's setting (a file:<path>
-	// config may pin one); a named engine overrides it.
-	if job.Engine != "" {
+	cfg, err := job.Options.Overrides.Apply(cfg)
+	if err == nil {
+		err = cfg.Validate()
+	}
+	if err == nil && job.Engine != "" {
 		cfg.Engine, err = sim.ParseEngine(job.Engine)
 	}
+	if err != nil {
+		return cfg, err
+	}
+	o := job.Options
+	bfs := job.Kind == KindOccupancy || job.Kind == KindDynamic && job.Kernel == "bfs"
+	switch job.Kind {
+	case KindDynamic:
+		if !bfs {
+			err = checkCatalog(job.Kernel)
+		}
+	case KindStatic:
+	case KindChase:
+		if o.Stride == 0 || o.Footprint < o.Stride {
+			err = fmt.Errorf("runner: chase job needs a stride and a footprint of at least that stride, got %d and %d", o.Stride, o.Footprint)
+		}
+	case KindLoaded:
+		if !(o.OfferedLoad > 0 && o.OfferedLoad <= 1) {
+			err = fmt.Errorf("runner: loaded job needs an offered load in (0,1], got %v", o.OfferedLoad)
+		}
+	case KindOccupancy:
+		err = cfg.SM.LimitWarps(o.WarpLimit) // as OccupancySweep will
+	case KindCoRun:
+		err = checkCatalog(job.Kernel, o.KernelB)
+	default:
+		err = fmt.Errorf("runner: unknown job kind %q", job.Kind)
+	}
+	if n := o.vertices(); err == nil && bfs && n <= bfsAttachEdges {
+		err = fmt.Errorf("runner: bfs needs more than %d vertices, got %d", bfsAttachEdges, n)
+	}
 	return cfg, err
+}
+
+// checkCatalog checks that every name is a catalog kernel.
+func checkCatalog(names ...string) error {
+	for _, name := range names {
+		if !slices.Contains(catalog, name) {
+			return fmt.Errorf("runner: unknown workload %q (have %v)", name, catalog)
+		}
+	}
+	return nil
 }
 
 // RunWorkload executes job's workload with instrumentation (the
@@ -147,18 +192,10 @@ func RunWorkload(cfg gpu.Config, job Job, opts ...core.TrackerOption) (*core.Dyn
 	return core.RunDynamic(cfg, wl, opts...)
 }
 
-// bfsAttachEdges is the edges each new vertex of a job's scale-free
-// graph attaches; the graph needs more vertices than that.
-const bfsAttachEdges = 4
-
 // buildBFS generates the job's scale-free graph and the BFS host loop
 // over it.
 func buildBFS(job Job) (*kernels.MultiKernel, error) {
-	n := job.Options.vertices()
-	if n <= bfsAttachEdges {
-		return nil, fmt.Errorf("runner: bfs needs more than %d vertices, got %d", bfsAttachEdges, n)
-	}
-	g := kernels.GenScaleFree(n, bfsAttachEdges, job.Seed)
+	g := kernels.GenScaleFree(job.Options.vertices(), bfsAttachEdges, job.Seed)
 	return kernels.BFS(kernels.BFSConfig{Graph: g, Source: 0, BlockDim: job.Options.blockDim()})
 }
 
@@ -213,9 +250,6 @@ func execStatic(res *Result, cfg gpu.Config, job Job) error {
 
 func execChase(res *Result, cfg gpu.Config, job Job) error {
 	o := job.Options
-	if o.Stride == 0 || o.Footprint == 0 {
-		return fmt.Errorf("runner: chase job needs stride and footprint")
-	}
 	opt := core.DefaultStaticOptions()
 	if o.Accesses > 0 {
 		opt.Accesses = o.Accesses
@@ -223,9 +257,6 @@ func execChase(res *Result, cfg gpu.Config, job Job) error {
 	pts, err := core.Sweep(cfg, []uint32{o.Stride}, []uint32{o.Footprint}, opt)
 	if err != nil {
 		return err
-	}
-	if len(pts) == 0 {
-		return fmt.Errorf("runner: footprint %d smaller than stride %d", o.Footprint, o.Stride)
 	}
 	res.Payload = pts[0]
 	res.add("stride", float64(pts[0].Stride))
@@ -236,13 +267,7 @@ func execChase(res *Result, cfg gpu.Config, job Job) error {
 
 func execLoaded(res *Result, cfg gpu.Config, job Job) error {
 	o := job.Options
-	if o.OfferedLoad <= 0 {
-		return fmt.Errorf("runner: loaded job needs a positive offered load")
-	}
-	lopt := core.LoadedOptions{Seed: job.Seed}
-	if o.Cycles > 0 {
-		lopt.Cycles = sim.Cycle(o.Cycles)
-	}
+	lopt := core.LoadedOptions{Seed: job.Seed, Cycles: sim.Cycle(max(o.Cycles, 0))} // 0: the default
 	pts, err := core.LoadedLatency(cfg, []float64{o.OfferedLoad}, lopt)
 	if err != nil {
 		return err
@@ -259,9 +284,6 @@ func execLoaded(res *Result, cfg gpu.Config, job Job) error {
 
 func execOccupancy(res *Result, cfg gpu.Config, job Job) error {
 	o := job.Options
-	if o.WarpLimit <= 0 {
-		return fmt.Errorf("runner: occupancy job needs a positive warp limit")
-	}
 	build := func() (*kernels.MultiKernel, error) { return buildBFS(job) }
 	pts, err := core.OccupancySweep(cfg, []int{o.WarpLimit}, build)
 	if err != nil {
@@ -285,9 +307,6 @@ func execOccupancy(res *Result, cfg gpu.Config, job Job) error {
 // data.
 func execCoRun(res *Result, cfg gpu.Config, job Job) error {
 	o := job.Options
-	if job.Kernel == "" || o.KernelB == "" {
-		return fmt.Errorf("runner: corun job needs two kernels (kernel and kernel_b)")
-	}
 	pair, err := kernels.CoRun(job.Kernel, o.KernelB, o.scale(), JobSeed(job.Seed, 0), JobSeed(job.Seed, 1))
 	if err != nil {
 		return err

@@ -8,7 +8,7 @@ package runner
 // concurrently — it is later executed.
 type Grid struct {
 	Kind Kind
-	// Archs is the architecture axis (preset names or "file:<path>").
+	// Archs is the architecture axis (presets; the CLI also takes "file:<path>").
 	Archs []string
 	// Kernels is the workload axis; experiments without a workload
 	// (static, chase, loaded) leave it empty.

@@ -20,7 +20,7 @@ type JobKey string
 // and seed — and deliberately excludes everything that cannot change
 // results:
 //
-//   - Engine: execution machinery; TestEngineDeterminismQuickGrid
+//   - Engine and Config.Engine: execution machinery; TestEngineDeterminismQuickGrid
 //     (cmd/gpulat) proves tick and event runs are byte-identical.
 //   - Options.Label: a report tag rendered from the requesting job, not
 //     an input to the simulation.
@@ -29,11 +29,15 @@ type JobKey string
 //     identical jobs across distinct keys.
 //
 // The canonical encoding is the job's own JSON export (fixed field
-// order, zero-valued options omitted), so the key is stable across
-// processes and machines.
+// order, zero-valued options and a preset job's nil Config omitted), so
+// the key is stable across processes and covers an inline config's content.
 func (j Job) Key() JobKey {
 	n := j
 	n.Engine = ""
+	if n.Config != nil && n.Config.Engine != 0 {
+		c := *n.Config
+		c.Engine, n.Config = 0, &c
+	}
 	n.Options.Label = ""
 	n.Options.Seed = 0
 	data, err := json.Marshal(n)

@@ -1,9 +1,12 @@
 package runner
 
 import (
+	"encoding/json"
+	"strings"
 	"testing"
 
 	"gpulat/internal/config"
+	"gpulat/internal/sim"
 )
 
 func TestJobKeyStableAndDiscriminating(t *testing.T) {
@@ -101,5 +104,26 @@ func TestHash64StableAndSpread(t *testing.T) {
 	}
 	if buckets[0] == 0 || buckets[1] == 0 {
 		t.Fatalf("degenerate split %v of %d jobs", buckets, len(jobs))
+	}
+}
+
+// TestInlineConfigKeys: a job carrying its config inline is keyed by the
+// config's content, so an edit to it is a new key, while the config's
+// engine, like the job's, is not part of the key; a preset job's JSON
+// holds no config at all (TestJobKeyGolden pins its key).
+func TestInlineConfigKeys(t *testing.T) {
+	cfg, edited, tick := config.GF106(), config.GF106(), config.GF106()
+	edited.Partition.DRAM.TCL++
+	tick.Engine = sim.EngineTick
+	job := Job{Kind: KindStatic, Config: &cfg, Seed: 7}
+	if job.Key() == (Job{Kind: KindStatic, Config: &edited, Seed: 7}).Key() {
+		t.Error("an edited inline config kept its key")
+	}
+	tickJob := Job{Kind: KindStatic, Config: &tick, Seed: 7}
+	if job.Key() != tickJob.Key() || tick.Engine != sim.EngineTick {
+		t.Error("the inline config's engine moved the key, or Key changed the config")
+	}
+	if data, _ := json.Marshal(Job{Kind: KindStatic, Arch: "GF106"}); strings.Contains(string(data), "config") {
+		t.Errorf("a preset job's JSON carries a config: %s", data)
 	}
 }

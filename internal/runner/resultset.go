@@ -105,12 +105,12 @@ func (s *ResultSet) WriteCSV(w io.Writer) error {
 		if r.Failed() {
 			// Quote the message: error text may contain commas or
 			// newlines, which would corrupt the unquoted CSV.
-			tb.AddRow(r.Index, string(j.Kind), j.Arch, j.Kernel, j.Options.Label, j.Seed,
+			tb.AddRow(r.Index, string(j.Kind), j.ArchName(), j.Kernel, j.Options.Label, j.Seed,
 				"error", strconv.Quote(r.Err))
 			continue
 		}
 		for _, m := range r.Metrics {
-			tb.AddRow(r.Index, string(j.Kind), j.Arch, j.Kernel, j.Options.Label, j.Seed,
+			tb.AddRow(r.Index, string(j.Kind), j.ArchName(), j.Kernel, j.Options.Label, j.Seed,
 				m.Name, stats.Precise(m.Value))
 		}
 	}

@@ -78,13 +78,6 @@ func NewRing(members []string, vnodes int) *Ring {
 	return r
 }
 
-// Members returns the member set in construction order. The slice is
-// shared; callers must not mutate it.
-func (r *Ring) Members() []string { return r.members }
-
-// Len returns the member count.
-func (r *Ring) Len() int { return len(r.members) }
-
 // Has reports whether m is a member.
 func (r *Ring) Has(m string) bool {
 	for _, have := range r.members {

@@ -13,6 +13,8 @@ import (
 	"runtime"
 	"sync"
 	"time"
+
+	"gpulat/internal/gpu"
 )
 
 // Kind selects the experiment a Job runs.
@@ -40,8 +42,12 @@ const (
 // inputs. Jobs are value types; a fully expanded grid is a []Job.
 type Job struct {
 	Kind Kind `json:"kind"`
-	// Arch is a preset name or "file:<path>" JSON configuration.
-	Arch string `json:"arch"`
+	// Arch names a preset; a job that names none carries its Config
+	// inline. The command line turns a "file:<path>" arch into Config,
+	// so the key covers the file's content; a server refuses the path.
+	// Copies of a job share the Config, which nothing may change.
+	Arch   string      `json:"arch"`
+	Config *gpu.Config `json:"config,omitempty"`
 	// Kernel names the workload for dynamic jobs ("bfs" or a catalog
 	// kernel); empty for memory-subsystem experiments.
 	Kernel string `json:"kernel,omitempty"`
@@ -59,9 +65,17 @@ type Job struct {
 	Engine string `json:"-"`
 }
 
+// ArchName names the job's architecture: its preset or inline config's Name.
+func (j Job) ArchName() string {
+	if j.Config != nil {
+		return j.Config.Name
+	}
+	return j.Arch
+}
+
 // Name returns a stable human-readable job identifier.
 func (j Job) Name() string {
-	s := string(j.Kind) + "/" + j.Arch
+	s := string(j.Kind) + "/" + j.ArchName()
 	if j.Kernel != "" {
 		s += "/" + j.Kernel
 	}

@@ -13,6 +13,7 @@ import (
 
 	"gpulat/internal/config"
 	"gpulat/internal/core"
+	"gpulat/internal/sim"
 )
 
 // testGrid is a small but heterogeneous sweep that runs at unit-test
@@ -259,6 +260,43 @@ func TestExecuteRejectsBadInputs(t *testing.T) {
 	}
 }
 
+// TestCheck: Check refuses each way a job can be wrong with an error
+// naming what is wrong, and resolves a preset job without allocating:
+// admission runs it on every submitted job.
+func TestCheck(t *testing.T) {
+	inline := config.GF106()
+	bad := inline
+	bad.SM.WarpSize = 0
+	for want, job := range map[string]Job{
+		"exactly one":                 {Kind: KindStatic, Arch: "GF106", Config: &inline},
+		"exactly one ":                {Kind: KindStatic},
+		`unknown arch "file:x.json"`:  {Kind: KindStatic, Arch: "file:x.json"},
+		"warp size":                   {Kind: KindStatic, Config: &bad},
+		"unknown engine":              {Kind: KindStatic, Arch: "GF106", Engine: "warp9"},
+		`unknown job kind "bogus"`:    {Kind: "bogus", Arch: "GF106"},
+		`unknown workload "nope"`:     {Kind: KindDynamic, Arch: "GF106", Kernel: "nope"},
+		`unknown workload ""`:         {Kind: KindCoRun, Arch: "GF106", Kernel: "gather"},
+		"footprint of at least":       {Kind: KindChase, Arch: "GF106", Options: Options{Stride: 256, Footprint: 128}},
+		"offered load in (0,1]":       {Kind: KindLoaded, Arch: "GF106", Options: Options{OfferedLoad: 1.5}},
+		"warp limit 49 outside 1..48": {Kind: KindOccupancy, Arch: "GF106", Options: Options{WarpLimit: 49}},
+		"bfs needs more than 4":       {Kind: KindOccupancy, Arch: "GF106", Options: Options{WarpLimit: 8, Vertices: 4}},
+		"unknown DRAM scheduler":      {Kind: KindStatic, Arch: "GF106", Options: Options{Overrides: config.Overrides{DRAMSched: "x"}}},
+	} {
+		if _, err := job.Check(); err == nil || !strings.Contains(err.Error(), strings.TrimSpace(want)) {
+			t.Errorf("Check(%s) = %v, want an error naming %q", job.Name(), err, want)
+		}
+	}
+	job := Job{Kind: KindDynamic, Arch: "GF100", Kernel: "bfs", Engine: "tick",
+		Options: Options{Overrides: config.Overrides{WarpSched: "GTO", MaxWarps: 16}}}
+	cfg, err := job.Check()
+	if err != nil || cfg.Name != "GF100" || cfg.Engine != sim.EngineTick || cfg.SM.MaxWarps != 16 || cfg.SM.MaxBlocks != 4 {
+		t.Fatalf("Check resolved %+v, %v", cfg.SM, err)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { job.Check() }); allocs != 0 {
+		t.Errorf("Check of a preset job allocates %v times", allocs)
+	}
+}
+
 // TestBFSTooFewVerticesIsAnError: a BFS graph attaches four edges per
 // new vertex, so both job kinds that build one reject four or fewer
 // vertices with an error instead of panicking in the graph generator;
@@ -330,7 +368,7 @@ func TestDynamicPayloadKeepsNoRecords(t *testing.T) {
 	}
 	var full, folded int
 	for i, job := range jobs[:3] {
-		cfg, err := resolveConfig(job)
+		cfg, err := job.Check()
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -43,8 +43,8 @@ func TestBackendPoolEmptyIsValid(t *testing.T) {
 
 func TestBackendPoolNormalizesAndDedupes(t *testing.T) {
 	c := newCore("127.0.0.1:1", "http://127.0.0.1:1/", "127.0.0.1:2")
-	if len(c.members) != 2 || c.ring.Len() != 2 {
-		t.Fatalf("members = %d, ring %d; want 2 (dup collapsed)", len(c.members), c.ring.Len())
+	if len(c.members) != 2 || len(c.ring.Shares()) != 2 {
+		t.Fatalf("members = %d, ring %d; want 2 (dup collapsed)", len(c.members), len(c.ring.Shares()))
 	}
 	if c.members[0].addr != "http://127.0.0.1:1" {
 		t.Fatalf("addr not normalized: %s", c.members[0].addr)

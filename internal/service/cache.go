@@ -56,29 +56,22 @@ type Cache struct {
 	evicts  int64
 }
 
-// DefaultCacheDir returns the user-level cache root (~/.cache/gpulat on
-// Linux), the default for `-cache-dir`.
-func DefaultCacheDir() (string, error) {
-	base, err := os.UserCacheDir()
-	if err != nil {
-		return "", fmt.Errorf("service: no user cache dir (set -cache-dir): %w", err)
-	}
-	return filepath.Join(base, "gpulat"), nil
-}
-
 // DefaultMaxEntries bounds the cache when the caller does not: large
 // enough for several full paper grids, small enough that the store stays
 // in the tens of megabytes.
 const DefaultMaxEntries = 65536
 
 // OpenCache opens (creating if needed) the store rooted at dir under the
-// build's scheme tag. maxEntries <= 0 selects DefaultMaxEntries.
+// build's scheme tag. An empty dir selects the user-level cache root
+// (~/.cache/gpulat on Linux), the default for `-cache-dir`; maxEntries
+// <= 0 selects DefaultMaxEntries.
 func OpenCache(dir string, maxEntries int) (*Cache, error) {
 	if dir == "" {
-		var err error
-		if dir, err = DefaultCacheDir(); err != nil {
-			return nil, err
+		base, err := os.UserCacheDir()
+		if err != nil {
+			return nil, fmt.Errorf("service: no user cache dir (set -cache-dir): %w", err)
 		}
+		dir = filepath.Join(base, "gpulat")
 	}
 	if maxEntries <= 0 {
 		maxEntries = DefaultMaxEntries
@@ -279,8 +272,8 @@ func fileExists(p string) (os.FileInfo, bool) {
 // CachedExec wraps exec (nil selects runner.Execute) with the cache:
 // hits return the stored metrics under the requesting job (so labels and
 // seeds render exactly as submitted); misses execute and write through.
-// This is the executor the CLI's -cache flag injects into the runner,
-// and the Station uses the same path on the server side.
+// The CLI's -cache flag injects it into the runner; the Station does not
+// use it, but probes the cache in Submit and writes it in run.
 func CachedExec(c *Cache, exec runner.ExecFunc) runner.ExecFunc {
 	if exec == nil {
 		exec = runner.Execute

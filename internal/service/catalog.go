@@ -46,10 +46,7 @@ func Catalog() CatalogInfo {
 		Placements:     sched.PlacementNames(),
 	}
 	for _, name := range config.Names() {
-		cfg, ok := config.ByName(name)
-		if !ok {
-			continue
-		}
+		cfg, _ := config.ByName(name)
 		info.Architectures = append(info.Architectures, ArchInfo{
 			Name: name, SMs: cfg.NumSMs, Partitions: cfg.NumPartitions,
 		})

@@ -11,21 +11,12 @@ import (
 	"gpulat/internal/runner"
 )
 
-// The coordinator journal is a write-ahead log of everything a
-// coordinator must not forget across a crash: every accepted job and
-// every membership change, one JSON record per line (JSONL). Appends go
-// straight to the file descriptor — no userspace buffering — so a
-// record survives any process death the moment Append returns (only a
-// machine crash can lose it). On start the journal is replayed: job
-// records re-admit their keys (backends dedupe by key and answer
-// finished ones from their caches, so replayed forwards are cheap and
-// safe), and membership records re-apply joins/leaves on top of the
-// configured backend list in the order they happened, reconstructing
-// the ring epoch the crashed coordinator had reached.
-//
-// A torn final line — the signature of dying mid-Append — is tolerated
-// on replay and dropped. The log is never compacted: it holds one line
-// per accepted job and membership change for the coordinator's lifetime.
+// The coordinator journal is a write-ahead JSONL log of every accepted
+// job and membership change, appended unbuffered so a record outlives
+// any process death once Append returns. Replay re-admits the jobs
+// (backends dedupe and answer from their caches) and re-applies the
+// joins and leaves in order, reaching the crashed coordinator's epoch.
+// It is never compacted.
 
 // Journal record types.
 const (

@@ -128,6 +128,10 @@ type membershipManager interface {
 // grids; the queue bound still applies on top).
 const maxJobsPerRequest = 10000
 
+// maxBodyBytes bounds a request body at 4 KiB a job: room for each job
+// to carry an inline config (about 1.3 KB of JSON).
+const maxBodyBytes = maxJobsPerRequest << 12
+
 // Server is the HTTP facade over a JobService: stateless handlers, JSON
 // in and out, every mutation funneled through the service's SubmitMany.
 type Server struct {
@@ -248,12 +252,17 @@ func writeError(w http.ResponseWriter, code int, format string, args ...any) {
 }
 
 // decodeBody decodes r's JSON body into v, refusing unknown fields; on
-// failure it answers 400, naming the body's kind.
+// failure it answers 400 naming the body's kind, or 413 past
+// maxBodyBytes.
 func decodeBody(w http.ResponseWriter, r *http.Request, kind string, v any) bool {
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
-		writeError(w, http.StatusBadRequest, "bad %s body: %v", kind, err)
+		code := http.StatusBadRequest
+		if errors.As(err, new(*http.MaxBytesError)) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, code, "bad %s body: %v", kind, err)
 		return false
 	}
 	return true
@@ -265,16 +274,17 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	jobs := req.Jobs
-	if req.Grid != nil {
+	if g := req.Grid; g != nil {
 		// Bound the grid BEFORE expanding it: a few-byte body with a
-		// huge Repeats must be rejected, not materialized.
-		size := gridSizeCapped(req.Grid, maxJobsPerRequest)
-		if len(jobs)+size > maxJobsPerRequest {
+		// huge Repeats must be rejected, not materialized. Axes within
+		// the bound keep Size from overflowing.
+		if max(len(g.Archs), len(g.Kernels), len(g.Variants), g.Repeats) > maxJobsPerRequest ||
+			len(jobs)+g.Size() > maxJobsPerRequest {
 			writeError(w, http.StatusRequestEntityTooLarge,
 				"request expands past the per-request bound of %d jobs", maxJobsPerRequest)
 			return
 		}
-		jobs = append(jobs, req.Grid.Jobs()...)
+		jobs = append(jobs, g.Jobs()...)
 	}
 	if len(jobs) == 0 {
 		writeError(w, http.StatusBadRequest, "submit body names no jobs (want jobs and/or grid)")
@@ -284,6 +294,14 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusRequestEntityTooLarge,
 			"%d jobs exceeds the per-request bound of %d", len(jobs), maxJobsPerRequest)
 		return
+	}
+	// Both tiers' one admission check, before any key is made; a file:
+	// arch fails it as an unknown preset, and no file is opened.
+	for i := range jobs {
+		if _, err := jobs[i].Check(); err != nil {
+			writeError(w, http.StatusBadRequest, "job %d: %v", i, err)
+			return
+		}
 	}
 	tickets, err := s.svc.SubmitMany(r.Context(), jobs)
 	indent := true
@@ -321,23 +339,6 @@ func errHTTPStatus(err error) int {
 	default:
 		return http.StatusInternalServerError
 	}
-}
-
-// gridSizeCapped returns the grid's expansion size, saturating at
-// bound+1 so arbitrarily large axis counts can never overflow the
-// product.
-func gridSizeCapped(g *runner.Grid, bound int) int {
-	size := 1
-	for _, n := range []int{len(g.Archs), len(g.Kernels), len(g.Variants), g.Repeats} {
-		if n < 1 {
-			n = 1
-		}
-		if n > bound || size*n > bound {
-			return bound + 1
-		}
-		size *= n
-	}
-	return size
 }
 
 func (s *Server) pathKey(w http.ResponseWriter, r *http.Request) (runner.JobKey, bool) {

@@ -7,6 +7,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -288,5 +290,103 @@ func TestResultBytesAreTheWireEncoding(t *testing.T) {
 		hit, hitBase := serve(t, dir, noExec)
 		do(t, hit, job)
 		check(t, hitBase, runner.Result{Job: job})
+	})
+}
+
+// TestServerAdmitsOnlyCheckedJobs: both tiers run Job.Check on every
+// submitted job before a key is made. A job naming a file: arch gets a
+// 400 that holds nothing of the file (no file is opened), and an unknown
+// kind, arch or kernel, or an invalid inline config, gets a 400 naming
+// the job's index and the field; none of them leaves a key behind.
+func TestServerAdmitsOnlyCheckedJobs(t *testing.T) {
+	const secret = "Zq9-not-for-clients"
+	path := filepath.Join(t.TempDir(), "secret.json")
+	if err := os.WriteFile(path, []byte(`{"Name":"`+secret+`","NumSMs":1}`), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	station := newStation(t, nil, StationConfig{Workers: 1}) // runner.Execute
+	backend := httptest.NewServer(NewServer(station, nil))
+	t.Cleanup(backend.Close)
+	coord := quietCoordinator(t, backend.URL)
+	good := `{"kind": "static", "arch": "GF106"}, `
+	for tier, svc := range map[string]JobService{"station": station, "coordinator": coord} {
+		table := &station.jobs
+		if tier == "coordinator" {
+			table = &coord.jobs
+		}
+		front := httptest.NewServer(NewServer(svc, nil))
+		for job, want := range map[string]string{
+			`{"kind": "static", "arch": "file:` + path + `"}`:                       "job 1: runner: unknown arch",
+			`{"kind": "bogus", "arch": "GF106"}`:                                    "job 1: runner: unknown job kind",
+			`{"kind": "static", "arch": "RTX9090"}`:                                 "job 1: runner: unknown arch",
+			`{"kind": "dynamic", "arch": "GF106", "kernel": "nope"}`:                "job 1: runner: unknown workload",
+			`{"kind": "corun", "arch": "GF106", "kernel": "gather"}`:                "job 1: runner: unknown workload",
+			`{"kind": "static", "config": {"Name": "x", "NumSMs": 1}}`:              "job 1: gpu x: NumSMs",
+			`{"kind": "occupancy", "arch": "GF106", "options": {"warp_limit": 99}}`: "job 1: sm: warp limit 99",
+		} {
+			table.mu.Lock()
+			keys := len(table.byKey)
+			table.mu.Unlock()
+			resp, err := http.Post(front.URL+"/v1/jobs", "application/json", strings.NewReader(`{"jobs": [`+good+job+`]}`))
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), want) || strings.Contains(string(body), secret) {
+				t.Errorf("%s: %s answered %d %s, want 400 naming %q and nothing of the file", tier, job, resp.StatusCode, body, want)
+			}
+			table.mu.Lock()
+			if len(table.byKey) != keys {
+				t.Errorf("%s: %s grew the key table from %d to %d keys", tier, job, keys, len(table.byKey))
+			}
+			table.mu.Unlock()
+		}
+		front.Close()
+	}
+}
+
+// TestServerBoundsTheBody: a body past maxBodyBytes is refused with a
+// 413 once the bound is read, however long the body goes on.
+func TestServerBoundsTheBody(t *testing.T) {
+	srv := NewServer(newStation(t, nil, StationConfig{Workers: 1}), nil)
+	body := io.MultiReader(strings.NewReader(`{"jobs": [`), bytes.NewReader(bytes.Repeat([]byte{' '}, maxBodyBytes)))
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/jobs", body))
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Errorf("a body past %d bytes answered %d %s, want 413", maxBodyBytes, rec.Code, rec.Body)
+	}
+}
+
+// FuzzSubmitBody sends arbitrary bodies through Server.ServeHTTP to a
+// fresh station whose executor only echoes: the server must never panic
+// or answer 5xx, and every job of a 200 answer must pass Check. The
+// station's queue holds a whole request, so a full queue (a 503) cannot
+// happen.
+func FuzzSubmitBody(f *testing.F) {
+	f.Fuzz(func(t *testing.T, body []byte) {
+		station := newStation(t, nil, StationConfig{Workers: 1, QueueBound: maxJobsPerRequest,
+			Exec: func(_ context.Context, job runner.Job) runner.Result { return testResult(job) }})
+		rec := httptest.NewRecorder()
+		NewServer(station, nil).ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/jobs", bytes.NewReader(body)))
+		if rec.Code >= 500 {
+			t.Fatalf("answered %d: %s", rec.Code, rec.Body)
+		}
+		if rec.Code != http.StatusOK {
+			return
+		}
+		var req SubmitRequest
+		if err := json.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
+			t.Fatalf("answered 200 to a body that does not decode: %v", err)
+		}
+		jobs := req.Jobs
+		if req.Grid != nil {
+			jobs = append(jobs, req.Grid.Jobs()...)
+		}
+		for i, job := range jobs {
+			if _, err := job.Check(); err != nil {
+				t.Fatalf("answered 200 with job %d failing Check: %v", i, err)
+			}
+		}
 	})
 }

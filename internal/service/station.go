@@ -229,12 +229,7 @@ func (s *Station) SubmitMany(ctx context.Context, jobs []runner.Job) ([]JobTicke
 	return tickets, nil
 }
 
-// Status reports a key's lifecycle position.
-func (s *Station) Status(key runner.JobKey) (Status, bool) {
-	return s.Wait(context.Background(), key, 0)
-}
-
-// Wait is Status after first blocking (never under s.mu) until the key
+// Wait reports a key's lifecycle position after first blocking (never under s.mu) until the key
 // is terminal, d elapses, ctx ends or the station begins to close,
 // whichever is first. An unknown key answers false at once.
 func (s *Station) Wait(ctx context.Context, key runner.JobKey, d time.Duration) (Status, bool) {
@@ -253,7 +248,7 @@ func (s *Station) Wait(ctx context.Context, key runner.JobKey, d time.Duration) 
 		}
 	}
 	// Re-read under the lock: a resubmission may have replaced a failed
-	// state while we waited, and the live one is what Status reports.
+	// state while we waited, and the live one is what Wait reports.
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.byKey[key].status, true

@@ -158,7 +158,7 @@ func TestStationFailurePath(t *testing.T) {
 	if !res.Failed() || res.Err != "no such kernel" {
 		t.Fatalf("failure lost: %+v", res)
 	}
-	if status, _ := st.Status(job.Key()); status != StatusFailed {
+	if status, _ := st.Wait(context.Background(), job.Key(), 0); status != StatusFailed {
 		t.Fatalf("status = %s, want failed", status)
 	}
 	if _, ok := cache.Get(job.Key()); ok {
@@ -225,7 +225,7 @@ func TestStationCloseUnblocksQueuedWaiters(t *testing.T) {
 	st.Close()
 	for i, key := range keys {
 		if _, ok := st.Result(context.Background(), key); !ok {
-			status, _ := st.Status(key)
+			status, _ := st.Wait(context.Background(), key, 0)
 			t.Errorf("job %d not terminal after Close (status %s)", i, status)
 		}
 	}
@@ -296,7 +296,7 @@ func TestStationSubmitCloseRace(t *testing.T) {
 					default:
 						t.Errorf("unexpected submit error: %v", err)
 					}
-					st.Status(key)
+					st.Wait(context.Background(), key, 0)
 				}
 			}(g)
 		}
@@ -314,7 +314,7 @@ func TestStationSubmitCloseRace(t *testing.T) {
 		for g := range accepted {
 			for _, key := range accepted[g] {
 				if _, ok := st.Result(context.Background(), key); !ok {
-					status, _ := st.Status(key)
+					status, _ := st.Wait(context.Background(), key, 0)
 					t.Fatalf("accepted key %s not terminal after Close (status %q)", key, status)
 				}
 			}
@@ -353,7 +353,7 @@ func TestStationDoUnblocksOnConcurrentClose(t *testing.T) {
 	// blocked, so job 1 must be failed by the drain.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if status, ok := st.Status(testJob(1).Key()); ok && status == StatusQueued {
+		if status, ok := st.Wait(context.Background(), testJob(1).Key(), 0); ok && status == StatusQueued {
 			break
 		}
 		if time.Now().After(deadline) {

@@ -96,7 +96,8 @@ type Config struct {
 	SharedBanks   int
 }
 
-func (c Config) validate() error {
+// Validate reports the first field of c that no SM can be built from.
+func (c Config) Validate() error {
 	switch {
 	case c.WarpSize <= 0 || c.WarpSize > 32:
 		return fmt.Errorf("sm %d: warp size must be in 1..32", c.ID)
@@ -115,7 +116,19 @@ func (c Config) validate() error {
 		return fmt.Errorf("sm %d: coalesce segment must be a power of two", c.ID)
 	case c.SharedBanks <= 0:
 		return fmt.Errorf("sm %d: shared banks must be positive", c.ID)
+	case (c.L1Enabled || c.L1LocalEnabled) && c.L1.Validate() != nil:
+		return fmt.Errorf("sm %d: L1: %w", c.ID, c.L1.Validate())
 	}
+	return nil
+}
+
+// LimitWarps is the one warp-limit rule, of the MaxWarps override and the
+// occupancy sweep: it caps c at w warps, with a block slot per four warps.
+func (c *Config) LimitWarps(w int) error {
+	if w < 1 || w > c.MaxWarps {
+		return fmt.Errorf("sm: warp limit %d outside 1..%d", w, c.MaxWarps)
+	}
+	c.MaxWarps, c.MaxBlocks = w, min(c.MaxBlocks, (w+3)/4)
 	return nil
 }
 
@@ -327,7 +340,7 @@ type Stats struct {
 // the whole GPU; newReqID must return unique request IDs; observer
 // receives tracked-request completions (may be nil).
 func New(cfg Config, memory *mem.Memory, newReqID func() uint64, observer mem.Observer) *SM {
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
 	if observer == nil {
